@@ -1,13 +1,17 @@
 """Gaussian-state dynamics of the driven harmonic trap.
 
-The working medium stays Gaussian under any quadratic Hamiltonian, so the
-full quantum evolution reduces to five real ODEs for the first moments
-(mx, mp) and the symmetrized covariances (Sxx, Sxp, Spp). Two drives are
-supported:
+The working medium stays Gaussian under any quadratic Hamiltonian. Two
+drives are supported:
 
 * ``Drive.BARE``: H0 = p^2/2 + omega(t)^2 x^2 / 2;
 * ``Drive.CD``: H0 plus the counterdiabatic term -(omegadot/4 omega)(xp+px),
   which transports eigenstates of H0 along the instantaneous basis exactly.
+
+Both give the linear equations x' = g x + p, p' = -omega^2 x - g p, with
+g = 0 (bare) or g = -omegadot/(2 omega) (CD). Their 2x2 transfer matrix
+M(t) carries everything: mean(t) = M mean(0), cov(t) = M cov(0) M^T, and
+its columns are the two classical solutions behind Q*. M is computed by a
+vectorized 4th-order Magnus propagator with step-doubling error control.
 
 Three independent routes to the adiabaticity factor Q* (the ratio of the
 actual mean energy to the adiabatically transported one) are provided:
@@ -24,7 +28,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import kernels
 from .errors import NumericsError, TrapInversionError
 from .protocols import FrequencyProtocol, validity_margin
 
@@ -45,25 +48,27 @@ __all__ = [
     "q_cd",
     "q_cd_grid",
     "DEFAULT_RTOL",
-    "DEFAULT_ATOL",
 ]
 
 DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
 _MAX_STEPS = 1_000_000
 
 # Minimum symplectic eigenvalue squared is 1/4 (vacuum), with slack for
-# accumulated integrator roundoff.
+# accumulated propagator roundoff.
 _DET_FLOOR = 0.25 - 1e-9
+
+# Two-node Gauss-Legendre 4th-order Magnus step (Blanes, Casas, Oteo & Ros,
+# Phys. Rep. 470, 151 (2009)): nodes in units of the step, commutator weight.
+_GL_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_GL_COMMUTATOR = math.sqrt(3.0) / 12.0
+# |det Omega| below which the step exponential uses its Taylor series.
+_SERIES_MAX = 1e-2
+_MIN_START_STEPS = 4
 
 
 class Drive(str, Enum):
     BARE = "bare"
     CD = "cd"
-
-    @property
-    def system_code(self) -> int:
-        return kernels.SYS_COV_CD if self is Drive.CD else kernels.SYS_COV_BARE
 
 
 @dataclass(frozen=True)
@@ -97,19 +102,6 @@ class GaussianState:
     @property
     def det_cov(self) -> float:
         return float(self.cov[0, 0] * self.cov[1, 1] - self.cov[0, 1] ** 2)
-
-    def _vector(self) -> np.ndarray:
-        return np.array(
-            [self.mean[0], self.mean[1], self.cov[0, 0], self.cov[0, 1], self.cov[1, 1]],
-            dtype=np.float64,
-        )
-
-    @staticmethod
-    def _from_vector(y: np.ndarray) -> "GaussianState":
-        return GaussianState(
-            mean=np.array([y[0], y[1]]),
-            cov=np.array([[y[2], y[3]], [y[3], y[4]]]),
-        )
 
 
 def coth_half(beta: float, omega: float) -> float:
@@ -154,17 +146,133 @@ def _require_cd_valid(protocol: FrequencyProtocol, t_end: float, n_samples: int 
         )
 
 
-_STATUS_MESSAGES = {
-    1: "step budget exhausted",
-    2: "step size underflow",
-}
+# -- transfer-matrix propagator -----------------------------------------------
 
 
-def _raise_status(status: int):
-    if status != 0:
-        raise NumericsError(
-            f"adaptive RK45 failed: {_STATUS_MESSAGES.get(status, f'status {status}')}"
-        )
+def _step_exponentials(
+    protocol: FrequencyProtocol, drive: Drive, left: np.ndarray, h: np.ndarray
+) -> np.ndarray:
+    """exp(Omega) of each Magnus step [left, left + h], stacked (N, 2, 2).
+
+    The generator A = [[g, 1], [-omega^2, -g]] is traceless, and so is
+    Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1]. Then
+    Omega^2 = delta I with delta = -det Omega, and
+    exp(Omega) = C I + S Omega with C = cosh(sqrt delta) and
+    S = sinh(sqrt delta)/sqrt delta (cos/sin for delta < 0).
+    """
+    w, wd, _ = protocol._shape((left + _GL_NODES[:, None] * h) / protocol.tau)
+    # A_k = [[a_k, 1], [c_k, -a_k]] at the two nodes; Omega = [[alpha, beta], [gamma, -alpha]].
+    c1, c2 = -w * w
+    a1, a2 = -wd / (2.0 * w) if drive is Drive.CD else (0.0, 0.0)
+    kh2 = _GL_COMMUTATOR * h * h
+    alpha = 0.5 * h * (a1 + a2) + kh2 * (c1 - c2)
+    beta = h + 2.0 * kh2 * (a2 - a1)
+    gamma = 0.5 * h * (c1 + c2) + 2.0 * kh2 * (c2 * a1 - c1 * a2)
+    d = alpha * alpha + beta * gamma  # delta = -det Omega
+
+    small = np.abs(d) < _SERIES_MAX
+    q = np.sqrt(np.where(small, 1.0, np.abs(d)))
+    grow = d > 0.0
+    q_grow = np.where(grow, q, 0.0)
+    cosh_part = np.where(grow, np.cosh(q_grow), np.cos(q))
+    sinh_part = np.where(grow, np.sinh(q_grow), np.sin(q)) / q
+    cosh_part = np.where(
+        small, 1.0 + d * (1 / 2 + d * (1 / 24 + d * (1 / 720 + d / 40320))), cosh_part
+    )
+    sinh_part = np.where(
+        small, 1.0 + d * (1 / 6 + d * (1 / 120 + d * (1 / 5040 + d / 362880))), sinh_part
+    )
+
+    out = np.empty((h.size, 2, 2))
+    out[:, 0, 0] = cosh_part + sinh_part * alpha
+    out[:, 0, 1] = sinh_part * beta
+    out[:, 1, 0] = sinh_part * gamma
+    out[:, 1, 1] = cosh_part - sinh_part * alpha
+    return out
+
+
+def _prefix_products(steps: np.ndarray) -> np.ndarray:
+    """Running products steps[k] @ ... @ steps[0], by a log-depth doubling
+    scan (each pass combines entries ``span`` apart)."""
+    out = steps.copy()
+    span = 1
+    while span < out.shape[0]:
+        out[span:] = np.matmul(out[span:], out[:-span])
+        span *= 2
+    return out
+
+
+def _transfer_matrices(
+    protocol: FrequencyProtocol, ts: np.ndarray, drive: Drive, rtol: float
+) -> np.ndarray:
+    """Transfer matrices M(t_j), shape (len(ts), 2, 2), from t = 0 to each
+    ascending checkpoint t_j.
+
+    Each gap between checkpoints gets a whole number of equal Magnus steps,
+    starting near one step per radian of the fastest trap frequency. The
+    step count then doubles until the Richardson estimate
+    max_j |M_2N(t_j) - M_N(t_j)| / (15 |M_2N(t_j)|) is at most rtol, and
+    the finer result is returned; doublings the estimate predicts to fall
+    short are skipped. Raises NumericsError when the grid would exceed
+    _MAX_STEPS steps.
+    """
+    if not rtol > 0.0:
+        raise ValueError(f"rtol must be positive, got {rtol!r}")
+    edges = np.concatenate(([0.0], ts))
+    gaps = np.diff(edges)
+    t_end = float(ts[-1])
+    if t_end == 0.0:
+        return np.tile(np.eye(2), (ts.size, 1, 1))
+    omega_max = max(protocol.omega_i, protocol.omega_f)
+    steps_per_time = max(_MIN_START_STEPS, math.ceil(t_end * omega_max)) / t_end
+    base = np.ceil(gaps * steps_per_time).astype(np.int64)
+    previous = None
+    error = math.inf
+    level = 0
+    while True:
+        counts = base << level
+        ends = np.cumsum(counts)
+        n = int(ends[-1])
+        if n > _MAX_STEPS:
+            raise NumericsError(
+                f"Magnus propagator: {n} steps exceed the budget of {_MAX_STEPS} "
+                f"(error estimate {error:.3g} > rtol {rtol:g})"
+            )
+        h = np.repeat(gaps / np.maximum(counts, 1), counts)
+        index = np.arange(n) - np.repeat(ends - counts, counts)
+        left = np.repeat(edges[:-1], counts) + index * h
+        products = _prefix_products(_step_exponentials(protocol, drive, left, h))
+        m = np.concatenate((np.eye(2)[None], products))[ends]
+        if previous is None:
+            previous = m
+            level += 1
+            continue
+        diff = np.max(np.abs(m - previous), axis=(1, 2))
+        error = float(np.max(diff / np.max(np.abs(m), axis=(1, 2)))) / 15.0
+        if error <= rtol:
+            return m
+        # A 4th-order error falls about 16-fold per doubling: skip straight
+        # to the pair of levels predicted to meet rtol.
+        doublings = math.ceil(math.log(error / rtol, 16)) if math.isfinite(error) else 1
+        previous = m if doublings <= 1 else None
+        level += max(doublings - 1, 1)
+
+
+def _checkpoints(protocol: FrequencyProtocol, ts) -> np.ndarray:
+    ts = np.asarray(ts, dtype=np.float64)
+    if ts.ndim != 1 or ts.size == 0:
+        raise ValueError("ts must be a non-empty 1-d array of times")
+    if np.any(np.diff(ts) < 0.0) or ts[0] < 0.0:
+        raise ValueError("ts must be ascending and non-negative")
+    if ts[-1] > protocol.tau * (1.0 + 1e-12):
+        raise ValueError(f"ts exceeds tau = {protocol.tau}")
+    return ts
+
+
+def _evolve(state: GaussianState, m: np.ndarray) -> list[GaussianState]:
+    means = m @ state.mean
+    covs = m @ state.cov @ np.swapaxes(m, 1, 2)
+    return [GaussianState(mean=mu, cov=c) for mu, c in zip(means, covs)]
 
 
 def propagate(
@@ -173,7 +281,6 @@ def propagate(
     t: float,
     drive: Drive = Drive.BARE,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> GaussianState:
     """Evolve a Gaussian state from time 0 to time t under the protocol.
 
@@ -185,22 +292,7 @@ def propagate(
         raise ValueError(f"t = {t} outside [0, tau = {protocol.tau}]")
     if drive is Drive.CD:
         _require_cd_valid(protocol, t)
-    y = state._vector()
-    status = kernels.integrate(
-        drive.system_code,
-        protocol.kind.kernel_code,
-        protocol.omega_i,
-        protocol.omega_f,
-        protocol.tau,
-        0.0,
-        t,
-        y,
-        rtol,
-        atol,
-        _MAX_STEPS,
-    )
-    _raise_status(status)
-    return GaussianState._from_vector(y)
+    return _evolve(state, _transfer_matrices(protocol, np.array([t]), drive, rtol))[0]
 
 
 def propagate_path(
@@ -209,36 +301,13 @@ def propagate_path(
     ts,
     drive: Drive = Drive.BARE,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> list[GaussianState]:
     """States at each ascending checkpoint in ``ts`` (single forward sweep)."""
     drive = Drive(drive)
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("ts must be a non-empty 1-d array of times")
-    if np.any(np.diff(ts) < 0.0) or ts[0] < 0.0:
-        raise ValueError("ts must be ascending and non-negative")
-    if ts[-1] > protocol.tau * (1.0 + 1e-12):
-        raise ValueError(f"ts exceeds tau = {protocol.tau}")
+    ts = _checkpoints(protocol, ts)
     if drive is Drive.CD:
         _require_cd_valid(protocol, float(ts[-1]))
-    y = state._vector()
-    out = np.empty((ts.size, 5), dtype=np.float64)
-    status = kernels.integrate_path(
-        drive.system_code,
-        protocol.kind.kernel_code,
-        protocol.omega_i,
-        protocol.omega_f,
-        protocol.tau,
-        ts,
-        y,
-        out,
-        rtol,
-        atol,
-        _MAX_STEPS,
-    )
-    _raise_status(status)
-    return [GaussianState._from_vector(row) for row in out]
+    return _evolve(state, _transfer_matrices(protocol, ts, drive, rtol))
 
 
 # -- classical solution pair (temperature-independent route) ----------------
@@ -248,33 +317,15 @@ def classical_pair_path(
     protocol: FrequencyProtocol,
     ts,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> np.ndarray:
     """Rows (X, Xdot, Y, Ydot) at each checkpoint for the two classical
     solutions of xddot + omega(t)^2 x = 0 with X(0)=0, Xdot(0)=1 and
-    Y(0)=1, Ydot(0)=0. Their Wronskian X Ydot - Y Xdot stays -1."""
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("ts must be a non-empty 1-d array of times")
-    if np.any(np.diff(ts) < 0.0) or ts[0] < 0.0:
-        raise ValueError("ts must be ascending and non-negative")
-    y = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.float64)
-    out = np.empty((ts.size, 4), dtype=np.float64)
-    status = kernels.integrate_path(
-        kernels.SYS_PAIR,
-        protocol.kind.kernel_code,
-        protocol.omega_i,
-        protocol.omega_f,
-        protocol.tau,
-        ts,
-        y,
-        out,
-        rtol,
-        atol,
-        _MAX_STEPS,
-    )
-    _raise_status(status)
-    return out
+    Y(0)=1, Ydot(0)=0. Their Wronskian X Ydot - Y Xdot stays -1.
+
+    They are the columns of the bare-drive transfer matrix: (X, Xdot) the
+    second, (Y, Ydot) the first."""
+    m = _transfer_matrices(protocol, _checkpoints(protocol, ts), Drive.BARE, rtol)
+    return np.stack([m[:, 0, 1], m[:, 1, 1], m[:, 0, 0], m[:, 1, 0]], axis=1)
 
 
 def _pair_q(protocol: FrequencyProtocol, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -291,11 +342,10 @@ def adiabaticity_pair(
     protocol: FrequencyProtocol,
     t: float,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> float:
     """Q*(t) from the classical pair; independent of the initial thermal state."""
     ts = np.array([float(t)])
-    rows = classical_pair_path(protocol, ts, rtol=rtol, atol=atol)
+    rows = classical_pair_path(protocol, ts, rtol=rtol)
     return float(_pair_q(protocol, rows, ts)[0])
 
 
@@ -303,10 +353,9 @@ def adiabaticity_pair_path(
     protocol: FrequencyProtocol,
     ts,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> np.ndarray:
     ts = np.asarray(ts, dtype=np.float64)
-    rows = classical_pair_path(protocol, ts, rtol=rtol, atol=atol)
+    rows = classical_pair_path(protocol, ts, rtol=rtol)
     return _pair_q(protocol, rows, ts)
 
 
@@ -319,7 +368,6 @@ def adiabaticity(
     t: float,
     drive: Drive = Drive.BARE,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> float:
     """Q*(t) = <H0(omega_t)> / [(omega_t/omega_i) <H0(omega_i)>_thermal].
 
@@ -327,7 +375,7 @@ def adiabaticity(
     drive for every beta; under the CD drive it is 1 at all times.
     """
     return float(
-        adiabaticity_path(protocol, beta, [t], drive=drive, rtol=rtol, atol=atol)[0]
+        adiabaticity_path(protocol, beta, [t], drive=drive, rtol=rtol)[0]
     )
 
 
@@ -337,12 +385,11 @@ def adiabaticity_path(
     ts,
     drive: Drive = Drive.BARE,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> np.ndarray:
     ts = np.asarray(ts, dtype=np.float64)
     state0 = thermal_state(beta, protocol.omega_i)
     e0 = mean_energy(state0, protocol.omega_i)
-    states = propagate_path(state0, protocol, ts, drive=drive, rtol=rtol, atol=atol)
+    states = propagate_path(state0, protocol, ts, drive=drive, rtol=rtol)
     w_t = np.atleast_1d(np.asarray(protocol.omega(ts), dtype=np.float64))
     energies = np.array(
         [mean_energy(st, w) for st, w in zip(states, w_t)], dtype=np.float64

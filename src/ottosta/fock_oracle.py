@@ -8,8 +8,8 @@ form, unitary by construction through an eigendecomposition of the Hermitian
 generator), and energies/populations are read out by diagonalizing the
 relevant Hamiltonians inside the truncated space.
 
-This route shares nothing with the Gaussian kernels except the frequency
-ramp formulas, so agreement between the two engines is a genuine check.
+This route shares nothing with the Gaussian transfer-matrix propagator
+except the frequency ramp formulas, so agreement between the two engines is a genuine check.
 It also provides spectral facts the Gaussian picture cannot state directly:
 the eigenvalues of the counterdiabatic Hamiltonian (omega/Q*_CD (n + 1/2)),
 the bare-energy expectations in its eigenstates (omega Q*_CD (n + 1/2)),

@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
-
 __all__ = [
     "ProtocolKind",
     "FrequencyProtocol",
@@ -39,23 +37,11 @@ class ProtocolKind(str, Enum):
     LINEAR = "linear"
     CONSTANT = "constant"
 
-    @property
-    def kernel_code(self) -> int:
-        return _KERNEL_CODES[self]
-
     @classmethod
     def shortcut_kinds(cls) -> tuple["ProtocolKind", ...]:
         """Kinds whose boundary conditions make CD driving vanish at t=0, tau."""
         return (cls.POLY5, cls.POLY3, cls.COSINE)
 
-
-_KERNEL_CODES = {
-    ProtocolKind.CONSTANT: kernels.KIND_CONSTANT,
-    ProtocolKind.POLY5: kernels.KIND_POLY5,
-    ProtocolKind.POLY3: kernels.KIND_POLY3,
-    ProtocolKind.COSINE: kernels.KIND_COSINE,
-    ProtocolKind.LINEAR: kernels.KIND_LINEAR,
-}
 
 # Slack allowed when checking t against [0, tau], relative to tau.
 _DOMAIN_TOL = 1e-12
@@ -98,12 +84,14 @@ class FrequencyProtocol:
     def eval(self, t: float) -> tuple[float, float, float]:
         """(omega, omegadot, omegaddot) at scalar time t."""
         self._check_domain(t)
-        return kernels.ramp_eval(
-            self.kind.kernel_code, self.omega_i, self.omega_f, self.tau, float(t)
-        )
+        w, wd, wdd = self._shape(np.float64(t) / self.tau)
+        return float(w), float(wd), float(wdd)
 
     def _shape(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized (omega, omegadot, omegaddot) as functions of s = t/tau."""
+        """Vectorized (omega, omegadot, omegaddot) as functions of s = t/tau.
+        The polynomial ramps interpolate omega itself; the cosine ramp
+        interpolates omega squared, which is why its curvature does not
+        vanish at the endpoints."""
         wi, wf, tau = self.omega_i, self.omega_f, self.tau
         d = wf - wi
         kind = self.kind

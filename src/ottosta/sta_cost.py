@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_ATOL,
     DEFAULT_RTOL,
     Drive,
     coth_half,
@@ -130,16 +129,13 @@ def friction_path(
     ctx: StrokeContext,
     ts,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> np.ndarray:
     """Inner friction of the bare drive at each checkpoint:
     <H0(omega_t)>_bare - (omega_t/omega_i) <H(0)>. Zero for an adiabatic
     drive, grows with nonadiabatic excitation."""
     ts = np.asarray(ts, dtype=np.float64)
     state0 = thermal_state(ctx.beta, ctx.protocol.omega_i)
-    states = propagate_path(
-        state0, ctx.protocol, ts, drive=Drive.BARE, rtol=rtol, atol=atol
-    )
+    states = propagate_path(state0, ctx.protocol, ts, drive=Drive.BARE, rtol=rtol)
     w_t = np.atleast_1d(np.asarray(ctx.protocol.omega(ts), dtype=np.float64))
     energies = np.array(
         [mean_energy(st, w) for st, w in zip(states, w_t)], dtype=np.float64
@@ -151,6 +147,5 @@ def friction(
     ctx: StrokeContext,
     t: float,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> float:
-    return float(friction_path(ctx, [float(t)], rtol=rtol, atol=atol)[0])
+    return float(friction_path(ctx, [float(t)], rtol=rtol)[0])

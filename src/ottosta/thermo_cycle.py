@@ -30,13 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
-    Drive,
-    adiabaticity,
-    coth_half,
-)
+from .dynamics import DEFAULT_RTOL, Drive, adiabaticity, coth_half
 from .errors import SecondLawViolationError
 from .protocols import FrequencyProtocol, ProtocolKind
 from .quadrature import DEFAULT_NODES
@@ -54,9 +48,6 @@ __all__ = [
     "entropy_production",
     "driving_costs",
     "nonadiabatic_factors",
-    "sta_efficiency",
-    "sta_power",
-    "time_averaged_performance",
     "evaluate_cycle",
 ]
 
@@ -176,16 +167,15 @@ def entropy_production(
 def nonadiabatic_factors(
     config: CycleConfig,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> tuple[float, float]:
     """(Q*1, Q*3) of the bare drive at the end of each unitary stroke."""
     q1 = adiabaticity(
         config.compression_protocol(), config.beta1, config.tau1,
-        drive=Drive.BARE, rtol=rtol, atol=atol,
+        drive=Drive.BARE, rtol=rtol,
     )
     q3 = adiabaticity(
         config.expansion_protocol(), config.beta2, config.tau3,
-        drive=Drive.BARE, rtol=rtol, atol=atol,
+        drive=Drive.BARE, rtol=rtol,
     )
     return q1, q3
 
@@ -201,38 +191,6 @@ def driving_costs(
         StrokeContext(config.expansion_protocol(), config.beta2), nodes=nodes
     )
     return c1, c3
-
-
-def sta_efficiency(config: CycleConfig, nodes: int = DEFAULT_NODES) -> float:
-    """Efficiency with the driving cost charged to the heat input:
-    -(W1+W3)_AD / (Q2_AD + <dW1>_tau + <dW3>_tau)."""
-    w1, w3 = stroke_works(config, 1.0, 1.0)
-    q2 = heat_hot(config, 1.0)
-    c1, c3 = driving_costs(config, nodes=nodes)
-    return -(w1 + w3) / (q2 + c1 + c3)
-
-
-def sta_power(config: CycleConfig, nodes: int = DEFAULT_NODES) -> float:
-    """Output power with the driving cost subtracted:
-    [-(W1+W3)_AD - <dW1>_tau - <dW3>_tau] / tau_cycle."""
-    w1, w3 = stroke_works(config, 1.0, 1.0)
-    c1, c3 = driving_costs(config, nodes=nodes)
-    return (-(w1 + w3) - c1 - c3) / config.tau_cycle
-
-
-def time_averaged_performance(
-    config: CycleConfig, nodes: int = DEFAULT_NODES
-) -> tuple[float, float]:
-    """(eta, P) with each stroke work replaced by its driving-time average,
-    W_i + <dW_i>_tau, against the bare heat input Q2_AD."""
-    w1, w3 = stroke_works(config, 1.0, 1.0)
-    q2 = heat_hot(config, 1.0)
-    c1, c3 = driving_costs(config, nodes=nodes)
-    w1a = w1 + c1
-    w3a = w3 + c3
-    eta = -(w1a + w3a) / q2
-    power = -(w1a + w3a) / config.tau_cycle
-    return eta, power
 
 
 @dataclass(frozen=True)
@@ -263,12 +221,11 @@ def evaluate_cycle(
     accounting: Accounting = Accounting.ADIABATIC,
     nodes: int = DEFAULT_NODES,
     rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> CycleResult:
     """Evaluate the full cycle under one accounting convention."""
     accounting = Accounting(accounting)
     if accounting is Accounting.NONADIABATIC:
-        q1, q3 = nonadiabatic_factors(config, rtol=rtol, atol=atol)
+        q1, q3 = nonadiabatic_factors(config, rtol=rtol)
         c1 = c3 = 0.0
         w1, w3 = stroke_works(config, q1, q3)
         q2 = heat_hot(config, q1)

@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from the equations of motion with
 the dumbest possible numerics (fixed-step classic RK4, trapezoid sums,
-dense scans) and without importing ottosta.kernels, so agreement with the
-library is evidence rather than tautology.
+dense scans) and without importing ottosta, so agreement with the library
+is evidence rather than tautology.
 """
 
 import functools

@@ -104,6 +104,27 @@ class TestQstar:
                 assert float(r[4]) == pytest.approx(float(r[5]), abs=1e-6)
 
 
+    @pytest.mark.parametrize("tau", [3.06462549714, 2.98066884801])
+    def test_durations_that_aborted_the_adaptive_integrator(self, tmp_path, tau):
+        """The former adaptive RK45 kernel exited 4 ("step size underflow")
+        at these driving times: rounding left the first checkpoint interval
+        an ulp short and the next step fell below its minimum size."""
+        cfg = tmp_path / "tau.json"
+        cfg.write_text(json.dumps({"tau": tau}))
+        out = str(tmp_path / "q.csv")
+        rc = run_cli(["qstar", "--config", str(cfg), "--oracle", "--jobs", "1", "--out", out])
+        assert rc == 0
+        meta, header, rows = split_output(Path(out).read_text())
+        assert meta["params"]["tau"] == tau
+        assert len(rows) == 4 * 1001
+        idx = {name: i for i, name in enumerate(header)}
+        for r in rows:
+            q_bare = float(r[idx["q_bare"]])
+            q_pair = float(r[idx["q_pair"]])
+            assert abs(q_pair - q_bare) / q_bare <= 1e-8
+            assert q_bare >= 1.0 and q_pair >= 1.0
+
+
 class TestCost:
     def test_small_grid(self, outfile):
         rc = run_cli(["cost", "--grid", "tau=3:6:2", "--nodes", "201", "--out", outfile])

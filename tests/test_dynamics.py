@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from ottosta.dynamics import (
     Drive,
+    _transfer_matrices,
     GaussianState,
     adiabaticity,
     adiabaticity_pair,
@@ -225,3 +226,28 @@ class TestCounterdiabatic:
             assert st_.cov[0, 0] == pytest.approx(c / (2 * w), rel=1e-9)
             assert st_.cov[1, 1] == pytest.approx(c * w / 2, rel=1e-9)
             assert st_.cov[0, 1] == pytest.approx(0.0, abs=1e-9)
+
+
+class TestTransferMatrix:
+    """Properties of the Magnus transfer-matrix propagator itself."""
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([ProtocolKind.POLY5, ProtocolKind.POLY3, ProtocolKind.COSINE, ProtocolKind.LINEAR]),
+        st.floats(0.25, 1.0),
+        st.floats(0.25, 1.0),
+        st.floats(0.5, 12.0),
+        st.sampled_from([Drive.BARE, Drive.CD]),
+    )
+    def test_unimodular_and_path_matches_endpoint(self, kind, wi, wf, tau, drive):
+        if drive is Drive.CD:
+            # coarse oracle scan; the 1 % margin covers its sampling error
+            assume(tau > 1.01 * oracles.tau_min(kind.value, wi, wf, n=2001))
+        p = FrequencyProtocol(kind, wi, wf, tau)
+        path = _transfer_matrices(p, np.linspace(0.0, tau, 101), drive, 1e-10)
+        end = _transfer_matrices(p, np.array([tau]), drive, 1e-10)[0]
+        # det M = 1 is the Wronskian -1 of the classical pair
+        np.testing.assert_allclose(np.linalg.det(path), 1.0, rtol=0.0, atol=1e-12)
+        assert np.linalg.det(end) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(path[0], np.eye(2), rtol=0.0, atol=0.0)
+        assert np.max(np.abs(path[-1] - end)) <= 1e-9 * np.max(np.abs(end))

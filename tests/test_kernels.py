@@ -1,88 +1,87 @@
+"""The numerical core through the public API: closed-form ramp evaluation
+(``FrequencyProtocol.eval``) and the transfer-matrix propagator behind
+``propagate`` and ``classical_pair_path``, each checked against the
+fixed-step RK4 references in ``oracles``."""
+
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 import oracles
-from ottosta import kernels
+from ottosta import dynamics
+from ottosta.dynamics import Drive, GaussianState, classical_pair_path, propagate
+from ottosta.errors import NumericsError
+from ottosta.protocols import FrequencyProtocol, ProtocolKind
+
+
+def _thermal_moments(beta, wi, mean=(0.0, 0.0)):
+    """(GaussianState, moment vector (mx, mp, Sxx, Sxp, Spp)) of a thermal start."""
+    c = 1.0 / math.tanh(beta * wi / 2.0)
+    y0 = np.array([mean[0], mean[1], c / (2 * wi), 0.0, c * wi / 2])
+    return GaussianState(mean=y0[:2], cov=np.array([[y0[2], 0.0], [0.0, y0[4]]])), y0
+
+
+def _moments(state):
+    return np.array(
+        [state.mean[0], state.mean[1], state.cov[0, 0], state.cov[0, 1], state.cov[1, 1]]
+    )
 
 
 class TestRampEval:
+    # The ids keep the numbering of the former scalar ramp kernel, so the
+    # node ids stay stable across versions.
     @pytest.mark.parametrize(
-        "code,name",
-        [
-            (kernels.KIND_POLY5, "poly5"),
-            (kernels.KIND_POLY3, "poly3"),
-            (kernels.KIND_COSINE, "cosine"),
-            (kernels.KIND_LINEAR, "linear"),
-        ],
+        "name", ["poly5", "poly3", "cosine", "linear"], ids=["1-poly5", "2-poly3", "3-cosine", "4-linear"]
     )
-    def test_value_against_reference_formula(self, code, name):
+    def test_value_against_reference_formula(self, name):
+        p = FrequencyProtocol(name, 0.35, 1.0, 3.0)
         for t in (0.0, 0.7, 1.5, 2.3, 3.0):
-            w, _, _ = kernels.ramp_eval(code, 0.35, 1.0, 3.0, t)
+            w, _, _ = p.eval(t)
             assert w == pytest.approx(oracles.ramp_omega(name, 0.35, 1.0, 3.0, t), rel=1e-14)
 
     def test_constant_kind(self):
-        w, wd, wdd = kernels.ramp_eval(kernels.KIND_CONSTANT, 0.7, 0.7, 3.0, 1.1)
+        w, wd, wdd = FrequencyProtocol.constant(0.7, 3.0).eval(1.1)
         assert (w, wd, wdd) == (0.7, 0.0, 0.0)
 
     def test_derivatives_vs_finite_difference(self):
         h = 1e-6
-        for code in (kernels.KIND_POLY5, kernels.KIND_COSINE):
+        for kind in (ProtocolKind.POLY5, ProtocolKind.COSINE):
+            p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
             for t in (0.4, 1.5, 2.6):
-                wm, _, _ = kernels.ramp_eval(code, 0.35, 1.0, 3.0, t - h)
-                wp, _, _ = kernels.ramp_eval(code, 0.35, 1.0, 3.0, t + h)
-                _, wd, _ = kernels.ramp_eval(code, 0.35, 1.0, 3.0, t)
+                wm, _, _ = p.eval(t - h)
+                wp, _, _ = p.eval(t + h)
+                _, wd, _ = p.eval(t)
                 assert wd == pytest.approx((wp - wm) / (2 * h), rel=1e-7, abs=1e-10)
 
 
 class TestIntegrator:
     def test_bare_covariance_matches_brute_rk4(self):
         beta, wi, wf, tau = 2.0, 0.35, 1.0, 3.0
-        c = 1.0 / math.tanh(beta * wi / 2.0)
-        y = np.array([0.0, 0.0, c / (2 * wi), 0.0, c * wi / 2])
-        status = kernels.integrate(
-            kernels.SYS_COV_BARE, kernels.KIND_POLY5, wi, wf, tau, 0.0, tau, y, 1e-12, 1e-14, 1_000_000
-        )
-        assert status == 0
+        state0, y0 = _thermal_moments(beta, wi)
+        p = FrequencyProtocol(ProtocolKind.POLY5, wi, wf, tau)
+        y = _moments(propagate(state0, p, tau, drive=Drive.BARE, rtol=1e-12))
         brute = oracles.rk4_fixed(
-            oracles.covariance_rhs("poly5", wi, wf, tau, cd=False),
-            np.array([0.0, 0.0, c / (2 * wi), 0.0, c * wi / 2]),
-            0.0,
-            tau,
-            40000,
+            oracles.covariance_rhs("poly5", wi, wf, tau, cd=False), y0, 0.0, tau, 40000
         )
         np.testing.assert_allclose(y, brute, rtol=1e-8, atol=1e-12)
 
     def test_cd_covariance_matches_brute_rk4(self):
         beta, wi, wf, tau = 2.0, 0.35, 1.0, 3.0
-        c = 1.0 / math.tanh(beta * wi / 2.0)
-        y = np.array([0.05, -0.02, c / (2 * wi), 0.0, c * wi / 2])
-        status = kernels.integrate(
-            kernels.SYS_COV_CD, kernels.KIND_POLY5, wi, wf, tau, 0.0, tau, y, 1e-12, 1e-14, 1_000_000
-        )
-        assert status == 0
+        state0, y0 = _thermal_moments(beta, wi, mean=(0.05, -0.02))
+        p = FrequencyProtocol(ProtocolKind.POLY5, wi, wf, tau)
+        y = _moments(propagate(state0, p, tau, drive=Drive.CD, rtol=1e-12))
         brute = oracles.rk4_fixed(
-            oracles.covariance_rhs("poly5", wi, wf, tau, cd=True),
-            np.array([0.05, -0.02, c / (2 * wi), 0.0, c * wi / 2]),
-            0.0,
-            tau,
-            40000,
+            oracles.covariance_rhs("poly5", wi, wf, tau, cd=True), y0, 0.0, tau, 40000
         )
         # the brute force run uses finite-difference omega_dot, so keep a
-        # little slack beyond pure integrator error
+        # little slack beyond pure propagator error
         np.testing.assert_allclose(y, brute, rtol=5e-7, atol=2e-9)
 
     def test_pair_matches_brute_rk4(self):
         wi, wf, tau = 0.35, 1.0, 3.0
-        y = np.array([0.0, 1.0, 1.0, 0.0])
-        status = kernels.integrate(
-            kernels.SYS_PAIR, kernels.KIND_COSINE, wi, wf, tau, 0.0, tau, y, 1e-12, 1e-14, 1_000_000
-        )
-        assert status == 0
+        p = FrequencyProtocol(ProtocolKind.COSINE, wi, wf, tau)
+        y = classical_pair_path(p, [tau], rtol=1e-12)[0]
         brute = oracles.rk4_fixed(
             oracles.pair_rhs("cosine", wi, wf, tau), np.array([0.0, 1.0, 1.0, 0.0]), 0.0, tau, 40000
         )
@@ -90,38 +89,23 @@ class TestIntegrator:
 
     def test_path_agrees_with_single_shot(self):
         wi, wf, tau = 0.35, 1.0, 3.0
+        p = FrequencyProtocol(ProtocolKind.POLY5, wi, wf, tau)
         ts = np.linspace(0.0, tau, 7)
-        y = np.array([0.0, 1.0, 1.0, 0.0])
-        out = np.empty((ts.size, 4))
-        status = kernels.integrate_path(
-            kernels.SYS_PAIR, kernels.KIND_POLY5, wi, wf, tau, ts, y, out, 1e-12, 1e-14, 1_000_000
-        )
-        assert status == 0
+        out = classical_pair_path(p, ts, rtol=1e-12)
         for i, t in enumerate(ts):
-            z = np.array([0.0, 1.0, 1.0, 0.0])
-            if t > 0.0:
-                st = kernels.integrate(
-                    kernels.SYS_PAIR, kernels.KIND_POLY5, wi, wf, tau, 0.0, t, z, 1e-12, 1e-14, 1_000_000
-                )
-                assert st == 0
+            z = classical_pair_path(p, [t], rtol=1e-12)[0]
             np.testing.assert_allclose(out[i], z, rtol=1e-9, atol=1e-12)
 
-    def test_step_budget_status(self):
-        y = np.array([0.0, 1.0, 1.0, 0.0])
-        status = kernels.integrate(
-            kernels.SYS_PAIR, kernels.KIND_POLY5, 0.35, 1.0, 3.0, 0.0, 3.0, y, 1e-12, 1e-14, 3
-        )
-        assert status == 1
+    def test_step_budget_status(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_MAX_STEPS", 3)
+        p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
+        with pytest.raises(NumericsError, match="budget"):
+            classical_pair_path(p, [3.0], rtol=1e-12)
 
     def test_tightening_tolerance_converges(self):
         wi, wf, tau = 0.35, 1.0, 3.0
-        results = []
-        for rtol in (1e-6, 1e-9, 1e-12):
-            y = np.array([0.0, 1.0, 1.0, 0.0])
-            kernels.integrate(
-                kernels.SYS_PAIR, kernels.KIND_POLY5, wi, wf, tau, 0.0, tau, y, rtol, rtol * 1e-2, 1_000_000
-            )
-            results.append(y.copy())
+        p = FrequencyProtocol(ProtocolKind.POLY5, wi, wf, tau)
+        results = [classical_pair_path(p, [tau], rtol=rtol)[0] for rtol in (1e-6, 1e-9, 1e-12)]
         d1 = np.max(np.abs(results[0] - results[2]))
         d2 = np.max(np.abs(results[1] - results[2]))
         assert d2 < d1
@@ -130,24 +114,12 @@ class TestIntegrator:
 
 class TestBackendFlag:
     def test_fallback_matches_active_backend(self):
-        """Run a tiny workload in a subprocess with OTTOSTA_NO_NUMBA=1 and
-        compare against the in-process backend bit for bit."""
-        y = np.array([0.0, 1.0, 1.0, 0.0])
-        kernels.integrate(
-            kernels.SYS_PAIR, kernels.KIND_POLY5, 0.35, 1.0, 3.0, 0.0, 3.0, y, 1e-10, 1e-12, 1_000_000
+        """Two independent routes agree: the Magnus transfer matrix at the
+        default tolerance and the fixed-step RK4 reference of the pair
+        equations (no shared code beyond the ramp formula)."""
+        p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
+        y = classical_pair_path(p, [3.0])[0]
+        brute = oracles.rk4_fixed(
+            oracles.pair_rhs("poly5", 0.35, 1.0, 3.0), np.array([0.0, 1.0, 1.0, 0.0]), 0.0, 3.0, 40000
         )
-        code = (
-            "import numpy as np\n"
-            "from ottosta import kernels\n"
-            "assert not kernels.NUMBA_ENABLED\n"
-            "y = np.array([0.0, 1.0, 1.0, 0.0])\n"
-            "kernels.integrate(kernels.SYS_PAIR, kernels.KIND_POLY5, 0.35, 1.0, 3.0,"
-            " 0.0, 3.0, y, 1e-10, 1e-12, 1000000)\n"
-            "print(repr(list(y)))\n"
-        )
-        env = dict(os.environ, OTTOSTA_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        got = np.array(eval(out.stdout.strip()))
-        np.testing.assert_array_equal(got, y)
+        np.testing.assert_allclose(y, brute, rtol=1e-8, atol=1e-12)
