@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration/schema error, 3 physics-domain error
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import importlib.resources
 import json
@@ -63,55 +62,6 @@ _BUILDERS = {
     "cycle": cycle_dataset,
     "empower": empower_dataset,
     "sweep": sweep_dataset,
-}
-
-_DEFAULTS = {
-    "qstar": {
-        "kinds": ["poly5", "poly3", "cosine", "linear"],
-        "omega_i": 0.35,
-        "omega_f": 1.0,
-        "tau": 3.0,
-        "beta": 2.0,
-        "samples": 1001,
-        "rtol": 1e-10,
-    },
-    "cost": {
-        "kind": "poly5",
-        "omega_i": 0.35,
-        "omega_f": 1.0,
-        "beta": 2.0,
-        "taus": {"start": 2.25, "stop": 12.0, "num": 40},
-        "nodes": 1001,
-        "rtol": 1e-10,
-    },
-    "cycle": {
-        "kind": "poly5",
-        "omega1": 0.35,
-        "omega2": 1.0,
-        "beta1": 2.0,
-        "beta2": 0.2,
-        "taus": {"start": 2.25, "stop": 12.0, "num": 40},
-        "nodes": 1001,
-        "rtol": 1e-10,
-    },
-    "empower": {
-        "omega1": 0.35,
-        "beta1": 1e-6,
-        "high_t_hot": True,
-        "beta_ratios": {"start": 0.02, "stop": 0.98, "num": 49},
-        "xtol": 1e-10,
-    },
-    "sweep": {
-        "omega2": 1.0,
-        "beta1": 2.0,
-        "omega_ratios": [0.25, 0.35, 0.5],
-        "beta_ratios": [0.1, 0.2],
-        "taus": [3.0, 5.0],
-        "kinds": ["poly5"],
-        "accountings": ["adiabatic", "nonadiabatic", "sta", "time_averaged"],
-        "nodes": 1001,
-        "rtol": 1e-10,
-    },
 }
 
 # --grid NAME=... spellings to config keys, per command.
@@ -168,9 +118,11 @@ def _parse_grid_flag(text: str, command: str) -> tuple[str, dict]:
 
 
 def resolve_config(command: str, args) -> dict:
-    """Defaults, then config file, then flag overrides; schema-validated."""
+    """Schema defaults, then config file, then flag overrides; schema-validated."""
     schema = load_schema()
-    params = copy.deepcopy(_DEFAULTS[command])
+    params = {
+        key: prop["default"] for key, prop in schema["$defs"][command]["properties"].items()
+    }
     if args.config is not None:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -193,9 +145,6 @@ def resolve_config(command: str, args) -> dict:
         key, grid = _parse_grid_flag(flag, command)
         params[key] = grid
     _validate(params, command, schema)
-    for key in ("nodes",):
-        if key in params and params[key] % 2 == 0:
-            raise ConfigError(f"config invalid at /{key}: quadrature nodes must be odd")
     return params
 
 

@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericsError, TrapInversionError
-from .protocols import FrequencyProtocol, validity_margin
+from .protocols import FrequencyProtocol, check_cd_validity, tau_min, validity_margin
 
 __all__ = [
     "Drive",
@@ -134,15 +134,17 @@ def mean_energy(state: GaussianState, omega: float) -> float:
     return float(quad + drift)
 
 
-def _require_cd_valid(protocol: FrequencyProtocol, t_end: float, n_samples: int = 1001):
-    ts = np.linspace(0.0, t_end, n_samples)
-    margin = validity_margin(protocol, ts)
-    i = int(np.argmin(margin))
-    if margin[i] <= 0.0:
+def _require_cd_valid(protocol: FrequencyProtocol):
+    """The one guard of every CD quantity: the shortcut exists for the whole
+    stroke or not at all."""
+    report = check_cd_validity(protocol)
+    if not report.valid:
         raise TrapInversionError(
-            f"counterdiabatic validity margin {margin[i]:.6g} <= 0 at "
-            f"t = {ts[i]:.6g} (protocol {protocol.kind.value}, tau = {protocol.tau:g}); "
-            "the effective trap inverts, shorten the stroke less aggressively"
+            f"counterdiabatic drive undefined: the {protocol.kind.value} ramp "
+            f"{protocol.omega_i:g} -> {protocol.omega_f:g} needs tau > tau_min = "
+            f"{tau_min(protocol.kind, protocol.omega_i, protocol.omega_f):g}, got "
+            f"tau = {protocol.tau:g} (minimum validity margin {report.min_margin:.3g}); "
+            "the effective trap inverts, lengthen the stroke"
         )
 
 
@@ -284,14 +286,14 @@ def propagate(
 ) -> GaussianState:
     """Evolve a Gaussian state from time 0 to time t under the protocol.
 
-    CD driving requires the validity margin to stay positive on [0, t].
+    CD driving requires tau > tau_min (the margin positive on the whole stroke).
     """
     drive = Drive(drive)
     t = float(t)
     if t < 0.0 or t > protocol.tau * (1.0 + 1e-12):
         raise ValueError(f"t = {t} outside [0, tau = {protocol.tau}]")
     if drive is Drive.CD:
-        _require_cd_valid(protocol, t)
+        _require_cd_valid(protocol)
     return _evolve(state, _transfer_matrices(protocol, np.array([t]), drive, rtol))[0]
 
 
@@ -306,7 +308,7 @@ def propagate_path(
     drive = Drive(drive)
     ts = _checkpoints(protocol, ts)
     if drive is Drive.CD:
-        _require_cd_valid(protocol, float(ts[-1]))
+        _require_cd_valid(protocol)
     return _evolve(state, _transfer_matrices(protocol, ts, drive, rtol))
 
 
@@ -415,19 +417,10 @@ def q_cd_grid(protocol: FrequencyProtocol, ts) -> np.ndarray:
     This is the accounting factor behind the driving-cost measures: it maps
     the instantaneous counterdiabatic level structure onto bare-trap
     energies. It is not the energy ratio of the propagated state, which CD
-    driving pins to 1. Raises TrapInversionError where the margin is not
-    positive.
+    driving pins to 1. Raises TrapInversionError unless tau > tau_min.
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    margin = validity_margin(protocol, np.atleast_1d(ts))
-    i = int(np.argmin(margin))
-    if margin[i] <= 0.0:
-        t_bad = float(np.atleast_1d(ts)[i])
-        raise TrapInversionError(
-            f"counterdiabatic validity margin {margin[i]:.6g} <= 0 at t = {t_bad:.6g} "
-            f"(protocol {protocol.kind.value}, tau = {protocol.tau:g})"
-        )
-    return 1.0 / np.sqrt(margin)
+    _require_cd_valid(protocol)
+    return 1.0 / np.sqrt(validity_margin(protocol, np.atleast_1d(ts)))
 
 
 def q_cd(protocol: FrequencyProtocol, t: float) -> float:

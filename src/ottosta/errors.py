@@ -19,8 +19,8 @@ class PhysicsError(OttoStaError):
 
 class TrapInversionError(PhysicsError):
     """The counterdiabatic validity margin 1 - omegadot^2/(4 omega^4) is
-    non-positive somewhere on the requested interval, so the effective
-    frequency is not real and CD accounting is undefined."""
+    non-positive somewhere on the whole stroke (tau <= tau_min), so the
+    effective frequency is not real and CD accounting is undefined."""
 
 
 class SecondLawViolationError(PhysicsError):

@@ -439,14 +439,7 @@ def tpm_work_moments(
     _, e_start = cd_level_energies(ops, w0, wd0, n_sum)
     _, e_end = cd_level_energies(ops, wt, wdt, n_sum)
     work = e_end - e_start
-    n = np.arange(n_sum, dtype=np.float64)
-    if math.isinf(beta):
-        pops = np.zeros(n_sum)
-        pops[0] = 1.0
-    else:
-        logp = -beta * wi * n
-        pops = np.exp(logp - logp.max())
-        pops /= pops.sum()
+    pops = _gibbs_populations(beta, wi, n_sum)
     mean = float(np.sum(pops * work))
     var = float(np.sum(pops * work**2) - mean**2)
     return mean, var

@@ -11,6 +11,7 @@ Units: hbar = m = 1 throughout the package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +26,7 @@ __all__ = [
     "ValidityReport",
     "check_sta_boundary",
     "check_cd_validity",
+    "tau_min",
 ]
 
 
@@ -202,11 +204,37 @@ def validity_margin(protocol: FrequencyProtocol, ts) -> np.ndarray:
     return 1.0 - wd**2 / (4.0 * w**4)
 
 
-def check_cd_validity(protocol: FrequencyProtocol, n_samples: int = 1001) -> ValidityReport:
-    """Scan the validity margin on a uniform grid over [0, tau]."""
-    if n_samples < 3:
-        raise ValueError("n_samples must be at least 3")
-    ts = np.linspace(0.0, protocol.tau, n_samples)
-    margin = validity_margin(protocol, ts)
-    min_margin = float(np.min(margin))
-    return ValidityReport(valid=min_margin > 0.0, min_margin=min_margin)
+# Rounds and points of the zooming scan for tau_min: each round resamples the
+# two grid cells around the current argmax, so the final spacing is ~2e-9.
+_TAU_MIN_ROUNDS = 4
+_TAU_MIN_POINTS = 257
+
+
+@functools.lru_cache(maxsize=1024)
+def tau_min(kind, omega_i: float, omega_f: float) -> float:
+    """Shortest duration for which the counterdiabatic drive exists.
+
+    At fixed s = t/tau, omegadot scales as 1/tau, so the margin is
+    1 - (r(s)/tau)^2 with r = |omegadot| / (2 omega^2) of the unit-duration
+    ramp. The shortcut exists iff tau > max_s r(s) = tau_min, and the
+    smallest margin on the stroke is exactly 1 - (tau_min/tau)^2. The
+    maximum is located by a scan that zooms onto the bracket around the
+    argmax; it is 0 for the constant control."""
+    shape = FrequencyProtocol(kind, omega_i, omega_f, 1.0)._shape
+    lo, hi = 0.0, 1.0
+    for _ in range(_TAU_MIN_ROUNDS):
+        s = np.linspace(lo, hi, _TAU_MIN_POINTS)
+        w, wd, _ = shape(s)
+        r = np.abs(wd) / (2.0 * w * w)
+        i = int(np.argmax(r))
+        lo, hi = s[max(i - 1, 0)], s[min(i + 1, s.size - 1)]
+    return float(r[i])
+
+
+def check_cd_validity(protocol: FrequencyProtocol) -> ValidityReport:
+    """Exact counterdiabatic validity of the whole stroke: valid iff
+    tau > tau_min, with minimum margin 1 - (tau_min/tau)^2."""
+    t_min = tau_min(protocol.kind, protocol.omega_i, protocol.omega_f)
+    return ValidityReport(
+        valid=protocol.tau > t_min, min_margin=1.0 - (t_min / protocol.tau) ** 2
+    )

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ottosta.cli import main
+from ottosta.cli import _digest, build_parser, main, resolve_config
 
 
 def run_cli(argv):
@@ -66,6 +66,22 @@ class TestConfigValidation:
     def test_even_nodes_rejected(self, outfile):
         rc = run_cli(["cost", "--nodes", "10", "--out", outfile])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("qstar", "e27fc8fb9fd499bda2f5bdef931d37c128eacbc9446bcf0489d5c35a55bd3153"),
+            ("cost", "2b19212eb2aa53261623d04638f3c57ed9c1e1c6b9545c6fed1356f9265af191"),
+            ("cycle", "4e831c84534cb329f0db2933060ac4c8727a14dd87eeb4fac5144682e45553f3"),
+            ("empower", "f2c92e16c2641c6acb904046b4de497b9b6d65fff40116348798463ab3dd3d86"),
+            ("sweep", "866aba424e1d486f25374e73fe62629c1e4a1657fa825ef2805c6fc4717c8abd"),
+        ],
+    )
+    def test_default_config_digest_is_pinned(self, command, digest):
+        # The defaults live in the schema; their values and number types
+        # (12.0, not 12) must not move the header bytes.
+        params = resolve_config(command, build_parser().parse_args([command]))
+        assert _digest(command, params, False) == digest
 
     def test_oracle_not_available_for_sweep(self, outfile):
         rc = run_cli(["sweep", "--oracle", "--out", outfile])

@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
+from ottosta.dynamics import Drive, propagate, q_cd_grid, thermal_state
 from ottosta.errors import TrapInversionError
 from ottosta.protocols import (
     FrequencyProtocol,
     ProtocolKind,
     check_cd_validity,
     check_sta_boundary,
+    tau_min,
     validity_margin,
 )
+from ottosta.quadrature import stroke_grid
+from ottosta.sta_cost import StrokeContext, avg_work_cost
+from ottosta.thermo_cycle import Accounting, CycleConfig, evaluate_cycle
 
 RAMP_KINDS = [k for k in ProtocolKind if k is not ProtocolKind.CONSTANT]
 
@@ -153,7 +158,7 @@ class TestValidity:
         p = make(ProtocolKind.POLY5)
         rep = check_cd_validity(p)
         assert rep.valid
-        assert rep.min_margin == pytest.approx(0.5248888430576066, abs=1e-12)
+        assert rep.min_margin == pytest.approx(0.52488856847411, abs=1e-12)
 
         ts = np.linspace(0.0, 3.0, 200001)
         margins = []
@@ -161,8 +166,7 @@ class TestValidity:
             w = oracles.ramp_omega("poly5", 0.35, 1.0, 3.0, t)
             wd = oracles.ramp_omega_dot("poly5", 0.35, 1.0, 3.0, t)
             margins.append(1.0 - wd * wd / (4.0 * w**4))
-        # the library scans 1001 points, so allow grid-placement slack
-        assert rep.min_margin == pytest.approx(min(margins), abs=5e-6)
+        assert rep.min_margin == pytest.approx(min(margins), abs=1e-9)
 
     def test_margin_midpoint_value(self):
         p = make(ProtocolKind.POLY5)
@@ -202,3 +206,48 @@ class TestValidity:
     @given(st.floats(2.1, 10.0))
     def test_slow_poly5_always_valid(self, tau):
         assert check_cd_validity(make(ProtocolKind.POLY5, tau=tau)).valid
+
+
+class TestTauMin:
+    @pytest.mark.parametrize("kind", RAMP_KINDS)
+    @pytest.mark.parametrize("wi, wf", [(0.35, 1.0), (1.0, 0.35)])
+    def test_matches_dense_oracle(self, kind, wi, wf):
+        want = oracles.tau_min(kind.value, wi, wf)
+        assert tau_min(kind, wi, wf) == pytest.approx(want, rel=1e-9)
+
+    @given(
+        st.sampled_from(RAMP_KINDS),
+        st.floats(0.25, 1.0),
+        st.floats(0.25, 1.0),
+        st.floats(0.5, 12.0),
+    )
+    def test_exact_report_agrees_with_dense_scan(self, kind, wi, wf, tau):
+        t_min = tau_min(kind, wi, wf)  # 0 when wi == wf
+        assume(abs(tau - t_min) > 1e-5 * t_min)
+        p = FrequencyProtocol(kind, wi, wf, tau)
+        sampled = float(np.min(validity_margin(p, np.linspace(0.0, tau, 20001))))
+        rep = check_cd_validity(p)
+        assert rep.valid == (sampled > 0.0)
+        # exact minimum: never above a sampled one, and the dense grid is close
+        assert sampled - 1e-6 <= rep.min_margin <= sampled + 1e-12
+
+    @pytest.mark.parametrize("factor, refused", [(1.0 - 1e-7, True), (1.0 + 1e-7, False)])
+    def test_no_sampled_window_around_the_threshold(self, factor, refused):
+        # Just below tau_min a sampled scan can miss the negative margin;
+        # every CD quantity must be refused there and exist just above.
+        tau = oracles.tau_min("poly5", 0.35, 1.0) * factor
+        p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau)
+        cfg = CycleConfig(omega1=0.35, omega2=1.0, beta1=2.0, beta2=0.2, tau1=tau, tau3=tau)
+        quantities = [
+            lambda: avg_work_cost(StrokeContext(p, 2.0)),
+            lambda: q_cd_grid(p, stroke_grid(tau)),
+            lambda: propagate(thermal_state(2.0, 0.35), p, tau, drive=Drive.CD),
+            lambda: evaluate_cycle(cfg, Accounting.STA),
+        ]
+        assert check_cd_validity(p).valid is not refused
+        for quantity in quantities:
+            if refused:
+                with pytest.raises(TrapInversionError, match=r"2\.06785"):
+                    quantity()
+            else:
+                quantity()
