@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (schema-validated)")
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--oracle", action="store_true", help="add independent-route check columns")
+        p.add_argument("--oracle", action="store_true", help="add cross-check columns")
         p.add_argument("--jobs", type=int, help="worker threads (default: CPU count)")
         p.add_argument("--tol", type=float, help="integrator/optimizer tolerance override")
         p.add_argument("--nodes", type=int, help="quadrature nodes / curve samples override")

@@ -13,11 +13,13 @@ M(t) carries everything: mean(t) = M mean(0), cov(t) = M cov(0) M^T, and
 its columns are the two classical solutions behind Q*. M is computed by a
 vectorized 4th-order Magnus propagator with step-doubling error control.
 
-Three independent routes to the adiabaticity factor Q* (the ratio of the
-actual mean energy to the adiabatically transported one) are provided:
-covariance propagation, the classical solution-pair recursion (which is
-manifestly independent of temperature), and, for CD accounting, a closed
-form built from the validity margin.
+The adiabaticity factor Q* (the ratio of the actual mean energy to the
+adiabatically transported one) has two readouts of the same M: the energy
+of the propagated thermal moments, and the classical solution pair (which
+is manifestly independent of temperature). For CD accounting there is a
+closed form built from the validity margin. The independent checks of M
+are the fixed-step references in ``tests/oracles.py`` and the Fock-basis
+engine in :mod:`ottosta.fock_oracle`.
 """
 
 from __future__ import annotations
@@ -80,28 +82,35 @@ class GaussianState:
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=np.float64).reshape(2)
-        cov = np.array(self.cov, dtype=np.float64).reshape(2, 2)
-        asym = abs(cov[0, 1] - cov[1, 0])
-        scale = max(abs(cov[0, 0]), abs(cov[1, 1]), 1.0)
-        if asym > 1e-10 * scale:
-            raise ValueError(f"covariance matrix not symmetric: asymmetry {asym}")
-        sxp = 0.5 * (cov[0, 1] + cov[1, 0])
-        cov[0, 1] = cov[1, 0] = sxp
-        if cov[0, 0] <= 0.0 or cov[1, 1] <= 0.0:
-            raise ValueError("diagonal covariances must be positive")
-        det = cov[0, 0] * cov[1, 1] - sxp * sxp
-        if det < _DET_FLOOR:
-            raise ValueError(
-                f"covariance determinant {det} below the uncertainty floor 1/4"
-            )
+        cov = _checked_covariances(np.array(self.cov, dtype=np.float64).reshape(2, 2))
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    @property
-    def det_cov(self) -> float:
-        return float(self.cov[0, 0] * self.cov[1, 1] - self.cov[0, 1] ** 2)
+
+def _checked_covariances(cov: np.ndarray) -> np.ndarray:
+    """Validate one covariance matrix (2, 2) or a stack (..., 2, 2) and
+    symmetrize it in place.
+
+    Raises ValueError unless every matrix is symmetric within 1e-10 of its
+    scale, has positive diagonals and a determinant at the uncertainty
+    floor 1/4 or above."""
+    cxx, cpp = cov[..., 0, 0], cov[..., 1, 1]
+    asym = np.abs(cov[..., 0, 1] - cov[..., 1, 0])
+    scale = np.maximum(np.maximum(np.abs(cxx), np.abs(cpp)), 1.0)
+    if (asym > 1e-10 * scale).any():
+        raise ValueError(f"covariance matrix not symmetric: asymmetry {np.max(asym)}")
+    sxp = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
+    cov[..., 0, 1] = cov[..., 1, 0] = sxp
+    if ((cxx <= 0.0) | (cpp <= 0.0)).any():
+        raise ValueError("diagonal covariances must be positive")
+    det = cxx * cpp - sxp * sxp
+    if (det < _DET_FLOOR).any():
+        raise ValueError(
+            f"covariance determinant {np.min(det)} below the uncertainty floor 1/4"
+        )
+    return cov
 
 
 def coth_half(beta: float, omega: float) -> float:
@@ -126,12 +135,20 @@ def thermal_state(beta: float, omega: float) -> GaussianState:
     )
 
 
-def mean_energy(state: GaussianState, omega: float) -> float:
-    """<H0> at trap frequency omega: quadrature variances plus mean motion."""
+def _energies(
+    means: np.ndarray, covs: np.ndarray, omega: float | np.ndarray
+) -> np.ndarray:
+    """<H0> at trap frequency omega of stacked moments (..., 2) and
+    (..., 2, 2): quadrature variances plus mean motion."""
     w2 = omega * omega
-    quad = 0.5 * (state.cov[1, 1] + w2 * state.cov[0, 0])
-    drift = 0.5 * (state.mean[1] ** 2 + w2 * state.mean[0] ** 2)
-    return float(quad + drift)
+    quad = 0.5 * (covs[..., 1, 1] + w2 * covs[..., 0, 0])
+    drift = 0.5 * (means[..., 1] ** 2 + w2 * means[..., 0] ** 2)
+    return quad + drift
+
+
+def mean_energy(state: GaussianState, omega: float) -> float:
+    """<H0> of one state at trap frequency omega."""
+    return float(_energies(state.mean, state.cov, omega))
 
 
 def _require_cd_valid(protocol: FrequencyProtocol):
@@ -271,10 +288,17 @@ def _checkpoints(protocol: FrequencyProtocol, ts) -> np.ndarray:
     return ts
 
 
-def _evolve(state: GaussianState, m: np.ndarray) -> list[GaussianState]:
-    means = m @ state.mean
-    covs = m @ state.cov @ np.swapaxes(m, 1, 2)
-    return [GaussianState(mean=mu, cov=c) for mu, c in zip(means, covs)]
+def _moments(
+    state: GaussianState, protocol: FrequencyProtocol, ts, drive: Drive, rtol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked means M m0 (N, 2) and covariances M C0 M^T (N, 2, 2) at each
+    ascending checkpoint, not yet validated."""
+    drive = Drive(drive)
+    ts = _checkpoints(protocol, ts)
+    if drive is Drive.CD:
+        _require_cd_valid(protocol)
+    m = _transfer_matrices(protocol, ts, drive, rtol)
+    return m @ state.mean, m @ state.cov @ np.swapaxes(m, 1, 2)
 
 
 def propagate(
@@ -288,13 +312,10 @@ def propagate(
 
     CD driving requires tau > tau_min (the margin positive on the whole stroke).
     """
-    drive = Drive(drive)
     t = float(t)
     if t < 0.0 or t > protocol.tau * (1.0 + 1e-12):
         raise ValueError(f"t = {t} outside [0, tau = {protocol.tau}]")
-    if drive is Drive.CD:
-        _require_cd_valid(protocol)
-    return _evolve(state, _transfer_matrices(protocol, np.array([t]), drive, rtol))[0]
+    return propagate_path(state, protocol, [t], drive=drive, rtol=rtol)[0]
 
 
 def propagate_path(
@@ -305,11 +326,8 @@ def propagate_path(
     rtol: float = DEFAULT_RTOL,
 ) -> list[GaussianState]:
     """States at each ascending checkpoint in ``ts`` (single forward sweep)."""
-    drive = Drive(drive)
-    ts = _checkpoints(protocol, ts)
-    if drive is Drive.CD:
-        _require_cd_valid(protocol)
-    return _evolve(state, _transfer_matrices(protocol, ts, drive, rtol))
+    means, covs = _moments(state, protocol, ts, drive, rtol)
+    return [GaussianState(mean=mu, cov=c) for mu, c in zip(means, covs)]
 
 
 # -- classical solution pair (temperature-independent route) ----------------
@@ -388,14 +406,14 @@ def adiabaticity_path(
     drive: Drive = Drive.BARE,
     rtol: float = DEFAULT_RTOL,
 ) -> np.ndarray:
+    """Q*(t) at each ascending checkpoint, read from the stacked moments of
+    the thermal start; every checkpoint's covariance is validated."""
     ts = np.asarray(ts, dtype=np.float64)
     state0 = thermal_state(beta, protocol.omega_i)
     e0 = mean_energy(state0, protocol.omega_i)
-    states = propagate_path(state0, protocol, ts, drive=drive, rtol=rtol)
+    means, covs = _moments(state0, protocol, ts, drive, rtol)
     w_t = np.atleast_1d(np.asarray(protocol.omega(ts), dtype=np.float64))
-    energies = np.array(
-        [mean_energy(st, w) for st, w in zip(states, w_t)], dtype=np.float64
-    )
+    energies = _energies(means, _checked_covariances(covs), w_t)
     return energies / (w_t / protocol.omega_i * e0)
 
 

@@ -53,6 +53,21 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 _LEAK_LIMIT = 1e-6
 _TRACE_LIMIT = 1e-8
+# Thermal tail weight left outside a truncation, and the guard bands added
+# on top of it for a static state and for a driven stroke.
+_DIM_TAIL = 1e-10
+_THERMAL_GUARD = 12
+_STROKE_GUARD = 30
+# Step control of the adaptive Magnus propagator.
+_MAGNUS_RTOL = 1e-8
+_MAGNUS_ATOL = 1e-12
+_MAGNUS_MAX_STEPS = 200_000
+# relative_entropy: eigenvalues of sigma below _SUPPORT_TOL span its null
+# space; more than _NULL_WEIGHT_TOL of rho's weight there makes S infinite.
+_SUPPORT_TOL = 1e-14
+_NULL_WEIGHT_TOL = 1e-10
+# Thermal tail weight left out of the two-point-measurement level sums.
+_TPM_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -97,20 +112,18 @@ def hcd_matrix(ops: FockOperators, omega: float, omega_dot: float) -> np.ndarray
     return h0_matrix(ops, omega) - (omega_dot / (4.0 * omega)) * ops.xp_px
 
 
-def thermal_dim(beta: float, omega: float, tail: float = 1e-10, guard: int = 12) -> int:
-    """Smallest truncation whose thermal tail weight is below ``tail``,
+def thermal_dim(beta: float, omega: float) -> int:
+    """Smallest truncation whose thermal tail weight is below _DIM_TAIL,
     plus a guard band. Sized for a STATIC state in its own basis; use
     stroke_dim for a driven stroke."""
-    if tail <= 0.0 or tail >= 1.0:
-        raise ValueError(f"tail must lie in (0, 1), got {tail}")
     if math.isinf(beta):
-        return 4 + guard
+        return 4 + _THERMAL_GUARD
     z = beta * omega
     if z <= 0.0:
         raise ValueError("beta and omega must be positive")
     # Sum_{n >= N} (1-q) q^n = q^N with q = exp(-beta omega).
-    n = int(math.ceil(-math.log(tail) / z))
-    return max(n, 4) + guard
+    n = int(math.ceil(-math.log(_DIM_TAIL) / z))
+    return max(n, 4) + _THERMAL_GUARD
 
 
 def stroke_reference(protocol: FrequencyProtocol) -> float:
@@ -120,12 +133,7 @@ def stroke_reference(protocol: FrequencyProtocol) -> float:
     return math.sqrt(protocol.omega_i * protocol.omega_f)
 
 
-def stroke_dim(
-    beta: float,
-    protocol: FrequencyProtocol,
-    tail: float = 1e-10,
-    guard: int = 30,
-) -> int:
+def stroke_dim(beta: float, protocol: FrequencyProtocol) -> int:
     """Truncation big enough for a thermal state driven through a stroke.
 
     The driven state's occupation scale in the reference basis is bounded by
@@ -138,8 +146,8 @@ def stroke_dim(
     q_bound = (wi * wi + wf * wf) / (2.0 * wi * wf)
     e_max = e0 * q_bound * max(1.0, wf / wi)
     n_eff = e_max / stroke_reference(protocol)
-    n = int(math.ceil(n_eff * math.log(1.0 / tail)))
-    return max(n, 8) + guard
+    n = int(math.ceil(n_eff * math.log(1.0 / _DIM_TAIL)))
+    return max(n, 8) + _STROKE_GUARD
 
 
 @dataclass(frozen=True)
@@ -258,9 +266,6 @@ def propagate_fock_path(
     protocol: FrequencyProtocol,
     ts,
     drive: Drive = Drive.BARE,
-    rtol: float = 1e-8,
-    atol: float = 1e-12,
-    max_steps: int = 200_000,
 ) -> list[FockState]:
     """Propagate through ascending checkpoints with adaptive step doubling.
 
@@ -300,7 +305,7 @@ def propagate_fock_path(
             u_h2 = _magnus_step_u(ops, protocol, drive, t + 0.5 * h, 0.5 * h)
             r_half = _apply(u_h2, _apply(u_h1, rho))
             err = float(np.linalg.norm(r_half - r_full)) / 15.0
-            tol = atol + rtol * float(np.linalg.norm(r_half))
+            tol = _MAGNUS_ATOL + _MAGNUS_RTOL * float(np.linalg.norm(r_half))
             if err <= tol:
                 rho = _check_and_clean(r_half, dim)
                 t += h
@@ -309,7 +314,7 @@ def propagate_fock_path(
             else:
                 h *= max(0.2, 0.9 * (tol / err) ** 0.2)
             steps += 1
-            if steps > max_steps:
+            if steps > _MAGNUS_MAX_STEPS:
                 raise NumericsError("Magnus step budget exhausted")
             if h < 1e-15 * protocol.tau:
                 raise NumericsError("Magnus step size underflow")
@@ -323,14 +328,8 @@ def propagate_fock(
     protocol: FrequencyProtocol,
     t: float,
     drive: Drive = Drive.BARE,
-    rtol: float = 1e-8,
-    atol: float = 1e-12,
-    max_steps: int = 200_000,
 ) -> FockState:
-    return propagate_fock_path(
-        ops, state, protocol, np.array([float(t)]), drive=drive,
-        rtol=rtol, atol=atol, max_steps=max_steps,
-    )[-1]
+    return propagate_fock_path(ops, state, protocol, np.array([float(t)]), drive=drive)[-1]
 
 
 def populations_instantaneous(
@@ -356,24 +355,19 @@ def adiabatic_reference(
     return FockState(rho=rho, ref_omega=ops.ref_omega)
 
 
-def relative_entropy(
-    rho: np.ndarray,
-    sigma: np.ndarray,
-    support_tol: float = 1e-14,
-    weight_tol: float = 1e-10,
-) -> float:
+def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """S(rho || sigma) = Tr[rho ln rho] - Tr[rho ln sigma], in nats.
 
-    Returns inf when rho puts more than ``weight_tol`` of weight on the
-    null space of sigma (eigenvalues below ``support_tol``)."""
+    Returns inf when rho puts more than _NULL_WEIGHT_TOL of weight on the
+    null space of sigma (eigenvalues below _SUPPORT_TOL)."""
     lam, u = np.linalg.eigh(np.asarray(rho, dtype=np.complex128))
     mu, w = np.linalg.eigh(np.asarray(sigma, dtype=np.complex128))
     lam = np.clip(lam.real, 0.0, None)
     mu = mu.real
     overlap = np.abs(u.conj().T @ w) ** 2  # overlap[i, j] = |<u_i | w_j>|^2
     weights_on_j = lam @ overlap
-    null = mu < support_tol
-    if float(np.sum(weights_on_j[null])) > weight_tol:
+    null = mu < _SUPPORT_TOL
+    if float(np.sum(weights_on_j[null])) > _NULL_WEIGHT_TOL:
         return math.inf
     pos = lam > 0.0
     s_rho = float(np.sum(lam[pos] * np.log(lam[pos])))
@@ -413,11 +407,7 @@ def cd_level_energies(
 
 
 def tpm_work_moments(
-    protocol: FrequencyProtocol,
-    beta: float,
-    t: float,
-    dim: int | None = None,
-    tail: float = 1e-12,
+    protocol: FrequencyProtocol, beta: float, t: float
 ) -> tuple[float, float]:
     """Mean and variance of the two-point-measurement work for the
     counterdiabatically driven stroke up to time t.
@@ -430,10 +420,8 @@ def tpm_work_moments(
     if math.isinf(beta):
         n_sum = 2
     else:
-        n_sum = max(2, int(math.ceil(-math.log(tail) / (beta * wi))))
-    if dim is None:
-        dim = 2 * n_sum + 60
-    ops = build_operators(wi, dim)
+        n_sum = max(2, int(math.ceil(-math.log(_TPM_TAIL) / (beta * wi))))
+    ops = build_operators(wi, 2 * n_sum + 60)
     w0, wd0, _ = protocol.eval(0.0)
     wt, wdt, _ = protocol.eval(float(t))
     _, e_start = cd_level_energies(ops, w0, wd0, n_sum)
@@ -445,16 +433,11 @@ def tpm_work_moments(
     return mean, var
 
 
-def tpm_variance_excess(
-    protocol: FrequencyProtocol,
-    beta: float,
-    t: float,
-    dim: int | None = None,
-) -> float:
+def tpm_variance_excess(protocol: FrequencyProtocol, beta: float, t: float) -> float:
     """Two-point-measurement work-variance excess of the driven stroke over
     the adiabatic one at time t; the matrix-route counterpart of the closed
     form in :mod:`ottosta.sta_cost`."""
-    _, var_cd = tpm_work_moments(protocol, beta, t, dim=dim)
+    _, var_cd = tpm_work_moments(protocol, beta, t)
     wi = protocol.omega_i
     wt = protocol.omega(float(t))
     c = coth_half(beta, wi)

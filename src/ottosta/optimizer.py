@@ -44,6 +44,9 @@ __all__ = [
     "maximize_power_numeric",
 ]
 
+# Iteration cap of golden_max; 200 golden steps shrink any bracket 1e42-fold.
+_GOLDEN_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class EmpConfig:
@@ -117,7 +120,7 @@ def curzon_ahlborn(beta_ratio: float) -> float:
     return 1.0 - math.sqrt(beta_ratio)
 
 
-def golden_max(f, a: float, b: float, xtol: float = 1e-10, max_iter: int = 200):
+def golden_max(f, a: float, b: float, xtol: float = 1e-10):
     """Golden-section maximizer of a unimodal f on [a, b].
 
     Returns (x_max, f(x_max)) once the bracket width drops below xtol."""
@@ -128,7 +131,7 @@ def golden_max(f, a: float, b: float, xtol: float = 1e-10, max_iter: int = 200):
     d = a + invphi * (b - a)
     fc = f(c)
     fd = f(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_ITER):
         if b - a < xtol:
             break
         if fc > fd:

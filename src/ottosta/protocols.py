@@ -29,6 +29,9 @@ __all__ = [
     "tau_min",
 ]
 
+# Relative tolerance of each shortcut boundary condition.
+_BOUNDARY_TOL = 1e-12
+
 
 class ProtocolKind(str, Enum):
     """Ramp families. The string values are the CLI / config spellings."""
@@ -168,9 +171,9 @@ class BoundaryReport(NamedTuple):
         return self.shortcut_ok and self.curvature_start and self.curvature_end
 
 
-def check_sta_boundary(protocol: FrequencyProtocol, tol: float = 1e-12) -> BoundaryReport:
+def check_sta_boundary(protocol: FrequencyProtocol) -> BoundaryReport:
     """Check omega(0)=omega_i, omega(tau)=omega_f and vanishing endpoint
-    derivatives, each against a scale-aware tolerance."""
+    derivatives, each to _BOUNDARY_TOL of its scale."""
     w0, wd0, wdd0 = protocol.eval(0.0)
     w1, wd1, wdd1 = protocol.eval(protocol.tau)
     scale_w = max(abs(protocol.omega_i), abs(protocol.omega_f))
@@ -178,12 +181,12 @@ def check_sta_boundary(protocol: FrequencyProtocol, tol: float = 1e-12) -> Bound
     scale_d = max(delta, scale_w) / protocol.tau
     scale_dd = max(delta, scale_w) / protocol.tau**2
     return BoundaryReport(
-        value_start=abs(w0 - protocol.omega_i) <= tol * scale_w,
-        value_end=abs(w1 - protocol.omega_f) <= tol * scale_w,
-        slope_start=abs(wd0) <= tol * scale_d,
-        slope_end=abs(wd1) <= tol * scale_d,
-        curvature_start=abs(wdd0) <= tol * scale_dd,
-        curvature_end=abs(wdd1) <= tol * scale_dd,
+        value_start=abs(w0 - protocol.omega_i) <= _BOUNDARY_TOL * scale_w,
+        value_end=abs(w1 - protocol.omega_f) <= _BOUNDARY_TOL * scale_w,
+        slope_start=abs(wd0) <= _BOUNDARY_TOL * scale_d,
+        slope_end=abs(wd1) <= _BOUNDARY_TOL * scale_d,
+        curvature_start=abs(wdd0) <= _BOUNDARY_TOL * scale_dd,
+        curvature_end=abs(wdd1) <= _BOUNDARY_TOL * scale_dd,
     )
 
 

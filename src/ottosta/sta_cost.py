@@ -16,20 +16,11 @@ included for comparison.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
-    DEFAULT_RTOL,
-    Drive,
-    coth_half,
-    mean_energy,
-    propagate_path,
-    q_cd_grid,
-    thermal_state,
-)
+from .dynamics import DEFAULT_RTOL, adiabaticity_path, coth_half, q_cd_grid
 from .errors import PhysicsError
 from .protocols import FrequencyProtocol
 from .quadrature import DEFAULT_NODES, simpson_uniform, stroke_grid
@@ -131,16 +122,12 @@ def friction_path(
     rtol: float = DEFAULT_RTOL,
 ) -> np.ndarray:
     """Inner friction of the bare drive at each checkpoint:
-    <H0(omega_t)>_bare - (omega_t/omega_i) <H(0)>. Zero for an adiabatic
-    drive, grows with nonadiabatic excitation."""
+    <H0(omega_t)>_bare - (omega_t/omega_i) <H(0)> = (Q* - 1)(omega_t/omega_i) <H(0)>.
+    Zero for an adiabatic drive, grows with nonadiabatic excitation."""
     ts = np.asarray(ts, dtype=np.float64)
-    state0 = thermal_state(ctx.beta, ctx.protocol.omega_i)
-    states = propagate_path(state0, ctx.protocol, ts, drive=Drive.BARE, rtol=rtol)
+    q = adiabaticity_path(ctx.protocol, ctx.beta, ts, rtol=rtol)
     w_t = np.atleast_1d(np.asarray(ctx.protocol.omega(ts), dtype=np.float64))
-    energies = np.array(
-        [mean_energy(st, w) for st, w in zip(states, w_t)], dtype=np.float64
-    )
-    return energies - (w_t / ctx.protocol.omega_i) * ctx.h0_mean
+    return (q - 1.0) * (w_t / ctx.protocol.omega_i) * ctx.h0_mean
 
 
 def friction(

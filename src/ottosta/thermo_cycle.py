@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .dynamics import DEFAULT_RTOL, Drive, adiabaticity, coth_half
 from .errors import SecondLawViolationError
 from .protocols import FrequencyProtocol, ProtocolKind
@@ -44,12 +42,14 @@ __all__ = [
     "heat_hot",
     "heat_cold",
     "efficiency_exact",
-    "power_exact",
     "entropy_production",
     "driving_costs",
     "nonadiabatic_factors",
     "evaluate_cycle",
 ]
+
+# Roundoff allowance of the entropy-production guard.
+_SECOND_LAW_TOL = 1e-9
 
 
 class Accounting(str, Enum):
@@ -143,20 +143,12 @@ def efficiency_exact(config: CycleConfig, q1: float, q3: float) -> float:
     return 1.0 - num / den
 
 
-def power_exact(config: CycleConfig, q1: float, q3: float) -> float:
-    """Output power -(W1+W3)/tau_cycle."""
-    w1, w3 = stroke_works(config, q1, q3)
-    return -(w1 + w3) / config.tau_cycle
-
-
-def entropy_production(
-    config: CycleConfig, q2: float, q4: float, tol: float = 1e-9
-) -> float:
+def entropy_production(config: CycleConfig, q2: float, q4: float) -> float:
     """Total entropy production per cycle, -beta2 Q2 - beta1 Q4.
 
-    Raises SecondLawViolationError if negative beyond tolerance."""
+    Raises SecondLawViolationError if negative beyond _SECOND_LAW_TOL."""
     ds = -config.beta2 * q2 - config.beta1 * q4
-    if ds < -tol:
+    if ds < -_SECOND_LAW_TOL:
         raise SecondLawViolationError(
             f"entropy production {ds:.6g} < 0; inconsistent heats (q2={q2:.6g}, "
             f"q4={q4:.6g})"
@@ -224,35 +216,21 @@ def evaluate_cycle(
 ) -> CycleResult:
     """Evaluate the full cycle under one accounting convention."""
     accounting = Accounting(accounting)
+    q1 = q3 = 1.0
+    c1 = c3 = 0.0
     if accounting is Accounting.NONADIABATIC:
         q1, q3 = nonadiabatic_factors(config, rtol=rtol)
+    elif accounting is not Accounting.ADIABATIC:
+        c1, c3 = driving_costs(config, nodes=nodes)
+    w1, w3 = stroke_works(config, q1, q3)
+    q2 = heat_hot(config, q1)
+    q4 = heat_cold(config, q3)
+    if accounting is Accounting.TIME_AVERAGED:
+        w1, w3 = w1 + c1, w3 + c3
         c1 = c3 = 0.0
-        w1, w3 = stroke_works(config, q1, q3)
-        q2 = heat_hot(config, q1)
-        q4 = heat_cold(config, q3)
-        eta = efficiency_exact(config, q1, q3)
-        power = power_exact(config, q1, q3)
-    else:
-        q1 = q3 = 1.0
-        w1, w3 = stroke_works(config, 1.0, 1.0)
-        q2 = heat_hot(config, 1.0)
-        q4 = heat_cold(config, 1.0)
-        if accounting is Accounting.ADIABATIC:
-            c1 = c3 = 0.0
-            eta = efficiency_exact(config, 1.0, 1.0)
-            power = power_exact(config, 1.0, 1.0)
-        else:
-            c1, c3 = driving_costs(config, nodes=nodes)
-            if accounting is Accounting.STA:
-                eta = -(w1 + w3) / (q2 + c1 + c3)
-                power = (-(w1 + w3) - c1 - c3) / config.tau_cycle
-            else:  # TIME_AVERAGED
-                w1 = w1 + c1
-                w3 = w3 + c3
-                c1 = c3 = 0.0
-                q4 = -(w1 + w3) - q2  # accounting closure
-                eta = -(w1 + w3) / q2
-                power = -(w1 + w3) / config.tau_cycle
+        q4 = -(w1 + w3) - q2  # accounting closure
+    eta = -(w1 + w3) / (q2 + c1 + c3)
+    power = (-(w1 + w3) - c1 - c3) / config.tau_cycle
     ds = entropy_production(config, q2, q4)
     is_engine = (-(w1 + w3) - c1 - c3) > 0.0 and (q2 + c1 + c3) > 0.0
     return CycleResult(

@@ -228,6 +228,37 @@ class TestCounterdiabatic:
             assert st_.cov[0, 1] == pytest.approx(0.0, abs=1e-9)
 
 
+class TestStackedReadout:
+    """adiabaticity_path reads energies off the stacked moments; the states
+    of propagate_path, one GaussianState per checkpoint, are its reference."""
+
+    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD])
+    @pytest.mark.parametrize("beta", [0.2, 2.0, math.inf])
+    def test_matches_per_state_energies(self, beta, drive):
+        ts = np.linspace(0.0, 3.0, 101)
+        state0 = thermal_state(beta, 0.35)
+        states = propagate_path(state0, REF, ts, drive=drive)
+        energies = np.array([mean_energy(s, REF.omega(t)) for s, t in zip(states, ts)])
+        want = energies / (REF.omega(ts) / 0.35 * mean_energy(state0, 0.35))
+        got = adiabaticity_path(REF, beta, ts, drive=drive)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_every_checkpoint_is_validated(self, monkeypatch):
+        import ottosta.dynamics as dynamics
+
+        exact = dynamics._transfer_matrices
+
+        def shrunk(*args):
+            m = exact(*args)
+            # det M = 1/4 at one checkpoint: det C falls to det C0 / 16 < 1/4
+            m[50] *= 0.5
+            return m
+
+        monkeypatch.setattr(dynamics, "_transfer_matrices", shrunk)
+        with pytest.raises(ValueError, match="uncertainty floor"):
+            adiabaticity_path(REF, 2.0, np.linspace(0.0, 3.0, 101))
+
+
 class TestTransferMatrix:
     """Properties of the Magnus transfer-matrix propagator itself."""
 

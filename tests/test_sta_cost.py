@@ -152,6 +152,18 @@ class TestFriction:
         want = (1.0 / 0.35) * (q - 1.0) * ctx.h0_mean
         assert friction(ctx, 3.0) == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("beta", [0.2, 2.0, math.inf])
+    def test_path_is_bare_energy_minus_adiabatic_transport(self, beta):
+        from ottosta.dynamics import mean_energy, propagate_path, thermal_state
+
+        ctx = StrokeContext(COMP, beta)
+        ts = np.linspace(0.0, 3.0, 101)
+        w_t = COMP.omega(ts)
+        states = propagate_path(thermal_state(beta, 0.35), COMP, ts)
+        energies = np.array([mean_energy(s, w) for s, w in zip(states, w_t)])
+        want = energies - (w_t / 0.35) * ctx.h0_mean
+        np.testing.assert_allclose(friction_path(ctx, ts), want, rtol=0.0, atol=1e-13)
+
     def test_zero_at_start(self):
         ctx = StrokeContext(COMP, 2.0)
         path = friction_path(ctx, np.array([0.0, 3.0]))

@@ -19,7 +19,6 @@ from ottosta.thermo_cycle import (
     heat_cold,
     heat_hot,
     nonadiabatic_factors,
-    power_exact,
     stroke_works,
 )
 
@@ -82,7 +81,8 @@ class TestAdiabaticLimit:
 
     def test_power(self):
         cfg = ref()
-        assert power_exact(cfg, 1.0, 1.0) == pytest.approx(2.2946441066201455 / 6.0, rel=1e-14)
+        power = evaluate_cycle(cfg, Accounting.ADIABATIC).power
+        assert power == pytest.approx(2.2946441066201455 / 6.0, rel=1e-14)
 
     def test_entropy_production(self):
         cfg = ref()
@@ -121,6 +121,13 @@ class TestNonadiabatic:
         assert r.eta == pytest.approx(0.3820167581577366, abs=1e-10)
         assert r.power == pytest.approx(0.19128952826474366, abs=1e-10)
         assert r.is_engine
+
+    @pytest.mark.parametrize("kind", ["poly5", "poly3", "cosine", "linear"])
+    @pytest.mark.parametrize("tau", [3.0, 6.0])
+    def test_efficiency_is_the_factored_closed_form(self, kind, tau):
+        cfg = ref(tau, kind=ProtocolKind(kind))
+        r = evaluate_cycle(cfg, Accounting.NONADIABATIC)
+        assert r.eta == pytest.approx(efficiency_exact(cfg, r.q1_star, r.q3_star), rel=1e-14)
 
     def test_first_law_residual(self):
         r = evaluate_cycle(ref(), Accounting.NONADIABATIC)
