@@ -4,7 +4,8 @@ Each builder takes a fully resolved parameter dict (see ottosta.cli for
 defaults and schema validation) and returns (columns, rows). Rows are plain
 Python lists of floats/strings/bools/None so the CSV and JSON writers can
 format them deterministically. Parallel evaluation uses an order-preserving
-thread map, so the row order never depends on the job count.
+thread map, so the row order never depends on the job count. The Fock
+oracle columns of ``cycle`` stay out of it and run serially.
 """
 
 from __future__ import annotations
@@ -189,29 +190,36 @@ def cycle_dataset(params: dict, oracle: bool = False, jobs: int = 1):
     if oracle:
         columns.append("fock_residual")
 
-    def one_tau(tau: float):
-        config = CycleConfig(
+    def config_at(tau: float) -> CycleConfig:
+        return CycleConfig(
             omega1=omega1, omega2=omega2, beta1=beta1, beta2=beta2,
             tau1=tau, tau3=tau, kind=kind,
         )
+
+    def one_tau(tau: float):
+        config = config_at(tau)
         r_ad = evaluate_cycle(config, Accounting.ADIABATIC, nodes=nodes, rtol=rtol)
         r_na = evaluate_cycle(config, Accounting.NONADIABATIC, nodes=nodes, rtol=rtol)
         r_sta = evaluate_cycle(config, Accounting.STA, nodes=nodes, rtol=rtol)
         r_avg = evaluate_cycle(config, Accounting.TIME_AVERAGED, nodes=nodes, rtol=rtol)
-        row = [
+        return [
             tau,
             r_ad.eta, r_ad.power,
             r_na.eta, r_na.power,
             r_sta.eta, r_sta.power,
             r_avg.eta, r_avg.power,
         ]
-        if oracle:
+
+    rows = _thread_map(one_tau, taus, jobs)
+    if oracle:
+        # Serially on the calling thread: each Fock stroke is dense LAPACK
+        # work that already uses every BLAS thread, and two such callers at
+        # once run slower than one after the other.
+        for tau, row in zip(taus, rows):
+            config = config_at(tau)
             res1 = _fock_stroke_residual(config.compression_protocol(), beta1, rtol)
             res3 = _fock_stroke_residual(config.expansion_protocol(), beta2, rtol)
             row.append(max(res1, res3))
-        return row
-
-    rows = _thread_map(one_tau, taus, jobs)
     return columns, rows
 
 

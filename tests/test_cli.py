@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from ottosta import datasets
 from ottosta.cli import _digest, build_parser, main, resolve_config
 
 
@@ -189,6 +191,22 @@ class TestCycleOracle:
         _, header, rows = split_output(Path(out).read_text())
         assert header[-1] == "fock_residual"
         assert float(rows[0][-1]) < 1e-6
+
+    def test_fock_rows_run_serially_on_the_calling_thread(self, monkeypatch):
+        calls = []
+
+        def cheap_residual(protocol, beta, rtol):
+            calls.append((threading.get_ident(), protocol.tau))
+            return protocol.tau * beta
+
+        monkeypatch.setattr(datasets, "_fock_stroke_residual", cheap_residual)
+        params = resolve_config("cycle", build_parser().parse_args(["cycle", "--grid", "tau=3:6:2"]))
+        serial = datasets.cycle_dataset(params, oracle=True, jobs=1)
+        calls.clear()
+        threaded = datasets.cycle_dataset(params, oracle=True, jobs=2)
+        me = threading.get_ident()
+        assert calls == [(me, 3.0), (me, 3.0), (me, 6.0), (me, 6.0)]
+        assert threaded == serial
 
 
 class TestOutputFormats:

@@ -146,6 +146,28 @@ class TestCounterdiabaticPropagation:
         assert mean_energy_fock(ops, st, w) == pytest.approx(e_ad, rel=1e-8)
 
 
+class TestMixedParity:
+    """A superposition of |0> and |1> carries coherences between the even
+    and the odd number states, which thermal starts never have; its means
+    must follow the classical equations of motion under either drive."""
+
+    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
+    def test_means_follow_classical_motion(self, drive):
+        ops = build_operators(stroke_reference(REF), 60)
+        psi = np.zeros(60, dtype=complex)
+        psi[:2] = 1.0 / math.sqrt(2.0)
+        st0 = FockState(rho=np.outer(psi, psi.conj()), ref_omega=ops.ref_omega)
+        ts = np.linspace(0.75, 3.0, 4)
+        states = propagate_fock_path(ops, st0, REF, ts, drive=drive)
+        mean = lambda st, op: float(np.sum(st.rho * op.T).real)
+        y0 = [mean(st0, ops.x), mean(st0, ops.p), 0.0, 0.0, 0.0]
+        rhs = oracles.covariance_rhs("poly5", 0.35, 1.0, 3.0, drive is Drive.CD)
+        for t, st in zip(ts, states):
+            want = oracles.rk4_fixed(rhs, y0, 0.0, float(t), 4000)[:2]
+            got = [mean(st, ops.x), mean(st, ops.p)]
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+
+
 class TestSpectralData:
     def test_cd_levels_match_closed_forms(self):
         t = 1.5
