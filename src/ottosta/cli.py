@@ -5,7 +5,8 @@ JSON config file (validated against the published schema in
 ``ottosta/schemas/config.schema.json``), merges CLI flag overrides, and
 emits one CSV or JSON dataset. Output is fully deterministic for a given
 resolved config and package version: the metadata header carries no
-timestamps or host details, and parallel evaluation preserves row order.
+timestamps or host details, and every dataset is computed in one serial
+pass.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 physics-domain error
 (for example trap inversion at too-short driving times), 4 numerics error.
@@ -26,7 +27,6 @@ from . import __version__
 from .datasets import (
     cost_dataset,
     cycle_dataset,
-    default_jobs,
     empower_dataset,
     qstar_dataset,
     sweep_dataset,
@@ -187,12 +187,11 @@ def run_command(command: str, args) -> str:
     oracle = bool(args.oracle)
     if oracle and command == "sweep":
         raise ConfigError("--oracle is not available for sweep")
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise ConfigError("--jobs must be at least 1")
     builder = _BUILDERS[command]
     try:
-        columns, rows = builder(params, oracle=oracle, jobs=jobs)
+        columns, rows = builder(params, oracle=oracle)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     meta = {
@@ -243,9 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--jobs",
             type=int,
-            help="worker threads (default: CPU count); the Fock oracle of "
-            "cycle --oracle always runs serially, since its LAPACK calls "
-            "already use every BLAS thread",
+            help="accepted for compatibility and ignored: every dataset is "
+            "computed in one serial pass, and its bytes never depend on it",
         )
         p.add_argument("--tol", type=float, help="integrator/optimizer tolerance override")
         p.add_argument("--nodes", type=int, help="quadrature nodes / curve samples override")

@@ -3,23 +3,22 @@
 Each builder takes a fully resolved parameter dict (see ottosta.cli for
 defaults and schema validation) and returns (columns, rows). Rows are plain
 Python lists of floats/strings/bools/None so the CSV and JSON writers can
-format them deterministically. Parallel evaluation uses an order-preserving
-thread map, so the row order never depends on the job count. The Fock
-oracle columns of ``cycle`` stay out of it and run serially.
+format them deterministically. Each dataset is computed in one serial pass:
+the Gaussian strokes of all its rows go through one stacked propagation
+(``dynamics.adiabaticity_stack``), and each cycle point's strokes are
+evaluated once and booked under every accounting
+(``thermo_cycle.stroke_records`` and ``book_cycle``). The Fock oracle
+columns of ``cycle`` follow, row by row, in tau order.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import fock_oracle
 from .dynamics import (
     Drive,
-    adiabaticity_pair_path,
-    adiabaticity_path,
+    adiabaticity_stack,
     mean_energy,
     propagate,
     q_cd_grid,
@@ -35,16 +34,17 @@ from .optimizer import (
     power_curve,
 )
 from .protocols import FrequencyProtocol, ProtocolKind
-from .sta_cost import StrokeContext, avg_variance_cost, avg_work_cost, friction
-from .thermo_cycle import (
-    Accounting,
-    CycleConfig,
-    evaluate_cycle,
+from .sta_cost import (
+    StrokeContext,
+    avg_variance_cost,
+    avg_work_cost,
+    friction_ends,
+    work_variance_excess,
 )
+from .thermo_cycle import Accounting, CycleConfig, book_cycle, stroke_records
 
 __all__ = [
     "resolve_grid",
-    "default_jobs",
     "qstar_dataset",
     "cost_dataset",
     "cycle_dataset",
@@ -60,22 +60,12 @@ def resolve_grid(spec) -> list[float]:
     return [float(v) for v in spec]
 
 
-def default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
-def _thread_map(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- qstar -------------------------------------------------------------------
 
 
-def qstar_dataset(params: dict, oracle: bool = False, jobs: int = 1):
-    """Adiabaticity curves Q*(t) for each protocol kind on a common grid."""
+def qstar_dataset(params: dict, oracle: bool = False):
+    """Adiabaticity curves Q*(t) for each protocol kind on a common grid.
+    q_bare and q_pair are two readouts of one stacked propagation."""
     omega_i = params["omega_i"]
     omega_f = params["omega_f"]
     tau = params["tau"]
@@ -86,38 +76,34 @@ def qstar_dataset(params: dict, oracle: bool = False, jobs: int = 1):
     if oracle:
         columns.append("q_pair")
 
-    def one_kind(kind_name: str):
-        kind = ProtocolKind(kind_name)
-        protocol = FrequencyProtocol(kind, omega_i, omega_f, tau)
+    protocols = [
+        FrequencyProtocol(ProtocolKind(k), omega_i, omega_f, tau) for k in params["kinds"]
+    ]
+    q_cd = [q_cd_grid(p, ts) for p in protocols]
+    q_bare, q_pair = adiabaticity_stack(
+        protocols, [beta] * len(protocols), [ts] * len(protocols), rtol=rtol
+    )
+    rows = []
+    for b, protocol in enumerate(protocols):
         omegas = np.atleast_1d(protocol.omega(ts))
-        q_cd_vals = q_cd_grid(protocol, ts)
-        q_bare_vals = adiabaticity_path(protocol, beta, ts, drive=Drive.BARE, rtol=rtol)
-        q_pair_vals = (
-            adiabaticity_pair_path(protocol, ts, rtol=rtol) if oracle else None
-        )
-        rows = []
         for j, t in enumerate(ts):
             row = [
                 float(t),
-                kind.value,
+                protocol.kind.value,
                 float(omegas[j]),
-                float(q_cd_vals[j]),
-                float(q_bare_vals[j]),
+                float(q_cd[b][j]),
+                float(q_bare[b, j]),
             ]
             if oracle:
-                row.append(float(q_pair_vals[j]))
+                row.append(float(q_pair[b, j]))
             rows.append(row)
-        return rows
-
-    blocks = _thread_map(one_kind, list(params["kinds"]), jobs)
-    rows = [row for block in blocks for row in block]
     return columns, rows
 
 
 # -- cost --------------------------------------------------------------------
 
 
-def cost_dataset(params: dict, oracle: bool = False, jobs: int = 1):
+def cost_dataset(params: dict, oracle: bool = False):
     """Driving-cost measures of one stroke as a function of driving time."""
     kind = ProtocolKind(params["kind"])
     omega_i = params["omega_i"]
@@ -130,27 +116,23 @@ def cost_dataset(params: dict, oracle: bool = False, jobs: int = 1):
     if oracle:
         columns.append("tpm_excess_residual")
 
-    def one_tau(tau: float):
-        protocol = FrequencyProtocol(kind, omega_i, omega_f, tau)
-        ctx = StrokeContext(protocol, beta)
-        w_ad = (omega_f / omega_i - 1.0) * ctx.h0_mean
-        row = [
+    ctxs = [StrokeContext(FrequencyProtocol(kind, omega_i, omega_f, tau), beta) for tau in taus]
+    rows = [
+        [
             tau,
             avg_work_cost(ctx, nodes=nodes),
             avg_variance_cost(ctx, nodes=nodes),
-            friction(ctx, tau, rtol=rtol),
-            w_ad,
+            float(friction),
+            (omega_f / omega_i - 1.0) * ctx.h0_mean,
         ]
-        if oracle:
-            from .sta_cost import work_variance_excess
-
+        for tau, ctx, friction in zip(taus, ctxs, friction_ends(ctxs, rtol=rtol))
+    ]
+    if oracle:
+        for tau, ctx, row in zip(taus, ctxs, rows):
             t_mid = 0.5 * tau
             closed = float(work_variance_excess(ctx, t_mid))
-            matrix = fock_oracle.tpm_variance_excess(protocol, beta, t_mid)
+            matrix = fock_oracle.tpm_variance_excess(ctx.protocol, beta, t_mid)
             row.append(abs(matrix - closed) / max(abs(closed), 1e-30))
-        return row
-
-    rows = _thread_map(one_tau, taus, jobs)
     return columns, rows
 
 
@@ -170,8 +152,9 @@ def _fock_stroke_residual(protocol: FrequencyProtocol, beta: float, rtol: float)
     return abs(e_fock - e_gauss) / abs(e_gauss)
 
 
-def cycle_dataset(params: dict, oracle: bool = False, jobs: int = 1):
-    """Efficiency and power versus driving time under all four accountings."""
+def cycle_dataset(params: dict, oracle: bool = False):
+    """Efficiency and power versus driving time under all four accountings,
+    booked from one stroke record per tau."""
     kind = ProtocolKind(params["kind"])
     omega1 = params["omega1"]
     omega2 = params["omega2"]
@@ -190,33 +173,24 @@ def cycle_dataset(params: dict, oracle: bool = False, jobs: int = 1):
     if oracle:
         columns.append("fock_residual")
 
-    def config_at(tau: float) -> CycleConfig:
-        return CycleConfig(
+    configs = [
+        CycleConfig(
             omega1=omega1, omega2=omega2, beta1=beta1, beta2=beta2,
             tau1=tau, tau3=tau, kind=kind,
         )
-
-    def one_tau(tau: float):
-        config = config_at(tau)
-        r_ad = evaluate_cycle(config, Accounting.ADIABATIC, nodes=nodes, rtol=rtol)
-        r_na = evaluate_cycle(config, Accounting.NONADIABATIC, nodes=nodes, rtol=rtol)
-        r_sta = evaluate_cycle(config, Accounting.STA, nodes=nodes, rtol=rtol)
-        r_avg = evaluate_cycle(config, Accounting.TIME_AVERAGED, nodes=nodes, rtol=rtol)
-        return [
-            tau,
-            r_ad.eta, r_ad.power,
-            r_na.eta, r_na.power,
-            r_sta.eta, r_sta.power,
-            r_avg.eta, r_avg.power,
-        ]
-
-    rows = _thread_map(one_tau, taus, jobs)
+        for tau in taus
+    ]
+    rows = []
+    for tau, config, record in zip(taus, configs, stroke_records(configs, nodes, rtol)):
+        row = [tau]
+        for accounting in Accounting:
+            result = book_cycle(config, record, accounting)
+            row += [result.eta, result.power]
+        rows.append(row)
     if oracle:
         # Serially on the calling thread: each Fock stroke is dense LAPACK
-        # work that already uses every BLAS thread, and two such callers at
-        # once run slower than one after the other.
-        for tau, row in zip(taus, rows):
-            config = config_at(tau)
+        # work that already uses every BLAS thread.
+        for config, row in zip(configs, rows):
             res1 = _fock_stroke_residual(config.compression_protocol(), beta1, rtol)
             res3 = _fock_stroke_residual(config.expansion_protocol(), beta2, rtol)
             row.append(max(res1, res3))
@@ -226,7 +200,7 @@ def cycle_dataset(params: dict, oracle: bool = False, jobs: int = 1):
 # -- empower -----------------------------------------------------------------
 
 
-def empower_dataset(params: dict, oracle: bool = False, jobs: int = 1):
+def empower_dataset(params: dict, oracle: bool = False):
     """Efficiency at maximum power versus bath temperature ratio."""
     omega1 = params["omega1"]
     beta1 = params["beta1"]
@@ -266,8 +240,7 @@ def empower_dataset(params: dict, oracle: bool = False, jobs: int = 1):
             row.append(float(x_scan))
         return row
 
-    rows = _thread_map(one_ratio, ratios, jobs)
-    return columns, rows
+    return columns, [one_ratio(ratio) for ratio in ratios]
 
 
 # -- sweep -------------------------------------------------------------------
@@ -278,10 +251,12 @@ _SWEEP_VALUE_COLUMNS = [
 ]
 
 
-def sweep_dataset(params: dict, oracle: bool = False, jobs: int = 1):
+def sweep_dataset(params: dict, oracle: bool = False):
     """Cartesian product over (omega ratio, beta ratio, tau, kind,
     accounting) with the full cycle result per point. Row order is the
-    nested loop order of the grids as configured, independent of jobs."""
+    nested loop order of the grids as configured. The strokes of each
+    (omega ratio, beta ratio, tau, kind) point are computed once, as far as
+    the configured accountings read them, and booked under each."""
     omega2 = params["omega2"]
     beta1 = params["beta1"]
     nodes = int(params["nodes"])
@@ -297,30 +272,38 @@ def sweep_dataset(params: dict, oracle: bool = False, jobs: int = 1):
     columns.append("status")
 
     points = [
-        (wr, br, tau, kind, acct)
+        (wr, br, tau, kind)
         for wr in omega_ratios
         for br in beta_ratios
         for tau in taus
         for kind in kinds
-        for acct in accountings
     ]
-
-    def one_point(point):
-        wr, br, tau, kind, acct = point
-        head = [wr, br, tau, kind.value, acct.value]
-        try:
-            config = CycleConfig(
-                omega1=wr * omega2, omega2=omega2,
-                beta1=beta1, beta2=br * beta1,
-                tau1=tau, tau3=tau, kind=kind,
-            )
-            r = evaluate_cycle(config, acct, nodes=nodes, rtol=rtol)
-        except TrapInversionError:
-            return head + [None] * len(_SWEEP_VALUE_COLUMNS) + ["trap_inversion"]
-        return head + [
-            r.q1_star, r.q3_star, r.w1, r.w3, r.q2, r.q4, r.cost1, r.cost3,
-            r.eta, r.power, r.ds_tot, r.is_engine, "ok",
-        ]
-
-    rows = _thread_map(one_point, points, jobs)
+    configs = [
+        CycleConfig(
+            omega1=wr * omega2, omega2=omega2,
+            beta1=beta1, beta2=br * beta1,
+            tau1=tau, tau3=tau, kind=kind,
+        )
+        for wr, br, tau, kind in points
+    ]
+    records = stroke_records(
+        configs,
+        nodes,
+        rtol,
+        factors=Accounting.NONADIABATIC in accountings,
+        costs=Accounting.STA in accountings or Accounting.TIME_AVERAGED in accountings,
+    )
+    rows = []
+    for (wr, br, tau, kind), config, record in zip(points, configs, records):
+        for acct in accountings:
+            head = [wr, br, tau, kind.value, acct.value]
+            try:
+                r = book_cycle(config, record, acct)
+            except TrapInversionError:
+                rows.append(head + [None] * len(_SWEEP_VALUE_COLUMNS) + ["trap_inversion"])
+                continue
+            rows.append(head + [
+                r.q1_star, r.q3_star, r.w1, r.w3, r.q2, r.q4, r.cost1, r.cost3,
+                r.eta, r.power, r.ds_tot, r.is_engine, "ok",
+            ])
     return columns, rows

@@ -11,7 +11,9 @@ Both give the linear equations x' = g x + p, p' = -omega^2 x - g p, with
 g = 0 (bare) or g = -omegadot/(2 omega) (CD). Their 2x2 transfer matrix
 M(t) carries everything: mean(t) = M mean(0), cov(t) = M cov(0) M^T, and
 its columns are the two classical solutions behind Q*. M is computed by a
-vectorized 4th-order Magnus propagator with step-doubling error control.
+vectorized 4th-order Magnus propagator with step-doubling error control,
+for a whole stack of strokes in one call; each stroke keeps the steps, and
+the bits, of its own single-stroke call.
 
 The adiabaticity factor Q* (the ratio of the actual mean energy to the
 adiabatically transported one) has two readouts of the same M: the energy
@@ -27,11 +29,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericsError, TrapInversionError
-from .protocols import FrequencyProtocol, check_cd_validity, tau_min, validity_margin
+from .protocols import (
+    FrequencyProtocol,
+    ProtocolKind,
+    _ramp_shape,
+    check_cd_validity,
+    tau_min,
+    validity_margin,
+)
 
 __all__ = [
     "Drive",
@@ -46,6 +56,7 @@ __all__ = [
     "adiabaticity_path",
     "adiabaticity_pair",
     "adiabaticity_pair_path",
+    "adiabaticity_stack",
     "sudden_quench_q",
     "q_cd",
     "q_cd_grid",
@@ -167,11 +178,40 @@ def _require_cd_valid(protocol: FrequencyProtocol):
 
 # -- transfer-matrix propagator -----------------------------------------------
 
+# Step slots evaluated at once, and the longest run of steps reduced in one
+# piece. A power of two, so that a chunk of a longer gap is a whole subtree
+# of that gap's pairwise product.
+_BLOCK_STEPS = 2048
+
+
+class _Stack(NamedTuple):
+    """Per-stroke ramp parameters of a stack, as arrays indexed by row."""
+
+    kinds: list[ProtocolKind]  # the distinct kinds, indexed by ``kind``
+    kind: np.ndarray
+    omega_i: np.ndarray
+    omega_f: np.ndarray
+    tau: np.ndarray
+    cd: np.ndarray  # counterdiabatic drive
+
+    @classmethod
+    def of(cls, protocols: list[FrequencyProtocol], drives: list[Drive]) -> "_Stack":
+        kinds = list(dict.fromkeys(p.kind for p in protocols))
+        return cls(
+            kinds,
+            np.array([kinds.index(p.kind) for p in protocols]),
+            np.array([p.omega_i for p in protocols]),
+            np.array([p.omega_f for p in protocols]),
+            np.array([p.tau for p in protocols]),
+            np.array([drive is Drive.CD for drive in drives]),
+        )
+
 
 def _step_exponentials(
-    protocol: FrequencyProtocol, drive: Drive, left: np.ndarray, h: np.ndarray
+    stack: _Stack, row: np.ndarray, left: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
-    """exp(Omega) of each Magnus step [left, left + h], stacked (N, 2, 2).
+    """exp(Omega) of each Magnus step [left, left + h] of stroke ``row`` of
+    the stack, as components (m00, m01, m10, m11) of shape (4, N).
 
     The generator A = [[g, 1], [-omega^2, -g]] is traceless, and so is
     Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1]. Then
@@ -179,10 +219,20 @@ def _step_exponentials(
     exp(Omega) = C I + S Omega with C = cosh(sqrt delta) and
     S = sinh(sqrt delta)/sqrt delta (cos/sin for delta < 0).
     """
-    w, wd, _ = protocol._shape((left + _GL_NODES[:, None] * h) / protocol.tau)
+    wi, wf, tau = stack.omega_i[row], stack.omega_f[row], stack.tau[row]
+    s = (left + _GL_NODES[:, None] * h) / tau
+    if len(stack.kinds) == 1:
+        w, wd, _ = _ramp_shape(stack.kinds[0], wi, wf, tau, s)
+    else:
+        w = np.empty_like(s)
+        wd = np.empty_like(s)
+        kind = stack.kind[row]
+        for k, ramp in enumerate(stack.kinds):
+            on = kind == k
+            w[:, on], wd[:, on], _ = _ramp_shape(ramp, wi[on], wf[on], tau[on], s[:, on])
     # A_k = [[a_k, 1], [c_k, -a_k]] at the two nodes; Omega = [[alpha, beta], [gamma, -alpha]].
     c1, c2 = -w * w
-    a1, a2 = -wd / (2.0 * w) if drive is Drive.CD else (0.0, 0.0)
+    a1, a2 = np.where(stack.cd[row], -wd / (2.0 * w), 0.0)
     kh2 = _GL_COMMUTATOR * h * h
     alpha = 0.5 * h * (a1 + a2) + kh2 * (c1 - c2)
     beta = h + 2.0 * kh2 * (a2 - a1)
@@ -202,79 +252,170 @@ def _step_exponentials(
         small, 1.0 + d * (1 / 6 + d * (1 / 120 + d * (1 / 5040 + d / 362880))), sinh_part
     )
 
-    out = np.empty((h.size, 2, 2))
-    out[:, 0, 0] = cosh_part + sinh_part * alpha
-    out[:, 0, 1] = sinh_part * beta
-    out[:, 1, 0] = sinh_part * gamma
-    out[:, 1, 1] = cosh_part - sinh_part * alpha
+    return np.stack(
+        (cosh_part + sinh_part * alpha, sinh_part * beta, sinh_part * gamma,
+         cosh_part - sinh_part * alpha)
+    )
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a @ b of 2x2 matrices stored as components
+    (m00, m01, m10, m11) along the first axis."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    for i, j in ((0, 0), (0, 1), (2, 0), (2, 1)):
+        np.multiply(a[i], b[j], out=out[i + j])
+        out[i + j] += a[i + 1] * b[j + 2]
     return out
 
 
-def _prefix_products(steps: np.ndarray) -> np.ndarray:
-    """Running products steps[k] @ ... @ steps[0], by a log-depth doubling
-    scan (each pass combines entries ``span`` apart)."""
-    out = steps.copy()
-    span = 1
-    while span < out.shape[0]:
-        out[span:] = np.matmul(out[span:], out[:-span])
-        span *= 2
-    return out
+# The identity as components (m00, m01, m10, m11).
+_IDENTITY = np.array([[1.0], [0.0], [0.0], [1.0]])
+
+
+def _segment_products(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Ordered products x[last] @ ... @ x[first] of the consecutive segments
+    of a stack of matrices stored as components (4, N), one per entry of
+    ``lengths`` (each at least 1); returns components (4, S).
+
+    A pairwise tree: each pass pads every odd segment with the identity,
+    which multiplies exactly, and multiplies the neighbours (2i, 2i+1). A
+    segment's tree depends only on its own length."""
+    while x.shape[1] > lengths.size:
+        odd = lengths % 2 == 1
+        if odd.any():
+            x = np.insert(x, np.cumsum(lengths)[odd], _IDENTITY, axis=1)
+            lengths = lengths + odd
+        x = _mul(x[:, 1::2], x[:, 0::2])
+        lengths = lengths // 2
+    return x
+
+
+def _gap_products(
+    stack: _Stack,
+    rows: np.ndarray,
+    edges: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Product of the equal Magnus steps of every checkpoint gap, as
+    components (4, R, K), for strokes ``rows`` with gap edges (R, K + 1) and
+    step counts (R, K).
+
+    Each gap is cut into chunks of at most _BLOCK_STEPS steps, and whole
+    chunks are packed into blocks of at most _BLOCK_STEPS step slots, which
+    bounds the memory whatever the stack. A chunk's product and then the
+    gap's product over its chunks are pairwise trees, so every gap gets the
+    same tree, and the same bits, whatever else is in the stack."""
+    n_rows, n_gaps = counts.shape
+    counts = counts.ravel()
+    h_gap = np.diff(edges, axis=1).ravel() / np.maximum(counts, 1)
+    left_gap = edges[:, :-1].ravel()
+    chunks = -(-counts // _BLOCK_STEPS)
+    gap = np.repeat(np.arange(counts.size), chunks)
+    offset = (np.arange(gap.size) - np.repeat(np.cumsum(chunks) - chunks, chunks)) * _BLOCK_STEPS
+    length = np.minimum(counts[gap] - offset, _BLOCK_STEPS)
+    end = np.cumsum(length)
+    roots = np.empty((4, gap.size))
+    first = 0
+    while first < gap.size:
+        start = end[first] - length[first]
+        last = int(np.searchsorted(end, start + _BLOCK_STEPS, side="right"))
+        seg = np.repeat(np.arange(first, last), length[first:last])
+        g = gap[seg]
+        index = offset[seg] + np.arange(seg.size) - (end[seg] - length[seg] - start)
+        steps = _step_exponentials(
+            stack, rows[g // n_gaps], left_gap[g] + index * h_gap[g], h_gap[g]
+        )
+        roots[:, first:last] = _segment_products(steps, length[first:last])
+        first = last
+    out = np.repeat(_IDENTITY, counts.size, axis=1)
+    out[:, chunks > 0] = _segment_products(roots, chunks[chunks > 0])
+    return out.reshape(4, n_rows, n_gaps)
 
 
 def _transfer_matrices(
-    protocol: FrequencyProtocol, ts: np.ndarray, drive: Drive, rtol: float
+    protocols: list[FrequencyProtocol], ts: np.ndarray, drives: list[Drive], rtol: float
 ) -> np.ndarray:
-    """Transfer matrices M(t_j), shape (len(ts), 2, 2), from t = 0 to each
-    ascending checkpoint t_j.
+    """Transfer matrices M_b(t_bj), shape (B, K, 2, 2), of a stack of B
+    strokes, each from t = 0 to its K ascending checkpoints ts[b].
 
-    Each gap between checkpoints gets a whole number of equal Magnus steps,
-    starting near one step per radian of the fastest trap frequency. The
-    step count then doubles until the Richardson estimate
-    max_j |M_2N(t_j) - M_N(t_j)| / (15 |M_2N(t_j)|) is at most rtol, and
-    the finer result is returned; doublings the estimate predicts to fall
-    short are skipped. Raises NumericsError when the grid would exceed
-    _MAX_STEPS steps.
+    Rows may differ in ramp, duration and drive; each keeps the error
+    control it has alone. Every gap between checkpoints gets a whole number
+    of equal Magnus steps, starting near one step per radian of the row's
+    fastest trap frequency. The row's step count then doubles until its
+    Richardson estimate max_j |M_2N(t_j) - M_N(t_j)| / (15 |M_2N(t_j)|) is
+    at most rtol, and the finer result is kept; doublings the estimate
+    predicts to fall short are skipped. Rows that meet rtol freeze while
+    the others go on, so a row's steps, and its bits, equal those of its
+    lone call. The steps of each gap are multiplied by a pairwise tree and
+    the gap products by a prefix scan over the checkpoints. Raises
+    NumericsError when a row's grid would exceed _MAX_STEPS steps.
     """
     if not rtol > 0.0:
         raise ValueError(f"rtol must be positive, got {rtol!r}")
-    edges = np.concatenate(([0.0], ts))
-    gaps = np.diff(edges)
-    t_end = float(ts[-1])
-    if t_end == 0.0:
-        return np.tile(np.eye(2), (ts.size, 1, 1))
-    omega_max = max(protocol.omega_i, protocol.omega_f)
-    steps_per_time = max(_MIN_START_STEPS, math.ceil(t_end * omega_max)) / t_end
-    base = np.ceil(gaps * steps_per_time).astype(np.int64)
-    previous = None
-    error = math.inf
-    level = 0
-    while True:
-        counts = base << level
-        ends = np.cumsum(counts)
-        n = int(ends[-1])
-        if n > _MAX_STEPS:
+    n_rows, n_ts = ts.shape
+    stack = _Stack.of(protocols, drives)
+    edges = np.concatenate((np.zeros((n_rows, 1)), ts), axis=1)
+    t_end = ts[:, -1]
+    moving = t_end > 0.0
+    omega_max = np.maximum(stack.omega_i, stack.omega_f)
+    steps_per_time = np.maximum(_MIN_START_STEPS, np.ceil(t_end * omega_max)) / np.where(
+        moving, t_end, 1.0
+    )
+    base = np.ceil(np.diff(edges, axis=1) * steps_per_time[:, None]).astype(np.int64)
+    result = np.tile(np.eye(2), (n_rows, n_ts, 1, 1))
+    previous = np.zeros_like(result)
+    has_previous = np.zeros(n_rows, dtype=bool)
+    error = np.full(n_rows, math.inf)
+    level = np.zeros(n_rows, dtype=np.int64)
+    active = moving.copy()
+    while active.any():
+        rows = np.flatnonzero(active)
+        counts = base[rows] << level[rows, None]
+        n = counts.sum(axis=1)
+        if (n > _MAX_STEPS).any():
+            r = int(np.argmax(n > _MAX_STEPS))
             raise NumericsError(
-                f"Magnus propagator: {n} steps exceed the budget of {_MAX_STEPS} "
-                f"(error estimate {error:.3g} > rtol {rtol:g})"
+                f"Magnus propagator: {n[r]} steps exceed the budget of {_MAX_STEPS} "
+                f"(error estimate {error[rows[r]]:.3g} > rtol {rtol:g})"
             )
-        h = np.repeat(gaps / np.maximum(counts, 1), counts)
-        index = np.arange(n) - np.repeat(ends - counts, counts)
-        left = np.repeat(edges[:-1], counts) + index * h
-        products = _prefix_products(_step_exponentials(protocol, drive, left, h))
-        m = np.concatenate((np.eye(2)[None], products))[ends]
-        if previous is None:
-            previous = m
-            level += 1
-            continue
-        diff = np.max(np.abs(m - previous), axis=(1, 2))
-        error = float(np.max(diff / np.max(np.abs(m), axis=(1, 2)))) / 15.0
-        if error <= rtol:
-            return m
-        # A 4th-order error falls about 16-fold per doubling: skip straight
-        # to the pair of levels predicted to meet rtol.
-        doublings = math.ceil(math.log(error / rtol, 16)) if math.isfinite(error) else 1
-        previous = m if doublings <= 1 else None
-        level += max(doublings - 1, 1)
+        m = _prefix_products(_gap_products(stack, rows, edges[rows], counts))
+        m = np.moveaxis(m, 0, -1).reshape(rows.size, n_ts, 2, 2)
+        diff = np.max(np.abs(m - previous[rows]), axis=(2, 3))
+        error[rows] = np.where(
+            has_previous[rows],
+            np.max(diff / np.max(np.abs(m), axis=(2, 3)), axis=1) / 15.0,
+            error[rows],
+        )
+        for i, r in enumerate(rows):
+            if not has_previous[r]:
+                previous[r] = m[i]
+                has_previous[r] = True
+                level[r] += 1
+                continue
+            if error[r] <= rtol:
+                result[r] = m[i]
+                active[r] = False
+                continue
+            # A 4th-order error falls about 16-fold per doubling: skip straight
+            # to the pair of levels predicted to meet rtol.
+            e = float(error[r])
+            doublings = math.ceil(math.log(e / rtol, 16)) if math.isfinite(e) else 1
+            has_previous[r] = doublings <= 1
+            previous[r] = m[i]
+            level[r] += max(doublings - 1, 1)
+    return result
+
+
+def _prefix_products(gaps: np.ndarray) -> np.ndarray:
+    """Running products gaps[..., k] @ ... @ gaps[..., 0] along the last
+    (checkpoint) axis of components (4, R, K), by a log-depth doubling scan
+    (each pass combines entries ``span`` apart)."""
+    out = gaps.copy()
+    span = 1
+    while span < out.shape[-1]:
+        out[..., span:] = _mul(out[..., span:], out[..., :-span])
+        span *= 2
+    return out
 
 
 def _checkpoints(protocol: FrequencyProtocol, ts) -> np.ndarray:
@@ -288,17 +429,41 @@ def _checkpoints(protocol: FrequencyProtocol, ts) -> np.ndarray:
     return ts
 
 
-def _moments(
-    state: GaussianState, protocol: FrequencyProtocol, ts, drive: Drive, rtol: float
+def _stack_matrices(
+    protocols, ts, drives, rtol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked means M m0 (N, 2) and covariances M C0 M^T (N, 2, 2) at each
-    ascending checkpoint, not yet validated."""
-    drive = Drive(drive)
-    ts = _checkpoints(protocol, ts)
-    if drive is Drive.CD:
-        _require_cd_valid(protocol)
-    m = _transfer_matrices(protocol, ts, drive, rtol)
-    return m @ state.mean, m @ state.cov @ np.swapaxes(m, 1, 2)
+    """Validated checkpoints (B, K), one row per protocol, and their
+    transfer matrices (B, K, 2, 2). CD rows need tau > tau_min."""
+    protocols = list(protocols)
+    drives = [Drive(d) for d in drives]
+    rows = [_checkpoints(p, t) for p, t in zip(protocols, ts, strict=True)]
+    if len({row.size for row in rows}) > 1:
+        raise ValueError("every stroke of a stack needs the same number of checkpoints")
+    for protocol, drive in zip(protocols, drives, strict=True):
+        if drive is Drive.CD:
+            _require_cd_valid(protocol)
+    ts = np.stack(rows)
+    return ts, _transfer_matrices(protocols, ts, drives, rtol)
+
+
+def _omegas(protocols: list[FrequencyProtocol], ts: np.ndarray) -> np.ndarray:
+    """omega(t) of each stroke at its checkpoints, (B, K)."""
+    return np.stack([np.atleast_1d(p.omega(t)) for p, t in zip(protocols, ts)])
+
+
+def _thermal_q(
+    m: np.ndarray, protocols: list[FrequencyProtocol], betas, w_t: np.ndarray
+) -> np.ndarray:
+    """Q*(t) (B, K) of thermal starts, read off their transfer matrices: the
+    energy of M C0 M^T at omega_t over the adiabatic (omega_t/omega_i) E0.
+    Every covariance is validated."""
+    starts = [thermal_state(beta, p.omega_i) for p, beta in zip(protocols, betas, strict=True)]
+    cov0 = np.stack([s.cov for s in starts])[:, None]
+    e0 = np.array([mean_energy(s, p.omega_i) for s, p in zip(starts, protocols)])
+    omega_i = np.array([p.omega_i for p in protocols])
+    covs = _checked_covariances(m @ cov0 @ np.swapaxes(m, -1, -2))
+    energies = _energies(np.zeros(covs.shape[:-1]), covs, w_t)
+    return energies / (w_t / omega_i[:, None] * e0[:, None])
 
 
 def propagate(
@@ -326,11 +491,19 @@ def propagate_path(
     rtol: float = DEFAULT_RTOL,
 ) -> list[GaussianState]:
     """States at each ascending checkpoint in ``ts`` (single forward sweep)."""
-    means, covs = _moments(state, protocol, ts, drive, rtol)
+    _, m = _stack_matrices([protocol], [ts], [drive], rtol)
+    m = m[0]
+    means, covs = m @ state.mean, m @ state.cov @ np.swapaxes(m, 1, 2)
     return [GaussianState(mean=mu, cov=c) for mu, c in zip(means, covs)]
 
 
 # -- classical solution pair (temperature-independent route) ----------------
+
+
+def _pair_rows(m: np.ndarray) -> np.ndarray:
+    """(X, Xdot, Y, Ydot) of bare-drive transfer matrices (..., 2, 2): the
+    second column is (X, Xdot), the first (Y, Ydot)."""
+    return np.stack([m[..., 0, 1], m[..., 1, 1], m[..., 0, 0], m[..., 1, 0]], axis=-1)
 
 
 def classical_pair_path(
@@ -342,17 +515,15 @@ def classical_pair_path(
     solutions of xddot + omega(t)^2 x = 0 with X(0)=0, Xdot(0)=1 and
     Y(0)=1, Ydot(0)=0. Their Wronskian X Ydot - Y Xdot stays -1.
 
-    They are the columns of the bare-drive transfer matrix: (X, Xdot) the
-    second, (Y, Ydot) the first."""
-    m = _transfer_matrices(protocol, _checkpoints(protocol, ts), Drive.BARE, rtol)
-    return np.stack([m[:, 0, 1], m[:, 1, 1], m[:, 0, 0], m[:, 1, 0]], axis=1)
+    They are the columns of the bare-drive transfer matrix."""
+    _, m = _stack_matrices([protocol], [ts], [Drive.BARE], rtol)
+    return _pair_rows(m[0])
 
 
-def _pair_q(protocol: FrequencyProtocol, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    w_t = protocol.omega(ts)
-    w_t = np.atleast_1d(np.asarray(w_t, dtype=np.float64))
-    wi = protocol.omega_i
-    x, xd, yv, yd = rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]
+def _pair_q(wi, rows: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """Q*(t) from pair rows (..., 4) at trap frequencies w_t (...), for
+    initial frequency wi (a scalar, or an array broadcasting with w_t)."""
+    x, xd, yv, yd = np.moveaxis(rows, -1, 0)
     return (
         wi * wi * (w_t**2 * x**2 + xd**2) + (w_t**2 * yv**2 + yd**2)
     ) / (2.0 * wi * w_t)
@@ -364,9 +535,7 @@ def adiabaticity_pair(
     rtol: float = DEFAULT_RTOL,
 ) -> float:
     """Q*(t) from the classical pair; independent of the initial thermal state."""
-    ts = np.array([float(t)])
-    rows = classical_pair_path(protocol, ts, rtol=rtol)
-    return float(_pair_q(protocol, rows, ts)[0])
+    return float(adiabaticity_pair_path(protocol, [t], rtol=rtol)[0])
 
 
 def adiabaticity_pair_path(
@@ -374,9 +543,8 @@ def adiabaticity_pair_path(
     ts,
     rtol: float = DEFAULT_RTOL,
 ) -> np.ndarray:
-    ts = np.asarray(ts, dtype=np.float64)
-    rows = classical_pair_path(protocol, ts, rtol=rtol)
-    return _pair_q(protocol, rows, ts)
+    ts, m = _stack_matrices([protocol], [ts], [Drive.BARE], rtol)
+    return _pair_q(protocol.omega_i, _pair_rows(m), _omegas([protocol], ts))[0]
 
 
 # -- energy-ratio route ------------------------------------------------------
@@ -408,13 +576,29 @@ def adiabaticity_path(
 ) -> np.ndarray:
     """Q*(t) at each ascending checkpoint, read from the stacked moments of
     the thermal start; every checkpoint's covariance is validated."""
-    ts = np.asarray(ts, dtype=np.float64)
-    state0 = thermal_state(beta, protocol.omega_i)
-    e0 = mean_energy(state0, protocol.omega_i)
-    means, covs = _moments(state0, protocol, ts, drive, rtol)
-    w_t = np.atleast_1d(np.asarray(protocol.omega(ts), dtype=np.float64))
-    energies = _energies(means, _checked_covariances(covs), w_t)
-    return energies / (w_t / protocol.omega_i * e0)
+    ts, m = _stack_matrices([protocol], [ts], [drive], rtol)
+    return _thermal_q(m, [protocol], [beta], _omegas([protocol], ts))[0]
+
+
+def adiabaticity_stack(
+    protocols,
+    betas,
+    ts,
+    rtol: float = DEFAULT_RTOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bare-drive Q*(t) of a stack of strokes from one propagation.
+
+    Row b starts in the thermal state at (betas[b], omega_i) and is read at
+    its ascending checkpoints ts[b]; every row has the same number K of
+    them. Returns two (B, K) arrays read off the same transfer matrices:
+    the energy ratio (every covariance validated, as in adiabaticity_path)
+    and the classical-pair value (as in adiabaticity_pair_path). Each row
+    equals its own single-stroke call bit for bit."""
+    protocols = list(protocols)
+    ts, m = _stack_matrices(protocols, ts, [Drive.BARE] * len(protocols), rtol)
+    w_t = _omegas(protocols, ts)
+    omega_i = np.array([p.omega_i for p in protocols])[:, None]
+    return _thermal_q(m, protocols, betas, w_t), _pair_q(omega_i, _pair_rows(m), w_t)
 
 
 def sudden_quench_q(omega_i: float, omega_f: float) -> float:

@@ -48,6 +48,43 @@ class ProtocolKind(str, Enum):
         return (cls.POLY5, cls.POLY3, cls.COSINE)
 
 
+def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray):
+    """(omega, omegadot, omegaddot) of a ``kind`` ramp at s = t/tau. The
+    parameters wi, wf and tau are scalars or arrays that broadcast against s,
+    so one call can evaluate many ramps of the same kind.
+
+    The polynomial ramps interpolate omega itself; the cosine ramp
+    interpolates omega squared, which is why its curvature does not vanish
+    at the endpoints."""
+    d = wf - wi
+    if kind is ProtocolKind.CONSTANT:
+        z = np.zeros_like(s)
+        return wi + z, z, z.copy()
+    if kind is ProtocolKind.POLY5:
+        f = s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+        fp = 30.0 * s**2 * (1.0 - s) ** 2
+        fpp = 60.0 * s - 180.0 * s**2 + 120.0 * s**3
+        return wi + d * f, d * fp / tau, d * fpp / tau**2
+    if kind is ProtocolKind.POLY3:
+        f = s**2 * (3.0 - 2.0 * s)
+        fp = 6.0 * s * (1.0 - s)
+        fpp = 6.0 - 12.0 * s
+        return wi + d * f, d * fp / tau, d * fpp / tau**2
+    if kind is ProtocolKind.COSINE:
+        a2 = (wf / wi) ** 2
+        u = 0.5 * ((a2 + 1.0) - (a2 - 1.0) * np.cos(np.pi * s))
+        up = 0.5 * (a2 - 1.0) * np.pi * np.sin(np.pi * s)
+        upp = 0.5 * (a2 - 1.0) * np.pi**2 * np.cos(np.pi * s)
+        r = np.sqrt(u)
+        w = wi * r
+        wd = wi * up / (2.0 * r) / tau
+        wdd = wi * (upp / (2.0 * r) - up**2 / (4.0 * u * r)) / tau**2
+        return w, wd, wdd
+    # linear
+    z = np.zeros_like(s)
+    return wi + d * s, d / tau + z, z.copy()
+
+
 # Slack allowed when checking t against [0, tau], relative to tau.
 _DOMAIN_TOL = 1e-12
 
@@ -93,38 +130,8 @@ class FrequencyProtocol:
         return float(w), float(wd), float(wdd)
 
     def _shape(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized (omega, omegadot, omegaddot) as functions of s = t/tau.
-        The polynomial ramps interpolate omega itself; the cosine ramp
-        interpolates omega squared, which is why its curvature does not
-        vanish at the endpoints."""
-        wi, wf, tau = self.omega_i, self.omega_f, self.tau
-        d = wf - wi
-        kind = self.kind
-        if kind is ProtocolKind.CONSTANT:
-            z = np.zeros_like(s)
-            return np.full_like(s, wi), z, z.copy()
-        if kind is ProtocolKind.POLY5:
-            f = s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-            fp = 30.0 * s**2 * (1.0 - s) ** 2
-            fpp = 60.0 * s - 180.0 * s**2 + 120.0 * s**3
-            return wi + d * f, d * fp / tau, d * fpp / tau**2
-        if kind is ProtocolKind.POLY3:
-            f = s**2 * (3.0 - 2.0 * s)
-            fp = 6.0 * s * (1.0 - s)
-            fpp = 6.0 - 12.0 * s
-            return wi + d * f, d * fp / tau, d * fpp / tau**2
-        if kind is ProtocolKind.COSINE:
-            a2 = (wf / wi) ** 2
-            u = 0.5 * ((a2 + 1.0) - (a2 - 1.0) * np.cos(np.pi * s))
-            up = 0.5 * (a2 - 1.0) * np.pi * np.sin(np.pi * s)
-            upp = 0.5 * (a2 - 1.0) * np.pi**2 * np.cos(np.pi * s)
-            r = np.sqrt(u)
-            w = wi * r
-            wd = wi * up / (2.0 * r) / tau
-            wdd = wi * (upp / (2.0 * r) - up**2 / (4.0 * u * r)) / tau**2
-            return w, wd, wdd
-        # linear
-        return wi + d * s, np.full_like(s, d / tau), np.zeros_like(s)
+        """Vectorized (omega, omegadot, omegaddot) as functions of s = t/tau."""
+        return _ramp_shape(self.kind, self.omega_i, self.omega_f, self.tau, s)
 
     def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized eval over an array of times."""

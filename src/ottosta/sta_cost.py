@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DEFAULT_RTOL, adiabaticity_path, coth_half, q_cd_grid
+from .dynamics import (
+    DEFAULT_RTOL,
+    adiabaticity_path,
+    adiabaticity_stack,
+    coth_half,
+    q_cd_grid,
+)
 from .errors import PhysicsError
 from .protocols import FrequencyProtocol
 from .quadrature import DEFAULT_NODES, simpson_uniform, stroke_grid
@@ -33,6 +39,7 @@ __all__ = [
     "avg_variance_cost",
     "friction",
     "friction_path",
+    "friction_ends",
 ]
 
 
@@ -116,6 +123,12 @@ def avg_variance_cost(ctx: StrokeContext, nodes: int = DEFAULT_NODES) -> float:
     return simpson_uniform(y, ts[1] - ts[0]) / ctx.protocol.tau
 
 
+def _friction(ctx: StrokeContext, ts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(Q* - 1)(omega_t/omega_i) <H(0)> at checkpoints ts, given Q* there."""
+    w_t = np.atleast_1d(np.asarray(ctx.protocol.omega(ts), dtype=np.float64))
+    return (q - 1.0) * (w_t / ctx.protocol.omega_i) * ctx.h0_mean
+
+
 def friction_path(
     ctx: StrokeContext,
     ts,
@@ -125,9 +138,7 @@ def friction_path(
     <H0(omega_t)>_bare - (omega_t/omega_i) <H(0)> = (Q* - 1)(omega_t/omega_i) <H(0)>.
     Zero for an adiabatic drive, grows with nonadiabatic excitation."""
     ts = np.asarray(ts, dtype=np.float64)
-    q = adiabaticity_path(ctx.protocol, ctx.beta, ts, rtol=rtol)
-    w_t = np.atleast_1d(np.asarray(ctx.protocol.omega(ts), dtype=np.float64))
-    return (q - 1.0) * (w_t / ctx.protocol.omega_i) * ctx.h0_mean
+    return _friction(ctx, ts, adiabaticity_path(ctx.protocol, ctx.beta, ts, rtol=rtol))
 
 
 def friction(
@@ -136,3 +147,14 @@ def friction(
     rtol: float = DEFAULT_RTOL,
 ) -> float:
     return float(friction_path(ctx, [float(t)], rtol=rtol)[0])
+
+
+def friction_ends(ctxs, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+    """Inner friction at the end of each stroke, all strokes propagated in
+    one stack; entry i equals friction(ctxs[i], tau_i) bit for bit."""
+    ctxs = list(ctxs)
+    ends = [np.array([ctx.protocol.tau]) for ctx in ctxs]
+    q, _ = adiabaticity_stack(
+        [ctx.protocol for ctx in ctxs], [ctx.beta for ctx in ctxs], ends, rtol=rtol
+    )
+    return np.array([_friction(ctx, t, qi)[0] for ctx, t, qi in zip(ctxs, ends, q)])

@@ -20,6 +20,11 @@ Accounting conventions:
   subtracted from the output for the power.
 * TIME_AVERAGED: stroke work replaced by its driving-time average,
   W_i + <dW_i>_tau, with the bare heat input.
+
+A cycle point's strokes are computed once, into a StrokeRecord of the
+bare-drive factors and the driving costs (``stroke_records``, which
+propagates the strokes of many points in one stack); ``book_cycle`` turns
+a record into the result of any accounting by arithmetic alone.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import DEFAULT_RTOL, Drive, adiabaticity, coth_half
-from .errors import SecondLawViolationError
-from .protocols import FrequencyProtocol, ProtocolKind
+from .dynamics import DEFAULT_RTOL, adiabaticity_stack, coth_half
+from .errors import SecondLawViolationError, TrapInversionError
+from .protocols import FrequencyProtocol, ProtocolKind, check_cd_validity, tau_min
 from .quadrature import DEFAULT_NODES
 from .sta_cost import StrokeContext, avg_work_cost
 
@@ -45,6 +50,9 @@ __all__ = [
     "entropy_production",
     "driving_costs",
     "nonadiabatic_factors",
+    "StrokeRecord",
+    "stroke_records",
+    "book_cycle",
     "evaluate_cycle",
 ]
 
@@ -156,20 +164,57 @@ def entropy_production(config: CycleConfig, q2: float, q4: float) -> float:
     return ds
 
 
+@dataclass(frozen=True)
+class StrokeRecord:
+    """What the accountings read of one cycle point: the bare-drive factors
+    (Q*1, Q*3) at the stroke ends and the time-averaged counterdiabatic
+    costs (c1, c3). None marks a value not computed, or a cost that does not
+    exist because the stroke is no longer than tau_min."""
+
+    q1: float | None
+    q3: float | None
+    c1: float | None
+    c3: float | None
+
+
+def stroke_records(
+    configs,
+    nodes: int = DEFAULT_NODES,
+    rtol: float = DEFAULT_RTOL,
+    factors: bool = True,
+    costs: bool = True,
+) -> list[StrokeRecord]:
+    """One StrokeRecord per cycle point. With ``factors``, the Q* of every
+    stroke comes from one stacked bare-drive propagation; with ``costs``,
+    each feasible stroke gets one avg_work_cost quadrature."""
+    configs = list(configs)
+    protocols = [
+        p for c in configs for p in (c.compression_protocol(), c.expansion_protocol())
+    ]
+    betas = [b for c in configs for b in (c.beta1, c.beta2)]
+    q = [None] * len(protocols)
+    if factors and protocols:
+        ends = [[p.tau] for p in protocols]
+        q = [float(v) for v in adiabaticity_stack(protocols, betas, ends, rtol=rtol)[0][:, 0]]
+    c = [None] * len(protocols)
+    if costs:
+        c = [
+            avg_work_cost(StrokeContext(p, b), nodes=nodes)
+            if check_cd_validity(p).valid else None
+            for p, b in zip(protocols, betas)
+        ]
+    return [
+        StrokeRecord(q[i], q[i + 1], c[i], c[i + 1]) for i in range(0, len(protocols), 2)
+    ]
+
+
 def nonadiabatic_factors(
     config: CycleConfig,
     rtol: float = DEFAULT_RTOL,
 ) -> tuple[float, float]:
     """(Q*1, Q*3) of the bare drive at the end of each unitary stroke."""
-    q1 = adiabaticity(
-        config.compression_protocol(), config.beta1, config.tau1,
-        drive=Drive.BARE, rtol=rtol,
-    )
-    q3 = adiabaticity(
-        config.expansion_protocol(), config.beta2, config.tau3,
-        drive=Drive.BARE, rtol=rtol,
-    )
-    return q1, q3
+    record = stroke_records([config], rtol=rtol, costs=False)[0]
+    return record.q1, record.q3
 
 
 def driving_costs(
@@ -208,20 +253,28 @@ class CycleResult:
         return -(self.w1 + self.w3) - self.cost1 - self.cost3
 
 
-def evaluate_cycle(
-    config: CycleConfig,
-    accounting: Accounting = Accounting.ADIABATIC,
-    nodes: int = DEFAULT_NODES,
-    rtol: float = DEFAULT_RTOL,
+def book_cycle(
+    config: CycleConfig, record: StrokeRecord, accounting: Accounting
 ) -> CycleResult:
-    """Evaluate the full cycle under one accounting convention."""
+    """The cycle under one accounting convention, by arithmetic on the
+    cycle point's stroke record. Raises TrapInversionError when STA or
+    TIME_AVERAGED needs a driving cost that does not exist."""
     accounting = Accounting(accounting)
     q1 = q3 = 1.0
     c1 = c3 = 0.0
     if accounting is Accounting.NONADIABATIC:
-        q1, q3 = nonadiabatic_factors(config, rtol=rtol)
+        q1, q3 = record.q1, record.q3
     elif accounting is not Accounting.ADIABATIC:
-        c1, c3 = driving_costs(config, nodes=nodes)
+        if record.c1 is None or record.c3 is None:
+            raise TrapInversionError(
+                f"{accounting.value} accounting needs the counterdiabatic driving "
+                f"cost, undefined for the {config.kind.value} strokes between "
+                f"{config.omega1:g} and {config.omega2:g} unless tau > tau_min = "
+                f"{tau_min(config.kind, config.omega1, config.omega2):g} (got "
+                f"tau1 = {config.tau1:g}, tau3 = {config.tau3:g}); the effective "
+                "trap inverts, lengthen the strokes"
+            )
+        c1, c3 = record.c1, record.c3
     w1, w3 = stroke_works(config, q1, q3)
     q2 = heat_hot(config, q1)
     q4 = heat_cold(config, q3)
@@ -248,3 +301,23 @@ def evaluate_cycle(
         ds_tot=ds,
         is_engine=is_engine,
     )
+
+
+def evaluate_cycle(
+    config: CycleConfig,
+    accounting: Accounting = Accounting.ADIABATIC,
+    nodes: int = DEFAULT_NODES,
+    rtol: float = DEFAULT_RTOL,
+) -> CycleResult:
+    """Evaluate the full cycle under one accounting convention, computing
+    only what it reads: ADIABATIC propagates nothing and NONADIABATIC needs
+    no quadrature."""
+    accounting = Accounting(accounting)
+    record = stroke_records(
+        [config],
+        nodes=nodes,
+        rtol=rtol,
+        factors=accounting is Accounting.NONADIABATIC,
+        costs=accounting in (Accounting.STA, Accounting.TIME_AVERAGED),
+    )[0]
+    return book_cycle(config, record, accounting)

@@ -121,6 +121,19 @@ class TestQstar:
             if r[1] in ("poly5", "poly3", "cosine"):
                 assert float(r[4]) == pytest.approx(float(r[5]), abs=1e-6)
 
+    def test_both_readouts_share_one_propagation(self, monkeypatch, outfile):
+        import ottosta.dynamics as dynamics
+
+        stacks = []
+        exact = dynamics._transfer_matrices
+
+        def recorded(protocols, ts, drives, rtol):
+            stacks.append(ts.shape)
+            return exact(protocols, ts, drives, rtol)
+
+        monkeypatch.setattr(dynamics, "_transfer_matrices", recorded)
+        assert run_cli(["qstar", "--nodes", "11", "--oracle", "--out", outfile]) == 0
+        assert stacks == [(4, 11)]
 
     @pytest.mark.parametrize("tau", [3.06462549714, 2.98066884801])
     def test_durations_that_aborted_the_adaptive_integrator(self, tmp_path, tau):
@@ -201,12 +214,12 @@ class TestCycleOracle:
 
         monkeypatch.setattr(datasets, "_fock_stroke_residual", cheap_residual)
         params = resolve_config("cycle", build_parser().parse_args(["cycle", "--grid", "tau=3:6:2"]))
-        serial = datasets.cycle_dataset(params, oracle=True, jobs=1)
+        first = datasets.cycle_dataset(params, oracle=True)
         calls.clear()
-        threaded = datasets.cycle_dataset(params, oracle=True, jobs=2)
+        second = datasets.cycle_dataset(params, oracle=True)
         me = threading.get_ident()
         assert calls == [(me, 3.0), (me, 3.0), (me, 6.0), (me, 6.0)]
-        assert threaded == serial
+        assert second == first
 
 
 class TestOutputFormats:
@@ -274,6 +287,23 @@ class TestSweep:
         assert run_cli(argv + ["--jobs", "1", "--out", a]) == 0
         assert run_cli(argv + ["--jobs", "8", "--out", b]) == 0
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+class TestJobsFlag:
+    """--jobs still parses and is checked, and changes nothing: every
+    dataset is computed in one serial pass."""
+
+    @pytest.mark.parametrize("command", ["cost", "cycle", "empower", "sweep"])
+    def test_jobs_values_give_identical_bytes(self, command, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert run_cli([command, "--jobs", "1", "--out", str(a)]) == 0
+        assert run_cli([command, "--jobs", "2", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_jobs_below_one_is_a_config_error(self, outfile):
+        assert run_cli(["cost", "--grid", "tau=3:6:2", "--jobs", "0", "--out", outfile]) == 2
+        assert not os.path.exists(outfile)
 
 
 class TestConsoleScript:

@@ -14,6 +14,7 @@ from ottosta.dynamics import (
     adiabaticity_pair,
     adiabaticity_pair_path,
     adiabaticity_path,
+    adiabaticity_stack,
     classical_pair_path,
     mean_energy,
     propagate,
@@ -251,7 +252,7 @@ class TestStackedReadout:
         def shrunk(*args):
             m = exact(*args)
             # det M = 1/4 at one checkpoint: det C falls to det C0 / 16 < 1/4
-            m[50] *= 0.5
+            m[0, 50] *= 0.5
             return m
 
         monkeypatch.setattr(dynamics, "_transfer_matrices", shrunk)
@@ -275,10 +276,100 @@ class TestTransferMatrix:
             # coarse oracle scan; the 1 % margin covers its sampling error
             assume(tau > 1.01 * oracles.tau_min(kind.value, wi, wf, n=2001))
         p = FrequencyProtocol(kind, wi, wf, tau)
-        path = _transfer_matrices(p, np.linspace(0.0, tau, 101), drive, 1e-10)
-        end = _transfer_matrices(p, np.array([tau]), drive, 1e-10)[0]
+        path = _transfer_matrices([p], np.linspace(0.0, tau, 101)[None], [drive], 1e-10)[0]
+        end = _transfer_matrices([p], np.array([[tau]]), [drive], 1e-10)[0, 0]
         # det M = 1 is the Wronskian -1 of the classical pair
         np.testing.assert_allclose(np.linalg.det(path), 1.0, rtol=0.0, atol=1e-12)
         assert np.linalg.det(end) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(path[0], np.eye(2), rtol=0.0, atol=0.0)
         assert np.max(np.abs(path[-1] - end)) <= 1e-9 * np.max(np.abs(end))
+
+
+# (kind, omega_i, omega_f, tau, drive, path row): both directions, both
+# drives, taus across the default grid. Alone, these rows stop at different
+# step levels (0, 1, 6, 7 for the first; 0, 1, 4, 5 for the fourth).
+STACK = [
+    (ProtocolKind.POLY5, 0.35, 1.0, 3.0, Drive.BARE, False),
+    (ProtocolKind.POLY5, 1.0, 0.35, 12.0, Drive.BARE, False),
+    (ProtocolKind.COSINE, 0.35, 1.0, 5.0, Drive.CD, True),
+    (ProtocolKind.COSINE, 1.0, 0.35, 2.25, Drive.BARE, True),
+    (ProtocolKind.POLY5, 0.35, 1.0, 7.5, Drive.CD, False),
+    (ProtocolKind.COSINE, 1.0, 0.35, 9.0, Drive.CD, True),
+]
+STACK_K = 11
+
+
+def _stack(rows=STACK):
+    """Protocols, (B, K) checkpoints and drives of a stack. A path row is
+    read at K points along the stroke; an endpoint row at its end, K times."""
+    protocols = [FrequencyProtocol(kind, wi, wf, tau) for kind, wi, wf, tau, _, _ in rows]
+    ts = np.array([
+        np.linspace(0.0, tau, STACK_K) if path else np.full(STACK_K, tau)
+        for _, _, _, tau, _, path in rows
+    ])
+    return protocols, ts, [row[4] for row in rows]
+
+
+class TestStackedPropagator:
+    """_transfer_matrices on a stack of strokes that differ in ramp,
+    direction, duration, drive and checkpoints."""
+
+    def test_rows_equal_their_lone_calls_bit_for_bit(self):
+        protocols, ts, drives = _stack()
+        stacked = _transfer_matrices(protocols, ts, drives, 1e-10)
+        assert stacked.shape == (len(STACK), STACK_K, 2, 2)
+        for b, (p, row, drive) in enumerate(zip(protocols, STACK, drives)):
+            if row[5]:
+                lone = _transfer_matrices([p], ts[b][None], [drive], 1e-10)[0]
+                assert stacked[b].tobytes() == lone.tobytes(), b
+            else:
+                lone = _transfer_matrices([p], np.array([[p.tau]]), [drive], 1e-10)[0, 0]
+                for j in range(STACK_K):
+                    assert stacked[b, j].tobytes() == lone.tobytes(), (b, j)
+
+    def test_block_size_does_not_change_the_bits(self, monkeypatch):
+        """Chunks of a power-of-two length are whole subtrees of a gap's
+        pairwise product, so cutting gaps finer changes no bit."""
+        import ottosta.dynamics as dyn
+
+        protocols, ts, drives = _stack()
+        want = _transfer_matrices(protocols, ts, drives, 1e-10)
+        monkeypatch.setattr(dyn, "_BLOCK_STEPS", 16)
+        got = _transfer_matrices(protocols, ts, drives, 1e-10)
+        assert got.tobytes() == want.tobytes()
+
+    def test_unimodular(self):
+        protocols, ts, drives = _stack()
+        m = _transfer_matrices(protocols, ts, drives, 1e-10)
+        np.testing.assert_allclose(np.linalg.det(m), 1.0, rtol=0.0, atol=1e-12)
+
+    def test_stacked_readout_against_brute_rk4(self):
+        rows = [STACK[0], STACK[3]]
+        protocols, _, _ = _stack(rows)
+        q_energy, q_pair = adiabaticity_stack(
+            protocols, [2.0, 0.5], [[p.tau] for p in protocols]
+        )
+        for b, (kind, wi, wf, tau, _, _) in enumerate(rows):
+            want = oracles.brute_pair_q(kind.value, wi, wf, tau)
+            assert q_pair[b, 0] == pytest.approx(want, abs=1e-8)
+            assert q_energy[b, 0] == pytest.approx(want, abs=1e-8)
+
+    def test_stacked_readout_equals_single_stroke_calls(self):
+        rows = [row for row in STACK if row[4] is Drive.BARE]
+        protocols, ts, _ = _stack(rows)
+        betas = [0.2 + b for b in range(len(rows))]
+        q_energy, q_pair = adiabaticity_stack(protocols, betas, ts)
+        for b, (p, beta) in enumerate(zip(protocols, betas)):
+            assert q_energy[b].tobytes() == adiabaticity_path(p, beta, ts[b]).tobytes()
+            assert q_pair[b].tobytes() == adiabaticity_pair_path(p, ts[b]).tobytes()
+
+    def test_one_row_over_budget_fails_the_stack(self, monkeypatch):
+        import ottosta.dynamics as dyn
+
+        short, long_ = _stack([STACK[3], STACK[0]])[0]
+        # Alone, the short row ends at 256 steps and the long one at 512.
+        monkeypatch.setattr(dyn, "_MAX_STEPS", 400)
+        ends = np.array([[short.tau], [long_.tau]])
+        _transfer_matrices([short], ends[:1], [Drive.BARE], 1e-10)
+        with pytest.raises(NumericsError):
+            _transfer_matrices([short, long_], ends, [Drive.BARE] * 2, 1e-10)

@@ -12,6 +12,7 @@ from ottosta.thermo_cycle import (
     Accounting,
     CycleConfig,
     CycleResult,
+    book_cycle,
     driving_costs,
     efficiency_exact,
     entropy_production,
@@ -19,6 +20,7 @@ from ottosta.thermo_cycle import (
     heat_cold,
     heat_hot,
     nonadiabatic_factors,
+    stroke_records,
     stroke_works,
 )
 
@@ -255,3 +257,51 @@ class TestProperties:
         r_ad = evaluate_cycle(cfg, Accounting.ADIABATIC)
         assert 0.0 < r_sta.power <= r_ad.power + 1e-12
         assert r_sta.eta <= 0.65 + 1e-12
+
+
+class TestStrokeRecord:
+    """One stroke record per cycle point, booked under every accounting."""
+
+    @pytest.mark.parametrize("accounting", list(Accounting))
+    def test_evaluate_cycle_equals_the_booked_record(self, accounting):
+        cfg = ref(4.0, kind=ProtocolKind.COSINE)
+        stack = [ref(2.5), cfg, ref(7.0, kind=ProtocolKind.POLY3)]
+        record = stroke_records(stack)[1]
+        assert evaluate_cycle(cfg, accounting) == book_cycle(cfg, record, accounting)
+
+    def test_below_tau_min_only_the_shortcut_accountings_refuse(self):
+        cfg = ref(2.0)  # tau_min = 2.0678 for poly5 between 0.35 and 1
+        [record] = stroke_records([cfg])
+        assert record.c1 is None and record.c3 is None
+        for accounting in (Accounting.ADIABATIC, Accounting.NONADIABATIC):
+            assert book_cycle(cfg, record, accounting) == evaluate_cycle(cfg, accounting)
+        for accounting in (Accounting.STA, Accounting.TIME_AVERAGED):
+            with pytest.raises(TrapInversionError, match="tau_min"):
+                book_cycle(cfg, record, accounting)
+
+    def test_default_cycle_computes_each_stroke_once(self, monkeypatch):
+        import ottosta.dynamics as dynamics
+        import ottosta.thermo_cycle as thermo_cycle
+        from ottosta import datasets
+        from ottosta.cli import build_parser, resolve_config
+
+        costs = []
+        stacks = []
+        exact_cost = thermo_cycle.avg_work_cost
+        exact_stack = dynamics._transfer_matrices
+
+        def counted_cost(*args, **kwargs):
+            costs.append(args[0].protocol.tau)
+            return exact_cost(*args, **kwargs)
+
+        def recorded_stack(protocols, ts, drives, rtol):
+            stacks.append((len(protocols), ts.shape[1], set(drives)))
+            return exact_stack(protocols, ts, drives, rtol)
+
+        monkeypatch.setattr(thermo_cycle, "avg_work_cost", counted_cost)
+        monkeypatch.setattr(dynamics, "_transfer_matrices", recorded_stack)
+        params = resolve_config("cycle", build_parser().parse_args(["cycle"]))
+        _, rows = datasets.cycle_dataset(params)
+        assert len(rows) == 40
+        assert len(costs) == 80
+        assert stacks == [(80, 1, {dynamics.Drive.BARE})]
