@@ -8,7 +8,8 @@ the Gaussian strokes of all its rows go through one stacked propagation
 (``dynamics.adiabaticity_stack``), and each cycle point's strokes are
 evaluated once and booked under every accounting
 (``thermo_cycle.stroke_records`` and ``book_cycle``). The Fock oracle
-columns of ``cycle`` follow, row by row, in tau order.
+columns of ``cycle`` follow, row by row, in tau order, each checked
+against the stroke-end energy of the row's stroke record.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fock_oracle
-from .dynamics import (
-    Drive,
-    adiabaticity_stack,
-    mean_energy,
-    propagate,
-    q_cd_grid,
-    thermal_state,
-)
+from .dynamics import Drive, adiabaticity_stack, q_cd_grid, thermal_energy
 from .errors import TrapInversionError
 from .optimizer import (
     EmpConfig,
@@ -139,16 +133,16 @@ def cost_dataset(params: dict, oracle: bool = False):
 # -- cycle -------------------------------------------------------------------
 
 
-def _fock_stroke_residual(protocol: FrequencyProtocol, beta: float, rtol: float) -> float:
-    """Relative gap between Fock and Gaussian mean energies at stroke end."""
+def _fock_stroke_residual(protocol: FrequencyProtocol, beta: float, q: float) -> float:
+    """Relative gap between the Fock mean energy at the end of a bare stroke
+    and the Gaussian one, Q* (omega_f/omega_i) <H(0)> with ``q`` the Q* of
+    the stroke record."""
     dim = fock_oracle.stroke_dim(beta, protocol)
     ops = fock_oracle.build_operators(fock_oracle.stroke_reference(protocol), dim)
     state_f = fock_oracle.thermal_fock_in(ops, beta, protocol.omega_i)
     end_f = fock_oracle.propagate_fock(ops, state_f, protocol, protocol.tau, drive=Drive.BARE)
     e_fock = fock_oracle.mean_energy_fock(ops, end_f, protocol.omega_f)
-    state_g = thermal_state(beta, protocol.omega_i)
-    end_g = propagate(state_g, protocol, protocol.tau, drive=Drive.BARE, rtol=rtol)
-    e_gauss = mean_energy(end_g, protocol.omega_f)
+    e_gauss = q * (protocol.omega_f / protocol.omega_i) * thermal_energy(beta, protocol.omega_i)
     return abs(e_fock - e_gauss) / abs(e_gauss)
 
 
@@ -180,8 +174,9 @@ def cycle_dataset(params: dict, oracle: bool = False):
         )
         for tau in taus
     ]
+    records = stroke_records(configs, nodes=nodes, rtol=rtol)
     rows = []
-    for tau, config, record in zip(taus, configs, stroke_records(configs, nodes, rtol)):
+    for tau, config, record in zip(taus, configs, records):
         row = [tau]
         for accounting in Accounting:
             result = book_cycle(config, record, accounting)
@@ -190,9 +185,9 @@ def cycle_dataset(params: dict, oracle: bool = False):
     if oracle:
         # Serially on the calling thread: each Fock stroke is dense LAPACK
         # work that already uses every BLAS thread.
-        for config, row in zip(configs, rows):
-            res1 = _fock_stroke_residual(config.compression_protocol(), beta1, rtol)
-            res3 = _fock_stroke_residual(config.expansion_protocol(), beta2, rtol)
+        for config, record, row in zip(configs, records, rows):
+            res1 = _fock_stroke_residual(config.compression_protocol(), beta1, record.q1)
+            res3 = _fock_stroke_residual(config.expansion_protocol(), beta2, record.q3)
             row.append(max(res1, res3))
     return columns, rows
 
@@ -286,13 +281,7 @@ def sweep_dataset(params: dict, oracle: bool = False):
         )
         for wr, br, tau, kind in points
     ]
-    records = stroke_records(
-        configs,
-        nodes,
-        rtol,
-        factors=Accounting.NONADIABATIC in accountings,
-        costs=Accounting.STA in accountings or Accounting.TIME_AVERAGED in accountings,
-    )
+    records = stroke_records(configs, accountings, nodes=nodes, rtol=rtol)
     rows = []
     for (wr, br, tau, kind), config, record in zip(points, configs, records):
         for acct in accountings:

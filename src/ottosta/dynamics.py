@@ -33,13 +33,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericsError, TrapInversionError
+from .errors import NumericsError
 from .protocols import (
     FrequencyProtocol,
     ProtocolKind,
     _ramp_shape,
-    check_cd_validity,
-    tau_min,
+    require_cd_valid,
     validity_margin,
 )
 
@@ -48,6 +47,7 @@ __all__ = [
     "GaussianState",
     "thermal_state",
     "coth_half",
+    "thermal_energy",
     "mean_energy",
     "propagate",
     "propagate_path",
@@ -136,6 +136,11 @@ def coth_half(beta: float, omega: float) -> float:
     return 1.0 / math.tanh(z)
 
 
+def thermal_energy(beta: float, omega: float) -> float:
+    """<H0> of the thermal state at (beta, omega): (omega/2) coth(beta omega/2)."""
+    return 0.5 * omega * coth_half(beta, omega)
+
+
 def thermal_state(beta: float, omega: float) -> GaussianState:
     """Thermal (Gibbs) state of the trap at frequency omega; beta=inf gives
     the ground state."""
@@ -160,20 +165,6 @@ def _energies(
 def mean_energy(state: GaussianState, omega: float) -> float:
     """<H0> of one state at trap frequency omega."""
     return float(_energies(state.mean, state.cov, omega))
-
-
-def _require_cd_valid(protocol: FrequencyProtocol):
-    """The one guard of every CD quantity: the shortcut exists for the whole
-    stroke or not at all."""
-    report = check_cd_validity(protocol)
-    if not report.valid:
-        raise TrapInversionError(
-            f"counterdiabatic drive undefined: the {protocol.kind.value} ramp "
-            f"{protocol.omega_i:g} -> {protocol.omega_f:g} needs tau > tau_min = "
-            f"{tau_min(protocol.kind, protocol.omega_i, protocol.omega_f):g}, got "
-            f"tau = {protocol.tau:g} (minimum validity margin {report.min_margin:.3g}); "
-            "the effective trap inverts, lengthen the stroke"
-        )
 
 
 # -- transfer-matrix propagator -----------------------------------------------
@@ -418,17 +409,6 @@ def _prefix_products(gaps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checkpoints(protocol: FrequencyProtocol, ts) -> np.ndarray:
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("ts must be a non-empty 1-d array of times")
-    if np.any(np.diff(ts) < 0.0) or ts[0] < 0.0:
-        raise ValueError("ts must be ascending and non-negative")
-    if ts[-1] > protocol.tau * (1.0 + 1e-12):
-        raise ValueError(f"ts exceeds tau = {protocol.tau}")
-    return ts
-
-
 def _stack_matrices(
     protocols, ts, drives, rtol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -436,12 +416,12 @@ def _stack_matrices(
     transfer matrices (B, K, 2, 2). CD rows need tau > tau_min."""
     protocols = list(protocols)
     drives = [Drive(d) for d in drives]
-    rows = [_checkpoints(p, t) for p, t in zip(protocols, ts, strict=True)]
+    rows = [p.checkpoints(t) for p, t in zip(protocols, ts, strict=True)]
     if len({row.size for row in rows}) > 1:
         raise ValueError("every stroke of a stack needs the same number of checkpoints")
     for protocol, drive in zip(protocols, drives, strict=True):
         if drive is Drive.CD:
-            _require_cd_valid(protocol)
+            require_cd_valid(protocol)
     ts = np.stack(rows)
     return ts, _transfer_matrices(protocols, ts, drives, rtol)
 
@@ -477,10 +457,7 @@ def propagate(
 
     CD driving requires tau > tau_min (the margin positive on the whole stroke).
     """
-    t = float(t)
-    if t < 0.0 or t > protocol.tau * (1.0 + 1e-12):
-        raise ValueError(f"t = {t} outside [0, tau = {protocol.tau}]")
-    return propagate_path(state, protocol, [t], drive=drive, rtol=rtol)[0]
+    return propagate_path(state, protocol, [float(t)], drive=drive, rtol=rtol)[0]
 
 
 def propagate_path(
@@ -621,7 +598,7 @@ def q_cd_grid(protocol: FrequencyProtocol, ts) -> np.ndarray:
     energies. It is not the energy ratio of the propagated state, which CD
     driving pins to 1. Raises TrapInversionError unless tau > tau_min.
     """
-    _require_cd_valid(protocol)
+    require_cd_valid(protocol)
     return 1.0 / np.sqrt(validity_margin(protocol, np.atleast_1d(ts)))
 
 

@@ -16,7 +16,8 @@ each of its four parity blocks, off-parity coherences included, is updated
 as rho[a, b] <- U_a rho[a, b] U_b^dagger.
 
 This route shares nothing with the Gaussian transfer-matrix propagator
-except the frequency ramp formulas, so agreement between the two engines is a genuine check.
+except the frequency ramp and its checkpoint rule (``FrequencyProtocol``),
+so agreement between the two engines is a genuine check.
 It also provides spectral facts the Gaussian picture cannot state directly:
 the eigenvalues of the counterdiabatic Hamiltonian (omega/Q*_CD (n + 1/2)),
 the bare-energy expectations in its eigenstates (omega Q*_CD (n + 1/2)),
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Drive, coth_half
+from .dynamics import Drive, coth_half, thermal_energy
 from .errors import CutoffError, NumericsError
 from .protocols import FrequencyProtocol
 
@@ -149,7 +150,7 @@ def stroke_dim(beta: float, protocol: FrequencyProtocol) -> int:
     these monotone ramps. The tail of a (squeezed) thermal state is close to
     geometric in that occupation scale."""
     wi, wf = protocol.omega_i, protocol.omega_f
-    e0 = 0.5 * wi * coth_half(beta, wi)
+    e0 = thermal_energy(beta, wi)
     q_bound = (wi * wi + wf * wf) / (2.0 * wi * wf)
     e_max = e0 * q_bound * max(1.0, wf / wi)
     n_eff = e_max / stroke_reference(protocol)
@@ -207,7 +208,12 @@ def thermal_fock_in(ops: FockOperators, beta: float, omega: float) -> FockState:
     """Truncated Gibbs state of the trap at ``omega`` expressed in the
     (possibly different) reference basis of ``ops``: Gibbs populations on
     the eigenvectors of H0(omega) within the truncated space."""
-    pops = _gibbs_populations(beta, omega, ops.dim)
+    return _on_h0_levels(ops, _gibbs_populations(beta, omega, ops.dim), omega)
+
+
+def _on_h0_levels(ops: FockOperators, pops: np.ndarray, omega: float) -> FockState:
+    """The state with populations ``pops`` on the ascending eigenvectors of
+    H0(omega) in the basis of ``ops``, renormalized to unit trace."""
     _, evecs = np.linalg.eigh(h0_matrix(ops, omega))
     rho = (evecs * pops) @ evecs.conj().T
     rho = 0.5 * (rho + rho.conj().T)
@@ -322,13 +328,7 @@ def propagate_fock_path(
         )
     if state.dim != ops.dim:
         raise ValueError(f"state dim {state.dim} does not match operators dim {ops.dim}")
-    ts = np.asarray(ts, dtype=np.float64)
-    if ts.ndim != 1 or ts.size == 0:
-        raise ValueError("ts must be a non-empty 1-d array of times")
-    if np.any(np.diff(ts) < 0.0) or ts[0] < 0.0:
-        raise ValueError("ts must be ascending and non-negative")
-    if ts[-1] > protocol.tau * (1.0 + 1e-12):
-        raise ValueError(f"ts exceeds tau = {protocol.tau}")
+    ts = protocol.checkpoints(ts)
 
     rho = np.array(state.rho, dtype=np.complex128)
     dim = ops.dim
@@ -388,13 +388,8 @@ def adiabatic_reference(
     """The adiabatically transported state at time t: the populations of the
     initial state in the H0(omega_i) eigenbasis, attached to the H0(omega_t)
     eigenvectors."""
-    w_t = protocol.omega(float(t))
     pops = populations_instantaneous(ops, state0, protocol.omega_i)
-    _, evecs = np.linalg.eigh(h0_matrix(ops, w_t))
-    rho = (evecs * pops) @ evecs.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / float(np.trace(rho).real)
-    return FockState(rho=rho, ref_omega=ops.ref_omega)
+    return _on_h0_levels(ops, pops, protocol.omega(float(t)))
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:

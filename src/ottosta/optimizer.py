@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dynamics import coth_half
+from .dynamics import thermal_energy
 
 __all__ = [
     "EmpConfig",
@@ -71,7 +71,7 @@ class EmpConfig:
 
     @property
     def cold_energy(self) -> float:
-        return 0.5 * self.omega1 * coth_half(self.beta1, self.omega1)
+        return thermal_energy(self.beta1, self.omega1)
 
 
 def hot_energy(config: EmpConfig, x: float) -> float:
@@ -80,8 +80,7 @@ def hot_energy(config: EmpConfig, x: float) -> float:
         raise ValueError(f"x must lie in (0, 1), got {x}")
     if config.high_t_hot:
         return 1.0 / config.beta2
-    w2 = config.omega1 / x
-    return 0.5 * w2 * coth_half(config.beta2, w2)
+    return thermal_energy(config.beta2, config.omega1 / x)
 
 
 def gamma_ratio(config: EmpConfig, x: float) -> float:

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import TrapInversionError
+
 __all__ = [
     "ProtocolKind",
     "FrequencyProtocol",
@@ -26,6 +28,7 @@ __all__ = [
     "ValidityReport",
     "check_sta_boundary",
     "check_cd_validity",
+    "require_cd_valid",
     "tau_min",
 ]
 
@@ -144,15 +147,18 @@ class FrequencyProtocol:
             return self.eval(t)[0]
         return self.eval_many(t)[0]
 
-    def omega_dot(self, t):
-        if np.isscalar(t):
-            return self.eval(t)[1]
-        return self.eval_many(t)[1]
-
-    def omega_ddot(self, t):
-        if np.isscalar(t):
-            return self.eval(t)[2]
-        return self.eval_many(t)[2]
+    def checkpoints(self, ts) -> np.ndarray:
+        """``ts`` as the checkpoints of a propagation along this ramp: a
+        non-empty 1-d float array, ascending, from 0 up to tau. Raises
+        ValueError otherwise."""
+        ts = np.asarray(ts, dtype=np.float64)
+        if ts.ndim != 1 or ts.size == 0:
+            raise ValueError("ts must be a non-empty 1-d array of times")
+        if np.any(np.diff(ts) < 0.0) or ts[0] < 0.0:
+            raise ValueError("ts must be ascending and non-negative")
+        if ts[-1] > self.tau * (1.0 + _DOMAIN_TOL):
+            raise ValueError(f"ts exceeds tau = {self.tau}")
+        return ts
 
 
 class BoundaryReport(NamedTuple):
@@ -248,3 +254,18 @@ def check_cd_validity(protocol: FrequencyProtocol) -> ValidityReport:
     return ValidityReport(
         valid=protocol.tau > t_min, min_margin=1.0 - (t_min / protocol.tau) ** 2
     )
+
+
+def require_cd_valid(protocol: FrequencyProtocol):
+    """The one refusal of every counterdiabatic quantity: the shortcut exists
+    for the whole stroke or not at all. Raises TrapInversionError unless
+    tau > tau_min."""
+    report = check_cd_validity(protocol)
+    if not report.valid:
+        raise TrapInversionError(
+            f"counterdiabatic drive undefined: the {protocol.kind.value} ramp "
+            f"{protocol.omega_i:g} -> {protocol.omega_f:g} needs tau > tau_min = "
+            f"{tau_min(protocol.kind, protocol.omega_i, protocol.omega_f):g}, got "
+            f"tau = {protocol.tau:g} (minimum validity margin {report.min_margin:.3g}); "
+            "the effective trap inverts, lengthen the stroke"
+        )

@@ -26,6 +26,7 @@ from .dynamics import (
     adiabaticity_stack,
     coth_half,
     q_cd_grid,
+    thermal_energy,
 )
 from .errors import PhysicsError
 from .protocols import FrequencyProtocol
@@ -63,7 +64,7 @@ class StrokeContext:
         object.__setattr__(self, "beta", beta)
         c = coth_half(beta, self.protocol.omega_i)
         object.__setattr__(self, "n_bar", 0.5 * (c - 1.0))
-        object.__setattr__(self, "h0_mean", 0.5 * self.protocol.omega_i * c)
+        object.__setattr__(self, "h0_mean", thermal_energy(beta, self.protocol.omega_i))
 
 
 def mean_sta_term(ctx: StrokeContext, t) -> float | np.ndarray:

@@ -21,10 +21,10 @@ Accounting conventions:
 * TIME_AVERAGED: stroke work replaced by its driving-time average,
   W_i + <dW_i>_tau, with the bare heat input.
 
-A cycle point's strokes are computed once, into a StrokeRecord of the
-bare-drive factors and the driving costs (``stroke_records``, which
-propagates the strokes of many points in one stack); ``book_cycle`` turns
-a record into the result of any accounting by arithmetic alone.
+A cycle point's strokes are computed once, by ``stroke_records`` alone,
+into a StrokeRecord of what the given accountings read (the factors of many
+points come from one stacked propagation); ``book_cycle`` turns a record
+into the result of any accounting by arithmetic alone.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import DEFAULT_RTOL, adiabaticity_stack, coth_half
-from .errors import SecondLawViolationError, TrapInversionError
-from .protocols import FrequencyProtocol, ProtocolKind, check_cd_validity, tau_min
+from .dynamics import DEFAULT_RTOL, adiabaticity_stack, thermal_energy
+from .errors import SecondLawViolationError
+from .protocols import FrequencyProtocol, ProtocolKind, check_cd_validity, require_cd_valid
 from .quadrature import DEFAULT_NODES
 from .sta_cost import StrokeContext, avg_work_cost
 
@@ -48,8 +48,6 @@ __all__ = [
     "heat_cold",
     "efficiency_exact",
     "entropy_production",
-    "driving_costs",
-    "nonadiabatic_factors",
     "StrokeRecord",
     "stroke_records",
     "book_cycle",
@@ -110,12 +108,12 @@ class CycleConfig:
     @property
     def cold_energy(self) -> float:
         """<H>_A: thermal energy at (beta1, omega1), start of compression."""
-        return 0.5 * self.omega1 * coth_half(self.beta1, self.omega1)
+        return thermal_energy(self.beta1, self.omega1)
 
     @property
     def hot_energy(self) -> float:
         """<H>_C: thermal energy at (beta2, omega2), start of expansion."""
-        return 0.5 * self.omega2 * coth_half(self.beta2, self.omega2)
+        return thermal_energy(self.beta2, self.omega2)
 
     def compression_protocol(self) -> FrequencyProtocol:
         return FrequencyProtocol(self.kind, self.omega1, self.omega2, self.tau1)
@@ -179,14 +177,17 @@ class StrokeRecord:
 
 def stroke_records(
     configs,
+    accountings=tuple(Accounting),
     nodes: int = DEFAULT_NODES,
     rtol: float = DEFAULT_RTOL,
-    factors: bool = True,
-    costs: bool = True,
 ) -> list[StrokeRecord]:
-    """One StrokeRecord per cycle point. With ``factors``, the Q* of every
-    stroke comes from one stacked bare-drive propagation; with ``costs``,
-    each feasible stroke gets one avg_work_cost quadrature."""
+    """One StrokeRecord per cycle point, holding what ``accountings`` read:
+    for NONADIABATIC the Q* of every stroke, from one stacked bare-drive
+    propagation; for STA and TIME_AVERAGED the cost of each feasible stroke,
+    from one avg_work_cost quadrature."""
+    accountings = {Accounting(a) for a in accountings}
+    factors = Accounting.NONADIABATIC in accountings
+    costs = not accountings.isdisjoint((Accounting.STA, Accounting.TIME_AVERAGED))
     configs = list(configs)
     protocols = [
         p for c in configs for p in (c.compression_protocol(), c.expansion_protocol())
@@ -206,28 +207,6 @@ def stroke_records(
     return [
         StrokeRecord(q[i], q[i + 1], c[i], c[i + 1]) for i in range(0, len(protocols), 2)
     ]
-
-
-def nonadiabatic_factors(
-    config: CycleConfig,
-    rtol: float = DEFAULT_RTOL,
-) -> tuple[float, float]:
-    """(Q*1, Q*3) of the bare drive at the end of each unitary stroke."""
-    record = stroke_records([config], rtol=rtol, costs=False)[0]
-    return record.q1, record.q3
-
-
-def driving_costs(
-    config: CycleConfig, nodes: int = DEFAULT_NODES
-) -> tuple[float, float]:
-    """Time-averaged counterdiabatic work cost of each unitary stroke."""
-    c1 = avg_work_cost(
-        StrokeContext(config.compression_protocol(), config.beta1), nodes=nodes
-    )
-    c3 = avg_work_cost(
-        StrokeContext(config.expansion_protocol(), config.beta2), nodes=nodes
-    )
-    return c1, c3
 
 
 @dataclass(frozen=True)
@@ -257,24 +236,23 @@ def book_cycle(
     config: CycleConfig, record: StrokeRecord, accounting: Accounting
 ) -> CycleResult:
     """The cycle under one accounting convention, by arithmetic on the
-    cycle point's stroke record. Raises TrapInversionError when STA or
-    TIME_AVERAGED needs a driving cost that does not exist."""
+    cycle point's stroke record. STA and TIME_AVERAGED raise
+    TrapInversionError unless both strokes are longer than tau_min; any
+    accounting raises ValueError if the record lacks a value it reads."""
     accounting = Accounting(accounting)
     q1 = q3 = 1.0
     c1 = c3 = 0.0
     if accounting is Accounting.NONADIABATIC:
         q1, q3 = record.q1, record.q3
     elif accounting is not Accounting.ADIABATIC:
-        if record.c1 is None or record.c3 is None:
-            raise TrapInversionError(
-                f"{accounting.value} accounting needs the counterdiabatic driving "
-                f"cost, undefined for the {config.kind.value} strokes between "
-                f"{config.omega1:g} and {config.omega2:g} unless tau > tau_min = "
-                f"{tau_min(config.kind, config.omega1, config.omega2):g} (got "
-                f"tau1 = {config.tau1:g}, tau3 = {config.tau3:g}); the effective "
-                "trap inverts, lengthen the strokes"
-            )
+        require_cd_valid(config.compression_protocol())
+        require_cd_valid(config.expansion_protocol())
         c1, c3 = record.c1, record.c3
+    if None in (q1, q3, c1, c3):
+        raise ValueError(
+            f"{accounting.value} accounting reads values this stroke record lacks; "
+            f"build it by stroke_records with {accounting.value} among its accountings"
+        )
     w1, w3 = stroke_works(config, q1, q3)
     q2 = heat_hot(config, q1)
     q4 = heat_cold(config, q3)
@@ -282,10 +260,12 @@ def book_cycle(
         w1, w3 = w1 + c1, w3 + c3
         c1 = c3 = 0.0
         q4 = -(w1 + w3) - q2  # accounting closure
-    eta = -(w1 + w3) / (q2 + c1 + c3)
-    power = (-(w1 + w3) - c1 - c3) / config.tau_cycle
+    output = -(w1 + w3) - c1 - c3
+    heat_in = q2 + c1 + c3
+    eta = -(w1 + w3) / heat_in
+    power = output / config.tau_cycle
     ds = entropy_production(config, q2, q4)
-    is_engine = (-(w1 + w3) - c1 - c3) > 0.0 and (q2 + c1 + c3) > 0.0
+    is_engine = output > 0.0 and heat_in > 0.0
     return CycleResult(
         accounting=accounting,
         q1_star=q1,
@@ -312,12 +292,5 @@ def evaluate_cycle(
     """Evaluate the full cycle under one accounting convention, computing
     only what it reads: ADIABATIC propagates nothing and NONADIABATIC needs
     no quadrature."""
-    accounting = Accounting(accounting)
-    record = stroke_records(
-        [config],
-        nodes=nodes,
-        rtol=rtol,
-        factors=accounting is Accounting.NONADIABATIC,
-        costs=accounting in (Accounting.STA, Accounting.TIME_AVERAGED),
-    )[0]
+    record = stroke_records([config], [accounting], nodes=nodes, rtol=rtol)[0]
     return book_cycle(config, record, accounting)

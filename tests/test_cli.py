@@ -222,6 +222,27 @@ class TestCycleOracle:
         assert second == first
 
 
+    def test_fock_rows_read_the_stroke_record(self, monkeypatch):
+        # the Gaussian side of fock_residual is the record's stroke-end
+        # energy: one stacked bare propagation for both strokes, no second one
+        import ottosta.dynamics as dynamics
+        from ottosta import fock_oracle
+
+        stacks = []
+        exact_stack = dynamics._transfer_matrices
+
+        def recorded_stack(protocols, ts, drives, rtol):
+            stacks.append((len(protocols), ts.shape[1], set(drives)))
+            return exact_stack(protocols, ts, drives, rtol)
+
+        monkeypatch.setattr(dynamics, "_transfer_matrices", recorded_stack)
+        monkeypatch.setattr(fock_oracle, "propagate_fock", lambda ops, state, *a, **k: state)
+        params = resolve_config("cycle", build_parser().parse_args(["cycle", "--grid", "tau=3:3:1"]))
+        _, rows = datasets.cycle_dataset(params, oracle=True)
+        assert len(rows) == 1
+        assert stacks == [(2, 1, {dynamics.Drive.BARE})]
+
+
 class TestOutputFormats:
     def test_json_format(self, tmp_path):
         out = str(tmp_path / "out.json")

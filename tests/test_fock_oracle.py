@@ -172,7 +172,7 @@ class TestSpectralData:
     def test_cd_levels_match_closed_forms(self):
         t = 1.5
         w = REF.omega(t)
-        wd = REF.omega_dot(t)
+        wd = REF.eval(t)[1]
         q = q_cd(REF, t)
         ops = build_operators(stroke_reference(REF), 160)
         evals, h0_exp = cd_level_energies(ops, w, wd, 4)

@@ -65,8 +65,8 @@ class TestEndpointsAndValues:
     def test_constant_protocol(self):
         p = FrequencyProtocol.constant(0.7, 2.0)
         assert p.omega(1.3) == 0.7
-        assert p.omega_dot(1.3) == 0.0
-        assert p.omega_ddot(1.3) == 0.0
+        assert p.eval(1.3)[1] == 0.0
+        assert p.eval(1.3)[2] == 0.0
 
     def test_domain_is_enforced(self):
         p = make(ProtocolKind.POLY5)
@@ -86,6 +86,39 @@ class TestEndpointsAndValues:
             FrequencyProtocol(ProtocolKind.POLY5, 0.35, math.inf, 3.0)
 
 
+class TestCheckpoints:
+    """One checkpoint rule, FrequencyProtocol.checkpoints, for every path."""
+
+    @pytest.mark.parametrize(
+        "ts",
+        [[[0.5, 1.0]], [], [2.0, 1.0], [-0.5, 1.0], [1.0, 3.5]],
+        ids=["2-d", "empty", "descending", "negative", "beyond-tau"],
+    )
+    def test_every_path_refuses_bad_checkpoints_alike(self, ts):
+        from ottosta import fock_oracle
+        from ottosta.dynamics import classical_pair_path, propagate_path
+
+        p = make(ProtocolKind.POLY5)
+        ops = fock_oracle.build_operators(fock_oracle.stroke_reference(p), 16)
+        state = fock_oracle.thermal_fock_in(ops, 2.0, 0.35)
+        paths = [
+            lambda: p.checkpoints(ts),
+            lambda: propagate_path(thermal_state(2.0, 0.35), p, ts),
+            lambda: classical_pair_path(p, ts),
+            lambda: fock_oracle.propagate_fock_path(ops, state, p, ts),
+        ]
+        messages = set()
+        for path in paths:
+            with pytest.raises(ValueError) as err:
+                path()
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    def test_good_checkpoints_pass_as_floats(self):
+        ts = make(ProtocolKind.POLY5).checkpoints([0, 1.5, 3.0 * (1.0 + 1e-13)])
+        assert ts.dtype == np.float64 and ts.shape == (3,)
+
+
 class TestDerivatives:
     @pytest.mark.parametrize("kind", RAMP_KINDS)
     @pytest.mark.parametrize("t", [0.3, 1.5, 2.9])
@@ -93,7 +126,7 @@ class TestDerivatives:
         p = make(kind)
         h = 1e-6
         fd = (p.omega(t + h) - p.omega(t - h)) / (2 * h)
-        assert p.omega_dot(t) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+        assert p.eval(t)[1] == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
     @pytest.mark.parametrize("kind", RAMP_KINDS)
     @pytest.mark.parametrize("t", [0.3, 1.5, 2.9])
@@ -101,7 +134,7 @@ class TestDerivatives:
         p = make(kind)
         h = 1e-4
         fd = (p.omega(t + h) - 2 * p.omega(t) + p.omega(t - h)) / (h * h)
-        assert p.omega_ddot(t) == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        assert p.eval(t)[2] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     @given(
         st.sampled_from(RAMP_KINDS),
@@ -115,7 +148,7 @@ class TestDerivatives:
         t = s * tau
         h = 1e-6 * tau
         fd = (p.omega(t + h) - p.omega(t - h)) / (2 * h)
-        assert p.omega_dot(t) == pytest.approx(fd, rel=1e-5, abs=1e-7)
+        assert p.eval(t)[1] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 class TestBoundaryConditions:

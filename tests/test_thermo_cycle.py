@@ -12,14 +12,13 @@ from ottosta.thermo_cycle import (
     Accounting,
     CycleConfig,
     CycleResult,
+    StrokeRecord,
     book_cycle,
-    driving_costs,
     efficiency_exact,
     entropy_production,
     evaluate_cycle,
     heat_cold,
     heat_hot,
-    nonadiabatic_factors,
     stroke_records,
     stroke_works,
 )
@@ -114,7 +113,8 @@ class TestNonadiabatic:
         from ottosta.dynamics import adiabaticity_pair
 
         cfg = ref()
-        q1, q3 = nonadiabatic_factors(cfg)
+        [record] = stroke_records([cfg], [Accounting.NONADIABATIC])
+        q1, q3 = record.q1, record.q3
         assert q1 == pytest.approx(adiabaticity_pair(cfg.compression_protocol(), 3.0), rel=1e-9)
         assert q3 == pytest.approx(adiabaticity_pair(cfg.expansion_protocol(), 3.0), rel=1e-9)
 
@@ -209,7 +209,8 @@ class TestAccountingConventions:
         assert r.w1 + r.w3 + r.q2 + r.q4 == pytest.approx(0.0, abs=1e-12)
 
     def test_driving_costs_helper(self):
-        c1, c3 = driving_costs(ref())
+        [record] = stroke_records([ref()], [Accounting.STA])
+        c1, c3 = record.c1, record.c3
         assert c1 == pytest.approx(0.07982655330359724, abs=1e-12)
         assert c3 == pytest.approx(0.2694114637405115, abs=1e-12)
 
@@ -278,6 +279,66 @@ class TestStrokeRecord:
         for accounting in (Accounting.STA, Accounting.TIME_AVERAGED):
             with pytest.raises(TrapInversionError, match="tau_min"):
                 book_cycle(cfg, record, accounting)
+
+    @pytest.mark.parametrize(
+        "accounting", [Accounting.NONADIABATIC, Accounting.STA, Accounting.TIME_AVERAGED]
+    )
+    def test_a_value_not_computed_is_refused_by_name(self, accounting):
+        # tau = 3 is above tau_min = 2.068: the values are missing, not undefined
+        cfg = ref(3.0)
+        [record] = stroke_records([cfg], [Accounting.ADIABATIC])
+        assert record == StrokeRecord(None, None, None, None)
+        with pytest.raises(ValueError, match=f"^{accounting.value} accounting reads"):
+            book_cycle(cfg, record, accounting)
+
+    def test_trap_inversion_comes_from_the_stroke_not_the_record(self):
+        cfg = ref(2.0)
+        [record] = stroke_records([cfg], [Accounting.ADIABATIC])
+        for accounting in (Accounting.STA, Accounting.TIME_AVERAGED):
+            with pytest.raises(TrapInversionError, match="tau_min"):
+                book_cycle(cfg, record, accounting)
+
+    def test_sta_refusal_is_the_counterdiabatic_drive_refusal(self):
+        from ottosta.dynamics import Drive, propagate, thermal_state
+
+        cfg = ref(2.0)
+        with pytest.raises(TrapInversionError) as booked:
+            evaluate_cycle(cfg, Accounting.STA)
+        with pytest.raises(TrapInversionError) as driven:
+            propagate(thermal_state(2.0, 0.35), cfg.compression_protocol(), 2.0, drive=Drive.CD)
+        assert str(booked.value) == str(driven.value)
+
+    @pytest.mark.parametrize(
+        "accounting, propagates, integrates",
+        [
+            (Accounting.ADIABATIC, False, False),
+            (Accounting.NONADIABATIC, True, False),
+            (Accounting.STA, False, True),
+            (Accounting.TIME_AVERAGED, False, True),
+        ],
+    )
+    def test_evaluate_cycle_computes_only_what_it_reads(
+        self, monkeypatch, accounting, propagates, integrates
+    ):
+        import ottosta.dynamics as dynamics
+        import ottosta.thermo_cycle as thermo_cycle
+
+        calls = {"stack": 0, "cost": 0}
+        exact_cost = thermo_cycle.avg_work_cost
+        exact_stack = dynamics._transfer_matrices
+
+        def counted_cost(*args, **kwargs):
+            calls["cost"] += 1
+            return exact_cost(*args, **kwargs)
+
+        def counted_stack(*args, **kwargs):
+            calls["stack"] += 1
+            return exact_stack(*args, **kwargs)
+
+        monkeypatch.setattr(thermo_cycle, "avg_work_cost", counted_cost)
+        monkeypatch.setattr(dynamics, "_transfer_matrices", counted_stack)
+        evaluate_cycle(ref(), accounting)
+        assert calls == {"stack": int(propagates), "cost": 2 * int(integrates)}
 
     def test_default_cycle_computes_each_stroke_once(self, monkeypatch):
         import ottosta.dynamics as dynamics
