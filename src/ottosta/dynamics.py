@@ -437,9 +437,9 @@ def _thermal_q(
     """Q*(t) (B, K) of thermal starts, read off their transfer matrices: the
     energy of M C0 M^T at omega_t over the adiabatic (omega_t/omega_i) E0.
     Every covariance is validated."""
-    starts = [thermal_state(beta, p.omega_i) for p, beta in zip(protocols, betas, strict=True)]
-    cov0 = np.stack([s.cov for s in starts])[:, None]
-    e0 = np.array([mean_energy(s, p.omega_i) for s, p in zip(starts, protocols)])
+    pairs = list(zip(protocols, betas, strict=True))
+    cov0 = np.stack([thermal_state(beta, p.omega_i).cov for p, beta in pairs])[:, None]
+    e0 = np.array([thermal_energy(beta, p.omega_i) for p, beta in pairs])
     omega_i = np.array([p.omega_i for p in protocols])
     covs = _checked_covariances(m @ cov0 @ np.swapaxes(m, -1, -2))
     energies = _energies(np.zeros(covs.shape[:-1]), covs, w_t)

@@ -10,10 +10,17 @@ relevant Hamiltonians inside the truncated space.
 
 Every stroke Hamiltonian is quadratic in x and p, so it changes the number
 n by 0 or +-2 and never mixes even and odd n. Each Magnus step therefore
-diagonalizes two generators of about dim/2, one per number parity, instead
+exponentiates two generators of about dim/2, one per number parity, instead
 of one of size dim; the density matrix stays in the natural Fock order and
 each of its four parity blocks, off-parity coherences included, is updated
 as rho[a, b] <- U_a rho[a, b] U_b^dagger.
+
+Within one parity, x^2, p^2 and xp + px couple only neighbouring levels, and
+the commutator term of the Magnus step stays in their su(1,1) span, so each
+parity block of the generator is Hermitian tridiagonal. A diagonal phase
+gauge makes it real symmetric without changing its spectrum, so each block
+exponential is one real eigensolve, exact up to roundoff; a generator that
+is not tridiagonal is refused, never truncated.
 
 This route shares nothing with the Gaussian transfer-matrix propagator
 except the frequency ramp and its checkpoint rule (``FrequencyProtocol``),
@@ -70,6 +77,9 @@ _STROKE_GUARD = 30
 _MAGNUS_RTOL = 1e-8
 _MAGNUS_ATOL = 1e-12
 _MAGNUS_MAX_STEPS = 200_000
+# Largest entry beyond the first off-diagonal of a Magnus generator, relative
+# to its largest entry, that still counts as tridiagonal.
+_BAND_TOL = 1e-12
 # relative_entropy: eigenvalues of sigma below _SUPPORT_TOL span its null
 # space; more than _NULL_WEIGHT_TOL of rho's weight there makes S infinite.
 _SUPPORT_TOL = 1e-14
@@ -242,6 +252,17 @@ class _ParityBlock:
 
 
 def _parity_blocks(ops: FockOperators) -> tuple[_ParityBlock, _ParityBlock]:
+    """The even-n and odd-n blocks of the quadratic operators. Raises
+    NumericsError if an operator couples the two parities beyond _BAND_TOL
+    of its largest entry, which the split would otherwise drop."""
+    for name in ("x2", "p2", "xp_px"):
+        m = np.abs(getattr(ops, name))
+        cross = max(float(np.max(m[0::2, 1::2])), float(np.max(m[1::2, 0::2])))
+        if cross > _BAND_TOL * float(np.max(m)):
+            raise NumericsError(
+                f"{name} couples even and odd number states (entry {cross:.3g}); "
+                "a quadratic Hamiltonian never does"
+            )
     return tuple(
         _ParityBlock(*(np.ascontiguousarray(m[s, s]) for m in (ops.x2, ops.p2, ops.xp_px)))
         for s in _PARITIES
@@ -256,7 +277,12 @@ def _magnus_step_u(
     h: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unitaries (U_even, U_odd) for one 4th-order Magnus step of length h
-    starting at t; the ramp is evaluated once per Gauss-Legendre node."""
+    starting at t; the ramp is evaluated once per Gauss-Legendre node.
+
+    Each block's generator M is Hermitian tridiagonal: its two Hamiltonians
+    are, and [H2, H1] of two su(1,1) elements is another one. So exp(-i M)
+    is one real tridiagonal eigensolve after a diagonal phase gauge
+    (_expm_tridiagonal), the same unitary as a dense complex eigensolve."""
     nodes = [
         protocol.eval(t + (0.5 - _SQRT3 / 6.0) * h),
         protocol.eval(t + (0.5 + _SQRT3 / 6.0) * h),
@@ -271,10 +297,42 @@ def _magnus_step_u(
         # of the two-node Gauss-Legendre Magnus expansion is anti-Hermitian,
         # so it enters M with an i.
         m = 0.5 * h * (h1 + h2) - 1j * (_SQRT3 / 12.0) * h * h * (h2 @ h1 - h1 @ h2)
-        m = 0.5 * (m + m.conj().T)
-        evals, evecs = np.linalg.eigh(m)
-        us.append((evecs * np.exp(-1j * evals)) @ evecs.conj().T)
+        us.append(_expm_tridiagonal(0.5 * (m + m.conj().T)))
     return tuple(us)
+
+
+def _expm_tridiagonal(m: np.ndarray) -> np.ndarray:
+    """exp(-i M) of a Hermitian tridiagonal M from one real eigensolve.
+
+    The unit phases d_0 = 1, d_{k+1} = d_k conj(u_k), with u_k the phase of
+    M[k, k+1], make T = D^dagger M D real symmetric with off-diagonal
+    |M[k, k+1]|. With T = V diag(lam) V^T,
+    exp(-i M) = D (V cos(lam) V^T - i V sin(lam) V^T) D^dagger exactly.
+    The phases are a running product, renormalized to unit modulus, rather
+    than exp(i theta) of a running sum of angles, whose size (up to about
+    pi dim) would cost each ratio d_{k+1}/d_k several digits. An entry
+    beyond the first off-diagonal above _BAND_TOL max|M| raises
+    NumericsError rather than being dropped."""
+    scale = float(np.max(np.abs(m)))
+    band = float(np.max(np.abs(np.triu(m, 2))))  # M is Hermitian
+    if band > _BAND_TOL * scale:
+        raise NumericsError(
+            f"Magnus generator is not tridiagonal: entry {band:.3g} beyond the "
+            f"first off-diagonal against max {scale:.3g}"
+        )
+    off = np.diagonal(m, 1)
+    mag = np.abs(off)
+    unit = np.ones_like(off)
+    np.divide(off, mag, out=unit, where=mag > 0.0)
+    d = np.cumprod(np.concatenate(([1.0 + 0.0j], unit.conj())))
+    d /= np.abs(d)
+    t = np.diag(np.diagonal(m).real)
+    k = np.arange(off.size)
+    t[k, k + 1] = t[k + 1, k] = mag
+    lam, v = np.linalg.eigh(t)
+    cos_part = (v * np.cos(lam)) @ v.T
+    sin_part = (v * np.sin(lam)) @ v.T
+    return d[:, None] * (cos_part - 1j * sin_part) * d.conj()
 
 
 def _apply(us: tuple[np.ndarray, np.ndarray], rho: np.ndarray) -> np.ndarray:

@@ -222,14 +222,11 @@ class CycleResult:
     q4: float
     cost1: float
     cost3: float
+    work_output: float
     eta: float
     power: float
     ds_tot: float
     is_engine: bool
-
-    @property
-    def work_output(self) -> float:
-        return -(self.w1 + self.w3) - self.cost1 - self.cost3
 
 
 def book_cycle(
@@ -276,6 +273,7 @@ def book_cycle(
         q4=q4,
         cost1=c1,
         cost3=c3,
+        work_output=output,
         eta=eta,
         power=power,
         ds_tot=ds,

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+from ottosta import fock_oracle
 from ottosta.dynamics import Drive, q_cd
 from ottosta.errors import CutoffError, NumericsError
 from ottosta.fock_oracle import (
+    FockOperators,
     FockState,
     adiabatic_reference,
     build_operators,
@@ -27,6 +31,7 @@ from ottosta.fock_oracle import (
     tpm_variance_excess,
 )
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
+from ottosta.thermo_cycle import CycleConfig
 
 REF = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
 
@@ -166,6 +171,107 @@ class TestMixedParity:
             want = oracles.rk4_fixed(rhs, y0, 0.0, float(t), 4000)[:2]
             got = [mean(st, ops.x), mean(st, ops.p)]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+
+
+def _dense_expm(m):
+    """exp(-i M) from a dense complex eigensolve, V exp(-i lam) V^dagger."""
+    lam, v = np.linalg.eigh(m)
+    return (v * np.exp(-1j * lam)) @ v.conj().T
+
+
+# The two bare strokes of the default `cycle --oracle --grid tau=3:3:1`:
+# (protocol, beta, truncation, Magnus exponentials).
+_DEFAULT = CycleConfig(omega1=0.35, omega2=1.0, beta1=2.0, beta2=0.2, tau1=3.0, tau3=3.0)
+_DEFAULT_STROKES = {
+    "compression": (_DEFAULT.compression_protocol(), 2.0, 123, 75),
+    "expansion": (_DEFAULT.expansion_protocol(), 0.2, 344, 69),
+}
+
+
+def _stroke_end(name, drive):
+    protocol, beta, dim, _ = _DEFAULT_STROKES[name]
+    assert stroke_dim(beta, protocol) == dim
+    ops = build_operators(stroke_reference(protocol), dim)
+    st0 = thermal_fock_in(ops, beta, protocol.omega_i)
+    return propagate_fock(ops, st0, protocol, protocol.tau, drive=drive).rho
+
+
+class TestTridiagonalExponential:
+    @given(
+        n=st.integers(2, 200),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 20.0]),
+    )
+    def test_matches_dense_complex_exponential(self, n, seed, scale):
+        # off-diagonals drawn zero, real of either sign, or complex; at scale
+        # 20 the largest entries reach the 50s, as in the Magnus generators
+        # of the default strokes, and both routes err by about eps max|M|
+        rng = np.random.default_rng(seed)
+        kind = rng.integers(0, 3, size=n - 1)
+        off = rng.normal(size=n - 1) * np.where(
+            kind == 2, np.exp(2j * np.pi * rng.uniform(size=n - 1)), 1.0
+        )
+        off[kind == 0] = 0.0
+        m = np.diag(rng.normal(size=n)).astype(complex)
+        m[np.arange(n - 1), np.arange(1, n)] = off
+        m[np.arange(1, n), np.arange(n - 1)] = off.conj()
+        m *= scale
+        want = _dense_expm(m)
+        got = fock_oracle._expm_tridiagonal(m)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_generator_beyond_tridiagonal_is_refused(self):
+        # a hand-built x^2 coupling n = 0 to n = 4 (same parity) makes every
+        # even-block generator pentadiagonal; it must not be dropped
+        ops = build_operators(0.6, 20)
+        x2 = ops.x2.copy()
+        x2[0, 4] = x2[4, 0] = 0.1
+        bad = FockOperators(ops.dim, ops.ref_omega, ops.x, ops.p, x2, ops.p2, ops.xp_px)
+        st0 = thermal_fock(2.0, 0.6, 20)
+        protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
+        with pytest.raises(NumericsError, match="not tridiagonal"):
+            propagate_fock(bad, st0, protocol, 1.0)
+
+    def test_operator_mixing_parities_is_refused(self):
+        ops = build_operators(0.6, 20)
+        xp_px = ops.xp_px.copy()
+        xp_px[0, 3] = 0.1j
+        xp_px[3, 0] = -0.1j
+        bad = FockOperators(ops.dim, ops.ref_omega, ops.x, ops.p, ops.x2, ops.p2, xp_px)
+        st0 = thermal_fock(2.0, 0.6, 20)
+        protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
+        with pytest.raises(NumericsError, match="even and odd"):
+            propagate_fock(bad, st0, protocol, 1.0, drive=Drive.CD)
+
+
+class TestMagnusStepSequence:
+    @pytest.mark.parametrize("name", sorted(_DEFAULT_STROKES))
+    def test_default_strokes_keep_their_step_count(self, name, monkeypatch):
+        # perfbench counts Magnus exponentials as ramp evaluations / 2
+        counts = {"steps": 0, "evals": 0}
+        step_u = fock_oracle._magnus_step_u
+        evaluate = FrequencyProtocol.eval
+
+        def counted_step(*args):
+            counts["steps"] += 1
+            return step_u(*args)
+
+        def counted_eval(self, t):
+            counts["evals"] += 1
+            return evaluate(self, t)
+
+        monkeypatch.setattr(fock_oracle, "_magnus_step_u", counted_step)
+        monkeypatch.setattr(FrequencyProtocol, "eval", counted_eval)
+        _stroke_end(name, Drive.BARE)
+        assert counts["steps"] == _DEFAULT_STROKES[name][3]
+        assert counts["evals"] == 2 * counts["steps"]
+
+    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
+    def test_matches_dense_eigh_route(self, drive, monkeypatch):
+        got = _stroke_end("compression", drive)
+        monkeypatch.setattr(fock_oracle, "_expm_tridiagonal", _dense_expm)
+        want = _stroke_end("compression", drive)
+        assert np.max(np.abs(got - want)) <= 1e-13
 
 
 class TestSpectralData:
