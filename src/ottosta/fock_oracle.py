@@ -12,15 +12,19 @@ Every stroke Hamiltonian is quadratic in x and p, so it changes the number
 n by 0 or +-2 and never mixes even and odd n. Each Magnus step therefore
 exponentiates two generators of about dim/2, one per number parity, instead
 of one of size dim; the density matrix stays in the natural Fock order and
-each of its four parity blocks, off-parity coherences included, is updated
-as rho[a, b] <- U_a rho[a, b] U_b^dagger.
+its parity blocks, off-parity coherences included, are updated as
+rho[a, b] <- U_a rho[a, b] U_b^dagger (the odd-even block is the conjugate
+transpose of the even-odd one, since rho is Hermitian).
 
-Within one parity, x^2, p^2 and xp + px couple only neighbouring levels, and
-the commutator term of the Magnus step stays in their su(1,1) span, so each
-parity block of the generator is Hermitian tridiagonal. A diagonal phase
-gauge makes it real symmetric without changing its spectrum, so each block
-exponential is one real eigensolve, exact up to roundoff; a generator that
-is not tridiagonal is refused, never truncated.
+Within one parity, x^2, p^2 and xp + px couple only neighbouring levels, so
+each operator is kept as a Hermitian tridiagonal band, and the Magnus
+generator is built and checked on bands in O(dim). Its commutator term
+stays in the su(1,1) span of the three operators: the second band of
+[H2, H1], the only part of the generator that can leave the tridiagonal
+form, cancels. A diagonal phase gauge makes each block real symmetric
+without changing its spectrum, so each block exponential is one real
+eigensolve, exact up to roundoff. An operator or a generator that is not
+tridiagonal is refused, never truncated.
 
 This route shares nothing with the Gaussian transfer-matrix propagator
 except the frequency ramp and its checkpoint rule (``FrequencyProtocol``),
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -77,8 +82,9 @@ _STROKE_GUARD = 30
 _MAGNUS_RTOL = 1e-8
 _MAGNUS_ATOL = 1e-12
 _MAGNUS_MAX_STEPS = 200_000
-# Largest entry beyond the first off-diagonal of a Magnus generator, relative
-# to its largest entry, that still counts as tridiagonal.
+# Largest entry that the parity bands may leave out of an operator or a
+# Magnus generator (beyond the first off-diagonal, across the parities, or
+# off Hermitian), relative to its largest entry.
 _BAND_TOL = 1e-12
 # relative_entropy: eigenvalues of sigma below _SUPPORT_TOL span its null
 # space; more than _NULL_WEIGHT_TOL of rho's weight there makes S infinite.
@@ -243,8 +249,10 @@ _PARITIES = (slice(0, None, 2), slice(1, None, 2))
 
 @dataclass(frozen=True)
 class _ParityBlock:
-    """The quadratic operators restricted to one number parity; reads like
-    FockOperators for h0_matrix and hcd_matrix."""
+    """The quadratic operators restricted to one number parity, each as a
+    Hermitian tridiagonal band of shape (2, n): row 0 the diagonal, row 1
+    the upper off-diagonal with a trailing zero. Reads like FockOperators
+    for h0_matrix and hcd_matrix, which then return bands too."""
 
     x2: np.ndarray
     p2: np.ndarray
@@ -252,21 +260,55 @@ class _ParityBlock:
 
 
 def _parity_blocks(ops: FockOperators) -> tuple[_ParityBlock, _ParityBlock]:
-    """The even-n and odd-n blocks of the quadratic operators. Raises
-    NumericsError if an operator couples the two parities beyond _BAND_TOL
-    of its largest entry, which the split would otherwise drop."""
+    """The even-n and odd-n bands of the quadratic operators. Raises
+    NumericsError if an operator is not Hermitian, couples the two parities,
+    or has an entry beyond the first off-diagonal within one parity, each
+    above _BAND_TOL of its largest entry: the bands would otherwise drop it."""
+    bands = ([], [])
     for name in ("x2", "p2", "xp_px"):
-        m = np.abs(getattr(ops, name))
-        cross = max(float(np.max(m[0::2, 1::2])), float(np.max(m[1::2, 0::2])))
-        if cross > _BAND_TOL * float(np.max(m)):
+        m = getattr(ops, name)
+        mag = np.abs(m)
+        limit = _BAND_TOL * float(np.max(mag))
+        skew = float(np.max(np.abs(m - m.conj().T)))
+        if skew > limit:
+            raise NumericsError(f"{name} is not Hermitian (deviation {skew:.3g})")
+        cross = max(float(np.max(mag[0::2, 1::2])), float(np.max(mag[1::2, 0::2])))
+        if cross > limit:
             raise NumericsError(
                 f"{name} couples even and odd number states (entry {cross:.3g}); "
                 "a quadratic Hamiltonian never does"
             )
-    return tuple(
-        _ParityBlock(*(np.ascontiguousarray(m[s, s]) for m in (ops.x2, ops.p2, ops.xp_px)))
-        for s in _PARITIES
-    )
+        for s, out in zip(_PARITIES, bands):
+            block = m[s, s]
+            beyond = float(np.max(np.triu(mag[s, s], 2)))
+            if beyond > limit:
+                raise NumericsError(
+                    f"{name} is not tridiagonal within one number parity (entry "
+                    f"{beyond:.3g} beyond the first off-diagonal); x^2, p^2 and "
+                    "xp + px couple only n and n +- 2"
+                )
+            band = np.zeros((2, block.shape[0]), dtype=np.complex128)
+            band[0] = np.diagonal(block)
+            band[1, :-1] = np.diagonal(block, 1)
+            out.append(band)
+    return tuple(_ParityBlock(*b) for b in bands)
+
+
+def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The bands of [A, B] = AB - BA for two Hermitian tridiagonal bands of
+    shape (2, n), in O(n): a (3, n) array whose row j is the j-th upper
+    diagonal, zero-padded at the end. [A, B] is anti-Hermitian, so these
+    three rows fix it; row 2 vanishes when the off-diagonals of A and B are
+    proportional, as for any two elements of the su(1,1) span of x^2, p^2
+    and xp + px."""
+    alpha, beta = a[1], b[1]
+    c = np.zeros((3, a.shape[1]), dtype=np.complex128)
+    s = alpha * beta.conj() - beta * alpha.conj()
+    c[0] = s
+    c[0, 1:] -= s[:-1]
+    c[1, :-1] = beta[:-1] * (a[0, :-1] - a[0, 1:]) - alpha[:-1] * (b[0, :-1] - b[0, 1:])
+    c[2, :-1] = alpha[:-1] * beta[1:] - beta[:-1] * alpha[1:]
+    return c
 
 
 def _magnus_step_u(
@@ -279,10 +321,13 @@ def _magnus_step_u(
     """Unitaries (U_even, U_odd) for one 4th-order Magnus step of length h
     starting at t; the ramp is evaluated once per Gauss-Legendre node.
 
-    Each block's generator M is Hermitian tridiagonal: its two Hamiltonians
-    are, and [H2, H1] of two su(1,1) elements is another one. So exp(-i M)
-    is one real tridiagonal eigensolve after a diagonal phase gauge
-    (_expm_tridiagonal), the same unitary as a dense complex eigensolve."""
+    Each block's generator M is built and checked on bands. Its two
+    Hamiltonians are tridiagonal, and [H2, H1] is pentadiagonal at most; its
+    second band, the only part of M that can leave the tridiagonal form,
+    cancels because two su(1,1) elements have proportional off-diagonals. A
+    second band above _BAND_TOL max|M| raises NumericsError rather than
+    being dropped. exp(-i M) is then one real tridiagonal eigensolve after a
+    diagonal phase gauge (_expm_tridiagonal)."""
     nodes = [
         protocol.eval(t + (0.5 - _SQRT3 / 6.0) * h),
         protocol.eval(t + (0.5 + _SQRT3 / 6.0) * h),
@@ -296,37 +341,40 @@ def _magnus_step_u(
         # Hermitian generator M such that U = exp(-i M): the commutator term
         # of the two-node Gauss-Legendre Magnus expansion is anti-Hermitian,
         # so it enters M with an i.
-        m = 0.5 * h * (h1 + h2) - 1j * (_SQRT3 / 12.0) * h * h * (h2 @ h1 - h1 @ h2)
-        us.append(_expm_tridiagonal(0.5 * (m + m.conj().T)))
+        weight = (_SQRT3 / 12.0) * h * h
+        comm = _commutator(h2, h1)
+        m = 0.5 * h * (h1 + h2) - 1j * weight * comm[:2]
+        scale = float(np.max(np.abs(m)))
+        beyond = weight * float(np.max(np.abs(comm[2])))
+        if beyond > _BAND_TOL * scale:
+            raise NumericsError(
+                f"Magnus generator is not tridiagonal: entry {beyond:.3g} beyond "
+                f"the first off-diagonal against max {scale:.3g}"
+            )
+        us.append(_expm_tridiagonal(m[0].real, m[1, :-1]))
     return tuple(us)
 
 
-def _expm_tridiagonal(m: np.ndarray) -> np.ndarray:
-    """exp(-i M) of a Hermitian tridiagonal M from one real eigensolve.
+def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """exp(-i M) of the Hermitian tridiagonal M with real diagonal ``diag``
+    and upper off-diagonal ``off``, from one real eigensolve.
 
     The unit phases d_0 = 1, d_{k+1} = d_k conj(u_k), with u_k the phase of
-    M[k, k+1], make T = D^dagger M D real symmetric with off-diagonal
-    |M[k, k+1]|. With T = V diag(lam) V^T,
+    off[k], make T = D^dagger M D real symmetric with off-diagonal |off|.
+    With T = V diag(lam) V^T,
     exp(-i M) = D (V cos(lam) V^T - i V sin(lam) V^T) D^dagger exactly.
     The phases are a running product, renormalized to unit modulus, rather
     than exp(i theta) of a running sum of angles, whose size (up to about
-    pi dim) would cost each ratio d_{k+1}/d_k several digits. An entry
-    beyond the first off-diagonal above _BAND_TOL max|M| raises
-    NumericsError rather than being dropped."""
-    scale = float(np.max(np.abs(m)))
-    band = float(np.max(np.abs(np.triu(m, 2))))  # M is Hermitian
-    if band > _BAND_TOL * scale:
-        raise NumericsError(
-            f"Magnus generator is not tridiagonal: entry {band:.3g} beyond the "
-            f"first off-diagonal against max {scale:.3g}"
-        )
-    off = np.diagonal(m, 1)
+    pi dim) would cost each ratio d_{k+1}/d_k several digits. The bands
+    are all of M: _magnus_step_u builds it on bands and refuses one whose
+    second band, the only part that can leave the tridiagonal form, does
+    not cancel."""
     mag = np.abs(off)
     unit = np.ones_like(off)
     np.divide(off, mag, out=unit, where=mag > 0.0)
     d = np.cumprod(np.concatenate(([1.0 + 0.0j], unit.conj())))
     d /= np.abs(d)
-    t = np.diag(np.diagonal(m).real)
+    t = np.diag(diag)
     k = np.arange(off.size)
     t[k, k + 1] = t[k + 1, k] = mag
     lam, v = np.linalg.eigh(t)
@@ -337,13 +385,16 @@ def _expm_tridiagonal(m: np.ndarray) -> np.ndarray:
 
 def _apply(us: tuple[np.ndarray, np.ndarray], rho: np.ndarray) -> np.ndarray:
     """U rho U^dagger with U = U_even + U_odd, block by parity block:
-    rho[a, b] <- U_a rho[a, b] U_b^dagger, off-parity coherences included."""
+    rho[a, b] <- U_a rho[a, b] U_b^dagger for the even-even, odd-odd and
+    even-odd blocks; rho is Hermitian, so the odd-even block is the
+    conjugate transpose of the even-odd one, off-parity coherences exact."""
     out = np.empty_like(rho)
     # Copy each strided block first: numpy's matmul skips BLAS on operands
     # with no unit stride, which is about 10x slower at dim/2 = 172.
-    for a, ua in zip(_PARITIES, us):
-        for b, ub in zip(_PARITIES, us):
-            out[a, b] = ua @ np.ascontiguousarray(rho[a, b]) @ ub.conj().T
+    for (a, ua), (b, ub) in combinations_with_replacement(zip(_PARITIES, us), 2):
+        out[a, b] = ua @ np.ascontiguousarray(rho[a, b]) @ ub.conj().T
+    even, odd = _PARITIES
+    out[odd, even] = out[even, odd].conj().T
     return out
 
 

@@ -125,8 +125,13 @@ class TestBarePropagation:
         # a deliberately tiny space cannot hold the driven state
         ops = build_operators(stroke_reference(REF), 12)
         st0 = thermal_fock_in(ops, 2.0, 0.35)
-        with pytest.raises((CutoffError, NumericsError)):
+        with pytest.raises(CutoffError, match="top two Fock levels"):
             propagate_fock(ops, st0, REF, 3.0)
+
+    def test_trace_drift_raises(self):
+        rho = thermal_fock(2.0, 0.35, 40).rho * (1.0 + 1e-6)
+        with pytest.raises(NumericsError, match="trace drift"):
+            fock_oracle._check_and_clean(rho, 40)
 
 
 class TestCounterdiabaticPropagation:
@@ -179,6 +184,36 @@ def _dense_expm(m):
     return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
+def _dense(diag, off):
+    """The Hermitian tridiagonal matrix with diagonal ``diag`` and upper
+    off-diagonal ``off``."""
+    n = diag.size
+    m = np.diag(diag).astype(complex)
+    m[np.arange(n - 1), np.arange(1, n)] = off
+    m[np.arange(1, n), np.arange(n - 1)] = np.conj(off)
+    return m
+
+
+def _random_band(rng, n, scale):
+    """A random Hermitian tridiagonal band of shape (2, n): off-diagonals
+    drawn zero, real of either sign, or complex."""
+    kind = rng.integers(0, 3, size=n - 1)
+    off = rng.normal(size=n - 1) * np.where(
+        kind == 2, np.exp(2j * np.pi * rng.uniform(size=n - 1)), 1.0
+    )
+    off[kind == 0] = 0.0
+    band = np.zeros((2, n), dtype=complex)
+    band[0] = rng.normal(size=n)
+    band[1, :-1] = off
+    return scale * band
+
+
+def _random_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 # The two bare strokes of the default `cycle --oracle --grid tau=3:3:1`:
 # (protocol, beta, truncation, Magnus exponentials).
 _DEFAULT = CycleConfig(omega1=0.35, omega2=1.0, beta1=2.0, beta2=0.2, tau1=3.0, tau3=3.0)
@@ -203,26 +238,19 @@ class TestTridiagonalExponential:
         scale=st.sampled_from([1e-3, 1.0, 20.0]),
     )
     def test_matches_dense_complex_exponential(self, n, seed, scale):
-        # off-diagonals drawn zero, real of either sign, or complex; at scale
-        # 20 the largest entries reach the 50s, as in the Magnus generators
-        # of the default strokes, and both routes err by about eps max|M|
-        rng = np.random.default_rng(seed)
-        kind = rng.integers(0, 3, size=n - 1)
-        off = rng.normal(size=n - 1) * np.where(
-            kind == 2, np.exp(2j * np.pi * rng.uniform(size=n - 1)), 1.0
-        )
-        off[kind == 0] = 0.0
-        m = np.diag(rng.normal(size=n)).astype(complex)
-        m[np.arange(n - 1), np.arange(1, n)] = off
-        m[np.arange(1, n), np.arange(n - 1)] = off.conj()
-        m *= scale
-        want = _dense_expm(m)
-        got = fock_oracle._expm_tridiagonal(m)
+        # at scale 20 the largest entries reach the 50s, as in the Magnus
+        # generators of the default strokes, and both routes err by about
+        # eps max|M|
+        band = _random_band(np.random.default_rng(seed), n, scale)
+        diag, off = band[0].real, band[1, :-1]
+        want = _dense_expm(_dense(diag, off))
+        got = fock_oracle._expm_tridiagonal(diag, off)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_generator_beyond_tridiagonal_is_refused(self):
-        # a hand-built x^2 coupling n = 0 to n = 4 (same parity) makes every
-        # even-block generator pentadiagonal; it must not be dropped
+        # a hand-built x^2 coupling n = 0 to n = 4 (same parity) is
+        # pentadiagonal within the even block; the operator bands refuse it
+        # rather than drop the entry
         ops = build_operators(0.6, 20)
         x2 = ops.x2.copy()
         x2[0, 4] = x2[4, 0] = 0.1
@@ -242,6 +270,65 @@ class TestTridiagonalExponential:
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
         with pytest.raises(NumericsError, match="even and odd"):
             propagate_fock(bad, st0, protocol, 1.0, drive=Drive.CD)
+
+    def test_generator_leaving_the_band_is_refused(self):
+        # tridiagonal within each parity, but x^2's first even off-diagonal
+        # is no longer proportional to p^2's, so [H2, H1] gains a second
+        # band; the Magnus step refuses it rather than drop it
+        ops = build_operators(0.6, 20)
+        x2 = ops.x2.copy()
+        x2[0, 2] *= 1.5
+        x2[2, 0] *= 1.5
+        bad = FockOperators(ops.dim, ops.ref_omega, ops.x, ops.p, x2, ops.p2, ops.xp_px)
+        st0 = thermal_fock(2.0, 0.6, 20)
+        protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
+        with pytest.raises(NumericsError, match="Magnus generator is not tridiagonal"):
+            propagate_fock(bad, st0, protocol, 1.0)
+
+    def test_non_hermitian_operator_is_refused(self):
+        # the bands keep only the upper off-diagonal, so a lower one that is
+        # not its conjugate would be dropped
+        ops = build_operators(0.6, 20)
+        p2 = ops.p2.copy()
+        p2[2, 0] *= 1.5
+        bad = FockOperators(ops.dim, ops.ref_omega, ops.x, ops.p, ops.x2, p2, ops.xp_px)
+        st0 = thermal_fock(2.0, 0.6, 20)
+        protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
+        with pytest.raises(NumericsError, match="not Hermitian"):
+            propagate_fock(bad, st0, protocol, 1.0)
+
+
+class TestBandArithmetic:
+    @given(
+        n=st.integers(2, 200),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 20.0]),
+    )
+    def test_commutator_matches_dense(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        a, b = _random_band(rng, n, scale), _random_band(rng, n, scale)
+        dense_a, dense_b = _dense(a[0], a[1, :-1]), _dense(b[0], b[1, :-1])
+        want = dense_a @ dense_b - dense_b @ dense_a
+        got = fock_oracle._commutator(a, b)
+        tol = 1e-13 * np.linalg.norm(dense_a) * np.linalg.norm(dense_b)
+        for j in range(3):
+            assert np.linalg.norm(got[j, : n - j] - np.diagonal(want, j)) <= tol
+            assert not np.any(got[j, n - j :])
+
+    @pytest.mark.parametrize("dim", [4, 7, 40, 61])
+    def test_apply_matches_dense_update(self, dim):
+        rng = np.random.default_rng(dim)
+        us = (_random_unitary(rng, (dim + 1) // 2), _random_unitary(rng, dim // 2))
+        u = np.zeros((dim, dim), dtype=complex)
+        for s, ub in zip(fock_oracle._PARITIES, us):
+            u[s, s] = ub
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = z @ z.conj().T
+        rho /= np.trace(rho).real
+        got = fock_oracle._apply(us, rho)
+        assert np.max(np.abs(got - u @ rho @ u.conj().T)) <= 1e-13
+        # the off-parity blocks carry the coherences, exactly Hermitian
+        assert np.array_equal(got[1::2, 0::2], got[0::2, 1::2].conj().T)
 
 
 class TestMagnusStepSequence:
@@ -269,7 +356,9 @@ class TestMagnusStepSequence:
     @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
     def test_matches_dense_eigh_route(self, drive, monkeypatch):
         got = _stroke_end("compression", drive)
-        monkeypatch.setattr(fock_oracle, "_expm_tridiagonal", _dense_expm)
+        monkeypatch.setattr(
+            fock_oracle, "_expm_tridiagonal", lambda diag, off: _dense_expm(_dense(diag, off))
+        )
         want = _stroke_end("compression", drive)
         assert np.max(np.abs(got - want)) <= 1e-13
 
