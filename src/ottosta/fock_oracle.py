@@ -26,6 +26,16 @@ without changing its spectrum, so each block exponential is one real
 eigensolve, exact up to roundoff. An operator or a generator that is not
 tridiagonal is refused, never truncated.
 
+The truncation ``ops.dim`` (for a stroke, ``stroke_dim``) is a cap, not the
+working size: rho is propagated on an active window of the lowest levels,
+the ones the state occupies, under the compression of the operators onto
+them. The window opens where the start state's diagonal tail falls below a
+threshold, plus a guard band, and grows by one band whenever its top band
+holds more than the threshold; only at the cap does the leak check of the
+top two levels refuse the state. Returned states are zero-padded to the
+cap. The bare eigenbasis of H0 is split the same way: two real tridiagonal
+eigensolves, one per parity.
+
 This route shares nothing with the Gaussian transfer-matrix propagator
 except the frequency ramp and its checkpoint rule (``FrequencyProtocol``),
 so agreement between the two engines is a genuine check.
@@ -78,6 +88,12 @@ _TRACE_LIMIT = 1e-8
 _DIM_TAIL = 1e-10
 _THERMAL_GUARD = 12
 _STROKE_GUARD = 30
+# Active window of propagate_fock_path: it opens at the smallest size whose
+# diagonal tail weight is at most _WINDOW_TAIL, plus one band of
+# _WINDOW_BAND levels, and grows by one band whenever its top band holds
+# more than _WINDOW_TAIL.
+_WINDOW_TAIL = 1e-12
+_WINDOW_BAND = 16
 # Step control of the adaptive Magnus propagator.
 _MAGNUS_RTOL = 1e-8
 _MAGNUS_ATOL = 1e-12
@@ -158,7 +174,10 @@ def stroke_reference(protocol: FrequencyProtocol) -> float:
 
 
 def stroke_dim(beta: float, protocol: FrequencyProtocol) -> int:
-    """Truncation big enough for a thermal state driven through a stroke.
+    """Truncation big enough for a thermal state driven through a stroke:
+    the cap of propagate_fock_path's active window, which works on only the
+    lowest levels the state occupies and reaches the cap only if the state
+    does.
 
     The driven state's occupation scale in the reference basis is bounded by
     the largest mean energy along the stroke over the reference frequency;
@@ -230,8 +249,12 @@ def thermal_fock_in(ops: FockOperators, beta: float, omega: float) -> FockState:
 def _on_h0_levels(ops: FockOperators, pops: np.ndarray, omega: float) -> FockState:
     """The state with populations ``pops`` on the ascending eigenvectors of
     H0(omega) in the basis of ``ops``, renormalized to unit trace."""
-    _, evecs = np.linalg.eigh(h0_matrix(ops, omega))
-    rho = (evecs * pops) @ evecs.conj().T
+    vecs, order = _h0_eigenbasis(ops, omega)
+    by_block = np.empty_like(pops)
+    by_block[order] = pops
+    rho = np.zeros((ops.dim, ops.dim), dtype=np.complex128)
+    for s, w, p in zip(_PARITIES, vecs, np.split(by_block, [vecs[0].shape[1]])):
+        rho[s, s] = (w * p) @ w.conj().T
     rho = 0.5 * (rho + rho.conj().T)
     rho = rho / float(np.trace(rho).real)
     return FockState(rho=rho, ref_omega=ops.ref_omega)
@@ -355,20 +378,19 @@ def _magnus_step_u(
     return tuple(us)
 
 
-def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """exp(-i M) of the Hermitian tridiagonal M with real diagonal ``diag``
-    and upper off-diagonal ``off``, from one real eigensolve.
+def _eigh_tridiagonal(
+    diag: np.ndarray, off: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian tridiagonal M with real diagonal ``diag``
+    and upper off-diagonal ``off``, from one real eigensolve: (lam, V, d)
+    with M = D V diag(lam) V^T D^dagger, lam ascending, V real orthogonal
+    and D = diag(d) unit phases.
 
     The unit phases d_0 = 1, d_{k+1} = d_k conj(u_k), with u_k the phase of
     off[k], make T = D^dagger M D real symmetric with off-diagonal |off|.
-    With T = V diag(lam) V^T,
-    exp(-i M) = D (V cos(lam) V^T - i V sin(lam) V^T) D^dagger exactly.
     The phases are a running product, renormalized to unit modulus, rather
     than exp(i theta) of a running sum of angles, whose size (up to about
-    pi dim) would cost each ratio d_{k+1}/d_k several digits. The bands
-    are all of M: _magnus_step_u builds it on bands and refuses one whose
-    second band, the only part that can leave the tridiagonal form, does
-    not cancel."""
+    pi dim) would cost each ratio d_{k+1}/d_k several digits."""
     mag = np.abs(off)
     unit = np.ones_like(off)
     np.divide(off, mag, out=unit, where=mag > 0.0)
@@ -378,9 +400,62 @@ def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     k = np.arange(off.size)
     t[k, k + 1] = t[k + 1, k] = mag
     lam, v = np.linalg.eigh(t)
+    return lam, v, d
+
+
+def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """exp(-i M) of the Hermitian tridiagonal M with real diagonal ``diag``
+    and upper off-diagonal ``off``: with M = D V diag(lam) V^T D^dagger
+    from _eigh_tridiagonal,
+    exp(-i M) = D (V cos(lam) V^T - i V sin(lam) V^T) D^dagger exactly.
+    The bands are all of M: _magnus_step_u builds it on bands and refuses
+    one whose second band, the only part that can leave the tridiagonal
+    form, does not cancel."""
+    lam, v, d = _eigh_tridiagonal(diag, off)
     cos_part = (v * np.cos(lam)) @ v.T
     sin_part = (v * np.sin(lam)) @ v.T
     return d[:, None] * (cos_part - 1j * sin_part) * d.conj()
+
+
+def _h0_eigenbasis(ops: FockOperators, omega: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """The eigenvectors of H0(omega) in the basis of ``ops``, one number
+    parity at a time: ([W_even, W_odd], order), each W's columns the block's
+    eigenvectors by ascending eigenvalue, and ``order`` the permutation that
+    sorts the concatenated (even, odd) eigenvalues ascending. H0 never mixes
+    the parities and is tridiagonal within each, so each block is one real
+    eigensolve (_eigh_tridiagonal)."""
+    lams, vecs = [], []
+    for block in _parity_blocks(ops):
+        band = h0_matrix(block, omega)
+        lam, v, d = _eigh_tridiagonal(band[0].real, band[1, :-1])
+        lams.append(lam)
+        vecs.append(d[:, None] * v)
+    return vecs, np.argsort(np.concatenate(lams), kind="stable")
+
+
+def _window(
+    blocks: tuple[_ParityBlock, _ParityBlock], n: int
+) -> tuple[_ParityBlock, _ParityBlock]:
+    """The parity bands of the lowest n levels: the compression of the
+    bands of the whole truncation onto them, so each band's last
+    off-diagonal entry, the coupling out of the window, is dropped."""
+    out = []
+    for block, k in zip(blocks, ((n + 1) // 2, n // 2)):
+        bands = []
+        for name in ("x2", "p2", "xp_px"):
+            band = getattr(block, name)[:, :k].copy()
+            band[1, -1] = 0.0
+            bands.append(band)
+        out.append(_ParityBlock(*bands))
+    return tuple(out)
+
+
+def _padded(rho: np.ndarray, n: int) -> np.ndarray:
+    """rho on the lowest n levels, zero-padded from its own size."""
+    out = np.zeros((n, n), dtype=np.complex128)
+    k = rho.shape[0]
+    out[:k, :k] = rho
+    return out
 
 
 def _apply(us: tuple[np.ndarray, np.ndarray], rho: np.ndarray) -> np.ndarray:
@@ -428,7 +503,16 @@ def propagate_fock_path(
     Each trial step is taken once with width h and once as two half steps;
     the Frobenius gap, divided by 15 (Richardson factor of a 4th-order
     method), estimates the local error. Unitarity is exact, so only the
-    time-discretization error is controlled."""
+    time-discretization error is controlled.
+
+    rho is propagated on an active window of the lowest n <= ops.dim
+    levels, under the compression of the operators onto them. The window
+    opens at the smallest n whose diagonal tail weight in ``state`` is at
+    most _WINDOW_TAIL, plus a band of _WINDOW_BAND levels. After each
+    accepted step whose top band holds more than _WINDOW_TAIL, rho is
+    zero-padded by one band, up to ops.dim; there the leak check of the
+    top two levels refuses a state that outgrows the truncation. Each
+    returned state is zero-padded to ops.dim."""
     drive = Drive(drive)
     if abs(ops.ref_omega - state.ref_omega) > 1e-12 * max(1.0, ops.ref_omega):
         raise ValueError(
@@ -439,9 +523,12 @@ def propagate_fock_path(
         raise ValueError(f"state dim {state.dim} does not match operators dim {ops.dim}")
     ts = protocol.checkpoints(ts)
 
-    rho = np.array(state.rho, dtype=np.complex128)
     dim = ops.dim
-    blocks = _parity_blocks(ops)
+    cap_blocks = _parity_blocks(ops)
+    tail = np.cumsum(state.rho.diagonal().real[::-1])[::-1]
+    n = min(int(np.count_nonzero(tail > _WINDOW_TAIL)) + _WINDOW_BAND, dim)
+    rho = np.array(state.rho[:n, :n], dtype=np.complex128)
+    blocks = _window(cap_blocks, n)
     t = 0.0
     h = protocol.tau / 200.0
     out: list[FockState] = []
@@ -458,7 +545,11 @@ def propagate_fock_path(
             err = float(np.linalg.norm(r_half - r_full)) / 15.0
             tol = _MAGNUS_ATOL + _MAGNUS_RTOL * float(np.linalg.norm(r_half))
             if err <= tol:
-                rho = _check_and_clean(r_half, dim)
+                if n < dim and r_half.diagonal()[-_WINDOW_BAND:].real.sum() > _WINDOW_TAIL:
+                    n = min(n + _WINDOW_BAND, dim)
+                    r_half = _padded(r_half, n)
+                    blocks = _window(cap_blocks, n)
+                rho = _check_and_clean(r_half, n)
                 t += h
                 grow = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
                 h *= max(grow, 0.2)
@@ -469,7 +560,7 @@ def propagate_fock_path(
                 raise NumericsError("Magnus step budget exhausted")
             if h < 1e-15 * protocol.tau:
                 raise NumericsError("Magnus step size underflow")
-        out.append(FockState(rho=rho.copy(), ref_omega=ops.ref_omega))
+        out.append(FockState(rho=_padded(rho, dim), ref_omega=ops.ref_omega))
     return out
 
 
@@ -487,8 +578,12 @@ def populations_instantaneous(
     ops: FockOperators, state: FockState, omega: float
 ) -> np.ndarray:
     """Populations of rho in the eigenbasis of H0(omega), ascending levels."""
-    _, evecs = np.linalg.eigh(h0_matrix(ops, omega))
-    return np.einsum("ij,jk,ki->i", evecs.conj().T, state.rho, evecs).real
+    vecs, order = _h0_eigenbasis(ops, omega)
+    by_block = [
+        np.sum(w.conj() * (np.ascontiguousarray(state.rho[s, s]) @ w), axis=0).real
+        for s, w in zip(_PARITIES, vecs)
+    ]
+    return np.concatenate(by_block)[order]
 
 
 def adiabatic_reference(

@@ -223,7 +223,7 @@ class CycleResult:
     cost1: float
     cost3: float
     work_output: float
-    eta: float
+    eta: float | None
     power: float
     ds_tot: float
     is_engine: bool
@@ -235,7 +235,9 @@ def book_cycle(
     """The cycle under one accounting convention, by arithmetic on the
     cycle point's stroke record. STA and TIME_AVERAGED raise
     TrapInversionError unless both strokes are longer than tau_min; any
-    accounting raises ValueError if the record lacks a value it reads."""
+    accounting raises ValueError if the record lacks a value it reads.
+    Where the heat input is exactly 0 (omega1/omega2 = beta2/beta1 on bare
+    strokes) there is no efficiency, and eta is None."""
     accounting = Accounting(accounting)
     q1 = q3 = 1.0
     c1 = c3 = 0.0
@@ -259,7 +261,7 @@ def book_cycle(
         q4 = -(w1 + w3) - q2  # accounting closure
     output = -(w1 + w3) - c1 - c3
     heat_in = q2 + c1 + c3
-    eta = -(w1 + w3) / heat_in
+    eta = -(w1 + w3) / heat_in if heat_in != 0.0 else None
     power = output / config.tau_cycle
     ds = entropy_production(config, q2, q4)
     is_engine = output > 0.0 and heat_in > 0.0

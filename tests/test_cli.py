@@ -243,6 +243,37 @@ class TestCycleOracle:
         assert stacks == [(2, 1, {dynamics.Drive.BARE})]
 
 
+class TestNoHeatInput:
+    """At omega1/omega2 = beta2/beta1 the bare strokes take in no heat, so
+    the adiabatic and time-averaged rows have no efficiency: an empty cell,
+    JSON null, and exit 0."""
+
+    def test_cycle_leaves_eta_empty(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega1": 0.5, "omega2": 1.0, "beta1": 2.0, "beta2": 1.0}))
+        out = tmp_path / "o.json"
+        rc = run_cli(["cycle", "--config", str(cfg), "--format", "json", "--out", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        eta_ad = doc["columns"].index("eta_ad")
+        assert all(row[eta_ad] is None for row in doc["rows"])
+        assert all(isinstance(row[eta_ad + 2], float) for row in doc["rows"])  # eta_na
+
+    def test_sweep_leaves_eta_empty(self, outfile):
+        rc = run_cli([
+            "sweep",
+            "--grid", "omega_ratio=0.5:0.5:1",
+            "--grid", "beta_ratio=0.5:0.5:1",
+            "--grid", "tau=3:3:1",
+            "--out", outfile,
+        ])
+        assert rc == 0
+        _, header, rows = split_output(Path(outfile).read_text())
+        eta = {r[4]: r[header.index("eta")] for r in rows}
+        assert eta["adiabatic"] == eta["time_averaged"] == ""
+        assert all(r[-1] == "ok" for r in rows)
+
+
 class TestOutputFormats:
     def test_json_format(self, tmp_path):
         out = str(tmp_path / "out.json")

@@ -363,6 +363,94 @@ class TestMagnusStepSequence:
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def _recording_sizes(monkeypatch):
+    """Patch _magnus_step_u to record the window size (both parity blocks)
+    of every Magnus exponential; returns the list it appends to."""
+    sizes = []
+    step_u = fock_oracle._magnus_step_u
+
+    def recorded(blocks, *args):
+        sizes.append(sum(b.x2.shape[1] for b in blocks))
+        return step_u(blocks, *args)
+
+    monkeypatch.setattr(fock_oracle, "_magnus_step_u", recorded)
+    return sizes
+
+
+class TestActiveWindow:
+    @pytest.fixture(scope="class")
+    def expansion(self):
+        # the default bare expansion stroke: (ops, protocol, end state,
+        # window size of every Magnus exponential)
+        protocol, beta, dim, _ = _DEFAULT_STROKES["expansion"]
+        ops = build_operators(stroke_reference(protocol), dim)
+        st0 = thermal_fock_in(ops, beta, protocol.omega_i)
+        with pytest.MonkeyPatch.context() as mp:
+            sizes = _recording_sizes(mp)
+            end = propagate_fock(ops, st0, protocol, protocol.tau)
+        return ops, protocol, end, sizes
+
+    def test_window_grows_below_the_cap(self, expansion):
+        ops, _, _, sizes = expansion
+        assert sizes == sorted(sizes)
+        assert sizes[0] < sizes[-1] < ops.dim
+
+    def test_padded_levels_are_exactly_zero(self, expansion):
+        ops, _, end, sizes = expansion
+        n = sizes[-1]
+        assert end.dim == ops.dim
+        assert not np.any(end.rho[n:, :])
+        assert not np.any(end.rho[:, n:])
+
+    def test_final_energy_matches_the_full_dim_propagation(self, expansion):
+        # 2.3769301819809447: the same stroke propagated at the full dim 344
+        ops, protocol, end, _ = expansion
+        e = mean_energy_fock(ops, end, protocol.omega_f)
+        assert e == pytest.approx(2.3769301819809447, rel=1e-10, abs=0.0)
+
+    def test_leak_at_the_cap_raises_after_growing(self, monkeypatch):
+        # a fast fourfold compression squeezes the vacuum beyond dim 40: the
+        # window opens far below the cap, grows into it and is refused there
+        # by the same leak check as a full-dim propagation
+        ops = build_operators(1.0, 40)
+        rho = np.zeros((40, 40), dtype=complex)
+        rho[0, 0] = 1.0
+        st0 = FockState(rho=rho, ref_omega=1.0)
+        protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 4.0, 0.5)
+        sizes = _recording_sizes(monkeypatch)
+        with pytest.raises(CutoffError, match="top two Fock levels"):
+            propagate_fock(ops, st0, protocol, 0.5)
+        assert sizes[0] < 40 and sizes[-1] == 40
+
+
+class TestH0Eigenbasis:
+    """The parity-split real eigensolves of H0 against one dense complex
+    eigh of the full matrix."""
+
+    @pytest.mark.parametrize("name", sorted(_DEFAULT_STROKES))
+    def test_thermal_state_matches_dense_route(self, name):
+        protocol, beta, dim, _ = _DEFAULT_STROKES[name]
+        ops = build_operators(stroke_reference(protocol), dim)
+        _, evecs = np.linalg.eigh(h0_matrix(ops, protocol.omega_i))
+        pops = np.exp(-beta * protocol.omega_i * np.arange(dim))
+        want = (evecs * (pops / pops.sum())) @ evecs.conj().T
+        got = thermal_fock_in(ops, beta, protocol.omega_i).rho
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [7, 60, 344])
+    def test_populations_match_dense_route(self, dim):
+        # a random state carries coherences across the parities too
+        rng = np.random.default_rng(dim)
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = z @ z.conj().T
+        st = FockState(rho=rho / np.trace(rho).real, ref_omega=0.6)
+        ops = build_operators(0.6, dim)
+        _, evecs = np.linalg.eigh(h0_matrix(ops, 1.3))
+        want = np.einsum("ij,jk,ki->i", evecs.conj().T, st.rho, evecs).real
+        got = populations_instantaneous(ops, st, 1.3)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 class TestSpectralData:
     def test_cd_levels_match_closed_forms(self):
         t = 1.5

@@ -228,6 +228,16 @@ class TestAccountingConventions:
         evaluate_cycle(cfg, Accounting.NONADIABATIC)
         evaluate_cycle(cfg, Accounting.ADIABATIC)
 
+    def test_no_heat_input_has_no_efficiency(self):
+        # omega1/omega2 = beta2/beta1: the bare hot stroke takes in exactly 0
+        cfg = CycleConfig(omega1=0.5, omega2=1.0, beta1=2.0, beta2=1.0, tau1=3.0, tau3=3.0)
+        for accounting in (Accounting.ADIABATIC, Accounting.TIME_AVERAGED):
+            r = evaluate_cycle(cfg, accounting)
+            assert r.q2 == 0.0
+            assert r.eta is None
+            assert not r.is_engine
+        assert evaluate_cycle(cfg, Accounting.NONADIABATIC).eta is not None
+
     def test_result_is_frozen(self):
         r = evaluate_cycle(ref(), Accounting.ADIABATIC)
         with pytest.raises(AttributeError):
