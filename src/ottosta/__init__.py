@@ -13,14 +13,12 @@ Units: hbar = m = k_B = 1.
 from .dynamics import (
     Drive,
     GaussianState,
-    adiabaticity,
-    adiabaticity_pair,
+    adiabaticity_stack,
     mean_energy,
-    propagate,
-    propagate_path,
-    q_cd,
+    q_cd_grid,
     sudden_quench_q,
     thermal_state,
+    transfer_matrices,
 )
 from .errors import (
     ConfigError,
@@ -38,7 +36,7 @@ from .protocols import (
     check_cd_validity,
     check_sta_boundary,
 )
-from .sta_cost import StrokeContext, avg_variance_cost, avg_work_cost
+from .sta_cost import StrokeContext, avg_variance_cost, avg_work_cost, friction_stack
 from .thermo_cycle import Accounting, CycleConfig, CycleResult, evaluate_cycle
 
 __version__ = "0.1.0"
@@ -62,19 +60,18 @@ __all__ = [
     "SecondLawViolationError",
     "StrokeContext",
     "TrapInversionError",
-    "adiabaticity",
-    "adiabaticity_pair",
+    "adiabaticity_stack",
     "avg_variance_cost",
     "avg_work_cost",
     "check_cd_validity",
     "check_sta_boundary",
     "curzon_ahlborn",
     "evaluate_cycle",
+    "friction_stack",
     "maximize_power_numeric",
     "mean_energy",
-    "propagate",
-    "propagate_path",
-    "q_cd",
+    "q_cd_grid",
     "sudden_quench_q",
     "thermal_state",
+    "transfer_matrices",
 ]

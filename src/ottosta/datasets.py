@@ -32,7 +32,7 @@ from .sta_cost import (
     StrokeContext,
     avg_variance_cost,
     avg_work_cost,
-    friction_ends,
+    friction_stack,
     work_variance_excess,
 )
 from .thermo_cycle import Accounting, CycleConfig, book_cycle, stroke_records
@@ -119,7 +119,9 @@ def cost_dataset(params: dict, oracle: bool = False):
             float(friction),
             (omega_f / omega_i - 1.0) * ctx.h0_mean,
         ]
-        for tau, ctx, friction in zip(taus, ctxs, friction_ends(ctxs, rtol=rtol))
+        for tau, ctx, friction in zip(
+            taus, ctxs, friction_stack(ctxs, [[t] for t in taus], rtol=rtol)[:, 0]
+        )
     ]
     if oracle:
         for tau, ctx, row in zip(taus, ctxs, rows):

@@ -13,15 +13,20 @@ M(t) carries everything: mean(t) = M mean(0), cov(t) = M cov(0) M^T, and
 its columns are the two classical solutions behind Q*. M is computed by a
 vectorized 4th-order Magnus propagator with step-doubling error control,
 for a whole stack of strokes in one call; each stroke keeps the steps, and
-the bits, of its own single-stroke call.
+the bits, of its one-row call.
 
-The adiabaticity factor Q* (the ratio of the actual mean energy to the
-adiabatically transported one) has two readouts of the same M: the energy
-of the propagated thermal moments, and the classical solution pair (which
-is manifestly independent of temperature). For CD accounting there is a
-closed form built from the validity margin. The independent checks of M
-are the fixed-step references in ``tests/oracles.py`` and the Fock-basis
-engine in :mod:`ottosta.fock_oracle`.
+The public surface is that stacked call and its readouts:
+
+* ``transfer_matrices``: the checkpoints and M of every stroke, bare or CD;
+* ``adiabaticity_stack``: the bare-drive adiabaticity factor Q* (the ratio
+  of the actual mean energy to the adiabatically transported one), read
+  off M twice: as the energy of the propagated thermal moments, and from
+  the classical solution pair (manifestly independent of temperature);
+* ``q_cd_grid``: the closed form of Q* for CD accounting, built from the
+  validity margin.
+
+The independent checks of M are the fixed-step references in
+``tests/oracles.py`` and the Fock-basis engine in :mod:`ottosta.fock_oracle`.
 """
 
 from __future__ import annotations
@@ -49,16 +54,9 @@ __all__ = [
     "coth_half",
     "thermal_energy",
     "mean_energy",
-    "propagate",
-    "propagate_path",
-    "classical_pair_path",
-    "adiabaticity",
-    "adiabaticity_path",
-    "adiabaticity_pair",
-    "adiabaticity_pair_path",
+    "transfer_matrices",
     "adiabaticity_stack",
     "sudden_quench_q",
-    "q_cd",
     "q_cd_grid",
     "DEFAULT_RTOL",
 ]
@@ -352,7 +350,7 @@ def _transfer_matrices(
     steps_per_time = np.maximum(_MIN_START_STEPS, np.ceil(t_end * omega_max)) / np.where(
         moving, t_end, 1.0
     )
-    base = np.ceil(np.diff(edges, axis=1) * steps_per_time[:, None]).astype(np.int64)
+    base = np.ceil(np.diff(edges, axis=1) * steps_per_time[:, None])
     result = np.tile(np.eye(2), (n_rows, n_ts, 1, 1))
     previous = np.zeros_like(result)
     has_previous = np.zeros(n_rows, dtype=bool)
@@ -361,14 +359,17 @@ def _transfer_matrices(
     active = moving.copy()
     while active.any():
         rows = np.flatnonzero(active)
-        counts = base[rows] << level[rows, None]
-        n = counts.sum(axis=1)
-        if (n > _MAX_STEPS).any():
-            r = int(np.argmax(n > _MAX_STEPS))
+        # Counted in floats, where a doubling is exact and a huge count
+        # neither wraps nor overflows; NaN (an infinite rate) fails too.
+        counts = base[rows] * np.exp2(level[rows, None])
+        within = counts.sum(axis=1) <= _MAX_STEPS
+        if not within.all():
+            r = int(np.argmin(within))
             raise NumericsError(
-                f"Magnus propagator: {n[r]} steps exceed the budget of {_MAX_STEPS} "
-                f"(error estimate {error[rows[r]]:.3g} > rtol {rtol:g})"
+                f"Magnus propagator: {counts[r].sum():.4g} steps exceed the budget of "
+                f"{_MAX_STEPS} (error estimate {error[rows[r]]:.3g} > rtol {rtol:g})"
             )
+        counts = counts.astype(np.int64)
         m = _prefix_products(_gap_products(stack, rows, edges[rows], counts))
         m = np.moveaxis(m, 0, -1).reshape(rows.size, n_ts, 2, 2)
         diff = np.max(np.abs(m - previous[rows]), axis=(2, 3))
@@ -409,11 +410,17 @@ def _prefix_products(gaps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stack_matrices(
-    protocols, ts, drives, rtol: float
+def transfer_matrices(
+    protocols, ts, drives, rtol: float = DEFAULT_RTOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validated checkpoints (B, K), one row per protocol, and their
-    transfer matrices (B, K, 2, 2). CD rows need tau > tau_min."""
+    """Validated checkpoints (B, K) and transfer matrices (B, K, 2, 2) of a
+    stack of strokes: row b follows protocols[b] under drives[b] from t = 0
+    to its ascending checkpoints ts[b], and every row has the same number K
+    of them. A state propagates as mean(t) = M mean(0) and
+    cov(t) = M cov(0) M^T; under the bare drive the columns of M are the
+    classical solutions (Y, Ydot) with Y(0) = 1, Ydot(0) = 0 and (X, Xdot)
+    with X(0) = 0, Xdot(0) = 1. Each row equals its one-row call bit for
+    bit. CD rows need tau > tau_min."""
     protocols = list(protocols)
     drives = [Drive(d) for d in drives]
     rows = [p.checkpoints(t) for p, t in zip(protocols, ts, strict=True)]
@@ -446,115 +453,14 @@ def _thermal_q(
     return energies / (w_t / omega_i[:, None] * e0[:, None])
 
 
-def propagate(
-    state: GaussianState,
-    protocol: FrequencyProtocol,
-    t: float,
-    drive: Drive = Drive.BARE,
-    rtol: float = DEFAULT_RTOL,
-) -> GaussianState:
-    """Evolve a Gaussian state from time 0 to time t under the protocol.
-
-    CD driving requires tau > tau_min (the margin positive on the whole stroke).
-    """
-    return propagate_path(state, protocol, [float(t)], drive=drive, rtol=rtol)[0]
-
-
-def propagate_path(
-    state: GaussianState,
-    protocol: FrequencyProtocol,
-    ts,
-    drive: Drive = Drive.BARE,
-    rtol: float = DEFAULT_RTOL,
-) -> list[GaussianState]:
-    """States at each ascending checkpoint in ``ts`` (single forward sweep)."""
-    _, m = _stack_matrices([protocol], [ts], [drive], rtol)
-    m = m[0]
-    means, covs = m @ state.mean, m @ state.cov @ np.swapaxes(m, 1, 2)
-    return [GaussianState(mean=mu, cov=c) for mu, c in zip(means, covs)]
-
-
-# -- classical solution pair (temperature-independent route) ----------------
-
-
-def _pair_rows(m: np.ndarray) -> np.ndarray:
-    """(X, Xdot, Y, Ydot) of bare-drive transfer matrices (..., 2, 2): the
-    second column is (X, Xdot), the first (Y, Ydot)."""
-    return np.stack([m[..., 0, 1], m[..., 1, 1], m[..., 0, 0], m[..., 1, 0]], axis=-1)
-
-
-def classical_pair_path(
-    protocol: FrequencyProtocol,
-    ts,
-    rtol: float = DEFAULT_RTOL,
-) -> np.ndarray:
-    """Rows (X, Xdot, Y, Ydot) at each checkpoint for the two classical
-    solutions of xddot + omega(t)^2 x = 0 with X(0)=0, Xdot(0)=1 and
-    Y(0)=1, Ydot(0)=0. Their Wronskian X Ydot - Y Xdot stays -1.
-
-    They are the columns of the bare-drive transfer matrix."""
-    _, m = _stack_matrices([protocol], [ts], [Drive.BARE], rtol)
-    return _pair_rows(m[0])
-
-
-def _pair_q(wi, rows: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-    """Q*(t) from pair rows (..., 4) at trap frequencies w_t (...), for
-    initial frequency wi (a scalar, or an array broadcasting with w_t)."""
-    x, xd, yv, yd = np.moveaxis(rows, -1, 0)
+def _pair_q(wi, m: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """Q*(t) at trap frequencies w_t (...) from bare-drive transfer matrices
+    (..., 2, 2), whose columns are the classical solutions (Y, Ydot) and
+    (X, Xdot), for initial frequency wi (broadcasting with w_t)."""
+    yv, yd, x, xd = m[..., 0, 0], m[..., 1, 0], m[..., 0, 1], m[..., 1, 1]
     return (
         wi * wi * (w_t**2 * x**2 + xd**2) + (w_t**2 * yv**2 + yd**2)
     ) / (2.0 * wi * w_t)
-
-
-def adiabaticity_pair(
-    protocol: FrequencyProtocol,
-    t: float,
-    rtol: float = DEFAULT_RTOL,
-) -> float:
-    """Q*(t) from the classical pair; independent of the initial thermal state."""
-    return float(adiabaticity_pair_path(protocol, [t], rtol=rtol)[0])
-
-
-def adiabaticity_pair_path(
-    protocol: FrequencyProtocol,
-    ts,
-    rtol: float = DEFAULT_RTOL,
-) -> np.ndarray:
-    ts, m = _stack_matrices([protocol], [ts], [Drive.BARE], rtol)
-    return _pair_q(protocol.omega_i, _pair_rows(m), _omegas([protocol], ts))[0]
-
-
-# -- energy-ratio route ------------------------------------------------------
-
-
-def adiabaticity(
-    protocol: FrequencyProtocol,
-    beta: float,
-    t: float,
-    drive: Drive = Drive.BARE,
-    rtol: float = DEFAULT_RTOL,
-) -> float:
-    """Q*(t) = <H0(omega_t)> / [(omega_t/omega_i) <H0(omega_i)>_thermal].
-
-    For a thermal start this equals the classical-pair value under the bare
-    drive for every beta; under the CD drive it is 1 at all times.
-    """
-    return float(
-        adiabaticity_path(protocol, beta, [t], drive=drive, rtol=rtol)[0]
-    )
-
-
-def adiabaticity_path(
-    protocol: FrequencyProtocol,
-    beta: float,
-    ts,
-    drive: Drive = Drive.BARE,
-    rtol: float = DEFAULT_RTOL,
-) -> np.ndarray:
-    """Q*(t) at each ascending checkpoint, read from the stacked moments of
-    the thermal start; every checkpoint's covariance is validated."""
-    ts, m = _stack_matrices([protocol], [ts], [drive], rtol)
-    return _thermal_q(m, [protocol], [beta], _omegas([protocol], ts))[0]
 
 
 def adiabaticity_stack(
@@ -568,14 +474,15 @@ def adiabaticity_stack(
     Row b starts in the thermal state at (betas[b], omega_i) and is read at
     its ascending checkpoints ts[b]; every row has the same number K of
     them. Returns two (B, K) arrays read off the same transfer matrices:
-    the energy ratio (every covariance validated, as in adiabaticity_path)
-    and the classical-pair value (as in adiabaticity_pair_path). Each row
-    equals its own single-stroke call bit for bit."""
+    the energy ratio <H0(omega_t)> / [(omega_t/omega_i) <H0(omega_i)>] of
+    the propagated thermal moments (every covariance validated) and the
+    classical-pair value, which is independent of temperature. Each row
+    equals its one-row call bit for bit."""
     protocols = list(protocols)
-    ts, m = _stack_matrices(protocols, ts, [Drive.BARE] * len(protocols), rtol)
+    ts, m = transfer_matrices(protocols, ts, [Drive.BARE] * len(protocols), rtol)
     w_t = _omegas(protocols, ts)
     omega_i = np.array([p.omega_i for p in protocols])[:, None]
-    return _thermal_q(m, protocols, betas, w_t), _pair_q(omega_i, _pair_rows(m), w_t)
+    return _thermal_q(m, protocols, betas, w_t), _pair_q(omega_i, m, w_t)
 
 
 def sudden_quench_q(omega_i: float, omega_f: float) -> float:
@@ -601,7 +508,3 @@ def q_cd_grid(protocol: FrequencyProtocol, ts) -> np.ndarray:
     require_cd_valid(protocol)
     return 1.0 / np.sqrt(validity_margin(protocol, np.atleast_1d(ts)))
 
-
-def q_cd(protocol: FrequencyProtocol, t: float) -> float:
-    """Scalar closed-form Q*_CD(t); see q_cd_grid."""
-    return float(q_cd_grid(protocol, np.array([float(t)]))[0])

@@ -67,12 +67,12 @@ def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray):
         f = s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
         fp = 30.0 * s**2 * (1.0 - s) ** 2
         fpp = 60.0 * s - 180.0 * s**2 + 120.0 * s**3
-        return wi + d * f, d * fp / tau, d * fpp / tau**2
+        return wi + d * f, d * fp / tau, d * fpp / (tau * tau)
     if kind is ProtocolKind.POLY3:
         f = s**2 * (3.0 - 2.0 * s)
         fp = 6.0 * s * (1.0 - s)
         fpp = 6.0 - 12.0 * s
-        return wi + d * f, d * fp / tau, d * fpp / tau**2
+        return wi + d * f, d * fp / tau, d * fpp / (tau * tau)
     if kind is ProtocolKind.COSINE:
         a2 = (wf / wi) ** 2
         u = 0.5 * ((a2 + 1.0) - (a2 - 1.0) * np.cos(np.pi * s))
@@ -81,7 +81,7 @@ def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray):
         r = np.sqrt(u)
         w = wi * r
         wd = wi * up / (2.0 * r) / tau
-        wdd = wi * (upp / (2.0 * r) - up**2 / (4.0 * u * r)) / tau**2
+        wdd = wi * (upp / (2.0 * r) - up**2 / (4.0 * u * r)) / (tau * tau)
         return w, wd, wdd
     # linear
     z = np.zeros_like(s)

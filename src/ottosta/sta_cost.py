@@ -10,8 +10,10 @@ the adiabatic transport of the initial thermal energy. Two cost measures:
   of the excess work variance of the driven stroke over the adiabatic one.
 
 Both vanish at the stroke ends for shortcut ramps and scale as 1/tau^2 for
-long strokes. A friction diagnostic for the bare (uncorrected) drive is
-included for comparison.
+long strokes. The inner friction of the bare (uncorrected) drive,
+``friction_stack``, is included for comparison; like
+``dynamics.adiabaticity_stack``, which it reads, it takes a stack of
+strokes and propagates them in one call.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 
 from .dynamics import (
     DEFAULT_RTOL,
-    adiabaticity_path,
     adiabaticity_stack,
     coth_half,
     q_cd_grid,
@@ -38,9 +39,7 @@ __all__ = [
     "avg_work_cost",
     "work_variance_excess",
     "avg_variance_cost",
-    "friction",
-    "friction_path",
-    "friction_ends",
+    "friction_stack",
 ]
 
 
@@ -124,38 +123,18 @@ def avg_variance_cost(ctx: StrokeContext, nodes: int = DEFAULT_NODES) -> float:
     return simpson_uniform(y, ts[1] - ts[0]) / ctx.protocol.tau
 
 
-def _friction(ctx: StrokeContext, ts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(Q* - 1)(omega_t/omega_i) <H(0)> at checkpoints ts, given Q* there."""
-    w_t = np.atleast_1d(np.asarray(ctx.protocol.omega(ts), dtype=np.float64))
-    return (q - 1.0) * (w_t / ctx.protocol.omega_i) * ctx.h0_mean
+def friction_stack(ctxs, ts, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+    """Inner friction of the bare drive, (B, K), of a stack of strokes from
+    one propagation: row b for ctxs[b] at its ascending checkpoints ts[b],
 
+        <H0(omega_t)>_bare - (omega_t/omega_i) <H(0)> = (Q* - 1)(omega_t/omega_i) <H(0)>.
 
-def friction_path(
-    ctx: StrokeContext,
-    ts,
-    rtol: float = DEFAULT_RTOL,
-) -> np.ndarray:
-    """Inner friction of the bare drive at each checkpoint:
-    <H0(omega_t)>_bare - (omega_t/omega_i) <H(0)> = (Q* - 1)(omega_t/omega_i) <H(0)>.
-    Zero for an adiabatic drive, grows with nonadiabatic excitation."""
-    ts = np.asarray(ts, dtype=np.float64)
-    return _friction(ctx, ts, adiabaticity_path(ctx.protocol, ctx.beta, ts, rtol=rtol))
-
-
-def friction(
-    ctx: StrokeContext,
-    t: float,
-    rtol: float = DEFAULT_RTOL,
-) -> float:
-    return float(friction_path(ctx, [float(t)], rtol=rtol)[0])
-
-
-def friction_ends(ctxs, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """Inner friction at the end of each stroke, all strokes propagated in
-    one stack; entry i equals friction(ctxs[i], tau_i) bit for bit."""
-    ctxs = list(ctxs)
-    ends = [np.array([ctx.protocol.tau]) for ctx in ctxs]
-    q, _ = adiabaticity_stack(
-        [ctx.protocol for ctx in ctxs], [ctx.beta for ctx in ctxs], ends, rtol=rtol
-    )
-    return np.array([_friction(ctx, t, qi)[0] for ctx, t, qi in zip(ctxs, ends, q)])
+    Zero for an adiabatic drive, grows with nonadiabatic excitation. Each
+    row equals its one-row call bit for bit."""
+    ctxs, ts = list(ctxs), list(ts)
+    protocols = [ctx.protocol for ctx in ctxs]
+    q, _ = adiabaticity_stack(protocols, [ctx.beta for ctx in ctxs], ts, rtol=rtol)
+    w_t = np.stack([p.eval_many(t)[0] for p, t in zip(protocols, ts)])
+    omega_i = np.array([p.omega_i for p in protocols])[:, None]
+    h0_mean = np.array([ctx.h0_mean for ctx in ctxs])[:, None]
+    return (q - 1.0) * (w_t / omega_i) * h0_mean

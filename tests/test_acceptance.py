@@ -19,16 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ottosta.dynamics import (
-    Drive,
-    adiabaticity_pair,
-    classical_pair_path,
-    mean_energy,
-    propagate,
-    propagate_path,
-    sudden_quench_q,
-    thermal_state,
-)
+from ottosta.dynamics import Drive, mean_energy, sudden_quench_q, thermal_state
 from ottosta.errors import TrapInversionError
 from ottosta.fock_oracle import (
     build_operators,
@@ -41,8 +32,9 @@ from ottosta.fock_oracle import (
 )
 from ottosta.optimizer import EmpConfig, curzon_ahlborn, eta_max_power_analytic, maximize_power_numeric
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
-from ottosta.sta_cost import StrokeContext, avg_variance_cost, avg_work_cost, friction, mean_sta_term, work_variance_excess
+from ottosta.sta_cost import StrokeContext, avg_variance_cost, avg_work_cost, friction_stack, mean_sta_term, work_variance_excess
 from ottosta.thermo_cycle import Accounting, CycleConfig, evaluate_cycle
+from readouts import pair, q_star, states
 
 W1_AD = 0.966182
 W3_AD = -3.260826
@@ -96,8 +88,8 @@ def test_criterion_02_sudden_quench_both_backends():
     RK4 reference) and via both dynamical routes of the library."""
     q_closed = sudden_quench_q(0.35, 1.0)
     p = FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 1e-4)
-    q_pair = adiabaticity_pair(p, 1e-4)
-    st = propagate(thermal_state(2.0, 0.35), p, 1e-4)
+    q_pair = q_star(p, 1e-4)[1]
+    st = states(thermal_state(2.0, 0.35), p, [1e-4])[0]
     q_cov = mean_energy(st, 1.0) / ((1.0 / 0.35) * oracles.thermal_energy(2.0, 0.35))
     q_rk4 = oracles.brute_pair_q("linear", 0.35, 1.0, 1e-4)
     errs = [abs(q - 1.603571) for q in (q_pair, q_cov, q_rk4)]
@@ -107,11 +99,11 @@ def test_criterion_02_sudden_quench_both_backends():
 
 def test_criterion_03_midpoint_shortcut_quantities():
     """Frozen midpoint values of the poly5 compression at tau = 3."""
-    from ottosta.dynamics import q_cd
+    from ottosta.dynamics import q_cd_grid
 
     p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
     ctx = StrokeContext(p, 2.0)
-    q = q_cd(p, 1.5)
+    q = float(q_cd_grid(p, [1.5])[0])
     mean_term = float(mean_sta_term(ctx, 1.5))
     ddw = math.sqrt(float(work_variance_excess(ctx, 1.5)))
     checks = [
@@ -129,7 +121,7 @@ def test_criterion_04_cd_transitionless(kind):
     (moment dynamics) and the number-basis populations are unchanged within
     1e-6 (independent matrix propagation)."""
     p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
-    st = propagate(thermal_state(2.0, 0.35), p, 3.0, drive=Drive.CD)
+    st = states(thermal_state(2.0, 0.35), p, [3.0], drive=Drive.CD)[0]
     q_end = mean_energy(st, 1.0) / ((1.0 / 0.35) * oracles.thermal_energy(2.0, 0.35))
 
     ops = build_operators(stroke_reference(p), stroke_dim(2.0, p))
@@ -150,8 +142,8 @@ def test_criterion_05_fock_vs_gaussian(kind, beta):
     with the Gaussian moment dynamics to 1e-6 relative at 10 checkpoints."""
     p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
     ts = np.linspace(0.3, 3.0, 10)
-    states = propagate_path(thermal_state(beta, 0.35), p, ts)
-    e_gauss = np.array([mean_energy(s, p.omega(float(t))) for t, s in zip(ts, states)])
+    gauss = states(thermal_state(beta, 0.35), p, ts)
+    e_gauss = np.array([mean_energy(s, p.omega(float(t))) for t, s in zip(ts, gauss)])
 
     ops = build_operators(stroke_reference(p), stroke_dim(beta, p))
     st0 = thermal_fock_in(ops, beta, 0.35)
@@ -190,7 +182,7 @@ def _assert_cost_trend(taus, label):
     bad, fric, cd_taus, cd_rows = [], [], [], []
     for tau in taus:
         ctx = StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau), 2.0)
-        fric.append(friction(ctx, tau))
+        fric.append(float(friction_stack([ctx], [[tau]])[0, 0]))
         costs = {fn.__name__: _cd_or_refused(fn, ctx) for fn in (avg_work_cost, avg_variance_cost)}
         bad += _refusal_mismatches(tau, tau_min, costs)
         if tau > tau_min and None not in costs.values():
@@ -346,9 +338,9 @@ def test_criterion_09_randomized_invariants():
             ts = np.array([0.0, 0.5 * tau, tau])
             st0 = thermal_state(beta, proto.omega_i)
             d0 = float(np.linalg.det(st0.cov))
-            for st in propagate_path(st0, proto, ts):
+            for st in states(st0, proto, ts):
                 worst["det"] = max(worst["det"], abs(float(np.linalg.det(st.cov)) - d0) / d0)
-            rows = classical_pair_path(proto, ts)
+            rows = pair(proto, ts)
             wr = rows[:, 0] * rows[:, 3] - rows[:, 2] * rows[:, 1]
             worst["wronskian"] = max(worst["wronskian"], float(np.max(np.abs(wr + 1.0))))
 

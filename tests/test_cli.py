@@ -98,6 +98,32 @@ class TestPhysicsErrors:
         assert not os.path.exists(outfile)
 
 
+class TestNumericsErrors:
+    """Schema-valid extremes whose step count wrapped or overflowed int64
+    (a wrong exit 0, an allocation refused by numpy, an OverflowError in
+    the ramp) are refused as numerics errors with one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--tol", "1e-300"], None),
+            ([], {"tau": 1e20, "samples": 3, "kinds": ["linear"]}),
+            ([], {"tau": 1e308}),
+        ],
+        ids=["tol-1e-300", "tau-1e20", "tau-1e308"],
+    )
+    def test_exits_4_with_one_line(self, tmp_path, outfile, capsys, flags, config):
+        if config is not None:
+            cfg = tmp_path / "extreme.json"
+            cfg.write_text(json.dumps(config))
+            flags = flags + ["--config", str(cfg)]
+        assert run_cli(["qstar", *flags, "--out", outfile]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("ottosta: numerics error: Magnus propagator:")
+        assert err.count("\n") == 1
+        assert not os.path.exists(outfile)
+
+
 class TestQstar:
     def test_default_run_columns_and_values(self, outfile):
         rc = run_cli(["qstar", "--nodes", "41", "--out", outfile])

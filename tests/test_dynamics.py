@@ -6,26 +6,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ottosta import dynamics
 from ottosta.dynamics import (
     Drive,
     _transfer_matrices,
     GaussianState,
-    adiabaticity,
-    adiabaticity_pair,
-    adiabaticity_pair_path,
-    adiabaticity_path,
     adiabaticity_stack,
-    classical_pair_path,
     mean_energy,
-    propagate,
-    propagate_path,
-    q_cd,
     q_cd_grid,
     sudden_quench_q,
     thermal_state,
+    transfer_matrices,
 )
 from ottosta.errors import NumericsError, TrapInversionError
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
+from readouts import pair, q_star, states
 
 REF = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
 
@@ -72,7 +67,7 @@ class TestStatesAndEnergies:
 
 class TestPropagation:
     def test_matches_brute_force_reference(self):
-        st_ = propagate(thermal_state(2.0, 0.35), REF, 3.0)
+        st_ = states(thermal_state(2.0, 0.35), REF, [3.0])[0]
         c = 1.0 / math.tanh(0.35)
         y0 = np.array([0.0, 0.0, c / (2 * 0.35), 0.0, c * 0.35 / 2])
         brute = oracles.rk4_fixed(
@@ -86,14 +81,14 @@ class TestPropagation:
         st0 = thermal_state(2.0, 0.35)
         d0 = float(np.linalg.det(st0.cov))
         for t in (0.7, 1.5, 3.0):
-            st_ = propagate(st0, REF, t)
+            st_ = states(st0, REF, [t])[0]
             assert float(np.linalg.det(st_.cov)) == pytest.approx(d0, rel=1e-9)
 
     def test_path_checkpoints_match_single_calls(self):
         ts = np.array([0.0, 0.9, 1.8, 3.0])
-        states = propagate_path(thermal_state(2.0, 0.35), REF, ts)
-        for t, sp in zip(ts, states):
-            ss = propagate(thermal_state(2.0, 0.35), REF, t)
+        path = states(thermal_state(2.0, 0.35), REF, ts)
+        for t, sp in zip(ts, path):
+            ss = states(thermal_state(2.0, 0.35), REF, [t])[0]
             np.testing.assert_allclose(sp.cov, ss.cov, rtol=1e-9, atol=1e-13)
 
     def test_step_budget_exhaustion_raises(self, monkeypatch):
@@ -101,53 +96,52 @@ class TestPropagation:
 
         monkeypatch.setattr(dyn, "_MAX_STEPS", 3)
         with pytest.raises(NumericsError):
-            propagate(thermal_state(2.0, 0.35), REF, 3.0)
+            transfer_matrices([REF], [[3.0]], [Drive.BARE])
 
     def test_cd_drive_requires_validity(self):
         fast = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 1.5)
         with pytest.raises(TrapInversionError):
-            propagate(thermal_state(2.0, 0.35), fast, 1.5, drive=Drive.CD)
+            states(thermal_state(2.0, 0.35), fast, [1.5], drive=Drive.CD)
         # bare drive has no such restriction
-        propagate(thermal_state(2.0, 0.35), fast, 1.5, drive=Drive.BARE)
+        states(thermal_state(2.0, 0.35), fast, [1.5], drive=Drive.BARE)
 
 
 class TestAdiabaticity:
     def test_reference_value_both_routes(self):
-        q_cov = adiabaticity(REF, 2.0, 3.0)
-        q_pair = adiabaticity_pair(REF, 3.0)
+        q_cov, q_pair = q_star(REF, 3.0, beta=2.0)
         assert q_cov == pytest.approx(1.3537365188419324, abs=1e-10)
         assert q_pair == pytest.approx(q_cov, abs=1e-9)
 
     def test_against_brute_rk4(self):
         q_brute = oracles.brute_adiabaticity("poly5", 0.35, 1.0, 3.0, 2.0)
-        assert adiabaticity(REF, 2.0, 3.0) == pytest.approx(q_brute, abs=1e-8)
+        q_cov, q_pair = q_star(REF, 3.0, beta=2.0)
+        assert q_cov == pytest.approx(q_brute, abs=1e-8)
         q_brute_pair = oracles.brute_pair_q("poly5", 0.35, 1.0, 3.0)
-        assert adiabaticity_pair(REF, 3.0) == pytest.approx(q_brute_pair, abs=1e-8)
+        assert q_pair == pytest.approx(q_brute_pair, abs=1e-8)
 
     @pytest.mark.parametrize("beta", [0.2, 1.0, 5.0])
     def test_energy_route_is_beta_independent(self, beta):
-        assert adiabaticity(REF, beta, 3.0) == pytest.approx(1.3537365188419324, abs=1e-8)
+        assert q_star(REF, 3.0, beta=beta)[0] == pytest.approx(1.3537365188419324, abs=1e-8)
 
     def test_final_factor_at_least_one(self):
         for tau in (0.5, 1.0, 3.0, 8.0):
             p = FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, tau)
-            assert adiabaticity_pair(p, tau) >= 1.0 - 1e-12
+            assert q_star(p, tau)[1] >= 1.0 - 1e-12
 
     def test_slow_limit_approaches_one(self):
-        qs = [adiabaticity_pair(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau), tau)
+        qs = [q_star(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau), tau)[1]
               for tau in (5.0, 10.0, 20.0, 40.0)]
         assert qs[0] > qs[1] > qs[2] > qs[3] >= 1.0
         assert qs[3] == pytest.approx(1.0, abs=1e-4)
 
     def test_paths_are_consistent(self):
         ts = np.linspace(0.0, 3.0, 5)
-        qp = adiabaticity_pair_path(REF, ts)
-        qe = adiabaticity_path(REF, 2.0, ts)
+        qe, qp = (q[0] for q in adiabaticity_stack([REF], [2.0], [ts]))
         np.testing.assert_allclose(qp, qe, rtol=1e-8)
 
     def test_wronskian_is_conserved(self):
         ts = np.linspace(0.0, 3.0, 9)
-        rows = classical_pair_path(REF, ts)
+        rows = pair(REF, ts)
         w = rows[:, 0] * rows[:, 3] - rows[:, 2] * rows[:, 1]
         np.testing.assert_allclose(w, -1.0, atol=1e-10)
 
@@ -158,7 +152,7 @@ class TestAdiabaticity:
 
     def test_fast_ramp_approaches_quench(self):
         p = FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 1e-4)
-        assert adiabaticity_pair(p, 1e-4) == pytest.approx(sudden_quench_q(0.35, 1.0), abs=1e-3)
+        assert q_star(p, 1e-4)[1] == pytest.approx(sudden_quench_q(0.35, 1.0), abs=1e-3)
 
     @given(
         st.sampled_from([ProtocolKind.POLY5, ProtocolKind.POLY3, ProtocolKind.COSINE, ProtocolKind.LINEAR]),
@@ -168,29 +162,29 @@ class TestAdiabaticity:
     )
     def test_random_ramps_factor_at_least_one(self, kind, wi, wf, tau):
         p = FrequencyProtocol(kind, wi, wf, tau)
-        assert adiabaticity_pair(p, tau) >= 1.0 - 1e-11
+        assert q_star(p, tau)[1] >= 1.0 - 1e-11
 
 
 class TestCounterdiabatic:
     def test_cd_tracks_adiabatic_energy_exactly(self):
         ts = np.linspace(0.0, 3.0, 11)
-        states = propagate_path(thermal_state(2.0, 0.35), REF, ts, drive=Drive.CD)
+        path = states(thermal_state(2.0, 0.35), REF, ts, drive=Drive.CD)
         e0 = oracles.thermal_energy(2.0, 0.35)
-        for t, st_ in zip(ts, states):
+        for t, st_ in zip(ts, path):
             w = REF.omega(t)
             # the bare-Hamiltonian mean energy in the driven state equals
             # (w / w_i) * E0 exactly at every instant
             assert mean_energy(st_, w) == pytest.approx((w / 0.35) * e0, rel=1e-10)
 
     def test_cd_final_state_is_adiabatic_target(self):
-        st_ = propagate(thermal_state(2.0, 0.35), REF, 3.0, drive=Drive.CD)
+        st_ = states(thermal_state(2.0, 0.35), REF, [3.0], drive=Drive.CD)[0]
         c = 1.0 / math.tanh(0.35)
         assert st_.cov[0, 0] == pytest.approx(c / 2.0, rel=1e-9)  # omega_f = 1
         assert st_.cov[1, 1] == pytest.approx(c / 2.0, rel=1e-9)
         assert st_.cov[0, 1] == pytest.approx(0.0, abs=1e-9)
 
     def test_q_cd_closed_form_midpoint(self):
-        assert q_cd(REF, 1.5) == pytest.approx(1.1171629915626675, abs=1e-14)
+        assert q_cd_grid(REF, [1.5])[0] == pytest.approx(1.1171629915626675, abs=1e-14)
 
     def test_q_cd_equals_inverse_sqrt_margin(self):
         from ottosta.protocols import validity_margin
@@ -203,13 +197,14 @@ class TestCounterdiabatic:
     def test_q_cd_is_one_at_ends_for_sta_ramps(self):
         for kind in (ProtocolKind.POLY5, ProtocolKind.POLY3, ProtocolKind.COSINE):
             p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
-            assert q_cd(p, 0.0) == pytest.approx(1.0, abs=1e-14)
-            assert q_cd(p, p.tau) == pytest.approx(1.0, abs=1e-14)
+            q_start, q_end = q_cd_grid(p, [0.0, p.tau])
+            assert q_start == pytest.approx(1.0, abs=1e-14)
+            assert q_end == pytest.approx(1.0, abs=1e-14)
 
     def test_q_cd_linear_nonzero_at_ends(self):
         p = FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 3.0)
-        assert q_cd(p, 3.0) == pytest.approx(1.005920217065088, abs=1e-12)
-        assert q_cd(p, 0.0) > 1.5  # slope over 4 w^4 is large at the slow end
+        assert q_cd_grid(p, [3.0])[0] == pytest.approx(1.005920217065088, abs=1e-12)
+        assert q_cd_grid(p, [0.0])[0] > 1.5  # slope over 4 w^4 is large at the slow end
 
     def test_q_cd_raises_on_trap_inversion(self):
         fast = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 1.5)
@@ -222,7 +217,7 @@ class TestCounterdiabatic:
         occupations, zero position-momentum correlation)."""
         c = 1.0 / math.tanh(0.35)
         for t in (0.6, 1.1, 2.4):
-            st_ = propagate(thermal_state(2.0, 0.35), REF, t, drive=Drive.CD)
+            st_ = states(thermal_state(2.0, 0.35), REF, [t], drive=Drive.CD)[0]
             w = REF.omega(t)
             assert st_.cov[0, 0] == pytest.approx(c / (2 * w), rel=1e-9)
             assert st_.cov[1, 1] == pytest.approx(c * w / 2, rel=1e-9)
@@ -230,19 +225,23 @@ class TestCounterdiabatic:
 
 
 class TestStackedReadout:
-    """adiabaticity_path reads energies off the stacked moments; the states
-    of propagate_path, one GaussianState per checkpoint, are its reference."""
+    """The energy-ratio readout of adiabaticity_stack reads energies off the
+    stacked moments M C0 M^T; the states, one GaussianState per checkpoint,
+    are its reference."""
 
     @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD])
     @pytest.mark.parametrize("beta", [0.2, 2.0, math.inf])
     def test_matches_per_state_energies(self, beta, drive):
         ts = np.linspace(0.0, 3.0, 101)
         state0 = thermal_state(beta, 0.35)
-        states = propagate_path(state0, REF, ts, drive=drive)
-        energies = np.array([mean_energy(s, REF.omega(t)) for s, t in zip(states, ts)])
+        path = states(state0, REF, ts, drive=drive)
+        energies = np.array([mean_energy(s, REF.omega(t)) for s, t in zip(path, ts)])
         want = energies / (REF.omega(ts) / 0.35 * mean_energy(state0, 0.35))
-        got = adiabaticity_path(REF, beta, ts, drive=drive)
+        ts_, m = transfer_matrices([REF], [ts], [drive])
+        got = dynamics._thermal_q(m, [REF], [beta], REF.omega(ts_))[0]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        if drive is Drive.BARE:
+            assert got.tobytes() == adiabaticity_stack([REF], [beta], [ts])[0][0].tobytes()
 
     def test_every_checkpoint_is_validated(self, monkeypatch):
         import ottosta.dynamics as dynamics
@@ -257,7 +256,7 @@ class TestStackedReadout:
 
         monkeypatch.setattr(dynamics, "_transfer_matrices", shrunk)
         with pytest.raises(ValueError, match="uncertainty floor"):
-            adiabaticity_path(REF, 2.0, np.linspace(0.0, 3.0, 101))
+            adiabaticity_stack([REF], [2.0], [np.linspace(0.0, 3.0, 101)])
 
 
 class TestTransferMatrix:
@@ -355,13 +354,16 @@ class TestStackedPropagator:
             assert q_energy[b, 0] == pytest.approx(want, abs=1e-8)
 
     def test_stacked_readout_equals_single_stroke_calls(self):
-        rows = [row for row in STACK if row[4] is Drive.BARE]
-        protocols, ts, _ = _stack(rows)
-        betas = [0.2 + b for b in range(len(rows))]
+        """Every row of the bare-drive stack, of mixed kinds, directions,
+        durations and checkpoints, equals its one-row call bit for bit."""
+        protocols, ts, _ = _stack()
+        betas = [0.2 + b for b in range(len(STACK))]
         q_energy, q_pair = adiabaticity_stack(protocols, betas, ts)
+        assert q_energy.shape == q_pair.shape == (len(STACK), STACK_K)
         for b, (p, beta) in enumerate(zip(protocols, betas)):
-            assert q_energy[b].tobytes() == adiabaticity_path(p, beta, ts[b]).tobytes()
-            assert q_pair[b].tobytes() == adiabaticity_pair_path(p, ts[b]).tobytes()
+            lone_energy, lone_pair = adiabaticity_stack([p], [beta], ts[b][None])
+            assert q_energy[b].tobytes() == lone_energy[0].tobytes(), b
+            assert q_pair[b].tobytes() == lone_pair[0].tobytes(), b
 
     def test_one_row_over_budget_fails_the_stack(self, monkeypatch):
         import ottosta.dynamics as dyn
@@ -373,3 +375,33 @@ class TestStackedPropagator:
         _transfer_matrices([short], ends[:1], [Drive.BARE], 1e-10)
         with pytest.raises(NumericsError):
             _transfer_matrices([short, long_], ends, [Drive.BARE] * 2, 1e-10)
+
+
+class TestExtremeInputs:
+    """Durations and tolerances that the config schema accepts but whose
+    step count overflows int64 are refused before any step is taken."""
+
+    def test_tiny_rtol_is_refused_not_wrapped(self):
+        # The doubling skip reaches level 63 and beyond: an int64 count
+        # shifted that far wraps to 0 steps, M to the identity and Q* to
+        # its sudden-quench value.
+        p = FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 3.0)
+        with pytest.raises(NumericsError, match="budget"):
+            adiabaticity_stack([p], [2.0], [np.linspace(0.0, 3.0, 1001)], rtol=1e-300)
+
+    def test_huge_duration_is_refused_before_allocating(self):
+        p = FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 1e20)
+        with pytest.raises(NumericsError, match="budget"):
+            adiabaticity_stack([p], [2.0], [np.linspace(0.0, 1e20, 3)])
+
+    @pytest.mark.parametrize(
+        "kind", [ProtocolKind.POLY5, ProtocolKind.POLY3, ProtocolKind.COSINE, ProtocolKind.LINEAR]
+    )
+    def test_largest_duration_evaluates_then_is_refused(self, kind):
+        p = FrequencyProtocol(kind, 0.35, 1.0, 1e308)
+        ts = np.linspace(0.0, 1e308, 1001)
+        w, _, wdd = p.eval_many(ts)
+        assert np.isfinite(w).all() and np.isfinite(wdd).all()
+        assert (q_cd_grid(p, ts) >= 1.0).all()
+        with pytest.raises(NumericsError, match="budget"):
+            adiabaticity_stack([p], [2.0], [ts])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ottosta import fock_oracle
-from ottosta.dynamics import Drive, q_cd
+from ottosta.dynamics import Drive, q_cd_grid
 from ottosta.errors import CutoffError, NumericsError
 from ottosta.fock_oracle import (
     FockOperators,
@@ -456,7 +456,7 @@ class TestSpectralData:
         t = 1.5
         w = REF.omega(t)
         wd = REF.eval(t)[1]
-        q = q_cd(REF, t)
+        q = float(q_cd_grid(REF, [t])[0])
         ops = build_operators(stroke_reference(REF), 160)
         evals, h0_exp = cd_level_energies(ops, w, wd, 4)
         n = np.arange(4) + 0.5

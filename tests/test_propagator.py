@@ -1,7 +1,8 @@
 """The numerical core through the public API: closed-form ramp evaluation
-(``FrequencyProtocol.eval``) and the transfer-matrix propagator behind
-``propagate`` and ``classical_pair_path``, each checked against the
-fixed-step RK4 references in ``oracles``."""
+(``FrequencyProtocol.eval``) and the stacked transfer-matrix propagator
+``dynamics.transfer_matrices``, read as propagated moments and as the
+classical solution pair, each checked against the fixed-step RK4
+references in ``oracles``."""
 
 import math
 
@@ -10,9 +11,10 @@ import pytest
 
 import oracles
 from ottosta import dynamics
-from ottosta.dynamics import Drive, GaussianState, classical_pair_path, propagate
+from ottosta.dynamics import Drive, GaussianState
 from ottosta.errors import NumericsError
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
+from readouts import pair, states
 
 
 def _thermal_moments(beta, wi, mean=(0.0, 0.0)):
@@ -60,7 +62,7 @@ class TestIntegrator:
         beta, wi, wf, tau = 2.0, 0.35, 1.0, 3.0
         state0, y0 = _thermal_moments(beta, wi)
         p = FrequencyProtocol(ProtocolKind.POLY5, wi, wf, tau)
-        y = _moments(propagate(state0, p, tau, drive=Drive.BARE, rtol=1e-12))
+        y = _moments(states(state0, p, [tau], drive=Drive.BARE, rtol=1e-12)[0])
         brute = oracles.rk4_fixed(
             oracles.covariance_rhs("poly5", wi, wf, tau, cd=False), y0, 0.0, tau, 40000
         )
@@ -70,7 +72,7 @@ class TestIntegrator:
         beta, wi, wf, tau = 2.0, 0.35, 1.0, 3.0
         state0, y0 = _thermal_moments(beta, wi, mean=(0.05, -0.02))
         p = FrequencyProtocol(ProtocolKind.POLY5, wi, wf, tau)
-        y = _moments(propagate(state0, p, tau, drive=Drive.CD, rtol=1e-12))
+        y = _moments(states(state0, p, [tau], drive=Drive.CD, rtol=1e-12)[0])
         brute = oracles.rk4_fixed(
             oracles.covariance_rhs("poly5", wi, wf, tau, cd=True), y0, 0.0, tau, 40000
         )
@@ -81,7 +83,7 @@ class TestIntegrator:
     def test_pair_matches_brute_rk4(self):
         wi, wf, tau = 0.35, 1.0, 3.0
         p = FrequencyProtocol(ProtocolKind.COSINE, wi, wf, tau)
-        y = classical_pair_path(p, [tau], rtol=1e-12)[0]
+        y = pair(p, [tau], rtol=1e-12)[0]
         brute = oracles.rk4_fixed(
             oracles.pair_rhs("cosine", wi, wf, tau), np.array([0.0, 1.0, 1.0, 0.0]), 0.0, tau, 40000
         )
@@ -91,21 +93,21 @@ class TestIntegrator:
         wi, wf, tau = 0.35, 1.0, 3.0
         p = FrequencyProtocol(ProtocolKind.POLY5, wi, wf, tau)
         ts = np.linspace(0.0, tau, 7)
-        out = classical_pair_path(p, ts, rtol=1e-12)
+        out = pair(p, ts, rtol=1e-12)
         for i, t in enumerate(ts):
-            z = classical_pair_path(p, [t], rtol=1e-12)[0]
+            z = pair(p, [t], rtol=1e-12)[0]
             np.testing.assert_allclose(out[i], z, rtol=1e-9, atol=1e-12)
 
     def test_step_budget_status(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_MAX_STEPS", 3)
         p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
         with pytest.raises(NumericsError, match="budget"):
-            classical_pair_path(p, [3.0], rtol=1e-12)
+            pair(p, [3.0], rtol=1e-12)
 
     def test_tightening_tolerance_converges(self):
         wi, wf, tau = 0.35, 1.0, 3.0
         p = FrequencyProtocol(ProtocolKind.POLY5, wi, wf, tau)
-        results = [classical_pair_path(p, [tau], rtol=rtol)[0] for rtol in (1e-6, 1e-9, 1e-12)]
+        results = [pair(p, [tau], rtol=rtol)[0] for rtol in (1e-6, 1e-9, 1e-12)]
         d1 = np.max(np.abs(results[0] - results[2]))
         d2 = np.max(np.abs(results[1] - results[2]))
         assert d2 < d1
@@ -118,7 +120,7 @@ class TestBackendFlag:
         default tolerance and the fixed-step RK4 reference of the pair
         equations (no shared code beyond the ramp formula)."""
         p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
-        y = classical_pair_path(p, [3.0])[0]
+        y = pair(p, [3.0])[0]
         brute = oracles.rk4_fixed(
             oracles.pair_rhs("poly5", 0.35, 1.0, 3.0), np.array([0.0, 1.0, 1.0, 0.0]), 0.0, 3.0, 40000
         )

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from ottosta.dynamics import Drive, propagate, q_cd_grid, thermal_state
+from ottosta.dynamics import Drive, q_cd_grid, transfer_matrices
 from ottosta.errors import TrapInversionError
 from ottosta.protocols import (
     FrequencyProtocol,
@@ -96,15 +96,15 @@ class TestCheckpoints:
     )
     def test_every_path_refuses_bad_checkpoints_alike(self, ts):
         from ottosta import fock_oracle
-        from ottosta.dynamics import classical_pair_path, propagate_path
+        from ottosta.dynamics import adiabaticity_stack
 
         p = make(ProtocolKind.POLY5)
         ops = fock_oracle.build_operators(fock_oracle.stroke_reference(p), 16)
         state = fock_oracle.thermal_fock_in(ops, 2.0, 0.35)
         paths = [
             lambda: p.checkpoints(ts),
-            lambda: propagate_path(thermal_state(2.0, 0.35), p, ts),
-            lambda: classical_pair_path(p, ts),
+            lambda: transfer_matrices([p], [ts], [Drive.BARE]),
+            lambda: adiabaticity_stack([p], [2.0], [ts]),
             lambda: fock_oracle.propagate_fock_path(ops, state, p, ts),
         ]
         messages = set()
@@ -283,7 +283,7 @@ class TestTauMin:
         quantities = [
             lambda: avg_work_cost(StrokeContext(p, 2.0)),
             lambda: q_cd_grid(p, stroke_grid(tau)),
-            lambda: propagate(thermal_state(2.0, 0.35), p, tau, drive=Drive.CD),
+            lambda: transfer_matrices([p], [[tau]], [Drive.CD]),
             lambda: evaluate_cycle(cfg, Accounting.STA),
         ]
         assert check_cd_validity(p).valid is not refused

@@ -11,8 +11,7 @@ from ottosta.sta_cost import (
     StrokeContext,
     avg_variance_cost,
     avg_work_cost,
-    friction,
-    friction_path,
+    friction_stack,
     mean_sta_term,
     work_variance_excess,
 )
@@ -59,10 +58,10 @@ class TestMeanCost:
     def test_midpoint_decomposition(self):
         # integrand = (w_t / w_i) (Q - 1) * E0; at the midpoint
         # w Q = 0.75408501930480058 for the reference ramp
-        from ottosta.dynamics import q_cd
+        from ottosta.dynamics import q_cd_grid
 
         w = COMP.omega(1.5)
-        q = q_cd(COMP, 1.5)
+        q = q_cd_grid(COMP, [1.5])[0]
         assert w * q == pytest.approx(0.75408501930480058, abs=1e-13)
         want = (w / 0.35) * (q - 1.0) * 0.52025185227206215
         assert mean_sta_term(StrokeContext(COMP, 2.0), 1.5) == pytest.approx(want, rel=1e-14)
@@ -109,12 +108,12 @@ class TestVarianceCost:
         assert math.sqrt(got) == pytest.approx(0.33612997363226695, abs=1e-13)
 
     def test_excess_formula(self):
-        from ottosta.dynamics import q_cd
+        from ottosta.dynamics import q_cd_grid
 
         ctx = StrokeContext(COMP, 2.0)
         t = 0.9
         w = COMP.omega(t)
-        q = q_cd(COMP, t)
+        q = q_cd_grid(COMP, [t])[0]
         var_n = ctx.n_bar * (ctx.n_bar + 1.0)
         want = ((w * q - 0.35) ** 2 - (w - 0.35) ** 2) * var_n
         assert work_variance_excess(ctx, t) == pytest.approx(want, rel=1e-13)
@@ -139,44 +138,69 @@ class TestVarianceCost:
             avg_variance_cost(ctx)
 
 
+def _friction(ctx, t):
+    """Inner friction of one stroke at time t: the one-row, one-checkpoint
+    friction_stack."""
+    return float(friction_stack([ctx], [[t]])[0, 0])
+
+
 class TestFriction:
     def test_reference_value(self):
         ctx = StrokeContext(COMP, 2.0)
-        assert friction(ctx, 3.0) == pytest.approx(0.5258059404, abs=1e-8)
+        assert _friction(ctx, 3.0) == pytest.approx(0.5258059404, abs=1e-8)
 
     def test_equals_bare_excess_over_adiabatic(self):
-        from ottosta.dynamics import adiabaticity
+        from ottosta.dynamics import adiabaticity_stack
 
         ctx = StrokeContext(COMP, 2.0)
-        q = adiabaticity(COMP, 2.0, 3.0)
+        q = adiabaticity_stack([COMP], [2.0], [[3.0]])[0][0, 0]
         want = (1.0 / 0.35) * (q - 1.0) * ctx.h0_mean
-        assert friction(ctx, 3.0) == pytest.approx(want, rel=1e-9)
+        assert _friction(ctx, 3.0) == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("beta", [0.2, 2.0, math.inf])
     def test_path_is_bare_energy_minus_adiabatic_transport(self, beta):
-        from ottosta.dynamics import mean_energy, propagate_path, thermal_state
+        from ottosta.dynamics import mean_energy, thermal_state
+        from readouts import states
 
         ctx = StrokeContext(COMP, beta)
         ts = np.linspace(0.0, 3.0, 101)
         w_t = COMP.omega(ts)
-        states = propagate_path(thermal_state(beta, 0.35), COMP, ts)
-        energies = np.array([mean_energy(s, w) for s, w in zip(states, w_t)])
+        path = states(thermal_state(beta, 0.35), COMP, ts)
+        energies = np.array([mean_energy(s, w) for s, w in zip(path, w_t)])
         want = energies - (w_t / 0.35) * ctx.h0_mean
-        np.testing.assert_allclose(friction_path(ctx, ts), want, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(friction_stack([ctx], [ts])[0], want, rtol=0.0, atol=1e-13)
 
     def test_zero_at_start(self):
         ctx = StrokeContext(COMP, 2.0)
-        path = friction_path(ctx, np.array([0.0, 3.0]))
+        path = friction_stack([ctx], [[0.0, 3.0]])[0]
         assert path[0] == pytest.approx(0.0, abs=1e-12)
-        assert path[1] == pytest.approx(friction(ctx, 3.0), rel=1e-10)
+        assert path[1] == pytest.approx(_friction(ctx, 3.0), rel=1e-10)
 
     def test_decreases_with_duration(self):
-        vals = []
-        for tau in (2.25, 3.0, 6.0, 12.0):
-            p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau)
-            vals.append(friction(StrokeContext(p, 2.0), tau))
+        taus = (2.25, 3.0, 6.0, 12.0)
+        ctxs = [StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau), 2.0) for tau in taus]
+        vals = friction_stack(ctxs, [[tau] for tau in taus])[:, 0].tolist()
         assert vals == sorted(vals, reverse=True)
         assert all(v > 0 for v in vals)
+
+    def test_rows_equal_their_one_row_calls_bit_for_bit(self):
+        """A stack of mixed kinds, directions, durations, temperatures and
+        checkpoints (a path, or the end K times)."""
+        rows = [
+            (ProtocolKind.POLY5, 0.35, 1.0, 3.0, 2.0, True),
+            (ProtocolKind.COSINE, 1.0, 0.35, 2.25, 0.2, False),
+            (ProtocolKind.LINEAR, 0.35, 1.0, 12.0, math.inf, True),
+            (ProtocolKind.POLY3, 1.0, 0.35, 7.5, 1.0, False),
+        ]
+        ctxs = [StrokeContext(FrequencyProtocol(k, wi, wf, tau), beta) for k, wi, wf, tau, beta, _ in rows]
+        ts = np.array([
+            np.linspace(0.0, tau, 11) if path else np.full(11, tau)
+            for _, _, _, tau, _, path in rows
+        ])
+        stacked = friction_stack(ctxs, ts)
+        assert stacked.shape == (len(rows), 11)
+        for b, ctx in enumerate(ctxs):
+            assert stacked[b].tobytes() == friction_stack([ctx], ts[b][None])[0].tobytes(), b
 
 
 class TestEndpointCosts:

@@ -110,13 +110,13 @@ class TestAdiabaticLimit:
 
 class TestNonadiabatic:
     def test_factors_match_dynamics(self):
-        from ottosta.dynamics import adiabaticity_pair
+        from readouts import q_star
 
         cfg = ref()
         [record] = stroke_records([cfg], [Accounting.NONADIABATIC])
         q1, q3 = record.q1, record.q3
-        assert q1 == pytest.approx(adiabaticity_pair(cfg.compression_protocol(), 3.0), rel=1e-9)
-        assert q3 == pytest.approx(adiabaticity_pair(cfg.expansion_protocol(), 3.0), rel=1e-9)
+        assert q1 == pytest.approx(q_star(cfg.compression_protocol(), 3.0)[1], rel=1e-9)
+        assert q3 == pytest.approx(q_star(cfg.expansion_protocol(), 3.0)[1], rel=1e-9)
 
     def test_reference_row(self):
         r = evaluate_cycle(ref(), Accounting.NONADIABATIC)
@@ -309,13 +309,13 @@ class TestStrokeRecord:
                 book_cycle(cfg, record, accounting)
 
     def test_sta_refusal_is_the_counterdiabatic_drive_refusal(self):
-        from ottosta.dynamics import Drive, propagate, thermal_state
+        from ottosta.dynamics import Drive, transfer_matrices
 
         cfg = ref(2.0)
         with pytest.raises(TrapInversionError) as booked:
             evaluate_cycle(cfg, Accounting.STA)
         with pytest.raises(TrapInversionError) as driven:
-            propagate(thermal_state(2.0, 0.35), cfg.compression_protocol(), 2.0, drive=Drive.CD)
+            transfer_matrices([cfg.compression_protocol()], [[2.0]], [Drive.CD])
         assert str(booked.value) == str(driven.value)
 
     @pytest.mark.parametrize(
