@@ -1,9 +1,13 @@
 """Batch command-line front-end.
 
 Subcommands: qstar | cost | cycle | empower | sweep. Each reads an optional
-JSON config file (validated against the published schema in
-``ottosta/schemas/config.schema.json``), merges CLI flag overrides, and
-emits one CSV or JSON dataset. Output is fully deterministic for a given
+JSON config file, merges CLI flag overrides, and emits one CSV or JSON
+dataset. The published schema ``ottosta/schemas/config.schema.json`` is the
+contract and the one source of defaults and rules. A built-in validator
+checks the file and the merged config against it; it knows exactly the
+draft 2020-12 keywords that schema uses, refuses a schema with any other,
+and, unlike draft 2020-12, refuses non-finite numbers (``Infinity``,
+``NaN``, ``--tol inf``). Output is fully deterministic for a given
 resolved config and package version: the metadata header carries no
 timestamps or host details, and every dataset is computed in one serial
 pass.
@@ -18,10 +22,10 @@ import argparse
 import hashlib
 import importlib.resources
 import json
+import math
+import operator
 import os
 import sys
-
-import jsonschema
 
 from . import __version__
 from .datasets import (
@@ -86,17 +90,89 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def _pointer(err: jsonschema.ValidationError) -> str:
-    return "/" + "/".join(str(p) for p in err.absolute_path)
+# Keywords that do not constrain an instance.
+_ANNOTATIONS = {"$schema", "$id", "$defs", "title", "description", "default"}
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+# Numeric keywords: the test that fails an instance, and its message.
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+    "multipleOf": (lambda x, m: x % m != 0, "is not a multiple of"),
+}
+
+
+def _is_type(inst, name: str) -> bool:
+    """Draft 2020-12 type test (a bool is no number, 3.0 is an integer),
+    except that a non-finite float is not a number: Python's json reads
+    Infinity and NaN, and argparse's float reads inf."""
+    if name in ("number", "integer"):
+        whole = isinstance(inst, int) and not isinstance(inst, bool)
+        finite = whole or isinstance(inst, float) and math.isfinite(inst)
+        return finite and (name == "number" or whole or inst.is_integer())
+    if name not in _JSON_TYPES:
+        raise ConfigError(f"schema type {name!r} is not supported")
+    return isinstance(inst, _JSON_TYPES[name])
+
+
+def _errors(inst, schema: dict, path: tuple, defs: dict):
+    """Yield (path, message) for each way inst breaks schema. Raises
+    ConfigError for a keyword this validator does not know."""
+    for key, value in schema.items():
+        if key in _ANNOTATIONS:
+            continue
+        if key == "$ref" and value.startswith("#/$defs/"):
+            yield from _errors(inst, defs[value[len("#/$defs/"):]], path, defs)
+        elif key == "type":
+            if not _is_type(inst, value):
+                yield path, f"{inst!r} is not of type {value!r}"
+        elif key == "enum":
+            if inst not in value:
+                yield path, f"{inst!r} is not one of {value!r}"
+        elif key in _BOUNDS:
+            fails, text = _BOUNDS[key]
+            if _is_type(inst, "number") and fails(inst, value):
+                yield path, f"{inst!r} {text} {value!r}"
+        elif key == "not":
+            if next(_errors(inst, value, path, defs), None) is None:
+                yield path, f"{inst!r} should not be valid under {value!r}"
+        elif key == "oneOf":
+            failures = [list(_errors(inst, sub, path, defs)) for sub in value]
+            typed = [f for f, sub in zip(failures, value)
+                     if "type" in sub and _is_type(inst, sub["type"])]
+            if failures.count([]) != 1:
+                # Like jsonschema, name the first error of the one branch whose type fits.
+                yield typed[0][0] if len(typed) == 1 and typed[0] else (
+                    path, f"{inst!r} is not valid under exactly one of the given schemas")
+        elif key == "items":
+            if isinstance(inst, list):
+                for i, item in enumerate(inst):
+                    yield from _errors(item, value, path + (i,), defs)
+        elif key == "minItems":
+            if isinstance(inst, list) and len(inst) < value:
+                yield path, f"{inst!r} has fewer than {value} items"
+        elif key == "required":
+            for name in value if isinstance(inst, dict) else ():
+                if name not in inst:
+                    yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            for name, sub in value.items() if isinstance(inst, dict) else ():
+                if name in inst:
+                    yield from _errors(inst[name], sub, path + (name,), defs)
+        elif key == "additionalProperties" and value is False:
+            known = schema.get("properties", {})
+            extra = [repr(k) for k in inst if k not in known] if isinstance(inst, dict) else []
+            if extra:
+                listed = ", ".join(extra) + (" was" if len(extra) == 1 else " were")
+                yield path, f"Additional properties are not allowed ({listed} unexpected)"
+        else:
+            raise ConfigError(f"schema keyword {key!r}: {value!r} is not supported")
 
 
 def _validate(instance: dict, command: str, schema: dict):
-    sub = {"$ref": f"#/$defs/{command}", "$defs": schema["$defs"]}
-    validator = jsonschema.Draft202012Validator(sub)
-    errors = sorted(validator.iter_errors(instance), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        raise ConfigError(f"config invalid at {_pointer(err)}: {err.message}")
+    defs = schema["$defs"]
+    for path, message in _errors(instance, defs[command], (), defs):
+        raise ConfigError(f"config invalid at /{'/'.join(map(str, path))}: {message}")
 
 
 def _parse_grid_flag(text: str, command: str) -> tuple[str, dict]:

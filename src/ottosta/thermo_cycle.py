@@ -46,7 +46,6 @@ __all__ = [
     "stroke_works",
     "heat_hot",
     "heat_cold",
-    "efficiency_exact",
     "entropy_production",
     "StrokeRecord",
     "stroke_records",
@@ -139,14 +138,6 @@ def heat_cold(config: CycleConfig, q3: float) -> float:
     computed from the state energies <H>_A - x Q*3 <H>_C (so the first law
     around the cycle is a checkable identity, not a definition)."""
     return config.cold_energy - config.x * q3 * config.hot_energy
-
-
-def efficiency_exact(config: CycleConfig, q1: float, q3: float) -> float:
-    """Engine efficiency -(W1+W3)/Q2 in its factored closed form."""
-    x = config.x
-    num = x * (x * q3 * config.hot_energy - config.cold_energy)
-    den = x * config.hot_energy - q1 * config.cold_energy
-    return 1.0 - num / den
 
 
 def entropy_production(config: CycleConfig, q2: float, q4: float) -> float:

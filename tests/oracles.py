@@ -144,3 +144,13 @@ def thermal_nbar(beta, omega):
 
 def thermal_energy(beta, omega):
     return 0.5 * omega / math.tanh(0.5 * beta * omega)
+
+
+def efficiency_exact(config, q1, q3):
+    """Engine efficiency -(W1+W3)/Q2 in its factored closed form, from the
+    cycle's compression ratio x and bath-state energies <H>_A (cold) and
+    <H>_C (hot); the reference that the booked efficiency is checked against."""
+    x = config.x
+    num = x * (x * q3 * config.hot_energy - config.cold_energy)
+    den = x * config.hot_energy - q1 * config.cold_energy
+    return 1.0 - num / den

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,9 +7,13 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ottosta
 from ottosta import datasets
-from ottosta.cli import _digest, build_parser, main, resolve_config
+from ottosta.cli import _digest, _validate, build_parser, load_schema, main, resolve_config
+from ottosta.errors import ConfigError
 
 
 def run_cli(argv):
@@ -88,6 +93,112 @@ class TestConfigValidation:
     def test_oracle_not_available_for_sweep(self, outfile):
         rc = run_cli(["sweep", "--oracle", "--out", outfile])
         assert rc == 2
+
+
+SCHEMA = load_schema()
+COMMANDS = ("qstar", "cost", "cycle", "empower", "sweep")
+
+# Finite values only: the built-in validator refuses non-finite numbers on
+# purpose, where jsonschema takes them (see TestNonFiniteNumbers).
+BOUNDARY = st.sampled_from([
+    1.0, 3.0, 4, 0.0, True, "poly7", [], 1, 2, 3, 4.0, 0, -1.0, 0.5, 1.5, 1e-10,
+    False, None, "", "sta", "constant", {},
+])
+
+
+def _near(default):
+    """Values shaped like a schema default, mixed with boundary values:
+    arrays of its items and boundary values, grid objects with keys
+    missing or the extra key 'step', and wrong types."""
+    if isinstance(default, list):
+        return st.lists(st.one_of(BOUNDARY, st.sampled_from(default)), max_size=3)
+    if isinstance(default, dict):
+        parts = {k: _near(v) for k, v in default.items()}
+        return st.one_of(
+            st.fixed_dictionaries(parts),
+            st.fixed_dictionaries({}, optional={**parts, "step": BOUNDARY}),
+        )
+    return st.one_of(BOUNDARY, st.just(default))
+
+
+def _configs(command):
+    """Any subset of the command's keys and the unknown key 'betta'."""
+    props = SCHEMA["$defs"][command]["properties"]
+    near = {k: _near(p["default"]) for k, p in props.items()}
+    return st.fixed_dictionaries({}, optional={**near, "betta": BOUNDARY})
+
+
+def _accepts(instance, command):
+    try:
+        _validate(instance, command, SCHEMA)
+    except ConfigError:
+        return False
+    return True
+
+
+class TestBuiltInValidator:
+    @settings(max_examples=200)
+    @given(st.sampled_from(COMMANDS).flatmap(lambda c: st.tuples(st.just(c), _configs(c))))
+    def test_agrees_with_jsonschema(self, case):
+        import jsonschema
+
+        command, config = case
+        defs = SCHEMA["$defs"]
+        reference = jsonschema.Draft202012Validator({"$ref": f"#/$defs/{command}", "$defs": defs})
+        defaults = {k: p["default"] for k, p in defs[command]["properties"].items()}
+        # each key alone, so that no other error can mask it, and the config
+        # merged over the defaults as resolve_config validates it
+        singles = [{k: v} for k, v in config.items()]
+        for instance in [*singles, {**defaults, **config}]:
+            assert _accepts(instance, command) == reference.is_valid(instance), instance
+
+    @pytest.mark.parametrize(
+        "where, keyword",
+        [("kind", {"pattern": "x"}), ("positive", {"maximum": 5}), ("odd_nodes", {"type": "null"})],
+    )
+    def test_unsupported_schema_keyword_is_a_config_error(self, where, keyword):
+        schema = copy.deepcopy(SCHEMA)
+        schema["$defs"][where].update(keyword)
+        with pytest.raises(ConfigError, match="not supported"):
+            _validate(resolve_config("cost", build_parser().parse_args(["cost"])), "cost", schema)
+
+    def test_import_leaves_jsonschema_unloaded(self):
+        src = str(Path(ottosta.__file__).resolve().parents[1])
+        res = subprocess.run(
+            [sys.executable, "-c", "import sys, ottosta.cli; print('jsonschema' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
+
+class TestNonFiniteNumbers:
+    """Python's json reads Infinity and NaN and argparse's float reads inf;
+    neither is a JSON number, and an infinite rtol ran with a meaningless
+    tolerance."""
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["cost"], "Infinity"),
+            (["cost"], "-Infinity"),
+            (["cost"], "NaN"),
+            (["qstar", "--tol", "inf"], None),
+        ],
+        ids=["Infinity", "-Infinity", "NaN", "tol-inf"],
+    )
+    def test_exits_2_naming_rtol(self, tmp_path, outfile, capsys, argv, text):
+        if text is not None:
+            cfg = tmp_path / "inf.json"
+            cfg.write_text(f'{{"rtol": {text}}}')
+            argv = argv + ["--config", str(cfg)]
+        assert run_cli([*argv, "--out", outfile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ottosta: config error: config invalid at /rtol: ")
+        assert err.count("\n") == 1
+        assert not os.path.exists(outfile)
 
 
 class TestPhysicsErrors:
