@@ -36,8 +36,8 @@ from .protocols import (
     check_cd_validity,
     check_sta_boundary,
 )
-from .sta_cost import StrokeContext, avg_variance_cost, avg_work_cost, friction_stack
-from .thermo_cycle import Accounting, CycleConfig, CycleResult, evaluate_cycle
+from .sta_cost import StrokeContext, friction_stack, variance_cost_stack, work_cost_stack
+from .thermo_cycle import Accounting, CycleConfig, CycleResult, book_cycle, stroke_records
 
 __version__ = "0.1.0"
 
@@ -61,17 +61,18 @@ __all__ = [
     "StrokeContext",
     "TrapInversionError",
     "adiabaticity_stack",
-    "avg_variance_cost",
-    "avg_work_cost",
     "check_cd_validity",
     "check_sta_boundary",
+    "book_cycle",
     "curzon_ahlborn",
-    "evaluate_cycle",
     "friction_stack",
     "maximize_power_numeric",
     "mean_energy",
     "q_cd_grid",
+    "stroke_records",
     "sudden_quench_q",
     "thermal_state",
     "transfer_matrices",
+    "variance_cost_stack",
+    "work_cost_stack",
 ]

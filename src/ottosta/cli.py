@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 configuration/schema error, 3 physics-domain error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.resources
 import json
@@ -290,9 +291,14 @@ def _write_output(text: str, out):
         sys.stdout.write(text)
         return
     tmp = f"{out}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, out)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write output {out}: {exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,9 +5,10 @@ defaults and schema validation) and returns (columns, rows). Rows are plain
 Python lists of floats/strings/bools/None so the CSV and JSON writers can
 format them deterministically. Each dataset is computed in one serial pass:
 the Gaussian strokes of all its rows go through one stacked propagation
-(``dynamics.adiabaticity_stack``), and each cycle point's strokes are
-evaluated once and booked under every accounting
-(``thermo_cycle.stroke_records`` and ``book_cycle``). The Fock oracle
+(``dynamics.adiabaticity_stack``), each closed-form counterdiabatic column
+through one stacked call (``dynamics.q_cd_grid``, the ``sta_cost`` cost
+stacks), and each cycle point's strokes are evaluated once and booked under
+every accounting (``thermo_cycle.stroke_records`` and ``book_cycle``). The Fock oracle
 columns of ``cycle`` follow, row by row, in tau order, each checked
 against the stroke-end energy of the row's stroke record.
 """
@@ -30,9 +31,9 @@ from .optimizer import (
 from .protocols import FrequencyProtocol, ProtocolKind
 from .sta_cost import (
     StrokeContext,
-    avg_variance_cost,
-    avg_work_cost,
     friction_stack,
+    variance_cost_stack,
+    work_cost_stack,
     work_variance_excess,
 )
 from .thermo_cycle import Accounting, CycleConfig, book_cycle, stroke_records
@@ -73,7 +74,7 @@ def qstar_dataset(params: dict, oracle: bool = False):
     protocols = [
         FrequencyProtocol(ProtocolKind(k), omega_i, omega_f, tau) for k in params["kinds"]
     ]
-    q_cd = [q_cd_grid(p, ts) for p in protocols]
+    q_cd = q_cd_grid(protocols, [ts] * len(protocols))
     q_bare, q_pair = adiabaticity_stack(
         protocols, [beta] * len(protocols), [ts] * len(protocols), rtol=rtol
     )
@@ -85,7 +86,7 @@ def qstar_dataset(params: dict, oracle: bool = False):
                 float(t),
                 protocol.kind.value,
                 float(omegas[j]),
-                float(q_cd[b][j]),
+                float(q_cd[b, j]),
                 float(q_bare[b, j]),
             ]
             if oracle:
@@ -98,7 +99,8 @@ def qstar_dataset(params: dict, oracle: bool = False):
 
 
 def cost_dataset(params: dict, oracle: bool = False):
-    """Driving-cost measures of one stroke as a function of driving time."""
+    """Driving-cost measures of one stroke as a function of driving time,
+    each column from one stacked call over the taus."""
     kind = ProtocolKind(params["kind"])
     omega_i = params["omega_i"]
     omega_f = params["omega_f"]
@@ -111,24 +113,19 @@ def cost_dataset(params: dict, oracle: bool = False):
         columns.append("tpm_excess_residual")
 
     ctxs = [StrokeContext(FrequencyProtocol(kind, omega_i, omega_f, tau), beta) for tau in taus]
+    friction = friction_stack(ctxs, [[t] for t in taus], rtol=rtol)[:, 0].tolist()
+    work = work_cost_stack(ctxs, nodes=nodes).tolist()
+    variance = variance_cost_stack(ctxs, nodes=nodes).tolist()
     rows = [
-        [
-            tau,
-            avg_work_cost(ctx, nodes=nodes),
-            avg_variance_cost(ctx, nodes=nodes),
-            float(friction),
-            (omega_f / omega_i - 1.0) * ctx.h0_mean,
-        ]
-        for tau, ctx, friction in zip(
-            taus, ctxs, friction_stack(ctxs, [[t] for t in taus], rtol=rtol)[:, 0]
-        )
+        [tau, w, v, f, (omega_f / omega_i - 1.0) * ctx.h0_mean]
+        for tau, ctx, w, v, f in zip(taus, ctxs, work, variance, friction)
     ]
     if oracle:
-        for tau, ctx, row in zip(taus, ctxs, rows):
-            t_mid = 0.5 * tau
-            closed = float(work_variance_excess(ctx, t_mid))
-            matrix = fock_oracle.tpm_variance_excess(ctx.protocol, beta, t_mid)
-            row.append(abs(matrix - closed) / max(abs(closed), 1e-30))
+        t_mid = [0.5 * tau for tau in taus]
+        closed = work_variance_excess(ctxs, [[t] for t in t_mid])[:, 0].tolist()
+        for ctx, t, c, row in zip(ctxs, t_mid, closed, rows):
+            matrix = fock_oracle.tpm_variance_excess(ctx.protocol, beta, t)
+            row.append(abs(matrix - c) / max(abs(c), 1e-30))
     return columns, rows
 
 

@@ -44,7 +44,6 @@ from .protocols import (
     ProtocolKind,
     _ramp_shape,
     require_cd_valid,
-    validity_margin,
 )
 
 __all__ = [
@@ -195,6 +194,22 @@ class _Stack(NamedTuple):
             np.array([drive is Drive.CD for drive in drives]),
         )
 
+    def ramp(self, row: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(omega, omegadot) of stroke ``row`` at time ``t``, for row indices
+        that broadcast against t: one evaluation per ramp kind present."""
+        wi, wf, tau = self.omega_i[row], self.omega_f[row], self.tau[row]
+        s = t / tau
+        if len(self.kinds) == 1:
+            w, wd, _ = _ramp_shape(self.kinds[0], wi, wf, tau, s)
+            return w, wd
+        w = np.empty_like(s)
+        wd = np.empty_like(s)
+        wi, wf, tau, kind = np.broadcast_arrays(wi, wf, tau, self.kind[row], s)[:4]
+        for k, ramp in enumerate(self.kinds):
+            on = kind == k
+            w[on], wd[on], _ = _ramp_shape(ramp, wi[on], wf[on], tau[on], s[on])
+        return w, wd
+
 
 def _step_exponentials(
     stack: _Stack, row: np.ndarray, left: np.ndarray, h: np.ndarray
@@ -208,17 +223,7 @@ def _step_exponentials(
     exp(Omega) = C I + S Omega with C = cosh(sqrt delta) and
     S = sinh(sqrt delta)/sqrt delta (cos/sin for delta < 0).
     """
-    wi, wf, tau = stack.omega_i[row], stack.omega_f[row], stack.tau[row]
-    s = (left + _GL_NODES[:, None] * h) / tau
-    if len(stack.kinds) == 1:
-        w, wd, _ = _ramp_shape(stack.kinds[0], wi, wf, tau, s)
-    else:
-        w = np.empty_like(s)
-        wd = np.empty_like(s)
-        kind = stack.kind[row]
-        for k, ramp in enumerate(stack.kinds):
-            on = kind == k
-            w[:, on], wd[:, on], _ = _ramp_shape(ramp, wi[on], wf[on], tau[on], s[:, on])
+    w, wd = stack.ramp(row, left + _GL_NODES[:, None] * h)
     # A_k = [[a_k, 1], [c_k, -a_k]] at the two nodes; Omega = [[alpha, beta], [gamma, -alpha]].
     c1, c2 = -w * w
     a1, a2 = np.where(stack.cd[row], -wd / (2.0 * w), 0.0)
@@ -423,19 +428,26 @@ def transfer_matrices(
     bit. CD rows need tau > tau_min."""
     protocols = list(protocols)
     drives = [Drive(d) for d in drives]
-    rows = [p.checkpoints(t) for p, t in zip(protocols, ts, strict=True)]
-    if len({row.size for row in rows}) > 1:
-        raise ValueError("every stroke of a stack needs the same number of checkpoints")
+    ts = _checkpoints(protocols, ts)
     for protocol, drive in zip(protocols, drives, strict=True):
         if drive is Drive.CD:
             require_cd_valid(protocol)
-    ts = np.stack(rows)
     return ts, _transfer_matrices(protocols, ts, drives, rtol)
 
 
-def _omegas(protocols: list[FrequencyProtocol], ts: np.ndarray) -> np.ndarray:
-    """omega(t) of each stroke at its checkpoints, (B, K)."""
-    return np.stack([np.atleast_1d(p.omega(t)) for p, t in zip(protocols, ts)])
+def _checkpoints(protocols: list[FrequencyProtocol], ts) -> np.ndarray:
+    """The checkpoints (B, K) of a stack: ts[b] validated by
+    protocols[b].checkpoints, and the same number K on every row."""
+    rows = [p.checkpoints(t) for p, t in zip(protocols, ts, strict=True)]
+    if len({row.size for row in rows}) > 1:
+        raise ValueError("every stroke of a stack needs the same number of checkpoints")
+    return np.stack(rows)
+
+
+def _ramp_grid(protocols: list[FrequencyProtocol], ts) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, omegadot), each (B, K), of each stroke at its times ts[b]."""
+    stack = _Stack.of(protocols, [Drive.BARE] * len(protocols))
+    return stack.ramp(np.arange(len(protocols))[:, None], np.asarray(ts, dtype=np.float64))
 
 
 def _thermal_q(
@@ -480,7 +492,7 @@ def adiabaticity_stack(
     equals its one-row call bit for bit."""
     protocols = list(protocols)
     ts, m = transfer_matrices(protocols, ts, [Drive.BARE] * len(protocols), rtol)
-    w_t = _omegas(protocols, ts)
+    w_t = _ramp_grid(protocols, ts)[0]
     omega_i = np.array([p.omega_i for p in protocols])[:, None]
     return _thermal_q(m, protocols, betas, w_t), _pair_q(omega_i, m, w_t)
 
@@ -497,14 +509,26 @@ def sudden_quench_q(omega_i: float, omega_f: float) -> float:
 # -- closed-form CD accounting ------------------------------------------------
 
 
-def q_cd_grid(protocol: FrequencyProtocol, ts) -> np.ndarray:
-    """Closed-form Q*_CD(t) = 1 / sqrt(1 - omegadot^2/(4 omega^4)).
+def _cd_grid(protocols, ts) -> tuple[np.ndarray, np.ndarray]:
+    """omega(t) and the closed-form Q*_CD(t), each (B, K), of each stroke at
+    its checkpoints ts[b], from one ramp evaluation. Raises
+    TrapInversionError unless every stroke has tau > tau_min."""
+    protocols = list(protocols)
+    ts = _checkpoints(protocols, ts)
+    for protocol in protocols:
+        require_cd_valid(protocol)
+    w, wd = _ramp_grid(protocols, ts)
+    return w, 1.0 / np.sqrt(1.0 - wd**2 / (4.0 * w**4))
+
+
+def q_cd_grid(protocols, ts) -> np.ndarray:
+    """Closed-form Q*_CD(t) = 1 / sqrt(1 - omegadot^2/(4 omega^4)), (B, K),
+    of a stack of strokes: row b for protocols[b] at its ascending
+    checkpoints ts[b], the same number K on every row.
 
     This is the accounting factor behind the driving-cost measures: it maps
     the instantaneous counterdiabatic level structure onto bare-trap
     energies. It is not the energy ratio of the propagated state, which CD
-    driving pins to 1. Raises TrapInversionError unless tau > tau_min.
+    driving pins to 1. Raises TrapInversionError unless every tau > tau_min.
     """
-    require_cd_valid(protocol)
-    return 1.0 / np.sqrt(validity_margin(protocol, np.atleast_1d(ts)))
-
+    return _cd_grid(protocols, ts)[1]

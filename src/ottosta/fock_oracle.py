@@ -63,18 +63,14 @@ __all__ = [
     "build_operators",
     "h0_matrix",
     "hcd_matrix",
-    "thermal_dim",
     "stroke_reference",
     "stroke_dim",
-    "thermal_fock",
     "thermal_fock_in",
     "mean_energy_fock",
     "propagate_fock",
     "propagate_fock_path",
     "populations_instantaneous",
-    "adiabatic_reference",
     "relative_entropy",
-    "irreversible_work",
     "cd_level_energies",
     "tpm_work_moments",
     "tpm_variance_excess",
@@ -83,10 +79,9 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 _LEAK_LIMIT = 1e-6
 _TRACE_LIMIT = 1e-8
-# Thermal tail weight left outside a truncation, and the guard bands added
-# on top of it for a static state and for a driven stroke.
+# Thermal tail weight left outside a stroke's truncation, and the guard
+# band added on top of it.
 _DIM_TAIL = 1e-10
-_THERMAL_GUARD = 12
 _STROKE_GUARD = 30
 # Active window of propagate_fock_path: it opens at the smallest size whose
 # diagonal tail weight is at most _WINDOW_TAIL, plus one band of
@@ -150,20 +145,6 @@ def h0_matrix(ops: FockOperators, omega: float) -> np.ndarray:
 def hcd_matrix(ops: FockOperators, omega: float, omega_dot: float) -> np.ndarray:
     """Counterdiabatic Hamiltonian: H0 - (omegadot / 4 omega)(xp + px)."""
     return h0_matrix(ops, omega) - (omega_dot / (4.0 * omega)) * ops.xp_px
-
-
-def thermal_dim(beta: float, omega: float) -> int:
-    """Smallest truncation whose thermal tail weight is below _DIM_TAIL,
-    plus a guard band. Sized for a STATIC state in its own basis; use
-    stroke_dim for a driven stroke."""
-    if math.isinf(beta):
-        return 4 + _THERMAL_GUARD
-    z = beta * omega
-    if z <= 0.0:
-        raise ValueError("beta and omega must be positive")
-    # Sum_{n >= N} (1-q) q^n = q^N with q = exp(-beta omega).
-    n = int(math.ceil(-math.log(_DIM_TAIL) / z))
-    return max(n, 4) + _THERMAL_GUARD
 
 
 def stroke_reference(protocol: FrequencyProtocol) -> float:
@@ -230,13 +211,6 @@ def _gibbs_populations(beta: float, omega: float, dim: int) -> np.ndarray:
     logp = -beta * omega * n
     pops = np.exp(logp - logp.max())
     return pops / pops.sum()
-
-
-def thermal_fock(beta: float, omega: float, dim: int) -> FockState:
-    """Truncated Gibbs state of the trap at ``omega`` in its own basis,
-    renormalized to unit trace on the truncated space."""
-    pops = _gibbs_populations(beta, omega, dim)
-    return FockState(rho=np.diag(pops.astype(np.complex128)), ref_omega=omega)
 
 
 def thermal_fock_in(ops: FockOperators, beta: float, omega: float) -> FockState:
@@ -586,16 +560,6 @@ def populations_instantaneous(
     return np.concatenate(by_block)[order]
 
 
-def adiabatic_reference(
-    ops: FockOperators, state0: FockState, protocol: FrequencyProtocol, t: float
-) -> FockState:
-    """The adiabatically transported state at time t: the populations of the
-    initial state in the H0(omega_i) eigenbasis, attached to the H0(omega_t)
-    eigenvectors."""
-    pops = populations_instantaneous(ops, state0, protocol.omega_i)
-    return _on_h0_levels(ops, pops, protocol.omega(float(t)))
-
-
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     """S(rho || sigma) = Tr[rho ln rho] - Tr[rho ln sigma], in nats.
 
@@ -616,14 +580,6 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     s_cross = float(np.sum(weights_on_j[keep] * np.log(mu[keep])))
     s = s_rho - s_cross
     return max(s, 0.0) if s > -1e-9 else s
-
-
-def irreversible_work(rho_state: FockState, rho_ad: FockState, beta: float) -> float:
-    """W_irr = S(rho || rho_adiabatic) / beta, with beta the inverse
-    temperature of the bath that prepared the stroke's initial state."""
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be finite and positive, got {beta!r}")
-    return relative_entropy(rho_state.rho, rho_ad.rho) / beta
 
 
 def cd_level_energies(

@@ -58,7 +58,8 @@ def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray):
 
     The polynomial ramps interpolate omega itself; the cosine ramp
     interpolates omega squared, which is why its curvature does not vanish
-    at the endpoints."""
+    at the endpoints. The curvature divides by tau twice rather than by
+    tau^2, which would overflow for durations near the float range."""
     d = wf - wi
     if kind is ProtocolKind.CONSTANT:
         z = np.zeros_like(s)
@@ -67,12 +68,12 @@ def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray):
         f = s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
         fp = 30.0 * s**2 * (1.0 - s) ** 2
         fpp = 60.0 * s - 180.0 * s**2 + 120.0 * s**3
-        return wi + d * f, d * fp / tau, d * fpp / (tau * tau)
+        return wi + d * f, d * fp / tau, d * fpp / tau / tau
     if kind is ProtocolKind.POLY3:
         f = s**2 * (3.0 - 2.0 * s)
         fp = 6.0 * s * (1.0 - s)
         fpp = 6.0 - 12.0 * s
-        return wi + d * f, d * fp / tau, d * fpp / (tau * tau)
+        return wi + d * f, d * fp / tau, d * fpp / tau / tau
     if kind is ProtocolKind.COSINE:
         a2 = (wf / wi) ** 2
         u = 0.5 * ((a2 + 1.0) - (a2 - 1.0) * np.cos(np.pi * s))
@@ -81,7 +82,7 @@ def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray):
         r = np.sqrt(u)
         w = wi * r
         wd = wi * up / (2.0 * r) / tau
-        wdd = wi * (upp / (2.0 * r) - up**2 / (4.0 * u * r)) / (tau * tau)
+        wdd = wi * (upp / (2.0 * r) - up**2 / (4.0 * u * r)) / tau / tau
         return w, wd, wdd
     # linear
     z = np.zeros_like(s)
@@ -204,20 +205,13 @@ def check_sta_boundary(protocol: FrequencyProtocol) -> BoundaryReport:
 
 
 class ValidityReport(NamedTuple):
-    """Counterdiabatic validity over the whole ramp."""
+    """Counterdiabatic validity over the whole ramp. The margin
+    g(t) = 1 - omegadot^2 / (4 omega^4) is the squared ratio of the
+    effective frequency of the counterdiabatic Hamiltonian to omega(t); g
+    must stay positive or the trap inverts."""
 
     valid: bool
     min_margin: float
-
-
-def validity_margin(protocol: FrequencyProtocol, ts) -> np.ndarray:
-    """Margin g(t) = 1 - omegadot^2 / (4 omega^4) at the given times.
-
-    The effective frequency of the counterdiabatic Hamiltonian is
-    omega(t) sqrt(g(t)); g must stay positive or the trap inverts.
-    """
-    w, wd, _ = protocol.eval_many(ts)
-    return 1.0 - wd**2 / (4.0 * w**4)
 
 
 # Rounds and points of the zooming scan for tau_min: each round resamples the

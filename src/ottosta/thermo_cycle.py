@@ -37,7 +37,7 @@ from .dynamics import DEFAULT_RTOL, adiabaticity_stack, thermal_energy
 from .errors import SecondLawViolationError
 from .protocols import FrequencyProtocol, ProtocolKind, check_cd_validity, require_cd_valid
 from .quadrature import DEFAULT_NODES
-from .sta_cost import StrokeContext, avg_work_cost
+from .sta_cost import StrokeContext, work_cost_stack
 
 __all__ = [
     "Accounting",
@@ -50,7 +50,6 @@ __all__ = [
     "StrokeRecord",
     "stroke_records",
     "book_cycle",
-    "evaluate_cycle",
 ]
 
 # Roundoff allowance of the entropy-production guard.
@@ -174,8 +173,9 @@ def stroke_records(
 ) -> list[StrokeRecord]:
     """One StrokeRecord per cycle point, holding what ``accountings`` read:
     for NONADIABATIC the Q* of every stroke, from one stacked bare-drive
-    propagation; for STA and TIME_AVERAGED the cost of each feasible stroke,
-    from one avg_work_cost quadrature."""
+    propagation; for STA and TIME_AVERAGED the cost of every stroke longer
+    than tau_min, from one stacked ``work_cost_stack`` quadrature (None for
+    the others)."""
     accountings = {Accounting(a) for a in accountings}
     factors = Accounting.NONADIABATIC in accountings
     costs = not accountings.isdisjoint((Accounting.STA, Accounting.TIME_AVERAGED))
@@ -190,11 +190,10 @@ def stroke_records(
         q = [float(v) for v in adiabaticity_stack(protocols, betas, ends, rtol=rtol)[0][:, 0]]
     c = [None] * len(protocols)
     if costs:
-        c = [
-            avg_work_cost(StrokeContext(p, b), nodes=nodes)
-            if check_cd_validity(p).valid else None
-            for p, b in zip(protocols, betas)
-        ]
+        feasible = [i for i, p in enumerate(protocols) if check_cd_validity(p).valid]
+        ctxs = [StrokeContext(protocols[i], betas[i]) for i in feasible]
+        for i, cost in zip(feasible, work_cost_stack(ctxs, nodes=nodes).tolist()):
+            c[i] = cost
     return [
         StrokeRecord(q[i], q[i + 1], c[i], c[i + 1]) for i in range(0, len(protocols), 2)
     ]
@@ -272,16 +271,3 @@ def book_cycle(
         ds_tot=ds,
         is_engine=is_engine,
     )
-
-
-def evaluate_cycle(
-    config: CycleConfig,
-    accounting: Accounting = Accounting.ADIABATIC,
-    nodes: int = DEFAULT_NODES,
-    rtol: float = DEFAULT_RTOL,
-) -> CycleResult:
-    """Evaluate the full cycle under one accounting convention, computing
-    only what it reads: ADIABATIC propagates nothing and NONADIABATIC needs
-    no quadrature."""
-    record = stroke_records([config], [accounting], nodes=nodes, rtol=rtol)[0]
-    return book_cycle(config, record, accounting)

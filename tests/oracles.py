@@ -32,6 +32,13 @@ def ramp_omega(kind, omega_i, omega_f, tau, t):
     raise ValueError(kind)
 
 
+def validity_margin(protocol, ts):
+    """Counterdiabatic validity margin 1 - omegadot^2 / (4 omega^4) of a
+    protocol object at the given times, sampled through its own eval_many."""
+    w, wd, _ = protocol.eval_many(ts)
+    return 1.0 - wd**2 / (4.0 * w**4)
+
+
 def ramp_omega_dot(kind, omega_i, omega_f, tau, t, h=1e-6):
     """Centered finite-difference d(omega)/dt, used to probe the closed forms."""
     lo = max(0.0, t - h)

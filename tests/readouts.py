@@ -1,10 +1,12 @@
-"""One-stroke readouts of the stacked propagator, shared by the tests.
+"""One-stroke readouts of the stacked API, shared by the tests.
 
 Each is a one-row call of the public stacked API: the states at the
 checkpoints are M mean(0) and M cov(0) M^T of ``dynamics.transfer_matrices``
 (each a validated ``GaussianState``), the classical pair is read off the
-columns of the bare-drive M, and Q* is the one-row, one-checkpoint
-``dynamics.adiabaticity_stack``.
+columns of the bare-drive M, Q* is the one-row, one-checkpoint
+``dynamics.adiabaticity_stack``, the counterdiabatic terms and costs are
+one-row calls of ``sta_cost``, and a cycle is the one-point
+``thermo_cycle.stroke_records`` booked by ``book_cycle``.
 """
 
 import numpy as np
@@ -14,8 +16,17 @@ from ottosta.dynamics import (
     Drive,
     GaussianState,
     adiabaticity_stack,
+    q_cd_grid,
     transfer_matrices,
 )
+from ottosta.quadrature import DEFAULT_NODES
+from ottosta.sta_cost import (
+    variance_cost_stack,
+    work_cost_stack,
+    work_excess,
+    work_variance_excess,
+)
+from ottosta.thermo_cycle import book_cycle, stroke_records
 
 
 def states(state0, protocol, ts, drive=Drive.BARE, rtol=DEFAULT_RTOL):
@@ -40,3 +51,35 @@ def q_star(protocol, t, beta=1.0, rtol=DEFAULT_RTOL):
     classical-pair value); the second does not depend on beta."""
     q_energy, q_pair = adiabaticity_stack([protocol], [beta], [[t]], rtol=rtol)
     return float(q_energy[0, 0]), float(q_pair[0, 0])
+
+
+def q_cd(protocol, ts):
+    """Closed-form Q*_CD at each ascending checkpoint of one stroke."""
+    return q_cd_grid([protocol], [ts])[0]
+
+
+def work_term(ctx, t):
+    """Mean extra energy of the CD accounting at time t."""
+    return float(work_excess([ctx], [[t]])[0, 0])
+
+
+def variance_term(ctx, t):
+    """Excess work variance of the CD-driven stroke at time t."""
+    return float(work_variance_excess([ctx], [[t]])[0, 0])
+
+
+def work_cost(ctx, nodes=DEFAULT_NODES):
+    """<dW>_tau of one stroke."""
+    return float(work_cost_stack([ctx], nodes=nodes)[0])
+
+
+def variance_cost(ctx, nodes=DEFAULT_NODES):
+    """<d(DeltaW)>_tau of one stroke."""
+    return float(variance_cost_stack([ctx], nodes=nodes)[0])
+
+
+def cycle(config, accounting):
+    """The CycleResult of one cycle point under one accounting, computing
+    only what that accounting reads."""
+    [record] = stroke_records([config], [accounting])
+    return book_cycle(config, record, accounting)

@@ -32,9 +32,9 @@ from ottosta.fock_oracle import (
 )
 from ottosta.optimizer import EmpConfig, curzon_ahlborn, eta_max_power_analytic, maximize_power_numeric
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
-from ottosta.sta_cost import StrokeContext, avg_variance_cost, avg_work_cost, friction_stack, mean_sta_term, work_variance_excess
-from ottosta.thermo_cycle import Accounting, CycleConfig, evaluate_cycle
-from readouts import pair, q_star, states
+from ottosta.sta_cost import StrokeContext, friction_stack
+from ottosta.thermo_cycle import Accounting, CycleConfig
+from readouts import cycle, pair, q_cd, q_star, states, variance_cost, variance_term, work_cost, work_term
 
 W1_AD = 0.966182
 W3_AD = -3.260826
@@ -66,7 +66,7 @@ def report(name: str, ok: bool, detail: str = ""):
 
 def test_criterion_01_reference_cycle_bookkeeping():
     """Adiabatic reference cycle: works, heats, efficiency, entropy."""
-    r = evaluate_cycle(ref_cfg(3.0), Accounting.ADIABATIC)
+    r = cycle(ref_cfg(3.0), Accounting.ADIABATIC)
     checks = {
         "W1": (r.w1, W1_AD, 1e-6),
         "W3": (r.w3, W3_AD, 1e-6),
@@ -99,13 +99,11 @@ def test_criterion_02_sudden_quench_both_backends():
 
 def test_criterion_03_midpoint_shortcut_quantities():
     """Frozen midpoint values of the poly5 compression at tau = 3."""
-    from ottosta.dynamics import q_cd_grid
-
     p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
     ctx = StrokeContext(p, 2.0)
-    q = float(q_cd_grid(p, [1.5])[0])
-    mean_term = float(mean_sta_term(ctx, 1.5))
-    ddw = math.sqrt(float(work_variance_excess(ctx, 1.5)))
+    q = float(q_cd(p, [1.5])[0])
+    mean_term = work_term(ctx, 1.5)
+    ddw = math.sqrt(variance_term(ctx, 1.5))
     checks = [
         ("Q*_cd(mid)", q, 1.1171629915626675),
         ("mean term(mid)", mean_term, 0.11755465080084085),
@@ -183,7 +181,7 @@ def _assert_cost_trend(taus, label):
     for tau in taus:
         ctx = StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau), 2.0)
         fric.append(float(friction_stack([ctx], [[tau]])[0, 0]))
-        costs = {fn.__name__: _cd_or_refused(fn, ctx) for fn in (avg_work_cost, avg_variance_cost)}
+        costs = {fn.__name__: _cd_or_refused(fn, ctx) for fn in (work_cost, variance_cost)}
         bad += _refusal_mismatches(tau, tau_min, costs)
         if tau > tau_min and None not in costs.values():
             cd_taus.append(tau)
@@ -218,14 +216,14 @@ def test_criterion_06c_endpoint_costs_by_boundary_class():
     vanishes at the ends and stays finite for the linear ramp."""
     ctx5 = StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0), 2.0)
     ctxl = StrokeContext(FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 3.0), 2.0)
-    end5 = float(mean_sta_term(ctx5, 3.0))
-    endl = float(mean_sta_term(ctxl, 3.0))
+    end5 = work_term(ctx5, 3.0)
+    endl = work_term(ctxl, 3.0)
     ok = abs(end5) < 1e-12 and endl > 1e-3
     report("6c endpoint costs", ok, f"poly5 {end5:.2e}, linear {endl:.6f}")
 
 
 def _power(tau, accounting):
-    return evaluate_cycle(ref_cfg(tau), accounting).power
+    return cycle(ref_cfg(tau), accounting).power
 
 
 def _assert_power_ordering(taus, label):
@@ -267,8 +265,8 @@ def test_criterion_07c_efficiency_bounds():
     """Shortcut and time-averaged efficiencies never exceed the ideal 0.65."""
     bad = []
     for tau in (2.25, 2.5, 3.0, 4.0, 6.0, 9.0, 12.0, 50.0):
-        r_sta = evaluate_cycle(ref_cfg(tau), Accounting.STA)
-        r_avg = evaluate_cycle(ref_cfg(tau), Accounting.TIME_AVERAGED)
+        r_sta = cycle(ref_cfg(tau), Accounting.STA)
+        r_avg = cycle(ref_cfg(tau), Accounting.TIME_AVERAGED)
         if r_sta.eta > 0.65 + 1e-12 or r_avg.eta > 0.65 + 1e-12:
             bad.append(f"tau={tau}: eta_sta={r_sta.eta!r}, eta_avg={r_avg.eta!r}")
     report("7c efficiency bounds", not bad, "; ".join(bad) or "eta_STA, eta_AVG <= 0.65 at 8 durations")
@@ -281,7 +279,7 @@ def test_criterion_07d_slow_driving_convergence():
     p_want = W_AD_TOTAL / cfg.tau_cycle
     bad = []
     for acct in Accounting:
-        r = evaluate_cycle(cfg, acct)
+        r = cycle(cfg, acct)
         if abs(r.eta - 0.65) > 1e-3 or abs(r.power - p_want) > 1e-3:
             bad.append(f"{acct.value}: eta={r.eta!r}, P={r.power!r}")
     report("7d slow-driving convergence", not bad, "; ".join(bad) or "all four accountings within 1e-3")
@@ -328,7 +326,7 @@ def test_criterion_09_randomized_invariants():
         tau = rng.uniform(0.8, 6.0)
         kind = ProtocolKind(str(rng.choice(["poly5", "poly3", "cosine", "linear"])))
         cfg = CycleConfig(omega1=w1, omega2=w2, beta1=b1, beta2=b2, tau1=tau, tau3=tau, kind=kind)
-        r = evaluate_cycle(cfg, Accounting.NONADIABATIC)
+        r = cycle(cfg, Accounting.NONADIABATIC)
         worst["first_law"] = max(worst["first_law"], abs(r.w1 + r.w3 + r.q2 + r.q4))
         worst["ds"] = min(worst["ds"], r.ds_tot)
         if r.is_engine and r.eta > cfg.eta_carnot + 1e-12:

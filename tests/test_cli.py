@@ -442,6 +442,28 @@ class TestOutputFormats:
         assert repr(v) == rows[0][1]
 
 
+class TestUnwritableOutput:
+    """An --out path that cannot be written is a configuration error (exit 2,
+    one line), and nothing is left at the target or beside it."""
+
+    def _assert_refused(self, out, capsys):
+        assert run_cli(["empower", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ottosta: config error: cannot write output {out}: ")
+        assert err.count("\n") == 1
+
+    def test_missing_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.csv")
+        self._assert_refused(out, capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_names_a_directory(self, tmp_path, capsys):
+        target = tmp_path / "outdir"
+        target.mkdir()
+        self._assert_refused(str(target), capsys)
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
+
 class TestSweep:
     def test_shape_and_status_column(self, outfile):
         rc = run_cli([

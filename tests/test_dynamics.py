@@ -184,32 +184,48 @@ class TestCounterdiabatic:
         assert st_.cov[0, 1] == pytest.approx(0.0, abs=1e-9)
 
     def test_q_cd_closed_form_midpoint(self):
-        assert q_cd_grid(REF, [1.5])[0] == pytest.approx(1.1171629915626675, abs=1e-14)
+        assert q_cd_grid([REF], [[1.5]])[0, 0] == pytest.approx(1.1171629915626675, abs=1e-14)
 
     def test_q_cd_equals_inverse_sqrt_margin(self):
-        from ottosta.protocols import validity_margin
-
         ts = np.linspace(0.0, 3.0, 7)
-        qs = q_cd_grid(REF, ts)
-        margins = validity_margin(REF, ts)
+        qs = q_cd_grid([REF], [ts])[0]
+        margins = oracles.validity_margin(REF, ts)
         np.testing.assert_allclose(qs, 1.0 / np.sqrt(margins), rtol=1e-14)
 
     def test_q_cd_is_one_at_ends_for_sta_ramps(self):
         for kind in (ProtocolKind.POLY5, ProtocolKind.POLY3, ProtocolKind.COSINE):
             p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
-            q_start, q_end = q_cd_grid(p, [0.0, p.tau])
+            q_start, q_end = q_cd_grid([p], [[0.0, p.tau]])[0]
             assert q_start == pytest.approx(1.0, abs=1e-14)
             assert q_end == pytest.approx(1.0, abs=1e-14)
 
     def test_q_cd_linear_nonzero_at_ends(self):
         p = FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 3.0)
-        assert q_cd_grid(p, [3.0])[0] == pytest.approx(1.005920217065088, abs=1e-12)
-        assert q_cd_grid(p, [0.0])[0] > 1.5  # slope over 4 w^4 is large at the slow end
+        assert q_cd_grid([p], [[3.0]])[0, 0] == pytest.approx(1.005920217065088, abs=1e-12)
+        assert q_cd_grid([p], [[0.0]])[0, 0] > 1.5  # slope over 4 w^4 is large at the slow end
 
     def test_q_cd_raises_on_trap_inversion(self):
         fast = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 1.5)
         with pytest.raises(TrapInversionError):
-            q_cd_grid(fast, np.linspace(0.0, 1.5, 101))
+            q_cd_grid([fast], [np.linspace(0.0, 1.5, 101)])
+
+    def test_q_cd_rows_equal_their_one_row_calls_bit_for_bit(self):
+        protocols = [
+            FrequencyProtocol(kind, wi, wf, tau)
+            for kind in (ProtocolKind.POLY5, ProtocolKind.COSINE, ProtocolKind.LINEAR)
+            for wi, wf, tau in ((0.35, 1.0, 3.0), (1.0, 0.35, 7.5))
+        ]
+        ts = [np.linspace(0.0, p.tau, 9) for p in protocols]
+        stacked = q_cd_grid(protocols, ts)
+        assert stacked.shape == (len(protocols), 9)
+        for b, p in enumerate(protocols):
+            assert stacked[b].tobytes() == q_cd_grid([p], [ts[b]])[0].tobytes(), b
+
+    def test_q_cd_refuses_bad_checkpoints(self):
+        with pytest.raises(ValueError, match="exceeds tau"):
+            q_cd_grid([REF], [[0.0, 3.5]])
+        with pytest.raises(ValueError, match="same number of checkpoints"):
+            q_cd_grid([REF, REF], [[1.0], [1.0, 2.0]])
 
     def test_cd_interior_state_is_instantaneous_thermal(self):
         """Under the counterdiabatic drive the state at every interior time
@@ -402,6 +418,6 @@ class TestExtremeInputs:
         ts = np.linspace(0.0, 1e308, 1001)
         w, _, wdd = p.eval_many(ts)
         assert np.isfinite(w).all() and np.isfinite(wdd).all()
-        assert (q_cd_grid(p, ts) >= 1.0).all()
+        assert (q_cd_grid([p], [ts]) >= 1.0).all()
         with pytest.raises(NumericsError, match="budget"):
             adiabaticity_stack([p], [2.0], [ts])

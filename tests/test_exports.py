@@ -1,7 +1,8 @@
-"""The public surface: every exported name resolves, and the single-stroke
-spellings of the stacked propagator and of the friction readout stay gone
-(``dynamics.transfer_matrices``, ``dynamics.adiabaticity_stack`` and
-``sta_cost.friction_stack`` take one row)."""
+"""The public surface: every exported name resolves, and retired names stay
+gone. They are single-stroke spellings of the stacked API (a single stroke
+is a one-row call of ``dynamics.transfer_matrices``, ``adiabaticity_stack``
+or ``q_cd_grid``, of the ``sta_cost`` stacks or of
+``thermo_cycle.stroke_records``) and helpers that only the tests used."""
 
 import importlib
 import pkgutil
@@ -23,7 +24,17 @@ RETIRED = {
         "adiabaticity_pair_path",
         "q_cd",
     ],
-    "sta_cost": ["friction", "friction_path", "friction_ends"],
+    "fock_oracle": ["thermal_dim", "thermal_fock", "adiabatic_reference", "irreversible_work"],
+    "protocols": ["validity_margin"],
+    "sta_cost": [
+        "friction",
+        "friction_path",
+        "friction_ends",
+        "mean_sta_term",
+        "avg_work_cost",
+        "avg_variance_cost",
+    ],
+    "thermo_cycle": ["evaluate_cycle"],
 }
 
 

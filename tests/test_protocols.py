@@ -6,7 +6,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from ottosta.dynamics import Drive, q_cd_grid, transfer_matrices
+from ottosta.dynamics import Drive, transfer_matrices
 from ottosta.errors import TrapInversionError
 from ottosta.protocols import (
     FrequencyProtocol,
@@ -14,11 +14,11 @@ from ottosta.protocols import (
     check_cd_validity,
     check_sta_boundary,
     tau_min,
-    validity_margin,
 )
 from ottosta.quadrature import stroke_grid
-from ottosta.sta_cost import StrokeContext, avg_work_cost
-from ottosta.thermo_cycle import Accounting, CycleConfig, evaluate_cycle
+from ottosta.sta_cost import StrokeContext
+from ottosta.thermo_cycle import Accounting, CycleConfig
+from readouts import cycle, q_cd, work_cost
 
 RAMP_KINDS = [k for k in ProtocolKind if k is not ProtocolKind.CONSTANT]
 
@@ -203,7 +203,7 @@ class TestValidity:
 
     def test_margin_midpoint_value(self):
         p = make(ProtocolKind.POLY5)
-        m = validity_margin(p, np.array([1.5]))[0]
+        m = oracles.validity_margin(p, np.array([1.5]))[0]
         # closed form at s = 1/2: omega = 0.675, omega_dot = 0.65 * 1.875 / 3
         wd = 0.65 * 1.875 / 3.0
         want = 1.0 - wd * wd / (4.0 * 0.675**4)
@@ -261,13 +261,13 @@ class TestTauMin:
         assume(abs(tau - t_min) > 1e-5 * t_min)
         p = FrequencyProtocol(kind, wi, wf, tau)
         t = np.linspace(0.0, tau, 20001)
-        m = validity_margin(p, t)
+        m = oracles.validity_margin(p, t)
         # refine the scan 1000-fold across the two cells around the three
         # lowest grid local minima, so its own error stays far below 1e-6
         i = np.flatnonzero((m[1:-1] <= m[:-2]) & (m[1:-1] <= m[2:])) + 1
         i = i[np.argsort(m[i], kind="stable")[:3]]
         fine = np.concatenate([t] + [np.linspace(t[j - 1], t[j + 1], 2001) for j in i])
-        sampled = float(np.min(validity_margin(p, fine)))
+        sampled = float(np.min(oracles.validity_margin(p, fine)))
         rep = check_cd_validity(p)
         assert rep.valid == (sampled > 0.0)
         # exact minimum: never above a sampled one, and the dense grid is close
@@ -281,10 +281,10 @@ class TestTauMin:
         p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau)
         cfg = CycleConfig(omega1=0.35, omega2=1.0, beta1=2.0, beta2=0.2, tau1=tau, tau3=tau)
         quantities = [
-            lambda: avg_work_cost(StrokeContext(p, 2.0)),
-            lambda: q_cd_grid(p, stroke_grid(tau)),
+            lambda: work_cost(StrokeContext(p, 2.0)),
+            lambda: q_cd(p, stroke_grid(tau)),
             lambda: transfer_matrices([p], [[tau]], [Drive.CD]),
-            lambda: evaluate_cycle(cfg, Accounting.STA),
+            lambda: cycle(cfg, Accounting.STA),
         ]
         assert check_cd_validity(p).valid is not refused
         for quantity in quantities:

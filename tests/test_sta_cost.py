@@ -7,14 +7,16 @@ import oracles
 from ottosta.errors import PhysicsError, TrapInversionError
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
 from ottosta.quadrature import simpson_uniform, stroke_grid
+from ottosta import sta_cost
 from ottosta.sta_cost import (
     StrokeContext,
-    avg_variance_cost,
-    avg_work_cost,
     friction_stack,
-    mean_sta_term,
+    variance_cost_stack,
+    work_cost_stack,
+    work_excess,
     work_variance_excess,
 )
+from readouts import q_cd, variance_cost, variance_term, work_cost, work_term
 
 COMP = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
 EXP = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 0.35, 3.0)
@@ -52,90 +54,159 @@ class TestStrokeContext:
 class TestMeanCost:
     def test_midpoint_integrand_value(self):
         ctx = StrokeContext(COMP, 2.0)
-        got = mean_sta_term(ctx, 1.5)
+        got = work_term(ctx, 1.5)
         assert got == pytest.approx(0.11755465080084085, abs=1e-14)
 
     def test_midpoint_decomposition(self):
         # integrand = (w_t / w_i) (Q - 1) * E0; at the midpoint
         # w Q = 0.75408501930480058 for the reference ramp
-        from ottosta.dynamics import q_cd_grid
-
         w = COMP.omega(1.5)
-        q = q_cd_grid(COMP, [1.5])[0]
+        q = q_cd(COMP, [1.5])[0]
         assert w * q == pytest.approx(0.75408501930480058, abs=1e-13)
         want = (w / 0.35) * (q - 1.0) * 0.52025185227206215
-        assert mean_sta_term(StrokeContext(COMP, 2.0), 1.5) == pytest.approx(want, rel=1e-14)
+        assert work_term(StrokeContext(COMP, 2.0), 1.5) == pytest.approx(want, rel=1e-14)
 
     def test_vanishes_at_stroke_ends(self):
         ctx = StrokeContext(COMP, 2.0)
-        assert mean_sta_term(ctx, 0.0) == pytest.approx(0.0, abs=1e-14)
-        assert mean_sta_term(ctx, 3.0) == pytest.approx(0.0, abs=1e-14)
+        assert work_term(ctx, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert work_term(ctx, 3.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_average_reference_values(self):
-        assert avg_work_cost(StrokeContext(COMP, 2.0)) == pytest.approx(
+        assert work_cost(StrokeContext(COMP, 2.0)) == pytest.approx(
             0.07982655330359724, abs=1e-12
         )
-        assert avg_work_cost(StrokeContext(EXP, 0.2)) == pytest.approx(
+        assert work_cost(StrokeContext(EXP, 0.2)) == pytest.approx(
             0.2694114637405115, abs=1e-12
         )
 
     def test_average_matches_trapezoid_oracle(self):
         ctx = StrokeContext(COMP, 2.0)
-        want = oracles.trapezoid_mean(lambda t: float(mean_sta_term(ctx, t)), 0.0, 3.0, n=20001)
-        assert avg_work_cost(ctx) == pytest.approx(want, rel=1e-9)
+        want = oracles.trapezoid_mean(lambda t: work_term(ctx, t), 0.0, 3.0, n=20001)
+        assert work_cost(ctx) == pytest.approx(want, rel=1e-9)
 
     def test_node_count_convergence(self):
         ctx = StrokeContext(COMP, 2.0)
-        assert avg_work_cost(ctx, nodes=257) == pytest.approx(avg_work_cost(ctx, nodes=2049), rel=1e-10)
+        assert work_cost(ctx, nodes=257) == pytest.approx(work_cost(ctx, nodes=2049), rel=1e-10)
 
     def test_inverse_square_time_scaling(self):
-        c24 = avg_work_cost(StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 24.0), 2.0))
-        c48 = avg_work_cost(StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 48.0), 2.0))
+        c24 = work_cost(StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 24.0), 2.0))
+        c48 = work_cost(StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 48.0), 2.0))
         assert c48 / c24 == pytest.approx(0.25, abs=2e-3)
         assert c48 / c24 == pytest.approx(0.24931277414163455, abs=1e-10)
 
     def test_trap_inversion_propagates(self):
         fast = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 1.5)
         with pytest.raises(TrapInversionError):
-            avg_work_cost(StrokeContext(fast, 2.0))
+            work_cost(StrokeContext(fast, 2.0))
 
 
 class TestVarianceCost:
     def test_midpoint_excess_closed_form(self):
         ctx = StrokeContext(COMP, 2.0)
-        got = work_variance_excess(ctx, 1.5)
+        got = variance_term(ctx, 1.5)
         assert got == pytest.approx(0.11298335917402848, abs=1e-13)
         assert math.sqrt(got) == pytest.approx(0.33612997363226695, abs=1e-13)
 
     def test_excess_formula(self):
-        from ottosta.dynamics import q_cd_grid
-
         ctx = StrokeContext(COMP, 2.0)
         t = 0.9
         w = COMP.omega(t)
-        q = q_cd_grid(COMP, [t])[0]
+        q = q_cd(COMP, [t])[0]
         var_n = ctx.n_bar * (ctx.n_bar + 1.0)
         want = ((w * q - 0.35) ** 2 - (w - 0.35) ** 2) * var_n
-        assert work_variance_excess(ctx, t) == pytest.approx(want, rel=1e-13)
+        assert variance_term(ctx, t) == pytest.approx(want, rel=1e-13)
 
     def test_average_reference_value(self):
-        assert avg_variance_cost(StrokeContext(COMP, 2.0)) == pytest.approx(
+        assert variance_cost(StrokeContext(COMP, 2.0)) == pytest.approx(
             0.18274471987550409, abs=1e-12
         )
 
     def test_compression_excess_nonnegative(self):
         ctx = StrokeContext(COMP, 2.0)
         ts = np.linspace(0.0, 3.0, 101)
-        assert np.all(work_variance_excess(ctx, ts) >= -1e-15)
+        assert np.all(work_variance_excess([ctx], [ts])[0] >= -1e-15)
 
     def test_expansion_excess_is_negative_and_rejected(self):
         ctx = StrokeContext(EXP, 0.2)
         # on an expansion stroke the counterdiabatic factor pulls the
         # instantaneous frequency toward the initial one, so the excess
         # spread is negative and an averaged "cost" would be meaningless
-        assert work_variance_excess(ctx, 1.5) < 0.0
+        assert variance_term(ctx, 1.5) < 0.0
         with pytest.raises(PhysicsError):
-            avg_variance_cost(ctx)
+            variance_cost(ctx)
+
+
+# Mixed kinds, durations and temperatures: (kind, omega_i, omega_f, tau, beta).
+_COMPRESSIONS = [
+    (kind, 0.35, wf, tau, beta)
+    for kind in (ProtocolKind.POLY5, ProtocolKind.POLY3, ProtocolKind.COSINE)
+    for wf, tau, beta in ((1.0, 3.0, 2.0), (0.7, 4.5, 0.2), (1.0, 9.0, math.inf))
+]
+_EXPANSIONS = [(k, wf, wi, tau, beta) for k, wi, wf, tau, beta in _COMPRESSIONS]
+
+
+def _contexts(rows):
+    return [StrokeContext(FrequencyProtocol(k, wi, wf, tau), beta) for k, wi, wf, tau, beta in rows]
+
+
+class TestCostStack:
+    """The stacked costs: each row is its one-row call, bit for bit, also
+    across the blocks the grid is evaluated in."""
+
+    def test_work_cost_rows_equal_their_one_row_calls_bit_for_bit(self):
+        ctxs = _contexts(_COMPRESSIONS + _EXPANSIONS)
+        assert len(ctxs) > sta_cost._BLOCK_SAMPLES // 1001  # more than one block
+        stacked = work_cost_stack(ctxs)
+        assert stacked.shape == (len(ctxs),)
+        for b, ctx in enumerate(ctxs):
+            assert stacked[b].tobytes() == work_cost_stack([ctx])[0].tobytes(), b
+
+    def test_variance_cost_rows_equal_their_one_row_calls_bit_for_bit(self):
+        ctxs = _contexts(_COMPRESSIONS)
+        assert len(ctxs) > sta_cost._BLOCK_SAMPLES // 1001
+        stacked = variance_cost_stack(ctxs)
+        for b, ctx in enumerate(ctxs):
+            assert stacked[b].tobytes() == variance_cost_stack([ctx])[0].tobytes(), b
+
+    @pytest.mark.parametrize("closed_form", [work_excess, work_variance_excess])
+    def test_closed_form_rows_equal_their_one_row_calls_bit_for_bit(self, closed_form):
+        ctxs = _contexts(_COMPRESSIONS + _EXPANSIONS)
+        ts = np.array([np.linspace(0.0, ctx.protocol.tau, 11) for ctx in ctxs])
+        stacked = closed_form(ctxs, ts)
+        assert stacked.shape == (len(ctxs), 11)
+        for b, ctx in enumerate(ctxs):
+            assert stacked[b].tobytes() == closed_form([ctx], ts[b][None])[0].tobytes(), b
+
+    @pytest.mark.parametrize("nodes", [257, 1001, 9001])
+    def test_blocks_hold_at_most_the_block_samples(self, monkeypatch, nodes):
+        exact = sta_cost.work_excess
+        blocks = []
+
+        def recorded(ctxs, ts):
+            blocks.append(ts.shape)
+            return exact(ctxs, ts)
+
+        monkeypatch.setattr(sta_cost, "work_excess", recorded)
+        ctxs = _contexts(_COMPRESSIONS * 4)
+        work_cost_stack(ctxs, nodes=nodes)
+        assert sum(rows for rows, _ in blocks) == len(ctxs)
+        assert all(k == nodes for _, k in blocks)
+        assert all(rows * k <= max(sta_cost._BLOCK_SAMPLES, k) for rows, k in blocks)
+        assert len(blocks) == -(-len(ctxs) // max(sta_cost._BLOCK_SAMPLES // nodes, 1))
+
+    def test_an_expansion_stroke_refuses_the_variance_cost_of_the_stack(self):
+        with pytest.raises(PhysicsError, match="negative"):
+            variance_cost_stack(_contexts(_COMPRESSIONS[:2] + _EXPANSIONS[:1]))
+
+    def test_one_infeasible_stroke_refuses_the_stack(self):
+        rows = _COMPRESSIONS[:2] + [(ProtocolKind.POLY5, 0.35, 1.0, 2.0, 2.0)]
+        for cost in (work_cost_stack, variance_cost_stack):
+            with pytest.raises(TrapInversionError, match="tau_min"):
+                cost(_contexts(rows))
+
+    def test_empty_stack(self):
+        assert work_cost_stack([]).shape == (0,)
+        assert variance_cost_stack([]).shape == (0,)
 
 
 def _friction(ctx, t):
@@ -208,9 +279,9 @@ class TestEndpointCosts:
         for kind in (ProtocolKind.POLY5, ProtocolKind.POLY3, ProtocolKind.COSINE):
             p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
             ctx = StrokeContext(p, 2.0)
-            assert mean_sta_term(ctx, p.tau) == pytest.approx(0.0, abs=1e-12)
+            assert work_term(ctx, p.tau) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_ramp_has_nonzero_endpoint_cost(self):
         p = FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 3.0)
         ctx = StrokeContext(p, 2.0)
-        assert mean_sta_term(ctx, p.tau) > 1e-3
+        assert work_term(ctx, p.tau) > 1e-3

@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from readouts import cycle, work_cost
 from ottosta.errors import SecondLawViolationError, TrapInversionError
 from ottosta.protocols import ProtocolKind
+from ottosta.sta_cost import StrokeContext
 from ottosta.thermo_cycle import (
     Accounting,
     CycleConfig,
@@ -15,7 +17,6 @@ from ottosta.thermo_cycle import (
     StrokeRecord,
     book_cycle,
     entropy_production,
-    evaluate_cycle,
     heat_cold,
     heat_hot,
     stroke_records,
@@ -81,7 +82,7 @@ class TestAdiabaticLimit:
 
     def test_power(self):
         cfg = ref()
-        power = evaluate_cycle(cfg, Accounting.ADIABATIC).power
+        power = cycle(cfg, Accounting.ADIABATIC).power
         assert power == pytest.approx(2.2946441066201455 / 6.0, rel=1e-14)
 
     def test_entropy_production(self):
@@ -118,7 +119,7 @@ class TestNonadiabatic:
         assert q3 == pytest.approx(q_star(cfg.expansion_protocol(), 3.0)[1], rel=1e-9)
 
     def test_reference_row(self):
-        r = evaluate_cycle(ref(), Accounting.NONADIABATIC)
+        r = cycle(ref(), Accounting.NONADIABATIC)
         assert r.eta == pytest.approx(0.3820167581577366, abs=1e-10)
         assert r.power == pytest.approx(0.19128952826474366, abs=1e-10)
         assert r.is_engine
@@ -127,15 +128,15 @@ class TestNonadiabatic:
     @pytest.mark.parametrize("tau", [3.0, 6.0])
     def test_efficiency_is_the_factored_closed_form(self, kind, tau):
         cfg = ref(tau, kind=ProtocolKind(kind))
-        r = evaluate_cycle(cfg, Accounting.NONADIABATIC)
+        r = cycle(cfg, Accounting.NONADIABATIC)
         assert r.eta == pytest.approx(oracles.efficiency_exact(cfg, r.q1_star, r.q3_star), rel=1e-14)
 
     def test_first_law_residual(self):
-        r = evaluate_cycle(ref(), Accounting.NONADIABATIC)
+        r = cycle(ref(), Accounting.NONADIABATIC)
         assert r.w1 + r.w3 + r.q2 + r.q4 == pytest.approx(0.0, abs=1e-12)
 
     def test_entropy_nonnegative(self):
-        r = evaluate_cycle(ref(), Accounting.NONADIABATIC)
+        r = cycle(ref(), Accounting.NONADIABATIC)
         assert r.ds_tot >= 0.0
         # friction strictly increases entropy production over the ideal cycle
         assert r.ds_tot > 1.7651108512462658
@@ -168,7 +169,7 @@ class TestNonadiabatic:
 
 class TestAccountingConventions:
     def test_adiabatic_row(self):
-        r = evaluate_cycle(ref(), Accounting.ADIABATIC)
+        r = cycle(ref(), Accounting.ADIABATIC)
         assert r.q1_star == 1.0 and r.q3_star == 1.0
         assert r.eta == pytest.approx(0.65, abs=1e-14)
         assert r.power == pytest.approx(2.2946441066201455 / 6.0, rel=1e-13)
@@ -176,7 +177,7 @@ class TestAccountingConventions:
         assert r.is_engine
 
     def test_sta_row(self):
-        r = evaluate_cycle(ref(), Accounting.STA)
+        r = cycle(ref(), Accounting.STA)
         assert r.q1_star == pytest.approx(1.0, abs=1e-12)
         assert r.q3_star == pytest.approx(1.0, abs=1e-12)
         assert r.cost1 == pytest.approx(0.07982655330359724, abs=1e-12)
@@ -187,7 +188,7 @@ class TestAccountingConventions:
     def test_sta_efficiency_formula(self):
         # both driving costs are charged to the heat input for efficiency,
         # and against the output for power
-        r = evaluate_cycle(ref(), Accounting.STA)
+        r = cycle(ref(), Accounting.STA)
         w_ad = 2.2946441066201455
         q2 = 3.5302217024925315
         want_eta = w_ad / (q2 + r.cost1 + r.cost3)
@@ -196,7 +197,7 @@ class TestAccountingConventions:
         assert r.power == pytest.approx(want_p, rel=1e-12)
 
     def test_time_averaged_row(self):
-        r = evaluate_cycle(ref(), Accounting.TIME_AVERAGED)
+        r = cycle(ref(), Accounting.TIME_AVERAGED)
         assert r.eta == pytest.approx(0.5510719307522451, abs=1e-10)
         assert r.power == pytest.approx(0.3242343482626729, abs=1e-10)
         # costs are folded into the stroke works
@@ -204,7 +205,7 @@ class TestAccountingConventions:
         assert r.w1 == pytest.approx(0.96618201136240114 + 0.07982655330359724, rel=1e-10)
 
     def test_time_averaged_first_law_closure(self):
-        r = evaluate_cycle(ref(), Accounting.TIME_AVERAGED)
+        r = cycle(ref(), Accounting.TIME_AVERAGED)
         assert r.w1 + r.w3 + r.q2 + r.q4 == pytest.approx(0.0, abs=1e-12)
 
     def test_driving_costs_helper(self):
@@ -214,31 +215,31 @@ class TestAccountingConventions:
         assert c3 == pytest.approx(0.2694114637405115, abs=1e-12)
 
     def test_sta_work_output_net_of_costs(self):
-        r = evaluate_cycle(ref(), Accounting.STA)
+        r = cycle(ref(), Accounting.STA)
         assert r.work_output == pytest.approx(-(r.w1 + r.w3) - r.cost1 - r.cost3, rel=1e-13)
 
     def test_trap_inversion_surfaces_for_sta_accountings(self):
         cfg = ref(tau=1.5)
         with pytest.raises(TrapInversionError):
-            evaluate_cycle(cfg, Accounting.STA)
+            cycle(cfg, Accounting.STA)
         with pytest.raises(TrapInversionError):
-            evaluate_cycle(cfg, Accounting.TIME_AVERAGED)
+            cycle(cfg, Accounting.TIME_AVERAGED)
         # bare and ideal accountings are still fine at this duration
-        evaluate_cycle(cfg, Accounting.NONADIABATIC)
-        evaluate_cycle(cfg, Accounting.ADIABATIC)
+        cycle(cfg, Accounting.NONADIABATIC)
+        cycle(cfg, Accounting.ADIABATIC)
 
     def test_no_heat_input_has_no_efficiency(self):
         # omega1/omega2 = beta2/beta1: the bare hot stroke takes in exactly 0
         cfg = CycleConfig(omega1=0.5, omega2=1.0, beta1=2.0, beta2=1.0, tau1=3.0, tau3=3.0)
         for accounting in (Accounting.ADIABATIC, Accounting.TIME_AVERAGED):
-            r = evaluate_cycle(cfg, accounting)
+            r = cycle(cfg, accounting)
             assert r.q2 == 0.0
             assert r.eta is None
             assert not r.is_engine
-        assert evaluate_cycle(cfg, Accounting.NONADIABATIC).eta is not None
+        assert cycle(cfg, Accounting.NONADIABATIC).eta is not None
 
     def test_result_is_frozen(self):
-        r = evaluate_cycle(ref(), Accounting.ADIABATIC)
+        r = cycle(ref(), Accounting.ADIABATIC)
         with pytest.raises(AttributeError):
             r.eta = 0.0
 
@@ -255,7 +256,7 @@ class TestProperties:
             omega1=w1, omega2=1.0, beta1=b1, beta2=ratio * b1, tau1=tau, tau3=tau,
             kind=ProtocolKind.POLY5,
         )
-        r = evaluate_cycle(cfg, Accounting.NONADIABATIC)
+        r = cycle(cfg, Accounting.NONADIABATIC)
         assert r.ds_tot >= -1e-9
         if r.is_engine:
             assert r.eta <= cfg.eta_carnot + 1e-12
@@ -263,8 +264,8 @@ class TestProperties:
     @given(st.floats(2.2, 12.0))
     def test_sta_power_between_zero_and_adiabatic(self, tau):
         cfg = ref(tau=tau)
-        r_sta = evaluate_cycle(cfg, Accounting.STA)
-        r_ad = evaluate_cycle(cfg, Accounting.ADIABATIC)
+        r_sta = cycle(cfg, Accounting.STA)
+        r_ad = cycle(cfg, Accounting.ADIABATIC)
         assert 0.0 < r_sta.power <= r_ad.power + 1e-12
         assert r_sta.eta <= 0.65 + 1e-12
 
@@ -274,17 +275,18 @@ class TestStrokeRecord:
 
     @pytest.mark.parametrize("accounting", list(Accounting))
     def test_evaluate_cycle_equals_the_booked_record(self, accounting):
+        # a one-point cycle equals the same point booked from a stack
         cfg = ref(4.0, kind=ProtocolKind.COSINE)
         stack = [ref(2.5), cfg, ref(7.0, kind=ProtocolKind.POLY3)]
         record = stroke_records(stack)[1]
-        assert evaluate_cycle(cfg, accounting) == book_cycle(cfg, record, accounting)
+        assert cycle(cfg, accounting) == book_cycle(cfg, record, accounting)
 
     def test_below_tau_min_only_the_shortcut_accountings_refuse(self):
         cfg = ref(2.0)  # tau_min = 2.0678 for poly5 between 0.35 and 1
         [record] = stroke_records([cfg])
         assert record.c1 is None and record.c3 is None
         for accounting in (Accounting.ADIABATIC, Accounting.NONADIABATIC):
-            assert book_cycle(cfg, record, accounting) == evaluate_cycle(cfg, accounting)
+            assert book_cycle(cfg, record, accounting) == cycle(cfg, accounting)
         for accounting in (Accounting.STA, Accounting.TIME_AVERAGED):
             with pytest.raises(TrapInversionError, match="tau_min"):
                 book_cycle(cfg, record, accounting)
@@ -312,7 +314,7 @@ class TestStrokeRecord:
 
         cfg = ref(2.0)
         with pytest.raises(TrapInversionError) as booked:
-            evaluate_cycle(cfg, Accounting.STA)
+            cycle(cfg, Accounting.STA)
         with pytest.raises(TrapInversionError) as driven:
             transfer_matrices([cfg.compression_protocol()], [[2.0]], [Drive.CD])
         assert str(booked.value) == str(driven.value)
@@ -333,20 +335,20 @@ class TestStrokeRecord:
         import ottosta.thermo_cycle as thermo_cycle
 
         calls = {"stack": 0, "cost": 0}
-        exact_cost = thermo_cycle.avg_work_cost
+        exact_cost = thermo_cycle.work_cost_stack
         exact_stack = dynamics._transfer_matrices
 
-        def counted_cost(*args, **kwargs):
-            calls["cost"] += 1
-            return exact_cost(*args, **kwargs)
+        def counted_cost(ctxs, **kwargs):
+            calls["cost"] += len(ctxs)
+            return exact_cost(ctxs, **kwargs)
 
         def counted_stack(*args, **kwargs):
             calls["stack"] += 1
             return exact_stack(*args, **kwargs)
 
-        monkeypatch.setattr(thermo_cycle, "avg_work_cost", counted_cost)
+        monkeypatch.setattr(thermo_cycle, "work_cost_stack", counted_cost)
         monkeypatch.setattr(dynamics, "_transfer_matrices", counted_stack)
-        evaluate_cycle(ref(), accounting)
+        cycle(ref(), accounting)
         assert calls == {"stack": int(propagates), "cost": 2 * int(integrates)}
 
     def test_default_cycle_computes_each_stroke_once(self, monkeypatch):
@@ -357,21 +359,43 @@ class TestStrokeRecord:
 
         costs = []
         stacks = []
-        exact_cost = thermo_cycle.avg_work_cost
+        exact_cost = thermo_cycle.work_cost_stack
         exact_stack = dynamics._transfer_matrices
 
-        def counted_cost(*args, **kwargs):
-            costs.append(args[0].protocol.tau)
-            return exact_cost(*args, **kwargs)
+        def counted_cost(ctxs, **kwargs):
+            costs.append(len(ctxs))
+            return exact_cost(ctxs, **kwargs)
 
         def recorded_stack(protocols, ts, drives, rtol):
             stacks.append((len(protocols), ts.shape[1], set(drives)))
             return exact_stack(protocols, ts, drives, rtol)
 
-        monkeypatch.setattr(thermo_cycle, "avg_work_cost", counted_cost)
+        monkeypatch.setattr(thermo_cycle, "work_cost_stack", counted_cost)
         monkeypatch.setattr(dynamics, "_transfer_matrices", recorded_stack)
         params = resolve_config("cycle", build_parser().parse_args(["cycle"]))
         _, rows = datasets.cycle_dataset(params)
         assert len(rows) == 40
-        assert len(costs) == 80
+        assert costs == [80]
         assert stacks == [(80, 1, {dynamics.Drive.BARE})]
+
+    def test_costs_are_none_exactly_on_the_infeasible_strokes(self):
+        # tau_min = 2.0678 for the poly5 strokes between 0.35 and 1
+        stack = [
+            ref(3.0),
+            ref(2.0),
+            CycleConfig(omega1=0.35, omega2=1.0, beta1=2.0, beta2=0.2, tau1=2.0, tau3=5.0),
+            ref(7.0, kind=ProtocolKind.COSINE),
+            CycleConfig(omega1=0.35, omega2=1.0, beta1=2.0, beta2=0.2, tau1=4.0, tau3=1.5),
+        ]
+        records = stroke_records(stack)
+        for cfg, record in zip(stack, records):
+            strokes = (
+                (cfg.compression_protocol(), cfg.beta1, record.c1),
+                (cfg.expansion_protocol(), cfg.beta2, record.c3),
+            )
+            for protocol, beta, c in strokes:
+                t_min = oracles.tau_min(protocol.kind.value, protocol.omega_i, protocol.omega_f)
+                if protocol.tau > t_min:
+                    assert c == work_cost(StrokeContext(protocol, beta)), (cfg, protocol)
+                else:
+                    assert c is None, (cfg, protocol)
