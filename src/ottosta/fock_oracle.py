@@ -1,8 +1,9 @@
 """Truncated Fock-basis engine: an independent cross-check on the Gaussian
 moment dynamics.
 
-Operators are built once in the number basis of a fixed reference frequency
-(the stroke's initial trap frequency), the density matrix is propagated with
+Operators are built once, from real products, in the number basis of a
+fixed reference frequency (for a stroke, the geometric mean of its endpoint
+frequencies, ``stroke_reference``), the density matrix is propagated with
 an adaptive 4th-order Magnus integrator (two-node Gauss-Legendre commutator
 form, unitary by construction through an eigendecomposition of the Hermitian
 generator), and energies/populations are read out by diagonalizing the
@@ -11,10 +12,14 @@ relevant Hamiltonians inside the truncated space.
 Every stroke Hamiltonian is quadratic in x and p, so it changes the number
 n by 0 or +-2 and never mixes even and odd n. Each Magnus step therefore
 exponentiates two generators of about dim/2, one per number parity, instead
-of one of size dim; the density matrix stays in the natural Fock order and
-its parity blocks, off-parity coherences included, are updated as
-rho[a, b] <- U_a rho[a, b] U_b^dagger (the odd-even block is the conjugate
-transpose of the even-odd one, since rho is Hermitian).
+of one of size dim, and rho is carried as its parity blocks: the even-even
+and odd-odd blocks, each contiguous, updated as rho[a, a] <- U_a rho[a, a]
+U_a^dagger. The even-odd block, rho[e, o] <- U_e rho[e, o] U_o^dagger, is
+carried only when the start state has an off-parity coherence (the odd-even
+block is its conjugate transpose, since rho is Hermitian). A thermal start
+has none, and a block-diagonal U keeps a zero block exactly zero, so
+skipping it changes nothing. Dense rho is rebuilt, in the natural Fock
+order, only at the checkpoints.
 
 Within one parity, x^2, p^2 and xp + px couple only neighbouring levels, so
 each operator is kept as a Hermitian tridiagonal band, and the Magnus
@@ -32,9 +37,9 @@ the ones the state occupies, under the compression of the operators onto
 them. The window opens where the start state's diagonal tail falls below a
 threshold, plus a guard band, and grows by one band whenever its top band
 holds more than the threshold; only at the cap does the leak check of the
-top two levels refuse the state. Returned states are zero-padded to the
-cap. The bare eigenbasis of H0 is split the same way: two real tridiagonal
-eigensolves, one per parity.
+top two levels (the top level of each parity block) refuse the state.
+Returned states are zero-padded to the cap. The bare eigenbasis of H0 is
+split the same way: two real tridiagonal eigensolves, one per parity.
 
 This route shares nothing with the Gaussian transfer-matrix propagator
 except the frequency ramp and its checkpoint rule (``FrequencyProtocol``),
@@ -47,9 +52,10 @@ two-point-measurement work moments, and relative-entropy distances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,24 +123,40 @@ class FockOperators:
     p2: np.ndarray
     xp_px: np.ndarray
 
+    @functools.cached_property
+    def _parity_bands(self) -> tuple[_ParityBlock, _ParityBlock]:
+        """The validated even-n and odd-n bands of x2, p2 and xp_px
+        (_parity_blocks), checked on first use only; operators that are
+        refused raise again on every use, since nothing is cached then."""
+        return _parity_blocks(self)
+
 
 def build_operators(ref_omega: float, dim: int) -> FockOperators:
+    """x, p, x^2, p^2 and xp + px on the lowest ``dim`` number states of
+    ``ref_omega``. x is real and p = i q with q real, so the quadratic
+    operators are real products: x^2 and p^2 = -q^2 are real, and
+    xp + px = i (xq + qx) is imaginary."""
     if dim < 4:
         raise ValueError(f"dim must be at least 4, got {dim}")
     if ref_omega <= 0.0:
         raise ValueError(f"ref_omega must be positive, got {ref_omega}")
     n = np.arange(1, dim, dtype=np.float64)
-    a = np.zeros((dim, dim), dtype=np.complex128)
+    a = np.zeros((dim, dim))
     a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(n)
-    ad = a.conj().T
-    x = (a + ad) / math.sqrt(2.0 * ref_omega)
-    p = 1j * math.sqrt(ref_omega / 2.0) * (ad - a)
-    x2 = x @ x
-    p2 = p @ p
-    xp_px = x @ p + p @ x
-    for m in (x, p, x2, p2, xp_px):
+    x = (a + a.T) / math.sqrt(2.0 * ref_omega)
+    q = math.sqrt(ref_omega / 2.0) * (a.T - a)
+    ops = FockOperators(
+        dim=dim,
+        ref_omega=float(ref_omega),
+        x=x.astype(np.complex128),
+        p=1j * q,
+        x2=(x @ x).astype(np.complex128),
+        p2=(-(q @ q)).astype(np.complex128),
+        xp_px=1j * (x @ q + q @ x),
+    )
+    for m in (ops.x, ops.p, ops.x2, ops.p2, ops.xp_px):
         m.setflags(write=False)
-    return FockOperators(dim=dim, ref_omega=float(ref_omega), x=x, p=p, x2=x2, p2=p2, xp_px=xp_px)
+    return ops
 
 
 def h0_matrix(ops: FockOperators, omega: float) -> np.ndarray:
@@ -257,7 +279,8 @@ class _ParityBlock:
 
 
 def _parity_blocks(ops: FockOperators) -> tuple[_ParityBlock, _ParityBlock]:
-    """The even-n and odd-n bands of the quadratic operators. Raises
+    """The even-n and odd-n bands of the quadratic operators, read once per
+    FockOperators through its cached ``_parity_bands``. Raises
     NumericsError if an operator is not Hermitian, couples the two parities,
     or has an entry beyond the first off-diagonal within one parity, each
     above _BAND_TOL of its largest entry: the bands would otherwise drop it."""
@@ -399,7 +422,7 @@ def _h0_eigenbasis(ops: FockOperators, omega: float) -> tuple[list[np.ndarray], 
     the parities and is tridiagonal within each, so each block is one real
     eigensolve (_eigh_tridiagonal)."""
     lams, vecs = [], []
-    for block in _parity_blocks(ops):
+    for block in ops._parity_bands:
         band = h0_matrix(block, omega)
         lam, v, d = _eigh_tridiagonal(band[0].real, band[1, :-1])
         lams.append(lam)
@@ -424,39 +447,102 @@ def _window(
     return tuple(out)
 
 
-def _padded(rho: np.ndarray, n: int) -> np.ndarray:
-    """rho on the lowest n levels, zero-padded from its own size."""
-    out = np.zeros((n, n), dtype=np.complex128)
-    k = rho.shape[0]
-    out[:k, :k] = rho
+class _Rho(NamedTuple):
+    """rho on the lowest n levels as its parity blocks, each contiguous:
+    the even-even and odd-odd blocks, and the even-odd block, or None where
+    it is exactly zero, as for every thermal start. The odd-even block is
+    the conjugate transpose of the even-odd one, since rho is Hermitian."""
+
+    even: np.ndarray
+    odd: np.ndarray
+    cross: np.ndarray | None
+
+
+def _split(rho: np.ndarray, n: int) -> _Rho:
+    """The parity blocks of the lowest n levels of the dense rho, copied
+    contiguous: numpy's matmul skips BLAS on operands with no unit stride,
+    which is about 10x slower at dim/2 = 172."""
+    even, odd = slice(0, n, 2), slice(1, n, 2)
+    cross = np.array(rho[even, odd], dtype=np.complex128)
+    return _Rho(
+        np.array(rho[even, even], dtype=np.complex128),
+        np.array(rho[odd, odd], dtype=np.complex128),
+        cross if np.any(cross) else None,
+    )
+
+
+def _joined(rho: _Rho, dim: int) -> np.ndarray:
+    """The dense rho in Fock order, zero-padded to dim levels."""
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    n = rho.even.shape[0] + rho.odd.shape[0]
+    even, odd = slice(0, n, 2), slice(1, n, 2)
+    out[even, even] = rho.even
+    out[odd, odd] = rho.odd
+    if rho.cross is not None:
+        out[even, odd] = rho.cross
+        out[odd, even] = rho.cross.conj().T
     return out
 
 
-def _apply(us: tuple[np.ndarray, np.ndarray], rho: np.ndarray) -> np.ndarray:
+def _padded(rho: _Rho, n: int) -> _Rho:
+    """rho on the lowest n levels, each block zero-padded from its own size."""
+    ke, ko = (n + 1) // 2, n // 2
+
+    def pad(m, rows, cols):
+        return np.pad(m, ((0, rows - m.shape[0]), (0, cols - m.shape[1])))
+
+    cross = None if rho.cross is None else pad(rho.cross, ke, ko)
+    return _Rho(pad(rho.even, ke, ke), pad(rho.odd, ko, ko), cross)
+
+
+def _diagonal(rho: _Rho) -> np.ndarray:
+    """The populations of rho in Fock order."""
+    d = np.empty(rho.even.shape[0] + rho.odd.shape[0])
+    d[0::2] = rho.even.diagonal().real
+    d[1::2] = rho.odd.diagonal().real
+    return d
+
+
+def _frobenius(rho: _Rho, minus: _Rho | None = None) -> float:
+    """The Frobenius norm of rho, or of rho - minus, from its blocks: the
+    even-odd block counts twice, once more for the odd-even block."""
+    if minus is not None:
+        rho = _Rho(*(None if a is None else a - b for a, b in zip(rho, minus)))
+    even, odd, cross = (0.0 if m is None else float(np.linalg.norm(m)) ** 2 for m in rho)
+    return math.sqrt(even + odd + 2.0 * cross)
+
+
+def _apply(us: tuple[np.ndarray, np.ndarray], rho: _Rho) -> _Rho:
     """U rho U^dagger with U = U_even + U_odd, block by parity block:
-    rho[a, b] <- U_a rho[a, b] U_b^dagger for the even-even, odd-odd and
-    even-odd blocks; rho is Hermitian, so the odd-even block is the
-    conjugate transpose of the even-odd one, off-parity coherences exact."""
-    out = np.empty_like(rho)
-    # Copy each strided block first: numpy's matmul skips BLAS on operands
-    # with no unit stride, which is about 10x slower at dim/2 = 172.
-    for (a, ua), (b, ub) in combinations_with_replacement(zip(_PARITIES, us), 2):
-        out[a, b] = ua @ np.ascontiguousarray(rho[a, b]) @ ub.conj().T
-    even, odd = _PARITIES
-    out[odd, even] = out[even, odd].conj().T
-    return out
+    rho[a, b] <- U_a rho[a, b] U_b^dagger for the even-even and odd-odd
+    blocks, and for the even-odd block if rho has one (off-parity
+    coherences exact). U never mixes the parities, so an even-odd block
+    that is exactly zero stays so, and is not multiplied."""
+    ue, uo = us
+    cross = None if rho.cross is None else ue @ rho.cross @ uo.conj().T
+    return _Rho(ue @ rho.even @ ue.conj().T, uo @ rho.odd @ uo.conj().T, cross)
 
 
-def _check_and_clean(rho: np.ndarray, dim: int) -> np.ndarray:
-    tr = float(np.trace(rho).real)
+def _check_and_clean(rho: _Rho) -> _Rho:
+    """rho at unit trace with exactly Hermitian diagonal blocks, block by
+    block. Raises NumericsError on a trace drift above _TRACE_LIMIT and
+    CutoffError on more than _LEAK_LIMIT in the top two levels of the
+    window, the top level of each parity block. The even-odd block is only
+    rescaled: the odd-even block is its conjugate transpose by
+    construction."""
+    tr = float(np.trace(rho.even).real + np.trace(rho.odd).real)
     if abs(tr - 1.0) > _TRACE_LIMIT:
         raise NumericsError(
             f"trace drift {abs(tr - 1.0):.3g} exceeds {_TRACE_LIMIT:g} in the "
             "Magnus propagation"
         )
-    rho = rho / tr
-    rho = 0.5 * (rho + rho.conj().T)
-    leak = float(rho[dim - 1, dim - 1].real + rho[dim - 2, dim - 2].real)
+    even, odd = (m / tr for m in rho[:2])
+    rho = _Rho(
+        0.5 * (even + even.conj().T),
+        0.5 * (odd + odd.conj().T),
+        None if rho.cross is None else rho.cross / tr,
+    )
+    leak = float(rho.even[-1, -1].real + rho.odd[-1, -1].real)
     if leak > _LEAK_LIMIT:
         raise CutoffError(
             f"population {leak:.3g} in the top two Fock levels exceeds "
@@ -486,7 +572,11 @@ def propagate_fock_path(
     accepted step whose top band holds more than _WINDOW_TAIL, rho is
     zero-padded by one band, up to ops.dim; there the leak check of the
     top two levels refuses a state that outgrows the truncation. Each
-    returned state is zero-padded to ops.dim."""
+    returned state is zero-padded to ops.dim.
+
+    rho is carried as its parity blocks (_Rho); the even-odd block only if
+    the start state's window has an off-parity coherence. The error and
+    tolerance norms are those of the dense rho."""
     drive = Drive(drive)
     if abs(ops.ref_omega - state.ref_omega) > 1e-12 * max(1.0, ops.ref_omega):
         raise ValueError(
@@ -498,10 +588,10 @@ def propagate_fock_path(
     ts = protocol.checkpoints(ts)
 
     dim = ops.dim
-    cap_blocks = _parity_blocks(ops)
+    cap_blocks = ops._parity_bands
     tail = np.cumsum(state.rho.diagonal().real[::-1])[::-1]
     n = min(int(np.count_nonzero(tail > _WINDOW_TAIL)) + _WINDOW_BAND, dim)
-    rho = np.array(state.rho[:n, :n], dtype=np.complex128)
+    rho = _split(state.rho, n)
     blocks = _window(cap_blocks, n)
     t = 0.0
     h = protocol.tau / 200.0
@@ -516,14 +606,14 @@ def propagate_fock_path(
             u_h1 = _magnus_step_u(blocks, protocol, drive, t, 0.5 * h)
             u_h2 = _magnus_step_u(blocks, protocol, drive, t + 0.5 * h, 0.5 * h)
             r_half = _apply(u_h2, _apply(u_h1, rho))
-            err = float(np.linalg.norm(r_half - r_full)) / 15.0
-            tol = _MAGNUS_ATOL + _MAGNUS_RTOL * float(np.linalg.norm(r_half))
+            err = _frobenius(r_half, r_full) / 15.0
+            tol = _MAGNUS_ATOL + _MAGNUS_RTOL * _frobenius(r_half)
             if err <= tol:
-                if n < dim and r_half.diagonal()[-_WINDOW_BAND:].real.sum() > _WINDOW_TAIL:
+                if n < dim and _diagonal(r_half)[-_WINDOW_BAND:].sum() > _WINDOW_TAIL:
                     n = min(n + _WINDOW_BAND, dim)
                     r_half = _padded(r_half, n)
                     blocks = _window(cap_blocks, n)
-                rho = _check_and_clean(r_half, n)
+                rho = _check_and_clean(r_half)
                 t += h
                 grow = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
                 h *= max(grow, 0.2)
@@ -534,7 +624,7 @@ def propagate_fock_path(
                 raise NumericsError("Magnus step budget exhausted")
             if h < 1e-15 * protocol.tau:
                 raise NumericsError("Magnus step size underflow")
-        out.append(FockState(rho=_padded(rho, dim), ref_omega=ops.ref_omega))
+        out.append(FockState(rho=_joined(rho, dim), ref_omega=ops.ref_omega))
     return out
 
 

@@ -187,13 +187,15 @@ class BoundaryReport(NamedTuple):
 
 def check_sta_boundary(protocol: FrequencyProtocol) -> BoundaryReport:
     """Check omega(0)=omega_i, omega(tau)=omega_f and vanishing endpoint
-    derivatives, each to _BOUNDARY_TOL of its scale."""
+    derivatives, each to _BOUNDARY_TOL of its scale. The curvature scale
+    divides by tau twice, as _ramp_shape does, since tau^2 overflows for
+    durations near the float range."""
     w0, wd0, wdd0 = protocol.eval(0.0)
     w1, wd1, wdd1 = protocol.eval(protocol.tau)
     scale_w = max(abs(protocol.omega_i), abs(protocol.omega_f))
     delta = abs(protocol.omega_f - protocol.omega_i)
     scale_d = max(delta, scale_w) / protocol.tau
-    scale_dd = max(delta, scale_w) / protocol.tau**2
+    scale_dd = max(delta, scale_w) / protocol.tau / protocol.tau
     return BoundaryReport(
         value_start=abs(w0 - protocol.omega_i) <= _BOUNDARY_TOL * scale_w,
         value_end=abs(w1 - protocol.omega_f) <= _BOUNDARY_TOL * scale_w,

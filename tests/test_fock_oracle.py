@@ -82,6 +82,54 @@ class TestOperators:
         h = hcd_matrix(ops, 0.8, -0.3)
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
 
+    def test_quadratic_operators_are_real_or_imaginary(self):
+        ops = build_operators(0.7, 61)
+        assert not np.any(ops.x2.imag)
+        assert not np.any(ops.p2.imag)
+        assert not np.any(ops.xp_px.real)
+
+    @pytest.mark.parametrize("dim", [4, 61, 344])
+    def test_real_products_match_the_complex_construction(self, dim):
+        # the complex spelling: a the annihilator, x = (a + a^dagger) /
+        # sqrt(2 w), p = i sqrt(w / 2) (a^dagger - a), and complex products
+        w = 0.59
+        a = np.zeros((dim, dim), dtype=complex)
+        a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
+        ad = a.conj().T
+        x = (a + ad) / math.sqrt(2.0 * w)
+        p = 1j * math.sqrt(w / 2.0) * (ad - a)
+        ops = build_operators(w, dim)
+        for got, want in [
+            (ops.x, x),
+            (ops.p, p),
+            (ops.x2, x @ x),
+            (ops.p2, p @ p),
+            (ops.xp_px, x @ p + p @ x),
+        ]:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_bands_are_checked_once_per_operator_set(self, monkeypatch):
+        calls = []
+        checked = fock_oracle._parity_blocks
+        monkeypatch.setattr(
+            fock_oracle, "_parity_blocks", lambda ops: calls.append(ops) or checked(ops)
+        )
+        ops = build_operators(stroke_reference(REF), stroke_dim(2.0, REF))
+        st0 = thermal_fock_in(ops, 2.0, 0.35)
+        end = propagate_fock_path(ops, st0, REF, [1.5, 3.0])[-1]
+        populations_instantaneous(ops, end, 1.0)
+        thermal_fock_in(ops, 2.0, 0.5)
+        assert calls == [ops]
+
+    def test_refused_operators_raise_on_every_use(self):
+        ops = build_operators(0.6, 20)
+        x2 = ops.x2.copy()
+        x2[0, 4] = x2[4, 0] = 0.1
+        bad = FockOperators(ops.dim, ops.ref_omega, ops.x, ops.p, x2, ops.p2, ops.xp_px)
+        for _ in range(2):
+            with pytest.raises(NumericsError, match="not tridiagonal"):
+                thermal_fock_in(bad, 2.0, 0.6)
+
 
 class TestThermalStates:
     def test_energy_matches_closed_form(self):
@@ -149,7 +197,17 @@ class TestBarePropagation:
     def test_trace_drift_raises(self):
         rho = thermal_fock(2.0, 0.35, 40).rho * (1.0 + 1e-6)
         with pytest.raises(NumericsError, match="trace drift"):
-            fock_oracle._check_and_clean(rho, 40)
+            fock_oracle._check_and_clean(fock_oracle._split(rho, 40))
+
+    def test_leak_counts_the_top_level_of_each_parity(self):
+        # 6e-7 on each of the top two levels, one even and one odd: neither
+        # alone exceeds the 1e-6 limit, their sum does
+        pops = np.zeros(40)
+        pops[0] = 1.0 - 1.2e-6
+        pops[-2:] = 6e-7
+        rho = fock_oracle._split(np.diag(pops).astype(complex), 40)
+        with pytest.raises(CutoffError, match="top two Fock levels"):
+            fock_oracle._check_and_clean(rho)
 
 
 class TestCounterdiabaticPropagation:
@@ -224,6 +282,14 @@ def _random_band(rng, n, scale):
     band[0] = rng.normal(size=n)
     band[1, :-1] = off
     return scale * band
+
+
+def _block_unitary(us, n):
+    """The dense U = U_even + U_odd on n levels in Fock order."""
+    u = np.zeros((n, n), dtype=complex)
+    for s, ub in zip(fock_oracle._PARITIES, us):
+        u[s, s] = ub
+    return u
 
 
 def _random_unitary(rng, n):
@@ -337,16 +403,76 @@ class TestBandArithmetic:
     def test_apply_matches_dense_update(self, dim):
         rng = np.random.default_rng(dim)
         us = (_random_unitary(rng, (dim + 1) // 2), _random_unitary(rng, dim // 2))
-        u = np.zeros((dim, dim), dtype=complex)
-        for s, ub in zip(fock_oracle._PARITIES, us):
-            u[s, s] = ub
+        u = _block_unitary(us, dim)
         z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         rho = z @ z.conj().T
         rho /= np.trace(rho).real
-        got = fock_oracle._apply(us, rho)
+        blocks = fock_oracle._split(rho, dim)
+        assert blocks.cross is not None
+        got = fock_oracle._joined(fock_oracle._apply(us, blocks), dim)
         assert np.max(np.abs(got - u @ rho @ u.conj().T)) <= 1e-13
         # the off-parity blocks carry the coherences, exactly Hermitian
         assert np.array_equal(got[1::2, 0::2], got[0::2, 1::2].conj().T)
+
+
+class TestParityBlocks:
+    """rho is propagated as its parity blocks; the even-odd block only when
+    the start state has an off-parity coherence."""
+
+    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
+    def test_thermal_start_never_carries_an_even_odd_block(self, drive, monkeypatch):
+        crosses = []
+        apply = fock_oracle._apply
+
+        def recorded(us, rho):
+            out = apply(us, rho)
+            crosses.extend([rho.cross, out.cross])
+            return out
+
+        monkeypatch.setattr(fock_oracle, "_apply", recorded)
+        protocol, beta, dim, _ = _DEFAULT_STROKES["compression"]
+        ops = build_operators(stroke_reference(protocol), dim)
+        st0 = thermal_fock_in(ops, beta, protocol.omega_i)
+        states = propagate_fock_path(ops, st0, protocol, [1.0, 2.0, 3.0], drive=drive)
+        assert crosses and all(c is None for c in crosses)
+        for st in states:
+            assert not np.any(st.rho[0::2, 1::2])
+            assert not np.any(st.rho[1::2, 0::2])
+
+    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
+    def test_coherent_start_matches_the_dense_update(self, drive, monkeypatch):
+        # a random state with coherences between the parities: every block
+        # update equals the dense U rho U^dagger of the block-diagonal U
+        dim = 40
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        z *= np.exp(-0.5 * np.arange(dim))[:, None]
+        rho0 = z @ z.conj().T
+        st0 = FockState(rho=rho0 / np.trace(rho0).real, ref_omega=1.0)
+        gaps = []
+        apply = fock_oracle._apply
+
+        def checked(us, rho):
+            out = apply(us, rho)
+            n = rho.even.shape[0] + rho.odd.shape[0]
+            u = _block_unitary(us, n)
+            dense = fock_oracle._joined(rho, n)
+            want = u @ dense @ u.conj().T
+            gaps.append(np.max(np.abs(fock_oracle._joined(out, n) - want)))
+            # the block norms are those of the dense matrices
+            gap = np.linalg.norm(fock_oracle._joined(out, n) - dense)
+            assert fock_oracle._frobenius(out, rho) == pytest.approx(gap, rel=1e-12)
+            assert fock_oracle._frobenius(out) == pytest.approx(np.linalg.norm(want), rel=1e-12)
+            return out
+
+        monkeypatch.setattr(fock_oracle, "_apply", checked)
+        ops = build_operators(1.0, dim)
+        protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 1.3, 1.0)
+        states = propagate_fock_path(ops, st0, protocol, [0.5, 1.0], drive=drive)
+        assert gaps and max(gaps) <= 1e-13
+        for st in states:
+            assert np.any(st.rho[0::2, 1::2])
+            assert np.array_equal(st.rho[1::2, 0::2], st.rho[0::2, 1::2].conj().T)
 
 
 class TestMagnusStepSequence:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,14 @@ class TestBoundaryConditions:
         assert not rep.slope_start
         assert not rep.shortcut_ok
         assert not rep.all_ok
+
+    def test_duration_near_the_float_range_gets_a_report(self):
+        # tau^2 overflows a float above about 1.3e154; the curvature scale
+        # divides by tau twice instead and underflows to 0 quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = check_sta_boundary(FrequencyProtocol("poly5", 0.35, 1.0, 1e200))
+        assert rep.all_ok
 
     def test_shortcut_kinds_listing(self):
         assert set(ProtocolKind.shortcut_kinds()) == {
