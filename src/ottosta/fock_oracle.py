@@ -4,10 +4,13 @@ moment dynamics.
 Operators are built once, from real products, in the number basis of a
 fixed reference frequency (for a stroke, the geometric mean of its endpoint
 frequencies, ``stroke_reference``), the density matrix is propagated with
-an adaptive 4th-order Magnus integrator (two-node Gauss-Legendre commutator
-form, unitary by construction through an eigendecomposition of the Hermitian
-generator), and energies/populations are read out by diagonalizing the
-relevant Hamiltonians inside the truncated space.
+an adaptive 4th-order Magnus integrator (unitary by construction through an
+eigendecomposition of the Hermitian generator), and energies/populations
+are read out by diagonalizing the relevant Hamiltonians inside the
+truncated space. Each trial step builds the 4th- and 6th-order generators
+Omega4 and Omega6 from the Hamiltonians at three Gauss-Legendre nodes;
+||[Omega6 - Omega4, rho]||_F estimates its local error, and only an
+accepted step exponentiates Omega4.
 
 Every stroke Hamiltonian is quadratic in x and p, so it changes the number
 n by 0 or +-2 and never mixes even and odd n. Each Magnus step therefore
@@ -25,11 +28,12 @@ Within one parity, x^2, p^2 and xp + px couple only neighbouring levels, so
 each operator is kept as a Hermitian tridiagonal band, and the Magnus
 generator is built and checked on bands in O(dim). Its commutator term
 stays in the su(1,1) span of the three operators: the second band of
-[H2, H1], the only part of the generator that can leave the tridiagonal
-form, cancels. A diagonal phase gauge makes each block real symmetric
-without changing its spectrum, so each block exponential is one real
-eigensolve, exact up to roundoff. An operator or a generator that is not
-tridiagonal is refused, never truncated.
+its bracket, the only part of the generator that can leave the
+tridiagonal form, cancels. A diagonal phase gauge makes each block real
+symmetric without changing its spectrum, so each block exponential is one
+real eigensolve, exact up to roundoff. An operator or a generator that is
+not tridiagonal is refused, never truncated. Omega6 - Omega4 is kept on
+all its bands, up to three off-diagonals.
 
 The truncation ``ops.dim`` (for a stroke, ``stroke_dim``) is a cap, not the
 working size: rho is propagated on an active window of the lowest levels,
@@ -47,7 +51,7 @@ so agreement between the two engines is a genuine check.
 It also provides spectral facts the Gaussian picture cannot state directly:
 the eigenvalues of the counterdiabatic Hamiltonian (omega/Q*_CD (n + 1/2)),
 the bare-energy expectations in its eigenstates (omega Q*_CD (n + 1/2)),
-two-point-measurement work moments, and relative-entropy distances.
+and two-point-measurement work moments.
 """
 
 from __future__ import annotations
@@ -76,13 +80,12 @@ __all__ = [
     "propagate_fock",
     "propagate_fock_path",
     "populations_instantaneous",
-    "relative_entropy",
     "cd_level_energies",
     "tpm_work_moments",
     "tpm_variance_excess",
 ]
 
-_SQRT3 = math.sqrt(3.0)
+_SQRT15 = math.sqrt(15.0)
 _LEAK_LIMIT = 1e-6
 _TRACE_LIMIT = 1e-8
 # Thermal tail weight left outside a stroke's truncation, and the guard
@@ -103,10 +106,6 @@ _MAGNUS_MAX_STEPS = 200_000
 # Magnus generator (beyond the first off-diagonal, across the parities, or
 # off Hermitian), relative to its largest entry.
 _BAND_TOL = 1e-12
-# relative_entropy: eigenvalues of sigma below _SUPPORT_TOL span its null
-# space; more than _NULL_WEIGHT_TOL of rho's weight there makes S infinite.
-_SUPPORT_TOL = 1e-14
-_NULL_WEIGHT_TOL = 1e-10
 # Thermal tail weight left out of the two-point-measurement level sums.
 _TPM_TAIL = 1e-12
 
@@ -314,65 +313,105 @@ def _parity_blocks(ops: FockOperators) -> tuple[_ParityBlock, _ParityBlock]:
     return tuple(_ParityBlock(*b) for b in bands)
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The bands of [A, B] = AB - BA for two Hermitian tridiagonal bands of
-    shape (2, n), in O(n): a (3, n) array whose row j is the j-th upper
-    diagonal, zero-padded at the end. [A, B] is anti-Hermitian, so these
-    three rows fix it; row 2 vanishes when the off-diagonals of A and B are
-    proportional, as for any two elements of the su(1,1) span of x^2, p^2
-    and xp + px."""
-    alpha, beta = a[1], b[1]
-    c = np.zeros((3, a.shape[1]), dtype=np.complex128)
-    s = alpha * beta.conj() - beta * alpha.conj()
-    c[0] = s
-    c[0, 1:] -= s[:-1]
-    c[1, :-1] = beta[:-1] * (a[0, :-1] - a[0, 1:]) - alpha[:-1] * (b[0, :-1] - b[0, 1:])
-    c[2, :-1] = alpha[:-1] * beta[1:] - beta[:-1] * alpha[1:]
-    return c
+def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All wa + wb + 1 upper diagonals of the Hermitian -i[A, B], in O(n wa
+    wb), for Hermitian bands of shape (wa + 1, n) and (wb + 1, n), row j the
+    j-th upper diagonal zero-padded at the end; B A = (A B)^dagger."""
+    wa, wb, n = a.shape[0] - 1, b.shape[0] - 1, a.shape[1]
+    w = wa + wb
+    full_a, full_b = _full(a), _full(b, pad=wa)
+    ab = np.zeros((2 * w + 1, n), dtype=np.complex128)  # row w + m: (AB)[r, r + m]
+    for i in range(-wa, wa + 1):  # += A[r, r + i] B[r + i, r + m]
+        ab[wa + i : wa + i + 2 * wb + 1] += full_a[wa + i] * full_b[:, wa + i : wa + i + n]
+    out = np.zeros((w + 1, n), dtype=np.complex128)
+    for m in range(min(w + 1, n)):
+        out[m, : n - m] = -1j * (ab[w + m, : n - m] - ab[w - m, m:].conj())
+    return out
 
 
-def _magnus_step_u(
+def _full(band: np.ndarray, pad: int = 0) -> np.ndarray:
+    """The Hermitian band (w + 1, n) as all 2w + 1 diagonals, row w + j
+    holding M[r, r + j] at column pad + r, between ``pad`` zero columns."""
+    w, n = band.shape[0] - 1, band.shape[1]
+    out = np.zeros((2 * w + 1, n + 2 * pad), dtype=np.complex128)
+    out[w:, pad : pad + n] = band
+    for j in range(1, w + 1):
+        out[w - j, pad + j : pad + n] = band[j, : n - j].conj()
+    return out
+
+
+def _band_times(band: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """D @ M for the Hermitian band D (w + 1, n) and a dense M with n rows,
+    in O(n w) row updates."""
+    n = band.shape[1]
+    out = band[0, :, None] * m
+    for j in range(1, min(band.shape[0], n)):
+        out[: n - j] += band[j, : n - j, None] * m[j:]
+        out[j:] += band[j, : n - j, None].conj() * m[: n - j]
+    return out
+
+
+def _magnus_pair(
     blocks: tuple[_ParityBlock, _ParityBlock],
     protocol: FrequencyProtocol,
     drive: Drive,
     t: float,
     h: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unitaries (U_even, U_odd) for one 4th-order Magnus step of length h
-    starting at t; the ramp is evaluated once per Gauss-Legendre node.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per parity block, (Omega4, D) for one Magnus step of length h from
+    t, one ramp evaluation per three-node Gauss-Legendre node: the
+    tridiagonal band of the 4th-order generator, U = exp(-i Omega4), and
+    the bands of D = Omega6 - Omega4 (Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470, 151 (2009)). With H_k at node k and the Hermitian bracket
+    {A, B} = -i[A, B]: a1 = h H_2, a2 = (sqrt(15) h/3)(H_3 - H_1),
+    a3 = (10 h/3)(H_3 - 2 H_2 + H_1), C1 = {a1, a2},
+    C2 = -{a1, 2 a3 + C1}/60, Omega4 = a1 + a3/12 - C1/12 and
+    D = ({C1 - 20 a1 - a3, C2} + {C1 - a3, a2})/240.
 
-    Each block's generator M is built and checked on bands. Its two
-    Hamiltonians are tridiagonal, and [H2, H1] is pentadiagonal at most; its
-    second band, the only part of M that can leave the tridiagonal form,
-    cancels because two su(1,1) elements have proportional off-diagonals. A
-    second band above _BAND_TOL max|M| raises NumericsError rather than
-    being dropped. exp(-i M) is then one real tridiagonal eigensolve after a
-    diagonal phase gauge (_expm_tridiagonal)."""
+    The second band of C1, the only part of Omega4 that can leave the
+    tridiagonal form, cancels for su(1,1) elements; above _BAND_TOL
+    (h max|H_2|)^2 it raises NumericsError. a2 and a3 are differences of
+    nearly equal Hamiltonians, so C1 is judged against a1's scale, never
+    its own. D only steers h: its nested brackets gain bands where the
+    operators are truncated, and all of them are kept."""
     nodes = [
-        protocol.eval(t + (0.5 - _SQRT3 / 6.0) * h),
-        protocol.eval(t + (0.5 + _SQRT3 / 6.0) * h),
+        protocol.eval(t + c * h) for c in (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
     ]
-    us = []
+    out = []
     for block in blocks:
         if drive is Drive.CD:
-            h1, h2 = (hcd_matrix(block, w, wd) for w, wd, _ in nodes)
+            h1, h2, h3 = (hcd_matrix(block, w, wd) for w, wd, _ in nodes)
         else:
-            h1, h2 = (h0_matrix(block, w) for w, _, _ in nodes)
-        # Hermitian generator M such that U = exp(-i M): the commutator term
-        # of the two-node Gauss-Legendre Magnus expansion is anti-Hermitian,
-        # so it enters M with an i.
-        weight = (_SQRT3 / 12.0) * h * h
-        comm = _commutator(h2, h1)
-        m = 0.5 * h * (h1 + h2) - 1j * weight * comm[:2]
-        scale = float(np.max(np.abs(m)))
-        beyond = weight * float(np.max(np.abs(comm[2])))
+            h1, h2, h3 = (h0_matrix(block, w) for w, _, _ in nodes)
+        a1 = h * h2
+        a2 = (_SQRT15 * h / 3.0) * (h3 - h1)
+        a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
+        c1 = _bracket(a1, a2)
+        scale = float(np.max(np.abs(a1))) ** 2
+        beyond = float(np.max(np.abs(c1[2])))
         if beyond > _BAND_TOL * scale:
             raise NumericsError(
                 f"Magnus generator is not tridiagonal: entry {beyond:.3g} beyond "
-                f"the first off-diagonal against max {scale:.3g}"
+                f"the first off-diagonal of [a1, a2] against (h max|H|)^2 {scale:.3g}"
             )
-        us.append(_expm_tridiagonal(m[0].real, m[1, :-1]))
-    return tuple(us)
+        c1 = c1[:2]
+        c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
+        d = _bracket(c1 - 20.0 * a1 - a3, c2)
+        d[:3] += _bracket(c1 - a3, a2)
+        out.append((a1 + a3 / 12.0 - c1 / 12.0, d / 240.0))
+    return out
+
+
+def _commutator_norm(ds: list[np.ndarray], rho: _Rho) -> float:
+    """||[D, rho]||_F for the Hermitian bands D = (D_even, D_odd), from rho's
+    parity blocks in O(n^2 w): X - X^dagger with X = D_a rho[a, a] on a
+    diagonal block, D_e rho[e, o] - (D_o rho[o, e])^dagger off it."""
+    de, do = ds
+    xe, xo = _band_times(de, rho.even), _band_times(do, rho.odd)
+    cross = None
+    if rho.cross is not None:
+        cross = _band_times(de, rho.cross) - _band_times(do, rho.cross.conj().T).conj().T
+    return _frobenius(_Rho(xe - xe.conj().T, xo - xo.conj().T, cross))
 
 
 def _eigh_tridiagonal(
@@ -405,7 +444,7 @@ def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     and upper off-diagonal ``off``: with M = D V diag(lam) V^T D^dagger
     from _eigh_tridiagonal,
     exp(-i M) = D (V cos(lam) V^T - i V sin(lam) V^T) D^dagger exactly.
-    The bands are all of M: _magnus_step_u builds it on bands and refuses
+    The bands are all of M: _magnus_pair builds it on bands and refuses
     one whose second band, the only part that can leave the tridiagonal
     form, does not cancel."""
     lam, v, d = _eigh_tridiagonal(diag, off)
@@ -503,11 +542,9 @@ def _diagonal(rho: _Rho) -> np.ndarray:
     return d
 
 
-def _frobenius(rho: _Rho, minus: _Rho | None = None) -> float:
-    """The Frobenius norm of rho, or of rho - minus, from its blocks: the
-    even-odd block counts twice, once more for the odd-even block."""
-    if minus is not None:
-        rho = _Rho(*(None if a is None else a - b for a, b in zip(rho, minus)))
+def _frobenius(rho: _Rho) -> float:
+    """The Frobenius norm of rho from its blocks: the even-odd block counts
+    twice, once more for the odd-even block."""
     even, odd, cross = (0.0 if m is None else float(np.linalg.norm(m)) ** 2 for m in rho)
     return math.sqrt(even + odd + 2.0 * cross)
 
@@ -558,11 +595,16 @@ def propagate_fock_path(
     ts,
     drive: Drive = Drive.BARE,
 ) -> list[FockState]:
-    """Propagate through ascending checkpoints with adaptive step doubling.
+    """Propagate through ascending checkpoints with adaptive 4th-order
+    Magnus steps and an embedded 6th-order error estimate.
 
-    Each trial step is taken once with width h and once as two half steps;
-    the Frobenius gap, divided by 15 (Richardson factor of a 4th-order
-    method), estimates the local error. Unitarity is exact, so only the
+    Each trial step of width h builds Omega4 and D = Omega6 - Omega4 on
+    bands from three ramp evaluations (_magnus_pair). Its local error is
+    estimated as ||[D, rho]||_F, the leading term of the gap between the
+    4th- and 6th-order updates, and tested against _MAGNUS_ATOL +
+    _MAGNUS_RTOL ||rho||_F; only an accepted step exponentiates Omega4
+    (one exponential per parity block) and updates rho, and a rejected
+    trial costs no exponential. Unitarity is exact, so only the
     time-discretization error is controlled.
 
     rho is propagated on an active window of the lowest n <= ops.dim
@@ -601,19 +643,17 @@ def propagate_fock_path(
         while t < target:
             if h > target - t:
                 h = target - t
-            u_full = _magnus_step_u(blocks, protocol, drive, t, h)
-            r_full = _apply(u_full, rho)
-            u_h1 = _magnus_step_u(blocks, protocol, drive, t, 0.5 * h)
-            u_h2 = _magnus_step_u(blocks, protocol, drive, t + 0.5 * h, 0.5 * h)
-            r_half = _apply(u_h2, _apply(u_h1, rho))
-            err = _frobenius(r_half, r_full) / 15.0
-            tol = _MAGNUS_ATOL + _MAGNUS_RTOL * _frobenius(r_half)
+            pair = _magnus_pair(blocks, protocol, drive, t, h)
+            err = _commutator_norm([d for _, d in pair], rho)
+            tol = _MAGNUS_ATOL + _MAGNUS_RTOL * _frobenius(rho)
             if err <= tol:
-                if n < dim and _diagonal(r_half)[-_WINDOW_BAND:].sum() > _WINDOW_TAIL:
+                us = tuple(_expm_tridiagonal(m[0].real, m[1, :-1]) for m, _ in pair)
+                rho = _apply(us, rho)
+                if n < dim and _diagonal(rho)[-_WINDOW_BAND:].sum() > _WINDOW_TAIL:
                     n = min(n + _WINDOW_BAND, dim)
-                    r_half = _padded(r_half, n)
+                    rho = _padded(rho, n)
                     blocks = _window(cap_blocks, n)
-                rho = _check_and_clean(r_half)
+                rho = _check_and_clean(rho)
                 t += h
                 grow = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
                 h *= max(grow, 0.2)
@@ -650,28 +690,6 @@ def populations_instantaneous(
     return np.concatenate(by_block)[order]
 
 
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """S(rho || sigma) = Tr[rho ln rho] - Tr[rho ln sigma], in nats.
-
-    Returns inf when rho puts more than _NULL_WEIGHT_TOL of weight on the
-    null space of sigma (eigenvalues below _SUPPORT_TOL)."""
-    lam, u = np.linalg.eigh(np.asarray(rho, dtype=np.complex128))
-    mu, w = np.linalg.eigh(np.asarray(sigma, dtype=np.complex128))
-    lam = np.clip(lam.real, 0.0, None)
-    mu = mu.real
-    overlap = np.abs(u.conj().T @ w) ** 2  # overlap[i, j] = |<u_i | w_j>|^2
-    weights_on_j = lam @ overlap
-    null = mu < _SUPPORT_TOL
-    if float(np.sum(weights_on_j[null])) > _NULL_WEIGHT_TOL:
-        return math.inf
-    pos = lam > 0.0
-    s_rho = float(np.sum(lam[pos] * np.log(lam[pos])))
-    keep = ~null
-    s_cross = float(np.sum(weights_on_j[keep] * np.log(mu[keep])))
-    s = s_rho - s_cross
-    return max(s, 0.0) if s > -1e-9 else s
-
-
 def cd_level_energies(
     ops: FockOperators, omega: float, omega_dot: float, n_levels: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -689,8 +707,23 @@ def cd_level_energies(
     evals, evecs = np.linalg.eigh(hcd)
     h0 = h0_matrix(ops, omega)
     v = evecs[:, :n_levels]
-    h0_exp = np.einsum("ij,jk,ki->i", v.conj().T, h0, v).real
+    h0_exp = np.sum(v.conj() * (h0 @ v), axis=0).real
     return evals[:n_levels].copy(), h0_exp
+
+
+# Reused across the taus of a `cost` grid, which share omega_i and, for
+# ramps that start at rest, the start instant.
+_tpm_operators = functools.lru_cache(maxsize=2)(build_operators)
+
+
+@functools.lru_cache(maxsize=16)
+def _tpm_energies(omega_i: float, n_sum: int, omega: float, omega_dot: float) -> np.ndarray:
+    """<H0> in the lowest n_sum counterdiabatic eigenstates at one instant
+    (cd_level_energies) on 2 n_sum + 60 levels of omega_i, read-only."""
+    ops = _tpm_operators(omega_i, 2 * n_sum + 60)
+    _, e = cd_level_energies(ops, omega, omega_dot, n_sum)
+    e.setflags(write=False)
+    return e
 
 
 def tpm_work_moments(
@@ -708,12 +741,9 @@ def tpm_work_moments(
         n_sum = 2
     else:
         n_sum = max(2, int(math.ceil(-math.log(_TPM_TAIL) / (beta * wi))))
-    ops = build_operators(wi, 2 * n_sum + 60)
     w0, wd0, _ = protocol.eval(0.0)
     wt, wdt, _ = protocol.eval(float(t))
-    _, e_start = cd_level_energies(ops, w0, wd0, n_sum)
-    _, e_end = cd_level_energies(ops, wt, wdt, n_sum)
-    work = e_end - e_start
+    work = _tpm_energies(wi, n_sum, wt, wdt) - _tpm_energies(wi, n_sum, w0, wd0)
     pops = _gibbs_populations(beta, wi, n_sum)
     mean = float(np.sum(pops * work))
     var = float(np.sum(pops * work**2) - mean**2)

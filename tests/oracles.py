@@ -161,3 +161,24 @@ def efficiency_exact(config, q1, q3):
     num = x * (x * q3 * config.hot_energy - config.cold_energy)
     den = x * config.hot_energy - q1 * config.cold_energy
     return 1.0 - num / den
+
+
+def relative_entropy(rho, sigma):
+    """S(rho || sigma) = Tr[rho ln rho] - Tr[rho ln sigma], in nats, from
+    two dense eigensolves. Returns inf when rho puts more than 1e-10 of its
+    weight on the null space of sigma (eigenvalues below 1e-14)."""
+    lam, u = np.linalg.eigh(np.asarray(rho, dtype=np.complex128))
+    mu, w = np.linalg.eigh(np.asarray(sigma, dtype=np.complex128))
+    lam = np.clip(lam.real, 0.0, None)
+    mu = mu.real
+    overlap = np.abs(u.conj().T @ w) ** 2  # overlap[i, j] = |<u_i | w_j>|^2
+    weights_on_j = lam @ overlap
+    null = mu < 1e-14
+    if float(np.sum(weights_on_j[null])) > 1e-10:
+        return math.inf
+    pos = lam > 0.0
+    s_rho = float(np.sum(lam[pos] * np.log(lam[pos])))
+    keep = ~null
+    s_cross = float(np.sum(weights_on_j[keep] * np.log(mu[keep])))
+    s = s_rho - s_cross
+    return max(s, 0.0) if s > -1e-9 else s

@@ -24,7 +24,13 @@ RETIRED = {
         "adiabaticity_pair_path",
         "q_cd",
     ],
-    "fock_oracle": ["thermal_dim", "thermal_fock", "adiabatic_reference", "irreversible_work"],
+    "fock_oracle": [
+        "thermal_dim",
+        "thermal_fock",
+        "adiabatic_reference",
+        "irreversible_work",
+        "relative_entropy",
+    ],
     "protocols": ["validity_margin"],
     "sta_cost": [
         "friction",

@@ -20,7 +20,6 @@ from ottosta.fock_oracle import (
     populations_instantaneous,
     propagate_fock,
     propagate_fock_path,
-    relative_entropy,
     stroke_dim,
     stroke_reference,
     thermal_fock_in,
@@ -263,25 +262,34 @@ def _dense_expm(m):
 def _dense(diag, off):
     """The Hermitian tridiagonal matrix with diagonal ``diag`` and upper
     off-diagonal ``off``."""
-    n = diag.size
-    m = np.diag(diag).astype(complex)
-    m[np.arange(n - 1), np.arange(1, n)] = off
-    m[np.arange(1, n), np.arange(n - 1)] = np.conj(off)
-    return m
+    return _dense_band(np.array([diag, np.append(off, 0.0)]))
 
 
-def _random_band(rng, n, scale):
-    """A random Hermitian tridiagonal band of shape (2, n): off-diagonals
-    drawn zero, real of either sign, or complex."""
-    kind = rng.integers(0, 3, size=n - 1)
-    off = rng.normal(size=n - 1) * np.where(
-        kind == 2, np.exp(2j * np.pi * rng.uniform(size=n - 1)), 1.0
-    )
-    off[kind == 0] = 0.0
-    band = np.zeros((2, n), dtype=complex)
+def _random_band(rng, n, scale, width=1):
+    """A random Hermitian band of shape (width + 1, n), row j the j-th upper
+    diagonal zero-padded at the end: off-diagonals drawn zero, real of
+    either sign, or complex."""
+    band = np.zeros((width + 1, n), dtype=complex)
     band[0] = rng.normal(size=n)
-    band[1, :-1] = off
+    for j in range(1, min(width + 1, n)):
+        kind = rng.integers(0, 3, size=n - j)
+        off = rng.normal(size=n - j) * np.where(
+            kind == 2, np.exp(2j * np.pi * rng.uniform(size=n - j)), 1.0
+        )
+        off[kind == 0] = 0.0
+        band[j, : n - j] = off
     return scale * band
+
+
+def _dense_band(band):
+    """The Hermitian matrix whose upper diagonals are the rows of ``band``."""
+    n = band.shape[1]
+    m = np.diag(band[0]).astype(complex)
+    for j in range(1, min(band.shape[0], n)):
+        k = np.arange(n - j)
+        m[k, k + j] = band[j, : n - j]
+        m[k + j, k] = np.conj(band[j, : n - j])
+    return m
 
 
 def _block_unitary(us, n):
@@ -298,12 +306,12 @@ def _random_unitary(rng, n):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-# The two bare strokes of the default `cycle --oracle --grid tau=3:3:1`:
-# (protocol, beta, truncation, Magnus exponentials).
+# The two strokes of the default `cycle --oracle --grid tau=3:3:1`:
+# (protocol, beta, truncation, Magnus exponentials per drive).
 _DEFAULT = CycleConfig(omega1=0.35, omega2=1.0, beta1=2.0, beta2=0.2, tau1=3.0, tau3=3.0)
 _DEFAULT_STROKES = {
-    "compression": (_DEFAULT.compression_protocol(), 2.0, 123, 75),
-    "expansion": (_DEFAULT.expansion_protocol(), 0.2, 344, 69),
+    "compression": (_DEFAULT.compression_protocol(), 2.0, 123, {Drive.BARE: 36, Drive.CD: 40}),
+    "expansion": (_DEFAULT.expansion_protocol(), 0.2, 344, {Drive.BARE: 35, Drive.CD: 40}),
 }
 
 
@@ -389,15 +397,21 @@ class TestBandArithmetic:
         scale=st.sampled_from([1e-3, 1.0, 20.0]),
     )
     def test_commutator_matches_dense(self, n, seed, scale):
+        # the Hermitian bracket -i[A, B] of bands up to the widths D needs
+        # (tridiagonal with pentadiagonal gives a third off-diagonal), and
+        # the banded product D @ M, against dense matrices
         rng = np.random.default_rng(seed)
-        a, b = _random_band(rng, n, scale), _random_band(rng, n, scale)
-        dense_a, dense_b = _dense(a[0], a[1, :-1]), _dense(b[0], b[1, :-1])
-        want = dense_a @ dense_b - dense_b @ dense_a
-        got = fock_oracle._commutator(a, b)
+        wa, wb = rng.integers(1, 3, size=2)
+        a, b = _random_band(rng, n, scale, wa), _random_band(rng, n, scale, wb)
+        dense_a, dense_b = _dense_band(a), _dense_band(b)
+        want = -1j * (dense_a @ dense_b - dense_b @ dense_a)
+        got = fock_oracle._bracket(a, b)
+        assert got.shape == (wa + wb + 1, n)
         tol = 1e-13 * np.linalg.norm(dense_a) * np.linalg.norm(dense_b)
-        for j in range(3):
+        for j in range(wa + wb + 1):
             assert np.linalg.norm(got[j, : n - j] - np.diagonal(want, j)) <= tol
             assert not np.any(got[j, n - j :])
+        assert np.linalg.norm(fock_oracle._band_times(b, dense_a) - dense_b @ dense_a) <= tol
 
     @pytest.mark.parametrize("dim", [4, 7, 40, 61])
     def test_apply_matches_dense_update(self, dim):
@@ -461,7 +475,8 @@ class TestParityBlocks:
             gaps.append(np.max(np.abs(fock_oracle._joined(out, n) - want)))
             # the block norms are those of the dense matrices
             gap = np.linalg.norm(fock_oracle._joined(out, n) - dense)
-            assert fock_oracle._frobenius(out, rho) == pytest.approx(gap, rel=1e-12)
+            diff = fock_oracle._split(fock_oracle._joined(out, n) - dense, n)
+            assert fock_oracle._frobenius(diff) == pytest.approx(gap, rel=1e-12)
             assert fock_oracle._frobenius(out) == pytest.approx(np.linalg.norm(want), rel=1e-12)
             return out
 
@@ -478,24 +493,54 @@ class TestParityBlocks:
 class TestMagnusStepSequence:
     @pytest.mark.parametrize("name", sorted(_DEFAULT_STROKES))
     def test_default_strokes_keep_their_step_count(self, name, monkeypatch):
-        # perfbench counts Magnus exponentials as ramp evaluations / 2
-        counts = {"steps": 0, "evals": 0}
-        step_u = fock_oracle._magnus_step_u
+        # one exponential per parity block per accepted step, and three ramp
+        # evaluations per trial step, accepted or not
+        counts = {"trials": 0, "exps": 0, "evals": 0}
+        pair = fock_oracle._magnus_pair
+        expm = fock_oracle._expm_tridiagonal
         evaluate = FrequencyProtocol.eval
 
-        def counted_step(*args):
-            counts["steps"] += 1
-            return step_u(*args)
+        def counted(key, fn):
+            def wrapped(*args):
+                counts[key] += 1
+                return fn(*args)
 
-        def counted_eval(self, t):
-            counts["evals"] += 1
-            return evaluate(self, t)
+            return wrapped
 
-        monkeypatch.setattr(fock_oracle, "_magnus_step_u", counted_step)
-        monkeypatch.setattr(FrequencyProtocol, "eval", counted_eval)
-        _stroke_end(name, Drive.BARE)
-        assert counts["steps"] == _DEFAULT_STROKES[name][3]
-        assert counts["evals"] == 2 * counts["steps"]
+        monkeypatch.setattr(fock_oracle, "_magnus_pair", counted("trials", pair))
+        monkeypatch.setattr(fock_oracle, "_expm_tridiagonal", counted("exps", expm))
+        monkeypatch.setattr(FrequencyProtocol, "eval", counted("evals", evaluate))
+        for drive, exps in _DEFAULT_STROKES[name][3].items():
+            counts.update(trials=0, exps=0, evals=0)
+            _stroke_end(name, drive)
+            assert counts["exps"] == 2 * exps
+            assert counts["evals"] == 3 * counts["trials"]
+
+    def test_rejected_trial_makes_no_exponential(self, monkeypatch):
+        # a trial is rejected when the next one starts at the same time; the
+        # default bare compression stroke rejects two of its 38 trials
+        events = []
+        pair = fock_oracle._magnus_pair
+        expm = fock_oracle._expm_tridiagonal
+
+        def trial(blocks, protocol, drive, t, h):
+            events.append(t)
+            return pair(blocks, protocol, drive, t, h)
+
+        def exponential(diag, off):
+            events.append("exp")
+            return expm(diag, off)
+
+        monkeypatch.setattr(fock_oracle, "_magnus_pair", trial)
+        monkeypatch.setattr(fock_oracle, "_expm_tridiagonal", exponential)
+        _stroke_end("compression", Drive.BARE)
+        starts = [i for i, e in enumerate(events) if e != "exp"] + [len(events)]
+        rejected = 0
+        for i, j, k in zip(starts, starts[1:], starts[2:] + [None]):
+            retried = k is not None and events[j] == events[i]
+            rejected += retried
+            assert j - i - 1 == (0 if retried else 2)
+        assert rejected == 2
 
     @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
     def test_matches_dense_eigh_route(self, drive, monkeypatch):
@@ -507,17 +552,105 @@ class TestMagnusStepSequence:
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def _dense_bracket(a, b):
+    return -1j * (a @ b - b @ a)
+
+
+def _dense_pair(blocks, protocol, drive, t, h):
+    """(Omega4, Omega6 - Omega4) of each parity block from dense matrices
+    and dense brackets -i[A, B]: Blanes' three-node formulas with
+    Omega6 = a1 + a3/12 + {-20 a1 - a3 + C1, a2 + C2}/240, its a1 + a3/12
+    taken out against Omega4's. C1 is cut to its tridiagonal part, as in
+    Omega4: its second band is roundoff of a2, a difference of nearly equal
+    Hamiltonians."""
+    r = math.sqrt(15.0)
+    nodes = [protocol.eval(t + c * h) for c in (0.5 - r / 10.0, 0.5, 0.5 + r / 10.0)]
+    out = []
+    for block in blocks:
+        if drive is Drive.CD:
+            h1, h2, h3 = (_dense_band(hcd_matrix(block, w, wd)) for w, wd, _ in nodes)
+        else:
+            h1, h2, h3 = (_dense_band(h0_matrix(block, w)) for w, _, _ in nodes)
+        a1 = h * h2
+        a2 = (r * h / 3.0) * (h3 - h1)
+        a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
+        c1 = np.triu(np.tril(_dense_bracket(a1, a2), 1), -1)
+        c2 = -_dense_bracket(a1, 2.0 * a3 + c1) / 60.0
+        tail = _dense_bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+        out.append((a1 + a3 / 12.0 - c1 / 12.0, c1 / 12.0 + tail))
+    return out
+
+
+class TestErrorEstimate:
+    """The step's error estimate ||[Omega6 - Omega4, rho]||_F, built on
+    bands from rho's parity blocks."""
+
+    @pytest.mark.parametrize("at_cap", [False, True], ids=["below_cap", "at_cap"])
+    @pytest.mark.parametrize("name", sorted(_DEFAULT_STROKES))
+    def test_matches_dense_route(self, name, at_cap):
+        protocol, _, dim, _ = _DEFAULT_STROKES[name]
+        n = dim if at_cap else dim - 40
+        ops = build_operators(stroke_reference(protocol), dim)
+        blocks = fock_oracle._window(ops._parity_bands, n)
+        # a random state with off-parity coherences, decaying slowly enough
+        # that the top of the window is occupied
+        rng = np.random.default_rng(n)
+        z = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))) * np.exp(
+            -3.0 * np.arange(n) / n
+        )[:, None]
+        rho = z @ z.conj().T / np.linalg.norm(z) ** 2
+        beyond = {Drive.BARE: 0.0, Drive.CD: 0.0}
+        for drive in (Drive.BARE, Drive.CD):
+            for t in (0.0, 1.0, 2.5):
+                got = fock_oracle._magnus_pair(blocks, protocol, drive, t, 0.05)
+                want = _dense_pair(blocks, protocol, drive, t, 0.05)
+                d = np.zeros((n, n), dtype=complex)
+                for s, (omega4, (omega4_dense, gap)) in zip(fock_oracle._PARITIES, zip(got, want)):
+                    np.testing.assert_allclose(
+                        _dense_band(omega4[0]), omega4_dense, rtol=0.0, atol=1e-13
+                    )
+                    d[s, s] = gap
+                est = fock_oracle._commutator_norm([g for _, g in got], fock_oracle._split(rho, n))
+                assert est == pytest.approx(np.linalg.norm(d @ rho - rho @ d), rel=1e-12)
+                extra = max(float(np.max(np.abs(g[2:]))) for _, g in got)
+                beyond[drive] = max(beyond[drive], extra)
+        # at the cap x^2 and p^2 are truncated products, so D's nested
+        # brackets leave the tridiagonal form, and the bands keep what they
+        # add; below it they stay tridiagonal under the bare drive, while
+        # the compressed xp + px of the counterdiabatic drive adds bands at
+        # the window's top either way
+        assert (beyond[Drive.BARE] > 1e-10) == at_cap
+        assert beyond[Drive.CD] > 1e-10
+
+    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
+    @pytest.mark.parametrize("name", sorted(_DEFAULT_STROKES))
+    def test_estimates_the_one_step_gap(self, name, drive):
+        # one small step from the thermal start: the estimate is the leading
+        # term of ||e^{-i Omega6} rho e^{i Omega6} - e^{-i Omega4} rho e^{i Omega4}||
+        protocol, beta, dim, _ = _DEFAULT_STROKES[name]
+        ops = build_operators(stroke_reference(protocol), dim)
+        rho = thermal_fock_in(ops, beta, protocol.omega_i).rho
+        pair = fock_oracle._magnus_pair(ops._parity_bands, protocol, drive, 1.0, 0.05)
+        u4, u6 = np.zeros((dim, dim), complex), np.zeros((dim, dim), complex)
+        for s, (omega4, gap) in zip(fock_oracle._PARITIES, pair):
+            u4[s, s] = _dense_expm(_dense_band(omega4))
+            u6[s, s] = _dense_expm(_dense_band(omega4) + _dense_band(gap))
+        want = np.linalg.norm(u6 @ rho @ u6.conj().T - u4 @ rho @ u4.conj().T)
+        est = fock_oracle._commutator_norm([g for _, g in pair], fock_oracle._split(rho, dim))
+        assert est == pytest.approx(want, rel=0.1)
+
+
 def _recording_sizes(monkeypatch):
-    """Patch _magnus_step_u to record the window size (both parity blocks)
-    of every Magnus exponential; returns the list it appends to."""
+    """Patch _magnus_pair to record the window size (both parity blocks)
+    of every trial step; returns the list it appends to."""
     sizes = []
-    step_u = fock_oracle._magnus_step_u
+    pair = fock_oracle._magnus_pair
 
     def recorded(blocks, *args):
         sizes.append(sum(b.x2.shape[1] for b in blocks))
-        return step_u(blocks, *args)
+        return pair(blocks, *args)
 
-    monkeypatch.setattr(fock_oracle, "_magnus_step_u", recorded)
+    monkeypatch.setattr(fock_oracle, "_magnus_pair", recorded)
     return sizes
 
 
@@ -525,7 +658,7 @@ class TestActiveWindow:
     @pytest.fixture(scope="class")
     def expansion(self):
         # the default bare expansion stroke: (ops, protocol, end state,
-        # window size of every Magnus exponential)
+        # window size of every trial step)
         protocol, beta, dim, _ = _DEFAULT_STROKES["expansion"]
         ops = build_operators(stroke_reference(protocol), dim)
         st0 = thermal_fock_in(ops, beta, protocol.omega_i)
@@ -547,10 +680,11 @@ class TestActiveWindow:
         assert not np.any(end.rho[:, n:])
 
     def test_final_energy_matches_the_full_dim_propagation(self, expansion):
-        # 2.3769301819809447: the same stroke propagated at the full dim 344
+        # 2.376929993678661: the same stroke propagated with the window
+        # opened at the full dim 344
         ops, protocol, end, _ = expansion
         e = mean_energy_fock(ops, end, protocol.omega_f)
-        assert e == pytest.approx(2.3769301819809447, rel=1e-10, abs=0.0)
+        assert e == pytest.approx(2.376929993678661, rel=1e-10, abs=0.0)
 
     def test_leak_at_the_cap_raises_after_growing(self, monkeypatch):
         # a fast fourfold compression squeezes the vacuum beyond dim 40: the
@@ -635,12 +769,12 @@ class TestRelativeEntropy:
         vac = np.zeros((dim, dim), dtype=complex)
         vac[0, 0] = 1.0
         th = thermal_fock(2.0, 0.35, dim).rho
-        s = relative_entropy(vac, th)
+        s = oracles.relative_entropy(vac, th)
         # for a pure ground state, S(vac || thermal) = -ln(1 - e^{-beta omega})
         assert s == pytest.approx(-math.log(1.0 - math.exp(-0.7)), abs=1e-12)
         assert s == pytest.approx(0.68634100280838511, abs=1e-10)
-        assert relative_entropy(th, vac) == math.inf
-        assert relative_entropy(th, th) == pytest.approx(0.0, abs=1e-12)
+        assert oracles.relative_entropy(th, vac) == math.inf
+        assert oracles.relative_entropy(th, th) == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative_on_random_states(self):
         rng = np.random.default_rng(7)
@@ -651,7 +785,7 @@ class TestRelativeEntropy:
             b = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
             sig = b @ b.conj().T
             sig /= np.trace(sig).real
-            assert relative_entropy(rho, sig) >= -1e-12
+            assert oracles.relative_entropy(rho, sig) >= -1e-12
 
     def test_irreversible_work_positive_for_bare_drive(self):
         beta = 2.0
@@ -660,8 +794,8 @@ class TestRelativeEntropy:
         st = propagate_fock(ops, st0, REF, 3.0, drive=Drive.BARE)
         ad = adiabatic_reference(ops, st0, 0.35, 1.0)
         # W_irr = S(rho || rho_adiabatic) / beta
-        w_irr = relative_entropy(st.rho, ad) / beta
+        w_irr = oracles.relative_entropy(st.rho, ad) / beta
         assert w_irr > 0.0
         # and it is tiny for the counterdiabatic drive
         st_cd = propagate_fock(ops, st0, REF, 3.0, drive=Drive.CD)
-        assert relative_entropy(st_cd.rho, ad) / beta < 1e-6 * w_irr
+        assert oracles.relative_entropy(st_cd.rho, ad) / beta < 1e-6 * w_irr
