@@ -30,12 +30,7 @@ from .errors import (
     TrapInversionError,
 )
 from .optimizer import EmpConfig, EmpResult, curzon_ahlborn, maximize_power_numeric
-from .protocols import (
-    FrequencyProtocol,
-    ProtocolKind,
-    check_cd_validity,
-    check_sta_boundary,
-)
+from .protocols import FrequencyProtocol, ProtocolKind, check_cd_validity
 from .sta_cost import StrokeContext, friction_stack, variance_cost_stack, work_cost_stack
 from .thermo_cycle import Accounting, CycleConfig, CycleResult, book_cycle, stroke_records
 
@@ -62,7 +57,6 @@ __all__ = [
     "TrapInversionError",
     "adiabaticity_stack",
     "check_cd_validity",
-    "check_sta_boundary",
     "book_cycle",
     "curzon_ahlborn",
     "friction_stack",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import fock_oracle
-from .dynamics import Drive, adiabaticity_stack, q_cd_grid, thermal_energy
+from .dynamics import adiabaticity_stack, q_cd_grid, thermal_energy
 from .errors import TrapInversionError
 from .optimizer import (
     EmpConfig,
@@ -139,7 +139,7 @@ def _fock_stroke_residual(protocol: FrequencyProtocol, beta: float, q: float) ->
     dim = fock_oracle.stroke_dim(beta, protocol)
     ops = fock_oracle.build_operators(fock_oracle.stroke_reference(protocol), dim)
     state_f = fock_oracle.thermal_fock_in(ops, beta, protocol.omega_i)
-    end_f = fock_oracle.propagate_fock(ops, state_f, protocol, protocol.tau, drive=Drive.BARE)
+    end_f = fock_oracle.propagate_fock_path(ops, state_f, protocol, [protocol.tau])[-1]
     e_fock = fock_oracle.mean_energy_fock(ops, end_f, protocol.omega_f)
     e_gauss = q * (protocol.omega_f / protocol.omega_i) * thermal_energy(beta, protocol.omega_i)
     return abs(e_fock - e_gauss) / abs(e_gauss)

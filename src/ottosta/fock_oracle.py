@@ -1,13 +1,13 @@
 """Truncated Fock-basis engine: an independent cross-check on the Gaussian
 moment dynamics.
 
-Operators are built once, from real products, in the number basis of a
-fixed reference frequency (for a stroke, the geometric mean of its endpoint
-frequencies, ``stroke_reference``), the density matrix is propagated with
-an adaptive 4th-order Magnus integrator (unitary by construction through an
-eigendecomposition of the Hermitian generator), and energies/populations
-are read out by diagonalizing the relevant Hamiltonians inside the
-truncated space. Each trial step builds the 4th- and 6th-order generators
+Operators are written once, in closed form from the truncated ladder
+algebra, in the number basis of a fixed reference frequency (for a stroke,
+the geometric mean of its endpoint frequencies, ``stroke_reference``), the
+density matrix is propagated with an adaptive 4th-order Magnus integrator
+(unitary by construction through an eigendecomposition of the Hermitian
+generator), and energies/populations are read out by diagonalizing the
+relevant Hamiltonians inside the truncated space. Each trial step builds the 4th- and 6th-order generators
 Omega4 and Omega6 from the Hamiltonians at three Gauss-Legendre nodes;
 ||[Omega6 - Omega4, rho]||_F estimates its local error, and only an
 accepted step exponentiates Omega4.
@@ -25,15 +25,15 @@ skipping it changes nothing. Dense rho is rebuilt, in the natural Fock
 order, only at the checkpoints.
 
 Within one parity, x^2, p^2 and xp + px couple only neighbouring levels, so
-each operator is kept as a Hermitian tridiagonal band, and the Magnus
-generator is built and checked on bands in O(dim). Its commutator term
-stays in the su(1,1) span of the three operators: the second band of
-its bracket, the only part of the generator that can leave the
-tridiagonal form, cancels. A diagonal phase gauge makes each block real
+each operator exists only as a Hermitian tridiagonal band per parity, and
+the Magnus generator is built and checked on bands in O(dim). Its
+commutator term stays in the su(1,1) span of the three operators: the
+second band of its bracket, the only part of the generator that can leave
+the tridiagonal form, cancels. A diagonal phase gauge makes each block real
 symmetric without changing its spectrum, so each block exponential is one
-real eigensolve, exact up to roundoff. An operator or a generator that is
-not tridiagonal is refused, never truncated. Omega6 - Omega4 is kept on
-all its bands, up to three off-diagonals.
+real eigensolve, exact up to roundoff. A generator that is not
+tridiagonal is refused, never truncated. Omega6 - Omega4 is kept on all
+its bands, up to three off-diagonals.
 
 The truncation ``ops.dim`` (for a stroke, ``stroke_dim``) is a cap, not the
 working size: rho is propagated on an active window of the lowest levels,
@@ -42,8 +42,10 @@ them. The window opens where the start state's diagonal tail falls below a
 threshold, plus a guard band, and grows by one band whenever its top band
 holds more than the threshold; only at the cap does the leak check of the
 top two levels (the top level of each parity block) refuse the state.
-Returned states are zero-padded to the cap. The bare eigenbasis of H0 is
-split the same way: two real tridiagonal eigensolves, one per parity.
+Returned states are zero-padded to the cap. The eigenbases of H0 and of
+the counterdiabatic Hamiltonian are split the same way: two real
+tridiagonal eigensolves, one per parity, and mean energies are band traces
+over rho's parity blocks.
 
 This route shares nothing with the Gaussian transfer-matrix propagator
 except the frequency ramp and its checkpoint rule (``FrequencyProtocol``),
@@ -71,13 +73,10 @@ __all__ = [
     "FockOperators",
     "FockState",
     "build_operators",
-    "h0_matrix",
-    "hcd_matrix",
     "stroke_reference",
     "stroke_dim",
     "thermal_fock_in",
     "mean_energy_fock",
-    "propagate_fock",
     "propagate_fock_path",
     "populations_instantaneous",
     "cd_level_energies",
@@ -86,6 +85,8 @@ __all__ = [
 ]
 
 _SQRT15 = math.sqrt(15.0)
+# Even and odd number states, the two blocks of every stroke Hamiltonian.
+_PARITIES = (slice(0, None, 2), slice(1, None, 2))
 _LEAK_LIMIT = 1e-6
 _TRACE_LIMIT = 1e-8
 # Thermal tail weight left outside a stroke's truncation, and the guard
@@ -102,70 +103,78 @@ _WINDOW_BAND = 16
 _MAGNUS_RTOL = 1e-8
 _MAGNUS_ATOL = 1e-12
 _MAGNUS_MAX_STEPS = 200_000
-# Largest entry that the parity bands may leave out of an operator or a
-# Magnus generator (beyond the first off-diagonal, across the parities, or
-# off Hermitian), relative to its largest entry.
+# Largest entry that the tridiagonal band of a Magnus generator may leave
+# out (beyond the first off-diagonal), relative to its scale.
 _BAND_TOL = 1e-12
 # Thermal tail weight left out of the two-point-measurement level sums.
 _TPM_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
-class FockOperators:
-    """Quadrature operators in the number basis of ``ref_omega``."""
+class _ParityBlock:
+    """The quadratic operators restricted to one number parity, each as a
+    Hermitian tridiagonal band of shape (2, n): row 0 the diagonal, row 1
+    the upper off-diagonal with a trailing zero."""
 
-    dim: int
-    ref_omega: float
-    x: np.ndarray
-    p: np.ndarray
     x2: np.ndarray
     p2: np.ndarray
     xp_px: np.ndarray
 
-    @functools.cached_property
-    def _parity_bands(self) -> tuple[_ParityBlock, _ParityBlock]:
-        """The validated even-n and odd-n bands of x2, p2 and xp_px
-        (_parity_blocks), checked on first use only; operators that are
-        refused raise again on every use, since nothing is cached then."""
-        return _parity_blocks(self)
+
+@dataclass(frozen=True)
+class FockOperators:
+    """x^2, p^2 and xp + px in the number basis of ``ref_omega``, as their
+    bands on the even-n and the odd-n number states: a quadratic operator
+    never couples the parities, and within one it couples only n and
+    n +- 2."""
+
+    dim: int
+    ref_omega: float
+    even: _ParityBlock
+    odd: _ParityBlock
 
 
 def build_operators(ref_omega: float, dim: int) -> FockOperators:
-    """x, p, x^2, p^2 and xp + px on the lowest ``dim`` number states of
-    ``ref_omega``. x is real and p = i q with q real, so the quadratic
-    operators are real products: x^2 and p^2 = -q^2 are real, and
-    xp + px = i (xq + qx) is imaginary."""
+    """x^2, p^2 and xp + px on the lowest ``dim`` number states of
+    ``ref_omega`` = w, in closed form from the truncated ladder algebra
+    x = (a + a^dagger) / sqrt(2 w), p = i sqrt(w / 2) (a^dagger - a).
+    The diagonals of x^2 and p^2 are (2n + 1) / (2 w) and (w / 2)(2n + 1),
+    with n in place of 2n + 1 on the top level, where a a^dagger loses its
+    entry in the truncation. Their (n, n + 2) entries are
+    sqrt((n + 1)(n + 2)) / (2 w) and -(w / 2) sqrt((n + 1)(n + 2)), and
+    xp + px = i (a^dagger^2 - a^2) has a zero diagonal and (n, n + 2) entry
+    -i sqrt((n + 1)(n + 2))."""
     if dim < 4:
         raise ValueError(f"dim must be at least 4, got {dim}")
     if ref_omega <= 0.0:
         raise ValueError(f"ref_omega must be positive, got {ref_omega}")
-    n = np.arange(1, dim, dtype=np.float64)
-    a = np.zeros((dim, dim))
-    a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(n)
-    x = (a + a.T) / math.sqrt(2.0 * ref_omega)
-    q = math.sqrt(ref_omega / 2.0) * (a.T - a)
-    ops = FockOperators(
-        dim=dim,
-        ref_omega=float(ref_omega),
-        x=x.astype(np.complex128),
-        p=1j * q,
-        x2=(x @ x).astype(np.complex128),
-        p2=(-(q @ q)).astype(np.complex128),
-        xp_px=1j * (x @ q + q @ x),
-    )
-    for m in (ops.x, ops.p, ops.x2, ops.p2, ops.xp_px):
-        m.setflags(write=False)
-    return ops
+    n = np.arange(dim, dtype=np.float64)
+    diag = 2.0 * n + 1.0
+    diag[-1] = n[-1]
+    off = np.zeros(dim)  # (n, n + 2) entry of a^2, zero on the top two levels
+    off[:-2] = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+    blocks = []
+    for s in _PARITIES:
+        d, o = diag[s], off[s]
+        bands = (
+            np.array([d, o]) / (2.0 * ref_omega),
+            (0.5 * ref_omega) * np.array([d, -o]),
+            np.array([np.zeros_like(d), -1j * o]),
+        )
+        for band in bands:
+            band.setflags(write=False)
+        blocks.append(_ParityBlock(*bands))
+    return FockOperators(dim, float(ref_omega), *blocks)
 
 
-def h0_matrix(ops: FockOperators, omega: float) -> np.ndarray:
-    """Bare trap Hamiltonian p^2/2 + omega^2 x^2/2 in the reference basis."""
-    return 0.5 * ops.p2 + 0.5 * omega * omega * ops.x2
+def _h0(block: _ParityBlock, omega: float) -> np.ndarray:
+    """Band of the bare trap Hamiltonian p^2/2 + omega^2 x^2/2."""
+    return 0.5 * block.p2 + 0.5 * omega * omega * block.x2
 
 
-def hcd_matrix(ops: FockOperators, omega: float, omega_dot: float) -> np.ndarray:
-    """Counterdiabatic Hamiltonian: H0 - (omegadot / 4 omega)(xp + px)."""
-    return h0_matrix(ops, omega) - (omega_dot / (4.0 * omega)) * ops.xp_px
+def _hcd(block: _ParityBlock, omega: float, omega_dot: float) -> np.ndarray:
+    """Band of the counterdiabatic Hamiltonian H0 - (omegadot / 4 omega)(xp + px)."""
+    return _h0(block, omega) - (omega_dot / (4.0 * omega)) * block.xp_px
 
 
 def stroke_reference(protocol: FrequencyProtocol) -> float:
@@ -244,7 +253,7 @@ def thermal_fock_in(ops: FockOperators, beta: float, omega: float) -> FockState:
 def _on_h0_levels(ops: FockOperators, pops: np.ndarray, omega: float) -> FockState:
     """The state with populations ``pops`` on the ascending eigenvectors of
     H0(omega) in the basis of ``ops``, renormalized to unit trace."""
-    vecs, order = _h0_eigenbasis(ops, omega)
+    _, vecs, order = _eigenbasis([_h0(b, omega) for b in (ops.even, ops.odd)])
     by_block = np.empty_like(pops)
     by_block[order] = pops
     rho = np.zeros((ops.dim, ops.dim), dtype=np.complex128)
@@ -256,61 +265,15 @@ def _on_h0_levels(ops: FockOperators, pops: np.ndarray, omega: float) -> FockSta
 
 
 def mean_energy_fock(ops: FockOperators, state: FockState, omega: float) -> float:
-    """<H0(omega)> = Tr[rho H0]."""
-    h = h0_matrix(ops, omega)
-    return float(np.sum(state.rho * h.T).real)
-
-
-# Even and odd number states, the two blocks of every stroke Hamiltonian.
-_PARITIES = (slice(0, None, 2), slice(1, None, 2))
-
-
-@dataclass(frozen=True)
-class _ParityBlock:
-    """The quadratic operators restricted to one number parity, each as a
-    Hermitian tridiagonal band of shape (2, n): row 0 the diagonal, row 1
-    the upper off-diagonal with a trailing zero. Reads like FockOperators
-    for h0_matrix and hcd_matrix, which then return bands too."""
-
-    x2: np.ndarray
-    p2: np.ndarray
-    xp_px: np.ndarray
-
-
-def _parity_blocks(ops: FockOperators) -> tuple[_ParityBlock, _ParityBlock]:
-    """The even-n and odd-n bands of the quadratic operators, read once per
-    FockOperators through its cached ``_parity_bands``. Raises
-    NumericsError if an operator is not Hermitian, couples the two parities,
-    or has an entry beyond the first off-diagonal within one parity, each
-    above _BAND_TOL of its largest entry: the bands would otherwise drop it."""
-    bands = ([], [])
-    for name in ("x2", "p2", "xp_px"):
-        m = getattr(ops, name)
-        mag = np.abs(m)
-        limit = _BAND_TOL * float(np.max(mag))
-        skew = float(np.max(np.abs(m - m.conj().T)))
-        if skew > limit:
-            raise NumericsError(f"{name} is not Hermitian (deviation {skew:.3g})")
-        cross = max(float(np.max(mag[0::2, 1::2])), float(np.max(mag[1::2, 0::2])))
-        if cross > limit:
-            raise NumericsError(
-                f"{name} couples even and odd number states (entry {cross:.3g}); "
-                "a quadratic Hamiltonian never does"
-            )
-        for s, out in zip(_PARITIES, bands):
-            block = m[s, s]
-            beyond = float(np.max(np.triu(mag[s, s], 2)))
-            if beyond > limit:
-                raise NumericsError(
-                    f"{name} is not tridiagonal within one number parity (entry "
-                    f"{beyond:.3g} beyond the first off-diagonal); x^2, p^2 and "
-                    "xp + px couple only n and n +- 2"
-                )
-            band = np.zeros((2, block.shape[0]), dtype=np.complex128)
-            band[0] = np.diagonal(block)
-            band[1, :-1] = np.diagonal(block, 1)
-            out.append(band)
-    return tuple(_ParityBlock(*b) for b in bands)
+    """<H0(omega)> = Tr[rho H0], a band trace over rho's parity blocks:
+    sum_i H_ii rho_ii + 2 Re sum_i H_{i,i+1} rho_{i+1,i} in each block, since
+    H0 is Hermitian tridiagonal there and never couples the parities."""
+    energy = 0.0
+    for s, block in zip(_PARITIES, (ops.even, ops.odd)):
+        h, rho = _h0(block, omega), state.rho[s, s]
+        energy += float(np.sum(h[0] * rho.diagonal().real))
+        energy += 2.0 * float(np.sum(h[1, :-1] * rho.diagonal(-1)).real)
+    return energy
 
 
 def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -380,9 +343,9 @@ def _magnus_pair(
     out = []
     for block in blocks:
         if drive is Drive.CD:
-            h1, h2, h3 = (hcd_matrix(block, w, wd) for w, wd, _ in nodes)
+            h1, h2, h3 = (_hcd(block, w, wd) for w, wd, _ in nodes)
         else:
-            h1, h2, h3 = (h0_matrix(block, w) for w, _, _ in nodes)
+            h1, h2, h3 = (_h0(block, w) for w, _, _ in nodes)
         a1 = h * h2
         a2 = (_SQRT15 * h / 3.0) * (h3 - h1)
         a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
@@ -453,20 +416,19 @@ def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return d[:, None] * (cos_part - 1j * sin_part) * d.conj()
 
 
-def _h0_eigenbasis(ops: FockOperators, omega: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """The eigenvectors of H0(omega) in the basis of ``ops``, one number
-    parity at a time: ([W_even, W_odd], order), each W's columns the block's
-    eigenvectors by ascending eigenvalue, and ``order`` the permutation that
-    sorts the concatenated (even, odd) eigenvalues ascending. H0 never mixes
-    the parities and is tridiagonal within each, so each block is one real
-    eigensolve (_eigh_tridiagonal)."""
+def _eigenbasis(bands) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Eigenpairs of a Hamiltonian given as its even-n and odd-n bands, one
+    real eigensolve per number parity (_eigh_tridiagonal): (lam, [W_even,
+    W_odd], order), with lam the concatenated (even, odd) eigenvalues, each
+    block's ascending, each W's columns the block's eigenvectors in that
+    order, and ``order`` the permutation that sorts lam ascending."""
     lams, vecs = [], []
-    for block in ops._parity_bands:
-        band = h0_matrix(block, omega)
+    for band in bands:
         lam, v, d = _eigh_tridiagonal(band[0].real, band[1, :-1])
         lams.append(lam)
         vecs.append(d[:, None] * v)
-    return vecs, np.argsort(np.concatenate(lams), kind="stable")
+    lam = np.concatenate(lams)
+    return lam, vecs, np.argsort(lam, kind="stable")
 
 
 def _window(
@@ -630,7 +592,7 @@ def propagate_fock_path(
     ts = protocol.checkpoints(ts)
 
     dim = ops.dim
-    cap_blocks = ops._parity_bands
+    cap_blocks = (ops.even, ops.odd)
     tail = np.cumsum(state.rho.diagonal().real[::-1])[::-1]
     n = min(int(np.count_nonzero(tail > _WINDOW_TAIL)) + _WINDOW_BAND, dim)
     rho = _split(state.rho, n)
@@ -668,21 +630,11 @@ def propagate_fock_path(
     return out
 
 
-def propagate_fock(
-    ops: FockOperators,
-    state: FockState,
-    protocol: FrequencyProtocol,
-    t: float,
-    drive: Drive = Drive.BARE,
-) -> FockState:
-    return propagate_fock_path(ops, state, protocol, np.array([float(t)]), drive=drive)[-1]
-
-
 def populations_instantaneous(
     ops: FockOperators, state: FockState, omega: float
 ) -> np.ndarray:
     """Populations of rho in the eigenbasis of H0(omega), ascending levels."""
-    vecs, order = _h0_eigenbasis(ops, omega)
+    _, vecs, order = _eigenbasis([_h0(b, omega) for b in (ops.even, ops.odd)])
     by_block = [
         np.sum(w.conj() * (np.ascontiguousarray(state.rho[s, s]) @ w), axis=0).real
         for s, w in zip(_PARITIES, vecs)
@@ -696,19 +648,24 @@ def cd_level_energies(
     """Spectral data of the counterdiabatic Hamiltonian at one instant.
 
     Returns (eigenvalues, <H0> in each eigenstate) for the lowest
-    ``n_levels`` levels. In the untruncated space these are
+    ``n_levels`` levels, from one eigensolve per number parity merged by
+    eigenvalue. In the untruncated space these are
     omega/Q*_CD (n + 1/2) and omega Q*_CD (n + 1/2)."""
     if n_levels > ops.dim // 2:
         raise ValueError(
             f"n_levels {n_levels} too close to the truncation {ops.dim}; "
             "top-half eigenvectors are not converged"
         )
-    hcd = hcd_matrix(ops, omega, omega_dot)
-    evals, evecs = np.linalg.eigh(hcd)
-    h0 = h0_matrix(ops, omega)
-    v = evecs[:, :n_levels]
-    h0_exp = np.sum(v.conj() * (h0 @ v), axis=0).real
-    return evals[:n_levels].copy(), h0_exp
+    blocks = (ops.even, ops.odd)
+    lam, vecs, order = _eigenbasis([_hcd(b, omega, omega_dot) for b in blocks])
+    h0_exp = np.concatenate(
+        [
+            np.sum(w.conj() * _band_times(_h0(b, omega), w), axis=0).real
+            for b, w in zip(blocks, vecs)
+        ]
+    )
+    keep = order[:n_levels]
+    return lam[keep], h0_exp[keep]
 
 
 # Reused across the taus of a `cost` grid, which share omega_i and, for

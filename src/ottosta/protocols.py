@@ -24,16 +24,11 @@ from .errors import TrapInversionError
 __all__ = [
     "ProtocolKind",
     "FrequencyProtocol",
-    "BoundaryReport",
     "ValidityReport",
-    "check_sta_boundary",
     "check_cd_validity",
     "require_cd_valid",
     "tau_min",
 ]
-
-# Relative tolerance of each shortcut boundary condition.
-_BOUNDARY_TOL = 1e-12
 
 
 class ProtocolKind(str, Enum):
@@ -160,50 +155,6 @@ class FrequencyProtocol:
         if ts[-1] > self.tau * (1.0 + _DOMAIN_TOL):
             raise ValueError(f"ts exceeds tau = {self.tau}")
         return ts
-
-
-class BoundaryReport(NamedTuple):
-    """Per-condition shortcut boundary flags at t = 0 and t = tau."""
-
-    value_start: bool
-    value_end: bool
-    slope_start: bool
-    slope_end: bool
-    curvature_start: bool
-    curvature_end: bool
-
-    @property
-    def shortcut_ok(self) -> bool:
-        """Value and slope conditions, the ones CD switch-off needs."""
-        return (
-            self.value_start and self.value_end
-            and self.slope_start and self.slope_end
-        )
-
-    @property
-    def all_ok(self) -> bool:
-        return self.shortcut_ok and self.curvature_start and self.curvature_end
-
-
-def check_sta_boundary(protocol: FrequencyProtocol) -> BoundaryReport:
-    """Check omega(0)=omega_i, omega(tau)=omega_f and vanishing endpoint
-    derivatives, each to _BOUNDARY_TOL of its scale. The curvature scale
-    divides by tau twice, as _ramp_shape does, since tau^2 overflows for
-    durations near the float range."""
-    w0, wd0, wdd0 = protocol.eval(0.0)
-    w1, wd1, wdd1 = protocol.eval(protocol.tau)
-    scale_w = max(abs(protocol.omega_i), abs(protocol.omega_f))
-    delta = abs(protocol.omega_f - protocol.omega_i)
-    scale_d = max(delta, scale_w) / protocol.tau
-    scale_dd = max(delta, scale_w) / protocol.tau / protocol.tau
-    return BoundaryReport(
-        value_start=abs(w0 - protocol.omega_i) <= _BOUNDARY_TOL * scale_w,
-        value_end=abs(w1 - protocol.omega_f) <= _BOUNDARY_TOL * scale_w,
-        slope_start=abs(wd0) <= _BOUNDARY_TOL * scale_d,
-        slope_end=abs(wd1) <= _BOUNDARY_TOL * scale_d,
-        curvature_start=abs(wdd0) <= _BOUNDARY_TOL * scale_dd,
-        curvature_end=abs(wdd1) <= _BOUNDARY_TOL * scale_dd,
-    )
 
 
 class ValidityReport(NamedTuple):

@@ -39,6 +39,31 @@ def validity_margin(protocol, ts):
     return 1.0 - wd**2 / (4.0 * w**4)
 
 
+def sta_boundary(protocol, tol=1e-12):
+    """Shortcut boundary conditions of a protocol object, through its own
+    eval: {"value": (start, end), "slope": (start, end), "curvature":
+    (start, end)}, each flag true when omega(0) = omega_i, omega(tau) =
+    omega_f, or the derivative vanishes there, to ``tol`` of its scale.
+    Counterdiabatic driving switches off at the ends when the value and
+    slope conditions hold. The curvature scale divides by tau twice, since
+    tau^2 overflows a float for durations above about 1.3e154."""
+    w0, wd0, wdd0 = protocol.eval(0.0)
+    w1, wd1, wdd1 = protocol.eval(protocol.tau)
+    scale_w = max(abs(protocol.omega_i), abs(protocol.omega_f))
+    scale_d = max(abs(protocol.omega_f - protocol.omega_i), scale_w) / protocol.tau
+    return {
+        "value": (
+            abs(w0 - protocol.omega_i) <= tol * scale_w,
+            abs(w1 - protocol.omega_f) <= tol * scale_w,
+        ),
+        "slope": (abs(wd0) <= tol * scale_d, abs(wd1) <= tol * scale_d),
+        "curvature": (
+            abs(wdd0) <= tol * scale_d / protocol.tau,
+            abs(wdd1) <= tol * scale_d / protocol.tau,
+        ),
+    }
+
+
 def ramp_omega_dot(kind, omega_i, omega_f, tau, t, h=1e-6):
     """Centered finite-difference d(omega)/dt, used to probe the closed forms."""
     lo = max(0.0, t - h)
@@ -161,6 +186,19 @@ def efficiency_exact(config, q1, q3):
     num = x * (x * q3 * config.hot_energy - config.cold_energy)
     den = x * config.hot_energy - q1 * config.cold_energy
     return 1.0 - num / den
+
+
+def dense_operators(ref_omega, dim):
+    """x and p on the lowest ``dim`` number states of ``ref_omega`` as dense
+    complex matrices, from the truncated annihilator a:
+    x = (a + a^dagger) / sqrt(2 w) and p = i sqrt(w / 2) (a^dagger - a).
+    Their complex products are the reference for the package's bands."""
+    a = np.zeros((dim, dim), dtype=complex)
+    a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
+    ad = a.conj().T
+    x = (a + ad) / math.sqrt(2.0 * ref_omega)
+    p = 1j * math.sqrt(ref_omega / 2.0) * (ad - a)
+    return x, p
 
 
 def relative_entropy(rho, sigma):

@@ -373,7 +373,7 @@ class TestCycleOracle:
             return exact_stack(protocols, ts, drives, rtol)
 
         monkeypatch.setattr(dynamics, "_transfer_matrices", recorded_stack)
-        monkeypatch.setattr(fock_oracle, "propagate_fock", lambda ops, state, *a, **k: state)
+        monkeypatch.setattr(fock_oracle, "propagate_fock_path", lambda ops, st, *a, **k: [st])
         params = resolve_config("cycle", build_parser().parse_args(["cycle", "--grid", "tau=3:3:1"]))
         _, rows = datasets.cycle_dataset(params, oracle=True)
         assert len(rows) == 1

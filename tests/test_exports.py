@@ -30,8 +30,11 @@ RETIRED = {
         "adiabatic_reference",
         "irreversible_work",
         "relative_entropy",
+        "propagate_fock",
+        "h0_matrix",
+        "hcd_matrix",
     ],
-    "protocols": ["validity_margin"],
+    "protocols": ["validity_margin", "check_sta_boundary", "BoundaryReport"],
     "sta_cost": [
         "friction",
         "friction_path",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,15 +11,11 @@ from ottosta import fock_oracle
 from ottosta.dynamics import Drive
 from ottosta.errors import CutoffError, NumericsError
 from ottosta.fock_oracle import (
-    FockOperators,
     FockState,
     build_operators,
     cd_level_energies,
-    h0_matrix,
-    hcd_matrix,
     mean_energy_fock,
     populations_instantaneous,
-    propagate_fock,
     propagate_fock_path,
     stroke_dim,
     stroke_reference,
@@ -44,90 +41,96 @@ def thermal_fock(beta, omega, dim):
     return FockState(rho=np.diag(pops / pops.sum()).astype(np.complex128), ref_omega=omega)
 
 
+def dense_h0(ops, omega):
+    """H0(omega) in the basis of ``ops`` as a dense matrix, from the complex
+    products of oracles.dense_operators."""
+    x, p = oracles.dense_operators(ops.ref_omega, ops.dim)
+    return 0.5 * (p @ p + omega * omega * (x @ x))
+
+
+def random_state(rng, dim, ref_omega):
+    """A random full-rank state with coherences across the parities."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = z @ z.conj().T
+    return FockState(rho=rho / np.trace(rho).real, ref_omega=ref_omega)
+
+
 def adiabatic_reference(ops, state0, omega_i, omega_t):
     """Density matrix of the adiabatically transported state: the
     populations of state0 on the H0(omega_i) levels, put on the H0(omega_t)
     levels of one dense eigensolve."""
     pops = populations_instantaneous(ops, state0, omega_i)
-    _, vecs = np.linalg.eigh(h0_matrix(ops, omega_t))
+    _, vecs = np.linalg.eigh(dense_h0(ops, omega_t))
     return (vecs * pops) @ vecs.conj().T / pops.sum()
 
 
 class TestOperators:
     def test_commutator_is_canonical(self):
-        ops = build_operators(0.7, 40)
-        comm = ops.x @ ops.p - ops.p @ ops.x
-        # truncation corrupts only the last diagonal entry
+        # the dense reference: truncation corrupts only the last diagonal
+        # entry of [x, p] = i
+        x, p = oracles.dense_operators(0.7, 40)
+        comm = x @ p - p @ x
         want = 1j * np.eye(40)
         np.testing.assert_allclose(comm[:-1, :-1], want[:-1, :-1], atol=1e-12)
+        # the bands: -i[x^2, p^2] = 2 (xp + px) below the top two levels of
+        # each parity block
+        ops = build_operators(0.7, 40)
+        for block in (ops.even, ops.odd):
+            got = fock_oracle._bracket(block.x2, block.p2)
+            np.testing.assert_allclose(got[0, :-2], 0.0, atol=1e-12)
+            np.testing.assert_allclose(got[1, :-2], 2.0 * block.xp_px[1, :-2], atol=1e-12)
+            np.testing.assert_allclose(got[2], 0.0, atol=1e-12)
 
     def test_h0_in_own_basis_is_diagonal(self):
         ops = build_operators(0.7, 30)
-        h = h0_matrix(ops, 0.7)
-        want = np.diag((np.arange(30) + 0.5) * 0.7)
-        # truncation corrupts the top diagonal entry only
-        np.testing.assert_allclose(h[:-1, :-1], want[:-1, :-1], atol=1e-12)
+        n = np.arange(30)
+        for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
+            h = fock_oracle._h0(block, 0.7)
+            np.testing.assert_allclose(h[1], 0.0, atol=1e-12)
+            # (n + 1/2) omega, except n omega / 2 on the top level, where
+            # a a^dagger loses its entry in the truncation
+            want = np.where(n[s] < 29, (n[s] + 0.5) * 0.7, 0.5 * 0.7 * n[s])
+            np.testing.assert_allclose(h[0], want, atol=1e-12)
 
     def test_h0_spectrum_in_mismatched_basis(self):
         # the low part of the spectrum must come out right even when the
-        # operator basis belongs to a different frequency
+        # operator basis belongs to a different frequency; at omegadot = 0
+        # the counterdiabatic Hamiltonian is H0
         ops = build_operators(0.6, 160)
-        evals = np.linalg.eigvalsh(h0_matrix(ops, 1.0))
+        evals, h0_exp = cd_level_energies(ops, 1.0, 0.0, 8)
         want = (np.arange(8) + 0.5) * 1.0
-        np.testing.assert_allclose(evals[:8], want, atol=1e-9)
+        np.testing.assert_allclose(evals, want, atol=1e-9)
+        np.testing.assert_allclose(h0_exp, want, atol=1e-9)
 
     def test_cd_matrix_is_hermitian(self):
         ops = build_operators(0.7, 30)
-        h = hcd_matrix(ops, 0.8, -0.3)
-        np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
+        x, p = oracles.dense_operators(0.7, 30)
+        want = 0.5 * (p @ p + 0.64 * (x @ x)) + (0.3 / 3.2) * (x @ p + p @ x)
+        for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
+            h = fock_oracle._hcd(block, 0.8, -0.3)
+            # a real diagonal and the upper off-diagonal: Hermitian
+            assert not np.any(np.imag(h[0]))
+            np.testing.assert_allclose(_dense_band(h), want[s, s], atol=1e-13)
 
     def test_quadratic_operators_are_real_or_imaginary(self):
         ops = build_operators(0.7, 61)
-        assert not np.any(ops.x2.imag)
-        assert not np.any(ops.p2.imag)
-        assert not np.any(ops.xp_px.real)
+        for block in (ops.even, ops.odd):
+            assert not np.any(np.imag(block.x2))
+            assert not np.any(np.imag(block.p2))
+            assert not np.any(np.real(block.xp_px))
 
     @pytest.mark.parametrize("dim", [4, 61, 344])
     def test_real_products_match_the_complex_construction(self, dim):
-        # the complex spelling: a the annihilator, x = (a + a^dagger) /
-        # sqrt(2 w), p = i sqrt(w / 2) (a^dagger - a), and complex products
+        # the closed-form bands against the complex products of the dense
+        # a / a^dagger construction, top level and parity coupling included
         w = 0.59
-        a = np.zeros((dim, dim), dtype=complex)
-        a[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
-        ad = a.conj().T
-        x = (a + ad) / math.sqrt(2.0 * w)
-        p = 1j * math.sqrt(w / 2.0) * (ad - a)
+        x, p = oracles.dense_operators(w, dim)
         ops = build_operators(w, dim)
-        for got, want in [
-            (ops.x, x),
-            (ops.p, p),
-            (ops.x2, x @ x),
-            (ops.p2, p @ p),
-            (ops.xp_px, x @ p + p @ x),
-        ]:
+        for name, want in [("x2", x @ x), ("p2", p @ p), ("xp_px", x @ p + p @ x)]:
+            got = np.zeros((dim, dim), dtype=complex)
+            for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
+                got[s, s] = _dense_band(getattr(block, name))
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_bands_are_checked_once_per_operator_set(self, monkeypatch):
-        calls = []
-        checked = fock_oracle._parity_blocks
-        monkeypatch.setattr(
-            fock_oracle, "_parity_blocks", lambda ops: calls.append(ops) or checked(ops)
-        )
-        ops = build_operators(stroke_reference(REF), stroke_dim(2.0, REF))
-        st0 = thermal_fock_in(ops, 2.0, 0.35)
-        end = propagate_fock_path(ops, st0, REF, [1.5, 3.0])[-1]
-        populations_instantaneous(ops, end, 1.0)
-        thermal_fock_in(ops, 2.0, 0.5)
-        assert calls == [ops]
-
-    def test_refused_operators_raise_on_every_use(self):
-        ops = build_operators(0.6, 20)
-        x2 = ops.x2.copy()
-        x2[0, 4] = x2[4, 0] = 0.1
-        bad = FockOperators(ops.dim, ops.ref_omega, ops.x, ops.p, x2, ops.p2, ops.xp_px)
-        for _ in range(2):
-            with pytest.raises(NumericsError, match="not tridiagonal"):
-                thermal_fock_in(bad, 2.0, 0.6)
 
 
 class TestThermalStates:
@@ -167,7 +170,7 @@ class TestBarePropagation:
         beta = 2.0
         ops = build_operators(stroke_reference(REF), stroke_dim(beta, REF))
         st0 = thermal_fock_in(ops, beta, 0.35)
-        st = propagate_fock(ops, st0, REF, 3.0, drive=Drive.BARE)
+        st = propagate_fock_path(ops, st0, REF, [3.0], drive=Drive.BARE)[-1]
         e = mean_energy_fock(ops, st, 1.0)
         e_ad = (1.0 / 0.35) * oracles.thermal_energy(beta, 0.35)
         q_fock = e / e_ad
@@ -177,21 +180,21 @@ class TestBarePropagation:
     def test_trace_is_preserved(self):
         ops = build_operators(stroke_reference(REF), stroke_dim(2.0, REF))
         st0 = thermal_fock_in(ops, 2.0, 0.35)
-        st = propagate_fock(ops, st0, REF, 3.0)
+        st = propagate_fock_path(ops, st0, REF, [3.0])[-1]
         assert float(np.trace(st.rho).real) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_basis_mismatch_is_rejected(self):
         ops = build_operators(0.35, 60)
         st0 = thermal_fock(2.0, 0.5, 60)  # ref_omega 0.5 != ops 0.35
         with pytest.raises(ValueError):
-            propagate_fock(ops, st0, REF, 1.0)
+            propagate_fock_path(ops, st0, REF, [1.0])
 
     def test_truncation_leak_raises(self):
         # a deliberately tiny space cannot hold the driven state
         ops = build_operators(stroke_reference(REF), 12)
         st0 = thermal_fock_in(ops, 2.0, 0.35)
         with pytest.raises(CutoffError, match="top two Fock levels"):
-            propagate_fock(ops, st0, REF, 3.0)
+            propagate_fock_path(ops, st0, REF, [3.0])
 
     def test_trace_drift_raises(self):
         rho = thermal_fock(2.0, 0.35, 40).rho * (1.0 + 1e-6)
@@ -225,7 +228,7 @@ class TestCounterdiabaticPropagation:
         beta = 2.0
         ops = build_operators(stroke_reference(REF), stroke_dim(beta, REF))
         st0 = thermal_fock_in(ops, beta, 0.35)
-        st = propagate_fock(ops, st0, REF, 1.8, drive=Drive.CD)
+        st = propagate_fock_path(ops, st0, REF, [1.8], drive=Drive.CD)[-1]
         w = REF.omega(1.8)
         e_ad = (w / 0.35) * oracles.thermal_energy(beta, 0.35)
         assert mean_energy_fock(ops, st, w) == pytest.approx(e_ad, rel=1e-8)
@@ -244,13 +247,23 @@ class TestMixedParity:
         st0 = FockState(rho=np.outer(psi, psi.conj()), ref_omega=ops.ref_omega)
         ts = np.linspace(0.75, 3.0, 4)
         states = propagate_fock_path(ops, st0, REF, ts, drive=drive)
+        x, p = oracles.dense_operators(ops.ref_omega, ops.dim)
         mean = lambda st, op: float(np.sum(st.rho * op.T).real)
-        y0 = [mean(st0, ops.x), mean(st0, ops.p), 0.0, 0.0, 0.0]
+        y0 = [mean(st0, x), mean(st0, p), 0.0, 0.0, 0.0]
         rhs = oracles.covariance_rhs("poly5", 0.35, 1.0, 3.0, drive is Drive.CD)
         for t, st in zip(ts, states):
             want = oracles.rk4_fixed(rhs, y0, 0.0, float(t), 4000)[:2]
-            got = [mean(st, ops.x), mean(st, ops.p)]
+            got = [mean(st, x), mean(st, p)]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("dim", [7, 60, 344])
+    def test_mean_energy_matches_the_dense_trace(self, dim):
+        # the band trace over the parity blocks against Tr[rho H0] of the
+        # dense H0, on a state with coherences across the parities
+        st = random_state(np.random.default_rng(dim), dim, 0.6)
+        ops = build_operators(0.6, dim)
+        want = float(np.trace(st.rho @ dense_h0(ops, 1.3)).real)
+        assert mean_energy_fock(ops, st, 1.3) == pytest.approx(want, rel=1e-12)
 
 
 def _dense_expm(m):
@@ -320,7 +333,7 @@ def _stroke_end(name, drive):
     assert stroke_dim(beta, protocol) == dim
     ops = build_operators(stroke_reference(protocol), dim)
     st0 = thermal_fock_in(ops, beta, protocol.omega_i)
-    return propagate_fock(ops, st0, protocol, protocol.tau, drive=drive).rho
+    return propagate_fock_path(ops, st0, protocol, [protocol.tau], drive=drive)[-1].rho
 
 
 class TestTridiagonalExponential:
@@ -339,55 +352,18 @@ class TestTridiagonalExponential:
         got = fock_oracle._expm_tridiagonal(diag, off)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_generator_beyond_tridiagonal_is_refused(self):
-        # a hand-built x^2 coupling n = 0 to n = 4 (same parity) is
-        # pentadiagonal within the even block; the operator bands refuse it
-        # rather than drop the entry
-        ops = build_operators(0.6, 20)
-        x2 = ops.x2.copy()
-        x2[0, 4] = x2[4, 0] = 0.1
-        bad = FockOperators(ops.dim, ops.ref_omega, ops.x, ops.p, x2, ops.p2, ops.xp_px)
-        st0 = thermal_fock(2.0, 0.6, 20)
-        protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
-        with pytest.raises(NumericsError, match="not tridiagonal"):
-            propagate_fock(bad, st0, protocol, 1.0)
-
-    def test_operator_mixing_parities_is_refused(self):
-        ops = build_operators(0.6, 20)
-        xp_px = ops.xp_px.copy()
-        xp_px[0, 3] = 0.1j
-        xp_px[3, 0] = -0.1j
-        bad = FockOperators(ops.dim, ops.ref_omega, ops.x, ops.p, ops.x2, ops.p2, xp_px)
-        st0 = thermal_fock(2.0, 0.6, 20)
-        protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
-        with pytest.raises(NumericsError, match="even and odd"):
-            propagate_fock(bad, st0, protocol, 1.0, drive=Drive.CD)
-
     def test_generator_leaving_the_band_is_refused(self):
         # tridiagonal within each parity, but x^2's first even off-diagonal
         # is no longer proportional to p^2's, so [H2, H1] gains a second
         # band; the Magnus step refuses it rather than drop it
         ops = build_operators(0.6, 20)
-        x2 = ops.x2.copy()
-        x2[0, 2] *= 1.5
-        x2[2, 0] *= 1.5
-        bad = FockOperators(ops.dim, ops.ref_omega, ops.x, ops.p, x2, ops.p2, ops.xp_px)
+        x2 = ops.even.x2.copy()
+        x2[1, 0] *= 1.5
+        bad = dataclasses.replace(ops, even=dataclasses.replace(ops.even, x2=x2))
         st0 = thermal_fock(2.0, 0.6, 20)
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
         with pytest.raises(NumericsError, match="Magnus generator is not tridiagonal"):
-            propagate_fock(bad, st0, protocol, 1.0)
-
-    def test_non_hermitian_operator_is_refused(self):
-        # the bands keep only the upper off-diagonal, so a lower one that is
-        # not its conjugate would be dropped
-        ops = build_operators(0.6, 20)
-        p2 = ops.p2.copy()
-        p2[2, 0] *= 1.5
-        bad = FockOperators(ops.dim, ops.ref_omega, ops.x, ops.p, ops.x2, p2, ops.xp_px)
-        st0 = thermal_fock(2.0, 0.6, 20)
-        protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
-        with pytest.raises(NumericsError, match="not Hermitian"):
-            propagate_fock(bad, st0, protocol, 1.0)
+            propagate_fock_path(bad, st0, protocol, [1.0])
 
 
 class TestBandArithmetic:
@@ -568,9 +544,9 @@ def _dense_pair(blocks, protocol, drive, t, h):
     out = []
     for block in blocks:
         if drive is Drive.CD:
-            h1, h2, h3 = (_dense_band(hcd_matrix(block, w, wd)) for w, wd, _ in nodes)
+            h1, h2, h3 = (_dense_band(fock_oracle._hcd(block, w, wd)) for w, wd, _ in nodes)
         else:
-            h1, h2, h3 = (_dense_band(h0_matrix(block, w)) for w, _, _ in nodes)
+            h1, h2, h3 = (_dense_band(fock_oracle._h0(block, w)) for w, _, _ in nodes)
         a1 = h * h2
         a2 = (r * h / 3.0) * (h3 - h1)
         a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
@@ -591,7 +567,7 @@ class TestErrorEstimate:
         protocol, _, dim, _ = _DEFAULT_STROKES[name]
         n = dim if at_cap else dim - 40
         ops = build_operators(stroke_reference(protocol), dim)
-        blocks = fock_oracle._window(ops._parity_bands, n)
+        blocks = fock_oracle._window((ops.even, ops.odd), n)
         # a random state with off-parity coherences, decaying slowly enough
         # that the top of the window is occupied
         rng = np.random.default_rng(n)
@@ -630,7 +606,7 @@ class TestErrorEstimate:
         protocol, beta, dim, _ = _DEFAULT_STROKES[name]
         ops = build_operators(stroke_reference(protocol), dim)
         rho = thermal_fock_in(ops, beta, protocol.omega_i).rho
-        pair = fock_oracle._magnus_pair(ops._parity_bands, protocol, drive, 1.0, 0.05)
+        pair = fock_oracle._magnus_pair((ops.even, ops.odd), protocol, drive, 1.0, 0.05)
         u4, u6 = np.zeros((dim, dim), complex), np.zeros((dim, dim), complex)
         for s, (omega4, gap) in zip(fock_oracle._PARITIES, pair):
             u4[s, s] = _dense_expm(_dense_band(omega4))
@@ -664,7 +640,7 @@ class TestActiveWindow:
         st0 = thermal_fock_in(ops, beta, protocol.omega_i)
         with pytest.MonkeyPatch.context() as mp:
             sizes = _recording_sizes(mp)
-            end = propagate_fock(ops, st0, protocol, protocol.tau)
+            end = propagate_fock_path(ops, st0, protocol, [protocol.tau])[-1]
         return ops, protocol, end, sizes
 
     def test_window_grows_below_the_cap(self, expansion):
@@ -697,7 +673,7 @@ class TestActiveWindow:
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 4.0, 0.5)
         sizes = _recording_sizes(monkeypatch)
         with pytest.raises(CutoffError, match="top two Fock levels"):
-            propagate_fock(ops, st0, protocol, 0.5)
+            propagate_fock_path(ops, st0, protocol, [0.5])
         assert sizes[0] < 40 and sizes[-1] == 40
 
 
@@ -709,7 +685,7 @@ class TestH0Eigenbasis:
     def test_thermal_state_matches_dense_route(self, name):
         protocol, beta, dim, _ = _DEFAULT_STROKES[name]
         ops = build_operators(stroke_reference(protocol), dim)
-        _, evecs = np.linalg.eigh(h0_matrix(ops, protocol.omega_i))
+        _, evecs = np.linalg.eigh(dense_h0(ops, protocol.omega_i))
         pops = np.exp(-beta * protocol.omega_i * np.arange(dim))
         want = (evecs * (pops / pops.sum())) @ evecs.conj().T
         got = thermal_fock_in(ops, beta, protocol.omega_i).rho
@@ -718,12 +694,9 @@ class TestH0Eigenbasis:
     @pytest.mark.parametrize("dim", [7, 60, 344])
     def test_populations_match_dense_route(self, dim):
         # a random state carries coherences across the parities too
-        rng = np.random.default_rng(dim)
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = z @ z.conj().T
-        st = FockState(rho=rho / np.trace(rho).real, ref_omega=0.6)
+        st = random_state(np.random.default_rng(dim), dim, 0.6)
         ops = build_operators(0.6, dim)
-        _, evecs = np.linalg.eigh(h0_matrix(ops, 1.3))
+        _, evecs = np.linalg.eigh(dense_h0(ops, 1.3))
         want = np.einsum("ij,jk,ki->i", evecs.conj().T, st.rho, evecs).real
         got = populations_instantaneous(ops, st, 1.3)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -742,6 +715,21 @@ class TestSpectralData:
         np.testing.assert_allclose(h0_exp, (w * q) * n, rtol=1e-10)
         assert evals[0] == pytest.approx(0.3021045295529447, abs=1e-12)
         assert h0_exp[0] == pytest.approx(0.37704250965240029, abs=1e-12)
+
+    @pytest.mark.parametrize("n_levels", [4, 80])
+    def test_cd_levels_match_dense_eigh_route(self, n_levels):
+        # the two parity eigensolves, merged by eigenvalue, against one dense
+        # complex eigh of the full counterdiabatic Hamiltonian
+        w, wd, _ = REF.eval(1.5)
+        ops = build_operators(stroke_reference(REF), 160)
+        x, p = oracles.dense_operators(ops.ref_omega, ops.dim)
+        h0 = dense_h0(ops, w)
+        lam, v = np.linalg.eigh(h0 - (wd / (4.0 * w)) * (x @ p + p @ x))
+        v = v[:, :n_levels]
+        evals, h0_exp = cd_level_energies(ops, w, wd, n_levels)
+        np.testing.assert_allclose(evals, lam[:n_levels], rtol=0.0, atol=1e-12)
+        want = np.sum(v.conj() * (h0 @ v), axis=0).real
+        np.testing.assert_allclose(h0_exp, want, rtol=0.0, atol=1e-11)
 
     def test_truncation_guard_on_level_count(self):
         ops = build_operators(0.7, 40)
@@ -791,11 +779,11 @@ class TestRelativeEntropy:
         beta = 2.0
         ops = build_operators(stroke_reference(REF), stroke_dim(beta, REF))
         st0 = thermal_fock_in(ops, beta, 0.35)
-        st = propagate_fock(ops, st0, REF, 3.0, drive=Drive.BARE)
+        st = propagate_fock_path(ops, st0, REF, [3.0], drive=Drive.BARE)[-1]
         ad = adiabatic_reference(ops, st0, 0.35, 1.0)
         # W_irr = S(rho || rho_adiabatic) / beta
         w_irr = oracles.relative_entropy(st.rho, ad) / beta
         assert w_irr > 0.0
         # and it is tiny for the counterdiabatic drive
-        st_cd = propagate_fock(ops, st0, REF, 3.0, drive=Drive.CD)
+        st_cd = propagate_fock_path(ops, st0, REF, [3.0], drive=Drive.CD)[-1]
         assert oracles.relative_entropy(st_cd.rho, ad) / beta < 1e-6 * w_irr

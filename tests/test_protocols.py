@@ -13,7 +13,6 @@ from ottosta.protocols import (
     FrequencyProtocol,
     ProtocolKind,
     check_cd_validity,
-    check_sta_boundary,
     tau_min,
 )
 from ottosta.quadrature import stroke_grid
@@ -153,37 +152,40 @@ class TestDerivatives:
 
 
 class TestBoundaryConditions:
+    """The ramps against the shortcut boundary conditions of
+    ``oracles.sta_boundary``: value and slope at both ends, which
+    counterdiabatic switch-off needs, and curvature."""
+
     def test_poly5_satisfies_value_slope_curvature(self):
-        rep = check_sta_boundary(make(ProtocolKind.POLY5))
-        assert rep.all_ok
-        assert rep.shortcut_ok
+        rep = oracles.sta_boundary(make(ProtocolKind.POLY5))
+        assert all(rep["value"]) and all(rep["slope"])
+        assert all(rep["curvature"])
 
     def test_poly3_slope_only(self):
-        rep = check_sta_boundary(make(ProtocolKind.POLY3))
+        rep = oracles.sta_boundary(make(ProtocolKind.POLY3))
         # slope vanishes at both ends, curvature does not
-        assert rep.slope_start and rep.slope_end
-        assert not (rep.curvature_start and rep.curvature_end)
-        assert rep.shortcut_ok
+        assert all(rep["slope"])
+        assert not all(rep["curvature"])
+        assert all(rep["value"])
 
     def test_cosine_slope_only(self):
-        rep = check_sta_boundary(make(ProtocolKind.COSINE))
-        assert rep.slope_start and rep.slope_end
-        assert not (rep.curvature_start and rep.curvature_end)
-        assert rep.shortcut_ok
+        rep = oracles.sta_boundary(make(ProtocolKind.COSINE))
+        assert all(rep["slope"])
+        assert not all(rep["curvature"])
+        assert all(rep["value"])
 
     def test_linear_fails_slope(self):
-        rep = check_sta_boundary(make(ProtocolKind.LINEAR))
-        assert not rep.slope_start
-        assert not rep.shortcut_ok
-        assert not rep.all_ok
+        rep = oracles.sta_boundary(make(ProtocolKind.LINEAR))
+        assert all(rep["value"])
+        assert not rep["slope"][0]
 
     def test_duration_near_the_float_range_gets_a_report(self):
         # tau^2 overflows a float above about 1.3e154; the curvature scale
         # divides by tau twice instead and underflows to 0 quietly
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rep = check_sta_boundary(FrequencyProtocol("poly5", 0.35, 1.0, 1e200))
-        assert rep.all_ok
+            rep = oracles.sta_boundary(FrequencyProtocol("poly5", 0.35, 1.0, 1e200))
+        assert all(all(flags) for flags in rep.values())
 
     def test_shortcut_kinds_listing(self):
         assert set(ProtocolKind.shortcut_kinds()) == {
