@@ -12,12 +12,8 @@ Units: hbar = m = k_B = 1.
 
 from .dynamics import (
     Drive,
-    GaussianState,
     adiabaticity_stack,
-    mean_energy,
     q_cd_grid,
-    sudden_quench_q,
-    thermal_state,
     transfer_matrices,
 )
 from .errors import (
@@ -47,7 +43,6 @@ __all__ = [
     "EmpConfig",
     "EmpResult",
     "FrequencyProtocol",
-    "GaussianState",
     "NumericsError",
     "OttoStaError",
     "PhysicsError",
@@ -61,11 +56,8 @@ __all__ = [
     "curzon_ahlborn",
     "friction_stack",
     "maximize_power_numeric",
-    "mean_energy",
     "q_cd_grid",
     "stroke_records",
-    "sudden_quench_q",
-    "thermal_state",
     "transfer_matrices",
     "variance_cost_stack",
     "work_cost_stack",

@@ -32,7 +32,6 @@ The independent checks of M are the fixed-step references in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -48,14 +47,10 @@ from .protocols import (
 
 __all__ = [
     "Drive",
-    "GaussianState",
-    "thermal_state",
     "coth_half",
     "thermal_energy",
-    "mean_energy",
     "transfer_matrices",
     "adiabaticity_stack",
-    "sudden_quench_q",
     "q_cd_grid",
     "DEFAULT_RTOL",
 ]
@@ -79,22 +74,6 @@ _MIN_START_STEPS = 4
 class Drive(str, Enum):
     BARE = "bare"
     CD = "cd"
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """First moments (2,) and symmetrized covariance matrix (2, 2) in (x, p)."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=np.float64).reshape(2)
-        cov = _checked_covariances(np.array(self.cov, dtype=np.float64).reshape(2, 2))
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
 
 
 def _checked_covariances(cov: np.ndarray) -> np.ndarray:
@@ -138,16 +117,6 @@ def thermal_energy(beta: float, omega: float) -> float:
     return 0.5 * omega * coth_half(beta, omega)
 
 
-def thermal_state(beta: float, omega: float) -> GaussianState:
-    """Thermal (Gibbs) state of the trap at frequency omega; beta=inf gives
-    the ground state."""
-    c = coth_half(beta, omega)
-    return GaussianState(
-        mean=np.zeros(2),
-        cov=np.array([[c / (2.0 * omega), 0.0], [0.0, 0.5 * omega * c]]),
-    )
-
-
 def _energies(
     means: np.ndarray, covs: np.ndarray, omega: float | np.ndarray
 ) -> np.ndarray:
@@ -157,11 +126,6 @@ def _energies(
     quad = 0.5 * (covs[..., 1, 1] + w2 * covs[..., 0, 0])
     drift = 0.5 * (means[..., 1] ** 2 + w2 * means[..., 0] ** 2)
     return quad + drift
-
-
-def mean_energy(state: GaussianState, omega: float) -> float:
-    """<H0> of one state at trap frequency omega."""
-    return float(_energies(state.mean, state.cov, omega))
 
 
 # -- transfer-matrix propagator -----------------------------------------------
@@ -454,12 +418,15 @@ def _thermal_q(
     m: np.ndarray, protocols: list[FrequencyProtocol], betas, w_t: np.ndarray
 ) -> np.ndarray:
     """Q*(t) (B, K) of thermal starts, read off their transfer matrices: the
-    energy of M C0 M^T at omega_t over the adiabatic (omega_t/omega_i) E0.
-    Every covariance is validated."""
+    energy of M C0 M^T at omega_t over the adiabatic (omega_t/omega_i) E0,
+    with C0 = diag(c / (2 omega_i), omega_i c / 2) and c = coth(beta
+    omega_i / 2). Every covariance is validated."""
     pairs = list(zip(protocols, betas, strict=True))
-    cov0 = np.stack([thermal_state(beta, p.omega_i).cov for p, beta in pairs])[:, None]
+    c = np.array([coth_half(beta, p.omega_i) for p, beta in pairs])
     e0 = np.array([thermal_energy(beta, p.omega_i) for p, beta in pairs])
     omega_i = np.array([p.omega_i for p in protocols])
+    cov0 = np.zeros((len(pairs), 1, 2, 2))
+    cov0[:, 0, 0, 0], cov0[:, 0, 1, 1] = c / (2.0 * omega_i), 0.5 * omega_i * c
     covs = _checked_covariances(m @ cov0 @ np.swapaxes(m, -1, -2))
     energies = _energies(np.zeros(covs.shape[:-1]), covs, w_t)
     return energies / (w_t / omega_i[:, None] * e0[:, None])
@@ -495,15 +462,6 @@ def adiabaticity_stack(
     w_t = _ramp_grid(protocols, ts)[0]
     omega_i = np.array([p.omega_i for p in protocols])[:, None]
     return _thermal_q(m, protocols, betas, w_t), _pair_q(omega_i, m, w_t)
-
-
-def sudden_quench_q(omega_i: float, omega_f: float) -> float:
-    """Adiabaticity factor of an instantaneous frequency jump:
-    (omega_i^2 + omega_f^2) / (2 omega_i omega_f). The tau -> 0 limit of any
-    ramp's bare-drive Q*(tau)."""
-    if omega_i <= 0.0 or omega_f <= 0.0:
-        raise ValueError("frequencies must be positive")
-    return (omega_i * omega_i + omega_f * omega_f) / (2.0 * omega_i * omega_f)
 
 
 # -- closed-form CD accounting ------------------------------------------------

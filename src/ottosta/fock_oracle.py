@@ -7,22 +7,21 @@ the geometric mean of its endpoint frequencies, ``stroke_reference``), the
 density matrix is propagated with an adaptive 4th-order Magnus integrator
 (unitary by construction through an eigendecomposition of the Hermitian
 generator), and energies/populations are read out by diagonalizing the
-relevant Hamiltonians inside the truncated space. Each trial step builds the 4th- and 6th-order generators
-Omega4 and Omega6 from the Hamiltonians at three Gauss-Legendre nodes;
-||[Omega6 - Omega4, rho]||_F estimates its local error, and only an
-accepted step exponentiates Omega4.
+relevant Hamiltonians inside the truncated space. Each trial step builds
+the 4th- and 6th-order generators Omega4 and Omega6 from the Hamiltonians
+at three Gauss-Legendre nodes; ||[Omega6 - Omega4, rho]||_F estimates its
+local error, and only an accepted step exponentiates Omega4.
 
 Every stroke Hamiltonian is quadratic in x and p, so it changes the number
 n by 0 or +-2 and never mixes even and odd n. Each Magnus step therefore
 exponentiates two generators of about dim/2, one per number parity, instead
-of one of size dim, and rho is carried as its parity blocks: the even-even
-and odd-odd blocks, each contiguous, updated as rho[a, a] <- U_a rho[a, a]
-U_a^dagger. The even-odd block, rho[e, o] <- U_e rho[e, o] U_o^dagger, is
-carried only when the start state has an off-parity coherence (the odd-even
-block is its conjugate transpose, since rho is Hermitian). A thermal start
-has none, and a block-diagonal U keeps a zero block exactly zero, so
-skipping it changes nothing. Dense rho is rebuilt, in the natural Fock
-order, only at the checkpoints.
+of one of size dim, and rho exists only as its parity blocks (``FockState``):
+the even-even and odd-odd blocks, each contiguous, updated as rho[a, a] <-
+U_a rho[a, a] U_a^dagger. The even-odd block, rho[e, o] <- U_e rho[e, o]
+U_o^dagger, is carried only when the start state has an off-parity
+coherence (the odd-even block is its conjugate transpose, since rho is
+Hermitian). A thermal start has none, and a block-diagonal U keeps a zero
+block exactly zero, so skipping it changes nothing.
 
 Within one parity, x^2, p^2 and xp + px couple only neighbouring levels, so
 each operator exists only as a Hermitian tridiagonal band per parity, and
@@ -60,7 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -108,6 +107,9 @@ _MAGNUS_MAX_STEPS = 200_000
 _BAND_TOL = 1e-12
 # Thermal tail weight left out of the two-point-measurement level sums.
 _TPM_TAIL = 1e-12
+# Largest truncation build_operators accepts; a parity block of a state
+# there is a 2048^2 complex matrix, 64 MiB.
+_MAX_LEVELS = 4096
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,10 @@ def build_operators(ref_omega: float, dim: int) -> FockOperators:
     entry in the truncation. Their (n, n + 2) entries are
     sqrt((n + 1)(n + 2)) / (2 w) and -(w / 2) sqrt((n + 1)(n + 2)), and
     xp + px = i (a^dagger^2 - a^2) has a zero diagonal and (n, n + 2) entry
-    -i sqrt((n + 1)(n + 2))."""
+    -i sqrt((n + 1)(n + 2)). Raises CutoffError above _MAX_LEVELS, before
+    allocating anything: the truncations a stroke needs grow as 1/beta."""
+    if dim > _MAX_LEVELS:
+        raise CutoffError(f"the Fock oracle needs {dim} levels, over the {_MAX_LEVELS} allowed")
     if dim < 4:
         raise ValueError(f"dim must be at least 4, got {dim}")
     if ref_omega <= 0.0:
@@ -206,28 +211,39 @@ def stroke_dim(beta: float, protocol: FrequencyProtocol) -> int:
 
 @dataclass(frozen=True)
 class FockState:
-    """Density matrix in the number basis of ``ref_omega``."""
+    """Density matrix on the lowest dim levels of the number basis of
+    ``ref_omega`` as its parity blocks: even-even and odd-odd, of sizes
+    (dim + 1) // 2 and dim // 2, and even-odd, None where it is exactly zero
+    (the odd-even block is its conjugate transpose). Validated on creation."""
 
-    rho: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+    cross: np.ndarray | None
     ref_omega: float
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=np.complex128)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError(f"rho must be square, got shape {rho.shape}")
-        herm = np.linalg.norm(rho - rho.conj().T)
-        if herm > 1e-10 * max(1.0, np.linalg.norm(rho)):
-            raise ValueError(f"rho not Hermitian: deviation {herm}")
-        tr = float(np.trace(rho).real)
+        blocks = [self.even, self.odd, self.cross]
+        blocks = [None if m is None else np.array(m, dtype=np.complex128) for m in blocks]
+        even, odd, cross = blocks
+        ke, ko = (len(m) if m.ndim == 2 else -1 for m in (even, odd))
+        shapes = [m.shape for m in blocks if m is not None]
+        if shapes != [(ke, ke), (ko, ko), (ke, ko)][: len(shapes)] or ke - ko not in (0, 1):
+            raise ValueError(f"block shapes {shapes} are not the parity blocks of one truncation")
+        for m in (even, odd):
+            herm = np.linalg.norm(m - m.conj().T)
+            if herm > 1e-10 * max(1.0, np.linalg.norm(m)):
+                raise ValueError(f"rho not Hermitian: deviation {herm} in a parity block")
+        tr = float(np.trace(even).real + np.trace(odd).real)
         if abs(tr - 1.0) > 1e-8:
             raise ValueError(f"rho trace {tr} not 1")
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "ref_omega", float(self.ref_omega))
+        for field, value in zip(fields(self), (*blocks, float(self.ref_omega))):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, field.name, value)
 
     @property
     def dim(self) -> int:
-        return self.rho.shape[0]
+        return self.even.shape[0] + self.odd.shape[0]
 
 
 def _gibbs_populations(beta: float, omega: float, dim: int) -> np.ndarray:
@@ -246,22 +262,14 @@ def _gibbs_populations(beta: float, omega: float, dim: int) -> np.ndarray:
 def thermal_fock_in(ops: FockOperators, beta: float, omega: float) -> FockState:
     """Truncated Gibbs state of the trap at ``omega`` expressed in the
     (possibly different) reference basis of ``ops``: Gibbs populations on
-    the eigenvectors of H0(omega) within the truncated space."""
-    return _on_h0_levels(ops, _gibbs_populations(beta, omega, ops.dim), omega)
-
-
-def _on_h0_levels(ops: FockOperators, pops: np.ndarray, omega: float) -> FockState:
-    """The state with populations ``pops`` on the ascending eigenvectors of
-    H0(omega) in the basis of ``ops``, renormalized to unit trace."""
+    the ascending eigenvectors of H0(omega) within the truncated space, one
+    parity block each, renormalized to unit trace."""
     _, vecs, order = _eigenbasis([_h0(b, omega) for b in (ops.even, ops.odd)])
-    by_block = np.empty_like(pops)
-    by_block[order] = pops
-    rho = np.zeros((ops.dim, ops.dim), dtype=np.complex128)
-    for s, w, p in zip(_PARITIES, vecs, np.split(by_block, [vecs[0].shape[1]])):
-        rho[s, s] = (w * p) @ w.conj().T
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / float(np.trace(rho).real)
-    return FockState(rho=rho, ref_omega=ops.ref_omega)
+    pops = _gibbs_populations(beta, omega, ops.dim)[np.argsort(order)]
+    even, odd = ((w * p) @ w.conj().T for w, p in zip(vecs, np.split(pops, [len(vecs[0])])))
+    even, odd = 0.5 * (even + even.conj().T), 0.5 * (odd + odd.conj().T)
+    tr = float(np.trace(even).real + np.trace(odd).real)
+    return FockState(even / tr, odd / tr, None, ops.ref_omega)
 
 
 def mean_energy_fock(ops: FockOperators, state: FockState, omega: float) -> float:
@@ -269,8 +277,8 @@ def mean_energy_fock(ops: FockOperators, state: FockState, omega: float) -> floa
     sum_i H_ii rho_ii + 2 Re sum_i H_{i,i+1} rho_{i+1,i} in each block, since
     H0 is Hermitian tridiagonal there and never couples the parities."""
     energy = 0.0
-    for s, block in zip(_PARITIES, (ops.even, ops.odd)):
-        h, rho = _h0(block, omega), state.rho[s, s]
+    for block, rho in zip((ops.even, ops.odd), (state.even, state.odd)):
+        h = _h0(block, omega)
         energy += float(np.sum(h[0] * rho.diagonal().real))
         energy += 2.0 * float(np.sum(h[1, :-1] * rho.diagonal(-1)).real)
     return energy
@@ -449,54 +457,30 @@ def _window(
 
 
 class _Rho(NamedTuple):
-    """rho on the lowest n levels as its parity blocks, each contiguous:
-    the even-even and odd-odd blocks, and the even-odd block, or None where
-    it is exactly zero, as for every thermal start. The odd-even block is
-    the conjugate transpose of the even-odd one, since rho is Hermitian."""
+    """The parity blocks of a FockState, unvalidated, for the Magnus loop:
+    rho on the lowest n levels, each block contiguous."""
 
     even: np.ndarray
     odd: np.ndarray
     cross: np.ndarray | None
 
 
-def _split(rho: np.ndarray, n: int) -> _Rho:
-    """The parity blocks of the lowest n levels of the dense rho, copied
-    contiguous: numpy's matmul skips BLAS on operands with no unit stride,
-    which is about 10x slower at dim/2 = 172."""
-    even, odd = slice(0, n, 2), slice(1, n, 2)
-    cross = np.array(rho[even, odd], dtype=np.complex128)
-    return _Rho(
-        np.array(rho[even, even], dtype=np.complex128),
-        np.array(rho[odd, odd], dtype=np.complex128),
-        cross if np.any(cross) else None,
-    )
-
-
-def _joined(rho: _Rho, dim: int) -> np.ndarray:
-    """The dense rho in Fock order, zero-padded to dim levels."""
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    n = rho.even.shape[0] + rho.odd.shape[0]
-    even, odd = slice(0, n, 2), slice(1, n, 2)
-    out[even, even] = rho.even
-    out[odd, odd] = rho.odd
-    if rho.cross is not None:
-        out[even, odd] = rho.cross
-        out[odd, even] = rho.cross.conj().T
-    return out
-
-
-def _padded(rho: _Rho, n: int) -> _Rho:
-    """rho on the lowest n levels, each block zero-padded from its own size."""
+def _resized(rho: _Rho | FockState, n: int) -> _Rho:
+    """rho on the lowest n levels, each block cut or zero-padded to its size
+    there, in a new contiguous array: numpy's matmul skips BLAS on operands
+    with no unit stride, which is about 10x slower at dim/2 = 172."""
     ke, ko = (n + 1) // 2, n // 2
 
-    def pad(m, rows, cols):
-        return np.pad(m, ((0, rows - m.shape[0]), (0, cols - m.shape[1])))
+    def fit(m, rows, cols):
+        out = np.zeros((rows, cols), dtype=np.complex128)
+        out[: m.shape[0], : m.shape[1]] = m[:rows, :cols]
+        return out
 
-    cross = None if rho.cross is None else pad(rho.cross, ke, ko)
-    return _Rho(pad(rho.even, ke, ke), pad(rho.odd, ko, ko), cross)
+    cross = None if rho.cross is None else fit(rho.cross, ke, ko)
+    return _Rho(fit(rho.even, ke, ke), fit(rho.odd, ko, ko), cross)
 
 
-def _diagonal(rho: _Rho) -> np.ndarray:
+def _diagonal(rho: _Rho | FockState) -> np.ndarray:
     """The populations of rho in Fock order."""
     d = np.empty(rho.even.shape[0] + rho.odd.shape[0])
     d[0::2] = rho.even.diagonal().real
@@ -578,9 +562,8 @@ def propagate_fock_path(
     top two levels refuses a state that outgrows the truncation. Each
     returned state is zero-padded to ops.dim.
 
-    rho is carried as its parity blocks (_Rho); the even-odd block only if
-    the start state's window has an off-parity coherence. The error and
-    tolerance norms are those of the dense rho."""
+    The even-odd block is carried only if ``state`` has one. The error and
+    tolerance norms are those of the whole rho."""
     drive = Drive(drive)
     if abs(ops.ref_omega - state.ref_omega) > 1e-12 * max(1.0, ops.ref_omega):
         raise ValueError(
@@ -593,9 +576,9 @@ def propagate_fock_path(
 
     dim = ops.dim
     cap_blocks = (ops.even, ops.odd)
-    tail = np.cumsum(state.rho.diagonal().real[::-1])[::-1]
+    tail = np.cumsum(_diagonal(state)[::-1])[::-1]
     n = min(int(np.count_nonzero(tail > _WINDOW_TAIL)) + _WINDOW_BAND, dim)
-    rho = _split(state.rho, n)
+    rho = _resized(state, n)
     blocks = _window(cap_blocks, n)
     t = 0.0
     h = protocol.tau / 200.0
@@ -613,7 +596,7 @@ def propagate_fock_path(
                 rho = _apply(us, rho)
                 if n < dim and _diagonal(rho)[-_WINDOW_BAND:].sum() > _WINDOW_TAIL:
                     n = min(n + _WINDOW_BAND, dim)
-                    rho = _padded(rho, n)
+                    rho = _resized(rho, n)
                     blocks = _window(cap_blocks, n)
                 rho = _check_and_clean(rho)
                 t += h
@@ -626,7 +609,7 @@ def propagate_fock_path(
                 raise NumericsError("Magnus step budget exhausted")
             if h < 1e-15 * protocol.tau:
                 raise NumericsError("Magnus step size underflow")
-        out.append(FockState(rho=_joined(rho, dim), ref_omega=ops.ref_omega))
+        out.append(FockState(*_resized(rho, dim), ops.ref_omega))
     return out
 
 
@@ -636,8 +619,8 @@ def populations_instantaneous(
     """Populations of rho in the eigenbasis of H0(omega), ascending levels."""
     _, vecs, order = _eigenbasis([_h0(b, omega) for b in (ops.even, ops.odd)])
     by_block = [
-        np.sum(w.conj() * (np.ascontiguousarray(state.rho[s, s]) @ w), axis=0).real
-        for s, w in zip(_PARITIES, vecs)
+        np.sum(w.conj() * (rho @ w), axis=0).real
+        for rho, w in zip((state.even, state.odd), vecs)
     ]
     return np.concatenate(by_block)[order]
 

@@ -3,7 +3,9 @@
 Everything here is deliberately written from the equations of motion with
 the dumbest possible numerics (fixed-step classic RK4, trapezoid sums,
 dense scans) and without importing ottosta, so agreement with the library
-is evidence rather than tautology.
+is evidence rather than tautology. The one exception is ``fock_state``,
+which converts a dense density matrix into the Fock oracle's state format
+(and ``dense_rho`` back), so that dense references can start and read it.
 """
 
 import functools
@@ -62,6 +64,15 @@ def sta_boundary(protocol, tol=1e-12):
             abs(wdd1) <= tol * scale_d / protocol.tau,
         ),
     }
+
+
+def sudden_quench_q(omega_i, omega_f):
+    """Adiabaticity factor of an instantaneous frequency jump:
+    (omega_i^2 + omega_f^2) / (2 omega_i omega_f). The tau -> 0 limit of any
+    ramp's bare-drive Q*(tau)."""
+    if omega_i <= 0.0 or omega_f <= 0.0:
+        raise ValueError("frequencies must be positive")
+    return (omega_i * omega_i + omega_f * omega_f) / (2.0 * omega_i * omega_f)
 
 
 def ramp_omega_dot(kind, omega_i, omega_f, tau, t, h=1e-6):
@@ -199,6 +210,30 @@ def dense_operators(ref_omega, dim):
     x = (a + ad) / math.sqrt(2.0 * ref_omega)
     p = 1j * math.sqrt(ref_omega / 2.0) * (ad - a)
     return x, p
+
+
+def fock_state(rho, ref_omega):
+    """The ``fock_oracle.FockState`` of the dense density matrix ``rho`` in
+    the number basis of ``ref_omega``: its even-even, odd-odd and even-odd
+    blocks, the last None where it is exactly zero."""
+    from ottosta.fock_oracle import FockState
+
+    rho = np.asarray(rho)
+    cross = rho[0::2, 1::2] if np.any(rho[0::2, 1::2]) else None
+    return FockState(rho[0::2, 0::2], rho[1::2, 1::2], cross, ref_omega)
+
+
+def dense_rho(state):
+    """The dense density matrix in Fock order of parity blocks ``state``
+    (anything with ``even``, ``odd`` and ``cross`` blocks)."""
+    n = state.even.shape[0] + state.odd.shape[0]
+    rho = np.zeros((n, n), dtype=complex)
+    rho[0::2, 0::2] = state.even
+    rho[1::2, 1::2] = state.odd
+    if state.cross is not None:
+        rho[0::2, 1::2] = state.cross
+        rho[1::2, 0::2] = state.cross.conj().T
+    return rho
 
 
 def relative_entropy(rho, sigma):

@@ -1,6 +1,11 @@
 """One-stroke readouts of the stacked API, shared by the tests.
 
-Each is a one-row call of the public stacked API: the states at the
+A single Gaussian state is a ``GaussianState``: its covariance passes the
+package's one covariance check and its energy is the package's one energy
+formula (``dynamics._checked_covariances`` and ``dynamics._energies``, which
+the stacked moments use too).
+
+Each readout is a one-row call of the public stacked API: the states at the
 checkpoints are M mean(0) and M cov(0) M^T of ``dynamics.transfer_matrices``
 (each a validated ``GaussianState``), the classical pair is read off the
 columns of the bare-drive M, Q* is the one-row, one-checkpoint
@@ -9,13 +14,17 @@ one-row calls of ``sta_cost``, and a cycle is the one-point
 ``thermo_cycle.stroke_records`` booked by ``book_cycle``.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ottosta.dynamics import (
     DEFAULT_RTOL,
     Drive,
-    GaussianState,
+    _checked_covariances,
+    _energies,
     adiabaticity_stack,
+    coth_half,
     q_cd_grid,
     transfer_matrices,
 )
@@ -27,6 +36,37 @@ from ottosta.sta_cost import (
     work_variance_excess,
 )
 from ottosta.thermo_cycle import book_cycle, stroke_records
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """First moments (2,) and symmetrized covariance matrix (2, 2) in (x, p)."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+
+    def __post_init__(self):
+        mean = np.array(self.mean, dtype=np.float64).reshape(2)
+        cov = _checked_covariances(np.array(self.cov, dtype=np.float64).reshape(2, 2))
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
+
+
+def thermal_state(beta, omega):
+    """Thermal (Gibbs) state of the trap at frequency omega; beta=inf gives
+    the ground state."""
+    c = coth_half(beta, omega)
+    return GaussianState(
+        mean=np.zeros(2),
+        cov=np.array([[c / (2.0 * omega), 0.0], [0.0, 0.5 * omega * c]]),
+    )
+
+
+def mean_energy(state, omega):
+    """<H0> of one state at trap frequency omega."""
+    return float(_energies(state.mean, state.cov, omega))
 
 
 def states(state0, protocol, ts, drive=Drive.BARE, rtol=DEFAULT_RTOL):

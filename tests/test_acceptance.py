@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ottosta.dynamics import Drive, mean_energy, sudden_quench_q, thermal_state
+from ottosta.dynamics import Drive
 from ottosta.errors import TrapInversionError
 from ottosta.fock_oracle import (
     build_operators,
@@ -34,7 +34,19 @@ from ottosta.optimizer import EmpConfig, curzon_ahlborn, eta_max_power_analytic,
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
 from ottosta.sta_cost import StrokeContext, friction_stack
 from ottosta.thermo_cycle import Accounting, CycleConfig
-from readouts import cycle, pair, q_cd, q_star, states, variance_cost, variance_term, work_cost, work_term
+from readouts import (
+    cycle,
+    mean_energy,
+    pair,
+    q_cd,
+    q_star,
+    states,
+    thermal_state,
+    variance_cost,
+    variance_term,
+    work_cost,
+    work_term,
+)
 
 W1_AD = 0.966182
 W3_AD = -3.260826
@@ -86,7 +98,7 @@ def test_criterion_02_sudden_quench_both_backends():
     """Q* of a near-instant ramp reaches the closed-form quench value on two
     independent compute routes (the Magnus transfer matrix and a fixed-step
     RK4 reference) and via both dynamical routes of the library."""
-    q_closed = sudden_quench_q(0.35, 1.0)
+    q_closed = oracles.sudden_quench_q(0.35, 1.0)
     p = FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 1e-4)
     q_pair = q_star(p, 1e-4)[1]
     st = states(thermal_state(2.0, 0.35), p, [1e-4])[0]

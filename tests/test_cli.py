@@ -235,6 +235,32 @@ class TestNumericsErrors:
         assert not os.path.exists(outfile)
 
 
+class TestFockTruncationCap:
+    """A bath so hot that the Fock oracle would need more levels than
+    fock_oracle._MAX_LEVELS (the hot stroke's truncation under `cycle`, the
+    two-point-measurement level count under `cost`) is refused before
+    anything is allocated, with one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, config, levels",
+        [
+            (["cycle", "--grid", "tau=3:3:1"], {"beta2": 0.001}, 62443),
+            (["cost"], {"beta": 0.001}, 157952),
+        ],
+        ids=["cycle", "cost"],
+    )
+    def test_exits_4_with_one_line(self, tmp_path, outfile, capsys, argv, config, levels):
+        cfg = tmp_path / "hot.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli([*argv, "--oracle", "--config", str(cfg), "--out", outfile]) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            f"ottosta: numerics error: the Fock oracle needs {levels} levels, "
+            "over the 4096 allowed\n"
+        )
+        assert not os.path.exists(outfile)
+
+
 class TestQstar:
     def test_default_run_columns_and_values(self, outfile):
         rc = run_cli(["qstar", "--nodes", "41", "--out", outfile])

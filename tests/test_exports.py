@@ -23,6 +23,10 @@ RETIRED = {
         "adiabaticity_pair",
         "adiabaticity_pair_path",
         "q_cd",
+        "GaussianState",
+        "thermal_state",
+        "mean_energy",
+        "sudden_quench_q",
     ],
     "fock_oracle": [
         "thermal_dim",

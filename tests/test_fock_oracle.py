@@ -38,7 +38,13 @@ def thermal_dim(beta, omega):
 def thermal_fock(beta, omega, dim):
     """Truncated Gibbs state of the trap at ``omega`` in its own basis."""
     pops = np.exp(-beta * omega * np.arange(dim))
-    return FockState(rho=np.diag(pops / pops.sum()).astype(np.complex128), ref_omega=omega)
+    return oracles.fock_state(np.diag(pops / pops.sum()), omega)
+
+
+def loop_rho(state):
+    """The parity blocks of ``state`` in the unvalidated format of the
+    Magnus loop."""
+    return fock_oracle._Rho(state.even, state.odd, state.cross)
 
 
 def dense_h0(ops, omega):
@@ -48,11 +54,18 @@ def dense_h0(ops, omega):
     return 0.5 * (p @ p + omega * omega * (x @ x))
 
 
-def random_state(rng, dim, ref_omega):
-    """A random full-rank state with coherences across the parities."""
+def random_rho(rng, dim):
+    """A random full-rank density matrix with coherences across the
+    parities, exactly Hermitian."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = z @ z.conj().T
-    return FockState(rho=rho / np.trace(rho).real, ref_omega=ref_omega)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def random_state(rng, dim, ref_omega):
+    """The FockState of random_rho."""
+    return oracles.fock_state(random_rho(rng, dim), ref_omega)
 
 
 def adiabatic_reference(ops, state0, omega_i, omega_t):
@@ -133,6 +146,14 @@ class TestOperators:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+    def test_truncation_above_the_cap_is_refused(self):
+        # refused before any band is allocated, whatever asked for it
+        cap = fock_oracle._MAX_LEVELS
+        assert build_operators(1.0, cap).dim == cap
+        with pytest.raises(CutoffError, match=f"needs {cap + 1} levels, over the {cap} allowed"):
+            build_operators(1.0, cap + 1)
+
+
 class TestThermalStates:
     def test_energy_matches_closed_form(self):
         dim = thermal_dim(2.0, 0.35)
@@ -156,13 +177,32 @@ class TestThermalStates:
         np.testing.assert_allclose(pops[:6], want, rtol=1e-8, atol=1e-12)
 
     def test_state_validation(self):
-        with pytest.raises(ValueError):
-            FockState(rho=np.eye(4), ref_omega=1.0)  # trace 4, not 1
-        bad = np.zeros((4, 4), dtype=complex)
-        bad[0, 0] = 1.0
-        bad[0, 1] = 0.5
-        with pytest.raises(ValueError):
-            FockState(rho=bad, ref_omega=1.0)  # not Hermitian
+        even, odd = np.diag([0.5, 0.25, 0.0]), np.diag([0.25, 0.0])
+        cross = np.full((3, 2), 0.01j)
+        st = FockState(even, odd, cross, 1.0)
+        assert st.dim == 5 and not st.even.flags.writeable
+        with pytest.raises(ValueError, match="trace"):
+            FockState(np.eye(2), np.eye(2), None, 1.0)  # trace 4, not 1
+        bad = even.astype(complex)
+        bad[0, 1] = 0.1
+        with pytest.raises(ValueError, match="not Hermitian"):
+            FockState(bad, odd, None, 1.0)
+        with pytest.raises(ValueError, match="parity blocks"):
+            FockState(np.diag([0.5, 0.25, 0.25]), np.zeros((1, 1)), None, 1.0)  # 3 and 1
+        with pytest.raises(ValueError, match="parity blocks"):
+            FockState(even, odd, cross.T, 1.0)  # even-odd block (2, 3), not (3, 2)
+        with pytest.raises(ValueError, match="parity blocks"):
+            FockState(even, odd, cross[:, :1], 1.0)
+
+    @pytest.mark.parametrize("dim", [7, 60])
+    def test_dense_round_trip(self, dim):
+        # dense -> parity blocks -> dense is exact on a state with
+        # coherences across the parities, at odd and even dims
+        rho = random_rho(np.random.default_rng(dim), dim)
+        st = oracles.fock_state(rho, 0.6)
+        assert st.dim == dim and st.cross is not None
+        assert st.even.shape == ((dim + 1) // 2,) * 2 and st.odd.shape == (dim // 2,) * 2
+        assert np.array_equal(oracles.dense_rho(st), rho)
 
 
 class TestBarePropagation:
@@ -181,7 +221,7 @@ class TestBarePropagation:
         ops = build_operators(stroke_reference(REF), stroke_dim(2.0, REF))
         st0 = thermal_fock_in(ops, 2.0, 0.35)
         st = propagate_fock_path(ops, st0, REF, [3.0])[-1]
-        assert float(np.trace(st.rho).real) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.trace(oracles.dense_rho(st)).real) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_basis_mismatch_is_rejected(self):
         ops = build_operators(0.35, 60)
@@ -197,9 +237,10 @@ class TestBarePropagation:
             propagate_fock_path(ops, st0, REF, [3.0])
 
     def test_trace_drift_raises(self):
-        rho = thermal_fock(2.0, 0.35, 40).rho * (1.0 + 1e-6)
+        st = thermal_fock(2.0, 0.35, 40)
+        rho = fock_oracle._Rho(st.even * (1.0 + 1e-6), st.odd * (1.0 + 1e-6), None)
         with pytest.raises(NumericsError, match="trace drift"):
-            fock_oracle._check_and_clean(fock_oracle._split(rho, 40))
+            fock_oracle._check_and_clean(rho)
 
     def test_leak_counts_the_top_level_of_each_parity(self):
         # 6e-7 on each of the top two levels, one even and one odd: neither
@@ -207,7 +248,7 @@ class TestBarePropagation:
         pops = np.zeros(40)
         pops[0] = 1.0 - 1.2e-6
         pops[-2:] = 6e-7
-        rho = fock_oracle._split(np.diag(pops).astype(complex), 40)
+        rho = loop_rho(oracles.fock_state(np.diag(pops), 1.0))
         with pytest.raises(CutoffError, match="top two Fock levels"):
             fock_oracle._check_and_clean(rho)
 
@@ -244,11 +285,11 @@ class TestMixedParity:
         ops = build_operators(stroke_reference(REF), 60)
         psi = np.zeros(60, dtype=complex)
         psi[:2] = 1.0 / math.sqrt(2.0)
-        st0 = FockState(rho=np.outer(psi, psi.conj()), ref_omega=ops.ref_omega)
+        st0 = oracles.fock_state(np.outer(psi, psi.conj()), ops.ref_omega)
         ts = np.linspace(0.75, 3.0, 4)
         states = propagate_fock_path(ops, st0, REF, ts, drive=drive)
         x, p = oracles.dense_operators(ops.ref_omega, ops.dim)
-        mean = lambda st, op: float(np.sum(st.rho * op.T).real)
+        mean = lambda st, op: float(np.sum(oracles.dense_rho(st) * op.T).real)
         y0 = [mean(st0, x), mean(st0, p), 0.0, 0.0, 0.0]
         rhs = oracles.covariance_rhs("poly5", 0.35, 1.0, 3.0, drive is Drive.CD)
         for t, st in zip(ts, states):
@@ -262,7 +303,7 @@ class TestMixedParity:
         # dense H0, on a state with coherences across the parities
         st = random_state(np.random.default_rng(dim), dim, 0.6)
         ops = build_operators(0.6, dim)
-        want = float(np.trace(st.rho @ dense_h0(ops, 1.3)).real)
+        want = float(np.trace(oracles.dense_rho(st) @ dense_h0(ops, 1.3)).real)
         assert mean_energy_fock(ops, st, 1.3) == pytest.approx(want, rel=1e-12)
 
 
@@ -333,7 +374,7 @@ def _stroke_end(name, drive):
     assert stroke_dim(beta, protocol) == dim
     ops = build_operators(stroke_reference(protocol), dim)
     st0 = thermal_fock_in(ops, beta, protocol.omega_i)
-    return propagate_fock_path(ops, st0, protocol, [protocol.tau], drive=drive)[-1].rho
+    return oracles.dense_rho(propagate_fock_path(ops, st0, protocol, [protocol.tau], drive=drive)[-1])
 
 
 class TestTridiagonalExponential:
@@ -394,15 +435,11 @@ class TestBandArithmetic:
         rng = np.random.default_rng(dim)
         us = (_random_unitary(rng, (dim + 1) // 2), _random_unitary(rng, dim // 2))
         u = _block_unitary(us, dim)
-        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        rho = z @ z.conj().T
-        rho /= np.trace(rho).real
-        blocks = fock_oracle._split(rho, dim)
-        assert blocks.cross is not None
-        got = fock_oracle._joined(fock_oracle._apply(us, blocks), dim)
+        rho = random_rho(rng, dim)
+        rho_blocks = loop_rho(oracles.fock_state(rho, 1.0))
+        assert rho_blocks.cross is not None
+        got = oracles.dense_rho(fock_oracle._apply(us, rho_blocks))
         assert np.max(np.abs(got - u @ rho @ u.conj().T)) <= 1e-13
-        # the off-parity blocks carry the coherences, exactly Hermitian
-        assert np.array_equal(got[1::2, 0::2], got[0::2, 1::2].conj().T)
 
 
 class TestParityBlocks:
@@ -424,10 +461,9 @@ class TestParityBlocks:
         ops = build_operators(stroke_reference(protocol), dim)
         st0 = thermal_fock_in(ops, beta, protocol.omega_i)
         states = propagate_fock_path(ops, st0, protocol, [1.0, 2.0, 3.0], drive=drive)
+        assert st0.cross is None
         assert crosses and all(c is None for c in crosses)
-        for st in states:
-            assert not np.any(st.rho[0::2, 1::2])
-            assert not np.any(st.rho[1::2, 0::2])
+        assert all(st.cross is None for st in states)
 
     @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
     def test_coherent_start_matches_the_dense_update(self, drive, monkeypatch):
@@ -438,20 +474,19 @@ class TestParityBlocks:
         z = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
         z *= np.exp(-0.5 * np.arange(dim))[:, None]
         rho0 = z @ z.conj().T
-        st0 = FockState(rho=rho0 / np.trace(rho0).real, ref_omega=1.0)
+        st0 = oracles.fock_state(rho0 / np.trace(rho0).real, 1.0)
         gaps = []
         apply = fock_oracle._apply
 
         def checked(us, rho):
             out = apply(us, rho)
-            n = rho.even.shape[0] + rho.odd.shape[0]
-            u = _block_unitary(us, n)
-            dense = fock_oracle._joined(rho, n)
+            u = _block_unitary(us, rho.even.shape[0] + rho.odd.shape[0])
+            dense, got = oracles.dense_rho(rho), oracles.dense_rho(out)
             want = u @ dense @ u.conj().T
-            gaps.append(np.max(np.abs(fock_oracle._joined(out, n) - want)))
+            gaps.append(np.max(np.abs(got - want)))
             # the block norms are those of the dense matrices
-            gap = np.linalg.norm(fock_oracle._joined(out, n) - dense)
-            diff = fock_oracle._split(fock_oracle._joined(out, n) - dense, n)
+            diff = fock_oracle._Rho(*(a - b for a, b in zip(out, rho)))
+            gap = np.linalg.norm(got - dense)
             assert fock_oracle._frobenius(diff) == pytest.approx(gap, rel=1e-12)
             assert fock_oracle._frobenius(out) == pytest.approx(np.linalg.norm(want), rel=1e-12)
             return out
@@ -461,9 +496,7 @@ class TestParityBlocks:
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 1.3, 1.0)
         states = propagate_fock_path(ops, st0, protocol, [0.5, 1.0], drive=drive)
         assert gaps and max(gaps) <= 1e-13
-        for st in states:
-            assert np.any(st.rho[0::2, 1::2])
-            assert np.array_equal(st.rho[1::2, 0::2], st.rho[0::2, 1::2].conj().T)
+        assert all(np.any(st.cross) for st in states)
 
 
 class TestMagnusStepSequence:
@@ -575,6 +608,7 @@ class TestErrorEstimate:
             -3.0 * np.arange(n) / n
         )[:, None]
         rho = z @ z.conj().T / np.linalg.norm(z) ** 2
+        rho_blocks = loop_rho(oracles.fock_state(rho, 1.0))
         beyond = {Drive.BARE: 0.0, Drive.CD: 0.0}
         for drive in (Drive.BARE, Drive.CD):
             for t in (0.0, 1.0, 2.5):
@@ -586,7 +620,7 @@ class TestErrorEstimate:
                         _dense_band(omega4[0]), omega4_dense, rtol=0.0, atol=1e-13
                     )
                     d[s, s] = gap
-                est = fock_oracle._commutator_norm([g for _, g in got], fock_oracle._split(rho, n))
+                est = fock_oracle._commutator_norm([g for _, g in got], rho_blocks)
                 assert est == pytest.approx(np.linalg.norm(d @ rho - rho @ d), rel=1e-12)
                 extra = max(float(np.max(np.abs(g[2:]))) for _, g in got)
                 beyond[drive] = max(beyond[drive], extra)
@@ -605,14 +639,15 @@ class TestErrorEstimate:
         # term of ||e^{-i Omega6} rho e^{i Omega6} - e^{-i Omega4} rho e^{i Omega4}||
         protocol, beta, dim, _ = _DEFAULT_STROKES[name]
         ops = build_operators(stroke_reference(protocol), dim)
-        rho = thermal_fock_in(ops, beta, protocol.omega_i).rho
+        st = thermal_fock_in(ops, beta, protocol.omega_i)
+        rho = oracles.dense_rho(st)
         pair = fock_oracle._magnus_pair((ops.even, ops.odd), protocol, drive, 1.0, 0.05)
         u4, u6 = np.zeros((dim, dim), complex), np.zeros((dim, dim), complex)
         for s, (omega4, gap) in zip(fock_oracle._PARITIES, pair):
             u4[s, s] = _dense_expm(_dense_band(omega4))
             u6[s, s] = _dense_expm(_dense_band(omega4) + _dense_band(gap))
         want = np.linalg.norm(u6 @ rho @ u6.conj().T - u4 @ rho @ u4.conj().T)
-        est = fock_oracle._commutator_norm([g for _, g in pair], fock_oracle._split(rho, dim))
+        est = fock_oracle._commutator_norm([g for _, g in pair], loop_rho(st))
         assert est == pytest.approx(want, rel=0.1)
 
 
@@ -652,8 +687,9 @@ class TestActiveWindow:
         ops, _, end, sizes = expansion
         n = sizes[-1]
         assert end.dim == ops.dim
-        assert not np.any(end.rho[n:, :])
-        assert not np.any(end.rho[:, n:])
+        rho = oracles.dense_rho(end)
+        assert not np.any(rho[n:, :])
+        assert not np.any(rho[:, n:])
 
     def test_final_energy_matches_the_full_dim_propagation(self, expansion):
         # 2.376929993678661: the same stroke propagated with the window
@@ -669,7 +705,7 @@ class TestActiveWindow:
         ops = build_operators(1.0, 40)
         rho = np.zeros((40, 40), dtype=complex)
         rho[0, 0] = 1.0
-        st0 = FockState(rho=rho, ref_omega=1.0)
+        st0 = oracles.fock_state(rho, 1.0)
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 4.0, 0.5)
         sizes = _recording_sizes(monkeypatch)
         with pytest.raises(CutoffError, match="top two Fock levels"):
@@ -688,7 +724,7 @@ class TestH0Eigenbasis:
         _, evecs = np.linalg.eigh(dense_h0(ops, protocol.omega_i))
         pops = np.exp(-beta * protocol.omega_i * np.arange(dim))
         want = (evecs * (pops / pops.sum())) @ evecs.conj().T
-        got = thermal_fock_in(ops, beta, protocol.omega_i).rho
+        got = oracles.dense_rho(thermal_fock_in(ops, beta, protocol.omega_i))
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("dim", [7, 60, 344])
@@ -697,7 +733,7 @@ class TestH0Eigenbasis:
         st = random_state(np.random.default_rng(dim), dim, 0.6)
         ops = build_operators(0.6, dim)
         _, evecs = np.linalg.eigh(dense_h0(ops, 1.3))
-        want = np.einsum("ij,jk,ki->i", evecs.conj().T, st.rho, evecs).real
+        want = np.einsum("ij,jk,ki->i", evecs.conj().T, oracles.dense_rho(st), evecs).real
         got = populations_instantaneous(ops, st, 1.3)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -756,7 +792,7 @@ class TestRelativeEntropy:
         dim = 40
         vac = np.zeros((dim, dim), dtype=complex)
         vac[0, 0] = 1.0
-        th = thermal_fock(2.0, 0.35, dim).rho
+        th = oracles.dense_rho(thermal_fock(2.0, 0.35, dim))
         s = oracles.relative_entropy(vac, th)
         # for a pure ground state, S(vac || thermal) = -ln(1 - e^{-beta omega})
         assert s == pytest.approx(-math.log(1.0 - math.exp(-0.7)), abs=1e-12)
@@ -782,8 +818,8 @@ class TestRelativeEntropy:
         st = propagate_fock_path(ops, st0, REF, [3.0], drive=Drive.BARE)[-1]
         ad = adiabatic_reference(ops, st0, 0.35, 1.0)
         # W_irr = S(rho || rho_adiabatic) / beta
-        w_irr = oracles.relative_entropy(st.rho, ad) / beta
+        w_irr = oracles.relative_entropy(oracles.dense_rho(st), ad) / beta
         assert w_irr > 0.0
         # and it is tiny for the counterdiabatic drive
         st_cd = propagate_fock_path(ops, st0, REF, [3.0], drive=Drive.CD)[-1]
-        assert oracles.relative_entropy(st_cd.rho, ad) / beta < 1e-6 * w_irr
+        assert oracles.relative_entropy(oracles.dense_rho(st_cd), ad) / beta < 1e-6 * w_irr

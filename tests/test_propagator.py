@@ -11,10 +11,10 @@ import pytest
 
 import oracles
 from ottosta import dynamics
-from ottosta.dynamics import Drive, GaussianState
+from ottosta.dynamics import Drive
 from ottosta.errors import NumericsError
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
-from readouts import pair, states
+from readouts import GaussianState, pair, states
 
 
 def _thermal_moments(beta, wi, mean=(0.0, 0.0)):

@@ -230,8 +230,7 @@ class TestFriction:
 
     @pytest.mark.parametrize("beta", [0.2, 2.0, math.inf])
     def test_path_is_bare_energy_minus_adiabatic_transport(self, beta):
-        from ottosta.dynamics import mean_energy, thermal_state
-        from readouts import states
+        from readouts import mean_energy, states, thermal_state
 
         ctx = StrokeContext(COMP, beta)
         ts = np.linspace(0.0, 3.0, 101)

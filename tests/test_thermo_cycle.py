@@ -142,9 +142,7 @@ class TestNonadiabatic:
         assert r.ds_tot > 1.7651108512462658
 
     def test_sudden_limit_values(self):
-        from ottosta.dynamics import sudden_quench_q
-
-        q = sudden_quench_q(0.35, 1.0)
+        q = oracles.sudden_quench_q(0.35, 1.0)
         cfg = ref()
         w1, w3 = stroke_works(cfg, q, q)
         assert q == pytest.approx(1.6035714285714286, abs=1e-14)
