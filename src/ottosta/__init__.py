@@ -27,7 +27,7 @@ from .errors import (
 )
 from .optimizer import EmpConfig, EmpResult, curzon_ahlborn, maximize_power_numeric
 from .protocols import FrequencyProtocol, ProtocolKind, check_cd_validity
-from .sta_cost import StrokeContext, friction_stack, variance_cost_stack, work_cost_stack
+from .sta_cost import friction_stack, variance_cost_stack, work_cost_stack
 from .thermo_cycle import Accounting, CycleConfig, CycleResult, book_cycle, stroke_records
 
 __version__ = "0.1.0"
@@ -48,7 +48,6 @@ __all__ = [
     "PhysicsError",
     "ProtocolKind",
     "SecondLawViolationError",
-    "StrokeContext",
     "TrapInversionError",
     "adiabaticity_stack",
     "check_cd_validity",

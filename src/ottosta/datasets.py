@@ -30,7 +30,6 @@ from .optimizer import (
 )
 from .protocols import FrequencyProtocol, ProtocolKind
 from .sta_cost import (
-    StrokeContext,
     friction_stack,
     variance_cost_stack,
     work_cost_stack,
@@ -80,7 +79,7 @@ def qstar_dataset(params: dict, oracle: bool = False):
     )
     rows = []
     for b, protocol in enumerate(protocols):
-        omegas = np.atleast_1d(protocol.omega(ts))
+        omegas = protocol.eval(ts)[0]
         for j, t in enumerate(ts):
             row = [
                 float(t),
@@ -112,19 +111,18 @@ def cost_dataset(params: dict, oracle: bool = False):
     if oracle:
         columns.append("tpm_excess_residual")
 
-    ctxs = [StrokeContext(FrequencyProtocol(kind, omega_i, omega_f, tau), beta) for tau in taus]
-    friction = friction_stack(ctxs, [[t] for t in taus], rtol=rtol)[:, 0].tolist()
-    work = work_cost_stack(ctxs, nodes=nodes).tolist()
-    variance = variance_cost_stack(ctxs, nodes=nodes).tolist()
-    rows = [
-        [tau, w, v, f, (omega_f / omega_i - 1.0) * ctx.h0_mean]
-        for tau, ctx, w, v, f in zip(taus, ctxs, work, variance, friction)
-    ]
+    protocols = [FrequencyProtocol(kind, omega_i, omega_f, tau) for tau in taus]
+    betas = [beta] * len(taus)
+    friction = friction_stack(protocols, betas, [[t] for t in taus], rtol=rtol)[:, 0].tolist()
+    work = work_cost_stack(protocols, betas, nodes=nodes).tolist()
+    variance = variance_cost_stack(protocols, betas, nodes=nodes).tolist()
+    adiabatic_work = (omega_f / omega_i - 1.0) * thermal_energy(beta, omega_i)
+    rows = [[tau, w, v, f, adiabatic_work] for tau, w, v, f in zip(taus, work, variance, friction)]
     if oracle:
         t_mid = [0.5 * tau for tau in taus]
-        closed = work_variance_excess(ctxs, [[t] for t in t_mid])[:, 0].tolist()
-        for ctx, t, c, row in zip(ctxs, t_mid, closed, rows):
-            matrix = fock_oracle.tpm_variance_excess(ctx.protocol, beta, t)
+        closed = work_variance_excess(protocols, betas, [[t] for t in t_mid])[:, 0].tolist()
+        for protocol, t, c, row in zip(protocols, t_mid, closed, rows):
+            matrix = fock_oracle.tpm_variance_excess(protocol, beta, t)
             row.append(abs(matrix - c) / max(abs(c), 1e-30))
     return columns, rows
 
@@ -182,8 +180,6 @@ def cycle_dataset(params: dict, oracle: bool = False):
             row += [result.eta, result.power]
         rows.append(row)
     if oracle:
-        # Serially on the calling thread: each Fock stroke is dense LAPACK
-        # work that already uses every BLAS thread.
         for config, record, row in zip(configs, records, rows):
             res1 = _fock_stroke_residual(config.compression_protocol(), beta1, record.q1)
             res3 = _fock_stroke_residual(config.expansion_protocol(), beta2, record.q3)

@@ -86,14 +86,14 @@ def _checked_covariances(cov: np.ndarray) -> np.ndarray:
     cxx, cpp = cov[..., 0, 0], cov[..., 1, 1]
     asym = np.abs(cov[..., 0, 1] - cov[..., 1, 0])
     scale = np.maximum(np.maximum(np.abs(cxx), np.abs(cpp)), 1.0)
-    if (asym > 1e-10 * scale).any():
+    if not (asym <= 1e-10 * scale).all():
         raise ValueError(f"covariance matrix not symmetric: asymmetry {np.max(asym)}")
     sxp = 0.5 * (cov[..., 0, 1] + cov[..., 1, 0])
     cov[..., 0, 1] = cov[..., 1, 0] = sxp
-    if ((cxx <= 0.0) | (cpp <= 0.0)).any():
+    if not ((cxx > 0.0) & (cpp > 0.0)).all():
         raise ValueError("diagonal covariances must be positive")
     det = cxx * cpp - sxp * sxp
-    if (det < _DET_FLOOR).any():
+    if not (det >= _DET_FLOOR).all():
         raise ValueError(
             f"covariance determinant {np.min(det)} below the uncertainty floor 1/4"
         )
@@ -101,10 +101,11 @@ def _checked_covariances(cov: np.ndarray) -> np.ndarray:
 
 
 def coth_half(beta: float, omega: float) -> float:
-    """coth(beta * omega / 2), the thermal width factor; 1.0 at beta = inf."""
-    if omega <= 0.0:
+    """coth(beta * omega / 2), the thermal width factor; 1.0 at beta = inf.
+    Raises ValueError unless beta and omega are positive (NaN is not)."""
+    if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
     z = 0.5 * beta * omega
     if z >= 20.0 or math.isinf(z):

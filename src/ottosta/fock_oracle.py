@@ -52,7 +52,7 @@ so agreement between the two engines is a genuine check.
 It also provides spectral facts the Gaussian picture cannot state directly:
 the eigenvalues of the counterdiabatic Hamiltonian (omega/Q*_CD (n + 1/2)),
 the bare-energy expectations in its eigenstates (omega Q*_CD (n + 1/2)),
-and two-point-measurement work moments.
+and the two-point-measurement work variance of the counterdiabatic drive.
 """
 
 from __future__ import annotations
@@ -79,7 +79,6 @@ __all__ = [
     "propagate_fock_path",
     "populations_instantaneous",
     "cd_level_energies",
-    "tpm_work_moments",
     "tpm_variance_excess",
 ]
 
@@ -151,7 +150,7 @@ def build_operators(ref_omega: float, dim: int) -> FockOperators:
         raise CutoffError(f"the Fock oracle needs {dim} levels, over the {_MAX_LEVELS} allowed")
     if dim < 4:
         raise ValueError(f"dim must be at least 4, got {dim}")
-    if ref_omega <= 0.0:
+    if not ref_omega > 0.0:
         raise ValueError(f"ref_omega must be positive, got {ref_omega}")
     n = np.arange(dim, dtype=np.float64)
     diag = 2.0 * n + 1.0
@@ -231,10 +230,10 @@ class FockState:
             raise ValueError(f"block shapes {shapes} are not the parity blocks of one truncation")
         for m in (even, odd):
             herm = np.linalg.norm(m - m.conj().T)
-            if herm > 1e-10 * max(1.0, np.linalg.norm(m)):
+            if not herm <= 1e-10 * max(1.0, np.linalg.norm(m)):
                 raise ValueError(f"rho not Hermitian: deviation {herm} in a parity block")
         tr = float(np.trace(even).real + np.trace(odd).real)
-        if abs(tr - 1.0) > 1e-8:
+        if not abs(tr - 1.0) <= 1e-8:
             raise ValueError(f"rho trace {tr} not 1")
         for field, value in zip(fields(self), (*blocks, float(self.ref_omega))):
             if isinstance(value, np.ndarray):
@@ -247,12 +246,12 @@ class FockState:
 
 
 def _gibbs_populations(beta: float, omega: float, dim: int) -> np.ndarray:
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
     if math.isinf(beta):
         pops = np.zeros(dim)
         pops[0] = 1.0
         return pops
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
     n = np.arange(dim, dtype=np.float64)
     logp = -beta * omega * n
     pops = np.exp(logp - logp.max())
@@ -514,7 +513,7 @@ def _check_and_clean(rho: _Rho) -> _Rho:
     rescaled: the odd-even block is its conjugate transpose by
     construction."""
     tr = float(np.trace(rho.even).real + np.trace(rho.odd).real)
-    if abs(tr - 1.0) > _TRACE_LIMIT:
+    if not abs(tr - 1.0) <= _TRACE_LIMIT:
         raise NumericsError(
             f"trace drift {abs(tr - 1.0):.3g} exceeds {_TRACE_LIMIT:g} in the "
             "Magnus propagation"
@@ -565,7 +564,7 @@ def propagate_fock_path(
     The even-odd block is carried only if ``state`` has one. The error and
     tolerance norms are those of the whole rho."""
     drive = Drive(drive)
-    if abs(ops.ref_omega - state.ref_omega) > 1e-12 * max(1.0, ops.ref_omega):
+    if not abs(ops.ref_omega - state.ref_omega) <= 1e-12 * max(1.0, ops.ref_omega):
         raise ValueError(
             f"state basis (ref {state.ref_omega}) does not match the "
             f"operators (ref {ops.ref_omega})"
@@ -666,17 +665,17 @@ def _tpm_energies(omega_i: float, n_sum: int, omega: float, omega_dot: float) ->
     return e
 
 
-def tpm_work_moments(
-    protocol: FrequencyProtocol, beta: float, t: float
-) -> tuple[float, float]:
-    """Mean and variance of the two-point-measurement work for the
-    counterdiabatically driven stroke up to time t.
+def tpm_variance_excess(protocol: FrequencyProtocol, beta: float, t: float) -> float:
+    """Two-point-measurement work-variance excess of the counterdiabatically
+    driven stroke over the adiabatic one at time t; the matrix-route
+    counterpart of the closed form in :mod:`ottosta.sta_cost`.
 
     The driving is transitionless, so level n stays level n; the measured
     energies are the bare-trap expectations in the instantaneous
     counterdiabatic eigenstates, obtained here by matrix diagonalization
     (independent of any closed form)."""
     wi = protocol.omega_i
+    c = coth_half(beta, wi)
     if math.isinf(beta):
         n_sum = 2
     else:
@@ -686,18 +685,7 @@ def tpm_work_moments(
     work = _tpm_energies(wi, n_sum, wt, wdt) - _tpm_energies(wi, n_sum, w0, wd0)
     pops = _gibbs_populations(beta, wi, n_sum)
     mean = float(np.sum(pops * work))
-    var = float(np.sum(pops * work**2) - mean**2)
-    return mean, var
-
-
-def tpm_variance_excess(protocol: FrequencyProtocol, beta: float, t: float) -> float:
-    """Two-point-measurement work-variance excess of the driven stroke over
-    the adiabatic one at time t; the matrix-route counterpart of the closed
-    form in :mod:`ottosta.sta_cost`."""
-    _, var_cd = tpm_work_moments(protocol, beta, t)
-    wi = protocol.omega_i
-    wt = protocol.omega(float(t))
-    c = coth_half(beta, wi)
+    var_cd = float(np.sum(pops * work**2) - mean**2)
     var_n = 0.25 * (c * c - 1.0)  # thermal Var(n + 1/2) = n_bar (n_bar + 1)
     var_ad = (wt - wi) ** 2 * var_n
     return var_cd - var_ad

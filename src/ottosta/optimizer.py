@@ -8,20 +8,21 @@ At fixed omega1 and bath temperatures the output power is
     P(x) = omega1 [ <H>_A (1 - 1/x) + <H>_C(x) (1 - x) ] / (1 + x),
 
 where <H>_A is fixed and <H>_C(x) = (omega1 / 2x) coth(beta2 omega1 / 2x)
-depends on x through the hot-side frequency. With gamma = <H>_A / <H>_C the
-stationarity condition has the closed-form root
+depends on x through the hot-side frequency. ``maximize_power_numeric``
+locates the maximum by golden section; the engine efficiency there is
+1 - x_opt. With gamma = <H>_A / <H>_C the stationarity condition has the
+closed-form root
 
     x_opt = [gamma + sqrt(2 gamma (1 + gamma))] / (2 + gamma),
 
 exact whenever <H>_C is (to working accuracy) independent of x, which the
-high-temperature hot bath limit guarantees (<H>_C -> 1/beta2). The engine
-efficiency at that ratio is 1 - x_opt. A second closed form,
+high-temperature hot bath limit guarantees (<H>_C -> 1/beta2); the tests
+hold the numeric optimum to it (``tests/oracles.py``). A second closed form,
 
     eta* = 1 - [gamma + sqrt(4 gamma (1 + gamma))] / (2 + gamma),
 
-is kept alongside it for comparison; the two are not consistent with each
-other (different radicals), and the numeric maximizer arbitrates: it agrees
-with x_opt. Both are reported.
+is reported next to 1 - x_opt; the two are not consistent with each other
+(different radicals), and the numeric maximizer sides with the root above.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "hot_energy",
     "gamma_ratio",
     "power_curve",
-    "optimal_x_analytic",
     "eta_max_power_analytic",
     "curzon_ahlborn",
     "golden_max",
@@ -95,19 +95,13 @@ def power_curve(config: EmpConfig, x: float) -> float:
     return config.omega1 * work_out / (1.0 + x)
 
 
-def optimal_x_analytic(gamma: float) -> float:
-    """Closed-form stationary frequency ratio of the power curve."""
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    return (gamma + math.sqrt(2.0 * gamma * (1.0 + gamma))) / (2.0 + gamma)
-
-
 def eta_max_power_analytic(gamma: float) -> float:
     """The companion closed form for the efficiency at maximum power.
 
-    Not equal to 1 - optimal_x_analytic(gamma); the numeric maximizer sides
-    with the latter. Both are exposed so the discrepancy is visible."""
-    if gamma <= 0.0:
+    Not equal to 1 - x_opt of the power curve's closed-form root; the
+    numeric maximizer sides with the latter. Both are reported so the
+    discrepancy is visible."""
+    if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     return 1.0 - (gamma + math.sqrt(4.0 * gamma * (1.0 + gamma))) / (2.0 + gamma)
 

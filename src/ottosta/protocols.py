@@ -40,11 +40,6 @@ class ProtocolKind(str, Enum):
     LINEAR = "linear"
     CONSTANT = "constant"
 
-    @classmethod
-    def shortcut_kinds(cls) -> tuple["ProtocolKind", ...]:
-        """Kinds whose boundary conditions make CD driving vanish at t=0, tau."""
-        return (cls.POLY5, cls.POLY3, cls.COSINE)
-
 
 def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray):
     """(omega, omegadot, omegaddot) of a ``kind`` ramp at s = t/tau. The
@@ -107,41 +102,21 @@ class FrequencyProtocol:
         if self.kind is ProtocolKind.CONSTANT and self.omega_f != self.omega_i:
             raise ValueError("constant protocol requires omega_f == omega_i")
 
-    @classmethod
-    def constant(cls, omega: float, tau: float) -> "FrequencyProtocol":
-        return cls(ProtocolKind.CONSTANT, omega, omega, tau)
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _check_domain(self, t):
+    def eval(self, t):
+        """(omega, omegadot, omegaddot) at time t: floats for a scalar t,
+        arrays of t's shape for an array of times. Raises ValueError for a
+        time outside [0, tau] or not a number."""
+        t = np.asarray(t, dtype=np.float64)
         tol = _DOMAIN_TOL * self.tau
-        tmin = float(np.min(t))
-        tmax = float(np.max(t))
-        if tmin < -tol or tmax > self.tau + tol:
+        tmin, tmax = float(np.min(t)), float(np.max(t))
+        if not (tmin >= -tol and tmax <= self.tau + tol):
             raise ValueError(
                 f"time outside protocol domain [0, {self.tau}]: [{tmin}, {tmax}]"
             )
-
-    def eval(self, t: float) -> tuple[float, float, float]:
-        """(omega, omegadot, omegaddot) at scalar time t."""
-        self._check_domain(t)
-        w, wd, wdd = self._shape(np.float64(t) / self.tau)
-        return float(w), float(wd), float(wdd)
-
-    def _shape(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized (omega, omegadot, omegaddot) as functions of s = t/tau."""
-        return _ramp_shape(self.kind, self.omega_i, self.omega_f, self.tau, s)
-
-    def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized eval over an array of times."""
-        ts = np.asarray(ts, dtype=np.float64)
-        self._check_domain(ts)
-        return self._shape(ts / self.tau)
-
-    def omega(self, t):
-        if np.isscalar(t):
-            return self.eval(t)[0]
-        return self.eval_many(t)[0]
+        w, wd, wdd = _ramp_shape(self.kind, self.omega_i, self.omega_f, self.tau, t / self.tau)
+        if t.ndim == 0:
+            return float(w), float(wd), float(wdd)
+        return w, wd, wdd
 
     def checkpoints(self, ts) -> np.ndarray:
         """``ts`` as the checkpoints of a propagation along this ramp: a
@@ -150,6 +125,8 @@ class FrequencyProtocol:
         ts = np.asarray(ts, dtype=np.float64)
         if ts.ndim != 1 or ts.size == 0:
             raise ValueError("ts must be a non-empty 1-d array of times")
+        if not np.isfinite(ts).all():
+            raise ValueError("ts must be finite")
         if np.any(np.diff(ts) < 0.0) or ts[0] < 0.0:
             raise ValueError("ts must be ascending and non-negative")
         if ts[-1] > self.tau * (1.0 + _DOMAIN_TOL):
@@ -183,11 +160,11 @@ def tau_min(kind, omega_i: float, omega_f: float) -> float:
     smallest margin on the stroke is exactly 1 - (tau_min/tau)^2. The
     maximum is located by a scan that zooms onto the bracket around the
     argmax; it is 0 for the constant control."""
-    shape = FrequencyProtocol(kind, omega_i, omega_f, 1.0)._shape
+    ramp = FrequencyProtocol(kind, omega_i, omega_f, 1.0)  # refuses an invalid ramp
     lo, hi = 0.0, 1.0
     for _ in range(_TAU_MIN_ROUNDS):
         s = np.linspace(lo, hi, _TAU_MIN_POINTS)
-        w, wd, _ = shape(s)
+        w, wd, _ = _ramp_shape(ramp.kind, ramp.omega_i, ramp.omega_f, 1.0, s)
         r = np.abs(wd) / (2.0 * w * w)
         i = int(np.argmax(r))
         lo, hi = s[max(i - 1, 0)], s[min(i + 1, s.size - 1)]

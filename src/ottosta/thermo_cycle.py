@@ -37,7 +37,7 @@ from .dynamics import DEFAULT_RTOL, adiabaticity_stack, thermal_energy
 from .errors import SecondLawViolationError
 from .protocols import FrequencyProtocol, ProtocolKind, check_cd_validity, require_cd_valid
 from .quadrature import DEFAULT_NODES
-from .sta_cost import StrokeContext, work_cost_stack
+from .sta_cost import work_cost_stack
 
 __all__ = [
     "Accounting",
@@ -191,8 +191,10 @@ def stroke_records(
     c = [None] * len(protocols)
     if costs:
         feasible = [i for i, p in enumerate(protocols) if check_cd_validity(p).valid]
-        ctxs = [StrokeContext(protocols[i], betas[i]) for i in feasible]
-        for i, cost in zip(feasible, work_cost_stack(ctxs, nodes=nodes).tolist()):
+        values = work_cost_stack(
+            [protocols[i] for i in feasible], [betas[i] for i in feasible], nodes=nodes
+        )
+        for i, cost in zip(feasible, values.tolist()):
             c[i] = cost
     return [
         StrokeRecord(q[i], q[i + 1], c[i], c[i + 1]) for i in range(0, len(protocols), 2)

@@ -36,8 +36,8 @@ def ramp_omega(kind, omega_i, omega_f, tau, t):
 
 def validity_margin(protocol, ts):
     """Counterdiabatic validity margin 1 - omegadot^2 / (4 omega^4) of a
-    protocol object at the given times, sampled through its own eval_many."""
-    w, wd, _ = protocol.eval_many(ts)
+    protocol object at the given times, sampled through its own eval."""
+    w, wd, _ = protocol.eval(ts)
     return 1.0 - wd**2 / (4.0 * w**4)
 
 
@@ -187,6 +187,15 @@ def thermal_nbar(beta, omega):
 
 def thermal_energy(beta, omega):
     return 0.5 * omega / math.tanh(0.5 * beta * omega)
+
+
+def optimal_x_analytic(gamma):
+    """Closed-form stationary frequency ratio of the adiabatic engine's power
+    curve, [gamma + sqrt(2 gamma (1 + gamma))] / (2 + gamma), exact when the
+    hot-side energy does not depend on the ratio (gamma = <H>_A / <H>_C)."""
+    if not gamma > 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    return (gamma + math.sqrt(2.0 * gamma * (1.0 + gamma))) / (2.0 + gamma)
 
 
 def efficiency_exact(config, q1, q3):

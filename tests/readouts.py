@@ -98,24 +98,24 @@ def q_cd(protocol, ts):
     return q_cd_grid([protocol], [ts])[0]
 
 
-def work_term(ctx, t):
+def work_term(protocol, beta, t):
     """Mean extra energy of the CD accounting at time t."""
-    return float(work_excess([ctx], [[t]])[0, 0])
+    return float(work_excess([protocol], [beta], [[t]])[0, 0])
 
 
-def variance_term(ctx, t):
+def variance_term(protocol, beta, t):
     """Excess work variance of the CD-driven stroke at time t."""
-    return float(work_variance_excess([ctx], [[t]])[0, 0])
+    return float(work_variance_excess([protocol], [beta], [[t]])[0, 0])
 
 
-def work_cost(ctx, nodes=DEFAULT_NODES):
+def work_cost(protocol, beta, nodes=DEFAULT_NODES):
     """<dW>_tau of one stroke."""
-    return float(work_cost_stack([ctx], nodes=nodes)[0])
+    return float(work_cost_stack([protocol], [beta], nodes=nodes)[0])
 
 
-def variance_cost(ctx, nodes=DEFAULT_NODES):
+def variance_cost(protocol, beta, nodes=DEFAULT_NODES):
     """<d(DeltaW)>_tau of one stroke."""
-    return float(variance_cost_stack([ctx], nodes=nodes)[0])
+    return float(variance_cost_stack([protocol], [beta], nodes=nodes)[0])
 
 
 def cycle(config, accounting):

@@ -32,7 +32,7 @@ from ottosta.fock_oracle import (
 )
 from ottosta.optimizer import EmpConfig, curzon_ahlborn, eta_max_power_analytic, maximize_power_numeric
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
-from ottosta.sta_cost import StrokeContext, friction_stack
+from ottosta.sta_cost import friction_stack
 from ottosta.thermo_cycle import Accounting, CycleConfig
 from readouts import (
     cycle,
@@ -112,10 +112,9 @@ def test_criterion_02_sudden_quench_both_backends():
 def test_criterion_03_midpoint_shortcut_quantities():
     """Frozen midpoint values of the poly5 compression at tau = 3."""
     p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
-    ctx = StrokeContext(p, 2.0)
     q = float(q_cd(p, [1.5])[0])
-    mean_term = work_term(ctx, 1.5)
-    ddw = math.sqrt(variance_term(ctx, 1.5))
+    mean_term = work_term(p, 2.0, 1.5)
+    ddw = math.sqrt(variance_term(p, 2.0, 1.5))
     checks = [
         ("Q*_cd(mid)", q, 1.1171629915626675),
         ("mean term(mid)", mean_term, 0.11755465080084085),
@@ -153,12 +152,12 @@ def test_criterion_05_fock_vs_gaussian(kind, beta):
     p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
     ts = np.linspace(0.3, 3.0, 10)
     gauss = states(thermal_state(beta, 0.35), p, ts)
-    e_gauss = np.array([mean_energy(s, p.omega(float(t))) for t, s in zip(ts, gauss)])
+    e_gauss = np.array([mean_energy(s, p.eval(float(t))[0]) for t, s in zip(ts, gauss)])
 
     ops = build_operators(stroke_reference(p), stroke_dim(beta, p))
     st0 = thermal_fock_in(ops, beta, 0.35)
     focks = propagate_fock_path(ops, st0, p, ts)
-    e_fock = np.array([mean_energy_fock(ops, s, p.omega(float(t))) for t, s in zip(ts, focks)])
+    e_fock = np.array([mean_energy_fock(ops, s, p.eval(float(t))[0]) for t, s in zip(ts, focks)])
 
     rel = float(np.max(np.abs(e_fock - e_gauss) / e_gauss))
     report(f"5 oracle agreement [{kind.value}, beta={beta}]", rel < 1e-6, f"max rel diff {rel:.2e} over 10 checkpoints")
@@ -191,9 +190,9 @@ def _assert_cost_trend(taus, label):
     tau_min = oracles.tau_min("poly5", 0.35, 1.0)
     bad, fric, cd_taus, cd_rows = [], [], [], []
     for tau in taus:
-        ctx = StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau), 2.0)
-        fric.append(float(friction_stack([ctx], [[tau]])[0, 0]))
-        costs = {fn.__name__: _cd_or_refused(fn, ctx) for fn in (work_cost, variance_cost)}
+        p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau)
+        fric.append(float(friction_stack([p], [2.0], [[tau]])[0, 0]))
+        costs = {fn.__name__: _cd_or_refused(fn, p, 2.0) for fn in (work_cost, variance_cost)}
         bad += _refusal_mismatches(tau, tau_min, costs)
         if tau > tau_min and None not in costs.values():
             cd_taus.append(tau)
@@ -226,10 +225,8 @@ def test_criterion_06b_cost_measures_feasible_grid():
 def test_criterion_06c_endpoint_costs_by_boundary_class():
     """The two-point driving cost at t = tau vanishes for ramps whose slope
     vanishes at the ends and stays finite for the linear ramp."""
-    ctx5 = StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0), 2.0)
-    ctxl = StrokeContext(FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 3.0), 2.0)
-    end5 = work_term(ctx5, 3.0)
-    endl = work_term(ctxl, 3.0)
+    end5 = work_term(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0), 2.0, 3.0)
+    endl = work_term(FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 3.0), 2.0, 3.0)
     ok = abs(end5) < 1e-12 and endl > 1e-3
     report("6c endpoint costs", ok, f"poly5 {end5:.2e}, linear {endl:.6f}")
 

@@ -11,6 +11,7 @@ from ottosta.dynamics import (
     Drive,
     _transfer_matrices,
     adiabaticity_stack,
+    coth_half,
     q_cd_grid,
     transfer_matrices,
 )
@@ -54,6 +55,8 @@ class TestStatesAndEnergies:
         with pytest.raises(ValueError):
             # determinant below the uncertainty floor of 1/4
             GaussianState(mean=np.zeros(2), cov=np.diag([0.1, 0.1]))
+        with pytest.raises(ValueError):
+            GaussianState(mean=np.zeros(2), cov=np.full((2, 2), math.nan))
 
     def test_states_are_read_only(self):
         st_ = thermal_state(2.0, 0.35)
@@ -167,7 +170,7 @@ class TestCounterdiabatic:
         path = states(thermal_state(2.0, 0.35), REF, ts, drive=Drive.CD)
         e0 = oracles.thermal_energy(2.0, 0.35)
         for t, st_ in zip(ts, path):
-            w = REF.omega(t)
+            w = REF.eval(t)[0]
             # the bare-Hamiltonian mean energy in the driven state equals
             # (w / w_i) * E0 exactly at every instant
             assert mean_energy(st_, w) == pytest.approx((w / 0.35) * e0, rel=1e-10)
@@ -230,7 +233,7 @@ class TestCounterdiabatic:
         c = 1.0 / math.tanh(0.35)
         for t in (0.6, 1.1, 2.4):
             st_ = states(thermal_state(2.0, 0.35), REF, [t], drive=Drive.CD)[0]
-            w = REF.omega(t)
+            w = REF.eval(t)[0]
             assert st_.cov[0, 0] == pytest.approx(c / (2 * w), rel=1e-9)
             assert st_.cov[1, 1] == pytest.approx(c * w / 2, rel=1e-9)
             assert st_.cov[0, 1] == pytest.approx(0.0, abs=1e-9)
@@ -247,10 +250,10 @@ class TestStackedReadout:
         ts = np.linspace(0.0, 3.0, 101)
         state0 = thermal_state(beta, 0.35)
         path = states(state0, REF, ts, drive=drive)
-        energies = np.array([mean_energy(s, REF.omega(t)) for s, t in zip(path, ts)])
-        want = energies / (REF.omega(ts) / 0.35 * mean_energy(state0, 0.35))
+        energies = np.array([mean_energy(s, REF.eval(t)[0]) for s, t in zip(path, ts)])
+        want = energies / (REF.eval(ts)[0] / 0.35 * mean_energy(state0, 0.35))
         ts_, m = transfer_matrices([REF], [ts], [drive])
-        got = dynamics._thermal_q(m, [REF], [beta], REF.omega(ts_))[0]
+        got = dynamics._thermal_q(m, [REF], [beta], REF.eval(ts_)[0])[0]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
         if drive is Drive.BARE:
             assert got.tobytes() == adiabaticity_stack([REF], [beta], [ts])[0][0].tobytes()
@@ -412,8 +415,26 @@ class TestExtremeInputs:
     def test_largest_duration_evaluates_then_is_refused(self, kind):
         p = FrequencyProtocol(kind, 0.35, 1.0, 1e308)
         ts = np.linspace(0.0, 1e308, 1001)
-        w, _, wdd = p.eval_many(ts)
+        w, _, wdd = p.eval(ts)
         assert np.isfinite(w).all() and np.isfinite(wdd).all()
         assert (q_cd_grid([p], [ts]) >= 1.0).all()
         with pytest.raises(NumericsError, match="budget"):
             adiabaticity_stack([p], [2.0], [ts])
+
+
+class TestNaNInputs:
+    """Every comparison with NaN is false, so each range check is written to
+    refuse NaN, before any arithmetic on it."""
+
+    @pytest.mark.parametrize("beta, omega", [(math.nan, 0.35), (2.0, math.nan)])
+    def test_coth_half_refuses_nan(self, beta, omega):
+        with pytest.raises(ValueError, match="must be positive"):
+            coth_half(beta, omega)
+
+    def test_nan_beta_is_refused(self):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            adiabaticity_stack([REF], [math.nan], [[3.0]])
+
+    def test_nan_checkpoint_is_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            adiabaticity_stack([REF], [2.0], [[math.nan]])

@@ -1,17 +1,31 @@
-"""The public surface: every exported name resolves, and retired names stay
-gone. They are single-stroke spellings of the stacked API (a single stroke
-is a one-row call of ``dynamics.transfer_matrices``, ``adiabaticity_stack``
-or ``q_cd_grid``, of the ``sta_cost`` stacks or of
-``thermo_cycle.stroke_records``) and helpers that only the tests used."""
+"""The public surface: every exported name resolves and has a caller in the
+package, and retired names stay gone. They are single-stroke spellings of
+the stacked API (a single stroke is a one-row call of
+``dynamics.transfer_matrices``, ``adiabaticity_stack`` or ``q_cd_grid``, of
+the ``sta_cost`` stacks or of ``thermo_cycle.stroke_records``), a second
+spelling of a stroke and its thermal start (``StrokeContext``; the stacks
+take ``protocols, betas``) and helpers that only the tests used."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import ottosta
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ottosta.__path__))
+SRC = Path(ottosta.__file__).parent
+
+# Public names that no package code loads, each with the acceptance
+# criterion or oracle that needs it.
+KEPT = {
+    "fock_oracle.populations_instantaneous": (
+        "acceptance criterion 4: counterdiabatic driving leaves the populations "
+        "in the instantaneous eigenbasis unchanged"
+    ),
+}
 
 RETIRED = {
     "dynamics": [
@@ -37,7 +51,9 @@ RETIRED = {
         "propagate_fock",
         "h0_matrix",
         "hcd_matrix",
+        "tpm_work_moments",
     ],
+    "optimizer": ["optimal_x_analytic"],
     "protocols": ["validity_margin", "check_sta_boundary", "BoundaryReport"],
     "sta_cost": [
         "friction",
@@ -46,6 +62,7 @@ RETIRED = {
         "mean_sta_term",
         "avg_work_cost",
         "avg_variance_cost",
+        "StrokeContext",
     ],
     "thermo_cycle": ["evaluate_cycle"],
 }
@@ -73,3 +90,47 @@ def test_retired_name_is_not_importable(module, name):
     with pytest.raises(ImportError):
         exec(f"from ottosta.{module} import {name}", {})
     assert name not in ottosta.__all__
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [("FrequencyProtocol", n) for n in ("eval_many", "omega", "constant")]
+    + [("ProtocolKind", "shortcut_kinds")],
+)
+def test_retired_method_is_gone(owner, name):
+    assert not hasattr(getattr(ottosta, owner), name)
+
+
+def _loads(tree):
+    """(name, top-level def or class it sits in, or None) of every load of a
+    name or an attribute in a module."""
+    for stmt in tree.body:
+        defines = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        owner = stmt.name if defines else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield node.attr, owner
+
+
+def test_every_public_name_has_a_caller():
+    """Each name in a module's ``__all__`` is loaded somewhere in the package
+    outside its own def or class, or is in KEPT with the reason it stays."""
+    called = {
+        (path.stem, name, owner)
+        for path in SRC.glob("*.py")
+        for name, owner in _loads(ast.parse(path.read_text()))
+    }
+    public = {
+        f"{module}.{name}": name
+        for module in MODULES
+        for name in getattr(importlib.import_module(f"ottosta.{module}"), "__all__", [])
+    }
+    uncalled = {
+        key
+        for key, name in public.items()
+        if not any(n == name and (m, o) != (key.split(".")[0], name) for m, n, o in called)
+    }
+    assert set(KEPT) <= set(public)
+    assert uncalled == set(KEPT)

@@ -146,6 +146,11 @@ class TestOperators:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+    @pytest.mark.parametrize("ref_omega", [0.0, -1.0, math.nan])
+    def test_bad_reference_frequency_is_refused(self, ref_omega):
+        with pytest.raises(ValueError, match="ref_omega must be positive"):
+            build_operators(ref_omega, 10)
+
     def test_truncation_above_the_cap_is_refused(self):
         # refused before any band is allocated, whatever asked for it
         cap = fock_oracle._MAX_LEVELS
@@ -193,6 +198,13 @@ class TestThermalStates:
             FockState(even, odd, cross.T, 1.0)  # even-odd block (2, 3), not (3, 2)
         with pytest.raises(ValueError, match="parity blocks"):
             FockState(even, odd, cross[:, :1], 1.0)
+        with pytest.raises(ValueError):
+            FockState(np.diag([math.nan, 0.5]), np.diag([0.5]), None, 1.0)
+
+    def test_nan_beta_is_refused(self):
+        ops = build_operators(stroke_reference(REF), 60)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            thermal_fock_in(ops, math.nan, 0.35)
 
     @pytest.mark.parametrize("dim", [7, 60])
     def test_dense_round_trip(self, dim):
@@ -228,6 +240,15 @@ class TestBarePropagation:
         st0 = thermal_fock(2.0, 0.5, 60)  # ref_omega 0.5 != ops 0.35
         with pytest.raises(ValueError):
             propagate_fock_path(ops, st0, REF, [1.0])
+        st0 = dataclasses.replace(thermal_fock(2.0, 0.35, 60), ref_omega=math.nan)
+        with pytest.raises(ValueError, match="does not match"):
+            propagate_fock_path(ops, st0, REF, [1.0])
+
+    def test_nan_checkpoint_is_refused(self):
+        ops = build_operators(stroke_reference(REF), 60)
+        st0 = thermal_fock_in(ops, 2.0, 0.35)
+        with pytest.raises(ValueError, match="finite"):
+            propagate_fock_path(ops, st0, REF, [math.nan])
 
     def test_truncation_leak_raises(self):
         # a deliberately tiny space cannot hold the driven state
@@ -239,6 +260,9 @@ class TestBarePropagation:
     def test_trace_drift_raises(self):
         st = thermal_fock(2.0, 0.35, 40)
         rho = fock_oracle._Rho(st.even * (1.0 + 1e-6), st.odd * (1.0 + 1e-6), None)
+        with pytest.raises(NumericsError, match="trace drift"):
+            fock_oracle._check_and_clean(rho)
+        rho = fock_oracle._Rho(st.even * math.nan, st.odd, None)
         with pytest.raises(NumericsError, match="trace drift"):
             fock_oracle._check_and_clean(rho)
 
@@ -262,7 +286,7 @@ class TestCounterdiabaticPropagation:
         ts = np.linspace(0.3, 3.0, 4)
         states = propagate_fock_path(ops, st0, REF, ts, drive=Drive.CD)
         for t, st in zip(ts, states):
-            pops = populations_instantaneous(ops, st, REF.omega(float(t)))
+            pops = populations_instantaneous(ops, st, REF.eval(float(t))[0])
             assert np.max(np.abs(pops[:40] - pops0[:40])) < 1e-10
 
     def test_energy_tracks_adiabatic_transport(self):
@@ -270,7 +294,7 @@ class TestCounterdiabaticPropagation:
         ops = build_operators(stroke_reference(REF), stroke_dim(beta, REF))
         st0 = thermal_fock_in(ops, beta, 0.35)
         st = propagate_fock_path(ops, st0, REF, [1.8], drive=Drive.CD)[-1]
-        w = REF.omega(1.8)
+        w = REF.eval(1.8)[0]
         e_ad = (w / 0.35) * oracles.thermal_energy(beta, 0.35)
         assert mean_energy_fock(ops, st, w) == pytest.approx(e_ad, rel=1e-8)
 
@@ -741,8 +765,7 @@ class TestH0Eigenbasis:
 class TestSpectralData:
     def test_cd_levels_match_closed_forms(self):
         t = 1.5
-        w = REF.omega(t)
-        wd = REF.eval(t)[1]
+        w, wd, _ = REF.eval(t)
         q = float(q_cd(REF, [t])[0])
         ops = build_operators(stroke_reference(REF), 160)
         evals, h0_exp = cd_level_energies(ops, w, wd, 4)
@@ -775,10 +798,8 @@ class TestSpectralData:
 
 class TestTwoPointMeasurement:
     def test_excess_matches_closed_form(self):
-        from ottosta.sta_cost import StrokeContext
-
         got = tpm_variance_excess(REF, 2.0, 1.5)
-        want = variance_term(StrokeContext(REF, 2.0), 1.5)
+        want = variance_term(REF, 2.0, 1.5)
         assert got == pytest.approx(want, abs=1e-8)
         assert got == pytest.approx(0.11298335917402848, abs=1e-8)
 

@@ -12,9 +12,9 @@ from ottosta.optimizer import (
     golden_max,
     hot_energy,
     maximize_power_numeric,
-    optimal_x_analytic,
     power_curve,
 )
+from oracles import optimal_x_analytic
 
 GAMMA = 0.1
 
@@ -25,6 +25,11 @@ class TestClosedForms:
 
     def test_printed_efficiency_reference_value(self):
         assert eta_max_power_analytic(GAMMA) == pytest.approx(0.63651192472805716, abs=1e-15)
+
+    @pytest.mark.parametrize("gamma", [0.0, math.nan])
+    def test_printed_efficiency_refuses_a_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            eta_max_power_analytic(gamma)
 
     def test_curzon_ahlborn(self):
         assert curzon_ahlborn(GAMMA) == pytest.approx(1.0 - math.sqrt(GAMMA), rel=1e-15)

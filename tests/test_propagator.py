@@ -43,7 +43,7 @@ class TestRampEval:
             assert w == pytest.approx(oracles.ramp_omega(name, 0.35, 1.0, 3.0, t), rel=1e-14)
 
     def test_constant_kind(self):
-        w, wd, wdd = FrequencyProtocol.constant(0.7, 3.0).eval(1.1)
+        w, wd, wdd = FrequencyProtocol(ProtocolKind.CONSTANT, 0.7, 0.7, 3.0).eval(1.1)
         assert (w, wd, wdd) == (0.7, 0.0, 0.0)
 
     def test_derivatives_vs_finite_difference(self):

@@ -16,11 +16,12 @@ from ottosta.protocols import (
     tau_min,
 )
 from ottosta.quadrature import stroke_grid
-from ottosta.sta_cost import StrokeContext
 from ottosta.thermo_cycle import Accounting, CycleConfig
 from readouts import cycle, q_cd, work_cost
 
 RAMP_KINDS = [k for k in ProtocolKind if k is not ProtocolKind.CONSTANT]
+# Kinds whose boundary conditions make CD driving vanish at t = 0 and tau.
+SHORTCUT_KINDS = (ProtocolKind.POLY5, ProtocolKind.POLY3, ProtocolKind.COSINE)
 
 
 def make(kind, tau=3.0, wi=0.35, wf=1.0):
@@ -31,49 +32,67 @@ class TestEndpointsAndValues:
     @pytest.mark.parametrize("kind", RAMP_KINDS)
     def test_endpoints_hit_target_frequencies(self, kind):
         p = make(kind)
-        assert p.omega(0.0) == pytest.approx(0.35, abs=1e-14)
-        assert p.omega(3.0) == pytest.approx(1.0, abs=1e-14)
+        assert p.eval(0.0)[0] == pytest.approx(0.35, abs=1e-14)
+        assert p.eval(3.0)[0] == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("kind", RAMP_KINDS)
     @pytest.mark.parametrize("t", [0.0, 0.41, 1.5, 2.77, 3.0])
     def test_matches_independent_ramp_formula(self, kind, t):
         p = make(kind)
         want = oracles.ramp_omega(kind.value, 0.35, 1.0, 3.0, t)
-        assert p.omega(t) == pytest.approx(want, rel=1e-14)
+        assert p.eval(t)[0] == pytest.approx(want, rel=1e-14)
 
     def test_poly5_midpoint_is_frequency_midpoint(self):
         p = make(ProtocolKind.POLY5)
-        assert p.omega(1.5) == pytest.approx(0.675, abs=1e-15)
+        assert p.eval(1.5)[0] == pytest.approx(0.675, abs=1e-15)
 
     def test_cosine_midpoint_value(self):
         # sqrt((a^2+1)/2) * omega_i with a = 1/0.35
         p = make(ProtocolKind.COSINE)
         want = 0.35 * math.sqrt(((1.0 / 0.35) ** 2 + 1.0) / 2.0)
-        assert p.omega(1.5) == pytest.approx(want, rel=1e-15)
+        assert p.eval(1.5)[0] == pytest.approx(want, rel=1e-15)
         assert want == pytest.approx(0.74916620318858485, abs=1e-15)
 
-    def test_eval_many_matches_scalar(self):
+    def test_array_eval_matches_scalar(self):
         p = make(ProtocolKind.COSINE)
         ts = np.linspace(0.0, 3.0, 17)
-        w, wd, wdd = p.eval_many(ts)
+        w, wd, wdd = p.eval(ts)
+        assert w.shape == wd.shape == wdd.shape == ts.shape
         for i, t in enumerate(ts):
-            sw, swd, swdd = p.eval(t)
+            sw, swd, swdd = p.eval(float(t))
+            assert type(sw) is type(swd) is type(swdd) is float
             assert w[i] == sw
             assert wd[i] == swd
             assert wdd[i] == swdd
 
     def test_constant_protocol(self):
-        p = FrequencyProtocol.constant(0.7, 2.0)
-        assert p.omega(1.3) == 0.7
+        p = FrequencyProtocol(ProtocolKind.CONSTANT, 0.7, 0.7, 2.0)
+        assert p.eval(1.3)[0] == 0.7
         assert p.eval(1.3)[1] == 0.0
         assert p.eval(1.3)[2] == 0.0
 
     def test_domain_is_enforced(self):
         p = make(ProtocolKind.POLY5)
         with pytest.raises(ValueError):
-            p.omega(-0.1)
+            p.eval(-0.1)
         with pytest.raises(ValueError):
-            p.omega(3.1)
+            p.eval(3.1)
+        with pytest.raises(ValueError):
+            p.eval(np.array([1.0, 3.1]))
+
+    def test_nan_time_is_refused(self):
+        p = make(ProtocolKind.POLY5)
+        with pytest.raises(ValueError, match="outside protocol domain"):
+            p.eval(math.nan)
+        with pytest.raises(ValueError, match="outside protocol domain"):
+            p.eval(np.array([0.0, math.nan]))
+
+    @pytest.mark.parametrize(
+        "ts", [[0.0, math.nan], [math.nan], [0.0, math.inf], [-math.inf, 1.0]]
+    )
+    def test_checkpoints_refuse_non_finite_times(self, ts):
+        with pytest.raises(ValueError):
+            make(ProtocolKind.POLY5).checkpoints(ts)
 
     def test_validation_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -125,7 +144,7 @@ class TestDerivatives:
     def test_first_derivative_matches_finite_difference(self, kind, t):
         p = make(kind)
         h = 1e-6
-        fd = (p.omega(t + h) - p.omega(t - h)) / (2 * h)
+        fd = (p.eval(t + h)[0] - p.eval(t - h)[0]) / (2 * h)
         assert p.eval(t)[1] == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
     @pytest.mark.parametrize("kind", RAMP_KINDS)
@@ -133,7 +152,7 @@ class TestDerivatives:
     def test_second_derivative_matches_finite_difference(self, kind, t):
         p = make(kind)
         h = 1e-4
-        fd = (p.omega(t + h) - 2 * p.omega(t) + p.omega(t - h)) / (h * h)
+        fd = (p.eval(t + h)[0] - 2 * p.eval(t)[0] + p.eval(t - h)[0]) / (h * h)
         assert p.eval(t)[2] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
     @given(
@@ -147,7 +166,7 @@ class TestDerivatives:
         p = FrequencyProtocol(kind, wi, wf, tau)
         t = s * tau
         h = 1e-6 * tau
-        fd = (p.omega(t + h) - p.omega(t - h)) / (2 * h)
+        fd = (p.eval(t + h)[0] - p.eval(t - h)[0]) / (2 * h)
         assert p.eval(t)[1] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
@@ -188,11 +207,12 @@ class TestBoundaryConditions:
         assert all(all(flags) for flags in rep.values())
 
     def test_shortcut_kinds_listing(self):
-        assert set(ProtocolKind.shortcut_kinds()) == {
-            ProtocolKind.POLY5,
-            ProtocolKind.POLY3,
-            ProtocolKind.COSINE,
+        # exactly the ramps that meet the value and slope conditions at both ends
+        meets = {
+            kind for kind in RAMP_KINDS
+            if all(all(oracles.sta_boundary(make(kind))[c]) for c in ("value", "slope"))
         }
+        assert meets == set(SHORTCUT_KINDS)
 
 
 class TestValidity:
@@ -242,7 +262,7 @@ class TestValidity:
         assert not check_cd_validity(make(ProtocolKind.POLY5, tau_min * 0.999, wi, wf)).valid
 
     def test_constant_ramp_has_unit_margin(self):
-        p = FrequencyProtocol.constant(0.7, 2.0)
+        p = FrequencyProtocol(ProtocolKind.CONSTANT, 0.7, 0.7, 2.0)
         rep = check_cd_validity(p)
         assert rep.valid
         assert rep.min_margin == pytest.approx(1.0, abs=1e-15)
@@ -253,6 +273,14 @@ class TestValidity:
 
 
 class TestTauMin:
+    @pytest.mark.parametrize(
+        "kind, wi, wf",
+        [("poly5", -0.35, 1.0), ("poly5", math.nan, 1.0), ("constant", 0.35, 1.0)],
+    )
+    def test_invalid_ramp_is_refused(self, kind, wi, wf):
+        with pytest.raises(ValueError):
+            tau_min(kind, wi, wf)
+
     @pytest.mark.parametrize("kind", RAMP_KINDS)
     @pytest.mark.parametrize("wi, wf", [(0.35, 1.0), (1.0, 0.35)])
     def test_matches_dense_oracle(self, kind, wi, wf):
@@ -292,7 +320,7 @@ class TestTauMin:
         p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau)
         cfg = CycleConfig(omega1=0.35, omega2=1.0, beta1=2.0, beta2=0.2, tau1=tau, tau3=tau)
         quantities = [
-            lambda: work_cost(StrokeContext(p, 2.0)),
+            lambda: work_cost(p, 2.0),
             lambda: q_cd(p, stroke_grid(tau)),
             lambda: transfer_matrices([p], [[tau]], [Drive.CD]),
             lambda: cycle(cfg, Accounting.STA),

@@ -8,8 +8,8 @@ from ottosta.errors import PhysicsError, TrapInversionError
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
 from ottosta.quadrature import simpson_uniform, stroke_grid
 from ottosta import sta_cost
+from ottosta.dynamics import thermal_energy
 from ottosta.sta_cost import (
-    StrokeContext,
     friction_stack,
     variance_cost_stack,
     work_cost_stack,
@@ -38,102 +38,119 @@ class TestQuadrature:
         np.testing.assert_allclose(ts, [0.0, 0.75, 1.5, 2.25, 3.0])
 
 
-class TestStrokeContext:
+def _thermal_start(protocol, beta):
+    """n_bar and <H(0)> of a stroke's thermal start, as the closed forms
+    read them."""
+    *_, n_bar, h0_mean = sta_cost._cd_terms([protocol], [beta], [[0.0]])
+    return float(n_bar[0, 0]), float(h0_mean[0, 0])
+
+
+class TestThermalStart:
     def test_derived_thermal_quantities(self):
-        ctx = StrokeContext(COMP, 2.0)
-        assert ctx.n_bar == pytest.approx(oracles.thermal_nbar(2.0, 0.35), rel=1e-14)
-        assert ctx.n_bar == pytest.approx(0.9864338636344633, abs=1e-14)
-        assert ctx.h0_mean == pytest.approx(0.52025185227206215, abs=1e-14)
+        n_bar, h0_mean = _thermal_start(COMP, 2.0)
+        assert n_bar == pytest.approx(oracles.thermal_nbar(2.0, 0.35), rel=1e-14)
+        assert n_bar == pytest.approx(0.9864338636344633, abs=1e-14)
+        assert h0_mean == pytest.approx(0.52025185227206215, abs=1e-14)
 
     def test_variance_of_occupation(self):
-        ctx = StrokeContext(COMP, 2.0)
-        var_n = ctx.n_bar * (ctx.n_bar + 1.0)
+        n_bar, _ = _thermal_start(COMP, 2.0)
+        var_n = n_bar * (n_bar + 1.0)
         assert var_n == pytest.approx(1.9594856309592782, abs=1e-13)
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_every_stack_refuses_a_bad_beta(self, beta):
+        stacks = [
+            lambda: work_cost_stack([COMP], [beta]),
+            lambda: variance_cost_stack([COMP], [beta]),
+            lambda: work_excess([COMP], [beta], [[1.5]]),
+            lambda: work_variance_excess([COMP], [beta], [[1.5]]),
+            lambda: friction_stack([COMP], [beta], [[3.0]]),
+        ]
+        for stack in stacks:
+            with pytest.raises(ValueError, match="beta must be positive"):
+                stack()
+
+    def test_one_beta_per_protocol(self):
+        for stack in (work_cost_stack, variance_cost_stack):
+            with pytest.raises(ValueError):
+                stack([COMP, COMP], [2.0])
+        with pytest.raises(ValueError):
+            work_excess([COMP], [2.0, 2.0], [[1.5]])
 
 
 class TestMeanCost:
     def test_midpoint_integrand_value(self):
-        ctx = StrokeContext(COMP, 2.0)
-        got = work_term(ctx, 1.5)
+        got = work_term(COMP, 2.0, 1.5)
         assert got == pytest.approx(0.11755465080084085, abs=1e-14)
 
     def test_midpoint_decomposition(self):
         # integrand = (w_t / w_i) (Q - 1) * E0; at the midpoint
         # w Q = 0.75408501930480058 for the reference ramp
-        w = COMP.omega(1.5)
+        w = COMP.eval(1.5)[0]
         q = q_cd(COMP, [1.5])[0]
         assert w * q == pytest.approx(0.75408501930480058, abs=1e-13)
         want = (w / 0.35) * (q - 1.0) * 0.52025185227206215
-        assert work_term(StrokeContext(COMP, 2.0), 1.5) == pytest.approx(want, rel=1e-14)
+        assert work_term(COMP, 2.0, 1.5) == pytest.approx(want, rel=1e-14)
 
     def test_vanishes_at_stroke_ends(self):
-        ctx = StrokeContext(COMP, 2.0)
-        assert work_term(ctx, 0.0) == pytest.approx(0.0, abs=1e-14)
-        assert work_term(ctx, 3.0) == pytest.approx(0.0, abs=1e-14)
+        assert work_term(COMP, 2.0, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert work_term(COMP, 2.0, 3.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_average_reference_values(self):
-        assert work_cost(StrokeContext(COMP, 2.0)) == pytest.approx(
-            0.07982655330359724, abs=1e-12
-        )
-        assert work_cost(StrokeContext(EXP, 0.2)) == pytest.approx(
+        assert work_cost(COMP, 2.0) == pytest.approx(0.07982655330359724, abs=1e-12)
+        assert work_cost(EXP, 0.2) == pytest.approx(
             0.2694114637405115, abs=1e-12
         )
 
     def test_average_matches_trapezoid_oracle(self):
-        ctx = StrokeContext(COMP, 2.0)
-        want = oracles.trapezoid_mean(lambda t: work_term(ctx, t), 0.0, 3.0, n=20001)
-        assert work_cost(ctx) == pytest.approx(want, rel=1e-9)
+        want = oracles.trapezoid_mean(lambda t: work_term(COMP, 2.0, t), 0.0, 3.0, n=20001)
+        assert work_cost(COMP, 2.0) == pytest.approx(want, rel=1e-9)
 
     def test_node_count_convergence(self):
-        ctx = StrokeContext(COMP, 2.0)
-        assert work_cost(ctx, nodes=257) == pytest.approx(work_cost(ctx, nodes=2049), rel=1e-10)
+        assert work_cost(COMP, 2.0, nodes=257) == pytest.approx(
+            work_cost(COMP, 2.0, nodes=2049), rel=1e-10
+        )
 
     def test_inverse_square_time_scaling(self):
-        c24 = work_cost(StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 24.0), 2.0))
-        c48 = work_cost(StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 48.0), 2.0))
+        c24 = work_cost(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 24.0), 2.0)
+        c48 = work_cost(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 48.0), 2.0)
         assert c48 / c24 == pytest.approx(0.25, abs=2e-3)
         assert c48 / c24 == pytest.approx(0.24931277414163455, abs=1e-10)
 
     def test_trap_inversion_propagates(self):
         fast = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 1.5)
         with pytest.raises(TrapInversionError):
-            work_cost(StrokeContext(fast, 2.0))
+            work_cost(fast, 2.0)
 
 
 class TestVarianceCost:
     def test_midpoint_excess_closed_form(self):
-        ctx = StrokeContext(COMP, 2.0)
-        got = variance_term(ctx, 1.5)
+        got = variance_term(COMP, 2.0, 1.5)
         assert got == pytest.approx(0.11298335917402848, abs=1e-13)
         assert math.sqrt(got) == pytest.approx(0.33612997363226695, abs=1e-13)
 
     def test_excess_formula(self):
-        ctx = StrokeContext(COMP, 2.0)
         t = 0.9
-        w = COMP.omega(t)
+        w = COMP.eval(t)[0]
         q = q_cd(COMP, [t])[0]
-        var_n = ctx.n_bar * (ctx.n_bar + 1.0)
-        want = ((w * q - 0.35) ** 2 - (w - 0.35) ** 2) * var_n
-        assert variance_term(ctx, t) == pytest.approx(want, rel=1e-13)
+        n_bar = oracles.thermal_nbar(2.0, 0.35)
+        want = ((w * q - 0.35) ** 2 - (w - 0.35) ** 2) * n_bar * (n_bar + 1.0)
+        assert variance_term(COMP, 2.0, t) == pytest.approx(want, rel=1e-13)
 
     def test_average_reference_value(self):
-        assert variance_cost(StrokeContext(COMP, 2.0)) == pytest.approx(
-            0.18274471987550409, abs=1e-12
-        )
+        assert variance_cost(COMP, 2.0) == pytest.approx(0.18274471987550409, abs=1e-12)
 
     def test_compression_excess_nonnegative(self):
-        ctx = StrokeContext(COMP, 2.0)
         ts = np.linspace(0.0, 3.0, 101)
-        assert np.all(work_variance_excess([ctx], [ts])[0] >= -1e-15)
+        assert np.all(work_variance_excess([COMP], [2.0], [ts])[0] >= -1e-15)
 
     def test_expansion_excess_is_negative_and_rejected(self):
-        ctx = StrokeContext(EXP, 0.2)
         # on an expansion stroke the counterdiabatic factor pulls the
         # instantaneous frequency toward the initial one, so the excess
         # spread is negative and an averaged "cost" would be meaningless
-        assert variance_term(ctx, 1.5) < 0.0
+        assert variance_term(EXP, 0.2, 1.5) < 0.0
         with pytest.raises(PhysicsError):
-            variance_cost(ctx)
+            variance_cost(EXP, 0.2)
 
 
 # Mixed kinds, durations and temperatures: (kind, omega_i, omega_f, tau, beta).
@@ -145,8 +162,10 @@ _COMPRESSIONS = [
 _EXPANSIONS = [(k, wf, wi, tau, beta) for k, wi, wf, tau, beta in _COMPRESSIONS]
 
 
-def _contexts(rows):
-    return [StrokeContext(FrequencyProtocol(k, wi, wf, tau), beta) for k, wi, wf, tau, beta in rows]
+def _strokes(rows):
+    """(protocols, betas) of the rows."""
+    protocols = [FrequencyProtocol(k, wi, wf, tau) for k, wi, wf, tau, _ in rows]
+    return protocols, [beta for *_, beta in rows]
 
 
 class TestCostStack:
@@ -154,102 +173,100 @@ class TestCostStack:
     across the blocks the grid is evaluated in."""
 
     def test_work_cost_rows_equal_their_one_row_calls_bit_for_bit(self):
-        ctxs = _contexts(_COMPRESSIONS + _EXPANSIONS)
-        assert len(ctxs) > sta_cost._BLOCK_SAMPLES // 1001  # more than one block
-        stacked = work_cost_stack(ctxs)
-        assert stacked.shape == (len(ctxs),)
-        for b, ctx in enumerate(ctxs):
-            assert stacked[b].tobytes() == work_cost_stack([ctx])[0].tobytes(), b
+        protocols, betas = _strokes(_COMPRESSIONS + _EXPANSIONS)
+        assert len(protocols) > sta_cost._BLOCK_SAMPLES // 1001  # more than one block
+        stacked = work_cost_stack(protocols, betas)
+        assert stacked.shape == (len(protocols),)
+        for b, (p, beta) in enumerate(zip(protocols, betas)):
+            assert stacked[b].tobytes() == work_cost_stack([p], [beta])[0].tobytes(), b
 
     def test_variance_cost_rows_equal_their_one_row_calls_bit_for_bit(self):
-        ctxs = _contexts(_COMPRESSIONS)
-        assert len(ctxs) > sta_cost._BLOCK_SAMPLES // 1001
-        stacked = variance_cost_stack(ctxs)
-        for b, ctx in enumerate(ctxs):
-            assert stacked[b].tobytes() == variance_cost_stack([ctx])[0].tobytes(), b
+        protocols, betas = _strokes(_COMPRESSIONS)
+        assert len(protocols) > sta_cost._BLOCK_SAMPLES // 1001
+        stacked = variance_cost_stack(protocols, betas)
+        for b, (p, beta) in enumerate(zip(protocols, betas)):
+            assert stacked[b].tobytes() == variance_cost_stack([p], [beta])[0].tobytes(), b
 
     @pytest.mark.parametrize("closed_form", [work_excess, work_variance_excess])
     def test_closed_form_rows_equal_their_one_row_calls_bit_for_bit(self, closed_form):
-        ctxs = _contexts(_COMPRESSIONS + _EXPANSIONS)
-        ts = np.array([np.linspace(0.0, ctx.protocol.tau, 11) for ctx in ctxs])
-        stacked = closed_form(ctxs, ts)
-        assert stacked.shape == (len(ctxs), 11)
-        for b, ctx in enumerate(ctxs):
-            assert stacked[b].tobytes() == closed_form([ctx], ts[b][None])[0].tobytes(), b
+        protocols, betas = _strokes(_COMPRESSIONS + _EXPANSIONS)
+        ts = np.array([np.linspace(0.0, p.tau, 11) for p in protocols])
+        stacked = closed_form(protocols, betas, ts)
+        assert stacked.shape == (len(protocols), 11)
+        for b, (p, beta) in enumerate(zip(protocols, betas)):
+            one_row = closed_form([p], [beta], ts[b][None])[0]
+            assert stacked[b].tobytes() == one_row.tobytes(), b
 
     @pytest.mark.parametrize("nodes", [257, 1001, 9001])
     def test_blocks_hold_at_most_the_block_samples(self, monkeypatch, nodes):
         exact = sta_cost.work_excess
         blocks = []
 
-        def recorded(ctxs, ts):
+        def recorded(protocols, betas, ts):
             blocks.append(ts.shape)
-            return exact(ctxs, ts)
+            return exact(protocols, betas, ts)
 
         monkeypatch.setattr(sta_cost, "work_excess", recorded)
-        ctxs = _contexts(_COMPRESSIONS * 4)
-        work_cost_stack(ctxs, nodes=nodes)
-        assert sum(rows for rows, _ in blocks) == len(ctxs)
+        protocols, betas = _strokes(_COMPRESSIONS * 4)
+        work_cost_stack(protocols, betas, nodes=nodes)
+        assert sum(rows for rows, _ in blocks) == len(protocols)
         assert all(k == nodes for _, k in blocks)
         assert all(rows * k <= max(sta_cost._BLOCK_SAMPLES, k) for rows, k in blocks)
-        assert len(blocks) == -(-len(ctxs) // max(sta_cost._BLOCK_SAMPLES // nodes, 1))
+        assert len(blocks) == -(-len(protocols) // max(sta_cost._BLOCK_SAMPLES // nodes, 1))
 
     def test_an_expansion_stroke_refuses_the_variance_cost_of_the_stack(self):
         with pytest.raises(PhysicsError, match="negative"):
-            variance_cost_stack(_contexts(_COMPRESSIONS[:2] + _EXPANSIONS[:1]))
+            variance_cost_stack(*_strokes(_COMPRESSIONS[:2] + _EXPANSIONS[:1]))
 
     def test_one_infeasible_stroke_refuses_the_stack(self):
         rows = _COMPRESSIONS[:2] + [(ProtocolKind.POLY5, 0.35, 1.0, 2.0, 2.0)]
         for cost in (work_cost_stack, variance_cost_stack):
             with pytest.raises(TrapInversionError, match="tau_min"):
-                cost(_contexts(rows))
+                cost(*_strokes(rows))
 
     def test_empty_stack(self):
-        assert work_cost_stack([]).shape == (0,)
-        assert variance_cost_stack([]).shape == (0,)
+        assert work_cost_stack([], []).shape == (0,)
+        assert variance_cost_stack([], []).shape == (0,)
 
 
-def _friction(ctx, t):
+def _friction(protocol, beta, t):
     """Inner friction of one stroke at time t: the one-row, one-checkpoint
     friction_stack."""
-    return float(friction_stack([ctx], [[t]])[0, 0])
+    return float(friction_stack([protocol], [beta], [[t]])[0, 0])
 
 
 class TestFriction:
     def test_reference_value(self):
-        ctx = StrokeContext(COMP, 2.0)
-        assert _friction(ctx, 3.0) == pytest.approx(0.5258059404, abs=1e-8)
+        assert _friction(COMP, 2.0, 3.0) == pytest.approx(0.5258059404, abs=1e-8)
 
     def test_equals_bare_excess_over_adiabatic(self):
         from ottosta.dynamics import adiabaticity_stack
 
-        ctx = StrokeContext(COMP, 2.0)
         q = adiabaticity_stack([COMP], [2.0], [[3.0]])[0][0, 0]
-        want = (1.0 / 0.35) * (q - 1.0) * ctx.h0_mean
-        assert _friction(ctx, 3.0) == pytest.approx(want, rel=1e-9)
+        want = (1.0 / 0.35) * (q - 1.0) * thermal_energy(2.0, 0.35)
+        assert _friction(COMP, 2.0, 3.0) == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("beta", [0.2, 2.0, math.inf])
     def test_path_is_bare_energy_minus_adiabatic_transport(self, beta):
         from readouts import mean_energy, states, thermal_state
 
-        ctx = StrokeContext(COMP, beta)
         ts = np.linspace(0.0, 3.0, 101)
-        w_t = COMP.omega(ts)
+        w_t = COMP.eval(ts)[0]
         path = states(thermal_state(beta, 0.35), COMP, ts)
         energies = np.array([mean_energy(s, w) for s, w in zip(path, w_t)])
-        want = energies - (w_t / 0.35) * ctx.h0_mean
-        np.testing.assert_allclose(friction_stack([ctx], [ts])[0], want, rtol=0.0, atol=1e-13)
+        want = energies - (w_t / 0.35) * thermal_energy(beta, 0.35)
+        got = friction_stack([COMP], [beta], [ts])[0]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
     def test_zero_at_start(self):
-        ctx = StrokeContext(COMP, 2.0)
-        path = friction_stack([ctx], [[0.0, 3.0]])[0]
+        path = friction_stack([COMP], [2.0], [[0.0, 3.0]])[0]
         assert path[0] == pytest.approx(0.0, abs=1e-12)
-        assert path[1] == pytest.approx(_friction(ctx, 3.0), rel=1e-10)
+        assert path[1] == pytest.approx(_friction(COMP, 2.0, 3.0), rel=1e-10)
 
     def test_decreases_with_duration(self):
         taus = (2.25, 3.0, 6.0, 12.0)
-        ctxs = [StrokeContext(FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau), 2.0) for tau in taus]
-        vals = friction_stack(ctxs, [[tau] for tau in taus])[:, 0].tolist()
+        protocols = [FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, tau) for tau in taus]
+        vals = friction_stack(protocols, [2.0] * 4, [[tau] for tau in taus])[:, 0].tolist()
         assert vals == sorted(vals, reverse=True)
         assert all(v > 0 for v in vals)
 
@@ -262,25 +279,24 @@ class TestFriction:
             (ProtocolKind.LINEAR, 0.35, 1.0, 12.0, math.inf, True),
             (ProtocolKind.POLY3, 1.0, 0.35, 7.5, 1.0, False),
         ]
-        ctxs = [StrokeContext(FrequencyProtocol(k, wi, wf, tau), beta) for k, wi, wf, tau, beta, _ in rows]
+        protocols, betas = _strokes([row[:5] for row in rows])
         ts = np.array([
             np.linspace(0.0, tau, 11) if path else np.full(11, tau)
             for _, _, _, tau, _, path in rows
         ])
-        stacked = friction_stack(ctxs, ts)
+        stacked = friction_stack(protocols, betas, ts)
         assert stacked.shape == (len(rows), 11)
-        for b, ctx in enumerate(ctxs):
-            assert stacked[b].tobytes() == friction_stack([ctx], ts[b][None])[0].tobytes(), b
+        for b, (p, beta) in enumerate(zip(protocols, betas)):
+            one_row = friction_stack([p], [beta], ts[b][None])[0]
+            assert stacked[b].tobytes() == one_row.tobytes(), b
 
 
 class TestEndpointCosts:
     def test_sta_ramps_have_zero_endpoint_cost(self):
         for kind in (ProtocolKind.POLY5, ProtocolKind.POLY3, ProtocolKind.COSINE):
             p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
-            ctx = StrokeContext(p, 2.0)
-            assert work_term(ctx, p.tau) == pytest.approx(0.0, abs=1e-12)
+            assert work_term(p, 2.0, p.tau) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_ramp_has_nonzero_endpoint_cost(self):
         p = FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 3.0)
-        ctx = StrokeContext(p, 2.0)
-        assert work_term(ctx, p.tau) > 1e-3
+        assert work_term(p, 2.0, p.tau) > 1e-3

@@ -9,7 +9,6 @@ import oracles
 from readouts import cycle, work_cost
 from ottosta.errors import SecondLawViolationError, TrapInversionError
 from ottosta.protocols import ProtocolKind
-from ottosta.sta_cost import StrokeContext
 from ottosta.thermo_cycle import (
     Accounting,
     CycleConfig,
@@ -336,9 +335,9 @@ class TestStrokeRecord:
         exact_cost = thermo_cycle.work_cost_stack
         exact_stack = dynamics._transfer_matrices
 
-        def counted_cost(ctxs, **kwargs):
-            calls["cost"] += len(ctxs)
-            return exact_cost(ctxs, **kwargs)
+        def counted_cost(protocols, betas, **kwargs):
+            calls["cost"] += len(protocols)
+            return exact_cost(protocols, betas, **kwargs)
 
         def counted_stack(*args, **kwargs):
             calls["stack"] += 1
@@ -360,9 +359,9 @@ class TestStrokeRecord:
         exact_cost = thermo_cycle.work_cost_stack
         exact_stack = dynamics._transfer_matrices
 
-        def counted_cost(ctxs, **kwargs):
-            costs.append(len(ctxs))
-            return exact_cost(ctxs, **kwargs)
+        def counted_cost(protocols, betas, **kwargs):
+            costs.append(len(protocols))
+            return exact_cost(protocols, betas, **kwargs)
 
         def recorded_stack(protocols, ts, drives, rtol):
             stacks.append((len(protocols), ts.shape[1], set(drives)))
@@ -394,6 +393,6 @@ class TestStrokeRecord:
             for protocol, beta, c in strokes:
                 t_min = oracles.tau_min(protocol.kind.value, protocol.omega_i, protocol.omega_f)
                 if protocol.tau > t_min:
-                    assert c == work_cost(StrokeContext(protocol, beta)), (cfg, protocol)
+                    assert c == work_cost(protocol, beta), (cfg, protocol)
                 else:
                     assert c is None, (cfg, protocol)
