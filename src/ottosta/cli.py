@@ -235,12 +235,22 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _format_column(values: tuple) -> list:
+    """The cells of one column as text, each as _format_cell writes it: a
+    column of plain floats or plain strings in one pass, any other cell by
+    cell."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(float.__repr__, values))
+    if kinds == {str}:
+        return list(values)
+    return list(map(_format_cell, values))
+
+
 def render_csv(meta: dict, columns: list, rows: list) -> str:
     header = "# " + json.dumps(meta, sort_keys=True, separators=(",", ":"))
-    lines = [header, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+    cells = zip(*map(_format_column, zip(*rows, strict=True)))
+    return "\n".join([header, ",".join(columns), *map(",".join, cells)]) + "\n"
 
 
 def render_json(meta: dict, columns: list, rows: list) -> str:

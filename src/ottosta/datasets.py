@@ -79,18 +79,16 @@ def qstar_dataset(params: dict, oracle: bool = False):
     )
     rows = []
     for b, protocol in enumerate(protocols):
-        omegas = protocol.eval(ts)[0]
-        for j, t in enumerate(ts):
-            row = [
-                float(t),
-                protocol.kind.value,
-                float(omegas[j]),
-                float(q_cd[b, j]),
-                float(q_bare[b, j]),
-            ]
-            if oracle:
-                row.append(float(q_pair[b, j]))
-            rows.append(row)
+        cells = [
+            ts.tolist(),
+            [protocol.kind.value] * ts.size,
+            protocol.eval(ts)[0].tolist(),
+            q_cd[b].tolist(),
+            q_bare[b].tolist(),
+        ]
+        if oracle:
+            cells.append(q_pair[b].tolist())
+        rows.extend(map(list, zip(*cells)))
     return columns, rows
 
 

@@ -11,7 +11,7 @@ Both give the linear equations x' = g x + p, p' = -omega^2 x - g p, with
 g = 0 (bare) or g = -omegadot/(2 omega) (CD). Their 2x2 transfer matrix
 M(t) carries everything: mean(t) = M mean(0), cov(t) = M cov(0) M^T, and
 its columns are the two classical solutions behind Q*. M is computed by a
-vectorized 4th-order Magnus propagator with step-doubling error control,
+vectorized 6th-order Magnus propagator with step-doubling error control,
 for a whole stack of strokes in one call; each stroke keeps the steps, and
 the bits, of its one-row call.
 
@@ -62,10 +62,10 @@ _MAX_STEPS = 1_000_000
 # accumulated propagator roundoff.
 _DET_FLOOR = 0.25 - 1e-9
 
-# Two-node Gauss-Legendre 4th-order Magnus step (Blanes, Casas, Oteo & Ros,
-# Phys. Rep. 470, 151 (2009)): nodes in units of the step, commutator weight.
-_GL_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
-_GL_COMMUTATOR = math.sqrt(3.0) / 12.0
+# Three-node Gauss-Legendre 6th-order Magnus step (Blanes, Casas, Oteo & Ros,
+# Phys. Rep. 470, 151 (2009)): nodes in units of the step.
+_SQRT15 = math.sqrt(15.0)
+_NODES = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
 # |det Omega| below which the step exponential uses its Taylor series.
 _SERIES_MAX = 1e-2
 _MIN_START_STEPS = 4
@@ -176,26 +176,42 @@ class _Stack(NamedTuple):
         return w, wd
 
 
+def _bracket(x: tuple, y: tuple) -> tuple:
+    """[x, y] of traceless 2x2 matrices stored as components (m00, m01, m10);
+    the commutator is traceless again."""
+    (xa, xb, xc), (ya, yb, yc) = x, y
+    return (xb * yc - yb * xc, 2.0 * (xa * yb - ya * xb), 2.0 * (xc * ya - yc * xa))
+
+
 def _step_exponentials(
     stack: _Stack, row: np.ndarray, left: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
     """exp(Omega) of each Magnus step [left, left + h] of stroke ``row`` of
     the stack, as components (m00, m01, m10, m11) of shape (4, N).
 
-    The generator A = [[g, 1], [-omega^2, -g]] is traceless, and so is
-    Omega = h/2 (A1 + A2) + (sqrt(3)/12) h^2 [A2, A1]. Then
-    Omega^2 = delta I with delta = -det Omega, and
+    With the generator A_k = [[g, 1], [-omega^2, -g]] at the three nodes:
+    a1 = h A_2, a2 = (sqrt(15) h/3)(A_3 - A_1), a3 = (10 h/3)(A_3 - 2 A_2 + A_1),
+    C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60 and
+    Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240. Every term is
+    traceless, so Omega^2 = delta I with delta = -det Omega, and
     exp(Omega) = C I + S Omega with C = cosh(sqrt delta) and
     S = sinh(sqrt delta)/sqrt delta (cos/sin for delta < 0).
     """
-    w, wd = stack.ramp(row, left + _GL_NODES[:, None] * h)
-    # A_k = [[a_k, 1], [c_k, -a_k]] at the two nodes; Omega = [[alpha, beta], [gamma, -alpha]].
-    c1, c2 = -w * w
-    a1, a2 = np.where(stack.cd[row], -wd / (2.0 * w), 0.0)
-    kh2 = _GL_COMMUTATOR * h * h
-    alpha = 0.5 * h * (a1 + a2) + kh2 * (c1 - c2)
-    beta = h + 2.0 * kh2 * (a2 - a1)
-    gamma = 0.5 * h * (c1 + c2) + 2.0 * kh2 * (c2 * a1 - c1 * a2)
+    w, wd = stack.ramp(row, left + _NODES[:, None] * h)
+    # A_k = [[g_k, 1], [c_k, -g_k]]; traceless matrices are (m00, m01, m10).
+    c1, c2, c3 = -w * w
+    g1, g2, g3 = np.where(stack.cd[row], -wd / (2.0 * w), 0.0)
+    k2, k3 = _SQRT15 / 3.0 * h, 10.0 / 3.0 * h
+    a1 = (h * g2, h, h * c2)
+    a2 = (k2 * (g3 - g1), 0.0, k2 * (c3 - c1))
+    a3 = (k3 * (g3 - 2.0 * g2 + g1), 0.0, k3 * (c3 - 2.0 * c2 + c1))
+    com1 = _bracket(a1, a2)
+    com2 = _bracket(a1, tuple(2.0 * u + v for u, v in zip(a3, com1)))
+    lhs = tuple(v - 20.0 * x - y for x, y, v in zip(a1, a3, com1))
+    rhs = tuple(x - v / 60.0 for x, v in zip(a2, com2))
+    alpha, beta, gamma = (
+        x + y / 12.0 + v / 240.0 for x, y, v in zip(a1, a3, _bracket(lhs, rhs))
+    )
     d = alpha * alpha + beta * gamma  # delta = -det Omega
 
     small = np.abs(d) < _SERIES_MAX
@@ -301,9 +317,10 @@ def _transfer_matrices(
     control it has alone. Every gap between checkpoints gets a whole number
     of equal Magnus steps, starting near one step per radian of the row's
     fastest trap frequency. The row's step count then doubles until its
-    Richardson estimate max_j |M_2N(t_j) - M_N(t_j)| / (15 |M_2N(t_j)|) is
-    at most rtol, and the finer result is kept; doublings the estimate
-    predicts to fall short are skipped. Rows that meet rtol freeze while
+    Richardson estimate max_j |M_2N(t_j) - M_N(t_j)| / (63 |M_2N(t_j)|) is
+    at most rtol, and the finer result is kept. The 6th-order error falls
+    about 64-fold per doubling, so doublings the estimate predicts to fall
+    short are skipped. Rows that meet rtol freeze while
     the others go on, so a row's steps, and its bits, equal those of its
     lone call. The steps of each gap are multiplied by a pairwise tree and
     the gap products by a prefix scan over the checkpoints. Raises
@@ -345,7 +362,7 @@ def _transfer_matrices(
         diff = np.max(np.abs(m - previous[rows]), axis=(2, 3))
         error[rows] = np.where(
             has_previous[rows],
-            np.max(diff / np.max(np.abs(m), axis=(2, 3)), axis=1) / 15.0,
+            np.max(diff / np.max(np.abs(m), axis=(2, 3)), axis=1) / 63.0,
             error[rows],
         )
         for i, r in enumerate(rows):
@@ -358,10 +375,10 @@ def _transfer_matrices(
                 result[r] = m[i]
                 active[r] = False
                 continue
-            # A 4th-order error falls about 16-fold per doubling: skip straight
+            # A 6th-order error falls about 64-fold per doubling: skip straight
             # to the pair of levels predicted to meet rtol.
             e = float(error[r])
-            doublings = math.ceil(math.log(e / rtol, 16)) if math.isfinite(e) else 1
+            doublings = math.ceil(math.log(e / rtol, 64)) if math.isfinite(e) else 1
             has_previous[r] = doublings <= 1
             previous[r] = m[i]
             level[r] += max(doublings - 1, 1)

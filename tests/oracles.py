@@ -9,9 +9,37 @@ which converts a dense density matrix into the Fock oracle's state format
 """
 
 import functools
+import json
 import math
 
 import numpy as np
+
+
+def format_cell(value):
+    """One CSV cell as text, cell by cell: "" for None, true/false for
+    bools, repr for floats, str for the rest."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def render_csv(meta, columns, rows):
+    """CSV text of a table, one row at a time through format_cell."""
+    header = "# " + json.dumps(meta, sort_keys=True, separators=(",", ":"))
+    lines = [header, ",".join(columns)]
+    for row in rows:
+        lines.append(",".join(format_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def render_json(meta, columns, rows):
+    """JSON text of a table: metadata, columns and rows as one document."""
+    doc = {"metadata": meta, "columns": columns, "rows": rows}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def ramp_omega(kind, omega_i, omega_f, tau, t):

@@ -6,12 +6,14 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import ottosta
-from ottosta import datasets
+from ottosta import cli, datasets
 from ottosta.cli import _digest, _validate, build_parser, load_schema, main, resolve_config
 from ottosta.errors import ConfigError
 
@@ -460,6 +462,26 @@ class TestOutputFormats:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.startswith("# ")
+
+    @pytest.mark.parametrize("render", ["render_csv", "render_json"])
+    def test_renderers_match_the_cell_by_cell_reference(self, render):
+        # -0.0 after an equal 0.0 keeps its sign; np.float64 is a float
+        # subclass that repr writes in its own spelling
+        nan, inf = float("nan"), float("inf")
+        columns = ["floats", "mixed", "kind", "count", "flag", "numpy"]
+        rows = [
+            [1.5, None, "poly5", 3, True, 1.0],
+            [1.5, True, "poly5", -7, False, 2.0],
+            [0.0, "x", "poly5", 0, True, 3.0],
+            [-0.0, 2, "poly5", 1, False, 4.0],
+            [nan, 2.5, "poly5", 2, True, 5.0],
+            [inf, -0.0, "poly5", 10**20, False, 6.0],
+            [-inf, 0.0, "poly5", 4, True, np.float64(0.25)],
+        ]
+        meta = {"command": "test", "params": {"tau": 3.0}}
+        for table in (rows, []):
+            want = getattr(oracles, render)(meta, columns, table)
+            assert getattr(cli, render)(meta, columns, table) == want
 
     def test_float_cells_roundtrip(self, outfile):
         run_cli(["cost", "--grid", "tau=3:6:2", "--nodes", "201", "--out", outfile])

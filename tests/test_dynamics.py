@@ -298,10 +298,39 @@ class TestTransferMatrix:
         np.testing.assert_allclose(path[0], np.eye(2), rtol=0.0, atol=0.0)
         assert np.max(np.abs(path[-1] - end)) <= 1e-9 * np.max(np.abs(end))
 
+    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD])
+    def test_step_is_sixth_order(self, drive):
+        # the error of an n-step product falls 2^6 = 64-fold per doubling of n
+        def product(n):
+            stack = dynamics._Stack.of([REF], [drive])
+            edges = np.array([[0.0, REF.tau]])
+            return dynamics._gap_products(stack, np.array([0]), edges, np.array([[n]]))[:, 0, 0]
+
+        exact = product(4096)
+        errors = [np.max(np.abs(product(n) - exact)) for n in (16, 32, 64)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 0.75 * 64 <= coarse / fine <= 1.25 * 64, errors
+
+    def test_lone_stroke_step_sequence(self, monkeypatch):
+        # 4 and 8 steps give the first error estimate; the skip lands on the
+        # pair of levels predicted to meet the default rtol
+        steps = []
+        exact = dynamics._gap_products
+
+        def counted(stack, rows, edges, counts):
+            steps.append(int(counts.sum()))
+            return exact(stack, rows, edges, counts)
+
+        monkeypatch.setattr(dynamics, "_gap_products", counted)
+        for drive in (Drive.BARE, Drive.CD):
+            steps.clear()
+            transfer_matrices([REF], [[REF.tau]], [drive])
+            assert steps == [4, 8, 32, 64], drive
+
 
 # (kind, omega_i, omega_f, tau, drive, path row): both directions, both
 # drives, taus across the default grid. Alone, these rows stop at different
-# step levels (0, 1, 6, 7 for the first; 0, 1, 4, 5 for the fourth).
+# step levels (0, 1, 3, 4 for the first; 0, 1, 2, 3 for the fourth).
 STACK = [
     (ProtocolKind.POLY5, 0.35, 1.0, 3.0, Drive.BARE, False),
     (ProtocolKind.POLY5, 1.0, 0.35, 12.0, Drive.BARE, False),
@@ -384,8 +413,8 @@ class TestStackedPropagator:
         import ottosta.dynamics as dyn
 
         short, long_ = _stack([STACK[3], STACK[0]])[0]
-        # Alone, the short row ends at 256 steps and the long one at 512.
-        monkeypatch.setattr(dyn, "_MAX_STEPS", 400)
+        # Alone, the short row ends at 32 steps and the long one at 64.
+        monkeypatch.setattr(dyn, "_MAX_STEPS", 48)
         ends = np.array([[short.tau], [long_.tau]])
         _transfer_matrices([short], ends[:1], [Drive.BARE], 1e-10)
         with pytest.raises(NumericsError):
@@ -397,9 +426,9 @@ class TestExtremeInputs:
     step count overflows int64 are refused before any step is taken."""
 
     def test_tiny_rtol_is_refused_not_wrapped(self):
-        # The doubling skip reaches level 63 and beyond: an int64 count
-        # shifted that far wraps to 0 steps, M to the identity and Q* to
-        # its sudden-quench value.
+        # The doubling skip reaches level 158: an int64 count that large
+        # wraps to 0 steps, M to the identity and Q* to its sudden-quench
+        # value.
         p = FrequencyProtocol(ProtocolKind.LINEAR, 0.35, 1.0, 3.0)
         with pytest.raises(NumericsError, match="budget"):
             adiabaticity_stack([p], [2.0], [np.linspace(0.0, 3.0, 1001)], rtol=1e-300)
