@@ -4,13 +4,16 @@ moment dynamics.
 Operators are written once, in closed form from the truncated ladder
 algebra, in the number basis of a fixed reference frequency (for a stroke,
 the geometric mean of its endpoint frequencies, ``stroke_reference``), the
-density matrix is propagated with an adaptive 4th-order Magnus integrator
-(unitary by construction through an eigendecomposition of the Hermitian
-generator), and energies/populations are read out by diagonalizing the
-relevant Hamiltonians inside the truncated space. Each trial step builds
-the 4th- and 6th-order generators Omega4 and Omega6 from the Hamiltonians
-at three Gauss-Legendre nodes; ||[Omega6 - Omega4, rho]||_F estimates its
-local error, and only an accepted step exponentiates Omega4.
+density matrix is propagated with an adaptive 6th-order Magnus integrator,
+and energies/populations are read out by diagonalizing the relevant
+Hamiltonians inside the truncated space. Each trial step builds the 4th-
+and 6th-order generators Omega4 and Omega6 = Omega4 + D from the
+Hamiltonians at three Gauss-Legendre nodes; ||[D, rho]||_F estimates the
+local error of the 4th-order step and steers the step size. An accepted
+step advances rho with Omega6 by local extrapolation, split as
+exp(-iD/2) exp(-i Omega4) exp(-iD/2): Omega4 is exponentiated exactly (an
+eigendecomposition of the Hermitian generator) and each D factor is
+applied to first order, rho -> rho - (i/2)[D, rho].
 
 Every stroke Hamiltonian is quadratic in x and p, so it changes the number
 n by 0 or +-2 and never mixes even and odd n. Each Magnus step therefore
@@ -31,17 +34,21 @@ second band of its bracket, the only part of the generator that can leave
 the tridiagonal form, cancels. A diagonal phase gauge makes each block real
 symmetric without changing its spectrum, so each block exponential is one
 real eigensolve, exact up to roundoff. A generator that is not
-tridiagonal is refused, never truncated. Omega6 - Omega4 is kept on all
-its bands, up to three off-diagonals.
+tridiagonal is refused, never truncated. D = Omega6 - Omega4 is kept on all
+its bands, up to three off-diagonals, and enters the step only through its
+commutators with rho.
 
 The truncation ``ops.dim`` (for a stroke, ``stroke_dim``) is a cap, not the
 working size: rho is propagated on an active window of the lowest levels,
 the ones the state occupies, under the compression of the operators onto
 them. The window opens where the start state's diagonal tail falls below a
 threshold, plus a guard band, and grows by one band whenever its top band
-holds more than the threshold; only at the cap does the leak check of the
-top two levels (the top level of each parity block) refuse the state.
-Returned states are zero-padded to the cap. The eigenbases of H0 and of
+holds more than the threshold, up to ops.dim less the Magnus guard: each
+Magnus pair is built on the window plus the guard levels above it and cut
+to the window, so the compression artefacts at the top of the operators
+fall outside it. Only at that cap does the leak check of the top two
+levels (the top level of each parity block) refuse the state. Returned
+states are zero-padded to ops.dim. The eigenbases of H0 and of
 the counterdiabatic Hamiltonian are split the same way: two real
 tridiagonal eigensolves, one per parity, and mean energies are band traces
 over rho's parity blocks.
@@ -97,8 +104,12 @@ _STROKE_GUARD = 30
 # more than _WINDOW_TAIL.
 _WINDOW_TAIL = 1e-12
 _WINDOW_BAND = 16
+# Levels above the active window on which each Magnus pair is built and
+# then cut away; the window never grows into the top _MAGNUS_GUARD levels
+# of the operators.
+_MAGNUS_GUARD = 8
 # Step control of the adaptive Magnus propagator.
-_MAGNUS_RTOL = 1e-8
+_MAGNUS_RTOL = 1e-6
 _MAGNUS_ATOL = 1e-12
 _MAGNUS_MAX_STEPS = 200_000
 # Largest entry that the tridiagonal band of a Magnus generator may leave
@@ -189,10 +200,10 @@ def stroke_reference(protocol: FrequencyProtocol) -> float:
 
 
 def stroke_dim(beta: float, protocol: FrequencyProtocol) -> int:
-    """Truncation big enough for a thermal state driven through a stroke:
-    the cap of propagate_fock_path's active window, which works on only the
-    lowest levels the state occupies and reaches the cap only if the state
-    does.
+    """Truncation big enough for a thermal state driven through a stroke.
+    propagate_fock_path's active window works on only the lowest levels the
+    state occupies, up to this truncation less its Magnus guard, and
+    reaches that cap only if the state does.
 
     The driven state's occupation scale in the reference basis is bounded by
     the largest mean energy along the stroke over the reference frequency;
@@ -262,10 +273,14 @@ def thermal_fock_in(ops: FockOperators, beta: float, omega: float) -> FockState:
     """Truncated Gibbs state of the trap at ``omega`` expressed in the
     (possibly different) reference basis of ``ops``: Gibbs populations on
     the ascending eigenvectors of H0(omega) within the truncated space, one
-    parity block each, renormalized to unit trace."""
-    _, vecs, order = _eigenbasis([_h0(b, omega) for b in (ops.even, ops.odd)])
+    parity block each, renormalized to unit trace. With W = D V per block
+    (_eigh_tridiagonal), each is D (V p V^T) D^dagger, one real product."""
+    _, bases, order = _eigenbasis([_h0(b, omega) for b in (ops.even, ops.odd)])
     pops = _gibbs_populations(beta, omega, ops.dim)[np.argsort(order)]
-    even, odd = ((w * p) @ w.conj().T for w, p in zip(vecs, np.split(pops, [len(vecs[0])])))
+    even, odd = (
+        d[:, None] * ((v * p) @ v.T) * d.conj()
+        for (v, d), p in zip(bases, np.split(pops, [len(bases[0][1])]))
+    )
     even, odd = 0.5 * (even + even.conj().T), 0.5 * (odd + odd.conj().T)
     tr = float(np.trace(even).real + np.trace(odd).real)
     return FockState(even / tr, odd / tr, None, ops.ref_omega)
@@ -342,8 +357,10 @@ def _magnus_pair(
     tridiagonal form, cancels for su(1,1) elements; above _BAND_TOL
     (h max|H_2|)^2 it raises NumericsError. a2 and a3 are differences of
     nearly equal Hamiltonians, so C1 is judged against a1's scale, never
-    its own. D only steers h: its nested brackets gain bands where the
-    operators are truncated, and all of them are kept."""
+    its own. D's nested brackets gain bands where the operators are
+    truncated or compressed, and all of them are kept; those artefacts sit
+    in the top levels, which propagate_fock_path builds as a guard and
+    cuts away."""
     nodes = [
         protocol.eval(t + c * h) for c in (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
     ]
@@ -372,16 +389,16 @@ def _magnus_pair(
     return out
 
 
-def _commutator_norm(ds: list[np.ndarray], rho: _Rho) -> float:
-    """||[D, rho]||_F for the Hermitian bands D = (D_even, D_odd), from rho's
-    parity blocks in O(n^2 w): X - X^dagger with X = D_a rho[a, a] on a
-    diagonal block, D_e rho[e, o] - (D_o rho[o, e])^dagger off it."""
+def _commutator(ds: list[np.ndarray], rho: _Rho) -> _Rho:
+    """The parity blocks of [D, rho] for the Hermitian bands D = (D_even,
+    D_odd), in O(n^2 w): X - X^dagger with X = D_a rho[a, a] on a diagonal
+    block, D_e rho[e, o] - (D_o rho[o, e])^dagger off it."""
     de, do = ds
     xe, xo = _band_times(de, rho.even), _band_times(do, rho.odd)
     cross = None
     if rho.cross is not None:
         cross = _band_times(de, rho.cross) - _band_times(do, rho.cross.conj().T).conj().T
-    return _frobenius(_Rho(xe - xe.conj().T, xo - xo.conj().T, cross))
+    return _Rho(xe - xe.conj().T, xo - xo.conj().T, cross)
 
 
 def _eigh_tridiagonal(
@@ -414,28 +431,45 @@ def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     and upper off-diagonal ``off``: with M = D V diag(lam) V^T D^dagger
     from _eigh_tridiagonal,
     exp(-i M) = D (V cos(lam) V^T - i V sin(lam) V^T) D^dagger exactly.
+    Both parts come from one real product V G, with G (k, 2k) holding
+    cos(lam) V^T and -sin(lam) V^T in interleaved columns, so that V G read
+    as complex is V exp(-i lam) V^T; the phases scale it in place.
     The bands are all of M: _magnus_pair builds it on bands and refuses
     one whose second band, the only part that can leave the tridiagonal
     form, does not cancel."""
     lam, v, d = _eigh_tridiagonal(diag, off)
-    cos_part = (v * np.cos(lam)) @ v.T
-    sin_part = (v * np.sin(lam)) @ v.T
-    return d[:, None] * (cos_part - 1j * sin_part) * d.conj()
+    g = np.empty((lam.size, 2 * lam.size))
+    g[:, 0::2] = np.cos(lam)[:, None] * v.T
+    g[:, 1::2] = -np.sin(lam)[:, None] * v.T
+    u = (v @ g).view(np.complex128)
+    u *= d[:, None]
+    u *= d.conj()
+    return u
 
 
-def _eigenbasis(bands) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+def _eigenbasis(bands) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Eigenpairs of a Hamiltonian given as its even-n and odd-n bands, one
-    real eigensolve per number parity (_eigh_tridiagonal): (lam, [W_even,
-    W_odd], order), with lam the concatenated (even, odd) eigenvalues, each
-    block's ascending, each W's columns the block's eigenvectors in that
-    order, and ``order`` the permutation that sorts lam ascending."""
-    lams, vecs = [], []
+    real eigensolve per number parity (_eigh_tridiagonal): (lam, [(V_even,
+    d_even), (V_odd, d_odd)], order), with lam the concatenated (even, odd)
+    eigenvalues, each block's ascending, the block's eigenvectors the
+    columns of W = diag(d) V in that order, and ``order`` the permutation
+    that sorts lam ascending."""
+    lams, bases = [], []
     for band in bands:
         lam, v, d = _eigh_tridiagonal(band[0].real, band[1, :-1])
         lams.append(lam)
-        vecs.append(d[:, None] * v)
+        bases.append((v, d))
     lam = np.concatenate(lams)
-    return lam, vecs, np.argsort(lam, kind="stable")
+    return lam, bases, np.argsort(lam, kind="stable")
+
+
+def _cut(band: np.ndarray, k: int) -> np.ndarray:
+    """The Hermitian band on its lowest k levels, as a new array: every
+    entry that couples them to a level above is dropped."""
+    out = band[:, :k].copy()
+    for j in range(1, out.shape[0]):
+        out[j, max(k - j, 0) :] = 0.0
+    return out
 
 
 def _window(
@@ -444,15 +478,10 @@ def _window(
     """The parity bands of the lowest n levels: the compression of the
     bands of the whole truncation onto them, so each band's last
     off-diagonal entry, the coupling out of the window, is dropped."""
-    out = []
-    for block, k in zip(blocks, ((n + 1) // 2, n // 2)):
-        bands = []
-        for name in ("x2", "p2", "xp_px"):
-            band = getattr(block, name)[:, :k].copy()
-            band[1, -1] = 0.0
-            bands.append(band)
-        out.append(_ParityBlock(*bands))
-    return tuple(out)
+    return tuple(
+        _ParityBlock(*(_cut(getattr(block, name), k) for name in ("x2", "p2", "xp_px")))
+        for block, k in zip(blocks, ((n + 1) // 2, n // 2))
+    )
 
 
 class _Rho(NamedTuple):
@@ -505,6 +534,25 @@ def _apply(us: tuple[np.ndarray, np.ndarray], rho: _Rho) -> _Rho:
     return _Rho(ue @ rho.even @ ue.conj().T, uo @ rho.odd @ uo.conj().T, cross)
 
 
+def _kicked(rho: _Rho, comm: _Rho) -> _Rho:
+    """rho - (i/2) comm block by block: exp(-iD/2) rho exp(iD/2) to first
+    order in D, with comm = [D, rho] from _commutator."""
+    return _Rho(*(None if r is None else r - 0.5j * c for r, c in zip(rho, comm)))
+
+
+def _advance(pair: list[tuple[np.ndarray, np.ndarray]], rho: _Rho, comm: _Rho) -> _Rho:
+    """One Magnus step with Omega6 = Omega4 + D by local extrapolation, from
+    the (Omega4, D) bands of each parity block and comm = [D, rho]:
+    rho under exp(-iD/2) exp(-i Omega4) exp(-iD/2), Omega4 exponentiated
+    exactly and each D factor applied to first order (_kicked). The split
+    errs by O(h^7), through [Omega4, [Omega4, D]], and the dropped D^2 term
+    by O(h^10), so the step is of 6th order; the first kick reuses the
+    commutator of the error estimate, the second costs one more."""
+    us = tuple(_expm_tridiagonal(m[0].real, m[1, :-1]) for m, _ in pair)
+    rho = _apply(us, _kicked(rho, comm))
+    return _kicked(rho, _commutator([d for _, d in pair], rho))
+
+
 def _check_and_clean(rho: _Rho) -> _Rho:
     """rho at unit trace with exactly Hermitian diagonal blocks, block by
     block. Raises NumericsError on a trace drift above _TRACE_LIMIT and
@@ -540,26 +588,34 @@ def propagate_fock_path(
     ts,
     drive: Drive = Drive.BARE,
 ) -> list[FockState]:
-    """Propagate through ascending checkpoints with adaptive 4th-order
-    Magnus steps and an embedded 6th-order error estimate.
+    """Propagate through ascending checkpoints with adaptive 6th-order
+    Magnus steps: local extrapolation of a 4th-order step whose error
+    estimate steers h.
 
     Each trial step of width h builds Omega4 and D = Omega6 - Omega4 on
-    bands from three ramp evaluations (_magnus_pair). Its local error is
-    estimated as ||[D, rho]||_F, the leading term of the gap between the
-    4th- and 6th-order updates, and tested against _MAGNUS_ATOL +
-    _MAGNUS_RTOL ||rho||_F; only an accepted step exponentiates Omega4
-    (one exponential per parity block) and updates rho, and a rejected
-    trial costs no exponential. Unitarity is exact, so only the
-    time-discretization error is controlled.
+    bands from three ramp evaluations (_magnus_pair). The local error of
+    the 4th-order step is estimated as ||[D, rho]||_F, the leading term of
+    the gap between the 4th- and 6th-order updates, and tested against
+    _MAGNUS_ATOL + _MAGNUS_RTOL ||rho||_F; the step size follows it with
+    the exponent 1/5 of that local error. An accepted step advances rho
+    with Omega6 (_advance): one exponential of Omega4 per parity block
+    between two first-order kicks by D, the first reusing the estimate's
+    [D, rho]. A rejected trial costs no exponential. Unitarity of the
+    Omega4 factor is exact; the kicks keep rho Hermitian and its trace.
 
-    rho is propagated on an active window of the lowest n <= ops.dim
-    levels, under the compression of the operators onto them. The window
-    opens at the smallest n whose diagonal tail weight in ``state`` is at
-    most _WINDOW_TAIL, plus a band of _WINDOW_BAND levels. After each
-    accepted step whose top band holds more than _WINDOW_TAIL, rho is
-    zero-padded by one band, up to ops.dim; there the leak check of the
-    top two levels refuses a state that outgrows the truncation. Each
-    returned state is zero-padded to ops.dim.
+    rho is propagated on an active window of the lowest n levels, under
+    the compression of the operators onto them. The window opens at the
+    smallest n whose diagonal tail weight in ``state`` is at most
+    _WINDOW_TAIL, plus a band of _WINDOW_BAND levels. After each accepted
+    step whose top band holds more than _WINDOW_TAIL, rho is zero-padded
+    by one band, up to the cap ops.dim - _MAGNUS_GUARD; there the leak
+    check of the top two levels refuses a state that outgrows the
+    truncation, and a start state with more than _TRACE_LIMIT above the
+    cap is refused before any step. Each Magnus pair is built on the
+    window plus the _MAGNUS_GUARD levels above it, taken from ``ops``, and
+    cut to the window: the compression artefacts of D's nested brackets
+    fall on the guard, which rho never occupies. Each returned state is
+    zero-padded to ops.dim.
 
     The even-odd block is carried only if ``state`` has one. The error and
     tolerance norms are those of the whole rho."""
@@ -571,14 +627,22 @@ def propagate_fock_path(
         )
     if state.dim != ops.dim:
         raise ValueError(f"state dim {state.dim} does not match operators dim {ops.dim}")
+    dim = ops.dim
+    cap = dim - _MAGNUS_GUARD
+    if cap < 4:
+        raise ValueError(f"propagation needs at least {4 + _MAGNUS_GUARD} levels, got {dim}")
     ts = protocol.checkpoints(ts)
 
-    dim = ops.dim
     cap_blocks = (ops.even, ops.odd)
     tail = np.cumsum(_diagonal(state)[::-1])[::-1]
-    n = min(int(np.count_nonzero(tail > _WINDOW_TAIL)) + _WINDOW_BAND, dim)
+    n = min(int(np.count_nonzero(tail > _WINDOW_TAIL)) + _WINDOW_BAND, cap)
+    if tail[n] > _TRACE_LIMIT:
+        raise CutoffError(
+            f"population {tail[n]:.3g} of the start state lies above the {cap} "
+            f"levels the window may reach; enlarge the truncation"
+        )
     rho = _resized(state, n)
-    blocks = _window(cap_blocks, n)
+    blocks = _window(cap_blocks, n + _MAGNUS_GUARD)
     t = 0.0
     h = protocol.tau / 200.0
     out: list[FockState] = []
@@ -587,16 +651,20 @@ def propagate_fock_path(
         while t < target:
             if h > target - t:
                 h = target - t
-            pair = _magnus_pair(blocks, protocol, drive, t, h)
-            err = _commutator_norm([d for _, d in pair], rho)
+            sizes = ((n + 1) // 2, n // 2)
+            pair = [
+                (_cut(m, k), _cut(d, k))
+                for (m, d), k in zip(_magnus_pair(blocks, protocol, drive, t, h), sizes)
+            ]
+            comm = _commutator([d for _, d in pair], rho)
+            err = _frobenius(comm)
             tol = _MAGNUS_ATOL + _MAGNUS_RTOL * _frobenius(rho)
             if err <= tol:
-                us = tuple(_expm_tridiagonal(m[0].real, m[1, :-1]) for m, _ in pair)
-                rho = _apply(us, rho)
-                if n < dim and _diagonal(rho)[-_WINDOW_BAND:].sum() > _WINDOW_TAIL:
-                    n = min(n + _WINDOW_BAND, dim)
+                rho = _advance(pair, rho, comm)
+                if n < cap and _diagonal(rho)[-_WINDOW_BAND:].sum() > _WINDOW_TAIL:
+                    n = min(n + _WINDOW_BAND, cap)
                     rho = _resized(rho, n)
-                    blocks = _window(cap_blocks, n)
+                    blocks = _window(cap_blocks, n + _MAGNUS_GUARD)
                 rho = _check_and_clean(rho)
                 t += h
                 grow = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
@@ -615,11 +683,14 @@ def propagate_fock_path(
 def populations_instantaneous(
     ops: FockOperators, state: FockState, omega: float
 ) -> np.ndarray:
-    """Populations of rho in the eigenbasis of H0(omega), ascending levels."""
-    _, vecs, order = _eigenbasis([_h0(b, omega) for b in (ops.even, ops.odd)])
+    """Populations of rho in the eigenbasis of H0(omega), ascending levels:
+    with W = D V per block (_eigh_tridiagonal), the diagonal of
+    V^T Re(D^dagger rho D) V, one real product, since the imaginary part of
+    the Hermitian D^dagger rho D is antisymmetric."""
+    _, bases, order = _eigenbasis([_h0(b, omega) for b in (ops.even, ops.odd)])
     by_block = [
-        np.sum(w.conj() * (rho @ w), axis=0).real
-        for rho, w in zip((state.even, state.odd), vecs)
+        np.sum(v * ((d.conj()[:, None] * rho * d).real @ v), axis=0)
+        for rho, (v, d) in zip((state.even, state.odd), bases)
     ]
     return np.concatenate(by_block)[order]
 
@@ -639,7 +710,8 @@ def cd_level_energies(
             "top-half eigenvectors are not converged"
         )
     blocks = (ops.even, ops.odd)
-    lam, vecs, order = _eigenbasis([_hcd(b, omega, omega_dot) for b in blocks])
+    lam, bases, order = _eigenbasis([_hcd(b, omega, omega_dot) for b in blocks])
+    vecs = [d[:, None] * v for v, d in bases]
     h0_exp = np.concatenate(
         [
             np.sum(w.conj() * _band_times(_h0(b, omega), w), axis=0).real

@@ -370,6 +370,14 @@ class TestCycleOracle:
         assert header[-1] == "fock_residual"
         assert float(rows[0][-1]) < 1e-6
 
+    def test_default_stroke_residual_at_tau_3(self, outfile):
+        # the 6th-order Fock steps: at most 1.3e-7 on the default strokes at
+        # tau = 3, where the 4th-order steps they replaced gave 1.898e-7
+        assert run_cli(["cycle", "--oracle", "--grid", "tau=3:3:1", "--out", outfile]) == 0
+        _, header, rows = split_output(Path(outfile).read_text())
+        assert header[-1] == "fock_residual"
+        assert 0.0 <= float(rows[0][-1]) <= 1.3e-7
+
     def test_fock_rows_run_serially_on_the_calling_thread(self, monkeypatch):
         calls = []
 

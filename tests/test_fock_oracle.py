@@ -251,10 +251,11 @@ class TestBarePropagation:
             propagate_fock_path(ops, st0, REF, [math.nan])
 
     def test_truncation_leak_raises(self):
-        # a deliberately tiny space cannot hold the driven state
+        # a deliberately tiny space cannot hold the driven state; here the
+        # start state already outgrows the 4 levels below the Magnus guard
         ops = build_operators(stroke_reference(REF), 12)
         st0 = thermal_fock_in(ops, 2.0, 0.35)
-        with pytest.raises(CutoffError, match="top two Fock levels"):
+        with pytest.raises(CutoffError, match="enlarge the truncation"):
             propagate_fock_path(ops, st0, REF, [3.0])
 
     def test_trace_drift_raises(self):
@@ -371,7 +372,7 @@ def _dense_band(band):
 
 
 def _block_unitary(us, n):
-    """The dense U = U_even + U_odd on n levels in Fock order."""
+    """The dense block-diagonal U_even + U_odd on n levels in Fock order."""
     u = np.zeros((n, n), dtype=complex)
     for s, ub in zip(fock_oracle._PARITIES, us):
         u[s, s] = ub
@@ -388,8 +389,8 @@ def _random_unitary(rng, n):
 # (protocol, beta, truncation, Magnus exponentials per drive).
 _DEFAULT = CycleConfig(omega1=0.35, omega2=1.0, beta1=2.0, beta2=0.2, tau1=3.0, tau3=3.0)
 _DEFAULT_STROKES = {
-    "compression": (_DEFAULT.compression_protocol(), 2.0, 123, {Drive.BARE: 36, Drive.CD: 40}),
-    "expansion": (_DEFAULT.expansion_protocol(), 0.2, 344, {Drive.BARE: 35, Drive.CD: 40}),
+    "compression": (_DEFAULT.compression_protocol(), 2.0, 123, {Drive.BARE: 16, Drive.CD: 18}),
+    "expansion": (_DEFAULT.expansion_protocol(), 0.2, 344, {Drive.BARE: 16, Drive.CD: 18}),
 }
 
 
@@ -420,12 +421,15 @@ class TestTridiagonalExponential:
     def test_generator_leaving_the_band_is_refused(self):
         # tridiagonal within each parity, but x^2's first even off-diagonal
         # is no longer proportional to p^2's, so [H2, H1] gains a second
-        # band; the Magnus step refuses it rather than drop it
-        ops = build_operators(0.6, 20)
+        # band; the Magnus step refuses it rather than drop it. The window
+        # reaches its cap of 20 levels, and the Magnus guard above it comes
+        # from the same tampered operators
+        dim = 20 + fock_oracle._MAGNUS_GUARD
+        ops = build_operators(0.6, dim)
         x2 = ops.even.x2.copy()
         x2[1, 0] *= 1.5
         bad = dataclasses.replace(ops, even=dataclasses.replace(ops.even, x2=x2))
-        st0 = thermal_fock(2.0, 0.6, 20)
+        st0 = thermal_fock(2.0, 0.6, dim)
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
         with pytest.raises(NumericsError, match="Magnus generator is not tridiagonal"):
             propagate_fock_path(bad, st0, protocol, [1.0])
@@ -552,7 +556,7 @@ class TestMagnusStepSequence:
 
     def test_rejected_trial_makes_no_exponential(self, monkeypatch):
         # a trial is rejected when the next one starts at the same time; the
-        # default bare compression stroke rejects two of its 38 trials
+        # default bare compression stroke rejects two of its 18 trials
         events = []
         pair = fock_oracle._magnus_pair
         expm = fock_oracle._expm_tridiagonal
@@ -645,7 +649,7 @@ class TestErrorEstimate:
                         _dense_band(omega4[0]), omega4_dense, rtol=0.0, atol=1e-13
                     )
                     d[s, s] = gap
-                est = fock_oracle._commutator_norm([g for _, g in got], rho_blocks)
+                est = fock_oracle._frobenius(fock_oracle._commutator([g for _, g in got], rho_blocks))
                 assert est == pytest.approx(np.linalg.norm(d @ rho - rho @ d), rel=1e-12)
                 extra = max(float(np.max(np.abs(g[2:]))) for _, g in got)
                 beyond[drive] = max(beyond[drive], extra)
@@ -672,18 +676,81 @@ class TestErrorEstimate:
             u4[s, s] = _dense_expm(_dense_band(omega4))
             u6[s, s] = _dense_expm(_dense_band(omega4) + _dense_band(gap))
         want = np.linalg.norm(u6 @ rho @ u6.conj().T - u4 @ rho @ u4.conj().T)
-        est = fock_oracle._commutator_norm([g for _, g in pair], loop_rho(st))
+        est = fock_oracle._frobenius(fock_oracle._commutator([g for _, g in pair], loop_rho(st)))
         assert est == pytest.approx(want, rel=0.1)
+
+
+class TestLocalExtrapolation:
+    """An accepted step advances rho with Omega6 = Omega4 + D as
+    exp(-iD/2) exp(-i Omega4) exp(-iD/2), each D factor to first order."""
+
+    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
+    def test_step_is_of_sixth_order(self, drive):
+        # one step from the thermal start against eight dense Omega6 steps
+        # on the same operators: halving h cuts the extrapolated step's error
+        # by 2^7 = 128 in the limit, the bare Omega4 step's by 2^5 = 32
+        protocol, beta, dim, _ = _DEFAULT_STROKES["compression"]
+        ops = build_operators(stroke_reference(protocol), dim)
+        blocks = (ops.even, ops.odd)
+        st = thermal_fock_in(ops, beta, protocol.omega_i)
+        rho = loop_rho(st)
+
+        def errors(t, h):
+            want = oracles.dense_rho(st)
+            for k in range(8):
+                pair = _dense_pair(blocks, protocol, drive, t + k * h / 8, h / 8)
+                u = _block_unitary([_dense_expm(o4 + gap) for o4, gap in pair], dim)
+                want = u @ want @ u.conj().T
+            pair = fock_oracle._magnus_pair(blocks, protocol, drive, t, h)
+            us = tuple(fock_oracle._expm_tridiagonal(m[0].real, m[1, :-1]) for m, _ in pair)
+            bare = fock_oracle._apply(us, rho)
+            comm = fock_oracle._commutator([d for _, d in pair], rho)
+            extrapolated = fock_oracle._advance(pair, rho, comm)
+            return [np.linalg.norm(oracles.dense_rho(r) - want) for r in (bare, extrapolated)]
+
+        (bare_h, ext_h), (bare_half, ext_half) = errors(1.0, 0.2), errors(1.0, 0.1)
+        assert 20.0 < bare_h / bare_half < 50.0
+        assert ext_h / ext_half >= 50.0
+        assert ext_h < 0.05 * bare_h
+
+    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
+    def test_even_odd_block_gets_the_kick(self, drive):
+        # a start with coherences between the parities: the step equals the
+        # dense rho - (i/2)[D, rho], U . U^dagger, rho - (i/2)[D, rho] on
+        # every block, the even-odd one included, where the kicks matter
+        dim = 40
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        z *= np.exp(-0.3 * np.arange(dim))[:, None]
+        rho0 = z @ z.conj().T
+        st = oracles.fock_state(rho0 / np.trace(rho0).real, 1.0)
+        ops = build_operators(1.0, dim)
+        protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 1.3, 1.0)
+        pair = fock_oracle._magnus_pair((ops.even, ops.odd), protocol, drive, 0.3, 0.2)
+        rho = loop_rho(st)
+        got = fock_oracle._advance(pair, rho, fock_oracle._commutator([d for _, d in pair], rho))
+        assert got.cross is not None
+
+        d = _block_unitary([_dense_band(g) for _, g in pair], dim)
+        u = _block_unitary([_dense_expm(_dense_band(m)) for m, _ in pair], dim)
+        kick = lambda r: r - 0.5j * (d @ r - r @ d)
+        dense = oracles.dense_rho(st)
+        want = kick(u @ kick(dense) @ u.conj().T)
+        assert np.max(np.abs(oracles.dense_rho(got) - want)) <= 1e-13
+        unkicked = u @ dense @ u.conj().T
+        even, odd = fock_oracle._PARITIES
+        assert np.max(np.abs(want[even, odd] - unkicked[even, odd])) > 1e-8
 
 
 def _recording_sizes(monkeypatch):
     """Patch _magnus_pair to record the window size (both parity blocks)
-    of every trial step; returns the list it appends to."""
+    of every trial step, without the Magnus guard it is built on; returns
+    the list it appends to."""
     sizes = []
     pair = fock_oracle._magnus_pair
 
     def recorded(blocks, *args):
-        sizes.append(sum(b.x2.shape[1] for b in blocks))
+        sizes.append(sum(b.x2.shape[1] for b in blocks) - fock_oracle._MAGNUS_GUARD)
         return pair(blocks, *args)
 
     monkeypatch.setattr(fock_oracle, "_magnus_pair", recorded)
@@ -717,16 +784,18 @@ class TestActiveWindow:
         assert not np.any(rho[:, n:])
 
     def test_final_energy_matches_the_full_dim_propagation(self, expansion):
-        # 2.376929993678661: the same stroke propagated with the window
-        # opened at the full dim 344
+        # 2.3769302199608293: the same stroke propagated with the window
+        # opened at its cap, the full dim 344 less the Magnus guard
+        # (_WINDOW_TAIL = 0)
         ops, protocol, end, _ = expansion
         e = mean_energy_fock(ops, end, protocol.omega_f)
-        assert e == pytest.approx(2.376929993678661, rel=1e-10, abs=0.0)
+        assert e == pytest.approx(2.3769302199608293, rel=1e-10, abs=0.0)
 
     def test_leak_at_the_cap_raises_after_growing(self, monkeypatch):
         # a fast fourfold compression squeezes the vacuum beyond dim 40: the
-        # window opens far below the cap, grows into it and is refused there
-        # by the same leak check as a full-dim propagation
+        # window opens far below its cap, 40 levels less the Magnus guard,
+        # grows into it and is refused there by the same leak check as a
+        # propagation opened at the cap
         ops = build_operators(1.0, 40)
         rho = np.zeros((40, 40), dtype=complex)
         rho[0, 0] = 1.0
@@ -735,7 +804,7 @@ class TestActiveWindow:
         sizes = _recording_sizes(monkeypatch)
         with pytest.raises(CutoffError, match="top two Fock levels"):
             propagate_fock_path(ops, st0, protocol, [0.5])
-        assert sizes[0] < 40 and sizes[-1] == 40
+        assert sizes[0] < sizes[-1] == 40 - fock_oracle._MAGNUS_GUARD
 
 
 class TestH0Eigenbasis:
