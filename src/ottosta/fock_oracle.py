@@ -1,57 +1,71 @@
-"""Truncated Fock-basis engine: an independent cross-check on the Gaussian
-moment dynamics.
+"""Truncated Fock-basis engine in the instantaneous frame: an independent
+cross-check on the Gaussian moment dynamics.
 
-Operators are written once, in closed form from the truncated ladder
-algebra, in the number basis of a fixed reference frequency (for a stroke,
-the geometric mean of its endpoint frequencies, ``stroke_reference``), the
-density matrix is propagated with an adaptive 6th-order Magnus integrator,
-and energies/populations are read out by diagonalizing the relevant
-Hamiltonians inside the truncated space. Each trial step builds the 4th-
-and 6th-order generators Omega4 and Omega6 = Omega4 + D from the
-Hamiltonians at three Gauss-Legendre nodes; ||[D, rho]||_F estimates the
-local error of the 4th-order step and steers the step size. An accepted
-step advances rho with Omega6 by local extrapolation, split as
+The density matrix is propagated in the number basis of the instantaneous
+frequency omega(t). Those basis states move as d|n_t>/dt =
+i (omegadot / 4 omega) K |n_t>, with K = xp + px = i (a^dagger^2 - a^2), so
+in that frame the bare drive is
+
+    H~(t) = omega (N + 1/2) + (omegadot / 4 omega) K,
+
+while the counterdiabatic drive H0 - (omegadot / 4 omega) K becomes the
+diagonal omega (N + 1/2): transitionless by construction (Berry, J. Phys. A
+42, 365303 (2009)), so only the bare drive is propagated here. N + 1/2 and
+K are the only operators, and they are the same matrices in the number
+basis of every frequency. A thermal start is therefore its diagonal Gibbs
+populations, a mean energy is omega sum (n + 1/2) rho_nn, and each state
+carries the frequency whose number basis it is written in
+(``FockState.omega``): a stroke starts at omega_i and returns each state in
+the basis of its checkpoint's omega.
+
+rho is propagated with an adaptive 6th-order Magnus integrator. Each trial
+step builds the 4th- and 6th-order generators Omega4 and Omega6 = Omega4 + D
+from H~ at three Gauss-Legendre nodes; ||[D, rho]||_F estimates the local
+error of the 4th-order step and steers the step size. An accepted step
+advances rho with Omega6 by local extrapolation, split as
 exp(-iD/2) exp(-i Omega4) exp(-iD/2): Omega4 is exponentiated exactly (an
 eigendecomposition of the Hermitian generator) and each D factor is
 applied to first order, rho -> rho - (i/2)[D, rho].
 
-Every stroke Hamiltonian is quadratic in x and p, so it changes the number
-n by 0 or +-2 and never mixes even and odd n. Each Magnus step therefore
-exponentiates two generators of about dim/2, one per number parity, instead
-of one of size dim, and rho exists only as its parity blocks (``FockState``):
-the even-even and odd-odd blocks, each contiguous, updated as rho[a, a] <-
-U_a rho[a, a] U_a^dagger. The even-odd block, rho[e, o] <- U_e rho[e, o]
-U_o^dagger, is carried only when the start state has an off-parity
-coherence (the odd-even block is its conjugate transpose, since rho is
-Hermitian). A thermal start has none, and a block-diagonal U keeps a zero
-block exactly zero, so skipping it changes nothing.
+N and K change the number n by 0 or +-2 and never mix even and odd n. Each
+Magnus step therefore exponentiates two generators of about dim/2, one per
+number parity, instead of one of size dim, and rho exists only as its
+parity blocks (``FockState``): the even-even and odd-odd blocks, each
+contiguous, updated as rho[a, a] <- U_a rho[a, a] U_a^dagger. The even-odd
+block, rho[e, o] <- U_e rho[e, o] U_o^dagger, is carried only when the start
+state has an off-parity coherence (the odd-even block is its conjugate
+transpose, since rho is Hermitian). A thermal start has none, and a
+block-diagonal U keeps a zero block exactly zero, so skipping it changes
+nothing.
 
-Within one parity, x^2, p^2 and xp + px couple only neighbouring levels, so
-each operator exists only as a Hermitian tridiagonal band per parity, and
-the Magnus generator is built and checked on bands in O(dim). Its
-commutator term stays in the su(1,1) span of the three operators: the
+Within one parity, N + 1/2 is diagonal and K couples only neighbouring
+levels, so each exists only as a Hermitian tridiagonal band per parity,
+and the Magnus generator is built and checked on bands in O(dim). Its
+commutator term is a multiple of -i[N, K] = 2 (a^dagger^2 + a^2), so the
 second band of its bracket, the only part of the generator that can leave
 the tridiagonal form, cancels. A diagonal phase gauge makes each block real
 symmetric without changing its spectrum, so each block exponential is one
-real eigensolve, exact up to roundoff. A generator that is not
-tridiagonal is refused, never truncated. D = Omega6 - Omega4 is kept on all
-its bands, up to three off-diagonals, and enters the step only through its
-commutators with rho.
+real eigensolve, exact up to roundoff. A generator that is not tridiagonal
+is refused, never truncated. D = Omega6 - Omega4 is kept on all the bands
+its brackets produce, up to three off-diagonals (beyond the first they
+cancel to roundoff), and enters the step only through its commutators
+with rho.
 
 The truncation ``ops.dim`` (for a stroke, ``stroke_dim``) is a cap, not the
 working size: rho is propagated on an active window of the lowest levels,
-the ones the state occupies, under the compression of the operators onto
-them. The window opens where the start state's diagonal tail falls below a
-threshold, plus a guard band, and grows by one band whenever its top band
-holds more than the threshold, up to ops.dim less the Magnus guard: each
-Magnus pair is built on the window plus the guard levels above it and cut
-to the window, so the compression artefacts at the top of the operators
-fall outside it. Only at that cap does the leak check of the top two
-levels (the top level of each parity block) refuse the state. Returned
-states are zero-padded to ops.dim. The eigenbases of H0 and of
-the counterdiabatic Hamiltonian are split the same way: two real
-tridiagonal eigensolves, one per parity, and mean energies are band traces
-over rho's parity blocks.
+the ones the state occupies. N + 1/2 and K compressed onto a window are
+exactly the operators of that smaller truncation. The window opens where
+the start state's diagonal tail falls below a threshold, plus a guard
+band, and grows by one band whenever its top band holds more than the
+threshold, up to ops.dim less the Magnus guard: each Magnus pair is built
+on the window plus the guard levels above it and cut to the window, so
+the truncation artefacts of D's nested brackets, which sit in the top two
+levels of each parity block, fall outside it. Only at that cap does the
+leak check of the top two levels (the top level of each parity block)
+refuse the state. Returned states are zero-padded to ops.dim. The
+counterdiabatic Hamiltonian of one instant, omega (N + 1/2) -
+(omegadot / 4 omega) K in the number basis of that instant's omega, is
+split the same way: two real tridiagonal eigensolves, one per parity.
 
 This route shares nothing with the Gaussian transfer-matrix propagator
 except the frequency ramp and its checkpoint rule (``FrequencyProtocol``),
@@ -71,20 +85,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Drive, coth_half, thermal_energy
+from .dynamics import coth_half, thermal_energy
 from .errors import CutoffError, NumericsError
-from .protocols import FrequencyProtocol
+from .protocols import FrequencyProtocol, require_cd_valid
 
 __all__ = [
     "FockOperators",
     "FockState",
     "build_operators",
-    "stroke_reference",
     "stroke_dim",
     "thermal_fock_in",
     "mean_energy_fock",
     "propagate_fock_path",
-    "populations_instantaneous",
     "cd_level_energies",
     "tpm_variance_excess",
 ]
@@ -101,8 +113,11 @@ _STROKE_GUARD = 30
 # Active window of propagate_fock_path: it opens at the smallest size whose
 # diagonal tail weight is at most _WINDOW_TAIL, plus one band of
 # _WINDOW_BAND levels, and grows by one band whenever its top band holds
-# more than _WINDOW_TAIL.
-_WINDOW_TAIL = 1e-12
+# more than _WINDOW_TAIL. Mid-stroke, one step of the hot default stroke
+# spreads its populations by more than a band, and the weight it pushes
+# against the window's top moves the end energy: by 1.1e-10 relative at
+# 1e-12, by 1.6e-11 at 5e-13.
+_WINDOW_TAIL = 5e-13
 _WINDOW_BAND = 16
 # Levels above the active window on which each Magnus pair is built and
 # then cut away; the window never grows into the top _MAGNUS_GUARD levels
@@ -124,79 +139,54 @@ _MAX_LEVELS = 4096
 
 @dataclass(frozen=True)
 class _ParityBlock:
-    """The quadratic operators restricted to one number parity, each as a
-    Hermitian tridiagonal band of shape (2, n): row 0 the diagonal, row 1
-    the upper off-diagonal with a trailing zero."""
+    """N + 1/2 and K restricted to one number parity, each as a Hermitian
+    tridiagonal band of shape (2, n): row 0 the diagonal, row 1 the upper
+    off-diagonal with a trailing zero."""
 
-    x2: np.ndarray
-    p2: np.ndarray
-    xp_px: np.ndarray
+    number: np.ndarray
+    k: np.ndarray
 
 
 @dataclass(frozen=True)
 class FockOperators:
-    """x^2, p^2 and xp + px in the number basis of ``ref_omega``, as their
-    bands on the even-n and the odd-n number states: a quadratic operator
-    never couples the parities, and within one it couples only n and
-    n +- 2."""
+    """N + 1/2 and K = xp + px as their bands on the even-n and the odd-n
+    number states, the same in the number basis of every frequency: neither
+    couples the parities, and within one K couples only n and n +- 2."""
 
     dim: int
-    ref_omega: float
     even: _ParityBlock
     odd: _ParityBlock
 
 
-def build_operators(ref_omega: float, dim: int) -> FockOperators:
-    """x^2, p^2 and xp + px on the lowest ``dim`` number states of
-    ``ref_omega`` = w, in closed form from the truncated ladder algebra
-    x = (a + a^dagger) / sqrt(2 w), p = i sqrt(w / 2) (a^dagger - a).
-    The diagonals of x^2 and p^2 are (2n + 1) / (2 w) and (w / 2)(2n + 1),
-    with n in place of 2n + 1 on the top level, where a a^dagger loses its
-    entry in the truncation. Their (n, n + 2) entries are
-    sqrt((n + 1)(n + 2)) / (2 w) and -(w / 2) sqrt((n + 1)(n + 2)), and
-    xp + px = i (a^dagger^2 - a^2) has a zero diagonal and (n, n + 2) entry
-    -i sqrt((n + 1)(n + 2)). Raises CutoffError above _MAX_LEVELS, before
-    allocating anything: the truncations a stroke needs grow as 1/beta."""
+def build_operators(dim: int) -> FockOperators:
+    """N + 1/2 and K = xp + px = i (a^dagger^2 - a^2) on the lowest ``dim``
+    number states, in closed form from the ladder algebra: N + 1/2 is the
+    diagonal n + 1/2, and K has a zero diagonal and (n, n + 2) entry
+    -i sqrt((n + 1)(n + 2)). Both are exact under the truncation. Raises
+    CutoffError above _MAX_LEVELS, before allocating anything: the
+    truncations a stroke needs grow as 1/beta."""
     if dim > _MAX_LEVELS:
         raise CutoffError(f"the Fock oracle needs {dim} levels, over the {_MAX_LEVELS} allowed")
     if dim < 4:
         raise ValueError(f"dim must be at least 4, got {dim}")
-    if not ref_omega > 0.0:
-        raise ValueError(f"ref_omega must be positive, got {ref_omega}")
     n = np.arange(dim, dtype=np.float64)
-    diag = 2.0 * n + 1.0
-    diag[-1] = n[-1]
     off = np.zeros(dim)  # (n, n + 2) entry of a^2, zero on the top two levels
     off[:-2] = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
     blocks = []
     for s in _PARITIES:
-        d, o = diag[s], off[s]
-        bands = (
-            np.array([d, o]) / (2.0 * ref_omega),
-            (0.5 * ref_omega) * np.array([d, -o]),
-            np.array([np.zeros_like(d), -1j * o]),
-        )
+        zero = np.zeros_like(n[s])
+        bands = (np.array([n[s] + 0.5, zero]), np.array([zero, -1j * off[s]]))
         for band in bands:
             band.setflags(write=False)
         blocks.append(_ParityBlock(*bands))
-    return FockOperators(dim, float(ref_omega), *blocks)
+    return FockOperators(dim, *blocks)
 
 
-def _h0(block: _ParityBlock, omega: float) -> np.ndarray:
-    """Band of the bare trap Hamiltonian p^2/2 + omega^2 x^2/2."""
-    return 0.5 * block.p2 + 0.5 * omega * omega * block.x2
-
-
-def _hcd(block: _ParityBlock, omega: float, omega_dot: float) -> np.ndarray:
-    """Band of the counterdiabatic Hamiltonian H0 - (omegadot / 4 omega)(xp + px)."""
-    return _h0(block, omega) - (omega_dot / (4.0 * omega)) * block.xp_px
-
-
-def stroke_reference(protocol: FrequencyProtocol) -> float:
-    """Reference basis frequency for propagating one stroke: the geometric
-    mean of the endpoint frequencies, which splits the basis mismatch
-    (and hence the needed truncation) evenly between the two ends."""
-    return math.sqrt(protocol.omega_i * protocol.omega_f)
+def _h(block: _ParityBlock, omega: float, kappa: float) -> np.ndarray:
+    """Band of omega (N + 1/2) + kappa K: the bare drive in the
+    instantaneous frame at kappa = omegadot / 4 omega, the counterdiabatic
+    Hamiltonian in the number basis of omega at kappa = -omegadot / 4 omega."""
+    return omega * block.number + kappa * block.k
 
 
 def stroke_dim(beta: float, protocol: FrequencyProtocol) -> int:
@@ -205,16 +195,16 @@ def stroke_dim(beta: float, protocol: FrequencyProtocol) -> int:
     state occupies, up to this truncation less its Magnus guard, and
     reaches that cap only if the state does.
 
-    The driven state's occupation scale in the reference basis is bounded by
-    the largest mean energy along the stroke over the reference frequency;
-    the sudden-quench factor bounds any finite-time adiabaticity factor for
-    these monotone ramps. The tail of a (squeezed) thermal state is close to
-    geometric in that occupation scale."""
+    The driven state's occupation scale is bounded by the largest mean
+    energy along the stroke over the geometric mean of the endpoint
+    frequencies; the sudden-quench factor bounds any finite-time
+    adiabaticity factor for these monotone ramps. The tail of a (squeezed)
+    thermal state is close to geometric in that occupation scale."""
     wi, wf = protocol.omega_i, protocol.omega_f
     e0 = thermal_energy(beta, wi)
     q_bound = (wi * wi + wf * wf) / (2.0 * wi * wf)
     e_max = e0 * q_bound * max(1.0, wf / wi)
-    n_eff = e_max / stroke_reference(protocol)
+    n_eff = e_max / math.sqrt(wi * wf)
     n = int(math.ceil(n_eff * math.log(1.0 / _DIM_TAIL)))
     return max(n, 8) + _STROKE_GUARD
 
@@ -222,16 +212,18 @@ def stroke_dim(beta: float, protocol: FrequencyProtocol) -> int:
 @dataclass(frozen=True)
 class FockState:
     """Density matrix on the lowest dim levels of the number basis of
-    ``ref_omega`` as its parity blocks: even-even and odd-odd, of sizes
+    ``omega`` as its parity blocks: even-even and odd-odd, of sizes
     (dim + 1) // 2 and dim // 2, and even-odd, None where it is exactly zero
     (the odd-even block is its conjugate transpose). Validated on creation."""
 
     even: np.ndarray
     odd: np.ndarray
     cross: np.ndarray | None
-    ref_omega: float
+    omega: float
 
     def __post_init__(self):
+        if not self.omega > 0.0:
+            raise ValueError(f"omega must be positive, got {self.omega}")
         blocks = [self.even, self.odd, self.cross]
         blocks = [None if m is None else np.array(m, dtype=np.complex128) for m in blocks]
         even, odd, cross = blocks
@@ -246,7 +238,7 @@ class FockState:
         tr = float(np.trace(even).real + np.trace(odd).real)
         if not abs(tr - 1.0) <= 1e-8:
             raise ValueError(f"rho trace {tr} not 1")
-        for field, value in zip(fields(self), (*blocks, float(self.ref_omega))):
+        for field, value in zip(fields(self), (*blocks, float(self.omega))):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, field.name, value)
@@ -270,32 +262,18 @@ def _gibbs_populations(beta: float, omega: float, dim: int) -> np.ndarray:
 
 
 def thermal_fock_in(ops: FockOperators, beta: float, omega: float) -> FockState:
-    """Truncated Gibbs state of the trap at ``omega`` expressed in the
-    (possibly different) reference basis of ``ops``: Gibbs populations on
-    the ascending eigenvectors of H0(omega) within the truncated space, one
-    parity block each, renormalized to unit trace. With W = D V per block
-    (_eigh_tridiagonal), each is D (V p V^T) D^dagger, one real product."""
-    _, bases, order = _eigenbasis([_h0(b, omega) for b in (ops.even, ops.odd)])
-    pops = _gibbs_populations(beta, omega, ops.dim)[np.argsort(order)]
-    even, odd = (
-        d[:, None] * ((v * p) @ v.T) * d.conj()
-        for (v, d), p in zip(bases, np.split(pops, [len(bases[0][1])]))
-    )
-    even, odd = 0.5 * (even + even.conj().T), 0.5 * (odd + odd.conj().T)
-    tr = float(np.trace(even).real + np.trace(odd).real)
-    return FockState(even / tr, odd / tr, None, ops.ref_omega)
+    """Truncated Gibbs state of the trap at ``omega`` in its own number
+    basis, on the ops.dim levels of ``ops``: the diagonal Gibbs
+    populations, at unit trace."""
+    pops = _gibbs_populations(beta, omega, ops.dim)
+    return FockState(np.diag(pops[0::2]), np.diag(pops[1::2]), None, omega)
 
 
-def mean_energy_fock(ops: FockOperators, state: FockState, omega: float) -> float:
-    """<H0(omega)> = Tr[rho H0], a band trace over rho's parity blocks:
-    sum_i H_ii rho_ii + 2 Re sum_i H_{i,i+1} rho_{i+1,i} in each block, since
-    H0 is Hermitian tridiagonal there and never couples the parities."""
-    energy = 0.0
-    for block, rho in zip((ops.even, ops.odd), (state.even, state.odd)):
-        h = _h0(block, omega)
-        energy += float(np.sum(h[0] * rho.diagonal().real))
-        energy += 2.0 * float(np.sum(h[1, :-1] * rho.diagonal(-1)).real)
-    return energy
+def mean_energy_fock(state: FockState) -> float:
+    """<H0> of the trap at ``state.omega``, in whose number basis the state
+    is written: omega sum (n + 1/2) rho_nn."""
+    n = np.arange(state.dim, dtype=np.float64)
+    return state.omega * float(np.sum((n + 0.5) * _diagonal(state)))
 
 
 def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -339,7 +317,6 @@ def _band_times(band: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _magnus_pair(
     blocks: tuple[_ParityBlock, _ParityBlock],
     protocol: FrequencyProtocol,
-    drive: Drive,
     t: float,
     h: float,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -347,29 +324,27 @@ def _magnus_pair(
     t, one ramp evaluation per three-node Gauss-Legendre node: the
     tridiagonal band of the 4th-order generator, U = exp(-i Omega4), and
     the bands of D = Omega6 - Omega4 (Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470, 151 (2009)). With H_k at node k and the Hermitian bracket
-    {A, B} = -i[A, B]: a1 = h H_2, a2 = (sqrt(15) h/3)(H_3 - H_1),
-    a3 = (10 h/3)(H_3 - 2 H_2 + H_1), C1 = {a1, a2},
-    C2 = -{a1, 2 a3 + C1}/60, Omega4 = a1 + a3/12 - C1/12 and
+    470, 151 (2009)). With H_k the instantaneous-frame drive H~ at node k
+    and the Hermitian bracket {A, B} = -i[A, B]: a1 = h H_2,
+    a2 = (sqrt(15) h/3)(H_3 - H_1), a3 = (10 h/3)(H_3 - 2 H_2 + H_1),
+    C1 = {a1, a2}, C2 = -{a1, 2 a3 + C1}/60, Omega4 = a1 + a3/12 - C1/12 and
     D = ({C1 - 20 a1 - a3, C2} + {C1 - a3, a2})/240.
 
     The second band of C1, the only part of Omega4 that can leave the
-    tridiagonal form, cancels for su(1,1) elements; above _BAND_TOL
-    (h max|H_2|)^2 it raises NumericsError. a2 and a3 are differences of
-    nearly equal Hamiltonians, so C1 is judged against a1's scale, never
-    its own. D's nested brackets gain bands where the operators are
-    truncated or compressed, and all of them are kept; those artefacts sit
-    in the top levels, which propagate_fock_path builds as a guard and
-    cuts away."""
+    tridiagonal form, cancels, since C1 is a multiple of -i[N, K]; above
+    _BAND_TOL (h max|H_2|)^2 it raises NumericsError. a2 and a3 are
+    differences of nearly equal Hamiltonians, so C1 is judged against a1's
+    scale, never its own. D's bands beyond the first off-diagonal cancel
+    too, since [K, a^dagger^2 + a^2] is diagonal under any truncation, and
+    are kept as computed. Its entries on the top two levels of each block
+    carry the truncation (a a^dagger loses its entry there); those levels
+    are the guard that propagate_fock_path builds and cuts away."""
     nodes = [
         protocol.eval(t + c * h) for c in (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
     ]
     out = []
     for block in blocks:
-        if drive is Drive.CD:
-            h1, h2, h3 = (_hcd(block, w, wd) for w, wd, _ in nodes)
-        else:
-            h1, h2, h3 = (_h0(block, w) for w, _, _ in nodes)
+        h1, h2, h3 = (_h(block, w, wd / (4.0 * w)) for w, wd, _ in nodes)
         a1 = h * h2
         a2 = (_SQRT15 * h / 3.0) * (h3 - h1)
         a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
@@ -447,22 +422,6 @@ def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return u
 
 
-def _eigenbasis(bands) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Eigenpairs of a Hamiltonian given as its even-n and odd-n bands, one
-    real eigensolve per number parity (_eigh_tridiagonal): (lam, [(V_even,
-    d_even), (V_odd, d_odd)], order), with lam the concatenated (even, odd)
-    eigenvalues, each block's ascending, the block's eigenvectors the
-    columns of W = diag(d) V in that order, and ``order`` the permutation
-    that sorts lam ascending."""
-    lams, bases = [], []
-    for band in bands:
-        lam, v, d = _eigh_tridiagonal(band[0].real, band[1, :-1])
-        lams.append(lam)
-        bases.append((v, d))
-    lam = np.concatenate(lams)
-    return lam, bases, np.argsort(lam, kind="stable")
-
-
 def _cut(band: np.ndarray, k: int) -> np.ndarray:
     """The Hermitian band on its lowest k levels, as a new array: every
     entry that couples them to a level above is dropped."""
@@ -479,7 +438,7 @@ def _window(
     bands of the whole truncation onto them, so each band's last
     off-diagonal entry, the coupling out of the window, is dropped."""
     return tuple(
-        _ParityBlock(*(_cut(getattr(block, name), k) for name in ("x2", "p2", "xp_px")))
+        _ParityBlock(_cut(block.number, k), _cut(block.k, k))
         for block, k in zip(blocks, ((n + 1) // 2, n // 2))
     )
 
@@ -586,11 +545,12 @@ def propagate_fock_path(
     state: FockState,
     protocol: FrequencyProtocol,
     ts,
-    drive: Drive = Drive.BARE,
 ) -> list[FockState]:
-    """Propagate through ascending checkpoints with adaptive 6th-order
-    Magnus steps: local extrapolation of a 4th-order step whose error
-    estimate steers h.
+    """Propagate under the bare drive through ascending checkpoints in the
+    instantaneous frame, with adaptive 6th-order Magnus steps: local
+    extrapolation of a 4th-order step whose error estimate steers h.
+    ``state`` must be in the number basis of protocol.omega_i, and each
+    returned state is in the number basis of omega at its checkpoint.
 
     Each trial step of width h builds Omega4 and D = Omega6 - Omega4 on
     bands from three ramp evaluations (_magnus_pair). The local error of
@@ -613,17 +573,16 @@ def propagate_fock_path(
     truncation, and a start state with more than _TRACE_LIMIT above the
     cap is refused before any step. Each Magnus pair is built on the
     window plus the _MAGNUS_GUARD levels above it, taken from ``ops``, and
-    cut to the window: the compression artefacts of D's nested brackets
+    cut to the window: the truncation artefacts of D's nested brackets
     fall on the guard, which rho never occupies. Each returned state is
     zero-padded to ops.dim.
 
     The even-odd block is carried only if ``state`` has one. The error and
     tolerance norms are those of the whole rho."""
-    drive = Drive(drive)
-    if not abs(ops.ref_omega - state.ref_omega) <= 1e-12 * max(1.0, ops.ref_omega):
+    if not abs(state.omega - protocol.omega_i) <= 1e-12 * protocol.omega_i:
         raise ValueError(
-            f"state basis (ref {state.ref_omega}) does not match the "
-            f"operators (ref {ops.ref_omega})"
+            f"state basis (omega {state.omega}) does not match the stroke's "
+            f"start frequency {protocol.omega_i}"
         )
     if state.dim != ops.dim:
         raise ValueError(f"state dim {state.dim} does not match operators dim {ops.dim}")
@@ -654,7 +613,7 @@ def propagate_fock_path(
             sizes = ((n + 1) // 2, n // 2)
             pair = [
                 (_cut(m, k), _cut(d, k))
-                for (m, d), k in zip(_magnus_pair(blocks, protocol, drive, t, h), sizes)
+                for (m, d), k in zip(_magnus_pair(blocks, protocol, t, h), sizes)
             ]
             comm = _commutator([d for _, d in pair], rho)
             err = _frobenius(comm)
@@ -676,62 +635,47 @@ def propagate_fock_path(
                 raise NumericsError("Magnus step budget exhausted")
             if h < 1e-15 * protocol.tau:
                 raise NumericsError("Magnus step size underflow")
-        out.append(FockState(*_resized(rho, dim), ops.ref_omega))
+        out.append(FockState(*_resized(rho, dim), protocol.eval(target)[0]))
     return out
-
-
-def populations_instantaneous(
-    ops: FockOperators, state: FockState, omega: float
-) -> np.ndarray:
-    """Populations of rho in the eigenbasis of H0(omega), ascending levels:
-    with W = D V per block (_eigh_tridiagonal), the diagonal of
-    V^T Re(D^dagger rho D) V, one real product, since the imaginary part of
-    the Hermitian D^dagger rho D is antisymmetric."""
-    _, bases, order = _eigenbasis([_h0(b, omega) for b in (ops.even, ops.odd)])
-    by_block = [
-        np.sum(v * ((d.conj()[:, None] * rho * d).real @ v), axis=0)
-        for rho, (v, d) in zip((state.even, state.odd), bases)
-    ]
-    return np.concatenate(by_block)[order]
 
 
 def cd_level_energies(
     ops: FockOperators, omega: float, omega_dot: float, n_levels: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral data of the counterdiabatic Hamiltonian at one instant.
+    """Spectral data of the counterdiabatic Hamiltonian at one instant,
+    omega (N + 1/2) - (omegadot / 4 omega) K in the number basis of omega.
 
     Returns (eigenvalues, <H0> in each eigenstate) for the lowest
     ``n_levels`` levels, from one eigensolve per number parity merged by
-    eigenvalue. In the untruncated space these are
-    omega/Q*_CD (n + 1/2) and omega Q*_CD (n + 1/2)."""
+    eigenvalue; H0 = omega (N + 1/2) there, so <H0> is omega sum (n + 1/2)
+    |W_nk|^2 with W = D V (_eigh_tridiagonal), and |W_nk| = |V_nk|. In the
+    untruncated space these are omega/Q*_CD (n + 1/2) and
+    omega Q*_CD (n + 1/2)."""
     if n_levels > ops.dim // 2:
         raise ValueError(
             f"n_levels {n_levels} too close to the truncation {ops.dim}; "
             "top-half eigenvectors are not converged"
         )
-    blocks = (ops.even, ops.odd)
-    lam, bases, order = _eigenbasis([_hcd(b, omega, omega_dot) for b in blocks])
-    vecs = [d[:, None] * v for v, d in bases]
-    h0_exp = np.concatenate(
-        [
-            np.sum(w.conj() * _band_times(_h0(b, omega), w), axis=0).real
-            for b, w in zip(blocks, vecs)
-        ]
-    )
-    keep = order[:n_levels]
-    return lam[keep], h0_exp[keep]
+    lams, h0_exp = [], []
+    for block in (ops.even, ops.odd):
+        band = _h(block, omega, -omega_dot / (4.0 * omega))
+        lam, v, _ = _eigh_tridiagonal(band[0].real, band[1, :-1])
+        lams.append(lam)
+        h0_exp.append(omega * (block.number[0] @ (v * v)))
+    lam = np.concatenate(lams)
+    keep = np.argsort(lam, kind="stable")[:n_levels]
+    return lam[keep], np.concatenate(h0_exp)[keep]
 
 
-# Reused across the taus of a `cost` grid, which share omega_i and, for
-# ramps that start at rest, the start instant.
+# Reused across the taus of a `cost` grid, which share the level count.
 _tpm_operators = functools.lru_cache(maxsize=2)(build_operators)
 
 
 @functools.lru_cache(maxsize=16)
-def _tpm_energies(omega_i: float, n_sum: int, omega: float, omega_dot: float) -> np.ndarray:
+def _tpm_energies(n_sum: int, omega: float, omega_dot: float) -> np.ndarray:
     """<H0> in the lowest n_sum counterdiabatic eigenstates at one instant
-    (cd_level_energies) on 2 n_sum + 60 levels of omega_i, read-only."""
-    ops = _tpm_operators(omega_i, 2 * n_sum + 60)
+    (cd_level_energies) on 2 n_sum + 60 levels, read-only."""
+    ops = _tpm_operators(2 * n_sum + 60)
     _, e = cd_level_energies(ops, omega, omega_dot, n_sum)
     e.setflags(write=False)
     return e
@@ -740,12 +684,14 @@ def _tpm_energies(omega_i: float, n_sum: int, omega: float, omega_dot: float) ->
 def tpm_variance_excess(protocol: FrequencyProtocol, beta: float, t: float) -> float:
     """Two-point-measurement work-variance excess of the counterdiabatically
     driven stroke over the adiabatic one at time t; the matrix-route
-    counterpart of the closed form in :mod:`ottosta.sta_cost`.
+    counterpart of the closed form in :mod:`ottosta.sta_cost`. Raises
+    TrapInversionError unless tau > tau_min, as every shortcut quantity does.
 
     The driving is transitionless, so level n stays level n; the measured
     energies are the bare-trap expectations in the instantaneous
     counterdiabatic eigenstates, obtained here by matrix diagonalization
     (independent of any closed form)."""
+    require_cd_valid(protocol)
     wi = protocol.omega_i
     c = coth_half(beta, wi)
     if math.isinf(beta):
@@ -754,7 +700,7 @@ def tpm_variance_excess(protocol: FrequencyProtocol, beta: float, t: float) -> f
         n_sum = max(2, int(math.ceil(-math.log(_TPM_TAIL) / (beta * wi))))
     w0, wd0, _ = protocol.eval(0.0)
     wt, wdt, _ = protocol.eval(float(t))
-    work = _tpm_energies(wi, n_sum, wt, wdt) - _tpm_energies(wi, n_sum, w0, wd0)
+    work = _tpm_energies(n_sum, wt, wdt) - _tpm_energies(n_sum, w0, wd0)
     pops = _gibbs_populations(beta, wi, n_sum)
     mean = float(np.sum(pops * work))
     var_cd = float(np.sum(pops * work**2) - mean**2)

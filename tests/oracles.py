@@ -249,15 +249,15 @@ def dense_operators(ref_omega, dim):
     return x, p
 
 
-def fock_state(rho, ref_omega):
+def fock_state(rho, omega):
     """The ``fock_oracle.FockState`` of the dense density matrix ``rho`` in
-    the number basis of ``ref_omega``: its even-even, odd-odd and even-odd
+    the number basis of ``omega``: its even-even, odd-odd and even-odd
     blocks, the last None where it is exactly zero."""
     from ottosta.fock_oracle import FockState
 
     rho = np.asarray(rho)
     cross = rho[0::2, 1::2] if np.any(rho[0::2, 1::2]) else None
-    return FockState(rho[0::2, 0::2], rho[1::2, 1::2], cross, ref_omega)
+    return FockState(rho[0::2, 0::2], rho[1::2, 1::2], cross, omega)
 
 
 def dense_rho(state):
@@ -292,3 +292,63 @@ def relative_entropy(rho, sigma):
     s_cross = float(np.sum(weights_on_j[keep] * np.log(mu[keep])))
     s = s_rho - s_cross
     return max(s, 0.0) if s > -1e-9 else s
+
+
+def dense_h0(ref_omega, dim, omega):
+    """The trap Hamiltonian p^2/2 + omega^2 x^2/2 as a dense matrix on the
+    lowest ``dim`` number states of ``ref_omega`` (dense_operators)."""
+    x, p = dense_operators(ref_omega, dim)
+    return 0.5 * (p @ p + omega * omega * (x @ x))
+
+
+def dense_thermal(beta, omega, ref_omega, dim):
+    """The Gibbs state of the trap at ``omega`` on the lowest ``dim`` number
+    states of ``ref_omega``: Gibbs populations on the ascending eigenvectors
+    of the dense H0(omega) within the truncation."""
+    _, vecs = np.linalg.eigh(dense_h0(ref_omega, dim, omega))
+    pops = np.exp(-beta * omega * np.arange(dim))
+    return (vecs * (pops / pops.sum())) @ vecs.conj().T
+
+
+def dense_populations(rho, ref_omega, omega):
+    """Populations of the dense ``rho``, written on the number states of
+    ``ref_omega``, on the ascending eigenvectors of H0(omega) within its
+    truncation."""
+    _, vecs = np.linalg.eigh(dense_h0(ref_omega, len(rho), omega))
+    return np.einsum("ij,jk,ki->i", vecs.conj().T, rho, vecs).real
+
+
+def dense_stroke(kind, omega_i, omega_f, tau, rho0, ref_omega, ts, cd, steps):
+    """The dense density matrix ``rho0``, written on the number states of
+    ``ref_omega``, driven through the named ramp in that fixed basis, at
+    the ascending checkpoints ``ts``: under H0 = p^2/2 + w^2 x^2/2 or, when
+    ``cd`` is true, the counterdiabatic H0 - (wdot / 4 w)(xp + px) with the
+    finite-difference wdot. Each checkpoint gap takes
+    ceil(gap * steps / tau) equal 4th-order Magnus steps of the two-node
+    Gauss-Legendre rule, exp(-i M) with
+    M = (h/2)(H1 + H2) - i (sqrt(3) h^2 / 12)[H2, H1], each from one dense
+    complex eigensolve."""
+    x, p = dense_operators(ref_omega, len(rho0))
+    x2, p2, xp_px = x @ x, p @ p, x @ p + p @ x
+
+    def hamiltonian(t):
+        w = ramp_omega(kind, omega_i, omega_f, tau, t)
+        h = 0.5 * (p2 + w * w * x2)
+        if cd:
+            h = h - (ramp_omega_dot(kind, omega_i, omega_f, tau, t) / (4.0 * w)) * xp_px
+        return h
+
+    nodes = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+    rho, t, out = np.asarray(rho0, dtype=complex), 0.0, []
+    for target in ts:
+        n = math.ceil((target - t) * steps / tau)
+        h = (target - t) / max(n, 1)
+        for k in range(n):
+            h1, h2 = (hamiltonian(t + k * h + c * h) for c in nodes)
+            m = 0.5 * h * (h1 + h2) - 1j * (math.sqrt(3.0) * h * h / 12.0) * (h2 @ h1 - h1 @ h2)
+            lam, v = np.linalg.eigh(m)
+            u = (v * np.exp(-1j * lam)) @ v.conj().T
+            rho = u @ rho @ u.conj().T
+        t = target
+        out.append(rho)
+    return out

@@ -330,6 +330,18 @@ class TestCost:
         assert len(rows) == 2
         assert float(rows[0][1]) == pytest.approx(0.07982655330359724, rel=1e-8)
 
+    def test_tpm_excess_residual_column(self, outfile):
+        # the two-point-measurement route (counterdiabatic eigensolves in the
+        # number basis of each instant's omega) against the closed form at
+        # every default tau, within the 1e-6 the benchmark allows a residual
+        # column; the largest is 2.2e-8
+        assert run_cli(["cost", "--oracle", "--out", outfile]) == 0
+        _, header, rows = split_output(Path(outfile).read_text())
+        assert header[-1] == "tpm_excess_residual"
+        residuals = [float(row[-1]) for row in rows]
+        assert len(residuals) == 40
+        assert all(0.0 <= r <= 1e-6 for r in residuals)
+
 
 class TestEmpower:
     def test_reference_row(self, outfile):

@@ -4,7 +4,9 @@ the stacked API (a single stroke is a one-row call of
 ``dynamics.transfer_matrices``, ``adiabaticity_stack`` or ``q_cd_grid``, of
 the ``sta_cost`` stacks or of ``thermo_cycle.stroke_records``), a second
 spelling of a stroke and its thermal start (``StrokeContext``; the stacks
-take ``protocols, betas``) and helpers that only the tests used."""
+take ``protocols, betas``), helpers that only the tests used, and the Fock
+oracle's reference basis and eigenbasis readout, which its instantaneous
+frame made unnecessary."""
 
 import ast
 import importlib
@@ -17,15 +19,6 @@ import ottosta
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(ottosta.__path__))
 SRC = Path(ottosta.__file__).parent
-
-# Public names that no package code loads, each with the acceptance
-# criterion or oracle that needs it.
-KEPT = {
-    "fock_oracle.populations_instantaneous": (
-        "acceptance criterion 4: counterdiabatic driving leaves the populations "
-        "in the instantaneous eigenbasis unchanged"
-    ),
-}
 
 RETIRED = {
     "dynamics": [
@@ -52,6 +45,8 @@ RETIRED = {
         "h0_matrix",
         "hcd_matrix",
         "tpm_work_moments",
+        "stroke_reference",
+        "populations_instantaneous",
     ],
     "optimizer": ["optimal_x_analytic"],
     "protocols": ["validity_margin", "check_sta_boundary", "BoundaryReport"],
@@ -116,7 +111,7 @@ def _loads(tree):
 
 def test_every_public_name_has_a_caller():
     """Each name in a module's ``__all__`` is loaded somewhere in the package
-    outside its own def or class, or is in KEPT with the reason it stays."""
+    outside its own def or class."""
     called = {
         (path.stem, name, owner)
         for path in SRC.glob("*.py")
@@ -132,5 +127,4 @@ def test_every_public_name_has_a_caller():
         for key, name in public.items()
         if not any(n == name and (m, o) != (key.split(".")[0], name) for m, n, o in called)
     }
-    assert set(KEPT) <= set(public)
-    assert uncalled == set(KEPT)
+    assert not uncalled

@@ -9,22 +9,21 @@ from hypothesis import strategies as st
 import oracles
 from ottosta import fock_oracle
 from ottosta.dynamics import Drive
-from ottosta.errors import CutoffError, NumericsError
+from ottosta.errors import CutoffError, NumericsError, TrapInversionError
 from ottosta.fock_oracle import (
     FockState,
     build_operators,
     cd_level_energies,
     mean_energy_fock,
-    populations_instantaneous,
     propagate_fock_path,
     stroke_dim,
-    stroke_reference,
     thermal_fock_in,
     tpm_variance_excess,
 )
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
+from ottosta.sta_cost import work_variance_excess
 from ottosta.thermo_cycle import CycleConfig
-from readouts import q_cd, variance_term
+from readouts import mean_energy, q_cd, states, thermal_state, variance_term
 
 REF = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
 
@@ -47,13 +46,6 @@ def loop_rho(state):
     return fock_oracle._Rho(state.even, state.odd, state.cross)
 
 
-def dense_h0(ops, omega):
-    """H0(omega) in the basis of ``ops`` as a dense matrix, from the complex
-    products of oracles.dense_operators."""
-    x, p = oracles.dense_operators(ops.ref_omega, ops.dim)
-    return 0.5 * (p @ p + omega * omega * (x @ x))
-
-
 def random_rho(rng, dim):
     """A random full-rank density matrix with coherences across the
     parities, exactly Hermitian."""
@@ -63,18 +55,24 @@ def random_rho(rng, dim):
     return rho / np.trace(rho).real
 
 
-def random_state(rng, dim, ref_omega):
+def random_state(rng, dim, omega):
     """The FockState of random_rho."""
-    return oracles.fock_state(random_rho(rng, dim), ref_omega)
+    return oracles.fock_state(random_rho(rng, dim), omega)
 
 
-def adiabatic_reference(ops, state0, omega_i, omega_t):
-    """Density matrix of the adiabatically transported state: the
-    populations of state0 on the H0(omega_i) levels, put on the H0(omega_t)
-    levels of one dense eigensolve."""
-    pops = populations_instantaneous(ops, state0, omega_i)
-    _, vecs = np.linalg.eigh(dense_h0(ops, omega_t))
-    return (vecs * pops) @ vecs.conj().T / pops.sum()
+def dense_reference(protocol, beta, ts, cd):
+    """(number basis frequency, dense density matrices at ``ts``) of the
+    thermal start at (beta, omega_i) driven through ``protocol`` by the
+    dense fixed-basis route, on stroke_dim levels of the geometric mean of
+    the endpoint frequencies: 100 Magnus steps per stroke under the bare
+    drive (energies within about 3e-9), 50 under the counterdiabatic one,
+    whose populations and energies come out within 1e-13."""
+    wi, wf = protocol.omega_i, protocol.omega_f
+    ref, dim = math.sqrt(wi * wf), stroke_dim(beta, protocol)
+    rho0 = oracles.dense_thermal(beta, wi, ref, dim)
+    kind = protocol.kind.value
+    steps = 50 if cd else 100
+    return ref, oracles.dense_stroke(kind, wi, wf, protocol.tau, rho0, ref, ts, cd, steps)
 
 
 class TestOperators:
@@ -85,101 +83,115 @@ class TestOperators:
         comm = x @ p - p @ x
         want = 1j * np.eye(40)
         np.testing.assert_allclose(comm[:-1, :-1], want[:-1, :-1], atol=1e-12)
-        # the bands: -i[x^2, p^2] = 2 (xp + px) below the top two levels of
-        # each parity block
-        ops = build_operators(0.7, 40)
+        # the bands: -i[N + 1/2, K] = 2 (a^dagger^2 + a^2) on every level,
+        # the top two of each parity block included, since N is diagonal
+        ops = build_operators(40)
         for block in (ops.even, ops.odd):
-            got = fock_oracle._bracket(block.x2, block.p2)
-            np.testing.assert_allclose(got[0, :-2], 0.0, atol=1e-12)
-            np.testing.assert_allclose(got[1, :-2], 2.0 * block.xp_px[1, :-2], atol=1e-12)
+            got = fock_oracle._bracket(block.number, block.k)
+            np.testing.assert_allclose(got[0], 0.0, atol=1e-12)
+            np.testing.assert_allclose(got[1], 2j * block.k[1], atol=1e-12)
             np.testing.assert_allclose(got[2], 0.0, atol=1e-12)
 
     def test_h0_in_own_basis_is_diagonal(self):
-        ops = build_operators(0.7, 30)
+        # omega (N + 1/2) on every level; the dense products of x and p
+        # agree except on the top level, where a a^dagger loses its entry in
+        # the truncation
+        ops = build_operators(30)
         n = np.arange(30)
+        got = np.zeros((30, 30), dtype=complex)
         for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
-            h = fock_oracle._h0(block, 0.7)
+            h = fock_oracle._h(block, 0.7, 0.0)
             np.testing.assert_allclose(h[1], 0.0, atol=1e-12)
-            # (n + 1/2) omega, except n omega / 2 on the top level, where
-            # a a^dagger loses its entry in the truncation
-            want = np.where(n[s] < 29, (n[s] + 0.5) * 0.7, 0.5 * 0.7 * n[s])
-            np.testing.assert_allclose(h[0], want, atol=1e-12)
-
-    def test_h0_spectrum_in_mismatched_basis(self):
-        # the low part of the spectrum must come out right even when the
-        # operator basis belongs to a different frequency; at omegadot = 0
-        # the counterdiabatic Hamiltonian is H0
-        ops = build_operators(0.6, 160)
-        evals, h0_exp = cd_level_energies(ops, 1.0, 0.0, 8)
-        want = (np.arange(8) + 0.5) * 1.0
-        np.testing.assert_allclose(evals, want, atol=1e-9)
-        np.testing.assert_allclose(h0_exp, want, atol=1e-9)
+            np.testing.assert_allclose(h[0], (n[s] + 0.5) * 0.7, atol=1e-12)
+            got[s, s] = _dense_band(h)
+        want = oracles.dense_h0(0.7, 30, 0.7)
+        np.testing.assert_allclose(got[:-1, :-1], want[:-1, :-1], atol=1e-13)
 
     def test_cd_matrix_is_hermitian(self):
-        ops = build_operators(0.7, 30)
-        x, p = oracles.dense_operators(0.7, 30)
-        want = 0.5 * (p @ p + 0.64 * (x @ x)) + (0.3 / 3.2) * (x @ p + p @ x)
+        # H0 - (omegadot / 4 omega)(xp + px) in the number basis of omega,
+        # the matrix cd_level_energies diagonalizes, against the dense
+        # products below the top level
+        ops = build_operators(30)
+        x, p = oracles.dense_operators(0.8, 30)
+        want = oracles.dense_h0(0.8, 30, 0.8) + (0.3 / 3.2) * (x @ p + p @ x)
+        got = np.zeros((30, 30), dtype=complex)
         for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
-            h = fock_oracle._hcd(block, 0.8, -0.3)
+            h = fock_oracle._h(block, 0.8, 0.3 / 3.2)  # omegadot = -0.3
             # a real diagonal and the upper off-diagonal: Hermitian
             assert not np.any(np.imag(h[0]))
-            np.testing.assert_allclose(_dense_band(h), want[s, s], atol=1e-13)
+            got[s, s] = _dense_band(h)
+        np.testing.assert_allclose(got[:-1, :-1], want[:-1, :-1], atol=1e-13)
 
     def test_quadratic_operators_are_real_or_imaginary(self):
-        ops = build_operators(0.7, 61)
+        ops = build_operators(61)
         for block in (ops.even, ops.odd):
-            assert not np.any(np.imag(block.x2))
-            assert not np.any(np.imag(block.p2))
-            assert not np.any(np.real(block.xp_px))
+            assert not np.any(np.imag(block.number))
+            assert not np.any(np.real(block.k))
 
     @pytest.mark.parametrize("dim", [4, 61, 344])
     def test_real_products_match_the_complex_construction(self, dim):
         # the closed-form bands against the complex products of the dense
-        # a / a^dagger construction, top level and parity coupling included
-        w = 0.59
-        x, p = oracles.dense_operators(w, dim)
-        ops = build_operators(w, dim)
-        for name, want in [("x2", x @ x), ("p2", p @ p), ("xp_px", x @ p + p @ x)]:
-            got = np.zeros((dim, dim), dtype=complex)
-            for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
-                got[s, s] = _dense_band(getattr(block, name))
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        # a / a^dagger construction at two frequencies, parity coupling
+        # included: K = xp + px everywhere, N + 1/2 = (p^2 / w + w x^2) / 2
+        # below the top level
+        ops = build_operators(dim)
+        for w in (0.59, 1.7):
+            x, p = oracles.dense_operators(w, dim)
+            cases = [("k", x @ p + p @ x, dim), ("number", 0.5 * (p @ p / w + w * (x @ x)), dim - 1)]
+            for name, want, top in cases:
+                got = np.zeros((dim, dim), dtype=complex)
+                for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
+                    got[s, s] = _dense_band(getattr(block, name))
+                gap = np.max(np.abs(got[:top, :top] - want[:top, :top]))
+                assert gap <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("ratio", [0.35, 1.25, 1.0 / 0.35])
+    def test_k_moves_the_number_basis_with_omega(self, ratio):
+        # the frame: d|n_t>/dt = i (omegadot / 4 omega) K |n_t>, with K the
+        # same matrix in every number basis, so the number states of
+        # omega' = ratio omega are exp(i ln(ratio) K / 4) applied to those of
+        # omega; that rotation makes the dense H0(omega') diagonal,
+        # omega' (N + 1/2), on the lowest levels, far below the truncation
+        dim, w = 120, 0.8
+        ops = build_operators(dim)
+        k = np.zeros((dim, dim), dtype=complex)
+        for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
+            k[s, s] = _dense_band(block.k)
+        lam, v = np.linalg.eigh(k)
+        t = (v * np.exp(0.25j * math.log(ratio) * lam)) @ v.conj().T
+        got = (t.conj().T @ oracles.dense_h0(w, dim, ratio * w) @ t)[:16, :16]
+        want = np.diag(ratio * w * (np.arange(16) + 0.5))
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("ref_omega", [0.0, -1.0, math.nan])
     def test_bad_reference_frequency_is_refused(self, ref_omega):
-        with pytest.raises(ValueError, match="ref_omega must be positive"):
-            build_operators(ref_omega, 10)
+        # a state's number basis needs a positive frequency
+        with pytest.raises(ValueError, match="omega must be positive"):
+            thermal_fock_in(build_operators(10), 2.0, ref_omega)
 
     def test_truncation_above_the_cap_is_refused(self):
         # refused before any band is allocated, whatever asked for it
         cap = fock_oracle._MAX_LEVELS
-        assert build_operators(1.0, cap).dim == cap
+        assert build_operators(cap).dim == cap
         with pytest.raises(CutoffError, match=f"needs {cap + 1} levels, over the {cap} allowed"):
-            build_operators(1.0, cap + 1)
+            build_operators(cap + 1)
 
 
 class TestThermalStates:
     def test_energy_matches_closed_form(self):
         dim = thermal_dim(2.0, 0.35)
-        st = thermal_fock(2.0, 0.35, dim)
-        ops = build_operators(0.35, dim)
         want = oracles.thermal_energy(2.0, 0.35)
-        assert mean_energy_fock(ops, st, 0.35) == pytest.approx(want, rel=1e-9)
-
-    def test_thermal_in_foreign_basis_matches_own_basis_energy(self):
-        ops = build_operators(stroke_reference(REF), 140)
-        st = thermal_fock_in(ops, 2.0, 0.35)
-        want = oracles.thermal_energy(2.0, 0.35)
-        assert mean_energy_fock(ops, st, 0.35) == pytest.approx(want, rel=1e-9)
+        for st in (thermal_fock(2.0, 0.35, dim), thermal_fock_in(build_operators(dim), 2.0, 0.35)):
+            assert mean_energy_fock(st) == pytest.approx(want, rel=1e-9)
 
     def test_populations_are_gibbs(self):
-        ops = build_operators(stroke_reference(REF), 140)
-        st = thermal_fock_in(ops, 2.0, 0.35)
-        pops = populations_instantaneous(ops, st, 0.35)
-        want = np.exp(-2.0 * 0.35 * np.arange(6))
-        want /= np.exp(-2.0 * 0.35 * np.arange(140)).sum()
-        np.testing.assert_allclose(pops[:6], want, rtol=1e-8, atol=1e-12)
+        # in its own number basis the Gibbs state is diagonal
+        st = thermal_fock_in(build_operators(140), 2.0, 0.35)
+        assert st.omega == 0.35 and st.cross is None
+        rho = oracles.dense_rho(st)
+        assert not np.any(rho - np.diag(np.diagonal(rho)))
+        want = np.exp(-2.0 * 0.35 * np.arange(140))
+        np.testing.assert_allclose(np.diagonal(rho).real, want / want.sum(), rtol=1e-12, atol=0.0)
 
     def test_state_validation(self):
         even, odd = np.diag([0.5, 0.25, 0.0]), np.diag([0.25, 0.0])
@@ -202,7 +214,7 @@ class TestThermalStates:
             FockState(np.diag([math.nan, 0.5]), np.diag([0.5]), None, 1.0)
 
     def test_nan_beta_is_refused(self):
-        ops = build_operators(stroke_reference(REF), 60)
+        ops = build_operators(60)
         with pytest.raises(ValueError, match="beta must be positive"):
             thermal_fock_in(ops, math.nan, 0.35)
 
@@ -220,32 +232,49 @@ class TestThermalStates:
 class TestBarePropagation:
     def test_matches_gaussian_adiabaticity(self):
         beta = 2.0
-        ops = build_operators(stroke_reference(REF), stroke_dim(beta, REF))
+        ops = build_operators(stroke_dim(beta, REF))
         st0 = thermal_fock_in(ops, beta, 0.35)
-        st = propagate_fock_path(ops, st0, REF, [3.0], drive=Drive.BARE)[-1]
-        e = mean_energy_fock(ops, st, 1.0)
+        st = propagate_fock_path(ops, st0, REF, [3.0])[-1]
+        assert st.omega == 1.0
         e_ad = (1.0 / 0.35) * oracles.thermal_energy(beta, 0.35)
-        q_fock = e / e_ad
+        q_fock = mean_energy_fock(st) / e_ad
         q_gauss = 1.3537365188419324
         assert q_fock == pytest.approx(q_gauss, rel=1e-6)
 
+    def test_matches_the_dense_fixed_basis_route(self):
+        # the instantaneous frame against a dense propagation in the fixed
+        # number basis of sqrt(omega_i omega_f): at each checkpoint the
+        # state is in the number basis of omega(t), so its diagonal is the
+        # dense route's populations on the H0(omega(t)) levels and its
+        # energy omega(t) sum (n + 1/2) rho_nn is the dense Tr[rho H0]
+        beta, ts = 2.0, np.linspace(0.75, 3.0, 4)
+        ops = build_operators(stroke_dim(beta, REF))
+        got = propagate_fock_path(ops, thermal_fock_in(ops, beta, 0.35), REF, ts)
+        ref, want = dense_reference(REF, beta, ts, cd=False)
+        for t, st, rho in zip(ts, got, want):
+            w = REF.eval(float(t))[0]
+            assert st.omega == w
+            e = float(np.trace(rho @ oracles.dense_h0(ref, ops.dim, w)).real)
+            assert mean_energy_fock(st) == pytest.approx(e, rel=1e-7)
+            pops = oracles.dense_populations(rho, ref, w)
+            gap = np.max(np.abs(fock_oracle._diagonal(st)[:60] - pops[:60]))
+            assert gap <= 1e-8
+
     def test_trace_is_preserved(self):
-        ops = build_operators(stroke_reference(REF), stroke_dim(2.0, REF))
+        ops = build_operators(stroke_dim(2.0, REF))
         st0 = thermal_fock_in(ops, 2.0, 0.35)
         st = propagate_fock_path(ops, st0, REF, [3.0])[-1]
         assert float(np.trace(oracles.dense_rho(st)).real) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_basis_mismatch_is_rejected(self):
-        ops = build_operators(0.35, 60)
-        st0 = thermal_fock(2.0, 0.5, 60)  # ref_omega 0.5 != ops 0.35
-        with pytest.raises(ValueError):
-            propagate_fock_path(ops, st0, REF, [1.0])
-        st0 = dataclasses.replace(thermal_fock(2.0, 0.35, 60), ref_omega=math.nan)
-        with pytest.raises(ValueError, match="does not match"):
-            propagate_fock_path(ops, st0, REF, [1.0])
+        # a start state must be in the number basis of the stroke's omega_i
+        ops = build_operators(60)
+        for omega in (0.5, 0.35 * (1.0 + 1e-9)):
+            with pytest.raises(ValueError, match="does not match"):
+                propagate_fock_path(ops, thermal_fock(2.0, omega, 60), REF, [1.0])
 
     def test_nan_checkpoint_is_refused(self):
-        ops = build_operators(stroke_reference(REF), 60)
+        ops = build_operators(60)
         st0 = thermal_fock_in(ops, 2.0, 0.35)
         with pytest.raises(ValueError, match="finite"):
             propagate_fock_path(ops, st0, REF, [math.nan])
@@ -253,7 +282,7 @@ class TestBarePropagation:
     def test_truncation_leak_raises(self):
         # a deliberately tiny space cannot hold the driven state; here the
         # start state already outgrows the 4 levels below the Magnus guard
-        ops = build_operators(stroke_reference(REF), 12)
+        ops = build_operators(12)
         st0 = thermal_fock_in(ops, 2.0, 0.35)
         with pytest.raises(CutoffError, match="enlarge the truncation"):
             propagate_fock_path(ops, st0, REF, [3.0])
@@ -279,57 +308,92 @@ class TestBarePropagation:
 
 
 class TestCounterdiabaticPropagation:
+    """In the instantaneous frame the counterdiabatic drive is the diagonal
+    omega (N + 1/2), so the oracle never propagates it: the populations of
+    its start state are the transported ones. The dense fixed-basis route
+    checks that premise."""
+
     def test_populations_are_frozen_along_the_ramp(self):
         beta = 2.0
-        ops = build_operators(stroke_reference(REF), stroke_dim(beta, REF))
-        st0 = thermal_fock_in(ops, beta, 0.35)
-        pops0 = populations_instantaneous(ops, st0, 0.35)
+        ops = build_operators(stroke_dim(beta, REF))
+        pops0 = fock_oracle._diagonal(thermal_fock_in(ops, beta, 0.35))
         ts = np.linspace(0.3, 3.0, 4)
-        states = propagate_fock_path(ops, st0, REF, ts, drive=Drive.CD)
-        for t, st in zip(ts, states):
-            pops = populations_instantaneous(ops, st, REF.eval(float(t))[0])
+        ref, rhos = dense_reference(REF, beta, ts, cd=True)
+        for t, rho in zip(ts, rhos):
+            pops = oracles.dense_populations(rho, ref, REF.eval(float(t))[0])
             assert np.max(np.abs(pops[:40] - pops0[:40])) < 1e-10
 
     def test_energy_tracks_adiabatic_transport(self):
+        # the dense route against the closed form and against the Gaussian
+        # counterdiabatic propagation
         beta = 2.0
-        ops = build_operators(stroke_reference(REF), stroke_dim(beta, REF))
-        st0 = thermal_fock_in(ops, beta, 0.35)
-        st = propagate_fock_path(ops, st0, REF, [1.8], drive=Drive.CD)[-1]
+        ref, (rho,) = dense_reference(REF, beta, [1.8], cd=True)
         w = REF.eval(1.8)[0]
+        e = float(np.trace(rho @ oracles.dense_h0(ref, len(rho), w)).real)
         e_ad = (w / 0.35) * oracles.thermal_energy(beta, 0.35)
-        assert mean_energy_fock(ops, st, w) == pytest.approx(e_ad, rel=1e-8)
+        assert e == pytest.approx(e_ad, rel=1e-8)
+        gauss = states(thermal_state(beta, 0.35), REF, [1.8], drive=Drive.CD)[0]
+        assert e == pytest.approx(mean_energy(gauss, w), rel=1e-8)
+
+
+class TestDenseReference:
+    """The dense fixed-basis route of oracles.dense_stroke, the reference
+    for counterdiabatic transitionlessness and for the instantaneous frame,
+    against the Gaussian moment propagation under either drive."""
+
+    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
+    @pytest.mark.parametrize("kind", ["poly3", "cosine"])
+    def test_energy_matches_the_gaussian_route(self, kind, drive):
+        p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
+        ts = [1.5, 3.0]
+        ref, rhos = dense_reference(p, 2.0, ts, cd=drive is Drive.CD)
+        gauss = states(thermal_state(2.0, 0.35), p, ts, drive=drive)
+        for t, rho, st in zip(ts, rhos, gauss):
+            w = p.eval(t)[0]
+            e = float(np.trace(rho @ oracles.dense_h0(ref, len(rho), w)).real)
+            assert e == pytest.approx(mean_energy(st, w), rel=1e-7)
 
 
 class TestMixedParity:
     """A superposition of |0> and |1> carries coherences between the even
     and the odd number states, which thermal starts never have; its means
-    must follow the classical equations of motion under either drive."""
+    must follow the classical equations of motion: under the bare drive
+    through the instantaneous frame, whose states are read with x and p in
+    the number basis of omega(t), and under the counterdiabatic drive
+    through the dense route in the fixed number basis of omega_i."""
 
     @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
     def test_means_follow_classical_motion(self, drive):
-        ops = build_operators(stroke_reference(REF), 60)
         psi = np.zeros(60, dtype=complex)
         psi[:2] = 1.0 / math.sqrt(2.0)
-        st0 = oracles.fock_state(np.outer(psi, psi.conj()), ops.ref_omega)
+        rho0 = np.outer(psi, psi.conj())
         ts = np.linspace(0.75, 3.0, 4)
-        states = propagate_fock_path(ops, st0, REF, ts, drive=drive)
-        x, p = oracles.dense_operators(ops.ref_omega, ops.dim)
-        mean = lambda st, op: float(np.sum(oracles.dense_rho(st) * op.T).real)
-        y0 = [mean(st0, x), mean(st0, p), 0.0, 0.0, 0.0]
+        if drive is Drive.BARE:
+            ops = build_operators(60)
+            ends = propagate_fock_path(ops, oracles.fock_state(rho0, 0.35), REF, ts)
+            ends = [(oracles.dense_rho(st), st.omega) for st in ends]
+        else:
+            rhos = oracles.dense_stroke("poly5", 0.35, 1.0, 3.0, rho0, 0.35, ts, True, 50)
+            ends = [(rho, 0.35) for rho in rhos]
+        mean = lambda rho, w, i: float(np.sum(rho * oracles.dense_operators(w, 60)[i].T).real)
+        y0 = [mean(rho0, 0.35, 0), mean(rho0, 0.35, 1), 0.0, 0.0, 0.0]
         rhs = oracles.covariance_rhs("poly5", 0.35, 1.0, 3.0, drive is Drive.CD)
-        for t, st in zip(ts, states):
+        for t, (rho, w) in zip(ts, ends):
             want = oracles.rk4_fixed(rhs, y0, 0.0, float(t), 4000)[:2]
-            got = [mean(st, x), mean(st, p)]
+            got = [mean(rho, w, 0), mean(rho, w, 1)]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("dim", [7, 60, 344])
     def test_mean_energy_matches_the_dense_trace(self, dim):
-        # the band trace over the parity blocks against Tr[rho H0] of the
-        # dense H0, on a state with coherences across the parities
+        # omega sum (n + 1/2) rho_nn against Tr[rho omega (a^dagger a + 1/2)]
+        # with the dense annihilator, on a state with coherences across the
+        # parities
         st = random_state(np.random.default_rng(dim), dim, 0.6)
-        ops = build_operators(0.6, dim)
-        want = float(np.trace(oracles.dense_rho(st) @ dense_h0(ops, 1.3)).real)
-        assert mean_energy_fock(ops, st, 1.3) == pytest.approx(want, rel=1e-12)
+        x, p = oracles.dense_operators(0.6, dim)
+        a = (math.sqrt(0.6) * x + 1j * p / math.sqrt(0.6)) / math.sqrt(2.0)
+        h0 = 0.6 * (a.conj().T @ a + 0.5 * np.eye(dim))
+        want = float(np.trace(oracles.dense_rho(st) @ h0).real)
+        assert mean_energy_fock(st) == pytest.approx(want, rel=1e-12)
 
 
 def _dense_expm(m):
@@ -386,20 +450,20 @@ def _random_unitary(rng, n):
 
 
 # The two strokes of the default `cycle --oracle --grid tau=3:3:1`:
-# (protocol, beta, truncation, Magnus exponentials per drive).
+# (protocol, beta, truncation, Magnus exponentials per parity block).
 _DEFAULT = CycleConfig(omega1=0.35, omega2=1.0, beta1=2.0, beta2=0.2, tau1=3.0, tau3=3.0)
 _DEFAULT_STROKES = {
-    "compression": (_DEFAULT.compression_protocol(), 2.0, 123, {Drive.BARE: 16, Drive.CD: 18}),
-    "expansion": (_DEFAULT.expansion_protocol(), 0.2, 344, {Drive.BARE: 16, Drive.CD: 18}),
+    "compression": (_DEFAULT.compression_protocol(), 2.0, 123, 18),
+    "expansion": (_DEFAULT.expansion_protocol(), 0.2, 344, 18),
 }
 
 
-def _stroke_end(name, drive):
+def _stroke_end(name):
     protocol, beta, dim, _ = _DEFAULT_STROKES[name]
     assert stroke_dim(beta, protocol) == dim
-    ops = build_operators(stroke_reference(protocol), dim)
+    ops = build_operators(dim)
     st0 = thermal_fock_in(ops, beta, protocol.omega_i)
-    return oracles.dense_rho(propagate_fock_path(ops, st0, protocol, [protocol.tau], drive=drive)[-1])
+    return oracles.dense_rho(propagate_fock_path(ops, st0, protocol, [protocol.tau])[-1])
 
 
 class TestTridiagonalExponential:
@@ -419,16 +483,16 @@ class TestTridiagonalExponential:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_generator_leaving_the_band_is_refused(self):
-        # tridiagonal within each parity, but x^2's first even off-diagonal
-        # is no longer proportional to p^2's, so [H2, H1] gains a second
-        # band; the Magnus step refuses it rather than drop it. The window
-        # reaches its cap of 20 levels, and the Magnus guard above it comes
-        # from the same tampered operators
+        # tridiagonal within each parity, but N + 1/2 gains a coupling of
+        # the two lowest even levels, so [H2, H1] gains a second band; the
+        # Magnus step refuses it rather than drop it. The window reaches its
+        # cap of 20 levels, and the Magnus guard above it comes from the
+        # same tampered operators
         dim = 20 + fock_oracle._MAGNUS_GUARD
-        ops = build_operators(0.6, dim)
-        x2 = ops.even.x2.copy()
-        x2[1, 0] *= 1.5
-        bad = dataclasses.replace(ops, even=dataclasses.replace(ops.even, x2=x2))
+        ops = build_operators(dim)
+        number = ops.even.number.copy()
+        number[1, 0] = 0.5
+        bad = dataclasses.replace(ops, even=dataclasses.replace(ops.even, number=number))
         st0 = thermal_fock(2.0, 0.6, dim)
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
         with pytest.raises(NumericsError, match="Magnus generator is not tridiagonal"):
@@ -471,12 +535,13 @@ class TestBandArithmetic:
         assert np.max(np.abs(got - u @ rho @ u.conj().T)) <= 1e-13
 
 
+
+
 class TestParityBlocks:
     """rho is propagated as its parity blocks; the even-odd block only when
     the start state has an off-parity coherence."""
 
-    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
-    def test_thermal_start_never_carries_an_even_odd_block(self, drive, monkeypatch):
+    def test_thermal_start_never_carries_an_even_odd_block(self, monkeypatch):
         crosses = []
         apply = fock_oracle._apply
 
@@ -487,15 +552,14 @@ class TestParityBlocks:
 
         monkeypatch.setattr(fock_oracle, "_apply", recorded)
         protocol, beta, dim, _ = _DEFAULT_STROKES["compression"]
-        ops = build_operators(stroke_reference(protocol), dim)
+        ops = build_operators(dim)
         st0 = thermal_fock_in(ops, beta, protocol.omega_i)
-        states = propagate_fock_path(ops, st0, protocol, [1.0, 2.0, 3.0], drive=drive)
+        states = propagate_fock_path(ops, st0, protocol, [1.0, 2.0, 3.0])
         assert st0.cross is None
         assert crosses and all(c is None for c in crosses)
         assert all(st.cross is None for st in states)
 
-    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
-    def test_coherent_start_matches_the_dense_update(self, drive, monkeypatch):
+    def test_coherent_start_matches_the_dense_update(self, monkeypatch):
         # a random state with coherences between the parities: every block
         # update equals the dense U rho U^dagger of the block-diagonal U
         dim = 40
@@ -521,9 +585,9 @@ class TestParityBlocks:
             return out
 
         monkeypatch.setattr(fock_oracle, "_apply", checked)
-        ops = build_operators(1.0, dim)
+        ops = build_operators(dim)
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 1.3, 1.0)
-        states = propagate_fock_path(ops, st0, protocol, [0.5, 1.0], drive=drive)
+        states = propagate_fock_path(ops, st0, protocol, [0.5, 1.0])
         assert gaps and max(gaps) <= 1e-13
         assert all(np.any(st.cross) for st in states)
 
@@ -548,22 +612,21 @@ class TestMagnusStepSequence:
         monkeypatch.setattr(fock_oracle, "_magnus_pair", counted("trials", pair))
         monkeypatch.setattr(fock_oracle, "_expm_tridiagonal", counted("exps", expm))
         monkeypatch.setattr(FrequencyProtocol, "eval", counted("evals", evaluate))
-        for drive, exps in _DEFAULT_STROKES[name][3].items():
-            counts.update(trials=0, exps=0, evals=0)
-            _stroke_end(name, drive)
-            assert counts["exps"] == 2 * exps
-            assert counts["evals"] == 3 * counts["trials"]
+        _stroke_end(name)
+        # one more ramp evaluation reads omega at the checkpoint
+        assert counts["exps"] == 2 * _DEFAULT_STROKES[name][3]
+        assert counts["evals"] == 3 * counts["trials"] + 1
 
     def test_rejected_trial_makes_no_exponential(self, monkeypatch):
         # a trial is rejected when the next one starts at the same time; the
-        # default bare compression stroke rejects two of its 18 trials
+        # default compression stroke rejects three of its 21 trials
         events = []
         pair = fock_oracle._magnus_pair
         expm = fock_oracle._expm_tridiagonal
 
-        def trial(blocks, protocol, drive, t, h):
+        def trial(blocks, protocol, t, h):
             events.append(t)
-            return pair(blocks, protocol, drive, t, h)
+            return pair(blocks, protocol, t, h)
 
         def exponential(diag, off):
             events.append("exp")
@@ -571,22 +634,21 @@ class TestMagnusStepSequence:
 
         monkeypatch.setattr(fock_oracle, "_magnus_pair", trial)
         monkeypatch.setattr(fock_oracle, "_expm_tridiagonal", exponential)
-        _stroke_end("compression", Drive.BARE)
+        _stroke_end("compression")
         starts = [i for i, e in enumerate(events) if e != "exp"] + [len(events)]
         rejected = 0
         for i, j, k in zip(starts, starts[1:], starts[2:] + [None]):
             retried = k is not None and events[j] == events[i]
             rejected += retried
             assert j - i - 1 == (0 if retried else 2)
-        assert rejected == 2
+        assert rejected == 3
 
-    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
-    def test_matches_dense_eigh_route(self, drive, monkeypatch):
-        got = _stroke_end("compression", drive)
+    def test_matches_dense_eigh_route(self, monkeypatch):
+        got = _stroke_end("compression")
         monkeypatch.setattr(
             fock_oracle, "_expm_tridiagonal", lambda diag, off: _dense_expm(_dense(diag, off))
         )
-        want = _stroke_end("compression", drive)
+        want = _stroke_end("compression")
         assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -594,7 +656,7 @@ def _dense_bracket(a, b):
     return -1j * (a @ b - b @ a)
 
 
-def _dense_pair(blocks, protocol, drive, t, h):
+def _dense_pair(blocks, protocol, t, h):
     """(Omega4, Omega6 - Omega4) of each parity block from dense matrices
     and dense brackets -i[A, B]: Blanes' three-node formulas with
     Omega6 = a1 + a3/12 + {-20 a1 - a3 + C1, a2 + C2}/240, its a1 + a3/12
@@ -605,10 +667,7 @@ def _dense_pair(blocks, protocol, drive, t, h):
     nodes = [protocol.eval(t + c * h) for c in (0.5 - r / 10.0, 0.5, 0.5 + r / 10.0)]
     out = []
     for block in blocks:
-        if drive is Drive.CD:
-            h1, h2, h3 = (_dense_band(fock_oracle._hcd(block, w, wd)) for w, wd, _ in nodes)
-        else:
-            h1, h2, h3 = (_dense_band(fock_oracle._h0(block, w)) for w, _, _ in nodes)
+        h1, h2, h3 = (_dense_band(fock_oracle._h(block, w, wd / (4.0 * w))) for w, wd, _ in nodes)
         a1 = h * h2
         a2 = (r * h / 3.0) * (h3 - h1)
         a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
@@ -628,7 +687,7 @@ class TestErrorEstimate:
     def test_matches_dense_route(self, name, at_cap):
         protocol, _, dim, _ = _DEFAULT_STROKES[name]
         n = dim if at_cap else dim - 40
-        ops = build_operators(stroke_reference(protocol), dim)
+        ops = build_operators(dim)
         blocks = fock_oracle._window((ops.even, ops.odd), n)
         # a random state with off-parity coherences, decaying slowly enough
         # that the top of the window is occupied
@@ -638,39 +697,35 @@ class TestErrorEstimate:
         )[:, None]
         rho = z @ z.conj().T / np.linalg.norm(z) ** 2
         rho_blocks = loop_rho(oracles.fock_state(rho, 1.0))
-        beyond = {Drive.BARE: 0.0, Drive.CD: 0.0}
-        for drive in (Drive.BARE, Drive.CD):
-            for t in (0.0, 1.0, 2.5):
-                got = fock_oracle._magnus_pair(blocks, protocol, drive, t, 0.05)
-                want = _dense_pair(blocks, protocol, drive, t, 0.05)
-                d = np.zeros((n, n), dtype=complex)
-                for s, (omega4, (omega4_dense, gap)) in zip(fock_oracle._PARITIES, zip(got, want)):
-                    np.testing.assert_allclose(
-                        _dense_band(omega4[0]), omega4_dense, rtol=0.0, atol=1e-13
-                    )
-                    d[s, s] = gap
-                est = fock_oracle._frobenius(fock_oracle._commutator([g for _, g in got], rho_blocks))
-                assert est == pytest.approx(np.linalg.norm(d @ rho - rho @ d), rel=1e-12)
-                extra = max(float(np.max(np.abs(g[2:]))) for _, g in got)
-                beyond[drive] = max(beyond[drive], extra)
-        # at the cap x^2 and p^2 are truncated products, so D's nested
-        # brackets leave the tridiagonal form, and the bands keep what they
-        # add; below it they stay tridiagonal under the bare drive, while
-        # the compressed xp + px of the counterdiabatic drive adds bands at
-        # the window's top either way
-        assert (beyond[Drive.BARE] > 1e-10) == at_cap
-        assert beyond[Drive.CD] > 1e-10
+        beyond, scale = 0.0, 0.0
+        for t in (0.0, 1.0, 2.5):
+            got = fock_oracle._magnus_pair(blocks, protocol, t, 0.05)
+            want = _dense_pair(blocks, protocol, t, 0.05)
+            d = np.zeros((n, n), dtype=complex)
+            for s, (omega4, (omega4_dense, gap)) in zip(fock_oracle._PARITIES, zip(got, want)):
+                np.testing.assert_allclose(
+                    _dense_band(omega4[0]), omega4_dense, rtol=0.0, atol=1e-13
+                )
+                d[s, s] = gap
+            est = fock_oracle._frobenius(fock_oracle._commutator([g for _, g in got], rho_blocks))
+            assert est == pytest.approx(np.linalg.norm(d @ rho - rho @ d), rel=1e-12)
+            beyond = max(beyond, max(float(np.max(np.abs(g[2:]))) for _, g in got))
+            scale = max(scale, max(float(np.max(np.abs(m))) for m, _ in got) ** 3)
+        # [K, a^dagger^2 + a^2] is diagonal under any truncation, so D's
+        # nested brackets never leave the tridiagonal form, at the cap and
+        # below it alike: its further bands hold the roundoff of brackets
+        # cubic in the generator
+        assert beyond <= 1e-12 * scale
 
-    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
     @pytest.mark.parametrize("name", sorted(_DEFAULT_STROKES))
-    def test_estimates_the_one_step_gap(self, name, drive):
+    def test_estimates_the_one_step_gap(self, name):
         # one small step from the thermal start: the estimate is the leading
         # term of ||e^{-i Omega6} rho e^{i Omega6} - e^{-i Omega4} rho e^{i Omega4}||
         protocol, beta, dim, _ = _DEFAULT_STROKES[name]
-        ops = build_operators(stroke_reference(protocol), dim)
+        ops = build_operators(dim)
         st = thermal_fock_in(ops, beta, protocol.omega_i)
         rho = oracles.dense_rho(st)
-        pair = fock_oracle._magnus_pair((ops.even, ops.odd), protocol, drive, 1.0, 0.05)
+        pair = fock_oracle._magnus_pair((ops.even, ops.odd), protocol, 1.0, 0.05)
         u4, u6 = np.zeros((dim, dim), complex), np.zeros((dim, dim), complex)
         for s, (omega4, gap) in zip(fock_oracle._PARITIES, pair):
             u4[s, s] = _dense_expm(_dense_band(omega4))
@@ -684,13 +739,12 @@ class TestLocalExtrapolation:
     """An accepted step advances rho with Omega6 = Omega4 + D as
     exp(-iD/2) exp(-i Omega4) exp(-iD/2), each D factor to first order."""
 
-    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
-    def test_step_is_of_sixth_order(self, drive):
+    def test_step_is_of_sixth_order(self):
         # one step from the thermal start against eight dense Omega6 steps
         # on the same operators: halving h cuts the extrapolated step's error
         # by 2^7 = 128 in the limit, the bare Omega4 step's by 2^5 = 32
         protocol, beta, dim, _ = _DEFAULT_STROKES["compression"]
-        ops = build_operators(stroke_reference(protocol), dim)
+        ops = build_operators(dim)
         blocks = (ops.even, ops.odd)
         st = thermal_fock_in(ops, beta, protocol.omega_i)
         rho = loop_rho(st)
@@ -698,10 +752,10 @@ class TestLocalExtrapolation:
         def errors(t, h):
             want = oracles.dense_rho(st)
             for k in range(8):
-                pair = _dense_pair(blocks, protocol, drive, t + k * h / 8, h / 8)
+                pair = _dense_pair(blocks, protocol, t + k * h / 8, h / 8)
                 u = _block_unitary([_dense_expm(o4 + gap) for o4, gap in pair], dim)
                 want = u @ want @ u.conj().T
-            pair = fock_oracle._magnus_pair(blocks, protocol, drive, t, h)
+            pair = fock_oracle._magnus_pair(blocks, protocol, t, h)
             us = tuple(fock_oracle._expm_tridiagonal(m[0].real, m[1, :-1]) for m, _ in pair)
             bare = fock_oracle._apply(us, rho)
             comm = fock_oracle._commutator([d for _, d in pair], rho)
@@ -713,8 +767,7 @@ class TestLocalExtrapolation:
         assert ext_h / ext_half >= 50.0
         assert ext_h < 0.05 * bare_h
 
-    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
-    def test_even_odd_block_gets_the_kick(self, drive):
+    def test_even_odd_block_gets_the_kick(self):
         # a start with coherences between the parities: the step equals the
         # dense rho - (i/2)[D, rho], U . U^dagger, rho - (i/2)[D, rho] on
         # every block, the even-odd one included, where the kicks matter
@@ -724,9 +777,9 @@ class TestLocalExtrapolation:
         z *= np.exp(-0.3 * np.arange(dim))[:, None]
         rho0 = z @ z.conj().T
         st = oracles.fock_state(rho0 / np.trace(rho0).real, 1.0)
-        ops = build_operators(1.0, dim)
+        ops = build_operators(dim)
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 1.3, 1.0)
-        pair = fock_oracle._magnus_pair((ops.even, ops.odd), protocol, drive, 0.3, 0.2)
+        pair = fock_oracle._magnus_pair((ops.even, ops.odd), protocol, 0.3, 0.2)
         rho = loop_rho(st)
         got = fock_oracle._advance(pair, rho, fock_oracle._commutator([d for _, d in pair], rho))
         assert got.cross is not None
@@ -750,7 +803,7 @@ def _recording_sizes(monkeypatch):
     pair = fock_oracle._magnus_pair
 
     def recorded(blocks, *args):
-        sizes.append(sum(b.x2.shape[1] for b in blocks) - fock_oracle._MAGNUS_GUARD)
+        sizes.append(sum(b.k.shape[1] for b in blocks) - fock_oracle._MAGNUS_GUARD)
         return pair(blocks, *args)
 
     monkeypatch.setattr(fock_oracle, "_magnus_pair", recorded)
@@ -760,10 +813,10 @@ def _recording_sizes(monkeypatch):
 class TestActiveWindow:
     @pytest.fixture(scope="class")
     def expansion(self):
-        # the default bare expansion stroke: (ops, protocol, end state,
-        # window size of every trial step)
+        # the default expansion stroke: (ops, protocol, end state, window
+        # size of every trial step)
         protocol, beta, dim, _ = _DEFAULT_STROKES["expansion"]
-        ops = build_operators(stroke_reference(protocol), dim)
+        ops = build_operators(dim)
         st0 = thermal_fock_in(ops, beta, protocol.omega_i)
         with pytest.MonkeyPatch.context() as mp:
             sizes = _recording_sizes(mp)
@@ -773,7 +826,7 @@ class TestActiveWindow:
     def test_window_grows_below_the_cap(self, expansion):
         ops, _, _, sizes = expansion
         assert sizes == sorted(sizes)
-        assert sizes[0] < sizes[-1] < ops.dim
+        assert sizes[0] < sizes[-1] < ops.dim - fock_oracle._MAGNUS_GUARD
 
     def test_padded_levels_are_exactly_zero(self, expansion):
         ops, _, end, sizes = expansion
@@ -784,52 +837,26 @@ class TestActiveWindow:
         assert not np.any(rho[:, n:])
 
     def test_final_energy_matches_the_full_dim_propagation(self, expansion):
-        # 2.3769302199608293: the same stroke propagated with the window
+        # 2.3769303721735118: the same stroke propagated with the window
         # opened at its cap, the full dim 344 less the Magnus guard
         # (_WINDOW_TAIL = 0)
         ops, protocol, end, _ = expansion
-        e = mean_energy_fock(ops, end, protocol.omega_f)
-        assert e == pytest.approx(2.3769302199608293, rel=1e-10, abs=0.0)
+        assert mean_energy_fock(end) == pytest.approx(2.3769303721735118, rel=1e-10, abs=0.0)
 
     def test_leak_at_the_cap_raises_after_growing(self, monkeypatch):
-        # a fast fourfold compression squeezes the vacuum beyond dim 40: the
-        # window opens far below its cap, 40 levels less the Magnus guard,
-        # grows into it and is refused there by the same leak check as a
-        # propagation opened at the cap
-        ops = build_operators(1.0, 40)
+        # a fast eightfold compression squeezes the vacuum beyond dim 40 of
+        # the instantaneous frame: the window opens far below its cap, 40
+        # levels less the Magnus guard, grows into it and is refused there
+        # by the same leak check as a propagation opened at the cap
+        ops = build_operators(40)
         rho = np.zeros((40, 40), dtype=complex)
         rho[0, 0] = 1.0
         st0 = oracles.fock_state(rho, 1.0)
-        protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 4.0, 0.5)
+        protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 8.0, 0.25)
         sizes = _recording_sizes(monkeypatch)
         with pytest.raises(CutoffError, match="top two Fock levels"):
-            propagate_fock_path(ops, st0, protocol, [0.5])
+            propagate_fock_path(ops, st0, protocol, [0.25])
         assert sizes[0] < sizes[-1] == 40 - fock_oracle._MAGNUS_GUARD
-
-
-class TestH0Eigenbasis:
-    """The parity-split real eigensolves of H0 against one dense complex
-    eigh of the full matrix."""
-
-    @pytest.mark.parametrize("name", sorted(_DEFAULT_STROKES))
-    def test_thermal_state_matches_dense_route(self, name):
-        protocol, beta, dim, _ = _DEFAULT_STROKES[name]
-        ops = build_operators(stroke_reference(protocol), dim)
-        _, evecs = np.linalg.eigh(dense_h0(ops, protocol.omega_i))
-        pops = np.exp(-beta * protocol.omega_i * np.arange(dim))
-        want = (evecs * (pops / pops.sum())) @ evecs.conj().T
-        got = oracles.dense_rho(thermal_fock_in(ops, beta, protocol.omega_i))
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    @pytest.mark.parametrize("dim", [7, 60, 344])
-    def test_populations_match_dense_route(self, dim):
-        # a random state carries coherences across the parities too
-        st = random_state(np.random.default_rng(dim), dim, 0.6)
-        ops = build_operators(0.6, dim)
-        _, evecs = np.linalg.eigh(dense_h0(ops, 1.3))
-        want = np.einsum("ij,jk,ki->i", evecs.conj().T, oracles.dense_rho(st), evecs).real
-        got = populations_instantaneous(ops, st, 1.3)
-        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestSpectralData:
@@ -837,31 +864,46 @@ class TestSpectralData:
         t = 1.5
         w, wd, _ = REF.eval(t)
         q = float(q_cd(REF, [t])[0])
-        ops = build_operators(stroke_reference(REF), 160)
-        evals, h0_exp = cd_level_energies(ops, w, wd, 4)
+        evals, h0_exp = cd_level_energies(build_operators(160), w, wd, 4)
         n = np.arange(4) + 0.5
-        np.testing.assert_allclose(evals, (w / q) * n, rtol=1e-10)
-        np.testing.assert_allclose(h0_exp, (w * q) * n, rtol=1e-10)
+        np.testing.assert_allclose(evals, (w / q) * n, rtol=1e-14)
+        np.testing.assert_allclose(h0_exp, (w * q) * n, rtol=1e-14)
         assert evals[0] == pytest.approx(0.3021045295529447, abs=1e-12)
         assert h0_exp[0] == pytest.approx(0.37704250965240029, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["poly5", "poly3", "cosine"])
+    def test_cd_levels_match_closed_forms_along_the_ramp(self, kind):
+        # omega/Q*_CD (n + 1/2) and omega Q*_CD (n + 1/2) to 1e-14 at the
+        # lowest 8 levels, at five instants of each shortcut ramp
+        p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
+        ts = np.linspace(0.3, 2.7, 5)
+        ops = build_operators(160)
+        n = np.arange(8) + 0.5
+        for t, q in zip(ts, q_cd(p, ts)):
+            w, wd, _ = p.eval(float(t))
+            evals, h0_exp = cd_level_energies(ops, w, wd, 8)
+            np.testing.assert_allclose(evals, (w / q) * n, rtol=1e-14)
+            np.testing.assert_allclose(h0_exp, (w * q) * n, rtol=1e-14)
 
     @pytest.mark.parametrize("n_levels", [4, 80])
     def test_cd_levels_match_dense_eigh_route(self, n_levels):
         # the two parity eigensolves, merged by eigenvalue, against one dense
-        # complex eigh of the full counterdiabatic Hamiltonian
+        # complex eigh of the full counterdiabatic Hamiltonian in the number
+        # basis of the instant's omega, H0 = omega (a^dagger a + 1/2) with
+        # the dense annihilator
         w, wd, _ = REF.eval(1.5)
-        ops = build_operators(stroke_reference(REF), 160)
-        x, p = oracles.dense_operators(ops.ref_omega, ops.dim)
-        h0 = dense_h0(ops, w)
+        x, p = oracles.dense_operators(w, 160)
+        a = (math.sqrt(w) * x + 1j * p / math.sqrt(w)) / math.sqrt(2.0)
+        h0 = w * (a.conj().T @ a + 0.5 * np.eye(160))
         lam, v = np.linalg.eigh(h0 - (wd / (4.0 * w)) * (x @ p + p @ x))
         v = v[:, :n_levels]
-        evals, h0_exp = cd_level_energies(ops, w, wd, n_levels)
+        evals, h0_exp = cd_level_energies(build_operators(160), w, wd, n_levels)
         np.testing.assert_allclose(evals, lam[:n_levels], rtol=0.0, atol=1e-12)
         want = np.sum(v.conj() * (h0 @ v), axis=0).real
         np.testing.assert_allclose(h0_exp, want, rtol=0.0, atol=1e-11)
 
     def test_truncation_guard_on_level_count(self):
-        ops = build_operators(0.7, 40)
+        ops = build_operators(40)
         with pytest.raises(ValueError):
             cd_level_energies(ops, 0.7, -0.1, 30)
 
@@ -876,6 +918,16 @@ class TestTwoPointMeasurement:
     def test_zero_at_stroke_end(self):
         got = tpm_variance_excess(REF, 2.0, 3.0)
         assert got == pytest.approx(0.0, abs=1e-8)
+
+    def test_refused_below_tau_min(self):
+        # poly5 0.35 -> 1 at tau = 1.5, below tau_min = 2.0678498, where the
+        # validity margin at t = 0.45 is about -0.90: the closed form and
+        # the matrix route refuse alike
+        p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 1.5)
+        with pytest.raises(TrapInversionError):
+            work_variance_excess([p], [2.0], [[0.45]])
+        with pytest.raises(TrapInversionError, match="tau_min"):
+            tpm_variance_excess(p, 2.0, 0.45)
 
 
 class TestRelativeEntropy:
@@ -904,13 +956,18 @@ class TestRelativeEntropy:
 
     def test_irreversible_work_positive_for_bare_drive(self):
         beta = 2.0
-        ops = build_operators(stroke_reference(REF), stroke_dim(beta, REF))
+        ops = build_operators(stroke_dim(beta, REF))
         st0 = thermal_fock_in(ops, beta, 0.35)
-        st = propagate_fock_path(ops, st0, REF, [3.0], drive=Drive.BARE)[-1]
-        ad = adiabatic_reference(ops, st0, 0.35, 1.0)
+        st = propagate_fock_path(ops, st0, REF, [3.0])[-1]
+        # in the number basis of omega_f the adiabatically transported state
+        # has the start's populations, so its matrix is st0's
+        ad = oracles.dense_rho(st0)
         # W_irr = S(rho || rho_adiabatic) / beta
         w_irr = oracles.relative_entropy(oracles.dense_rho(st), ad) / beta
         assert w_irr > 0.0
-        # and it is tiny for the counterdiabatic drive
-        st_cd = propagate_fock_path(ops, st0, REF, [3.0], drive=Drive.CD)[-1]
-        assert oracles.relative_entropy(oracles.dense_rho(st_cd), ad) / beta < 1e-6 * w_irr
+        # and it is tiny for the counterdiabatic drive, by the dense
+        # fixed-basis route: the transported state is the Gibbs state at
+        # omega_f and beta omega_i / omega_f there
+        ref, (rho_cd,) = dense_reference(REF, beta, [3.0], cd=True)
+        ad_dense = oracles.dense_thermal(beta * 0.35, 1.0, ref, len(rho_cd))
+        assert oracles.relative_entropy(rho_cd, ad_dense) / beta < 1e-6 * w_irr

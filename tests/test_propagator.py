@@ -80,12 +80,20 @@ class TestIntegrator:
         # little slack beyond pure propagator error
         np.testing.assert_allclose(y, brute, rtol=5e-7, atol=2e-9)
 
-    def test_pair_matches_brute_rk4(self):
+    @pytest.mark.parametrize(
+        "kind, rtol",
+        [(ProtocolKind.COSINE, 1e-12), (ProtocolKind.POLY5, dynamics.DEFAULT_RTOL)],
+        ids=["cosine-tight", "poly5-default"],
+    )
+    def test_pair_matches_brute_rk4(self, kind, rtol):
+        """Two independent routes agree: the Magnus transfer matrix, also
+        at the default tolerance, and the fixed-step RK4 reference of the
+        pair equations (no shared code beyond the ramp formula)."""
         wi, wf, tau = 0.35, 1.0, 3.0
-        p = FrequencyProtocol(ProtocolKind.COSINE, wi, wf, tau)
-        y = pair(p, [tau], rtol=1e-12)[0]
+        p = FrequencyProtocol(kind, wi, wf, tau)
+        y = pair(p, [tau], rtol=rtol)[0]
         brute = oracles.rk4_fixed(
-            oracles.pair_rhs("cosine", wi, wf, tau), np.array([0.0, 1.0, 1.0, 0.0]), 0.0, tau, 40000
+            oracles.pair_rhs(kind.value, wi, wf, tau), np.array([0.0, 1.0, 1.0, 0.0]), 0.0, tau, 40000
         )
         np.testing.assert_allclose(y, brute, rtol=1e-8, atol=1e-12)
 
@@ -112,16 +120,3 @@ class TestIntegrator:
         d2 = np.max(np.abs(results[1] - results[2]))
         assert d2 < d1
         assert d2 < 1e-8
-
-
-class TestBackendFlag:
-    def test_fallback_matches_active_backend(self):
-        """Two independent routes agree: the Magnus transfer matrix at the
-        default tolerance and the fixed-step RK4 reference of the pair
-        equations (no shared code beyond the ramp formula)."""
-        p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
-        y = pair(p, [3.0])[0]
-        brute = oracles.rk4_fixed(
-            oracles.pair_rhs("poly5", 0.35, 1.0, 3.0), np.array([0.0, 1.0, 1.0, 0.0]), 0.0, 3.0, 40000
-        )
-        np.testing.assert_allclose(y, brute, rtol=1e-8, atol=1e-12)

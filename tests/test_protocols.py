@@ -118,7 +118,7 @@ class TestCheckpoints:
         from ottosta.dynamics import adiabaticity_stack
 
         p = make(ProtocolKind.POLY5)
-        ops = fock_oracle.build_operators(fock_oracle.stroke_reference(p), 16)
+        ops = fock_oracle.build_operators(16)
         state = fock_oracle.thermal_fock_in(ops, 2.0, 0.35)
         paths = [
             lambda: p.checkpoints(ts),
