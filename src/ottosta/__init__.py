@@ -11,7 +11,6 @@ Units: hbar = m = k_B = 1.
 """
 
 from .dynamics import (
-    Drive,
     adiabaticity_stack,
     q_cd_grid,
     transfer_matrices,
@@ -39,7 +38,6 @@ __all__ = [
     "CutoffError",
     "CycleConfig",
     "CycleResult",
-    "Drive",
     "EmpConfig",
     "EmpResult",
     "FrequencyProtocol",

@@ -1,23 +1,21 @@
 """Gaussian-state dynamics of the driven harmonic trap.
 
-The working medium stays Gaussian under any quadratic Hamiltonian. Two
-drives are supported:
+The working medium stays Gaussian under any quadratic Hamiltonian. The
+bare drive H0 = p^2/2 + omega(t)^2 x^2 / 2 gives the linear equations
+x' = p, p' = -omega^2 x. Their 2x2 transfer matrix M(t) carries
+everything: mean(t) = M mean(0), cov(t) = M cov(0) M^T, and its columns are
+the two classical solutions behind Q*. M is computed by a vectorized
+6th-order Magnus propagator with step-doubling error control, for a whole
+stack of strokes in one call; each stroke keeps the steps, and the bits,
+of its one-row call.
 
-* ``Drive.BARE``: H0 = p^2/2 + omega(t)^2 x^2 / 2;
-* ``Drive.CD``: H0 plus the counterdiabatic term -(omegadot/4 omega)(xp+px),
-  which transports eigenstates of H0 along the instantaneous basis exactly.
-
-Both give the linear equations x' = g x + p, p' = -omega^2 x - g p, with
-g = 0 (bare) or g = -omegadot/(2 omega) (CD). Their 2x2 transfer matrix
-M(t) carries everything: mean(t) = M mean(0), cov(t) = M cov(0) M^T, and
-its columns are the two classical solutions behind Q*. M is computed by a
-vectorized 6th-order Magnus propagator with step-doubling error control,
-for a whole stack of strokes in one call; each stroke keeps the steps, and
-the bits, of its one-row call.
+The counterdiabatic (CD) drive adds -(omegadot/4 omega)(xp+px) to H0 and
+transports the eigenstates of H0 along the instantaneous basis exactly, so
+a CD stroke is booked in closed form and never propagated.
 
 The public surface is that stacked call and its readouts:
 
-* ``transfer_matrices``: the checkpoints and M of every stroke, bare or CD;
+* ``transfer_matrices``: the checkpoints and M of every stroke;
 * ``adiabaticity_stack``: the bare-drive adiabaticity factor Q* (the ratio
   of the actual mean energy to the adiabatically transported one), read
   off M twice: as the energy of the propagated thermal moments, and from
@@ -32,7 +30,6 @@ The independent checks of M are the fixed-step references in
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +43,6 @@ from .protocols import (
 )
 
 __all__ = [
-    "Drive",
     "coth_half",
     "thermal_energy",
     "transfer_matrices",
@@ -69,11 +65,6 @@ _NODES = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
 # |det Omega| below which the step exponential uses its Taylor series.
 _SERIES_MAX = 1e-2
 _MIN_START_STEPS = 4
-
-
-class Drive(str, Enum):
-    BARE = "bare"
-    CD = "cd"
 
 
 def _checked_covariances(cov: np.ndarray) -> np.ndarray:
@@ -145,10 +136,9 @@ class _Stack(NamedTuple):
     omega_i: np.ndarray
     omega_f: np.ndarray
     tau: np.ndarray
-    cd: np.ndarray  # counterdiabatic drive
 
     @classmethod
-    def of(cls, protocols: list[FrequencyProtocol], drives: list[Drive]) -> "_Stack":
+    def of(cls, protocols: list[FrequencyProtocol]) -> "_Stack":
         kinds = list(dict.fromkeys(p.kind for p in protocols))
         return cls(
             kinds,
@@ -156,7 +146,6 @@ class _Stack(NamedTuple):
             np.array([p.omega_i for p in protocols]),
             np.array([p.omega_f for p in protocols]),
             np.array([p.tau for p in protocols]),
-            np.array([drive is Drive.CD for drive in drives]),
         )
 
     def ramp(self, row: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +178,7 @@ def _step_exponentials(
     """exp(Omega) of each Magnus step [left, left + h] of stroke ``row`` of
     the stack, as components (m00, m01, m10, m11) of shape (4, N).
 
-    With the generator A_k = [[g, 1], [-omega^2, -g]] at the three nodes:
+    With the generator A_k = [[0, 1], [-omega^2, 0]] at the three nodes:
     a1 = h A_2, a2 = (sqrt(15) h/3)(A_3 - A_1), a3 = (10 h/3)(A_3 - 2 A_2 + A_1),
     C1 = [a1, a2], C2 = -[a1, 2 a3 + C1]/60 and
     Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240. Every term is
@@ -197,14 +186,13 @@ def _step_exponentials(
     exp(Omega) = C I + S Omega with C = cosh(sqrt delta) and
     S = sinh(sqrt delta)/sqrt delta (cos/sin for delta < 0).
     """
-    w, wd = stack.ramp(row, left + _NODES[:, None] * h)
-    # A_k = [[g_k, 1], [c_k, -g_k]]; traceless matrices are (m00, m01, m10).
+    w = stack.ramp(row, left + _NODES[:, None] * h)[0]
+    # A_k = [[0, 1], [c_k, 0]]; traceless matrices are (m00, m01, m10).
     c1, c2, c3 = -w * w
-    g1, g2, g3 = np.where(stack.cd[row], -wd / (2.0 * w), 0.0)
     k2, k3 = _SQRT15 / 3.0 * h, 10.0 / 3.0 * h
-    a1 = (h * g2, h, h * c2)
-    a2 = (k2 * (g3 - g1), 0.0, k2 * (c3 - c1))
-    a3 = (k3 * (g3 - 2.0 * g2 + g1), 0.0, k3 * (c3 - 2.0 * c2 + c1))
+    a1 = (0.0, h, h * c2)
+    a2 = (0.0, 0.0, k2 * (c3 - c1))
+    a3 = (0.0, 0.0, k3 * (c3 - 2.0 * c2 + c1))
     com1 = _bracket(a1, a2)
     com2 = _bracket(a1, tuple(2.0 * u + v for u, v in zip(a3, com1)))
     lhs = tuple(v - 20.0 * x - y for x, y, v in zip(a1, a3, com1))
@@ -308,12 +296,12 @@ def _gap_products(
 
 
 def _transfer_matrices(
-    protocols: list[FrequencyProtocol], ts: np.ndarray, drives: list[Drive], rtol: float
+    protocols: list[FrequencyProtocol], ts: np.ndarray, rtol: float
 ) -> np.ndarray:
     """Transfer matrices M_b(t_bj), shape (B, K, 2, 2), of a stack of B
     strokes, each from t = 0 to its K ascending checkpoints ts[b].
 
-    Rows may differ in ramp, duration and drive; each keeps the error
+    Rows may differ in ramp, direction and duration; each keeps the error
     control it has alone. Every gap between checkpoints gets a whole number
     of equal Magnus steps, starting near one step per radian of the row's
     fastest trap frequency. The row's step count then doubles until its
@@ -329,7 +317,7 @@ def _transfer_matrices(
     if not rtol > 0.0:
         raise ValueError(f"rtol must be positive, got {rtol!r}")
     n_rows, n_ts = ts.shape
-    stack = _Stack.of(protocols, drives)
+    stack = _Stack.of(protocols)
     edges = np.concatenate((np.zeros((n_rows, 1)), ts), axis=1)
     t_end = ts[:, -1]
     moving = t_end > 0.0
@@ -398,23 +386,18 @@ def _prefix_products(gaps: np.ndarray) -> np.ndarray:
 
 
 def transfer_matrices(
-    protocols, ts, drives, rtol: float = DEFAULT_RTOL
+    protocols, ts, rtol: float = DEFAULT_RTOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validated checkpoints (B, K) and transfer matrices (B, K, 2, 2) of a
-    stack of strokes: row b follows protocols[b] under drives[b] from t = 0
-    to its ascending checkpoints ts[b], and every row has the same number K
-    of them. A state propagates as mean(t) = M mean(0) and
-    cov(t) = M cov(0) M^T; under the bare drive the columns of M are the
-    classical solutions (Y, Ydot) with Y(0) = 1, Ydot(0) = 0 and (X, Xdot)
-    with X(0) = 0, Xdot(0) = 1. Each row equals its one-row call bit for
-    bit. CD rows need tau > tau_min."""
+    """Validated checkpoints (B, K) and bare-drive transfer matrices
+    (B, K, 2, 2) of a stack of strokes: row b follows protocols[b] from
+    t = 0 to its ascending checkpoints ts[b], and every row has the same
+    number K of them. A state propagates as mean(t) = M mean(0) and
+    cov(t) = M cov(0) M^T; the columns of M are the classical solutions
+    (Y, Ydot) with Y(0) = 1, Ydot(0) = 0 and (X, Xdot) with X(0) = 0,
+    Xdot(0) = 1. Each row equals its one-row call bit for bit."""
     protocols = list(protocols)
-    drives = [Drive(d) for d in drives]
     ts = _checkpoints(protocols, ts)
-    for protocol, drive in zip(protocols, drives, strict=True):
-        if drive is Drive.CD:
-            require_cd_valid(protocol)
-    return ts, _transfer_matrices(protocols, ts, drives, rtol)
+    return ts, _transfer_matrices(protocols, ts, rtol)
 
 
 def _checkpoints(protocols: list[FrequencyProtocol], ts) -> np.ndarray:
@@ -428,7 +411,7 @@ def _checkpoints(protocols: list[FrequencyProtocol], ts) -> np.ndarray:
 
 def _ramp_grid(protocols: list[FrequencyProtocol], ts) -> tuple[np.ndarray, np.ndarray]:
     """(omega, omegadot), each (B, K), of each stroke at its times ts[b]."""
-    stack = _Stack.of(protocols, [Drive.BARE] * len(protocols))
+    stack = _Stack.of(protocols)
     return stack.ramp(np.arange(len(protocols))[:, None], np.asarray(ts, dtype=np.float64))
 
 
@@ -476,7 +459,7 @@ def adiabaticity_stack(
     classical-pair value, which is independent of temperature. Each row
     equals its one-row call bit for bit."""
     protocols = list(protocols)
-    ts, m = transfer_matrices(protocols, ts, [Drive.BARE] * len(protocols), rtol)
+    ts, m = transfer_matrices(protocols, ts, rtol)
     w_t = _ramp_grid(protocols, ts)[0]
     omega_i = np.array([p.omega_i for p in protocols])[:, None]
     return _thermal_q(m, protocols, betas, w_t), _pair_q(omega_i, m, w_t)

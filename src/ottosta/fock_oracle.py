@@ -29,14 +29,11 @@ applied to first order, rho -> rho - (i/2)[D, rho].
 
 N and K change the number n by 0 or +-2 and never mix even and odd n. Each
 Magnus step therefore exponentiates two generators of about dim/2, one per
-number parity, instead of one of size dim, and rho exists only as its
-parity blocks (``FockState``): the even-even and odd-odd blocks, each
-contiguous, updated as rho[a, a] <- U_a rho[a, a] U_a^dagger. The even-odd
-block, rho[e, o] <- U_e rho[e, o] U_o^dagger, is carried only when the start
-state has an off-parity coherence (the odd-even block is its conjugate
-transpose, since rho is Hermitian). A thermal start has none, and a
-block-diagonal U keeps a zero block exactly zero, so skipping it changes
-nothing.
+number parity, instead of one of size dim. Every stroke starts thermal,
+with no coherence between even and odd n, and a block-diagonal U creates
+none, so rho exists only as its even-even and odd-odd blocks
+(``FockState``), each contiguous, updated as
+rho[a, a] <- U_a rho[a, a] U_a^dagger.
 
 Within one parity, N + 1/2 is diagonal and K couples only neighbouring
 levels, so each exists only as a Hermitian tridiagonal band per parity,
@@ -46,10 +43,10 @@ second band of its bracket, the only part of the generator that can leave
 the tridiagonal form, cancels. A diagonal phase gauge makes each block real
 symmetric without changing its spectrum, so each block exponential is one
 real eigensolve, exact up to roundoff. A generator that is not tridiagonal
-is refused, never truncated. D = Omega6 - Omega4 is kept on all the bands
-its brackets produce, up to three off-diagonals (beyond the first they
-cancel to roundoff), and enters the step only through its commutators
-with rho.
+is refused, never truncated. D = Omega6 - Omega4 is built on all the bands
+its brackets produce, up to three off-diagonals, but beyond the first they
+cancel to roundoff, so the step keeps only its tridiagonal band; D enters
+the step only through its commutators with rho.
 
 The truncation ``ops.dim`` (for a stroke, ``stroke_dim``) is a cap, not the
 working size: rho is propagated on an active window of the lowest levels,
@@ -212,24 +209,21 @@ def stroke_dim(beta: float, protocol: FrequencyProtocol) -> int:
 @dataclass(frozen=True)
 class FockState:
     """Density matrix on the lowest dim levels of the number basis of
-    ``omega`` as its parity blocks: even-even and odd-odd, of sizes
-    (dim + 1) // 2 and dim // 2, and even-odd, None where it is exactly zero
-    (the odd-even block is its conjugate transpose). Validated on creation."""
+    ``omega``, with no coherence between even and odd n, as its parity
+    blocks: even-even and odd-odd, of sizes (dim + 1) // 2 and dim // 2.
+    Validated on creation."""
 
     even: np.ndarray
     odd: np.ndarray
-    cross: np.ndarray | None
     omega: float
 
     def __post_init__(self):
         if not self.omega > 0.0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        blocks = [self.even, self.odd, self.cross]
-        blocks = [None if m is None else np.array(m, dtype=np.complex128) for m in blocks]
-        even, odd, cross = blocks
-        ke, ko = (len(m) if m.ndim == 2 else -1 for m in (even, odd))
-        shapes = [m.shape for m in blocks if m is not None]
-        if shapes != [(ke, ke), (ko, ko), (ke, ko)][: len(shapes)] or ke - ko not in (0, 1):
+        even, odd = blocks = [np.array(m, dtype=np.complex128) for m in (self.even, self.odd)]
+        ke, ko = (len(m) if m.ndim == 2 else -1 for m in blocks)
+        shapes = [m.shape for m in blocks]
+        if shapes != [(ke, ke), (ko, ko)] or ke - ko not in (0, 1):
             raise ValueError(f"block shapes {shapes} are not the parity blocks of one truncation")
         for m in (even, odd):
             herm = np.linalg.norm(m - m.conj().T)
@@ -266,7 +260,7 @@ def thermal_fock_in(ops: FockOperators, beta: float, omega: float) -> FockState:
     basis, on the ops.dim levels of ``ops``: the diagonal Gibbs
     populations, at unit trace."""
     pops = _gibbs_populations(beta, omega, ops.dim)
-    return FockState(np.diag(pops[0::2]), np.diag(pops[1::2]), None, omega)
+    return FockState(np.diag(pops[0::2]), np.diag(pops[1::2]), omega)
 
 
 def mean_energy_fock(state: FockState) -> float:
@@ -335,10 +329,11 @@ def _magnus_pair(
     _BAND_TOL (h max|H_2|)^2 it raises NumericsError. a2 and a3 are
     differences of nearly equal Hamiltonians, so C1 is judged against a1's
     scale, never its own. D's bands beyond the first off-diagonal cancel
-    too, since [K, a^dagger^2 + a^2] is diagonal under any truncation, and
-    are kept as computed. Its entries on the top two levels of each block
-    carry the truncation (a a^dagger loses its entry there); those levels
-    are the guard that propagate_fock_path builds and cuts away."""
+    too, since [K, a^dagger^2 + a^2] is diagonal under any truncation; they
+    are returned as computed, and propagate_fock_path drops them. D's
+    entries on the top two levels of each block carry the truncation
+    (a a^dagger loses its entry there); those levels are the guard that
+    propagate_fock_path builds and cuts away."""
     nodes = [
         protocol.eval(t + c * h) for c in (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
     ]
@@ -366,14 +361,9 @@ def _magnus_pair(
 
 def _commutator(ds: list[np.ndarray], rho: _Rho) -> _Rho:
     """The parity blocks of [D, rho] for the Hermitian bands D = (D_even,
-    D_odd), in O(n^2 w): X - X^dagger with X = D_a rho[a, a] on a diagonal
-    block, D_e rho[e, o] - (D_o rho[o, e])^dagger off it."""
-    de, do = ds
-    xe, xo = _band_times(de, rho.even), _band_times(do, rho.odd)
-    cross = None
-    if rho.cross is not None:
-        cross = _band_times(de, rho.cross) - _band_times(do, rho.cross.conj().T).conj().T
-    return _Rho(xe - xe.conj().T, xo - xo.conj().T, cross)
+    D_odd), in O(n^2 w): X - X^dagger with X = D_a rho[a, a]."""
+    xs = (_band_times(d, m) for d, m in zip(ds, rho))
+    return _Rho(*(x - x.conj().T for x in xs))
 
 
 def _eigh_tridiagonal(
@@ -449,22 +439,18 @@ class _Rho(NamedTuple):
 
     even: np.ndarray
     odd: np.ndarray
-    cross: np.ndarray | None
 
 
 def _resized(rho: _Rho | FockState, n: int) -> _Rho:
     """rho on the lowest n levels, each block cut or zero-padded to its size
     there, in a new contiguous array: numpy's matmul skips BLAS on operands
     with no unit stride, which is about 10x slower at dim/2 = 172."""
-    ke, ko = (n + 1) // 2, n // 2
-
-    def fit(m, rows, cols):
-        out = np.zeros((rows, cols), dtype=np.complex128)
-        out[: m.shape[0], : m.shape[1]] = m[:rows, :cols]
+    def fit(m, k):
+        out = np.zeros((k, k), dtype=np.complex128)
+        out[: m.shape[0], : m.shape[1]] = m[:k, :k]
         return out
 
-    cross = None if rho.cross is None else fit(rho.cross, ke, ko)
-    return _Rho(fit(rho.even, ke, ke), fit(rho.odd, ko, ko), cross)
+    return _Rho(fit(rho.even, (n + 1) // 2), fit(rho.odd, n // 2))
 
 
 def _diagonal(rho: _Rho | FockState) -> np.ndarray:
@@ -476,27 +462,20 @@ def _diagonal(rho: _Rho | FockState) -> np.ndarray:
 
 
 def _frobenius(rho: _Rho) -> float:
-    """The Frobenius norm of rho from its blocks: the even-odd block counts
-    twice, once more for the odd-even block."""
-    even, odd, cross = (0.0 if m is None else float(np.linalg.norm(m)) ** 2 for m in rho)
-    return math.sqrt(even + odd + 2.0 * cross)
+    """The Frobenius norm of rho from its two blocks."""
+    return math.sqrt(sum(float(np.linalg.norm(m)) ** 2 for m in rho))
 
 
 def _apply(us: tuple[np.ndarray, np.ndarray], rho: _Rho) -> _Rho:
     """U rho U^dagger with U = U_even + U_odd, block by parity block:
-    rho[a, b] <- U_a rho[a, b] U_b^dagger for the even-even and odd-odd
-    blocks, and for the even-odd block if rho has one (off-parity
-    coherences exact). U never mixes the parities, so an even-odd block
-    that is exactly zero stays so, and is not multiplied."""
-    ue, uo = us
-    cross = None if rho.cross is None else ue @ rho.cross @ uo.conj().T
-    return _Rho(ue @ rho.even @ ue.conj().T, uo @ rho.odd @ uo.conj().T, cross)
+    rho[a, a] <- U_a rho[a, a] U_a^dagger."""
+    return _Rho(*(u @ m @ u.conj().T for u, m in zip(us, rho)))
 
 
 def _kicked(rho: _Rho, comm: _Rho) -> _Rho:
     """rho - (i/2) comm block by block: exp(-iD/2) rho exp(iD/2) to first
     order in D, with comm = [D, rho] from _commutator."""
-    return _Rho(*(None if r is None else r - 0.5j * c for r, c in zip(rho, comm)))
+    return _Rho(*(r - 0.5j * c for r, c in zip(rho, comm)))
 
 
 def _advance(pair: list[tuple[np.ndarray, np.ndarray]], rho: _Rho, comm: _Rho) -> _Rho:
@@ -513,24 +492,18 @@ def _advance(pair: list[tuple[np.ndarray, np.ndarray]], rho: _Rho, comm: _Rho) -
 
 
 def _check_and_clean(rho: _Rho) -> _Rho:
-    """rho at unit trace with exactly Hermitian diagonal blocks, block by
-    block. Raises NumericsError on a trace drift above _TRACE_LIMIT and
+    """rho at unit trace with exactly Hermitian blocks, block by block.
+    Raises NumericsError on a trace drift above _TRACE_LIMIT and
     CutoffError on more than _LEAK_LIMIT in the top two levels of the
-    window, the top level of each parity block. The even-odd block is only
-    rescaled: the odd-even block is its conjugate transpose by
-    construction."""
+    window, the top level of each parity block."""
     tr = float(np.trace(rho.even).real + np.trace(rho.odd).real)
     if not abs(tr - 1.0) <= _TRACE_LIMIT:
         raise NumericsError(
             f"trace drift {abs(tr - 1.0):.3g} exceeds {_TRACE_LIMIT:g} in the "
             "Magnus propagation"
         )
-    even, odd = (m / tr for m in rho[:2])
-    rho = _Rho(
-        0.5 * (even + even.conj().T),
-        0.5 * (odd + odd.conj().T),
-        None if rho.cross is None else rho.cross / tr,
-    )
+    scaled = (m / tr for m in rho)
+    rho = _Rho(*(0.5 * (m + m.conj().T) for m in scaled))
     leak = float(rho.even[-1, -1].real + rho.odd[-1, -1].real)
     if leak > _LEAK_LIMIT:
         raise CutoffError(
@@ -575,10 +548,9 @@ def propagate_fock_path(
     window plus the _MAGNUS_GUARD levels above it, taken from ``ops``, and
     cut to the window: the truncation artefacts of D's nested brackets
     fall on the guard, which rho never occupies. Each returned state is
-    zero-padded to ops.dim.
-
-    The even-odd block is carried only if ``state`` has one. The error and
-    tolerance norms are those of the whole rho."""
+    zero-padded to ops.dim. Of D only the tridiagonal band enters the step:
+    its further bands hold roundoff. The error and tolerance norms are those
+    of the whole rho."""
     if not abs(state.omega - protocol.omega_i) <= 1e-12 * protocol.omega_i:
         raise ValueError(
             f"state basis (omega {state.omega}) does not match the stroke's "
@@ -612,7 +584,7 @@ def propagate_fock_path(
                 h = target - t
             sizes = ((n + 1) // 2, n // 2)
             pair = [
-                (_cut(m, k), _cut(d, k))
+                (_cut(m, k), _cut(d[:2], k))
                 for (m, d), k in zip(_magnus_pair(blocks, protocol, t, h), sizes)
             ]
             comm = _commutator([d for _, d in pair], rho)

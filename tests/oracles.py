@@ -166,6 +166,23 @@ def covariance_rhs(kind, omega_i, omega_f, tau, cd):
     return rhs
 
 
+def cd_transfer_matrices(kind, omega_i, omega_f, tau, ts, steps):
+    """Transfer matrices (K, 2, 2) of the counterdiabatic drive at the
+    ascending checkpoints ``ts``: column j holds the means (x, p) grown from
+    the j-th unit start by fixed-step RK4 of covariance_rhs(..., cd=True),
+    with ceil(gap * steps / tau) steps per checkpoint gap."""
+    rhs = covariance_rhs(kind, omega_i, omega_f, tau, cd=True)
+    cols = np.eye(2, 5)
+    t, out = 0.0, []
+    for target in ts:
+        n = math.ceil((target - t) * steps / tau)
+        if n:
+            cols = np.array([rk4_fixed(rhs, y, t, target, n) for y in cols])
+        t = target
+        out.append(cols[:, :2].T)
+    return np.array(out)
+
+
 def pair_rhs(kind, omega_i, omega_f, tau):
     """RHS for the classical solution pair y = (X, Xdot, Y, Ydot) of
     xddot + omega(t)^2 x = 0."""
@@ -251,25 +268,24 @@ def dense_operators(ref_omega, dim):
 
 def fock_state(rho, omega):
     """The ``fock_oracle.FockState`` of the dense density matrix ``rho`` in
-    the number basis of ``omega``: its even-even, odd-odd and even-odd
-    blocks, the last None where it is exactly zero."""
+    the number basis of ``omega``: its even-even and odd-odd blocks. Raises
+    ValueError when rho has a coherence between even and odd n, which the
+    Fock oracle does not carry."""
     from ottosta.fock_oracle import FockState
 
     rho = np.asarray(rho)
-    cross = rho[0::2, 1::2] if np.any(rho[0::2, 1::2]) else None
-    return FockState(rho[0::2, 0::2], rho[1::2, 1::2], cross, omega)
+    if np.any(rho[0::2, 1::2]) or np.any(rho[1::2, 0::2]):
+        raise ValueError("rho has a coherence between even and odd number states")
+    return FockState(rho[0::2, 0::2], rho[1::2, 1::2], omega)
 
 
 def dense_rho(state):
     """The dense density matrix in Fock order of parity blocks ``state``
-    (anything with ``even``, ``odd`` and ``cross`` blocks)."""
+    (anything with ``even`` and ``odd`` blocks)."""
     n = state.even.shape[0] + state.odd.shape[0]
     rho = np.zeros((n, n), dtype=complex)
     rho[0::2, 0::2] = state.even
     rho[1::2, 1::2] = state.odd
-    if state.cross is not None:
-        rho[0::2, 1::2] = state.cross
-        rho[1::2, 0::2] = state.cross.conj().T
     return rho
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from ottosta.dynamics import (
     DEFAULT_RTOL,
-    Drive,
     _checked_covariances,
     _energies,
     adiabaticity_stack,
@@ -69,9 +68,10 @@ def mean_energy(state, omega):
     return float(_energies(state.mean, state.cov, omega))
 
 
-def states(state0, protocol, ts, drive=Drive.BARE, rtol=DEFAULT_RTOL):
-    """The GaussianState grown from ``state0`` at each ascending checkpoint."""
-    _, m = transfer_matrices([protocol], [ts], [drive], rtol)
+def states(state0, protocol, ts, rtol=DEFAULT_RTOL):
+    """The GaussianState grown from ``state0`` under the bare drive at each
+    ascending checkpoint."""
+    _, m = transfer_matrices([protocol], [ts], rtol)
     m = m[0]
     means, covs = m @ state0.mean, m @ state0.cov @ np.swapaxes(m, 1, 2)
     return [GaussianState(mean=mu, cov=c) for mu, c in zip(means, covs)]
@@ -81,7 +81,7 @@ def pair(protocol, ts, rtol=DEFAULT_RTOL):
     """Rows (X, Xdot, Y, Ydot) at each checkpoint of the classical solutions
     of xddot + omega(t)^2 x = 0 with X(0) = 0, Xdot(0) = 1 and Y(0) = 1,
     Ydot(0) = 0: the second and first columns of the bare-drive M."""
-    _, m = transfer_matrices([protocol], [ts], [Drive.BARE], rtol)
+    _, m = transfer_matrices([protocol], [ts], rtol)
     m = m[0]
     return np.stack([m[:, 0, 1], m[:, 1, 1], m[:, 0, 0], m[:, 1, 0]], axis=-1)
 

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import oracles
-from ottosta.dynamics import Drive
 from ottosta.errors import TrapInversionError
 from ottosta.fock_oracle import (
     build_operators,
@@ -125,12 +124,18 @@ def test_criterion_03_midpoint_shortcut_quantities():
 @pytest.mark.parametrize("kind", STA_KINDS)
 def test_criterion_04_cd_transitionless(kind):
     """Counterdiabatic driving is transitionless: Q*(tau) = 1 within 1e-8
-    (moment dynamics) and the populations on the instantaneous levels are
-    unchanged within 1e-6 (independent dense matrix propagation in a fixed
-    number basis, oracles.dense_stroke)."""
+    (fixed-step RK4 of the CD moment equations, oracles.covariance_rhs) and
+    the populations on the instantaneous levels are unchanged within 1e-6
+    (independent dense matrix propagation in a fixed number basis,
+    oracles.dense_stroke). The package books CD strokes as transitionless
+    and never propagates them; this checks that premise."""
     p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
-    st = states(thermal_state(2.0, 0.35), p, [3.0], drive=Drive.CD)[0]
-    q_end = mean_energy(st, 1.0) / ((1.0 / 0.35) * oracles.thermal_energy(2.0, 0.35))
+    c = 1.0 / math.tanh(0.35)
+    y0 = [0.0, 0.0, c / (2.0 * 0.35), 0.0, 0.5 * 0.35 * c]
+    rhs = oracles.covariance_rhs(kind.value, 0.35, 1.0, 3.0, cd=True)
+    y = oracles.rk4_fixed(rhs, y0, 0.0, 3.0, 20000)
+    e_end = 0.5 * (y[4] + y[2]) + 0.5 * (y[1] ** 2 + y[0] ** 2)  # <H0> at omega_f = 1
+    q_end = e_end / ((1.0 / 0.35) * oracles.thermal_energy(2.0, 0.35))
 
     ref, dim = math.sqrt(0.35), stroke_dim(2.0, p)
     rho0 = oracles.dense_thermal(2.0, 0.35, ref, dim)

@@ -292,9 +292,9 @@ class TestQstar:
         stacks = []
         exact = dynamics._transfer_matrices
 
-        def recorded(protocols, ts, drives, rtol):
+        def recorded(protocols, ts, rtol):
             stacks.append(ts.shape)
-            return exact(protocols, ts, drives, rtol)
+            return exact(protocols, ts, rtol)
 
         monkeypatch.setattr(dynamics, "_transfer_matrices", recorded)
         assert run_cli(["qstar", "--nodes", "11", "--oracle", "--out", outfile]) == 0
@@ -416,16 +416,16 @@ class TestCycleOracle:
         stacks = []
         exact_stack = dynamics._transfer_matrices
 
-        def recorded_stack(protocols, ts, drives, rtol):
-            stacks.append((len(protocols), ts.shape[1], set(drives)))
-            return exact_stack(protocols, ts, drives, rtol)
+        def recorded_stack(protocols, ts, rtol):
+            stacks.append((len(protocols), ts.shape[1]))
+            return exact_stack(protocols, ts, rtol)
 
         monkeypatch.setattr(dynamics, "_transfer_matrices", recorded_stack)
         monkeypatch.setattr(fock_oracle, "propagate_fock_path", lambda ops, st, *a, **k: [st])
         params = resolve_config("cycle", build_parser().parse_args(["cycle", "--grid", "tau=3:3:1"]))
         _, rows = datasets.cycle_dataset(params, oracle=True)
         assert len(rows) == 1
-        assert stacks == [(2, 1, {dynamics.Drive.BARE})]
+        assert stacks == [(2, 1)]
 
 
 class TestNoHeatInput:

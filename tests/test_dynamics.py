@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from ottosta import dynamics
 from ottosta.dynamics import (
-    Drive,
     _transfer_matrices,
     adiabaticity_stack,
     coth_half,
@@ -20,6 +19,24 @@ from ottosta.protocols import FrequencyProtocol, ProtocolKind
 from readouts import GaussianState, mean_energy, pair, q_star, states, thermal_state
 
 REF = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
+EXPANSION = FrequencyProtocol(ProtocolKind.COSINE, 1.0, 0.35, 3.0)
+
+
+def grown(state0, m):
+    """The GaussianState M mean(0), M cov(0) M^T for each transfer matrix
+    M of the stack m (K, 2, 2)."""
+    return [GaussianState(mean=mk @ state0.mean, cov=mk @ state0.cov @ mk.T) for mk in m]
+
+
+def cd_states(state0, protocol, ts, steps=6000):
+    """The GaussianState grown from ``state0`` under the counterdiabatic
+    drive at each ascending checkpoint, from the transfer matrices of the
+    RK4 oracle (the package books that drive in closed form and never
+    propagates it)."""
+    p = protocol
+    return grown(
+        state0, oracles.cd_transfer_matrices(p.kind.value, p.omega_i, p.omega_f, p.tau, ts, steps)
+    )
 
 
 class TestStatesAndEnergies:
@@ -95,14 +112,7 @@ class TestPropagation:
 
         monkeypatch.setattr(dyn, "_MAX_STEPS", 3)
         with pytest.raises(NumericsError):
-            transfer_matrices([REF], [[3.0]], [Drive.BARE])
-
-    def test_cd_drive_requires_validity(self):
-        fast = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 1.5)
-        with pytest.raises(TrapInversionError):
-            states(thermal_state(2.0, 0.35), fast, [1.5], drive=Drive.CD)
-        # bare drive has no such restriction
-        states(thermal_state(2.0, 0.35), fast, [1.5], drive=Drive.BARE)
+            transfer_matrices([REF], [[3.0]])
 
 
 class TestAdiabaticity:
@@ -165,9 +175,13 @@ class TestAdiabaticity:
 
 
 class TestCounterdiabatic:
+    """The closed-form CD accounting, and the premise behind it, checked on
+    the RK4 oracle's counterdiabatic moments: the drive transports the
+    thermal state onto the instantaneous thermal state."""
+
     def test_cd_tracks_adiabatic_energy_exactly(self):
         ts = np.linspace(0.0, 3.0, 11)
-        path = states(thermal_state(2.0, 0.35), REF, ts, drive=Drive.CD)
+        path = cd_states(thermal_state(2.0, 0.35), REF, ts)
         e0 = oracles.thermal_energy(2.0, 0.35)
         for t, st_ in zip(ts, path):
             w = REF.eval(t)[0]
@@ -176,7 +190,7 @@ class TestCounterdiabatic:
             assert mean_energy(st_, w) == pytest.approx((w / 0.35) * e0, rel=1e-10)
 
     def test_cd_final_state_is_adiabatic_target(self):
-        st_ = states(thermal_state(2.0, 0.35), REF, [3.0], drive=Drive.CD)[0]
+        st_ = cd_states(thermal_state(2.0, 0.35), REF, [3.0])[0]
         c = 1.0 / math.tanh(0.35)
         assert st_.cov[0, 0] == pytest.approx(c / 2.0, rel=1e-9)  # omega_f = 1
         assert st_.cov[1, 1] == pytest.approx(c / 2.0, rel=1e-9)
@@ -232,7 +246,7 @@ class TestCounterdiabatic:
         occupations, zero position-momentum correlation)."""
         c = 1.0 / math.tanh(0.35)
         for t in (0.6, 1.1, 2.4):
-            st_ = states(thermal_state(2.0, 0.35), REF, [t], drive=Drive.CD)[0]
+            st_ = cd_states(thermal_state(2.0, 0.35), REF, [t])[0]
             w = REF.eval(t)[0]
             assert st_.cov[0, 0] == pytest.approx(c / (2 * w), rel=1e-9)
             assert st_.cov[1, 1] == pytest.approx(c * w / 2, rel=1e-9)
@@ -242,21 +256,29 @@ class TestCounterdiabatic:
 class TestStackedReadout:
     """The energy-ratio readout of adiabaticity_stack reads energies off the
     stacked moments M C0 M^T; the states, one GaussianState per checkpoint,
-    are its reference."""
+    are its reference. It reads any transfer matrix alike: the bare drive's
+    of the package, and the counterdiabatic drive's of the RK4 oracle, on
+    which it reads 1."""
 
-    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD])
+    @pytest.mark.parametrize("drive", ["bare", "cd"])
     @pytest.mark.parametrize("beta", [0.2, 2.0, math.inf])
     def test_matches_per_state_energies(self, beta, drive):
         ts = np.linspace(0.0, 3.0, 101)
         state0 = thermal_state(beta, 0.35)
-        path = states(state0, REF, ts, drive=drive)
+        if drive == "bare":
+            ts_, m = transfer_matrices([REF], [ts])
+        else:
+            ts_ = ts[None]
+            m = oracles.cd_transfer_matrices("poly5", 0.35, 1.0, 3.0, ts, 3000)[None]
+        path = grown(state0, m[0])
         energies = np.array([mean_energy(s, REF.eval(t)[0]) for s, t in zip(path, ts)])
         want = energies / (REF.eval(ts)[0] / 0.35 * mean_energy(state0, 0.35))
-        ts_, m = transfer_matrices([REF], [ts], [drive])
         got = dynamics._thermal_q(m, [REF], [beta], REF.eval(ts_)[0])[0]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-        if drive is Drive.BARE:
+        if drive == "bare":
             assert got.tobytes() == adiabaticity_stack([REF], [beta], [ts])[0][0].tobytes()
+        else:
+            np.testing.assert_allclose(got, 1.0, rtol=0.0, atol=1e-10)
 
     def test_every_checkpoint_is_validated(self, monkeypatch):
         import ottosta.dynamics as dynamics
@@ -283,27 +305,25 @@ class TestTransferMatrix:
         st.floats(0.25, 1.0),
         st.floats(0.25, 1.0),
         st.floats(0.5, 12.0),
-        st.sampled_from([Drive.BARE, Drive.CD]),
     )
-    def test_unimodular_and_path_matches_endpoint(self, kind, wi, wf, tau, drive):
-        if drive is Drive.CD:
-            # coarse oracle scan; the 1 % margin covers its sampling error
-            assume(tau > 1.01 * oracles.tau_min(kind.value, wi, wf, n=2001))
+    def test_unimodular_and_path_matches_endpoint(self, kind, wi, wf, tau):
         p = FrequencyProtocol(kind, wi, wf, tau)
-        path = _transfer_matrices([p], np.linspace(0.0, tau, 101)[None], [drive], 1e-10)[0]
-        end = _transfer_matrices([p], np.array([[tau]]), [drive], 1e-10)[0, 0]
+        path = _transfer_matrices([p], np.linspace(0.0, tau, 101)[None], 1e-10)[0]
+        end = _transfer_matrices([p], np.array([[tau]]), 1e-10)[0, 0]
         # det M = 1 is the Wronskian -1 of the classical pair
         np.testing.assert_allclose(np.linalg.det(path), 1.0, rtol=0.0, atol=1e-12)
         assert np.linalg.det(end) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(path[0], np.eye(2), rtol=0.0, atol=0.0)
         assert np.max(np.abs(path[-1] - end)) <= 1e-9 * np.max(np.abs(end))
 
-    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD])
-    def test_step_is_sixth_order(self, drive):
+    @pytest.mark.parametrize(
+        "protocol", [REF, EXPANSION], ids=["compression", "expansion"]
+    )
+    def test_step_is_sixth_order(self, protocol):
         # the error of an n-step product falls 2^6 = 64-fold per doubling of n
         def product(n):
-            stack = dynamics._Stack.of([REF], [drive])
-            edges = np.array([[0.0, REF.tau]])
+            stack = dynamics._Stack.of([protocol])
+            edges = np.array([[0.0, protocol.tau]])
             return dynamics._gap_products(stack, np.array([0]), edges, np.array([[n]]))[:, 0, 0]
 
         exact = product(4096)
@@ -322,51 +342,51 @@ class TestTransferMatrix:
             return exact(stack, rows, edges, counts)
 
         monkeypatch.setattr(dynamics, "_gap_products", counted)
-        for drive in (Drive.BARE, Drive.CD):
+        for protocol in (REF, EXPANSION):
             steps.clear()
-            transfer_matrices([REF], [[REF.tau]], [drive])
-            assert steps == [4, 8, 32, 64], drive
+            transfer_matrices([protocol], [[protocol.tau]])
+            assert steps == [4, 8, 32, 64], protocol
 
 
-# (kind, omega_i, omega_f, tau, drive, path row): both directions, both
-# drives, taus across the default grid. Alone, these rows stop at different
-# step levels (0, 1, 3, 4 for the first; 0, 1, 2, 3 for the fourth).
+# (kind, omega_i, omega_f, tau, path row): both directions, taus across the
+# default grid. Alone, these rows stop at different step levels (0, 1, 3, 4
+# for the first, 0, 1, 2 for the fourth, 0 to 3 for the others).
 STACK = [
-    (ProtocolKind.POLY5, 0.35, 1.0, 3.0, Drive.BARE, False),
-    (ProtocolKind.POLY5, 1.0, 0.35, 12.0, Drive.BARE, False),
-    (ProtocolKind.COSINE, 0.35, 1.0, 5.0, Drive.CD, True),
-    (ProtocolKind.COSINE, 1.0, 0.35, 2.25, Drive.BARE, True),
-    (ProtocolKind.POLY5, 0.35, 1.0, 7.5, Drive.CD, False),
-    (ProtocolKind.COSINE, 1.0, 0.35, 9.0, Drive.CD, True),
+    (ProtocolKind.POLY5, 0.35, 1.0, 3.0, False),
+    (ProtocolKind.POLY5, 1.0, 0.35, 12.0, False),
+    (ProtocolKind.COSINE, 0.35, 1.0, 5.0, True),
+    (ProtocolKind.COSINE, 1.0, 0.35, 2.25, True),
+    (ProtocolKind.POLY5, 0.35, 1.0, 7.5, False),
+    (ProtocolKind.COSINE, 1.0, 0.35, 9.0, True),
 ]
 STACK_K = 11
 
 
 def _stack(rows=STACK):
-    """Protocols, (B, K) checkpoints and drives of a stack. A path row is
-    read at K points along the stroke; an endpoint row at its end, K times."""
-    protocols = [FrequencyProtocol(kind, wi, wf, tau) for kind, wi, wf, tau, _, _ in rows]
+    """Protocols and (B, K) checkpoints of a stack. A path row is read at K
+    points along the stroke; an endpoint row at its end, K times."""
+    protocols = [FrequencyProtocol(kind, wi, wf, tau) for kind, wi, wf, tau, _ in rows]
     ts = np.array([
         np.linspace(0.0, tau, STACK_K) if path else np.full(STACK_K, tau)
-        for _, _, _, tau, _, path in rows
+        for _, _, _, tau, path in rows
     ])
-    return protocols, ts, [row[4] for row in rows]
+    return protocols, ts
 
 
 class TestStackedPropagator:
     """_transfer_matrices on a stack of strokes that differ in ramp,
-    direction, duration, drive and checkpoints."""
+    direction, duration and checkpoints."""
 
     def test_rows_equal_their_lone_calls_bit_for_bit(self):
-        protocols, ts, drives = _stack()
-        stacked = _transfer_matrices(protocols, ts, drives, 1e-10)
+        protocols, ts = _stack()
+        stacked = _transfer_matrices(protocols, ts, 1e-10)
         assert stacked.shape == (len(STACK), STACK_K, 2, 2)
-        for b, (p, row, drive) in enumerate(zip(protocols, STACK, drives)):
-            if row[5]:
-                lone = _transfer_matrices([p], ts[b][None], [drive], 1e-10)[0]
+        for b, (p, row) in enumerate(zip(protocols, STACK)):
+            if row[4]:
+                lone = _transfer_matrices([p], ts[b][None], 1e-10)[0]
                 assert stacked[b].tobytes() == lone.tobytes(), b
             else:
-                lone = _transfer_matrices([p], np.array([[p.tau]]), [drive], 1e-10)[0, 0]
+                lone = _transfer_matrices([p], np.array([[p.tau]]), 1e-10)[0, 0]
                 for j in range(STACK_K):
                     assert stacked[b, j].tobytes() == lone.tobytes(), (b, j)
 
@@ -375,32 +395,32 @@ class TestStackedPropagator:
         pairwise product, so cutting gaps finer changes no bit."""
         import ottosta.dynamics as dyn
 
-        protocols, ts, drives = _stack()
-        want = _transfer_matrices(protocols, ts, drives, 1e-10)
+        protocols, ts = _stack()
+        want = _transfer_matrices(protocols, ts, 1e-10)
         monkeypatch.setattr(dyn, "_BLOCK_STEPS", 16)
-        got = _transfer_matrices(protocols, ts, drives, 1e-10)
+        got = _transfer_matrices(protocols, ts, 1e-10)
         assert got.tobytes() == want.tobytes()
 
     def test_unimodular(self):
-        protocols, ts, drives = _stack()
-        m = _transfer_matrices(protocols, ts, drives, 1e-10)
+        protocols, ts = _stack()
+        m = _transfer_matrices(protocols, ts, 1e-10)
         np.testing.assert_allclose(np.linalg.det(m), 1.0, rtol=0.0, atol=1e-12)
 
     def test_stacked_readout_against_brute_rk4(self):
         rows = [STACK[0], STACK[3]]
-        protocols, _, _ = _stack(rows)
+        protocols, _ = _stack(rows)
         q_energy, q_pair = adiabaticity_stack(
             protocols, [2.0, 0.5], [[p.tau] for p in protocols]
         )
-        for b, (kind, wi, wf, tau, _, _) in enumerate(rows):
+        for b, (kind, wi, wf, tau, _) in enumerate(rows):
             want = oracles.brute_pair_q(kind.value, wi, wf, tau)
             assert q_pair[b, 0] == pytest.approx(want, abs=1e-8)
             assert q_energy[b, 0] == pytest.approx(want, abs=1e-8)
 
     def test_stacked_readout_equals_single_stroke_calls(self):
-        """Every row of the bare-drive stack, of mixed kinds, directions,
-        durations and checkpoints, equals its one-row call bit for bit."""
-        protocols, ts, _ = _stack()
+        """Every row of the stack, of mixed kinds, directions, durations and
+        checkpoints, equals its one-row call bit for bit."""
+        protocols, ts = _stack()
         betas = [0.2 + b for b in range(len(STACK))]
         q_energy, q_pair = adiabaticity_stack(protocols, betas, ts)
         assert q_energy.shape == q_pair.shape == (len(STACK), STACK_K)
@@ -416,9 +436,9 @@ class TestStackedPropagator:
         # Alone, the short row ends at 32 steps and the long one at 64.
         monkeypatch.setattr(dyn, "_MAX_STEPS", 48)
         ends = np.array([[short.tau], [long_.tau]])
-        _transfer_matrices([short], ends[:1], [Drive.BARE], 1e-10)
+        _transfer_matrices([short], ends[:1], 1e-10)
         with pytest.raises(NumericsError):
-            _transfer_matrices([short, long_], ends, [Drive.BARE] * 2, 1e-10)
+            _transfer_matrices([short, long_], ends, 1e-10)
 
 
 class TestExtremeInputs:

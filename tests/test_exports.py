@@ -4,9 +4,10 @@ the stacked API (a single stroke is a one-row call of
 ``dynamics.transfer_matrices``, ``adiabaticity_stack`` or ``q_cd_grid``, of
 the ``sta_cost`` stacks or of ``thermo_cycle.stroke_records``), a second
 spelling of a stroke and its thermal start (``StrokeContext``; the stacks
-take ``protocols, betas``), helpers that only the tests used, and the Fock
+take ``protocols, betas``), helpers that only the tests used, the Fock
 oracle's reference basis and eigenbasis readout, which its instantaneous
-frame made unnecessary."""
+frame made unnecessary, and the Gaussian propagator's drive switch
+(``Drive``), since only the bare drive is propagated."""
 
 import ast
 import importlib
@@ -34,6 +35,7 @@ RETIRED = {
         "thermal_state",
         "mean_energy",
         "sudden_quench_q",
+        "Drive",
     ],
     "fock_oracle": [
         "thermal_dim",

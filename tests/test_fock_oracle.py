@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import oracles
 from ottosta import fock_oracle
-from ottosta.dynamics import Drive
 from ottosta.errors import CutoffError, NumericsError, TrapInversionError
 from ottosta.fock_oracle import (
     FockState,
@@ -43,14 +42,23 @@ def thermal_fock(beta, omega, dim):
 def loop_rho(state):
     """The parity blocks of ``state`` in the unvalidated format of the
     Magnus loop."""
-    return fock_oracle._Rho(state.even, state.odd, state.cross)
+    return fock_oracle._Rho(state.even, state.odd)
+
+
+def parity_diagonal(rho):
+    """rho with its coherences between even and odd n set to zero: still a
+    density matrix, of the same trace, as every Fock oracle state is."""
+    rho = np.array(rho, dtype=complex)
+    rho[0::2, 1::2] = 0.0
+    rho[1::2, 0::2] = 0.0
+    return rho
 
 
 def random_rho(rng, dim):
-    """A random full-rank density matrix with coherences across the
-    parities, exactly Hermitian."""
+    """A random full-rank density matrix without coherences between even
+    and odd n, exactly Hermitian."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = z @ z.conj().T
+    rho = parity_diagonal(z @ z.conj().T)
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.trace(rho).real
 
@@ -187,7 +195,7 @@ class TestThermalStates:
     def test_populations_are_gibbs(self):
         # in its own number basis the Gibbs state is diagonal
         st = thermal_fock_in(build_operators(140), 2.0, 0.35)
-        assert st.omega == 0.35 and st.cross is None
+        assert st.omega == 0.35
         rho = oracles.dense_rho(st)
         assert not np.any(rho - np.diag(np.diagonal(rho)))
         want = np.exp(-2.0 * 0.35 * np.arange(140))
@@ -195,23 +203,20 @@ class TestThermalStates:
 
     def test_state_validation(self):
         even, odd = np.diag([0.5, 0.25, 0.0]), np.diag([0.25, 0.0])
-        cross = np.full((3, 2), 0.01j)
-        st = FockState(even, odd, cross, 1.0)
+        st = FockState(even, odd, 1.0)
         assert st.dim == 5 and not st.even.flags.writeable
         with pytest.raises(ValueError, match="trace"):
-            FockState(np.eye(2), np.eye(2), None, 1.0)  # trace 4, not 1
+            FockState(np.eye(2), np.eye(2), 1.0)  # trace 4, not 1
         bad = even.astype(complex)
         bad[0, 1] = 0.1
         with pytest.raises(ValueError, match="not Hermitian"):
-            FockState(bad, odd, None, 1.0)
+            FockState(bad, odd, 1.0)
         with pytest.raises(ValueError, match="parity blocks"):
-            FockState(np.diag([0.5, 0.25, 0.25]), np.zeros((1, 1)), None, 1.0)  # 3 and 1
+            FockState(np.diag([0.5, 0.25, 0.25]), np.zeros((1, 1)), 1.0)  # 3 and 1
         with pytest.raises(ValueError, match="parity blocks"):
-            FockState(even, odd, cross.T, 1.0)  # even-odd block (2, 3), not (3, 2)
-        with pytest.raises(ValueError, match="parity blocks"):
-            FockState(even, odd, cross[:, :1], 1.0)
+            FockState(even, odd[:, :1], 1.0)
         with pytest.raises(ValueError):
-            FockState(np.diag([math.nan, 0.5]), np.diag([0.5]), None, 1.0)
+            FockState(np.diag([math.nan, 0.5]), np.diag([0.5]), 1.0)
 
     def test_nan_beta_is_refused(self):
         ops = build_operators(60)
@@ -220,13 +225,18 @@ class TestThermalStates:
 
     @pytest.mark.parametrize("dim", [7, 60])
     def test_dense_round_trip(self, dim):
-        # dense -> parity blocks -> dense is exact on a state with
-        # coherences across the parities, at odd and even dims
+        # dense -> parity blocks -> dense is exact on a random state without
+        # coherences between the parities, at odd and even dims; a state
+        # with one has no parity blocks and is refused
         rho = random_rho(np.random.default_rng(dim), dim)
         st = oracles.fock_state(rho, 0.6)
-        assert st.dim == dim and st.cross is not None
+        assert st.dim == dim
         assert st.even.shape == ((dim + 1) // 2,) * 2 and st.odd.shape == (dim // 2,) * 2
         assert np.array_equal(oracles.dense_rho(st), rho)
+        mixed = rho.copy()
+        mixed[0, 1] = mixed[1, 0] = 1e-3
+        with pytest.raises(ValueError, match="coherence between even and odd"):
+            oracles.fock_state(mixed, 0.6)
 
 
 class TestBarePropagation:
@@ -289,10 +299,10 @@ class TestBarePropagation:
 
     def test_trace_drift_raises(self):
         st = thermal_fock(2.0, 0.35, 40)
-        rho = fock_oracle._Rho(st.even * (1.0 + 1e-6), st.odd * (1.0 + 1e-6), None)
+        rho = fock_oracle._Rho(st.even * (1.0 + 1e-6), st.odd * (1.0 + 1e-6))
         with pytest.raises(NumericsError, match="trace drift"):
             fock_oracle._check_and_clean(rho)
-        rho = fock_oracle._Rho(st.even * math.nan, st.odd, None)
+        rho = fock_oracle._Rho(st.even * math.nan, st.odd)
         with pytest.raises(NumericsError, match="trace drift"):
             fock_oracle._check_and_clean(rho)
 
@@ -324,70 +334,73 @@ class TestCounterdiabaticPropagation:
             assert np.max(np.abs(pops[:40] - pops0[:40])) < 1e-10
 
     def test_energy_tracks_adiabatic_transport(self):
-        # the dense route against the closed form and against the Gaussian
-        # counterdiabatic propagation
+        # the dense route against the closed form and against the RK4 run
+        # of the counterdiabatic moment equations
         beta = 2.0
         ref, (rho,) = dense_reference(REF, beta, [1.8], cd=True)
         w = REF.eval(1.8)[0]
         e = float(np.trace(rho @ oracles.dense_h0(ref, len(rho), w)).real)
         e_ad = (w / 0.35) * oracles.thermal_energy(beta, 0.35)
         assert e == pytest.approx(e_ad, rel=1e-8)
-        gauss = states(thermal_state(beta, 0.35), REF, [1.8], drive=Drive.CD)[0]
-        assert e == pytest.approx(mean_energy(gauss, w), rel=1e-8)
+        c = 1.0 / math.tanh(0.35)
+        y0 = [0.0, 0.0, c / 0.7, 0.0, 0.175 * c]
+        rhs = oracles.covariance_rhs("poly5", 0.35, 1.0, 3.0, cd=True)
+        _, _, sxx, _, spp = oracles.rk4_fixed(rhs, y0, 0.0, 1.8, 6000)
+        assert e == pytest.approx(0.5 * (spp + w * w * sxx), rel=1e-8)
 
 
 class TestDenseReference:
     """The dense fixed-basis route of oracles.dense_stroke, the reference
     for counterdiabatic transitionlessness and for the instantaneous frame,
-    against the Gaussian moment propagation under either drive."""
+    against the Gaussian moment propagation under the bare drive and the
+    closed-form transported energy (omega_t / omega_i) E0 under the
+    counterdiabatic one."""
 
-    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
+    @pytest.mark.parametrize("cd", [False, True], ids=["bare", "cd"])
     @pytest.mark.parametrize("kind", ["poly3", "cosine"])
-    def test_energy_matches_the_gaussian_route(self, kind, drive):
+    def test_energy_matches_the_gaussian_route(self, kind, cd):
         p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
         ts = [1.5, 3.0]
-        ref, rhos = dense_reference(p, 2.0, ts, cd=drive is Drive.CD)
-        gauss = states(thermal_state(2.0, 0.35), p, ts, drive=drive)
-        for t, rho, st in zip(ts, rhos, gauss):
+        ref, rhos = dense_reference(p, 2.0, ts, cd=cd)
+        if cd:
+            e0 = oracles.thermal_energy(2.0, 0.35)
+            want = [p.eval(t)[0] / 0.35 * e0 for t in ts]
+        else:
+            gauss = states(thermal_state(2.0, 0.35), p, ts)
+            want = [mean_energy(st, p.eval(t)[0]) for t, st in zip(ts, gauss)]
+        for t, rho, e_want in zip(ts, rhos, want):
             w = p.eval(t)[0]
             e = float(np.trace(rho @ oracles.dense_h0(ref, len(rho), w)).real)
-            assert e == pytest.approx(mean_energy(st, w), rel=1e-7)
+            assert e == pytest.approx(e_want, rel=1e-7)
 
 
 class TestMixedParity:
     """A superposition of |0> and |1> carries coherences between the even
-    and the odd number states, which thermal starts never have; its means
-    must follow the classical equations of motion: under the bare drive
-    through the instantaneous frame, whose states are read with x and p in
-    the number basis of omega(t), and under the counterdiabatic drive
-    through the dense route in the fixed number basis of omega_i."""
+    and the odd number states, which thermal starts never have, so the Fock
+    oracle never carries them; under the counterdiabatic drive, through the
+    dense route in the fixed number basis of omega_i, its means must follow
+    the classical equations of motion."""
 
-    @pytest.mark.parametrize("drive", [Drive.BARE, Drive.CD], ids=["bare", "cd"])
-    def test_means_follow_classical_motion(self, drive):
+    def test_means_follow_classical_motion(self):
         psi = np.zeros(60, dtype=complex)
         psi[:2] = 1.0 / math.sqrt(2.0)
         rho0 = np.outer(psi, psi.conj())
         ts = np.linspace(0.75, 3.0, 4)
-        if drive is Drive.BARE:
-            ops = build_operators(60)
-            ends = propagate_fock_path(ops, oracles.fock_state(rho0, 0.35), REF, ts)
-            ends = [(oracles.dense_rho(st), st.omega) for st in ends]
-        else:
-            rhos = oracles.dense_stroke("poly5", 0.35, 1.0, 3.0, rho0, 0.35, ts, True, 50)
-            ends = [(rho, 0.35) for rho in rhos]
-        mean = lambda rho, w, i: float(np.sum(rho * oracles.dense_operators(w, 60)[i].T).real)
-        y0 = [mean(rho0, 0.35, 0), mean(rho0, 0.35, 1), 0.0, 0.0, 0.0]
-        rhs = oracles.covariance_rhs("poly5", 0.35, 1.0, 3.0, drive is Drive.CD)
-        for t, (rho, w) in zip(ts, ends):
+        rhos = oracles.dense_stroke("poly5", 0.35, 1.0, 3.0, rho0, 0.35, ts, True, 50)
+        x, p = oracles.dense_operators(0.35, 60)
+        mean = lambda rho, op: float(np.sum(rho * op.T).real)
+        y0 = [mean(rho0, x), mean(rho0, p), 0.0, 0.0, 0.0]
+        rhs = oracles.covariance_rhs("poly5", 0.35, 1.0, 3.0, cd=True)
+        for t, rho in zip(ts, rhos):
             want = oracles.rk4_fixed(rhs, y0, 0.0, float(t), 4000)[:2]
-            got = [mean(rho, w, 0), mean(rho, w, 1)]
+            got = [mean(rho, x), mean(rho, p)]
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize("dim", [7, 60, 344])
     def test_mean_energy_matches_the_dense_trace(self, dim):
         # omega sum (n + 1/2) rho_nn against Tr[rho omega (a^dagger a + 1/2)]
-        # with the dense annihilator, on a state with coherences across the
-        # parities
+        # with the dense annihilator, on a random state with coherences
+        # within each parity
         st = random_state(np.random.default_rng(dim), dim, 0.6)
         x, p = oracles.dense_operators(0.6, dim)
         a = (math.sqrt(0.6) * x + 1j * p / math.sqrt(0.6)) / math.sqrt(2.0)
@@ -530,66 +543,8 @@ class TestBandArithmetic:
         u = _block_unitary(us, dim)
         rho = random_rho(rng, dim)
         rho_blocks = loop_rho(oracles.fock_state(rho, 1.0))
-        assert rho_blocks.cross is not None
         got = oracles.dense_rho(fock_oracle._apply(us, rho_blocks))
         assert np.max(np.abs(got - u @ rho @ u.conj().T)) <= 1e-13
-
-
-
-
-class TestParityBlocks:
-    """rho is propagated as its parity blocks; the even-odd block only when
-    the start state has an off-parity coherence."""
-
-    def test_thermal_start_never_carries_an_even_odd_block(self, monkeypatch):
-        crosses = []
-        apply = fock_oracle._apply
-
-        def recorded(us, rho):
-            out = apply(us, rho)
-            crosses.extend([rho.cross, out.cross])
-            return out
-
-        monkeypatch.setattr(fock_oracle, "_apply", recorded)
-        protocol, beta, dim, _ = _DEFAULT_STROKES["compression"]
-        ops = build_operators(dim)
-        st0 = thermal_fock_in(ops, beta, protocol.omega_i)
-        states = propagate_fock_path(ops, st0, protocol, [1.0, 2.0, 3.0])
-        assert st0.cross is None
-        assert crosses and all(c is None for c in crosses)
-        assert all(st.cross is None for st in states)
-
-    def test_coherent_start_matches_the_dense_update(self, monkeypatch):
-        # a random state with coherences between the parities: every block
-        # update equals the dense U rho U^dagger of the block-diagonal U
-        dim = 40
-        rng = np.random.default_rng(7)
-        z = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
-        z *= np.exp(-0.5 * np.arange(dim))[:, None]
-        rho0 = z @ z.conj().T
-        st0 = oracles.fock_state(rho0 / np.trace(rho0).real, 1.0)
-        gaps = []
-        apply = fock_oracle._apply
-
-        def checked(us, rho):
-            out = apply(us, rho)
-            u = _block_unitary(us, rho.even.shape[0] + rho.odd.shape[0])
-            dense, got = oracles.dense_rho(rho), oracles.dense_rho(out)
-            want = u @ dense @ u.conj().T
-            gaps.append(np.max(np.abs(got - want)))
-            # the block norms are those of the dense matrices
-            diff = fock_oracle._Rho(*(a - b for a, b in zip(out, rho)))
-            gap = np.linalg.norm(got - dense)
-            assert fock_oracle._frobenius(diff) == pytest.approx(gap, rel=1e-12)
-            assert fock_oracle._frobenius(out) == pytest.approx(np.linalg.norm(want), rel=1e-12)
-            return out
-
-        monkeypatch.setattr(fock_oracle, "_apply", checked)
-        ops = build_operators(dim)
-        protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 1.3, 1.0)
-        states = propagate_fock_path(ops, st0, protocol, [0.5, 1.0])
-        assert gaps and max(gaps) <= 1e-13
-        assert all(np.any(st.cross) for st in states)
 
 
 class TestMagnusStepSequence:
@@ -689,13 +644,14 @@ class TestErrorEstimate:
         n = dim if at_cap else dim - 40
         ops = build_operators(dim)
         blocks = fock_oracle._window((ops.even, ops.odd), n)
-        # a random state with off-parity coherences, decaying slowly enough
-        # that the top of the window is occupied
+        # a random state without off-parity coherences, as every state of
+        # the oracle, decaying slowly enough that the top of the window is
+        # occupied
         rng = np.random.default_rng(n)
         z = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))) * np.exp(
             -3.0 * np.arange(n) / n
         )[:, None]
-        rho = z @ z.conj().T / np.linalg.norm(z) ** 2
+        rho = parity_diagonal(z @ z.conj().T / np.linalg.norm(z) ** 2)
         rho_blocks = loop_rho(oracles.fock_state(rho, 1.0))
         beyond, scale = 0.0, 0.0
         for t in (0.0, 1.0, 2.5):
@@ -766,33 +722,6 @@ class TestLocalExtrapolation:
         assert 20.0 < bare_h / bare_half < 50.0
         assert ext_h / ext_half >= 50.0
         assert ext_h < 0.05 * bare_h
-
-    def test_even_odd_block_gets_the_kick(self):
-        # a start with coherences between the parities: the step equals the
-        # dense rho - (i/2)[D, rho], U . U^dagger, rho - (i/2)[D, rho] on
-        # every block, the even-odd one included, where the kicks matter
-        dim = 40
-        rng = np.random.default_rng(11)
-        z = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
-        z *= np.exp(-0.3 * np.arange(dim))[:, None]
-        rho0 = z @ z.conj().T
-        st = oracles.fock_state(rho0 / np.trace(rho0).real, 1.0)
-        ops = build_operators(dim)
-        protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 1.3, 1.0)
-        pair = fock_oracle._magnus_pair((ops.even, ops.odd), protocol, 0.3, 0.2)
-        rho = loop_rho(st)
-        got = fock_oracle._advance(pair, rho, fock_oracle._commutator([d for _, d in pair], rho))
-        assert got.cross is not None
-
-        d = _block_unitary([_dense_band(g) for _, g in pair], dim)
-        u = _block_unitary([_dense_expm(_dense_band(m)) for m, _ in pair], dim)
-        kick = lambda r: r - 0.5j * (d @ r - r @ d)
-        dense = oracles.dense_rho(st)
-        want = kick(u @ kick(dense) @ u.conj().T)
-        assert np.max(np.abs(oracles.dense_rho(got) - want)) <= 1e-13
-        unkicked = u @ dense @ u.conj().T
-        even, odd = fock_oracle._PARITIES
-        assert np.max(np.abs(want[even, odd] - unkicked[even, odd])) > 1e-8
 
 
 def _recording_sizes(monkeypatch):

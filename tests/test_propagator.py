@@ -2,7 +2,9 @@
 (``FrequencyProtocol.eval``) and the stacked transfer-matrix propagator
 ``dynamics.transfer_matrices``, read as propagated moments and as the
 classical solution pair, each checked against the fixed-step RK4
-references in ``oracles``."""
+references in ``oracles``. The counterdiabatic drive is booked in closed
+form and never propagated; its RK4 reference is checked against that
+closed form."""
 
 import math
 
@@ -11,7 +13,6 @@ import pytest
 
 import oracles
 from ottosta import dynamics
-from ottosta.dynamics import Drive
 from ottosta.errors import NumericsError
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
 from readouts import GaussianState, pair, states
@@ -62,23 +63,30 @@ class TestIntegrator:
         beta, wi, wf, tau = 2.0, 0.35, 1.0, 3.0
         state0, y0 = _thermal_moments(beta, wi)
         p = FrequencyProtocol(ProtocolKind.POLY5, wi, wf, tau)
-        y = _moments(states(state0, p, [tau], drive=Drive.BARE, rtol=1e-12)[0])
+        y = _moments(states(state0, p, [tau], rtol=1e-12)[0])
         brute = oracles.rk4_fixed(
             oracles.covariance_rhs("poly5", wi, wf, tau, cd=False), y0, 0.0, tau, 40000
         )
         np.testing.assert_allclose(y, brute, rtol=1e-8, atol=1e-12)
 
     def test_cd_covariance_matches_brute_rk4(self):
+        # the closed form of the counterdiabatic stroke against the brute
+        # RK4 run of its moment equations: the covariance lands on the
+        # thermal one at omega_f, and the mean keeps its action
+        # (p^2 + omega^2 x^2) / (2 omega)
         beta, wi, wf, tau = 2.0, 0.35, 1.0, 3.0
-        state0, y0 = _thermal_moments(beta, wi, mean=(0.05, -0.02))
-        p = FrequencyProtocol(ProtocolKind.POLY5, wi, wf, tau)
-        y = _moments(states(state0, p, [tau], drive=Drive.CD, rtol=1e-12)[0])
+        _, y0 = _thermal_moments(beta, wi, mean=(0.05, -0.02))
         brute = oracles.rk4_fixed(
-            oracles.covariance_rhs("poly5", wi, wf, tau, cd=True), y0, 0.0, tau, 40000
+            oracles.covariance_rhs("poly5", wi, wf, tau, cd=True), y0, 0.0, tau, 20000
         )
-        # the brute force run uses finite-difference omega_dot, so keep a
-        # little slack beyond pure propagator error
-        np.testing.assert_allclose(y, brute, rtol=5e-7, atol=2e-9)
+        c = 1.0 / math.tanh(beta * wi / 2.0)
+        want = [c / (2 * wf), 0.0, c * wf / 2]
+        np.testing.assert_allclose(brute[2:], want, rtol=1e-9, atol=1e-10)
+
+        def action(y, w):
+            return (y[1] ** 2 + w * w * y[0] ** 2) / (2.0 * w)
+
+        assert action(brute, wf) == pytest.approx(action(y0, wi), rel=1e-9)
 
     @pytest.mark.parametrize(
         "kind, rtol",

@@ -7,7 +7,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
-from ottosta.dynamics import Drive, transfer_matrices
+from ottosta.dynamics import transfer_matrices
+from ottosta.fock_oracle import tpm_variance_excess
 from ottosta.errors import TrapInversionError
 from ottosta.protocols import (
     FrequencyProtocol,
@@ -122,7 +123,7 @@ class TestCheckpoints:
         state = fock_oracle.thermal_fock_in(ops, 2.0, 0.35)
         paths = [
             lambda: p.checkpoints(ts),
-            lambda: transfer_matrices([p], [ts], [Drive.BARE]),
+            lambda: transfer_matrices([p], [ts]),
             lambda: adiabaticity_stack([p], [2.0], [ts]),
             lambda: fock_oracle.propagate_fock_path(ops, state, p, ts),
         ]
@@ -322,7 +323,7 @@ class TestTauMin:
         quantities = [
             lambda: work_cost(p, 2.0),
             lambda: q_cd(p, stroke_grid(tau)),
-            lambda: transfer_matrices([p], [[tau]], [Drive.CD]),
+            lambda: tpm_variance_excess(p, 2.0, 0.5 * tau),
             lambda: cycle(cfg, Accounting.STA),
         ]
         assert check_cd_validity(p).valid is not refused

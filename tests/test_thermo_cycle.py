@@ -307,13 +307,13 @@ class TestStrokeRecord:
                 book_cycle(cfg, record, accounting)
 
     def test_sta_refusal_is_the_counterdiabatic_drive_refusal(self):
-        from ottosta.dynamics import Drive, transfer_matrices
+        from ottosta.dynamics import q_cd_grid
 
         cfg = ref(2.0)
         with pytest.raises(TrapInversionError) as booked:
             cycle(cfg, Accounting.STA)
         with pytest.raises(TrapInversionError) as driven:
-            transfer_matrices([cfg.compression_protocol()], [[2.0]], [Drive.CD])
+            q_cd_grid([cfg.compression_protocol()], [[2.0]])
         assert str(booked.value) == str(driven.value)
 
     @pytest.mark.parametrize(
@@ -363,9 +363,9 @@ class TestStrokeRecord:
             costs.append(len(protocols))
             return exact_cost(protocols, betas, **kwargs)
 
-        def recorded_stack(protocols, ts, drives, rtol):
-            stacks.append((len(protocols), ts.shape[1], set(drives)))
-            return exact_stack(protocols, ts, drives, rtol)
+        def recorded_stack(protocols, ts, rtol):
+            stacks.append((len(protocols), ts.shape[1]))
+            return exact_stack(protocols, ts, rtol)
 
         monkeypatch.setattr(thermo_cycle, "work_cost_stack", counted_cost)
         monkeypatch.setattr(dynamics, "_transfer_matrices", recorded_stack)
@@ -373,7 +373,7 @@ class TestStrokeRecord:
         _, rows = datasets.cycle_dataset(params)
         assert len(rows) == 40
         assert costs == [80]
-        assert stacks == [(80, 1, {dynamics.Drive.BARE})]
+        assert stacks == [(80, 1)]
 
     def test_costs_are_none_exactly_on_the_infeasible_strokes(self):
         # tau_min = 2.0678 for the poly5 strokes between 0.35 and 1
