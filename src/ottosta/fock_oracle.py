@@ -36,17 +36,18 @@ none, so rho exists only as its even-even and odd-odd blocks
 rho[a, a] <- U_a rho[a, a] U_a^dagger.
 
 Within one parity, N + 1/2 is diagonal and K couples only neighbouring
-levels, so each exists only as a Hermitian tridiagonal band per parity,
-and the Magnus generator is built and checked on bands in O(dim). Its
-commutator term is a multiple of -i[N, K] = 2 (a^dagger^2 + a^2), so the
-second band of its bracket, the only part of the generator that can leave
-the tridiagonal form, cancels. A diagonal phase gauge makes each block real
-symmetric without changing its spectrum, so each block exponential is one
-real eigensolve, exact up to roundoff. A generator that is not tridiagonal
-is refused, never truncated. D = Omega6 - Omega4 is built on all the bands
-its brackets produce, up to three off-diagonals, but beyond the first they
-cancel to roundoff, so the step keeps only its tridiagonal band; D enters
-the step only through its commutators with rho.
+levels, so each exists only as a Hermitian tridiagonal band per parity.
+With L = a^dagger^2 + a^2 they close the Lie algebra su(1,1):
+-i[N + 1/2, K] = 2L, -i[N + 1/2, L] = -2K and -i[K, L] = -8 (N + 1/2).
+So every term of the Magnus pair is x_A (N + 1/2) + x_K K + x_L L, three
+numbers computed once per step (_su11_bracket), and its band in a parity
+block is x_A times the band of N + 1/2 plus (x_K + i x_L) times that of K,
+since L's band is i times K's. On any truncation that band is the
+compression of the exact generator: no bracket of truncated matrices is
+ever formed. Only the coefficients come from the algebra; the exponential
+is still taken of the Fock bands. A diagonal phase gauge makes each block
+real symmetric without changing its spectrum, so each block exponential
+is one real eigensolve, exact up to roundoff.
 
 The truncation ``ops.dim`` (for a stroke, ``stroke_dim``) is a cap, not the
 working size: rho is propagated on an active window of the lowest levels,
@@ -54,15 +55,12 @@ the ones the state occupies. N + 1/2 and K compressed onto a window are
 exactly the operators of that smaller truncation. The window opens where
 the start state's diagonal tail falls below a threshold, plus a guard
 band, and grows by one band whenever its top band holds more than the
-threshold, up to ops.dim less the Magnus guard: each Magnus pair is built
-on the window plus the guard levels above it and cut to the window, so
-the truncation artefacts of D's nested brackets, which sit in the top two
-levels of each parity block, fall outside it. Only at that cap does the
-leak check of the top two levels (the top level of each parity block)
-refuse the state. Returned states are zero-padded to ops.dim. The
-counterdiabatic Hamiltonian of one instant, omega (N + 1/2) -
-(omegadot / 4 omega) K in the number basis of that instant's omega, is
-split the same way: two real tridiagonal eigensolves, one per parity.
+threshold, up to ops.dim. Only at that cap does the leak check of the top
+two levels (the top level of each parity block) refuse the state.
+Returned states are zero-padded to ops.dim. The counterdiabatic
+Hamiltonian of one instant, omega (N + 1/2) - (omegadot / 4 omega) K in
+the number basis of that instant's omega, is split the same way: two real
+tridiagonal eigensolves, one per parity.
 
 This route shares nothing with the Gaussian transfer-matrix propagator
 except the frequency ramp and its checkpoint rule (``FrequencyProtocol``),
@@ -116,17 +114,10 @@ _STROKE_GUARD = 30
 # 1e-12, by 1.6e-11 at 5e-13.
 _WINDOW_TAIL = 5e-13
 _WINDOW_BAND = 16
-# Levels above the active window on which each Magnus pair is built and
-# then cut away; the window never grows into the top _MAGNUS_GUARD levels
-# of the operators.
-_MAGNUS_GUARD = 8
 # Step control of the adaptive Magnus propagator.
 _MAGNUS_RTOL = 1e-6
 _MAGNUS_ATOL = 1e-12
 _MAGNUS_MAX_STEPS = 200_000
-# Largest entry that the tridiagonal band of a Magnus generator may leave
-# out (beyond the first off-diagonal), relative to its scale.
-_BAND_TOL = 1e-12
 # Thermal tail weight left out of the two-point-measurement level sums.
 _TPM_TAIL = 1e-12
 # Largest truncation build_operators accepts; a parity block of a state
@@ -180,17 +171,19 @@ def build_operators(dim: int) -> FockOperators:
 
 
 def _h(block: _ParityBlock, omega: float, kappa: float) -> np.ndarray:
-    """Band of omega (N + 1/2) + kappa K: the bare drive in the
-    instantaneous frame at kappa = omegadot / 4 omega, the counterdiabatic
-    Hamiltonian in the number basis of omega at kappa = -omegadot / 4 omega."""
+    """Band of omega (N + 1/2) + kappa K: the counterdiabatic Hamiltonian
+    in the number basis of omega at kappa = -omegadot / 4 omega
+    (cd_level_energies); at kappa = omegadot / 4 omega it is the bare drive
+    in the instantaneous frame, whose Magnus terms _magnus_pair builds from
+    their coefficients instead."""
     return omega * block.number + kappa * block.k
 
 
 def stroke_dim(beta: float, protocol: FrequencyProtocol) -> int:
     """Truncation big enough for a thermal state driven through a stroke.
     propagate_fock_path's active window works on only the lowest levels the
-    state occupies, up to this truncation less its Magnus guard, and
-    reaches that cap only if the state does.
+    state occupies, up to this truncation, and reaches that cap only if the
+    state does.
 
     The driven state's occupation scale is bounded by the largest mean
     energy along the stroke over the geometric mean of the endpoint
@@ -270,33 +263,6 @@ def mean_energy_fock(state: FockState) -> float:
     return state.omega * float(np.sum((n + 0.5) * _diagonal(state)))
 
 
-def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All wa + wb + 1 upper diagonals of the Hermitian -i[A, B], in O(n wa
-    wb), for Hermitian bands of shape (wa + 1, n) and (wb + 1, n), row j the
-    j-th upper diagonal zero-padded at the end; B A = (A B)^dagger."""
-    wa, wb, n = a.shape[0] - 1, b.shape[0] - 1, a.shape[1]
-    w = wa + wb
-    full_a, full_b = _full(a), _full(b, pad=wa)
-    ab = np.zeros((2 * w + 1, n), dtype=np.complex128)  # row w + m: (AB)[r, r + m]
-    for i in range(-wa, wa + 1):  # += A[r, r + i] B[r + i, r + m]
-        ab[wa + i : wa + i + 2 * wb + 1] += full_a[wa + i] * full_b[:, wa + i : wa + i + n]
-    out = np.zeros((w + 1, n), dtype=np.complex128)
-    for m in range(min(w + 1, n)):
-        out[m, : n - m] = -1j * (ab[w + m, : n - m] - ab[w - m, m:].conj())
-    return out
-
-
-def _full(band: np.ndarray, pad: int = 0) -> np.ndarray:
-    """The Hermitian band (w + 1, n) as all 2w + 1 diagonals, row w + j
-    holding M[r, r + j] at column pad + r, between ``pad`` zero columns."""
-    w, n = band.shape[0] - 1, band.shape[1]
-    out = np.zeros((2 * w + 1, n + 2 * pad), dtype=np.complex128)
-    out[w:, pad : pad + n] = band
-    for j in range(1, w + 1):
-        out[w - j, pad + j : pad + n] = band[j, : n - j].conj()
-    return out
-
-
 def _band_times(band: np.ndarray, m: np.ndarray) -> np.ndarray:
     """D @ M for the Hermitian band D (w + 1, n) and a dense M with n rows,
     in O(n w) row updates."""
@@ -308,55 +274,51 @@ def _band_times(band: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _su11_bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The Hermitian bracket -i[X, Y] of X = x_A A + x_K K + x_L L and Y
+    alike, as its coefficients (A, K, L), from the structure constants of
+    A = N + 1/2, K = xp + px and L = a^dagger^2 + a^2:
+    -i[A, K] = 2L, -i[A, L] = -2K and -i[K, L] = -8A."""
+    (xa, xk, xl), (ya, yk, yl) = x, y
+    return np.array(
+        [-8.0 * (xk * yl - xl * yk), -2.0 * (xa * yl - xl * ya), 2.0 * (xa * yk - xk * ya)]
+    )
+
+
 def _magnus_pair(
     blocks: tuple[_ParityBlock, _ParityBlock],
     protocol: FrequencyProtocol,
     t: float,
     h: float,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per parity block, (Omega4, D) for one Magnus step of length h from
-    t, one ramp evaluation per three-node Gauss-Legendre node: the
-    tridiagonal band of the 4th-order generator, U = exp(-i Omega4), and
-    the bands of D = Omega6 - Omega4 (Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470, 151 (2009)). With H_k the instantaneous-frame drive H~ at node k
-    and the Hermitian bracket {A, B} = -i[A, B]: a1 = h H_2,
+    """Per parity block, the tridiagonal bands of (Omega4, D) for one
+    Magnus step of length h from t, one ramp evaluation per three-node
+    Gauss-Legendre node: the 4th-order generator, U = exp(-i Omega4), and
+    D = Omega6 - Omega4 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009)). With H_k the instantaneous-frame drive H~ at node k, the
+    coefficients (omega_k, omegadot_k / 4 omega_k, 0) on (A, K, L), and the
+    Hermitian bracket {X, Y} = -i[X, Y] (_su11_bracket): a1 = h H_2,
     a2 = (sqrt(15) h/3)(H_3 - H_1), a3 = (10 h/3)(H_3 - 2 H_2 + H_1),
     C1 = {a1, a2}, C2 = -{a1, 2 a3 + C1}/60, Omega4 = a1 + a3/12 - C1/12 and
-    D = ({C1 - 20 a1 - a3, C2} + {C1 - a3, a2})/240.
-
-    The second band of C1, the only part of Omega4 that can leave the
-    tridiagonal form, cancels, since C1 is a multiple of -i[N, K]; above
-    _BAND_TOL (h max|H_2|)^2 it raises NumericsError. a2 and a3 are
-    differences of nearly equal Hamiltonians, so C1 is judged against a1's
-    scale, never its own. D's bands beyond the first off-diagonal cancel
-    too, since [K, a^dagger^2 + a^2] is diagonal under any truncation; they
-    are returned as computed, and propagate_fock_path drops them. D's
-    entries on the top two levels of each block carry the truncation
-    (a a^dagger loses its entry there); those levels are the guard that
-    propagate_fock_path builds and cuts away."""
+    D = ({C1 - 20 a1 - a3, C2} + {C1 - a3, a2})/240, each three numbers.
+    The band of x_A A + x_K K + x_L L on a block is x_A times the band of
+    A plus (x_K + i x_L) times that of K: the compression of the exact
+    generator onto the block's levels."""
     nodes = [
         protocol.eval(t + c * h) for c in (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
     ]
-    out = []
-    for block in blocks:
-        h1, h2, h3 = (_h(block, w, wd / (4.0 * w)) for w, wd, _ in nodes)
-        a1 = h * h2
-        a2 = (_SQRT15 * h / 3.0) * (h3 - h1)
-        a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
-        c1 = _bracket(a1, a2)
-        scale = float(np.max(np.abs(a1))) ** 2
-        beyond = float(np.max(np.abs(c1[2])))
-        if beyond > _BAND_TOL * scale:
-            raise NumericsError(
-                f"Magnus generator is not tridiagonal: entry {beyond:.3g} beyond "
-                f"the first off-diagonal of [a1, a2] against (h max|H|)^2 {scale:.3g}"
-            )
-        c1 = c1[:2]
-        c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
-        d = _bracket(c1 - 20.0 * a1 - a3, c2)
-        d[:3] += _bracket(c1 - a3, a2)
-        out.append((a1 + a3 / 12.0 - c1 / 12.0, d / 240.0))
-    return out
+    h1, h2, h3 = (np.array([w, wd / (4.0 * w), 0.0]) for w, wd, _ in nodes)
+    a1 = h * h2
+    a2 = (_SQRT15 * h / 3.0) * (h3 - h1)
+    a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
+    c1 = _su11_bracket(a1, a2)
+    c2 = _su11_bracket(a1, 2.0 * a3 + c1) / -60.0
+    d = (_su11_bracket(c1 - 20.0 * a1 - a3, c2) + _su11_bracket(c1 - a3, a2)) / 240.0
+    omega4 = a1 + a3 / 12.0 - c1 / 12.0
+    return [
+        tuple(x[0] * block.number + (x[1] + 1j * x[2]) * block.k for x in (omega4, d))
+        for block in blocks
+    ]
 
 
 def _commutator(ds: list[np.ndarray], rho: _Rho) -> _Rho:
@@ -399,9 +361,9 @@ def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     Both parts come from one real product V G, with G (k, 2k) holding
     cos(lam) V^T and -sin(lam) V^T in interleaved columns, so that V G read
     as complex is V exp(-i lam) V^T; the phases scale it in place.
-    The bands are all of M: _magnus_pair builds it on bands and refuses
-    one whose second band, the only part that can leave the tridiagonal
-    form, does not cancel."""
+    Every Magnus generator is tridiagonal in each parity block, a
+    combination of N + 1/2, K and L (_magnus_pair), so the bands are all of
+    M."""
     lam, v, d = _eigh_tridiagonal(diag, off)
     g = np.empty((lam.size, 2 * lam.size))
     g[:, 0::2] = np.cos(lam)[:, None] * v.T
@@ -413,11 +375,10 @@ def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 
 def _cut(band: np.ndarray, k: int) -> np.ndarray:
-    """The Hermitian band on its lowest k levels, as a new array: every
-    entry that couples them to a level above is dropped."""
+    """The Hermitian tridiagonal band on its lowest k levels, as a new
+    array: the entry that couples them to the level above is dropped."""
     out = band[:, :k].copy()
-    for j in range(1, out.shape[0]):
-        out[j, max(k - j, 0) :] = 0.0
+    out[1, k - 1 :] = 0.0
     return out
 
 
@@ -537,20 +498,15 @@ def propagate_fock_path(
     Omega4 factor is exact; the kicks keep rho Hermitian and its trace.
 
     rho is propagated on an active window of the lowest n levels, under
-    the compression of the operators onto them. The window opens at the
-    smallest n whose diagonal tail weight in ``state`` is at most
-    _WINDOW_TAIL, plus a band of _WINDOW_BAND levels. After each accepted
-    step whose top band holds more than _WINDOW_TAIL, rho is zero-padded
-    by one band, up to the cap ops.dim - _MAGNUS_GUARD; there the leak
-    check of the top two levels refuses a state that outgrows the
-    truncation, and a start state with more than _TRACE_LIMIT above the
-    cap is refused before any step. Each Magnus pair is built on the
-    window plus the _MAGNUS_GUARD levels above it, taken from ``ops``, and
-    cut to the window: the truncation artefacts of D's nested brackets
-    fall on the guard, which rho never occupies. Each returned state is
-    zero-padded to ops.dim. Of D only the tridiagonal band enters the step:
-    its further bands hold roundoff. The error and tolerance norms are those
-    of the whole rho."""
+    the compression of the operators onto them, on which each Magnus pair
+    is built. The window opens at the smallest n whose diagonal tail weight
+    in ``state`` is at most _WINDOW_TAIL, plus a band of _WINDOW_BAND
+    levels. After each accepted step whose top band holds more than
+    _WINDOW_TAIL, rho is zero-padded by one band, up to the cap ops.dim;
+    there the leak check of the top two levels refuses a state that
+    outgrows the truncation. Each returned state is zero-padded to ops.dim.
+    A step clipped to a checkpoint lands on it exactly. The error and
+    tolerance norms are those of the whole rho."""
     if not abs(state.omega - protocol.omega_i) <= 1e-12 * protocol.omega_i:
         raise ValueError(
             f"state basis (omega {state.omega}) does not match the stroke's "
@@ -559,45 +515,34 @@ def propagate_fock_path(
     if state.dim != ops.dim:
         raise ValueError(f"state dim {state.dim} does not match operators dim {ops.dim}")
     dim = ops.dim
-    cap = dim - _MAGNUS_GUARD
-    if cap < 4:
-        raise ValueError(f"propagation needs at least {4 + _MAGNUS_GUARD} levels, got {dim}")
     ts = protocol.checkpoints(ts)
 
     cap_blocks = (ops.even, ops.odd)
     tail = np.cumsum(_diagonal(state)[::-1])[::-1]
-    n = min(int(np.count_nonzero(tail > _WINDOW_TAIL)) + _WINDOW_BAND, cap)
-    if tail[n] > _TRACE_LIMIT:
-        raise CutoffError(
-            f"population {tail[n]:.3g} of the start state lies above the {cap} "
-            f"levels the window may reach; enlarge the truncation"
-        )
+    n = min(int(np.count_nonzero(tail > _WINDOW_TAIL)) + _WINDOW_BAND, dim)
     rho = _resized(state, n)
-    blocks = _window(cap_blocks, n + _MAGNUS_GUARD)
+    blocks = _window(cap_blocks, n)
     t = 0.0
     h = protocol.tau / 200.0
     out: list[FockState] = []
     steps = 0
     for target in ts:
         while t < target:
-            if h > target - t:
+            last = h >= target - t
+            if last:
                 h = target - t
-            sizes = ((n + 1) // 2, n // 2)
-            pair = [
-                (_cut(m, k), _cut(d[:2], k))
-                for (m, d), k in zip(_magnus_pair(blocks, protocol, t, h), sizes)
-            ]
+            pair = _magnus_pair(blocks, protocol, t, h)
             comm = _commutator([d for _, d in pair], rho)
             err = _frobenius(comm)
             tol = _MAGNUS_ATOL + _MAGNUS_RTOL * _frobenius(rho)
             if err <= tol:
                 rho = _advance(pair, rho, comm)
-                if n < cap and _diagonal(rho)[-_WINDOW_BAND:].sum() > _WINDOW_TAIL:
-                    n = min(n + _WINDOW_BAND, cap)
+                if n < dim and _diagonal(rho)[-_WINDOW_BAND:].sum() > _WINDOW_TAIL:
+                    n = min(n + _WINDOW_BAND, dim)
                     rho = _resized(rho, n)
-                    blocks = _window(cap_blocks, n + _MAGNUS_GUARD)
+                    blocks = _window(cap_blocks, n)
                 rho = _check_and_clean(rho)
-                t += h
+                t = target if last else t + h
                 grow = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
                 h *= max(grow, 0.2)
             else:

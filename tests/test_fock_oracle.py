@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -91,14 +90,27 @@ class TestOperators:
         comm = x @ p - p @ x
         want = 1j * np.eye(40)
         np.testing.assert_allclose(comm[:-1, :-1], want[:-1, :-1], atol=1e-12)
-        # the bands: -i[N + 1/2, K] = 2 (a^dagger^2 + a^2) on every level,
-        # the top two of each parity block included, since N is diagonal
+        # the su(1,1) brackets on coefficient triples of A = N + 1/2, K and
+        # L = a^dagger^2 + a^2: the structure constants -i[A, K] = 2L,
+        # -i[A, L] = -2K and -i[K, L] = -8A, and the bracket of random
+        # triples, against the dense -i[X, Y] of their bands below the top
+        # level of each parity block, where the truncation corrupts the
+        # products
         ops = build_operators(40)
-        for block in (ops.even, ops.odd):
-            got = fock_oracle._bracket(block.number, block.k)
-            np.testing.assert_allclose(got[0], 0.0, atol=1e-12)
-            np.testing.assert_allclose(got[1], 2j * block.k[1], atol=1e-12)
-            np.testing.assert_allclose(got[2], 0.0, atol=1e-12)
+        bracket = fock_oracle._su11_bracket
+        a, k, l = np.eye(3)
+        for x, y, want in ((a, k, 2.0 * l), (a, l, -2.0 * k), (k, l, -8.0 * a)):
+            np.testing.assert_array_equal(bracket(x, y), want)
+            for block in (ops.even, ops.odd):
+                got = _dense_bracket(_triple_dense(block, x), _triple_dense(block, y))
+                np.testing.assert_allclose(
+                    got[:-1, :-1], _triple_dense(block, want)[:-1, :-1], rtol=0.0, atol=1e-12
+                )
+        for x, y in np.random.default_rng(7).normal(size=(20, 2, 3)):
+            for block in (ops.even, ops.odd):
+                want = _dense_bracket(_triple_dense(block, x), _triple_dense(block, y))[:-1, :-1]
+                got = _triple_dense(block, bracket(x, y))[:-1, :-1]
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_h0_in_own_basis_is_diagonal(self):
         # omega (N + 1/2) on every level; the dense products of x and p
@@ -291,11 +303,25 @@ class TestBarePropagation:
 
     def test_truncation_leak_raises(self):
         # a deliberately tiny space cannot hold the driven state; here the
-        # start state already outgrows the 4 levels below the Magnus guard
+        # start state already fills the top two of its 12 levels
         ops = build_operators(12)
         st0 = thermal_fock_in(ops, 2.0, 0.35)
         with pytest.raises(CutoffError, match="enlarge the truncation"):
             propagate_fock_path(ops, st0, REF, [3.0])
+
+    def test_clipped_step_lands_on_its_checkpoint(self):
+        # t + h of a step clipped to target - t can fall one ulp short of
+        # the checkpoint when t < target / 2; the next trial would then be
+        # one ulp wide and refused as a step size underflow
+        ops = build_operators(40)
+        st0 = thermal_fock_in(ops, 4.0, 0.5)
+        tau = 2.962818336518323
+        protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.5, 0.6, tau)
+        ts = [0.23335226440986848, 0.41608014772947566, tau]
+        out = propagate_fock_path(ops, st0, protocol, ts)
+        end = propagate_fock_path(ops, st0, protocol, [tau])[-1]
+        assert len(out) == 3
+        assert mean_energy_fock(out[-1]) == pytest.approx(mean_energy_fock(end), rel=0.0, abs=1e-10)
 
     def test_trace_drift_raises(self):
         st = thermal_fock(2.0, 0.35, 40)
@@ -495,22 +521,6 @@ class TestTridiagonalExponential:
         got = fock_oracle._expm_tridiagonal(diag, off)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_generator_leaving_the_band_is_refused(self):
-        # tridiagonal within each parity, but N + 1/2 gains a coupling of
-        # the two lowest even levels, so [H2, H1] gains a second band; the
-        # Magnus step refuses it rather than drop it. The window reaches its
-        # cap of 20 levels, and the Magnus guard above it comes from the
-        # same tampered operators
-        dim = 20 + fock_oracle._MAGNUS_GUARD
-        ops = build_operators(dim)
-        number = ops.even.number.copy()
-        number[1, 0] = 0.5
-        bad = dataclasses.replace(ops, even=dataclasses.replace(ops.even, number=number))
-        st0 = thermal_fock(2.0, 0.6, dim)
-        protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.6, 0.8, 1.0)
-        with pytest.raises(NumericsError, match="Magnus generator is not tridiagonal"):
-            propagate_fock_path(bad, st0, protocol, [1.0])
-
 
 class TestBandArithmetic:
     @given(
@@ -519,21 +529,13 @@ class TestBandArithmetic:
         scale=st.sampled_from([1e-3, 1.0, 20.0]),
     )
     def test_commutator_matches_dense(self, n, seed, scale):
-        # the Hermitian bracket -i[A, B] of bands up to the widths D needs
-        # (tridiagonal with pentadiagonal gives a third off-diagonal), and
-        # the banded product D @ M, against dense matrices
+        # the banded product D @ M of the commutator [D, rho], for bands up
+        # to two off-diagonals, against dense matrices
         rng = np.random.default_rng(seed)
         wa, wb = rng.integers(1, 3, size=2)
         a, b = _random_band(rng, n, scale, wa), _random_band(rng, n, scale, wb)
         dense_a, dense_b = _dense_band(a), _dense_band(b)
-        want = -1j * (dense_a @ dense_b - dense_b @ dense_a)
-        got = fock_oracle._bracket(a, b)
-        assert got.shape == (wa + wb + 1, n)
         tol = 1e-13 * np.linalg.norm(dense_a) * np.linalg.norm(dense_b)
-        for j in range(wa + wb + 1):
-            k = max(n - j, 0)  # the j-th diagonal has n - j entries, none past n
-            assert np.linalg.norm(got[j, :k] - np.diagonal(want, j)) <= tol
-            assert not np.any(got[j, k:])
         assert np.linalg.norm(fock_oracle._band_times(b, dense_a) - dense_b @ dense_a) <= tol
 
     @pytest.mark.parametrize("dim", [4, 7, 40, 61])
@@ -611,6 +613,12 @@ def _dense_bracket(a, b):
     return -1j * (a @ b - b @ a)
 
 
+def _triple_dense(block, x):
+    """The dense x_A (N + 1/2) + x_K K + x_L L on one parity block, from
+    the bands of N + 1/2 and K: L's band is i times K's."""
+    return _dense_band(x[0] * block.number + (x[1] + 1j * x[2]) * block.k)
+
+
 def _dense_pair(blocks, protocol, t, h):
     """(Omega4, Omega6 - Omega4) of each parity block from dense matrices
     and dense brackets -i[A, B]: Blanes' three-node formulas with
@@ -644,6 +652,11 @@ class TestErrorEstimate:
         n = dim if at_cap else dim - 40
         ops = build_operators(dim)
         blocks = fock_oracle._window((ops.even, ops.odd), n)
+        # the dense route on four more levels, cut to the window: the
+        # truncation corrupts its nested brackets only on the top levels of
+        # each parity block, so the cut is the compression of the exact pair
+        big = build_operators(n + 4)
+        sizes = ((n + 1) // 2, n // 2)
         # a random state without off-parity coherences, as every state of
         # the oracle, decaying slowly enough that the top of the window is
         # occupied
@@ -653,25 +666,24 @@ class TestErrorEstimate:
         )[:, None]
         rho = parity_diagonal(z @ z.conj().T / np.linalg.norm(z) ** 2)
         rho_blocks = loop_rho(oracles.fock_state(rho, 1.0))
-        beyond, scale = 0.0, 0.0
+        gap_error, scale = 0.0, 0.0
         for t in (0.0, 1.0, 2.5):
             got = fock_oracle._magnus_pair(blocks, protocol, t, 0.05)
-            want = _dense_pair(blocks, protocol, t, 0.05)
+            want = _dense_pair((big.even, big.odd), protocol, t, 0.05)
             d = np.zeros((n, n), dtype=complex)
-            for s, (omega4, (omega4_dense, gap)) in zip(fock_oracle._PARITIES, zip(got, want)):
+            for s, k, (omega4, gap), (omega4_dense, gap_dense) in zip(
+                fock_oracle._PARITIES, sizes, got, want
+            ):
                 np.testing.assert_allclose(
-                    _dense_band(omega4[0]), omega4_dense, rtol=0.0, atol=1e-13
+                    _dense_band(omega4), omega4_dense[:k, :k], rtol=0.0, atol=1e-13
                 )
-                d[s, s] = gap
+                gap_error = max(gap_error, np.max(np.abs(_dense_band(gap) - gap_dense[:k, :k])))
+                d[s, s] = gap_dense[:k, :k]
+                scale = max(scale, float(np.max(np.abs(omega4))) ** 3)
             est = fock_oracle._frobenius(fock_oracle._commutator([g for _, g in got], rho_blocks))
             assert est == pytest.approx(np.linalg.norm(d @ rho - rho @ d), rel=1e-12)
-            beyond = max(beyond, max(float(np.max(np.abs(g[2:]))) for _, g in got))
-            scale = max(scale, max(float(np.max(np.abs(m))) for m, _ in got) ** 3)
-        # [K, a^dagger^2 + a^2] is diagonal under any truncation, so D's
-        # nested brackets never leave the tridiagonal form, at the cap and
-        # below it alike: its further bands hold the roundoff of brackets
-        # cubic in the generator
-        assert beyond <= 1e-12 * scale
+        # D is cubic in the generator; the dense route's roundoff scales so
+        assert gap_error <= 1e-15 * scale
 
     @pytest.mark.parametrize("name", sorted(_DEFAULT_STROKES))
     def test_estimates_the_one_step_gap(self, name):
@@ -726,13 +738,12 @@ class TestLocalExtrapolation:
 
 def _recording_sizes(monkeypatch):
     """Patch _magnus_pair to record the window size (both parity blocks)
-    of every trial step, without the Magnus guard it is built on; returns
-    the list it appends to."""
+    of every trial step; returns the list it appends to."""
     sizes = []
     pair = fock_oracle._magnus_pair
 
     def recorded(blocks, *args):
-        sizes.append(sum(b.k.shape[1] for b in blocks) - fock_oracle._MAGNUS_GUARD)
+        sizes.append(sum(b.k.shape[1] for b in blocks))
         return pair(blocks, *args)
 
     monkeypatch.setattr(fock_oracle, "_magnus_pair", recorded)
@@ -755,7 +766,7 @@ class TestActiveWindow:
     def test_window_grows_below_the_cap(self, expansion):
         ops, _, _, sizes = expansion
         assert sizes == sorted(sizes)
-        assert sizes[0] < sizes[-1] < ops.dim - fock_oracle._MAGNUS_GUARD
+        assert sizes[0] < sizes[-1] < ops.dim
 
     def test_padded_levels_are_exactly_zero(self, expansion):
         ops, _, end, sizes = expansion
@@ -766,16 +777,15 @@ class TestActiveWindow:
         assert not np.any(rho[:, n:])
 
     def test_final_energy_matches_the_full_dim_propagation(self, expansion):
-        # 2.3769303721735118: the same stroke propagated with the window
-        # opened at its cap, the full dim 344 less the Magnus guard
-        # (_WINDOW_TAIL = 0)
+        # 2.3769303721735793: the same stroke propagated with the window
+        # opened at its cap, the full dim 344 (_WINDOW_TAIL = 0)
         ops, protocol, end, _ = expansion
-        assert mean_energy_fock(end) == pytest.approx(2.3769303721735118, rel=1e-10, abs=0.0)
+        assert mean_energy_fock(end) == pytest.approx(2.3769303721735793, rel=1e-10, abs=0.0)
 
     def test_leak_at_the_cap_raises_after_growing(self, monkeypatch):
         # a fast eightfold compression squeezes the vacuum beyond dim 40 of
-        # the instantaneous frame: the window opens far below its cap, 40
-        # levels less the Magnus guard, grows into it and is refused there
+        # the instantaneous frame: the window opens far below its cap of 40
+        # levels, grows into it and is refused there
         # by the same leak check as a propagation opened at the cap
         ops = build_operators(40)
         rho = np.zeros((40, 40), dtype=complex)
@@ -785,7 +795,7 @@ class TestActiveWindow:
         sizes = _recording_sizes(monkeypatch)
         with pytest.raises(CutoffError, match="top two Fock levels"):
             propagate_fock_path(ops, st0, protocol, [0.25])
-        assert sizes[0] < sizes[-1] == 40 - fock_oracle._MAGNUS_GUARD
+        assert sizes[0] < sizes[-1] == 40
 
 
 class TestSpectralData:
