@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib.resources
 import json
@@ -311,7 +312,10 @@ def _write_output(text: str, out):
         raise ConfigError(f"cannot write output {out}: {exc.strerror or exc}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args returns a new
+    namespace on every call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="ottosta",
         description="Datasets for the counterdiabatically driven quantum Otto engine.",

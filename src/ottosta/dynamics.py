@@ -38,6 +38,7 @@ from .errors import NumericsError
 from .protocols import (
     FrequencyProtocol,
     ProtocolKind,
+    _checkpoints,
     _ramp_shape,
     require_cd_valid,
 )
@@ -148,21 +149,22 @@ class _Stack(NamedTuple):
             np.array([p.tau for p in protocols]),
         )
 
-    def ramp(self, row: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(omega, omegadot) of stroke ``row`` at time ``t``, for row indices
-        that broadcast against t: one evaluation per ramp kind present."""
+    def ramp(self, row: np.ndarray, t: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
+        """(omega,) at order 0, (omega, omegadot) at order 1, of stroke
+        ``row`` at time ``t``, for row indices that broadcast against t: one
+        evaluation per ramp kind present."""
         wi, wf, tau = self.omega_i[row], self.omega_f[row], self.tau[row]
         s = t / tau
         if len(self.kinds) == 1:
-            w, wd, _ = _ramp_shape(self.kinds[0], wi, wf, tau, s)
-            return w, wd
-        w = np.empty_like(s)
-        wd = np.empty_like(s)
+            return _ramp_shape(self.kinds[0], wi, wf, tau, s, order)
+        out = tuple(np.empty_like(s) for _ in range(order + 1))
         wi, wf, tau, kind = np.broadcast_arrays(wi, wf, tau, self.kind[row], s)[:4]
         for k, ramp in enumerate(self.kinds):
             on = kind == k
-            w[on], wd[on], _ = _ramp_shape(ramp, wi[on], wf[on], tau[on], s[on])
-        return w, wd
+            parts = _ramp_shape(ramp, wi[on], wf[on], tau[on], s[on], order)
+            for whole, part in zip(out, parts):
+                whole[on] = part
+        return out
 
 
 def _bracket(x: tuple, y: tuple) -> tuple:
@@ -186,7 +188,7 @@ def _step_exponentials(
     exp(Omega) = C I + S Omega with C = cosh(sqrt delta) and
     S = sinh(sqrt delta)/sqrt delta (cos/sin for delta < 0).
     """
-    w = stack.ramp(row, left + _NODES[:, None] * h)[0]
+    (w,) = stack.ramp(row, left + _NODES[:, None] * h, 0)
     # A_k = [[0, 1], [c_k, 0]]; traceless matrices are (m00, m01, m10).
     c1, c2, c3 = -w * w
     k2, k3 = _SQRT15 / 3.0 * h, 10.0 / 3.0 * h
@@ -400,19 +402,13 @@ def transfer_matrices(
     return ts, _transfer_matrices(protocols, ts, rtol)
 
 
-def _checkpoints(protocols: list[FrequencyProtocol], ts) -> np.ndarray:
-    """The checkpoints (B, K) of a stack: ts[b] validated by
-    protocols[b].checkpoints, and the same number K on every row."""
-    rows = [p.checkpoints(t) for p, t in zip(protocols, ts, strict=True)]
-    if len({row.size for row in rows}) > 1:
-        raise ValueError("every stroke of a stack needs the same number of checkpoints")
-    return np.stack(rows)
-
-
-def _ramp_grid(protocols: list[FrequencyProtocol], ts) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, omegadot), each (B, K), of each stroke at its times ts[b]."""
+def _ramp_grid(protocols: list[FrequencyProtocol], ts, order: int) -> tuple[np.ndarray, ...]:
+    """(omega,) at order 0, (omega, omegadot) at order 1, each (B, K), of
+    each stroke at its times ts[b]."""
     stack = _Stack.of(protocols)
-    return stack.ramp(np.arange(len(protocols))[:, None], np.asarray(ts, dtype=np.float64))
+    return stack.ramp(
+        np.arange(len(protocols))[:, None], np.asarray(ts, dtype=np.float64), order
+    )
 
 
 def _thermal_q(
@@ -460,7 +456,7 @@ def adiabaticity_stack(
     equals its one-row call bit for bit."""
     protocols = list(protocols)
     ts, m = transfer_matrices(protocols, ts, rtol)
-    w_t = _ramp_grid(protocols, ts)[0]
+    (w_t,) = _ramp_grid(protocols, ts, 0)
     omega_i = np.array([p.omega_i for p in protocols])[:, None]
     return _thermal_q(m, protocols, betas, w_t), _pair_q(omega_i, m, w_t)
 
@@ -476,7 +472,7 @@ def _cd_grid(protocols, ts) -> tuple[np.ndarray, np.ndarray]:
     ts = _checkpoints(protocols, ts)
     for protocol in protocols:
         require_cd_valid(protocol)
-    w, wd = _ramp_grid(protocols, ts)
+    w, wd = _ramp_grid(protocols, ts, 1)
     return w, 1.0 / np.sqrt(1.0 - wd**2 / (4.0 * w**4))
 
 

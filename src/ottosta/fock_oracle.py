@@ -22,10 +22,10 @@ rho is propagated with an adaptive 6th-order Magnus integrator. Each trial
 step builds the 4th- and 6th-order generators Omega4 and Omega6 = Omega4 + D
 from H~ at three Gauss-Legendre nodes; ||[D, rho]||_F estimates the local
 error of the 4th-order step and steers the step size. An accepted step
-advances rho with Omega6 by local extrapolation, split as
-exp(-iD/2) exp(-i Omega4) exp(-iD/2): Omega4 is exponentiated exactly (an
-eigendecomposition of the Hermitian generator) and each D factor is
-applied to first order, rho -> rho - (i/2)[D, rho].
+advances rho with Omega6 by local extrapolation: Omega6 is, like Omega4, a
+combination of three fixed operators (below), tridiagonal in each parity
+block, so exp(-i Omega6) is taken exactly, from one eigendecomposition of
+the Hermitian generator per block.
 
 N and K change the number n by 0 or +-2 and never mix even and odd n. Each
 Magnus step therefore exponentiates two generators of about dim/2, one per
@@ -293,9 +293,9 @@ def _magnus_pair(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per parity block, the tridiagonal bands of (Omega4, D) for one
     Magnus step of length h from t, one ramp evaluation per three-node
-    Gauss-Legendre node: the 4th-order generator, U = exp(-i Omega4), and
-    D = Omega6 - Omega4 (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-    (2009)). With H_k the instantaneous-frame drive H~ at node k, the
+    Gauss-Legendre node: the 4th-order generator Omega4 and its gap
+    D = Omega6 - Omega4 to the 6th-order one (Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470, 151 (2009)). With H_k the instantaneous-frame drive H~ at node k, the
     coefficients (omega_k, omegadot_k / 4 omega_k, 0) on (A, K, L), and the
     Hermitian bracket {X, Y} = -i[X, Y] (_su11_bracket): a1 = h H_2,
     a2 = (sqrt(15) h/3)(H_3 - H_1), a3 = (10 h/3)(H_3 - 2 H_2 + H_1),
@@ -433,23 +433,13 @@ def _apply(us: tuple[np.ndarray, np.ndarray], rho: _Rho) -> _Rho:
     return _Rho(*(u @ m @ u.conj().T for u, m in zip(us, rho)))
 
 
-def _kicked(rho: _Rho, comm: _Rho) -> _Rho:
-    """rho - (i/2) comm block by block: exp(-iD/2) rho exp(iD/2) to first
-    order in D, with comm = [D, rho] from _commutator."""
-    return _Rho(*(r - 0.5j * c for r, c in zip(rho, comm)))
-
-
-def _advance(pair: list[tuple[np.ndarray, np.ndarray]], rho: _Rho, comm: _Rho) -> _Rho:
-    """One Magnus step with Omega6 = Omega4 + D by local extrapolation, from
-    the (Omega4, D) bands of each parity block and comm = [D, rho]:
-    rho under exp(-iD/2) exp(-i Omega4) exp(-iD/2), Omega4 exponentiated
-    exactly and each D factor applied to first order (_kicked). The split
-    errs by O(h^7), through [Omega4, [Omega4, D]], and the dropped D^2 term
-    by O(h^10), so the step is of 6th order; the first kick reuses the
-    commutator of the error estimate, the second costs one more."""
-    us = tuple(_expm_tridiagonal(m[0].real, m[1, :-1]) for m, _ in pair)
-    rho = _apply(us, _kicked(rho, comm))
-    return _kicked(rho, _commutator([d for _, d in pair], rho))
+def _advance(pair: list[tuple[np.ndarray, np.ndarray]], rho: _Rho) -> _Rho:
+    """One 6th-order Magnus step from the (Omega4, D) bands of each parity
+    block: rho under exp(-i Omega6), with Omega6 = Omega4 + D tridiagonal
+    like its two terms and exponentiated exactly, one real eigensolve per
+    block."""
+    bands = (omega4 + d for omega4, d in pair)
+    return _apply(tuple(_expm_tridiagonal(m[0].real, m[1, :-1]) for m in bands), rho)
 
 
 def _check_and_clean(rho: _Rho) -> _Rho:
@@ -492,10 +482,8 @@ def propagate_fock_path(
     the gap between the 4th- and 6th-order updates, and tested against
     _MAGNUS_ATOL + _MAGNUS_RTOL ||rho||_F; the step size follows it with
     the exponent 1/5 of that local error. An accepted step advances rho
-    with Omega6 (_advance): one exponential of Omega4 per parity block
-    between two first-order kicks by D, the first reusing the estimate's
-    [D, rho]. A rejected trial costs no exponential. Unitarity of the
-    Omega4 factor is exact; the kicks keep rho Hermitian and its trace.
+    with Omega6 = Omega4 + D (_advance): one exact exponential per parity
+    block, so the step is unitary. A rejected trial costs no exponential.
 
     rho is propagated on an active window of the lowest n levels, under
     the compression of the operators onto them, on which each Magnus pair
@@ -536,7 +524,7 @@ def propagate_fock_path(
             err = _frobenius(comm)
             tol = _MAGNUS_ATOL + _MAGNUS_RTOL * _frobenius(rho)
             if err <= tol:
-                rho = _advance(pair, rho, comm)
+                rho = _advance(pair, rho)
                 if n < dim and _diagonal(rho)[-_WINDOW_BAND:].sum() > _WINDOW_TAIL:
                     n = min(n + _WINDOW_BAND, dim)
                     rho = _resized(rho, n)

@@ -41,10 +41,13 @@ class ProtocolKind(str, Enum):
     CONSTANT = "constant"
 
 
-def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray):
-    """(omega, omegadot, omegaddot) of a ``kind`` ramp at s = t/tau. The
-    parameters wi, wf and tau are scalars or arrays that broadcast against s,
-    so one call can evaluate many ramps of the same kind.
+def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray, order: int):
+    """(omega, omegadot, omegaddot) of a ``kind`` ramp at s = t/tau, cut to
+    its first order + 1 entries: order 0 gives (omega,), order 1
+    (omega, omegadot). omega comes from the same expression at every order,
+    so its bits do not depend on it. The parameters wi, wf and tau are
+    scalars or arrays that broadcast against s, so one call can evaluate
+    many ramps of the same kind.
 
     The polynomial ramps interpolate omega itself; the cosine ramp
     interpolates omega squared, which is why its curvature does not vanish
@@ -53,30 +56,40 @@ def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray):
     d = wf - wi
     if kind is ProtocolKind.CONSTANT:
         z = np.zeros_like(s)
-        return wi + z, z, z.copy()
+        return (wi + z, z, z.copy())[: order + 1]
     if kind is ProtocolKind.POLY5:
-        f = s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-        fp = 30.0 * s**2 * (1.0 - s) ** 2
-        fpp = 60.0 * s - 180.0 * s**2 + 120.0 * s**3
-        return wi + d * f, d * fp / tau, d * fpp / tau / tau
+        out = [wi + d * (s**3 * (10.0 - 15.0 * s + 6.0 * s**2))]
+        if order >= 1:
+            out.append(d * (30.0 * s**2 * (1.0 - s) ** 2) / tau)
+        if order >= 2:
+            out.append(d * (60.0 * s - 180.0 * s**2 + 120.0 * s**3) / tau / tau)
+        return tuple(out)
     if kind is ProtocolKind.POLY3:
-        f = s**2 * (3.0 - 2.0 * s)
-        fp = 6.0 * s * (1.0 - s)
-        fpp = 6.0 - 12.0 * s
-        return wi + d * f, d * fp / tau, d * fpp / tau / tau
+        out = [wi + d * (s**2 * (3.0 - 2.0 * s))]
+        if order >= 1:
+            out.append(d * (6.0 * s * (1.0 - s)) / tau)
+        if order >= 2:
+            out.append(d * (6.0 - 12.0 * s) / tau / tau)
+        return tuple(out)
     if kind is ProtocolKind.COSINE:
         a2 = (wf / wi) ** 2
         u = 0.5 * ((a2 + 1.0) - (a2 - 1.0) * np.cos(np.pi * s))
-        up = 0.5 * (a2 - 1.0) * np.pi * np.sin(np.pi * s)
-        upp = 0.5 * (a2 - 1.0) * np.pi**2 * np.cos(np.pi * s)
         r = np.sqrt(u)
-        w = wi * r
-        wd = wi * up / (2.0 * r) / tau
-        wdd = wi * (upp / (2.0 * r) - up**2 / (4.0 * u * r)) / tau / tau
-        return w, wd, wdd
+        out = [wi * r]
+        if order >= 1:
+            up = 0.5 * (a2 - 1.0) * np.pi * np.sin(np.pi * s)
+            out.append(wi * up / (2.0 * r) / tau)
+        if order >= 2:
+            upp = 0.5 * (a2 - 1.0) * np.pi**2 * np.cos(np.pi * s)
+            out.append(wi * (upp / (2.0 * r) - up**2 / (4.0 * u * r)) / tau / tau)
+        return tuple(out)
     # linear
-    z = np.zeros_like(s)
-    return wi + d * s, d / tau + z, z.copy()
+    out = [wi + d * s]
+    if order >= 1:
+        out.append(d / tau + np.zeros_like(s))
+    if order >= 2:
+        out.append(np.zeros_like(s))
+    return tuple(out)
 
 
 # Slack allowed when checking t against [0, tau], relative to tau.
@@ -113,7 +126,9 @@ class FrequencyProtocol:
             raise ValueError(
                 f"time outside protocol domain [0, {self.tau}]: [{tmin}, {tmax}]"
             )
-        w, wd, wdd = _ramp_shape(self.kind, self.omega_i, self.omega_f, self.tau, t / self.tau)
+        w, wd, wdd = _ramp_shape(
+            self.kind, self.omega_i, self.omega_f, self.tau, t / self.tau, 2
+        )
         if t.ndim == 0:
             return float(w), float(wd), float(wdd)
         return w, wd, wdd
@@ -121,17 +136,37 @@ class FrequencyProtocol:
     def checkpoints(self, ts) -> np.ndarray:
         """``ts`` as the checkpoints of a propagation along this ramp: a
         non-empty 1-d float array, ascending, from 0 up to tau. Raises
-        ValueError otherwise."""
-        ts = np.asarray(ts, dtype=np.float64)
-        if ts.ndim != 1 or ts.size == 0:
-            raise ValueError("ts must be a non-empty 1-d array of times")
-        if not np.isfinite(ts).all():
-            raise ValueError("ts must be finite")
-        if np.any(np.diff(ts) < 0.0) or ts[0] < 0.0:
-            raise ValueError("ts must be ascending and non-negative")
-        if ts[-1] > self.tau * (1.0 + _DOMAIN_TOL):
-            raise ValueError(f"ts exceeds tau = {self.tau}")
-        return ts
+        ValueError otherwise. The one-row case of the stack rule
+        (_checkpoints)."""
+        return _checkpoints([self], [ts])[0]
+
+
+def _checkpoints(protocols, ts) -> np.ndarray:
+    """The checkpoints of a stack of strokes as one float (B, K) array: row
+    ts[b] non-empty, 1-d, finite, ascending, from 0 up to protocols[b].tau
+    (with _DOMAIN_TOL slack), and the same number K on every row. Checked
+    in one pass over the stack; raises ValueError naming the rule broken."""
+    try:
+        stack = np.asarray(ts, dtype=np.float64)
+    except ValueError:  # ragged
+        stack = None
+    if stack is None or stack.ndim != 2 or stack.shape[1] == 0:
+        for row in ts:
+            row = np.asarray(row, dtype=np.float64)
+            if row.ndim != 1 or row.size == 0:
+                raise ValueError("ts must be a non-empty 1-d array of times")
+        raise ValueError("every stroke of a stack needs the same number of checkpoints")
+    taus = np.array([p.tau for p in protocols])
+    if stack.shape[0] != taus.size:
+        raise ValueError(f"{taus.size} strokes but {stack.shape[0]} rows of checkpoints")
+    if not np.isfinite(stack).all():
+        raise ValueError("ts must be finite")
+    if (stack[:, 1:] < stack[:, :-1]).any() or (stack[:, 0] < 0.0).any():
+        raise ValueError("ts must be ascending and non-negative")
+    beyond = stack[:, -1] > taus * (1.0 + _DOMAIN_TOL)
+    if beyond.any():
+        raise ValueError(f"ts exceeds tau = {float(taus[np.argmax(beyond)])}")
+    return stack
 
 
 class ValidityReport(NamedTuple):
@@ -164,7 +199,7 @@ def tau_min(kind, omega_i: float, omega_f: float) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(_TAU_MIN_ROUNDS):
         s = np.linspace(lo, hi, _TAU_MIN_POINTS)
-        w, wd, _ = _ramp_shape(ramp.kind, ramp.omega_i, ramp.omega_f, 1.0, s)
+        w, wd = _ramp_shape(ramp.kind, ramp.omega_i, ramp.omega_f, 1.0, s, 1)
         r = np.abs(wd) / (2.0 * w * w)
         i = int(np.argmax(r))
         lo, hi = s[max(i - 1, 0)], s[min(i + 1, s.size - 1)]

@@ -140,7 +140,7 @@ def friction_stack(protocols, betas, ts, rtol: float = DEFAULT_RTOL) -> np.ndarr
     Zero for an adiabatic drive, grows with nonadiabatic excitation."""
     protocols, betas, ts = list(protocols), list(betas), list(ts)
     q, _ = adiabaticity_stack(protocols, betas, ts, rtol=rtol)
-    w_t = _ramp_grid(protocols, ts)[0]
+    (w_t,) = _ramp_grid(protocols, ts, 0)
     omega_i = np.array([p.omega_i for p in protocols])[:, None]
     h0_mean = np.array([thermal_energy(beta, p.omega_i) for p, beta in zip(protocols, betas)])
     return (q - 1.0) * (w_t / omega_i) * h0_mean[:, None]

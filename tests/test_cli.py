@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 import oracles
 import ottosta
 from ottosta import cli, datasets
-from ottosta.cli import _digest, _validate, build_parser, load_schema, main, resolve_config
+from ottosta.cli import (
+    _digest,
+    _validate,
+    build_parser,
+    load_schema,
+    main,
+    resolve_config,
+    run_command,
+)
 from ottosta.errors import ConfigError
 
 
@@ -508,6 +516,23 @@ class TestOutputFormats:
         _, _, rows = split_output(Path(outfile).read_text())
         v = float(rows[0][1])
         assert repr(v) == rows[0][1]
+
+
+class TestParserCache:
+    def test_cached_parser_carries_nothing_between_calls(self, tmp_path):
+        # one parser serves every main call of a process; each call must
+        # write what the same command gives through a parser of its own
+        cfg = tmp_path / "cost.json"
+        cfg.write_text(json.dumps({"taus": [3.0, 6.0], "nodes": 201}))
+        for i, argv in enumerate([
+            ["cost", "--grid", "tau=3:3:1", "--format", "json"],
+            ["cost", "--config", str(cfg), "--oracle"],
+            ["cost"],
+        ]):
+            out = tmp_path / f"{i}.out"
+            assert run_cli([*argv, "--out", str(out)]) == 0
+            want = run_command(argv[0], build_parser.__wrapped__().parse_args(argv))
+            assert out.read_bytes() == want.encode("utf-8"), argv
 
 
 class TestUnwritableOutput:

@@ -239,6 +239,8 @@ class TestCounterdiabatic:
             q_cd_grid([REF], [[0.0, 3.5]])
         with pytest.raises(ValueError, match="same number of checkpoints"):
             q_cd_grid([REF, REF], [[1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="2 strokes but 1 rows"):
+            q_cd_grid([REF, REF], [[1.0, 2.0]])
 
     def test_cd_interior_state_is_instantaneous_thermal(self):
         """Under the counterdiabatic drive the state at every interior time
@@ -389,6 +391,26 @@ class TestStackedPropagator:
                 lone = _transfer_matrices([p], np.array([[p.tau]]), 1e-10)[0, 0]
                 for j in range(STACK_K):
                     assert stacked[b, j].tobytes() == lone.tobytes(), (b, j)
+
+    def test_ramp_orders_equal_eval_bit_for_bit(self):
+        """The omega-only ramp of the Magnus nodes and the (omega, omegadot)
+        one of the CD grids equal FrequencyProtocol.eval, for every kind,
+        alone and in a mixed-kind stack."""
+        protocols = [
+            FrequencyProtocol(kind, 0.35, 0.35 if kind is ProtocolKind.CONSTANT else 1.0, tau)
+            for kind, tau in zip(ProtocolKind, (3.0, 2.25, 5.0, 7.5, 9.0))
+        ]
+        ts = np.array([np.linspace(0.0, p.tau, STACK_K) for p in protocols])
+        mixed = dynamics._Stack.of(protocols)
+        rows = np.arange(len(protocols))[:, None]
+        for order in (0, 1):
+            got = mixed.ramp(rows, ts, order)
+            assert len(got) == order + 1
+            for b, p in enumerate(protocols):
+                want = p.eval(ts[b])[: order + 1]
+                alone = dynamics._Stack.of([p]).ramp(np.zeros(1, dtype=int), ts[b], order)
+                for g, a, w in zip(got, alone, want):
+                    assert g[b].tobytes() == a.tobytes() == w.tobytes(), (p.kind, order)
 
     def test_block_size_does_not_change_the_bits(self, monkeypatch):
         """Chunks of a power-of-two length are whole subtrees of a gap's

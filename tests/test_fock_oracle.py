@@ -704,13 +704,13 @@ class TestErrorEstimate:
 
 
 class TestLocalExtrapolation:
-    """An accepted step advances rho with Omega6 = Omega4 + D as
-    exp(-iD/2) exp(-i Omega4) exp(-iD/2), each D factor to first order."""
+    """An accepted step advances rho under exp(-i Omega6), Omega6 = Omega4 + D
+    exponentiated directly on its tridiagonal bands."""
 
     def test_step_is_of_sixth_order(self):
         # one step from the thermal start against eight dense Omega6 steps
-        # on the same operators: halving h cuts the extrapolated step's error
-        # by 2^7 = 128 in the limit, the bare Omega4 step's by 2^5 = 32
+        # on the same operators: halving h cuts the Omega6 step's error by
+        # 2^7 = 128 in the limit, the bare Omega4 step's by 2^5 = 32
         protocol, beta, dim, _ = _DEFAULT_STROKES["compression"]
         ops = build_operators(dim)
         blocks = (ops.even, ops.odd)
@@ -726,8 +726,7 @@ class TestLocalExtrapolation:
             pair = fock_oracle._magnus_pair(blocks, protocol, t, h)
             us = tuple(fock_oracle._expm_tridiagonal(m[0].real, m[1, :-1]) for m, _ in pair)
             bare = fock_oracle._apply(us, rho)
-            comm = fock_oracle._commutator([d for _, d in pair], rho)
-            extrapolated = fock_oracle._advance(pair, rho, comm)
+            extrapolated = fock_oracle._advance(pair, rho)
             return [np.linalg.norm(oracles.dense_rho(r) - want) for r in (bare, extrapolated)]
 
         (bare_h, ext_h), (bare_half, ext_half) = errors(1.0, 0.2), errors(1.0, 0.1)
@@ -777,10 +776,10 @@ class TestActiveWindow:
         assert not np.any(rho[:, n:])
 
     def test_final_energy_matches_the_full_dim_propagation(self, expansion):
-        # 2.3769303721735793: the same stroke propagated with the window
+        # 2.3769304254638244: the same stroke propagated with the window
         # opened at its cap, the full dim 344 (_WINDOW_TAIL = 0)
         ops, protocol, end, _ = expansion
-        assert mean_energy_fock(end) == pytest.approx(2.3769303721735793, rel=1e-10, abs=0.0)
+        assert mean_energy_fock(end) == pytest.approx(2.3769304254638244, rel=1e-10, abs=0.0)
 
     def test_leak_at_the_cap_raises_after_growing(self, monkeypatch):
         # a fast eightfold compression squeezes the vacuum beyond dim 40 of

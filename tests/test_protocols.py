@@ -13,6 +13,7 @@ from ottosta.errors import TrapInversionError
 from ottosta.protocols import (
     FrequencyProtocol,
     ProtocolKind,
+    _ramp_shape,
     check_cd_validity,
     tau_min,
 )
@@ -66,6 +67,18 @@ class TestEndpointsAndValues:
             assert wd[i] == swd
             assert wdd[i] == swdd
 
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_lower_orders_equal_eval_bit_for_bit(self, kind):
+        # callers that read omega alone, or (omega, omegadot), get eval's bits
+        p = make(kind, wf=0.35 if kind is ProtocolKind.CONSTANT else 1.0)
+        ts = np.linspace(0.0, 3.0, 17)
+        w, wd, _ = p.eval(ts)
+        s = ts / p.tau
+        (w0,) = _ramp_shape(kind, p.omega_i, p.omega_f, p.tau, s, 0)
+        w1, wd1 = _ramp_shape(kind, p.omega_i, p.omega_f, p.tau, s, 1)
+        assert w0.tobytes() == w1.tobytes() == w.tobytes()
+        assert wd1.tobytes() == wd.tobytes()
+
     def test_constant_protocol(self):
         p = FrequencyProtocol(ProtocolKind.CONSTANT, 0.7, 0.7, 2.0)
         assert p.eval(1.3)[0] == 0.7
@@ -107,36 +120,60 @@ class TestEndpointsAndValues:
 
 
 class TestCheckpoints:
-    """One checkpoint rule, FrequencyProtocol.checkpoints, for every path."""
+    """One checkpoint rule for a stack of strokes, with
+    FrequencyProtocol.checkpoints its one-row case, for every path."""
 
     @pytest.mark.parametrize(
-        "ts",
-        [[[0.5, 1.0]], [], [2.0, 1.0], [-0.5, 1.0], [1.0, 3.5]],
-        ids=["2-d", "empty", "descending", "negative", "beyond-tau"],
+        "ts, alone",
+        [
+            ([[0.5, 1.0]], True),
+            ([], True),
+            ([2.0, 1.0], True),
+            ([-0.5, 1.0], True),
+            ([1.0, 3.5], True),
+            ([0.0, math.nan], True),
+            ([1.0], False),  # fine alone, but shorter than the other rows
+        ],
+        ids=["2-d", "empty", "descending", "negative", "beyond-tau", "nan", "ragged"],
     )
-    def test_every_path_refuses_bad_checkpoints_alike(self, ts):
+    def test_every_path_refuses_bad_checkpoints_alike(self, ts, alone):
         from ottosta import fock_oracle
-        from ottosta.dynamics import adiabaticity_stack
+        from ottosta.dynamics import adiabaticity_stack, q_cd_grid
 
         p = make(ProtocolKind.POLY5)
         ops = fock_oracle.build_operators(16)
         state = fock_oracle.thermal_fock_in(ops, 2.0, 0.35)
+        # the bad row among good ones
+        stack = [[0.5, 1.0], ts, [0.0, 3.0]]
         paths = [
-            lambda: p.checkpoints(ts),
-            lambda: transfer_matrices([p], [ts]),
-            lambda: adiabaticity_stack([p], [2.0], [ts]),
-            lambda: fock_oracle.propagate_fock_path(ops, state, p, ts),
+            lambda: transfer_matrices([p] * 3, stack),
+            lambda: adiabaticity_stack([p] * 3, [2.0] * 3, stack),
+            lambda: q_cd_grid([p] * 3, stack),
         ]
+        if alone:
+            paths += [
+                lambda: p.checkpoints(ts),
+                lambda: transfer_matrices([p], [ts]),
+                lambda: adiabaticity_stack([p], [2.0], [ts]),
+                lambda: q_cd_grid([p], [ts]),
+                lambda: fock_oracle.propagate_fock_path(ops, state, p, ts),
+            ]
         messages = set()
         for path in paths:
             with pytest.raises(ValueError) as err:
                 path()
             messages.add(str(err.value))
-        assert len(messages) == 1
+        assert len(messages) == 1, messages
 
     def test_good_checkpoints_pass_as_floats(self):
         ts = make(ProtocolKind.POLY5).checkpoints([0, 1.5, 3.0 * (1.0 + 1e-13)])
         assert ts.dtype == np.float64 and ts.shape == (3,)
+        # a valid stack comes back unchanged
+        stack = [[0, 1.5, 3.0 * (1.0 + 1e-13)], [0, 0, 2], [1, 2, 3]]
+        p = make(ProtocolKind.POLY5)
+        ts, _ = transfer_matrices([p, make(ProtocolKind.COSINE), p], stack)
+        assert ts.dtype == np.float64
+        assert ts.tobytes() == np.array(stack, dtype=np.float64).tobytes()
 
 
 class TestDerivatives:
