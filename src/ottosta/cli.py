@@ -58,7 +58,6 @@ CONVENTIONS = {
     "time_averaged_work": "stroke work replaced by full adiabatic work plus the time-averaged driving excess",
     "fluctuation_cost": "time average of sqrt(excess work variance); defined on compression-type strokes",
     "cold_heat": "computed from state energies, first law kept as a checkable identity",
-    "irreversible_work_beta": "inverse temperature of the bath that prepared the stroke's initial state",
     "entropy_production": "dS = -beta_hot Q2 - beta_cold Q4 >= 0 enforced",
 }
 

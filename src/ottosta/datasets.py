@@ -132,9 +132,9 @@ def _fock_stroke_residual(protocol: FrequencyProtocol, beta: float, q: float) ->
     """Relative gap between the Fock mean energy at the end of a bare stroke
     and the Gaussian one, Q* (omega_f/omega_i) <H(0)> with ``q`` the Q* of
     the stroke record."""
-    ops = fock_oracle.build_operators(fock_oracle.stroke_dim(beta, protocol))
-    state_f = fock_oracle.thermal_fock_in(ops, beta, protocol.omega_i)
-    end_f = fock_oracle.propagate_fock_path(ops, state_f, protocol, [protocol.tau])[-1]
+    dim = fock_oracle.stroke_dim(beta, protocol)
+    state_f = fock_oracle.thermal_fock_in(dim, beta, protocol.omega_i)
+    end_f = fock_oracle.propagate_fock_path(state_f, protocol, [protocol.tau])[-1]
     e_fock = fock_oracle.mean_energy_fock(end_f)
     e_gauss = q * (protocol.omega_f / protocol.omega_i) * thermal_energy(beta, protocol.omega_i)
     return abs(e_fock - e_gauss) / abs(e_gauss)

@@ -342,9 +342,13 @@ def _transfer_matrices(
         within = counts.sum(axis=1) <= _MAX_STEPS
         if not within.all():
             r = int(np.argmin(within))
+            e = error[rows[r]]
+            estimate = f"error estimate {e:.3g} > rtol {rtol:g}"
+            if e == math.inf:  # before the first Richardson pair
+                estimate = "no estimate yet"
             raise NumericsError(
                 f"Magnus propagator: {counts[r].sum():.4g} steps exceed the budget of "
-                f"{_MAX_STEPS} (error estimate {error[rows[r]]:.3g} > rtol {rtol:g})"
+                f"{_MAX_STEPS} ({estimate})"
             )
         counts = counts.astype(np.int64)
         m = _prefix_products(_gap_products(stack, rows, edges[rows], counts))

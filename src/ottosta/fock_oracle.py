@@ -49,15 +49,17 @@ is still taken of the Fock bands. A diagonal phase gauge makes each block
 real symmetric without changing its spectrum, so each block exponential
 is one real eigensolve, exact up to roundoff.
 
-The truncation ``ops.dim`` (for a stroke, ``stroke_dim``) is a cap, not the
+Every function takes its truncation as a level count: the bands of N + 1/2
+and K on the lowest n levels are a closed form in n (_bands), and the
+compression of those of any larger truncation onto them. A state's
+truncation ``state.dim`` (for a stroke, ``stroke_dim``) is a cap, not the
 working size: rho is propagated on an active window of the lowest levels,
-the ones the state occupies. N + 1/2 and K compressed onto a window are
-exactly the operators of that smaller truncation. The window opens where
-the start state's diagonal tail falls below a threshold, plus a guard
-band, and grows by one band whenever its top band holds more than the
-threshold, up to ops.dim. Only at that cap does the leak check of the top
-two levels (the top level of each parity block) refuse the state.
-Returned states are zero-padded to ops.dim. The counterdiabatic
+the ones the state occupies, under the bands of that window. The window
+opens where the start state's diagonal tail falls below a threshold, plus
+a guard band, and grows by one band whenever its top band holds more than
+the threshold, up to state.dim. Only at that cap does the leak check of
+the top two levels (the top level of each parity block) refuse the state.
+Returned states are zero-padded to state.dim. The counterdiabatic
 Hamiltonian of one instant, omega (N + 1/2) - (omegadot / 4 omega) K in
 the number basis of that instant's omega, is split the same way: two real
 tridiagonal eigensolves, one per parity.
@@ -85,9 +87,7 @@ from .errors import CutoffError, NumericsError
 from .protocols import FrequencyProtocol, require_cd_valid
 
 __all__ = [
-    "FockOperators",
     "FockState",
-    "build_operators",
     "stroke_dim",
     "thermal_fock_in",
     "mean_energy_fock",
@@ -120,9 +120,19 @@ _MAGNUS_ATOL = 1e-12
 _MAGNUS_MAX_STEPS = 200_000
 # Thermal tail weight left out of the two-point-measurement level sums.
 _TPM_TAIL = 1e-12
-# Largest truncation build_operators accepts; a parity block of a state
-# there is a 2048^2 complex matrix, 64 MiB.
+# Largest truncation the oracle accepts; a parity block of a state there is
+# a 2048^2 complex matrix, 64 MiB.
 _MAX_LEVELS = 4096
+
+
+def _check_levels(dim: int) -> None:
+    """Refuse a truncation of ``dim`` levels before anything is allocated:
+    CutoffError above _MAX_LEVELS, since the truncations a stroke needs
+    grow as 1/beta, and ValueError below 4."""
+    if dim > _MAX_LEVELS:
+        raise CutoffError(f"the Fock oracle needs {dim} levels, over the {_MAX_LEVELS} allowed")
+    if dim < 4:
+        raise ValueError(f"dim must be at least 4, got {dim}")
 
 
 @dataclass(frozen=True)
@@ -135,39 +145,28 @@ class _ParityBlock:
     k: np.ndarray
 
 
-@dataclass(frozen=True)
-class FockOperators:
-    """N + 1/2 and K = xp + px as their bands on the even-n and the odd-n
-    number states, the same in the number basis of every frequency: neither
-    couples the parities, and within one K couples only n and n +- 2."""
-
-    dim: int
-    even: _ParityBlock
-    odd: _ParityBlock
-
-
-def build_operators(dim: int) -> FockOperators:
-    """N + 1/2 and K = xp + px = i (a^dagger^2 - a^2) on the lowest ``dim``
-    number states, in closed form from the ladder algebra: N + 1/2 is the
-    diagonal n + 1/2, and K has a zero diagonal and (n, n + 2) entry
-    -i sqrt((n + 1)(n + 2)). Both are exact under the truncation. Raises
-    CutoffError above _MAX_LEVELS, before allocating anything: the
-    truncations a stroke needs grow as 1/beta."""
-    if dim > _MAX_LEVELS:
-        raise CutoffError(f"the Fock oracle needs {dim} levels, over the {_MAX_LEVELS} allowed")
-    if dim < 4:
-        raise ValueError(f"dim must be at least 4, got {dim}")
-    n = np.arange(dim, dtype=np.float64)
-    off = np.zeros(dim)  # (n, n + 2) entry of a^2, zero on the top two levels
-    off[:-2] = np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0))
+def _bands(n: int) -> tuple[_ParityBlock, _ParityBlock]:
+    """N + 1/2 and K = xp + px = i (a^dagger^2 - a^2) on the lowest n
+    number states, as their bands on the even-n and the odd-n levels, the
+    same in the number basis of every frequency: neither couples the
+    parities, and within one K couples only n and n +- 2. In closed form
+    from the ladder algebra: N + 1/2 is the diagonal n + 1/2, and K has a
+    zero diagonal and (n, n + 2) entry -i sqrt((n + 1)(n + 2)), zero on
+    the top two levels. Both are exact under the truncation, and equal the
+    bands of any larger truncation cut to the lowest n levels. Refused by
+    _check_levels before anything is allocated."""
+    _check_levels(n)
+    levels = np.arange(n, dtype=np.float64)
+    off = np.zeros(n)
+    off[:-2] = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
     blocks = []
     for s in _PARITIES:
-        zero = np.zeros_like(n[s])
-        bands = (np.array([n[s] + 0.5, zero]), np.array([zero, -1j * off[s]]))
+        zero = np.zeros_like(levels[s])
+        bands = (np.array([levels[s] + 0.5, zero]), np.array([zero, -1j * off[s]]))
         for band in bands:
             band.setflags(write=False)
         blocks.append(_ParityBlock(*bands))
-    return FockOperators(dim, *blocks)
+    return tuple(blocks)
 
 
 def _h(block: _ParityBlock, omega: float, kappa: float) -> np.ndarray:
@@ -248,11 +247,12 @@ def _gibbs_populations(beta: float, omega: float, dim: int) -> np.ndarray:
     return pops / pops.sum()
 
 
-def thermal_fock_in(ops: FockOperators, beta: float, omega: float) -> FockState:
+def thermal_fock_in(dim: int, beta: float, omega: float) -> FockState:
     """Truncated Gibbs state of the trap at ``omega`` in its own number
-    basis, on the ops.dim levels of ``ops``: the diagonal Gibbs
-    populations, at unit trace."""
-    pops = _gibbs_populations(beta, omega, ops.dim)
+    basis, on its lowest ``dim`` levels: the diagonal Gibbs populations, at
+    unit trace. Refused by _check_levels before anything is allocated."""
+    _check_levels(dim)
+    pops = _gibbs_populations(beta, omega, dim)
     return FockState(np.diag(pops[0::2]), np.diag(pops[1::2]), omega)
 
 
@@ -264,13 +264,11 @@ def mean_energy_fock(state: FockState) -> float:
 
 
 def _band_times(band: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """D @ M for the Hermitian band D (w + 1, n) and a dense M with n rows,
-    in O(n w) row updates."""
-    n = band.shape[1]
+    """D @ M for the Hermitian tridiagonal band D (2, n) and a dense M with
+    n rows, in three row updates."""
     out = band[0, :, None] * m
-    for j in range(1, min(band.shape[0], n)):
-        out[: n - j] += band[j, : n - j, None] * m[j:]
-        out[j:] += band[j, : n - j, None].conj() * m[: n - j]
+    out[:-1] += band[1, :-1, None] * m[1:]
+    out[1:] += band[1, :-1, None].conj() * m[:-1]
     return out
 
 
@@ -307,7 +305,7 @@ def _magnus_pair(
     nodes = [
         protocol.eval(t + c * h) for c in (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
     ]
-    h1, h2, h3 = (np.array([w, wd / (4.0 * w), 0.0]) for w, wd, _ in nodes)
+    h1, h2, h3 = (np.array([w, wd / (4.0 * w), 0.0]) for w, wd in nodes)
     a1 = h * h2
     a2 = (_SQRT15 * h / 3.0) * (h3 - h1)
     a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
@@ -322,8 +320,8 @@ def _magnus_pair(
 
 
 def _commutator(ds: list[np.ndarray], rho: _Rho) -> _Rho:
-    """The parity blocks of [D, rho] for the Hermitian bands D = (D_even,
-    D_odd), in O(n^2 w): X - X^dagger with X = D_a rho[a, a]."""
+    """The parity blocks of [D, rho] for the Hermitian tridiagonal bands
+    D = (D_even, D_odd), in O(n^2): X - X^dagger with X = D_a rho[a, a]."""
     xs = (_band_times(d, m) for d, m in zip(ds, rho))
     return _Rho(*(x - x.conj().T for x in xs))
 
@@ -349,7 +347,10 @@ def _eigh_tridiagonal(
     t = np.diag(diag)
     k = np.arange(off.size)
     t[k, k + 1] = t[k + 1, k] = mag
-    lam, v = np.linalg.eigh(t)
+    try:
+        lam, v = np.linalg.eigh(t)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"Fock oracle: tridiagonal eigensolve failed ({exc})") from None
     return lam, v, d
 
 
@@ -372,26 +373,6 @@ def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     u *= d[:, None]
     u *= d.conj()
     return u
-
-
-def _cut(band: np.ndarray, k: int) -> np.ndarray:
-    """The Hermitian tridiagonal band on its lowest k levels, as a new
-    array: the entry that couples them to the level above is dropped."""
-    out = band[:, :k].copy()
-    out[1, k - 1 :] = 0.0
-    return out
-
-
-def _window(
-    blocks: tuple[_ParityBlock, _ParityBlock], n: int
-) -> tuple[_ParityBlock, _ParityBlock]:
-    """The parity bands of the lowest n levels: the compression of the
-    bands of the whole truncation onto them, so each band's last
-    off-diagonal entry, the coupling out of the window, is dropped."""
-    return tuple(
-        _ParityBlock(_cut(block.number, k), _cut(block.k, k))
-        for block, k in zip(blocks, ((n + 1) // 2, n // 2))
-    )
 
 
 class _Rho(NamedTuple):
@@ -465,7 +446,6 @@ def _check_and_clean(rho: _Rho) -> _Rho:
 
 
 def propagate_fock_path(
-    ops: FockOperators,
     state: FockState,
     protocol: FrequencyProtocol,
     ts,
@@ -486,30 +466,27 @@ def propagate_fock_path(
     block, so the step is unitary. A rejected trial costs no exponential.
 
     rho is propagated on an active window of the lowest n levels, under
-    the compression of the operators onto them, on which each Magnus pair
-    is built. The window opens at the smallest n whose diagonal tail weight
-    in ``state`` is at most _WINDOW_TAIL, plus a band of _WINDOW_BAND
-    levels. After each accepted step whose top band holds more than
-    _WINDOW_TAIL, rho is zero-padded by one band, up to the cap ops.dim;
-    there the leak check of the top two levels refuses a state that
-    outgrows the truncation. Each returned state is zero-padded to ops.dim.
-    A step clipped to a checkpoint lands on it exactly. The error and
-    tolerance norms are those of the whole rho."""
+    their bands (_bands), on which each Magnus pair is built. The window
+    opens at the smallest n whose diagonal tail weight in ``state`` is at
+    most _WINDOW_TAIL, plus a band of _WINDOW_BAND levels. After each
+    accepted step whose top band holds more than _WINDOW_TAIL, rho is
+    zero-padded by one band, up to the cap state.dim; there the leak check
+    of the top two levels refuses a state that outgrows the truncation.
+    Each returned state is zero-padded to state.dim. A step clipped to a
+    checkpoint lands on it exactly. The error and tolerance norms are those
+    of the whole rho."""
     if not abs(state.omega - protocol.omega_i) <= 1e-12 * protocol.omega_i:
         raise ValueError(
             f"state basis (omega {state.omega}) does not match the stroke's "
             f"start frequency {protocol.omega_i}"
         )
-    if state.dim != ops.dim:
-        raise ValueError(f"state dim {state.dim} does not match operators dim {ops.dim}")
-    dim = ops.dim
+    dim = state.dim
     ts = protocol.checkpoints(ts)
 
-    cap_blocks = (ops.even, ops.odd)
     tail = np.cumsum(_diagonal(state)[::-1])[::-1]
     n = min(int(np.count_nonzero(tail > _WINDOW_TAIL)) + _WINDOW_BAND, dim)
     rho = _resized(state, n)
-    blocks = _window(cap_blocks, n)
+    blocks = _bands(n)
     t = 0.0
     h = protocol.tau / 200.0
     out: list[FockState] = []
@@ -528,7 +505,7 @@ def propagate_fock_path(
                 if n < dim and _diagonal(rho)[-_WINDOW_BAND:].sum() > _WINDOW_TAIL:
                     n = min(n + _WINDOW_BAND, dim)
                     rho = _resized(rho, n)
-                    blocks = _window(cap_blocks, n)
+                    blocks = _bands(n)
                 rho = _check_and_clean(rho)
                 t = target if last else t + h
                 grow = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
@@ -545,10 +522,11 @@ def propagate_fock_path(
 
 
 def cd_level_energies(
-    ops: FockOperators, omega: float, omega_dot: float, n_levels: int
+    dim: int, omega: float, omega_dot: float, n_levels: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Spectral data of the counterdiabatic Hamiltonian at one instant,
-    omega (N + 1/2) - (omegadot / 4 omega) K in the number basis of omega.
+    omega (N + 1/2) - (omegadot / 4 omega) K in the number basis of omega,
+    on its lowest ``dim`` levels.
 
     Returns (eigenvalues, <H0> in each eigenstate) for the lowest
     ``n_levels`` levels, from one eigensolve per number parity merged by
@@ -556,13 +534,13 @@ def cd_level_energies(
     |W_nk|^2 with W = D V (_eigh_tridiagonal), and |W_nk| = |V_nk|. In the
     untruncated space these are omega/Q*_CD (n + 1/2) and
     omega Q*_CD (n + 1/2)."""
-    if n_levels > ops.dim // 2:
+    if n_levels > dim // 2:
         raise ValueError(
-            f"n_levels {n_levels} too close to the truncation {ops.dim}; "
+            f"n_levels {n_levels} too close to the truncation {dim}; "
             "top-half eigenvectors are not converged"
         )
     lams, h0_exp = [], []
-    for block in (ops.even, ops.odd):
+    for block in _bands(dim):
         band = _h(block, omega, -omega_dot / (4.0 * omega))
         lam, v, _ = _eigh_tridiagonal(band[0].real, band[1, :-1])
         lams.append(lam)
@@ -572,16 +550,11 @@ def cd_level_energies(
     return lam[keep], np.concatenate(h0_exp)[keep]
 
 
-# Reused across the taus of a `cost` grid, which share the level count.
-_tpm_operators = functools.lru_cache(maxsize=2)(build_operators)
-
-
 @functools.lru_cache(maxsize=16)
 def _tpm_energies(n_sum: int, omega: float, omega_dot: float) -> np.ndarray:
     """<H0> in the lowest n_sum counterdiabatic eigenstates at one instant
     (cd_level_energies) on 2 n_sum + 60 levels, read-only."""
-    ops = _tpm_operators(2 * n_sum + 60)
-    _, e = cd_level_energies(ops, omega, omega_dot, n_sum)
+    _, e = cd_level_energies(2 * n_sum + 60, omega, omega_dot, n_sum)
     e.setflags(write=False)
     return e
 
@@ -603,8 +576,8 @@ def tpm_variance_excess(protocol: FrequencyProtocol, beta: float, t: float) -> f
         n_sum = 2
     else:
         n_sum = max(2, int(math.ceil(-math.log(_TPM_TAIL) / (beta * wi))))
-    w0, wd0, _ = protocol.eval(0.0)
-    wt, wdt, _ = protocol.eval(float(t))
+    w0, wd0 = protocol.eval(0.0)
+    wt, wdt = protocol.eval(float(t))
     work = _tpm_energies(n_sum, wt, wdt) - _tpm_energies(n_sum, w0, wd0)
     pops = _gibbs_populations(beta, wi, n_sum)
     mean = float(np.sum(pops * work))

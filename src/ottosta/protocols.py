@@ -42,34 +42,27 @@ class ProtocolKind(str, Enum):
 
 
 def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray, order: int):
-    """(omega, omegadot, omegaddot) of a ``kind`` ramp at s = t/tau, cut to
-    its first order + 1 entries: order 0 gives (omega,), order 1
-    (omega, omegadot). omega comes from the same expression at every order,
+    """(omega,) at order 0 and (omega, omegadot) at order 1 of a ``kind``
+    ramp at s = t/tau. omega comes from the same expression at both orders,
     so its bits do not depend on it. The parameters wi, wf and tau are
     scalars or arrays that broadcast against s, so one call can evaluate
     many ramps of the same kind.
 
     The polynomial ramps interpolate omega itself; the cosine ramp
-    interpolates omega squared, which is why its curvature does not vanish
-    at the endpoints. The curvature divides by tau twice rather than by
-    tau^2, which would overflow for durations near the float range."""
+    interpolates omega squared."""
     d = wf - wi
     if kind is ProtocolKind.CONSTANT:
         z = np.zeros_like(s)
-        return (wi + z, z, z.copy())[: order + 1]
+        return (wi + z, z)[: order + 1]
     if kind is ProtocolKind.POLY5:
         out = [wi + d * (s**3 * (10.0 - 15.0 * s + 6.0 * s**2))]
         if order >= 1:
             out.append(d * (30.0 * s**2 * (1.0 - s) ** 2) / tau)
-        if order >= 2:
-            out.append(d * (60.0 * s - 180.0 * s**2 + 120.0 * s**3) / tau / tau)
         return tuple(out)
     if kind is ProtocolKind.POLY3:
         out = [wi + d * (s**2 * (3.0 - 2.0 * s))]
         if order >= 1:
             out.append(d * (6.0 * s * (1.0 - s)) / tau)
-        if order >= 2:
-            out.append(d * (6.0 - 12.0 * s) / tau / tau)
         return tuple(out)
     if kind is ProtocolKind.COSINE:
         a2 = (wf / wi) ** 2
@@ -79,16 +72,11 @@ def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray, order: int):
         if order >= 1:
             up = 0.5 * (a2 - 1.0) * np.pi * np.sin(np.pi * s)
             out.append(wi * up / (2.0 * r) / tau)
-        if order >= 2:
-            upp = 0.5 * (a2 - 1.0) * np.pi**2 * np.cos(np.pi * s)
-            out.append(wi * (upp / (2.0 * r) - up**2 / (4.0 * u * r)) / tau / tau)
         return tuple(out)
     # linear
     out = [wi + d * s]
     if order >= 1:
         out.append(d / tau + np.zeros_like(s))
-    if order >= 2:
-        out.append(np.zeros_like(s))
     return tuple(out)
 
 
@@ -116,9 +104,9 @@ class FrequencyProtocol:
             raise ValueError("constant protocol requires omega_f == omega_i")
 
     def eval(self, t):
-        """(omega, omegadot, omegaddot) at time t: floats for a scalar t,
-        arrays of t's shape for an array of times. Raises ValueError for a
-        time outside [0, tau] or not a number."""
+        """(omega, omegadot) at time t: floats for a scalar t, arrays of t's
+        shape for an array of times. Raises ValueError for a time outside
+        [0, tau] or not a number."""
         t = np.asarray(t, dtype=np.float64)
         tol = _DOMAIN_TOL * self.tau
         tmin, tmax = float(np.min(t)), float(np.max(t))
@@ -126,12 +114,10 @@ class FrequencyProtocol:
             raise ValueError(
                 f"time outside protocol domain [0, {self.tau}]: [{tmin}, {tmax}]"
             )
-        w, wd, wdd = _ramp_shape(
-            self.kind, self.omega_i, self.omega_f, self.tau, t / self.tau, 2
-        )
+        w, wd = _ramp_shape(self.kind, self.omega_i, self.omega_f, self.tau, t / self.tau, 1)
         if t.ndim == 0:
-            return float(w), float(wd), float(wdd)
-        return w, wd, wdd
+            return float(w), float(wd)
+        return w, wd
 
     def checkpoints(self, ts) -> np.ndarray:
         """``ts`` as the checkpoints of a propagation along this ramp: a

@@ -65,20 +65,47 @@ def ramp_omega(kind, omega_i, omega_f, tau, t):
 def validity_margin(protocol, ts):
     """Counterdiabatic validity margin 1 - omegadot^2 / (4 omega^4) of a
     protocol object at the given times, sampled through its own eval."""
-    w, wd, _ = protocol.eval(ts)
+    w, wd = protocol.eval(ts)
     return 1.0 - wd**2 / (4.0 * w**4)
 
 
+def ramp_omega_ddot(kind, omega_i, omega_f, tau, t):
+    """Closed-form d^2(omega)/dt^2 of the named ramp at time t, dividing by
+    tau twice, since tau^2 overflows a float for durations above about
+    1.3e154. The cosine ramp interpolates omega^2 = omega_i^2 u(s), so its
+    curvature is omega_i (u'' / (2 sqrt(u)) - u'^2 / (4 u^1.5)) / tau^2."""
+    s = t / tau
+    d = omega_f - omega_i
+    if kind in ("constant", "linear"):
+        return 0.0
+    if kind == "poly3":
+        return d * (6.0 - 12.0 * s) / tau / tau
+    if kind == "poly5":
+        return d * (60.0 * s - 180.0 * s * s + 120.0 * s**3) / tau / tau
+    if kind == "cosine":
+        a2 = (omega_f / omega_i) ** 2
+        u = ((a2 + 1.0) - (a2 - 1.0) * math.cos(math.pi * s)) / 2.0
+        du = (a2 - 1.0) * math.pi * math.sin(math.pi * s) / 2.0
+        ddu = (a2 - 1.0) * math.pi**2 * math.cos(math.pi * s) / 2.0
+        return omega_i * (ddu / (2.0 * math.sqrt(u)) - du * du / (4.0 * u**1.5)) / tau / tau
+    raise ValueError(kind)
+
+
 def sta_boundary(protocol, tol=1e-12):
-    """Shortcut boundary conditions of a protocol object, through its own
-    eval: {"value": (start, end), "slope": (start, end), "curvature":
-    (start, end)}, each flag true when omega(0) = omega_i, omega(tau) =
-    omega_f, or the derivative vanishes there, to ``tol`` of its scale.
+    """Shortcut boundary conditions of a protocol object: {"value": (start,
+    end), "slope": (start, end), "curvature": (start, end)}, each flag true
+    when omega(0) = omega_i, omega(tau) = omega_f, or the derivative
+    vanishes there, to ``tol`` of its scale. Value and slope come through
+    the protocol's own eval, the curvature from ramp_omega_ddot.
     Counterdiabatic driving switches off at the ends when the value and
-    slope conditions hold. The curvature scale divides by tau twice, since
-    tau^2 overflows a float for durations above about 1.3e154."""
-    w0, wd0, wdd0 = protocol.eval(0.0)
-    w1, wd1, wdd1 = protocol.eval(protocol.tau)
+    slope conditions hold. The curvature scale divides by tau twice, as
+    ramp_omega_ddot does."""
+    w0, wd0 = protocol.eval(0.0)
+    w1, wd1 = protocol.eval(protocol.tau)
+    wdd0, wdd1 = (
+        ramp_omega_ddot(protocol.kind.value, protocol.omega_i, protocol.omega_f, protocol.tau, t)
+        for t in (0.0, protocol.tau)
+    )
     scale_w = max(abs(protocol.omega_i), abs(protocol.omega_f))
     scale_d = max(abs(protocol.omega_f - protocol.omega_i), scale_w) / protocol.tau
     return {
@@ -208,8 +235,10 @@ def brute_adiabaticity(kind, omega_i, omega_f, tau, beta, n_steps=20000):
     return energy / adiabatic
 
 
+@functools.lru_cache(maxsize=None)
 def brute_pair_q(kind, omega_i, omega_f, tau, n_steps=20000):
-    """Beta-independent adiabaticity factor from the classical pair."""
+    """Beta-independent adiabaticity factor from the classical pair,
+    computed once per session for each set of arguments."""
     rhs = pair_rhs(kind, omega_i, omega_f, tau)
     y = rk4_fixed(rhs, np.array([0.0, 1.0, 1.0, 0.0]), 0.0, tau, n_steps)
     x_, xd, y_, yd = y

@@ -21,7 +21,6 @@ import pytest
 import oracles
 from ottosta.errors import TrapInversionError
 from ottosta.fock_oracle import (
-    build_operators,
     mean_energy_fock,
     propagate_fock_path,
     stroke_dim,
@@ -158,9 +157,8 @@ def test_criterion_05_fock_vs_gaussian(kind, beta):
     gauss = states(thermal_state(beta, 0.35), p, ts)
     e_gauss = np.array([mean_energy(s, p.eval(float(t))[0]) for t, s in zip(ts, gauss)])
 
-    ops = build_operators(stroke_dim(beta, p))
-    st0 = thermal_fock_in(ops, beta, 0.35)
-    focks = propagate_fock_path(ops, st0, p, ts)
+    st0 = thermal_fock_in(stroke_dim(beta, p), beta, 0.35)
+    focks = propagate_fock_path(st0, p, ts)
     e_fock = np.array([mean_energy_fock(s) for s in focks])
 
     rel = float(np.max(np.abs(e_fock - e_gauss) / e_gauss))

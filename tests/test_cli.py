@@ -222,26 +222,54 @@ class TestPhysicsErrors:
 class TestNumericsErrors:
     """Schema-valid extremes whose step count wrapped or overflowed int64
     (a wrong exit 0, an allocation refused by numpy, an OverflowError in
-    the ramp) are refused as numerics errors with one line on stderr."""
+    the ramp) are refused as numerics errors with one line on stderr, and
+    so is a failed eigensolve of the Fock oracle."""
 
     @pytest.mark.parametrize(
-        "flags, config",
+        "flags, config, reason",
         [
-            (["--tol", "1e-300"], None),
-            ([], {"tau": 1e20, "samples": 3, "kinds": ["linear"]}),
-            ([], {"tau": 1e308}),
+            (
+                ["--tol", "1e-300"],
+                None,
+                "3.654e+50 steps exceed the budget of 1000000 "
+                "(error estimate 8.63e-17 > rtol 1e-300)",
+            ),
+            (
+                [],
+                {"tau": 1e20, "samples": 3, "kinds": ["linear"]},
+                "1e+20 steps exceed the budget of 1000000 (no estimate yet)",
+            ),
+            ([], {"tau": 1e308}, "1e+308 steps exceed the budget of 1000000 (no estimate yet)"),
+            ([], {"tau": 1e9}, "1e+09 steps exceed the budget of 1000000 (no estimate yet)"),
         ],
-        ids=["tol-1e-300", "tau-1e20", "tau-1e308"],
+        ids=["tol-1e-300", "tau-1e20", "tau-1e308", "tau-1e9"],
     )
-    def test_exits_4_with_one_line(self, tmp_path, outfile, capsys, flags, config):
+    def test_exits_4_with_one_line(self, tmp_path, outfile, capsys, flags, config, reason):
+        # the first level's step count alone can exceed the budget, before
+        # any Richardson pair exists to estimate the error
         if config is not None:
             cfg = tmp_path / "extreme.json"
             cfg.write_text(json.dumps(config))
             flags = flags + ["--config", str(cfg)]
         assert run_cli(["qstar", *flags, "--out", outfile]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("ottosta: numerics error: Magnus propagator:")
-        assert err.count("\n") == 1
+        assert err == f"ottosta: numerics error: Magnus propagator: {reason}\n"
+        assert not os.path.exists(outfile)
+
+    def test_failed_eigensolve_exits_4(self, outfile, capsys, monkeypatch):
+        # numpy's LinAlgError subclasses ValueError, which the builders'
+        # config-error map would turn into exit 2
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        argv = ["cycle", "--oracle", "--grid", "tau=3:3:1", "--out", outfile]
+        assert run_cli(argv) == 4
+        err = capsys.readouterr().err
+        assert err == (
+            "ottosta: numerics error: Fock oracle: tridiagonal eigensolve failed "
+            "(Eigenvalues did not converge)\n"
+        )
         assert not os.path.exists(outfile)
 
 
@@ -429,7 +457,7 @@ class TestCycleOracle:
             return exact_stack(protocols, ts, rtol)
 
         monkeypatch.setattr(dynamics, "_transfer_matrices", recorded_stack)
-        monkeypatch.setattr(fock_oracle, "propagate_fock_path", lambda ops, st, *a, **k: [st])
+        monkeypatch.setattr(fock_oracle, "propagate_fock_path", lambda st, *a, **k: [st])
         params = resolve_config("cycle", build_parser().parse_args(["cycle", "--grid", "tau=3:3:1"]))
         _, rows = datasets.cycle_dataset(params, oracle=True)
         assert len(rows) == 1

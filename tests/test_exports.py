@@ -6,7 +6,9 @@ the ``sta_cost`` stacks or of ``thermo_cycle.stroke_records``), a second
 spelling of a stroke and its thermal start (``StrokeContext``; the stacks
 take ``protocols, betas``), helpers that only the tests used, the Fock
 oracle's reference basis and eigenbasis readout, which its instantaneous
-frame made unnecessary, and the Gaussian propagator's drive switch
+frame made unnecessary, its operator set (``FockOperators``,
+``build_operators``), since every oracle function takes a level count, and
+the Gaussian propagator's drive switch
 (``Drive``), since only the bare drive is propagated."""
 
 import ast
@@ -49,6 +51,8 @@ RETIRED = {
         "tpm_work_moments",
         "stroke_reference",
         "populations_instantaneous",
+        "FockOperators",
+        "build_operators",
     ],
     "optimizer": ["optimal_x_analytic"],
     "protocols": ["validity_margin", "check_sta_boundary", "BoundaryReport"],

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from ottosta import fock_oracle
 from ottosta.errors import CutoffError, NumericsError, TrapInversionError
 from ottosta.fock_oracle import (
     FockState,
-    build_operators,
     cd_level_energies,
     mean_energy_fock,
     propagate_fock_path,
@@ -73,13 +74,22 @@ def dense_reference(protocol, beta, ts, cd):
     dense fixed-basis route, on stroke_dim levels of the geometric mean of
     the endpoint frequencies: 100 Magnus steps per stroke under the bare
     drive (energies within about 3e-9), 50 under the counterdiabatic one,
-    whose populations and energies come out within 1e-13."""
+    whose populations and energies come out within 1e-13. Computed once per
+    session for each (protocol, beta, ts, cd); the matrices are read-only."""
+    return _dense_reference(protocol, beta, tuple(float(t) for t in ts), cd)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_reference(protocol, beta, ts, cd):
     wi, wf = protocol.omega_i, protocol.omega_f
     ref, dim = math.sqrt(wi * wf), stroke_dim(beta, protocol)
     rho0 = oracles.dense_thermal(beta, wi, ref, dim)
     kind = protocol.kind.value
     steps = 50 if cd else 100
-    return ref, oracles.dense_stroke(kind, wi, wf, protocol.tau, rho0, ref, ts, cd, steps)
+    rhos = oracles.dense_stroke(kind, wi, wf, protocol.tau, rho0, ref, ts, cd, steps)
+    for rho in rhos:
+        rho.setflags(write=False)
+    return ref, tuple(rhos)
 
 
 class TestOperators:
@@ -96,18 +106,18 @@ class TestOperators:
         # triples, against the dense -i[X, Y] of their bands below the top
         # level of each parity block, where the truncation corrupts the
         # products
-        ops = build_operators(40)
+        blocks = fock_oracle._bands(40)
         bracket = fock_oracle._su11_bracket
         a, k, l = np.eye(3)
         for x, y, want in ((a, k, 2.0 * l), (a, l, -2.0 * k), (k, l, -8.0 * a)):
             np.testing.assert_array_equal(bracket(x, y), want)
-            for block in (ops.even, ops.odd):
+            for block in blocks:
                 got = _dense_bracket(_triple_dense(block, x), _triple_dense(block, y))
                 np.testing.assert_allclose(
                     got[:-1, :-1], _triple_dense(block, want)[:-1, :-1], rtol=0.0, atol=1e-12
                 )
         for x, y in np.random.default_rng(7).normal(size=(20, 2, 3)):
-            for block in (ops.even, ops.odd):
+            for block in blocks:
                 want = _dense_bracket(_triple_dense(block, x), _triple_dense(block, y))[:-1, :-1]
                 got = _triple_dense(block, bracket(x, y))[:-1, :-1]
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
@@ -116,10 +126,9 @@ class TestOperators:
         # omega (N + 1/2) on every level; the dense products of x and p
         # agree except on the top level, where a a^dagger loses its entry in
         # the truncation
-        ops = build_operators(30)
         n = np.arange(30)
         got = np.zeros((30, 30), dtype=complex)
-        for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
+        for s, block in zip(fock_oracle._PARITIES, fock_oracle._bands(30)):
             h = fock_oracle._h(block, 0.7, 0.0)
             np.testing.assert_allclose(h[1], 0.0, atol=1e-12)
             np.testing.assert_allclose(h[0], (n[s] + 0.5) * 0.7, atol=1e-12)
@@ -131,11 +140,10 @@ class TestOperators:
         # H0 - (omegadot / 4 omega)(xp + px) in the number basis of omega,
         # the matrix cd_level_energies diagonalizes, against the dense
         # products below the top level
-        ops = build_operators(30)
         x, p = oracles.dense_operators(0.8, 30)
         want = oracles.dense_h0(0.8, 30, 0.8) + (0.3 / 3.2) * (x @ p + p @ x)
         got = np.zeros((30, 30), dtype=complex)
-        for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
+        for s, block in zip(fock_oracle._PARITIES, fock_oracle._bands(30)):
             h = fock_oracle._h(block, 0.8, 0.3 / 3.2)  # omegadot = -0.3
             # a real diagonal and the upper off-diagonal: Hermitian
             assert not np.any(np.imag(h[0]))
@@ -143,8 +151,7 @@ class TestOperators:
         np.testing.assert_allclose(got[:-1, :-1], want[:-1, :-1], atol=1e-13)
 
     def test_quadratic_operators_are_real_or_imaginary(self):
-        ops = build_operators(61)
-        for block in (ops.even, ops.odd):
+        for block in fock_oracle._bands(61):
             assert not np.any(np.imag(block.number))
             assert not np.any(np.real(block.k))
 
@@ -154,13 +161,13 @@ class TestOperators:
         # a / a^dagger construction at two frequencies, parity coupling
         # included: K = xp + px everywhere, N + 1/2 = (p^2 / w + w x^2) / 2
         # below the top level
-        ops = build_operators(dim)
+        blocks = fock_oracle._bands(dim)
         for w in (0.59, 1.7):
             x, p = oracles.dense_operators(w, dim)
             cases = [("k", x @ p + p @ x, dim), ("number", 0.5 * (p @ p / w + w * (x @ x)), dim - 1)]
             for name, want, top in cases:
                 got = np.zeros((dim, dim), dtype=complex)
-                for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
+                for s, block in zip(fock_oracle._PARITIES, blocks):
                     got[s, s] = _dense_band(getattr(block, name))
                 gap = np.max(np.abs(got[:top, :top] - want[:top, :top]))
                 assert gap <= 1e-14 * np.max(np.abs(want))
@@ -173,9 +180,8 @@ class TestOperators:
         # omega; that rotation makes the dense H0(omega') diagonal,
         # omega' (N + 1/2), on the lowest levels, far below the truncation
         dim, w = 120, 0.8
-        ops = build_operators(dim)
         k = np.zeros((dim, dim), dtype=complex)
-        for s, block in zip(fock_oracle._PARITIES, (ops.even, ops.odd)):
+        for s, block in zip(fock_oracle._PARITIES, fock_oracle._bands(dim)):
             k[s, s] = _dense_band(block.k)
         lam, v = np.linalg.eigh(k)
         t = (v * np.exp(0.25j * math.log(ratio) * lam)) @ v.conj().T
@@ -187,26 +193,40 @@ class TestOperators:
     def test_bad_reference_frequency_is_refused(self, ref_omega):
         # a state's number basis needs a positive frequency
         with pytest.raises(ValueError, match="omega must be positive"):
-            thermal_fock_in(build_operators(10), 2.0, ref_omega)
+            thermal_fock_in(10, 2.0, ref_omega)
 
     def test_truncation_above_the_cap_is_refused(self):
-        # refused before any band is allocated, whatever asked for it
+        # refused before any band or state is allocated, whatever asked for it
         cap = fock_oracle._MAX_LEVELS
-        assert build_operators(cap).dim == cap
-        with pytest.raises(CutoffError, match=f"needs {cap + 1} levels, over the {cap} allowed"):
-            build_operators(cap + 1)
+        assert sum(block.k.shape[1] for block in fock_oracle._bands(cap)) == cap
+        message = f"needs {cap + 1} levels, over the {cap} allowed"
+        asks = [
+            lambda: fock_oracle._bands(cap + 1),
+            lambda: thermal_fock_in(cap + 1, 2.0, 0.35),
+            lambda: cd_level_energies(cap + 1, 0.7, -0.1, 4),
+        ]
+        for ask in asks:
+            tracemalloc.start()
+            try:
+                with pytest.raises(CutoffError, match=message):
+                    ask()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the smallest array of cap + 1 levels takes 32 KiB
+            assert peak < 16 * 1024
 
 
 class TestThermalStates:
     def test_energy_matches_closed_form(self):
         dim = thermal_dim(2.0, 0.35)
         want = oracles.thermal_energy(2.0, 0.35)
-        for st in (thermal_fock(2.0, 0.35, dim), thermal_fock_in(build_operators(dim), 2.0, 0.35)):
+        for st in (thermal_fock(2.0, 0.35, dim), thermal_fock_in(dim, 2.0, 0.35)):
             assert mean_energy_fock(st) == pytest.approx(want, rel=1e-9)
 
     def test_populations_are_gibbs(self):
         # in its own number basis the Gibbs state is diagonal
-        st = thermal_fock_in(build_operators(140), 2.0, 0.35)
+        st = thermal_fock_in(140, 2.0, 0.35)
         assert st.omega == 0.35
         rho = oracles.dense_rho(st)
         assert not np.any(rho - np.diag(np.diagonal(rho)))
@@ -231,9 +251,8 @@ class TestThermalStates:
             FockState(np.diag([math.nan, 0.5]), np.diag([0.5]), 1.0)
 
     def test_nan_beta_is_refused(self):
-        ops = build_operators(60)
         with pytest.raises(ValueError, match="beta must be positive"):
-            thermal_fock_in(ops, math.nan, 0.35)
+            thermal_fock_in(60, math.nan, 0.35)
 
     @pytest.mark.parametrize("dim", [7, 60])
     def test_dense_round_trip(self, dim):
@@ -254,9 +273,8 @@ class TestThermalStates:
 class TestBarePropagation:
     def test_matches_gaussian_adiabaticity(self):
         beta = 2.0
-        ops = build_operators(stroke_dim(beta, REF))
-        st0 = thermal_fock_in(ops, beta, 0.35)
-        st = propagate_fock_path(ops, st0, REF, [3.0])[-1]
+        st0 = thermal_fock_in(stroke_dim(beta, REF), beta, 0.35)
+        st = propagate_fock_path(st0, REF, [3.0])[-1]
         assert st.omega == 1.0
         e_ad = (1.0 / 0.35) * oracles.thermal_energy(beta, 0.35)
         q_fock = mean_energy_fock(st) / e_ad
@@ -270,56 +288,50 @@ class TestBarePropagation:
         # dense route's populations on the H0(omega(t)) levels and its
         # energy omega(t) sum (n + 1/2) rho_nn is the dense Tr[rho H0]
         beta, ts = 2.0, np.linspace(0.75, 3.0, 4)
-        ops = build_operators(stroke_dim(beta, REF))
-        got = propagate_fock_path(ops, thermal_fock_in(ops, beta, 0.35), REF, ts)
+        got = propagate_fock_path(thermal_fock_in(stroke_dim(beta, REF), beta, 0.35), REF, ts)
         ref, want = dense_reference(REF, beta, ts, cd=False)
         for t, st, rho in zip(ts, got, want):
             w = REF.eval(float(t))[0]
             assert st.omega == w
-            e = float(np.trace(rho @ oracles.dense_h0(ref, ops.dim, w)).real)
+            e = float(np.trace(rho @ oracles.dense_h0(ref, st.dim, w)).real)
             assert mean_energy_fock(st) == pytest.approx(e, rel=1e-7)
             pops = oracles.dense_populations(rho, ref, w)
             gap = np.max(np.abs(fock_oracle._diagonal(st)[:60] - pops[:60]))
             assert gap <= 1e-8
 
     def test_trace_is_preserved(self):
-        ops = build_operators(stroke_dim(2.0, REF))
-        st0 = thermal_fock_in(ops, 2.0, 0.35)
-        st = propagate_fock_path(ops, st0, REF, [3.0])[-1]
+        st0 = thermal_fock_in(stroke_dim(2.0, REF), 2.0, 0.35)
+        st = propagate_fock_path(st0, REF, [3.0])[-1]
         assert float(np.trace(oracles.dense_rho(st)).real) == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_basis_mismatch_is_rejected(self):
         # a start state must be in the number basis of the stroke's omega_i
-        ops = build_operators(60)
         for omega in (0.5, 0.35 * (1.0 + 1e-9)):
             with pytest.raises(ValueError, match="does not match"):
-                propagate_fock_path(ops, thermal_fock(2.0, omega, 60), REF, [1.0])
+                propagate_fock_path(thermal_fock(2.0, omega, 60), REF, [1.0])
 
     def test_nan_checkpoint_is_refused(self):
-        ops = build_operators(60)
-        st0 = thermal_fock_in(ops, 2.0, 0.35)
+        st0 = thermal_fock_in(60, 2.0, 0.35)
         with pytest.raises(ValueError, match="finite"):
-            propagate_fock_path(ops, st0, REF, [math.nan])
+            propagate_fock_path(st0, REF, [math.nan])
 
     def test_truncation_leak_raises(self):
         # a deliberately tiny space cannot hold the driven state; here the
         # start state already fills the top two of its 12 levels
-        ops = build_operators(12)
-        st0 = thermal_fock_in(ops, 2.0, 0.35)
+        st0 = thermal_fock_in(12, 2.0, 0.35)
         with pytest.raises(CutoffError, match="enlarge the truncation"):
-            propagate_fock_path(ops, st0, REF, [3.0])
+            propagate_fock_path(st0, REF, [3.0])
 
     def test_clipped_step_lands_on_its_checkpoint(self):
         # t + h of a step clipped to target - t can fall one ulp short of
         # the checkpoint when t < target / 2; the next trial would then be
         # one ulp wide and refused as a step size underflow
-        ops = build_operators(40)
-        st0 = thermal_fock_in(ops, 4.0, 0.5)
+        st0 = thermal_fock_in(40, 4.0, 0.5)
         tau = 2.962818336518323
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.5, 0.6, tau)
         ts = [0.23335226440986848, 0.41608014772947566, tau]
-        out = propagate_fock_path(ops, st0, protocol, ts)
-        end = propagate_fock_path(ops, st0, protocol, [tau])[-1]
+        out = propagate_fock_path(st0, protocol, ts)
+        end = propagate_fock_path(st0, protocol, [tau])[-1]
         assert len(out) == 3
         assert mean_energy_fock(out[-1]) == pytest.approx(mean_energy_fock(end), rel=0.0, abs=1e-10)
 
@@ -351,8 +363,7 @@ class TestCounterdiabaticPropagation:
 
     def test_populations_are_frozen_along_the_ramp(self):
         beta = 2.0
-        ops = build_operators(stroke_dim(beta, REF))
-        pops0 = fock_oracle._diagonal(thermal_fock_in(ops, beta, 0.35))
+        pops0 = fock_oracle._diagonal(thermal_fock_in(stroke_dim(beta, REF), beta, 0.35))
         ts = np.linspace(0.3, 3.0, 4)
         ref, rhos = dense_reference(REF, beta, ts, cd=True)
         for t, rho in zip(ts, rhos):
@@ -447,19 +458,18 @@ def _dense(diag, off):
     return _dense_band(np.array([diag, np.append(off, 0.0)]))
 
 
-def _random_band(rng, n, scale, width=1):
-    """A random Hermitian band of shape (width + 1, n), row j the j-th upper
-    diagonal zero-padded at the end: off-diagonals drawn zero, real of
+def _random_band(rng, n, scale):
+    """A random Hermitian tridiagonal band of shape (2, n), row 1 the upper
+    off-diagonal zero-padded at the end: off-diagonals drawn zero, real of
     either sign, or complex."""
-    band = np.zeros((width + 1, n), dtype=complex)
+    band = np.zeros((2, n), dtype=complex)
     band[0] = rng.normal(size=n)
-    for j in range(1, min(width + 1, n)):
-        kind = rng.integers(0, 3, size=n - j)
-        off = rng.normal(size=n - j) * np.where(
-            kind == 2, np.exp(2j * np.pi * rng.uniform(size=n - j)), 1.0
-        )
-        off[kind == 0] = 0.0
-        band[j, : n - j] = off
+    kind = rng.integers(0, 3, size=n - 1)
+    off = rng.normal(size=n - 1) * np.where(
+        kind == 2, np.exp(2j * np.pi * rng.uniform(size=n - 1)), 1.0
+    )
+    off[kind == 0] = 0.0
+    band[1, :-1] = off
     return scale * band
 
 
@@ -500,9 +510,8 @@ _DEFAULT_STROKES = {
 def _stroke_end(name):
     protocol, beta, dim, _ = _DEFAULT_STROKES[name]
     assert stroke_dim(beta, protocol) == dim
-    ops = build_operators(dim)
-    st0 = thermal_fock_in(ops, beta, protocol.omega_i)
-    return oracles.dense_rho(propagate_fock_path(ops, st0, protocol, [protocol.tau])[-1])
+    st0 = thermal_fock_in(dim, beta, protocol.omega_i)
+    return oracles.dense_rho(propagate_fock_path(st0, protocol, [protocol.tau])[-1])
 
 
 class TestTridiagonalExponential:
@@ -529,11 +538,10 @@ class TestBandArithmetic:
         scale=st.sampled_from([1e-3, 1.0, 20.0]),
     )
     def test_commutator_matches_dense(self, n, seed, scale):
-        # the banded product D @ M of the commutator [D, rho], for bands up
-        # to two off-diagonals, against dense matrices
+        # the banded product D @ M of the commutator [D, rho], for
+        # tridiagonal bands, against dense matrices
         rng = np.random.default_rng(seed)
-        wa, wb = rng.integers(1, 3, size=2)
-        a, b = _random_band(rng, n, scale, wa), _random_band(rng, n, scale, wb)
+        a, b = _random_band(rng, n, scale), _random_band(rng, n, scale)
         dense_a, dense_b = _dense_band(a), _dense_band(b)
         tol = 1e-13 * np.linalg.norm(dense_a) * np.linalg.norm(dense_b)
         assert np.linalg.norm(fock_oracle._band_times(b, dense_a) - dense_b @ dense_a) <= tol
@@ -630,7 +638,7 @@ def _dense_pair(blocks, protocol, t, h):
     nodes = [protocol.eval(t + c * h) for c in (0.5 - r / 10.0, 0.5, 0.5 + r / 10.0)]
     out = []
     for block in blocks:
-        h1, h2, h3 = (_dense_band(fock_oracle._h(block, w, wd / (4.0 * w))) for w, wd, _ in nodes)
+        h1, h2, h3 = (_dense_band(fock_oracle._h(block, w, wd / (4.0 * w))) for w, wd in nodes)
         a1 = h * h2
         a2 = (r * h / 3.0) * (h3 - h1)
         a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
@@ -650,12 +658,11 @@ class TestErrorEstimate:
     def test_matches_dense_route(self, name, at_cap):
         protocol, _, dim, _ = _DEFAULT_STROKES[name]
         n = dim if at_cap else dim - 40
-        ops = build_operators(dim)
-        blocks = fock_oracle._window((ops.even, ops.odd), n)
+        blocks = fock_oracle._bands(n)
         # the dense route on four more levels, cut to the window: the
         # truncation corrupts its nested brackets only on the top levels of
         # each parity block, so the cut is the compression of the exact pair
-        big = build_operators(n + 4)
+        big = fock_oracle._bands(n + 4)
         sizes = ((n + 1) // 2, n // 2)
         # a random state without off-parity coherences, as every state of
         # the oracle, decaying slowly enough that the top of the window is
@@ -669,7 +676,7 @@ class TestErrorEstimate:
         gap_error, scale = 0.0, 0.0
         for t in (0.0, 1.0, 2.5):
             got = fock_oracle._magnus_pair(blocks, protocol, t, 0.05)
-            want = _dense_pair((big.even, big.odd), protocol, t, 0.05)
+            want = _dense_pair(big, protocol, t, 0.05)
             d = np.zeros((n, n), dtype=complex)
             for s, k, (omega4, gap), (omega4_dense, gap_dense) in zip(
                 fock_oracle._PARITIES, sizes, got, want
@@ -690,10 +697,9 @@ class TestErrorEstimate:
         # one small step from the thermal start: the estimate is the leading
         # term of ||e^{-i Omega6} rho e^{i Omega6} - e^{-i Omega4} rho e^{i Omega4}||
         protocol, beta, dim, _ = _DEFAULT_STROKES[name]
-        ops = build_operators(dim)
-        st = thermal_fock_in(ops, beta, protocol.omega_i)
+        st = thermal_fock_in(dim, beta, protocol.omega_i)
         rho = oracles.dense_rho(st)
-        pair = fock_oracle._magnus_pair((ops.even, ops.odd), protocol, 1.0, 0.05)
+        pair = fock_oracle._magnus_pair(fock_oracle._bands(dim), protocol, 1.0, 0.05)
         u4, u6 = np.zeros((dim, dim), complex), np.zeros((dim, dim), complex)
         for s, (omega4, gap) in zip(fock_oracle._PARITIES, pair):
             u4[s, s] = _dense_expm(_dense_band(omega4))
@@ -712,9 +718,8 @@ class TestLocalExtrapolation:
         # on the same operators: halving h cuts the Omega6 step's error by
         # 2^7 = 128 in the limit, the bare Omega4 step's by 2^5 = 32
         protocol, beta, dim, _ = _DEFAULT_STROKES["compression"]
-        ops = build_operators(dim)
-        blocks = (ops.even, ops.odd)
-        st = thermal_fock_in(ops, beta, protocol.omega_i)
+        blocks = fock_oracle._bands(dim)
+        st = thermal_fock_in(dim, beta, protocol.omega_i)
         rho = loop_rho(st)
 
         def errors(t, h):
@@ -752,25 +757,24 @@ def _recording_sizes(monkeypatch):
 class TestActiveWindow:
     @pytest.fixture(scope="class")
     def expansion(self):
-        # the default expansion stroke: (ops, protocol, end state, window
-        # size of every trial step)
+        # the default expansion stroke: (truncation, protocol, end state,
+        # window size of every trial step)
         protocol, beta, dim, _ = _DEFAULT_STROKES["expansion"]
-        ops = build_operators(dim)
-        st0 = thermal_fock_in(ops, beta, protocol.omega_i)
+        st0 = thermal_fock_in(dim, beta, protocol.omega_i)
         with pytest.MonkeyPatch.context() as mp:
             sizes = _recording_sizes(mp)
-            end = propagate_fock_path(ops, st0, protocol, [protocol.tau])[-1]
-        return ops, protocol, end, sizes
+            end = propagate_fock_path(st0, protocol, [protocol.tau])[-1]
+        return dim, protocol, end, sizes
 
     def test_window_grows_below_the_cap(self, expansion):
-        ops, _, _, sizes = expansion
+        dim, _, _, sizes = expansion
         assert sizes == sorted(sizes)
-        assert sizes[0] < sizes[-1] < ops.dim
+        assert sizes[0] < sizes[-1] < dim
 
     def test_padded_levels_are_exactly_zero(self, expansion):
-        ops, _, end, sizes = expansion
+        dim, _, end, sizes = expansion
         n = sizes[-1]
-        assert end.dim == ops.dim
+        assert end.dim == dim
         rho = oracles.dense_rho(end)
         assert not np.any(rho[n:, :])
         assert not np.any(rho[:, n:])
@@ -778,7 +782,7 @@ class TestActiveWindow:
     def test_final_energy_matches_the_full_dim_propagation(self, expansion):
         # 2.3769304254638244: the same stroke propagated with the window
         # opened at its cap, the full dim 344 (_WINDOW_TAIL = 0)
-        ops, protocol, end, _ = expansion
+        _, _, end, _ = expansion
         assert mean_energy_fock(end) == pytest.approx(2.3769304254638244, rel=1e-10, abs=0.0)
 
     def test_leak_at_the_cap_raises_after_growing(self, monkeypatch):
@@ -786,23 +790,22 @@ class TestActiveWindow:
         # the instantaneous frame: the window opens far below its cap of 40
         # levels, grows into it and is refused there
         # by the same leak check as a propagation opened at the cap
-        ops = build_operators(40)
         rho = np.zeros((40, 40), dtype=complex)
         rho[0, 0] = 1.0
         st0 = oracles.fock_state(rho, 1.0)
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 1.0, 8.0, 0.25)
         sizes = _recording_sizes(monkeypatch)
         with pytest.raises(CutoffError, match="top two Fock levels"):
-            propagate_fock_path(ops, st0, protocol, [0.25])
+            propagate_fock_path(st0, protocol, [0.25])
         assert sizes[0] < sizes[-1] == 40
 
 
 class TestSpectralData:
     def test_cd_levels_match_closed_forms(self):
         t = 1.5
-        w, wd, _ = REF.eval(t)
+        w, wd = REF.eval(t)
         q = float(q_cd(REF, [t])[0])
-        evals, h0_exp = cd_level_energies(build_operators(160), w, wd, 4)
+        evals, h0_exp = cd_level_energies(160, w, wd, 4)
         n = np.arange(4) + 0.5
         np.testing.assert_allclose(evals, (w / q) * n, rtol=1e-14)
         np.testing.assert_allclose(h0_exp, (w * q) * n, rtol=1e-14)
@@ -815,11 +818,10 @@ class TestSpectralData:
         # lowest 8 levels, at five instants of each shortcut ramp
         p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
         ts = np.linspace(0.3, 2.7, 5)
-        ops = build_operators(160)
         n = np.arange(8) + 0.5
         for t, q in zip(ts, q_cd(p, ts)):
-            w, wd, _ = p.eval(float(t))
-            evals, h0_exp = cd_level_energies(ops, w, wd, 8)
+            w, wd = p.eval(float(t))
+            evals, h0_exp = cd_level_energies(160, w, wd, 8)
             np.testing.assert_allclose(evals, (w / q) * n, rtol=1e-14)
             np.testing.assert_allclose(h0_exp, (w * q) * n, rtol=1e-14)
 
@@ -829,21 +831,20 @@ class TestSpectralData:
         # complex eigh of the full counterdiabatic Hamiltonian in the number
         # basis of the instant's omega, H0 = omega (a^dagger a + 1/2) with
         # the dense annihilator
-        w, wd, _ = REF.eval(1.5)
+        w, wd = REF.eval(1.5)
         x, p = oracles.dense_operators(w, 160)
         a = (math.sqrt(w) * x + 1j * p / math.sqrt(w)) / math.sqrt(2.0)
         h0 = w * (a.conj().T @ a + 0.5 * np.eye(160))
         lam, v = np.linalg.eigh(h0 - (wd / (4.0 * w)) * (x @ p + p @ x))
         v = v[:, :n_levels]
-        evals, h0_exp = cd_level_energies(build_operators(160), w, wd, n_levels)
+        evals, h0_exp = cd_level_energies(160, w, wd, n_levels)
         np.testing.assert_allclose(evals, lam[:n_levels], rtol=0.0, atol=1e-12)
         want = np.sum(v.conj() * (h0 @ v), axis=0).real
         np.testing.assert_allclose(h0_exp, want, rtol=0.0, atol=1e-11)
 
     def test_truncation_guard_on_level_count(self):
-        ops = build_operators(40)
         with pytest.raises(ValueError):
-            cd_level_energies(ops, 0.7, -0.1, 30)
+            cd_level_energies(40, 0.7, -0.1, 30)
 
 
 class TestTwoPointMeasurement:
@@ -894,9 +895,8 @@ class TestRelativeEntropy:
 
     def test_irreversible_work_positive_for_bare_drive(self):
         beta = 2.0
-        ops = build_operators(stroke_dim(beta, REF))
-        st0 = thermal_fock_in(ops, beta, 0.35)
-        st = propagate_fock_path(ops, st0, REF, [3.0])[-1]
+        st0 = thermal_fock_in(stroke_dim(beta, REF), beta, 0.35)
+        st = propagate_fock_path(st0, REF, [3.0])[-1]
         # in the number basis of omega_f the adiabatically transported state
         # has the start's populations, so its matrix is st0's
         ad = oracles.dense_rho(st0)

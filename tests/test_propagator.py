@@ -40,21 +40,21 @@ class TestRampEval:
     def test_value_against_reference_formula(self, name):
         p = FrequencyProtocol(name, 0.35, 1.0, 3.0)
         for t in (0.0, 0.7, 1.5, 2.3, 3.0):
-            w, _, _ = p.eval(t)
+            w, _ = p.eval(t)
             assert w == pytest.approx(oracles.ramp_omega(name, 0.35, 1.0, 3.0, t), rel=1e-14)
 
     def test_constant_kind(self):
-        w, wd, wdd = FrequencyProtocol(ProtocolKind.CONSTANT, 0.7, 0.7, 3.0).eval(1.1)
-        assert (w, wd, wdd) == (0.7, 0.0, 0.0)
+        w, wd = FrequencyProtocol(ProtocolKind.CONSTANT, 0.7, 0.7, 3.0).eval(1.1)
+        assert (w, wd) == (0.7, 0.0)
 
     def test_derivatives_vs_finite_difference(self):
         h = 1e-6
         for kind in (ProtocolKind.POLY5, ProtocolKind.COSINE):
             p = FrequencyProtocol(kind, 0.35, 1.0, 3.0)
             for t in (0.4, 1.5, 2.6):
-                wm, _, _ = p.eval(t - h)
-                wp, _, _ = p.eval(t + h)
-                _, wd, _ = p.eval(t)
+                wm, _ = p.eval(t - h)
+                wp, _ = p.eval(t + h)
+                _, wd = p.eval(t)
                 assert wd == pytest.approx((wp - wm) / (2 * h), rel=1e-7, abs=1e-10)
 
 
