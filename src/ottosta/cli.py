@@ -206,7 +206,8 @@ def resolve_config(command: str, args) -> dict:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # also bytes not in UTF-8, Python's integer digit limit, deep nesting
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -298,7 +299,17 @@ def run_command(command: str, args) -> str:
 
 def _write_output(text: str, out):
     if out is None or out == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # The interpreter flushes stdout again at exit, and would report
+            # the same failure there: send what is left to the null device.
+            with contextlib.suppress(OSError, ValueError):
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, sys.stdout.fileno())
+                os.close(null)
+            raise ConfigError(f"cannot write output to stdout: {exc.strerror or exc}") from None
         return
     tmp = f"{out}.tmp-{os.getpid()}"
     try:

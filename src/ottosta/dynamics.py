@@ -63,8 +63,6 @@ _DET_FLOOR = 0.25 - 1e-9
 # Phys. Rep. 470, 151 (2009)): nodes in units of the step.
 _SQRT15 = math.sqrt(15.0)
 _NODES = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
-# |det Omega| below which the step exponential uses its Taylor series.
-_SERIES_MAX = 1e-2
 _MIN_START_STEPS = 4
 
 
@@ -99,10 +97,7 @@ def coth_half(beta: float, omega: float) -> float:
         raise ValueError(f"omega must be positive, got {omega}")
     if not beta > 0.0:
         raise ValueError(f"beta must be positive, got {beta}")
-    z = 0.5 * beta * omega
-    if z >= 20.0 or math.isinf(z):
-        return 1.0
-    return 1.0 / math.tanh(z)
+    return 1.0 / math.tanh(0.5 * beta * omega)
 
 
 def thermal_energy(beta: float, omega: float) -> float:
@@ -186,7 +181,8 @@ def _step_exponentials(
     Omega = a1 + a3/12 + [-20 a1 - a3 + C1, a2 + C2]/240. Every term is
     traceless, so Omega^2 = delta I with delta = -det Omega, and
     exp(Omega) = C I + S Omega with C = cosh(sqrt delta) and
-    S = sinh(sqrt delta)/sqrt delta (cos/sin for delta < 0).
+    S = sinh(sqrt delta)/sqrt delta (cos/sin for delta < 0), and S = 1 at
+    delta = 0.
     """
     (w,) = stack.ramp(row, left + _NODES[:, None] * h, 0)
     # A_k = [[0, 1], [c_k, 0]]; traceless matrices are (m00, m01, m10).
@@ -204,18 +200,12 @@ def _step_exponentials(
     )
     d = alpha * alpha + beta * gamma  # delta = -det Omega
 
-    small = np.abs(d) < _SERIES_MAX
-    q = np.sqrt(np.where(small, 1.0, np.abs(d)))
+    q = np.sqrt(np.abs(d))
     grow = d > 0.0
     q_grow = np.where(grow, q, 0.0)
     cosh_part = np.where(grow, np.cosh(q_grow), np.cos(q))
-    sinh_part = np.where(grow, np.sinh(q_grow), np.sin(q)) / q
-    cosh_part = np.where(
-        small, 1.0 + d * (1 / 2 + d * (1 / 24 + d * (1 / 720 + d / 40320))), cosh_part
-    )
-    sinh_part = np.where(
-        small, 1.0 + d * (1 / 6 + d * (1 / 120 + d * (1 / 5040 + d / 362880))), sinh_part
-    )
+    sinh_part = np.where(grow, np.sinh(q_grow), np.sin(q))
+    sinh_part = np.divide(sinh_part, q, out=np.ones_like(q), where=q > 0.0)
 
     return np.stack(
         (cosh_part + sinh_part * alpha, sinh_part * beta, sinh_part * gamma,

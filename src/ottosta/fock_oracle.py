@@ -36,18 +36,19 @@ none, so rho exists only as its even-even and odd-odd blocks
 rho[a, a] <- U_a rho[a, a] U_a^dagger.
 
 Within one parity, N + 1/2 is diagonal and K couples only neighbouring
-levels, so each exists only as a Hermitian tridiagonal band per parity.
-With L = a^dagger^2 + a^2 they close the Lie algebra su(1,1):
+levels. With L = a^dagger^2 + a^2 they close the Lie algebra su(1,1):
 -i[N + 1/2, K] = 2L, -i[N + 1/2, L] = -2K and -i[K, L] = -8 (N + 1/2).
 So every term of the Magnus pair is x_A (N + 1/2) + x_K K + x_L L, three
-numbers computed once per step (_su11_bracket), and its band in a parity
-block is x_A times the band of N + 1/2 plus (x_K + i x_L) times that of K,
-since L's band is i times K's. On any truncation that band is the
-compression of the exact generator: no bracket of truncated matrices is
-ever formed. Only the coefficients come from the algebra; the exponential
-is still taken of the Fock bands. A diagonal phase gauge makes each block
-real symmetric without changing its spectrum, so each block exponential
-is one real eigensolve, exact up to roundoff.
+numbers computed once per step (_su11_bracket). Its band in a parity block
+is a pair, a real diagonal and a complex upper off-diagonal, from one map
+(_band): (x_A (n + 1/2), (x_L - i x_K) sqrt((n + 1)(n + 2))), as K's
+(n, n + 2) entry is -i sqrt((n + 1)(n + 2)) and L's band is i times K's.
+On any truncation that band is the compression of the exact generator: no
+bracket of truncated matrices is ever formed. Only the coefficients come
+from the algebra; the exponential is still taken of the Fock bands. A
+diagonal phase gauge makes each block real symmetric without changing its
+spectrum, so each block exponential is one real eigensolve, exact up to
+roundoff.
 
 Every function takes its truncation as a level count: the bands of N + 1/2
 and K on the lowest n levels are a closed form in n (_bands), and the
@@ -99,6 +100,7 @@ __all__ = [
 _SQRT15 = math.sqrt(15.0)
 # Even and odd number states, the two blocks of every stroke Hamiltonian.
 _PARITIES = (slice(0, None, 2), slice(1, None, 2))
+_Band = tuple[np.ndarray, np.ndarray]  # (real diagonal, complex upper off-diagonal)
 _LEAK_LIMIT = 1e-6
 _TRACE_LIMIT = 1e-8
 # Thermal tail weight left outside a stroke's truncation, and the guard
@@ -137,9 +139,9 @@ def _check_levels(dim: int) -> None:
 
 @dataclass(frozen=True)
 class _ParityBlock:
-    """N + 1/2 and K restricted to one number parity, each as a Hermitian
-    tridiagonal band of shape (2, n): row 0 the diagonal, row 1 the upper
-    off-diagonal with a trailing zero."""
+    """N + 1/2 and K restricted to one number parity, as 1-D arrays: the
+    diagonal n + 1/2 of N + 1/2, and the magnitudes sqrt((n + 1)(n + 2)) of
+    K's upper off-diagonal, whose entries are -i times them."""
 
     number: np.ndarray
     k: np.ndarray
@@ -147,35 +149,29 @@ class _ParityBlock:
 
 def _bands(n: int) -> tuple[_ParityBlock, _ParityBlock]:
     """N + 1/2 and K = xp + px = i (a^dagger^2 - a^2) on the lowest n
-    number states, as their bands on the even-n and the odd-n levels, the
-    same in the number basis of every frequency: neither couples the
-    parities, and within one K couples only n and n +- 2. In closed form
-    from the ladder algebra: N + 1/2 is the diagonal n + 1/2, and K has a
-    zero diagonal and (n, n + 2) entry -i sqrt((n + 1)(n + 2)), zero on
-    the top two levels. Both are exact under the truncation, and equal the
-    bands of any larger truncation cut to the lowest n levels. Refused by
-    _check_levels before anything is allocated."""
+    number states, on the even-n and the odd-n levels, the same in the
+    number basis of every frequency: neither couples the parities, and
+    within one K couples only n and n +- 2. In closed form from the ladder
+    algebra: N + 1/2 is the diagonal n + 1/2, and K has a zero diagonal and
+    (n, n + 2) entry -i sqrt((n + 1)(n + 2)), exact under the truncation.
+    Refused by _check_levels before anything is allocated."""
     _check_levels(n)
-    levels = np.arange(n, dtype=np.float64)
-    off = np.zeros(n)
-    off[:-2] = np.sqrt((levels[:-2] + 1.0) * (levels[:-2] + 2.0))
     blocks = []
     for s in _PARITIES:
-        zero = np.zeros_like(levels[s])
-        bands = (np.array([levels[s] + 0.5, zero]), np.array([zero, -1j * off[s]]))
-        for band in bands:
-            band.setflags(write=False)
-        blocks.append(_ParityBlock(*bands))
+        levels = np.arange(n, dtype=np.float64)[s]
+        block = _ParityBlock(levels + 0.5, np.sqrt((levels[:-1] + 1.0) * (levels[:-1] + 2.0)))
+        for array in (block.number, block.k):
+            array.setflags(write=False)
+        blocks.append(block)
     return tuple(blocks)
 
 
-def _h(block: _ParityBlock, omega: float, kappa: float) -> np.ndarray:
-    """Band of omega (N + 1/2) + kappa K: the counterdiabatic Hamiltonian
-    in the number basis of omega at kappa = -omegadot / 4 omega
-    (cd_level_energies); at kappa = omegadot / 4 omega it is the bare drive
-    in the instantaneous frame, whose Magnus terms _magnus_pair builds from
-    their coefficients instead."""
-    return omega * block.number + kappa * block.k
+def _band(block: _ParityBlock, x) -> _Band:
+    """The band of x_A (N + 1/2) + x_K K + x_L L on one parity block, for
+    x = (x_A, x_K, x_L): at (omega, omegadot / 4 omega, 0) the bare drive
+    in the instantaneous frame, at (omega, -omegadot / 4 omega, 0) the
+    counterdiabatic Hamiltonian in the number basis of omega."""
+    return x[0] * block.number, complex(x[2], -x[1]) * block.k
 
 
 def stroke_dim(beta: float, protocol: FrequencyProtocol) -> int:
@@ -263,12 +259,13 @@ def mean_energy_fock(state: FockState) -> float:
     return state.omega * float(np.sum((n + 0.5) * _diagonal(state)))
 
 
-def _band_times(band: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """D @ M for the Hermitian tridiagonal band D (2, n) and a dense M with
-    n rows, in three row updates."""
-    out = band[0, :, None] * m
-    out[:-1] += band[1, :-1, None] * m[1:]
-    out[1:] += band[1, :-1, None].conj() * m[:-1]
+def _band_times(band: _Band, m: np.ndarray) -> np.ndarray:
+    """D @ M for the Hermitian tridiagonal D given as (diagonal, upper
+    off-diagonal) and a dense M with n rows, in three row updates."""
+    diag, off = band
+    out = diag[:, None] * m
+    out[:-1] += off[:, None] * m[1:]
+    out[1:] += off[:, None].conj() * m[:-1]
     return out
 
 
@@ -288,7 +285,7 @@ def _magnus_pair(
     protocol: FrequencyProtocol,
     t: float,
     h: float,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[tuple[_Band, _Band]]:
     """Per parity block, the tridiagonal bands of (Omega4, D) for one
     Magnus step of length h from t, one ramp evaluation per three-node
     Gauss-Legendre node: the 4th-order generator Omega4 and its gap
@@ -299,9 +296,8 @@ def _magnus_pair(
     a2 = (sqrt(15) h/3)(H_3 - H_1), a3 = (10 h/3)(H_3 - 2 H_2 + H_1),
     C1 = {a1, a2}, C2 = -{a1, 2 a3 + C1}/60, Omega4 = a1 + a3/12 - C1/12 and
     D = ({C1 - 20 a1 - a3, C2} + {C1 - a3, a2})/240, each three numbers.
-    The band of x_A A + x_K K + x_L L on a block is x_A times the band of
-    A plus (x_K + i x_L) times that of K: the compression of the exact
-    generator onto the block's levels."""
+    Each is mapped to its band on a block by _band, the compression of the
+    exact generator onto the block's levels."""
     nodes = [
         protocol.eval(t + c * h) for c in (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
     ]
@@ -313,13 +309,10 @@ def _magnus_pair(
     c2 = _su11_bracket(a1, 2.0 * a3 + c1) / -60.0
     d = (_su11_bracket(c1 - 20.0 * a1 - a3, c2) + _su11_bracket(c1 - a3, a2)) / 240.0
     omega4 = a1 + a3 / 12.0 - c1 / 12.0
-    return [
-        tuple(x[0] * block.number + (x[1] + 1j * x[2]) * block.k for x in (omega4, d))
-        for block in blocks
-    ]
+    return [(_band(block, omega4), _band(block, d)) for block in blocks]
 
 
-def _commutator(ds: list[np.ndarray], rho: _Rho) -> _Rho:
+def _commutator(ds: list[_Band], rho: _Rho) -> _Rho:
     """The parity blocks of [D, rho] for the Hermitian tridiagonal bands
     D = (D_even, D_odd), in O(n^2): X - X^dagger with X = D_a rho[a, a]."""
     xs = (_band_times(d, m) for d, m in zip(ds, rho))
@@ -363,8 +356,8 @@ def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     cos(lam) V^T and -sin(lam) V^T in interleaved columns, so that V G read
     as complex is V exp(-i lam) V^T; the phases scale it in place.
     Every Magnus generator is tridiagonal in each parity block, a
-    combination of N + 1/2, K and L (_magnus_pair), so the bands are all of
-    M."""
+    combination of N + 1/2, K and L (_magnus_pair), and exists only as
+    this (diagonal, off-diagonal) pair (_band)."""
     lam, v, d = _eigh_tridiagonal(diag, off)
     g = np.empty((lam.size, 2 * lam.size))
     g[:, 0::2] = np.cos(lam)[:, None] * v.T
@@ -414,13 +407,13 @@ def _apply(us: tuple[np.ndarray, np.ndarray], rho: _Rho) -> _Rho:
     return _Rho(*(u @ m @ u.conj().T for u, m in zip(us, rho)))
 
 
-def _advance(pair: list[tuple[np.ndarray, np.ndarray]], rho: _Rho) -> _Rho:
+def _advance(pair: list[tuple[_Band, _Band]], rho: _Rho) -> _Rho:
     """One 6th-order Magnus step from the (Omega4, D) bands of each parity
     block: rho under exp(-i Omega6), with Omega6 = Omega4 + D tridiagonal
     like its two terms and exponentiated exactly, one real eigensolve per
     block."""
-    bands = (omega4 + d for omega4, d in pair)
-    return _apply(tuple(_expm_tridiagonal(m[0].real, m[1, :-1]) for m in bands), rho)
+    us = tuple(_expm_tridiagonal(d4 + dd, o4 + od) for (d4, o4), (dd, od) in pair)
+    return _apply(us, rho)
 
 
 def _check_and_clean(rho: _Rho) -> _Rho:
@@ -541,10 +534,9 @@ def cd_level_energies(
         )
     lams, h0_exp = [], []
     for block in _bands(dim):
-        band = _h(block, omega, -omega_dot / (4.0 * omega))
-        lam, v, _ = _eigh_tridiagonal(band[0].real, band[1, :-1])
+        lam, v, _ = _eigh_tridiagonal(*_band(block, (omega, -omega_dot / (4.0 * omega), 0.0)))
         lams.append(lam)
-        h0_exp.append(omega * (block.number[0] @ (v * v)))
+        h0_exp.append(omega * (block.number @ (v * v)))
     lam = np.concatenate(lams)
     keep = np.argsort(lam, kind="stable")[:n_levels]
     return lam[keep], np.concatenate(h0_exp)[keep]

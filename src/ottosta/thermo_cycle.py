@@ -54,6 +54,9 @@ __all__ = [
 
 # Roundoff allowance of the entropy-production guard.
 _SECOND_LAW_TOL = 1e-9
+# A cycle is an engine only if its output and heat input both exceed this
+# fraction of |W1| + |W3|: below it they are roundoff of the booked works.
+_ENGINE_TOL = 1e-12
 
 
 class Accounting(str, Enum):
@@ -256,7 +259,8 @@ def book_cycle(
     eta = -(w1 + w3) / heat_in if heat_in != 0.0 else None
     power = output / config.tau_cycle
     ds = entropy_production(config, q2, q4)
-    is_engine = output > 0.0 and heat_in > 0.0
+    floor = _ENGINE_TOL * (abs(w1) + abs(w3))
+    is_engine = output > floor and heat_in > floor
     return CycleResult(
         accounting=accounting,
         q1_star=q1,

@@ -1,8 +1,12 @@
+import contextlib
 import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -73,6 +77,26 @@ class TestConfigValidation:
         cfg.write_text("{not json")
         rc = run_cli(["cost", "--config", str(cfg), "--out", outfile])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'\xff\xfe{"tau": 3.0}',
+            b'{"tau": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+            b'{"tau": ' + b"1" * 5000 + b"}",
+        ],
+        ids=["not-utf8", "nested-200000-deep", "integer-of-5000-digits"],
+    )
+    def test_unreadable_json_exits_2_with_one_line(self, tmp_path, outfile, capsys, content):
+        # a UnicodeDecodeError, a RecursionError and the ValueError of
+        # Python's 4300-digit limit on integer literals
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(content)
+        assert run_cli(["qstar", "--config", str(cfg), "--out", outfile]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ottosta: config error: config file is not valid JSON: ")
+        assert err.count("\n") == 1
+        assert not os.path.exists(outfile)
 
     def test_bad_grid_flag_is_rejected(self, outfile):
         rc = run_cli(["cost", "--grid", "tau=oops", "--out", outfile])
@@ -232,7 +256,7 @@ class TestNumericsErrors:
                 ["--tol", "1e-300"],
                 None,
                 "3.654e+50 steps exceed the budget of 1000000 "
-                "(error estimate 8.63e-17 > rtol 1e-300)",
+                "(error estimate 8.92e-17 > rtol 1e-300)",
             ),
             (
                 [],
@@ -585,6 +609,29 @@ class TestUnwritableOutput:
         assert list(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_stdout_on_a_full_device(self, unbuffered):
+        # buffered, the write succeeds and the flush fails; at exit the
+        # interpreter flushes stdout again, which must fail silently
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(ottosta.__file__).resolve().parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(
+                [sys.executable, "-m", "ottosta.cli", "cost", "--grid", "tau=3:6:2",
+                 "--nodes", "201"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("ottosta: config error: cannot write output to stdout: ")
+        assert res.stderr.count("\n") == 1
+
+
 class TestSweep:
     def test_shape_and_status_column(self, outfile):
         rc = run_cli([
@@ -606,6 +653,22 @@ class TestSweep:
         assert statuses[("1.5", "time_averaged")] == "trap_inversion"
         assert statuses[("1.5", "adiabatic")] == "ok"
         assert statuses[("3.0", "sta")] == "ok"
+
+    def test_roundoff_is_not_an_engine(self, tmp_path, outfile):
+        # both baths in the ground state: output -(W1 + W3) = 2.8e-14 and
+        # Q2 = 2.8e-14 are roundoff of W1 = -W3 = 173.8, and eta read 1.0,
+        # above eta_Carnot = 0.621
+        cfg = tmp_path / "roundoff.json"
+        cfg.write_text(json.dumps({
+            "omega2": 500.907, "beta1": 12.2893, "omega_ratios": [0.305912],
+            "beta_ratios": [0.378584], "taus": [3.0], "accountings": ["adiabatic"],
+        }))
+        assert run_cli(["sweep", "--config", str(cfg), "--out", outfile]) == 0
+        _, header, rows = split_output(Path(outfile).read_text())
+        (row,) = rows
+        assert abs(float(row[header.index("q2")])) < 1e-13
+        assert row[header.index("is_engine")] == "false"
+        assert row[header.index("status")] == "ok"
 
     def test_jobs_do_not_change_bytes(self, tmp_path):
         a = str(tmp_path / "a.csv")
@@ -649,3 +712,124 @@ class TestConsoleScript:
         )
         assert res.returncode == 0, res.stderr
         assert out.exists()
+
+
+# -- schema-valid configs through every command --------------------------------
+
+DEFS = SCHEMA["$defs"]
+# Largest value drawn for each integer key, and for the "num" of a grid.
+_CAPS = {"samples": 64, "nodes": 101, "num": 3}
+# Keys left at their schema defaults.
+_AT_DEFAULT = {"rtol", "xtol"}
+# The axes of a sweep, whose product is capped at _SWEEP_POINTS.
+_SWEEP_AXES = ("omega_ratios", "beta_ratios", "taus", "kinds", "accountings")
+_SWEEP_POINTS = 36
+
+
+def _rounded(floats):
+    """Floats at six significant digits, as a config file would hold them."""
+    return floats.map(lambda x: float(f"{x:.6g}"))
+
+
+def _valid(schema, key):
+    """Values valid under ``schema``, the subschema of config key ``key``:
+    omega and beta log-uniform in [1e-3, 1e3], taus in [1e-2, 1e2], ratios
+    in [1e-3, 0.999], integers up to _CAPS and at most three items to an
+    array."""
+    if "$ref" in schema:
+        return _valid(DEFS[schema["$ref"].rsplit("/", 1)[1]], key)
+    if "oneOf" in schema:
+        return st.one_of([_valid(sub, key) for sub in schema["oneOf"]])
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if kind == "boolean":
+        return st.booleans()
+    if kind == "integer":
+        if "not" in schema:  # odd_nodes: odd integers from the minimum up
+            return st.integers(schema["minimum"] // 2, _CAPS[key] // 2).map(lambda k: 2 * k + 1)
+        return st.integers(schema["minimum"], _CAPS[key])
+    if kind == "number":
+        if "exclusiveMaximum" in schema:
+            return _rounded(st.floats(1e-3, 0.999))
+        lo, hi = (1e-2, 1e2) if key.startswith("tau") else (1e-3, 1e3)
+        return _rounded(st.floats(math.log(lo), math.log(hi)).map(math.exp))
+    if kind == "array":
+        return st.lists(_valid(schema["items"], key), min_size=schema["minItems"], max_size=3)
+    return st.fixed_dictionaries(
+        {k: _valid(sub, "num" if k == "num" else key) for k, sub in schema["properties"].items()}
+    )
+
+
+def _points(value) -> int:
+    return value["num"] if isinstance(value, dict) else len(value)
+
+
+@st.composite
+def _valid_cases(draw):
+    """(command, config, oracle): any subset of the command's keys, where
+    every key whose default is over a cap is drawn, and --oracle only on
+    qstar and empower, since the Fock rows' cost grows as 1/beta."""
+    command = draw(st.sampled_from(COMMANDS))
+    props = DEFS[command]["properties"]
+    drawn = {k: _valid(p, k) for k, p in props.items() if k not in _AT_DEFAULT}
+    sized = {k for k, p in props.items() if isinstance(p["default"], (list, dict)) or k in _CAPS}
+    config = draw(st.fixed_dictionaries(
+        {k: v for k, v in drawn.items() if k in sized},
+        optional={k: v for k, v in drawn.items() if k not in sized},
+    ))
+    if command == "sweep":
+        # shorten the longest axis until the sweep fits
+        while math.prod(_points(config[a]) for a in _SWEEP_AXES) > _SWEEP_POINTS:
+            axis = max(_SWEEP_AXES, key=lambda a: _points(config[a]))
+            value = config[axis]
+            config[axis] = {**value, "num": value["num"] - 1} if isinstance(value, dict) else value[:-1]
+    oracle = command in ("qstar", "empower") and draw(st.booleans())
+    return command, config, oracle
+
+
+def _run_in_process(argv):
+    """(exit code, stderr text) of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestSchemaValidConfigs:
+    """Configs drawn from the schema's $defs through the builders, the
+    renderer and the exit-code map. No exit 1 and no traceback: a config
+    the physics or the numerics refuse exits 2, 3 or 4 with one line and
+    no file. A dataset is the same bytes twice, and its rows keep the
+    invariants: bare Q* >= 1, the first law, and eta <= eta_Carnot on
+    engine rows."""
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(_valid_cases())
+    def test_every_exit_is_mapped_and_every_dataset_checks(self, case):
+        command, config, oracle = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps(config))
+            argv = [command, "--config", str(cfg), *(["--oracle"] if oracle else [])]
+            out = Path(tmp) / "a.csv"
+            code, err = _run_in_process([*argv, "--out", str(out)])
+            assert code in (0, 2, 3, 4), err
+            if code != 0:
+                assert err.count("\n") == 1 and err.endswith("\n"), err
+                assert list(Path(tmp).iterdir()) == [cfg]
+                return
+            again = Path(tmp) / "b.csv"
+            assert _run_in_process([*argv, "--out", str(again)]) == (0, "")
+            assert again.read_bytes() == out.read_bytes()
+            _, header, rows = split_output(out.read_text())
+        records = [dict(zip(header, row, strict=True)) for row in rows]
+        if command == "qstar":
+            assert all(float(r["q_bare"]) >= 1.0 - 1e-12 for r in records)
+        for r in records if command == "sweep" else []:
+            if r["status"] != "ok":
+                continue
+            w1, w3, q2, q4 = (float(r[c]) for c in ("w1", "w3", "q2", "q4"))
+            assert abs(w1 + w3 + q2 + q4) <= 1e-9 * (abs(w1) + abs(w3) + abs(q2) + abs(q4))
+            if r["is_engine"] == "true":
+                assert float(r["eta"]) <= 1.0 - float(r["beta_ratio"]) + 1e-12, r

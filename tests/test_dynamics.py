@@ -57,6 +57,9 @@ class TestStatesAndEnergies:
     def test_high_beta_limits_to_ground_state(self):
         st_ = thermal_state(1e6, 1.0)
         assert mean_energy(st_, 1.0) == pytest.approx(0.5, rel=1e-12)
+        # 1 / tanh(z) rounds to exactly 1 from z of about 19.1 up, and at inf
+        for beta in (40.0, 1400.0, math.inf):  # z = beta omega / 2 = 20, 700, inf
+            assert coth_half(beta, 1.0) == 1.0
 
     def test_mean_contributes_to_energy(self):
         base = thermal_state(2.0, 1.0)

@@ -129,10 +129,10 @@ class TestOperators:
         n = np.arange(30)
         got = np.zeros((30, 30), dtype=complex)
         for s, block in zip(fock_oracle._PARITIES, fock_oracle._bands(30)):
-            h = fock_oracle._h(block, 0.7, 0.0)
+            h = fock_oracle._band(block, (0.7, 0.0, 0.0))
             np.testing.assert_allclose(h[1], 0.0, atol=1e-12)
             np.testing.assert_allclose(h[0], (n[s] + 0.5) * 0.7, atol=1e-12)
-            got[s, s] = _dense_band(h)
+            got[s, s] = _dense(*h)
         want = oracles.dense_h0(0.7, 30, 0.7)
         np.testing.assert_allclose(got[:-1, :-1], want[:-1, :-1], atol=1e-13)
 
@@ -144,16 +144,18 @@ class TestOperators:
         want = oracles.dense_h0(0.8, 30, 0.8) + (0.3 / 3.2) * (x @ p + p @ x)
         got = np.zeros((30, 30), dtype=complex)
         for s, block in zip(fock_oracle._PARITIES, fock_oracle._bands(30)):
-            h = fock_oracle._h(block, 0.8, 0.3 / 3.2)  # omegadot = -0.3
+            h = fock_oracle._band(block, (0.8, 0.3 / 3.2, 0.0))  # omegadot = -0.3
             # a real diagonal and the upper off-diagonal: Hermitian
-            assert not np.any(np.imag(h[0]))
-            got[s, s] = _dense_band(h)
+            assert np.isrealobj(h[0])
+            got[s, s] = _dense(*h)
         np.testing.assert_allclose(got[:-1, :-1], want[:-1, :-1], atol=1e-13)
 
     def test_quadratic_operators_are_real_or_imaginary(self):
+        # N + 1/2 real, K imaginary: their bands at x = (1, 0, 0), (0, 1, 0)
         for block in fock_oracle._bands(61):
-            assert not np.any(np.imag(block.number))
-            assert not np.any(np.real(block.k))
+            number, k = (fock_oracle._band(block, x) for x in np.eye(3)[:2])
+            assert not np.any(np.imag(number[1]))
+            assert not np.any(k[0]) and not np.any(np.real(k[1]))
 
     @pytest.mark.parametrize("dim", [4, 61, 344])
     def test_real_products_match_the_complex_construction(self, dim):
@@ -164,11 +166,12 @@ class TestOperators:
         blocks = fock_oracle._bands(dim)
         for w in (0.59, 1.7):
             x, p = oracles.dense_operators(w, dim)
-            cases = [("k", x @ p + p @ x, dim), ("number", 0.5 * (p @ p / w + w * (x @ x)), dim - 1)]
-            for name, want, top in cases:
+            number = 0.5 * (p @ p / w + w * (x @ x))
+            cases = [((0, 1, 0), x @ p + p @ x, dim), ((1, 0, 0), number, dim - 1)]
+            for coefficients, want, top in cases:
                 got = np.zeros((dim, dim), dtype=complex)
                 for s, block in zip(fock_oracle._PARITIES, blocks):
-                    got[s, s] = _dense_band(getattr(block, name))
+                    got[s, s] = _dense(*fock_oracle._band(block, coefficients))
                 gap = np.max(np.abs(got[:top, :top] - want[:top, :top]))
                 assert gap <= 1e-14 * np.max(np.abs(want))
 
@@ -182,7 +185,7 @@ class TestOperators:
         dim, w = 120, 0.8
         k = np.zeros((dim, dim), dtype=complex)
         for s, block in zip(fock_oracle._PARITIES, fock_oracle._bands(dim)):
-            k[s, s] = _dense_band(block.k)
+            k[s, s] = _dense(*fock_oracle._band(block, (0.0, 1.0, 0.0)))
         lam, v = np.linalg.eigh(k)
         t = (v * np.exp(0.25j * math.log(ratio) * lam)) @ v.conj().T
         got = (t.conj().T @ oracles.dense_h0(w, dim, ratio * w) @ t)[:16, :16]
@@ -198,7 +201,7 @@ class TestOperators:
     def test_truncation_above_the_cap_is_refused(self):
         # refused before any band or state is allocated, whatever asked for it
         cap = fock_oracle._MAX_LEVELS
-        assert sum(block.k.shape[1] for block in fock_oracle._bands(cap)) == cap
+        assert sum(block.number.size for block in fock_oracle._bands(cap)) == cap
         message = f"needs {cap + 1} levels, over the {cap} allowed"
         asks = [
             lambda: fock_oracle._bands(cap + 1),
@@ -455,33 +458,24 @@ def _dense_expm(m):
 def _dense(diag, off):
     """The Hermitian tridiagonal matrix with diagonal ``diag`` and upper
     off-diagonal ``off``."""
-    return _dense_band(np.array([diag, np.append(off, 0.0)]))
+    m = np.diag(diag).astype(complex)
+    k = np.arange(len(off))
+    m[k, k + 1] = off
+    m[k + 1, k] = np.conj(off)
+    return m
 
 
 def _random_band(rng, n, scale):
-    """A random Hermitian tridiagonal band of shape (2, n), row 1 the upper
-    off-diagonal zero-padded at the end: off-diagonals drawn zero, real of
-    either sign, or complex."""
-    band = np.zeros((2, n), dtype=complex)
-    band[0] = rng.normal(size=n)
+    """A random Hermitian tridiagonal band on n levels, (real diagonal,
+    complex upper off-diagonal): off-diagonals drawn zero, real of either
+    sign, or complex."""
+    diag = rng.normal(size=n)
     kind = rng.integers(0, 3, size=n - 1)
     off = rng.normal(size=n - 1) * np.where(
         kind == 2, np.exp(2j * np.pi * rng.uniform(size=n - 1)), 1.0
     )
     off[kind == 0] = 0.0
-    band[1, :-1] = off
-    return scale * band
-
-
-def _dense_band(band):
-    """The Hermitian matrix whose upper diagonals are the rows of ``band``."""
-    n = band.shape[1]
-    m = np.diag(band[0]).astype(complex)
-    for j in range(1, min(band.shape[0], n)):
-        k = np.arange(n - j)
-        m[k, k + j] = band[j, : n - j]
-        m[k + j, k] = np.conj(band[j, : n - j])
-    return m
+    return scale * diag, scale * off
 
 
 def _block_unitary(us, n):
@@ -524,8 +518,7 @@ class TestTridiagonalExponential:
         # at scale 20 the largest entries reach the 50s, as in the Magnus
         # generators of the default strokes, and both routes err by about
         # eps max|M|
-        band = _random_band(np.random.default_rng(seed), n, scale)
-        diag, off = band[0].real, band[1, :-1]
+        diag, off = _random_band(np.random.default_rng(seed), n, scale)
         want = _dense_expm(_dense(diag, off))
         got = fock_oracle._expm_tridiagonal(diag, off)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -542,7 +535,7 @@ class TestBandArithmetic:
         # tridiagonal bands, against dense matrices
         rng = np.random.default_rng(seed)
         a, b = _random_band(rng, n, scale), _random_band(rng, n, scale)
-        dense_a, dense_b = _dense_band(a), _dense_band(b)
+        dense_a, dense_b = _dense(*a), _dense(*b)
         tol = 1e-13 * np.linalg.norm(dense_a) * np.linalg.norm(dense_b)
         assert np.linalg.norm(fock_oracle._band_times(b, dense_a) - dense_b @ dense_a) <= tol
 
@@ -624,7 +617,7 @@ def _dense_bracket(a, b):
 def _triple_dense(block, x):
     """The dense x_A (N + 1/2) + x_K K + x_L L on one parity block, from
     the bands of N + 1/2 and K: L's band is i times K's."""
-    return _dense_band(x[0] * block.number + (x[1] + 1j * x[2]) * block.k)
+    return _dense(*fock_oracle._band(block, x))
 
 
 def _dense_pair(blocks, protocol, t, h):
@@ -638,7 +631,9 @@ def _dense_pair(blocks, protocol, t, h):
     nodes = [protocol.eval(t + c * h) for c in (0.5 - r / 10.0, 0.5, 0.5 + r / 10.0)]
     out = []
     for block in blocks:
-        h1, h2, h3 = (_dense_band(fock_oracle._h(block, w, wd / (4.0 * w))) for w, wd in nodes)
+        h1, h2, h3 = (
+            _dense(*fock_oracle._band(block, (w, wd / (4.0 * w), 0.0))) for w, wd in nodes
+        )
         a1 = h * h2
         a2 = (r * h / 3.0) * (h3 - h1)
         a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
@@ -682,11 +677,11 @@ class TestErrorEstimate:
                 fock_oracle._PARITIES, sizes, got, want
             ):
                 np.testing.assert_allclose(
-                    _dense_band(omega4), omega4_dense[:k, :k], rtol=0.0, atol=1e-13
+                    _dense(*omega4), omega4_dense[:k, :k], rtol=0.0, atol=1e-13
                 )
-                gap_error = max(gap_error, np.max(np.abs(_dense_band(gap) - gap_dense[:k, :k])))
+                gap_error = max(gap_error, np.max(np.abs(_dense(*gap) - gap_dense[:k, :k])))
                 d[s, s] = gap_dense[:k, :k]
-                scale = max(scale, float(np.max(np.abs(omega4))) ** 3)
+                scale = max(scale, max(float(np.max(np.abs(b))) for b in omega4) ** 3)
             est = fock_oracle._frobenius(fock_oracle._commutator([g for _, g in got], rho_blocks))
             assert est == pytest.approx(np.linalg.norm(d @ rho - rho @ d), rel=1e-12)
         # D is cubic in the generator; the dense route's roundoff scales so
@@ -702,8 +697,8 @@ class TestErrorEstimate:
         pair = fock_oracle._magnus_pair(fock_oracle._bands(dim), protocol, 1.0, 0.05)
         u4, u6 = np.zeros((dim, dim), complex), np.zeros((dim, dim), complex)
         for s, (omega4, gap) in zip(fock_oracle._PARITIES, pair):
-            u4[s, s] = _dense_expm(_dense_band(omega4))
-            u6[s, s] = _dense_expm(_dense_band(omega4) + _dense_band(gap))
+            u4[s, s] = _dense_expm(_dense(*omega4))
+            u6[s, s] = _dense_expm(_dense(*omega4) + _dense(*gap))
         want = np.linalg.norm(u6 @ rho @ u6.conj().T - u4 @ rho @ u4.conj().T)
         est = fock_oracle._frobenius(fock_oracle._commutator([g for _, g in pair], loop_rho(st)))
         assert est == pytest.approx(want, rel=0.1)
@@ -729,7 +724,7 @@ class TestLocalExtrapolation:
                 u = _block_unitary([_dense_expm(o4 + gap) for o4, gap in pair], dim)
                 want = u @ want @ u.conj().T
             pair = fock_oracle._magnus_pair(blocks, protocol, t, h)
-            us = tuple(fock_oracle._expm_tridiagonal(m[0].real, m[1, :-1]) for m, _ in pair)
+            us = tuple(fock_oracle._expm_tridiagonal(*m) for m, _ in pair)
             bare = fock_oracle._apply(us, rho)
             extrapolated = fock_oracle._advance(pair, rho)
             return [np.linalg.norm(oracles.dense_rho(r) - want) for r in (bare, extrapolated)]
@@ -747,7 +742,7 @@ def _recording_sizes(monkeypatch):
     pair = fock_oracle._magnus_pair
 
     def recorded(blocks, *args):
-        sizes.append(sum(b.k.shape[1] for b in blocks))
+        sizes.append(sum(b.number.size for b in blocks))
         return pair(blocks, *args)
 
     monkeypatch.setattr(fock_oracle, "_magnus_pair", recorded)
