@@ -116,6 +116,13 @@ def _is_type(inst, name: str) -> bool:
     return isinstance(inst, _JSON_TYPES[name])
 
 
+def _short(inst) -> str:
+    """repr(inst) for an error message, cut to at most 80 characters, the
+    last of them "…": a config value can be megabytes long."""
+    text = repr(inst)
+    return text if len(text) <= 80 else text[:79] + "…"
+
+
 def _errors(inst, schema: dict, path: tuple, defs: dict):
     """Yield (path, message) for each way inst breaks schema. Raises
     ConfigError for a keyword this validator does not know."""
@@ -126,17 +133,17 @@ def _errors(inst, schema: dict, path: tuple, defs: dict):
             yield from _errors(inst, defs[value[len("#/$defs/"):]], path, defs)
         elif key == "type":
             if not _is_type(inst, value):
-                yield path, f"{inst!r} is not of type {value!r}"
+                yield path, f"{_short(inst)} is not of type {value!r}"
         elif key == "enum":
             if inst not in value:
-                yield path, f"{inst!r} is not one of {value!r}"
+                yield path, f"{_short(inst)} is not one of {value!r}"
         elif key in _BOUNDS:
             fails, text = _BOUNDS[key]
             if _is_type(inst, "number") and fails(inst, value):
-                yield path, f"{inst!r} {text} {value!r}"
+                yield path, f"{_short(inst)} {text} {value!r}"
         elif key == "not":
             if next(_errors(inst, value, path, defs), None) is None:
-                yield path, f"{inst!r} should not be valid under {value!r}"
+                yield path, f"{_short(inst)} should not be valid under {value!r}"
         elif key == "oneOf":
             failures = [list(_errors(inst, sub, path, defs)) for sub in value]
             typed = [f for f, sub in zip(failures, value)
@@ -144,14 +151,14 @@ def _errors(inst, schema: dict, path: tuple, defs: dict):
             if failures.count([]) != 1:
                 # Like jsonschema, name the first error of the one branch whose type fits.
                 yield typed[0][0] if len(typed) == 1 and typed[0] else (
-                    path, f"{inst!r} is not valid under exactly one of the given schemas")
+                    path, f"{_short(inst)} is not valid under exactly one of the given schemas")
         elif key == "items":
             if isinstance(inst, list):
                 for i, item in enumerate(inst):
                     yield from _errors(item, value, path + (i,), defs)
         elif key == "minItems":
             if isinstance(inst, list) and len(inst) < value:
-                yield path, f"{inst!r} has fewer than {value} items"
+                yield path, f"{_short(inst)} has fewer than {value} items"
         elif key == "required":
             for name in value if isinstance(inst, dict) else ():
                 if name not in inst:

@@ -18,14 +18,15 @@ carries the frequency whose number basis it is written in
 (``FockState.omega``): a stroke starts at omega_i and returns each state in
 the basis of its checkpoint's omega.
 
-rho is propagated with an adaptive 6th-order Magnus integrator. Each trial
-step builds the 4th- and 6th-order generators Omega4 and Omega6 = Omega4 + D
-from H~ at three Gauss-Legendre nodes; ||[D, rho]||_F estimates the local
-error of the 4th-order step and steers the step size. An accepted step
-advances rho with Omega6 by local extrapolation: Omega6 is, like Omega4, a
-combination of three fixed operators (below), tridiagonal in each parity
-block, so exp(-i Omega6) is taken exactly, from one eigendecomposition of
-the Hermitian generator per block.
+rho is propagated with an adaptive 8th-order Magnus integrator. Each trial
+step builds the 6th-order generator Omega6 from H~ at three Gauss-Legendre
+nodes and the 8th-order Omega8 = Omega6 + D by four-stage Gauss
+collocation; ||[D, rho]||_F estimates the local error of the 6th-order
+step and steers the step size. An accepted step advances rho with Omega8
+by local extrapolation: Omega8 is, like Omega6, a combination of three
+fixed operators (below), tridiagonal in each parity block, so
+exp(-i Omega8) is taken exactly, from one eigendecomposition of the
+Hermitian generator per block.
 
 N and K change the number n by 0 or +-2 and never mix even and odd n. Each
 Magnus step therefore exponentiates two generators of about dim/2, one per
@@ -39,12 +40,12 @@ Within one parity, N + 1/2 is diagonal and K couples only neighbouring
 levels. With L = a^dagger^2 + a^2 they close the Lie algebra su(1,1):
 -i[N + 1/2, K] = 2L, -i[N + 1/2, L] = -2K and -i[K, L] = -8 (N + 1/2).
 So every term of the Magnus pair is x_A (N + 1/2) + x_K K + x_L L, three
-numbers computed once per step (_su11_bracket). Its band in a parity block
-is a pair, a real diagonal and a complex upper off-diagonal, from one map
-(_band): (x_A (n + 1/2), (x_L - i x_K) sqrt((n + 1)(n + 2))), as K's
-(n, n + 2) entry is -i sqrt((n + 1)(n + 2)) and L's band is i times K's.
-On any truncation that band is the compression of the exact generator: no
-bracket of truncated matrices is ever formed. Only the coefficients come
+numbers computed once per step (_su11_bracket, _dexpinv). Its band in a
+parity block is a pair, a real diagonal and a complex upper off-diagonal,
+from one map (_band): (x_A (n + 1/2), (x_L - i x_K) sqrt((n + 1)(n + 2))),
+as K's (n, n + 2) entry is -i sqrt((n + 1)(n + 2)) and L's band is i times
+K's. On any truncation that band is the compression of the exact generator:
+no bracket of truncated matrices is ever formed. Only the coefficients come
 from the algebra; the exponential is still taken of the Fock bands. A
 diagonal phase gauge makes each block real symmetric without changing its
 spectrum, so each block exponential is one real eigensolve, exact up to
@@ -56,13 +57,13 @@ compression of those of any larger truncation onto them. A state's
 truncation ``state.dim`` (for a stroke, ``stroke_dim``) is a cap, not the
 working size: rho is propagated on an active window of the lowest levels,
 the ones the state occupies, under the bands of that window. The window
-opens where the start state's diagonal tail falls below a threshold, plus
-a guard band, and grows by one band whenever its top band holds more than
-the threshold, up to state.dim. Only at that cap does the leak check of
-the top two levels (the top level of each parity block) refuse the state.
-Returned states are zero-padded to state.dim. The counterdiabatic
-Hamiltonian of one instant, omega (N + 1/2) - (omegadot / 4 omega) K in
-the number basis of that instant's omega, is split the same way: two real
+opens where the start state's diagonal tail falls below a threshold, plus a
+guard band, and grows ahead of the populations' front before each step
+(propagate_fock_path), up to state.dim. Only at that cap does the leak
+check of the top two levels (the top level of each parity block) refuse the
+state. Returned states are zero-padded to state.dim. The counterdiabatic
+Hamiltonian of one instant, omega (N + 1/2) - (omegadot / 4 omega) K in the
+number basis of that instant's omega, is split the same way: two real
 tridiagonal eigensolves, one per parity.
 
 This route shares nothing with the Gaussian transfer-matrix propagator
@@ -107,13 +108,10 @@ _TRACE_LIMIT = 1e-8
 # band added on top of it.
 _DIM_TAIL = 1e-10
 _STROKE_GUARD = 30
-# Active window of propagate_fock_path: it opens at the smallest size whose
-# diagonal tail weight is at most _WINDOW_TAIL, plus one band of
-# _WINDOW_BAND levels, and grows by one band whenever its top band holds
-# more than _WINDOW_TAIL. Mid-stroke, one step of the hot default stroke
-# spreads its populations by more than a band, and the weight it pushes
-# against the window's top moves the end energy: by 1.1e-10 relative at
-# 1e-12, by 1.6e-11 at 5e-13.
+# Active window of propagate_fock_path: its tail threshold and guard band.
+# One 8th-order step of the hot default stroke carries its populations past
+# a band; grown only after each step, the window moved the end energy by
+# 2.6e-8 relative at tau = 2.25, against 6.6e-11 when sized before it.
 _WINDOW_TAIL = 5e-13
 _WINDOW_BAND = 16
 # Step control of the adaptive Magnus propagator.
@@ -269,15 +267,91 @@ def _band_times(band: _Band, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _su11_bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _su11_bracket(x, y) -> tuple[float, float, float]:
     """The Hermitian bracket -i[X, Y] of X = x_A A + x_K K + x_L L and Y
     alike, as its coefficients (A, K, L), from the structure constants of
     A = N + 1/2, K = xp + px and L = a^dagger^2 + a^2:
     -i[A, K] = 2L, -i[A, L] = -2K and -i[K, L] = -8A."""
     (xa, xk, xl), (ya, yk, yl) = x, y
-    return np.array(
-        [-8.0 * (xk * yl - xl * yk), -2.0 * (xa * yl - xl * ya), 2.0 * (xa * yk - xk * ya)]
+    return -8.0 * (xk * yl - xl * yk), -2.0 * (xa * yl - xl * ya), 2.0 * (xa * yk - xk * ya)
+
+
+def _combine(weights, xs) -> tuple[float, float, float]:
+    """sum_j weights[j] xs[j] for coefficient triples xs, in Python floats:
+    numpy's per-call overhead dwarfs three-number arithmetic."""
+    a = k = l = 0.0
+    for w, (xa, xk, xl) in zip(weights, xs):
+        a += w * xa
+        k += w * xk
+        l += w * xl
+    return a, k, l
+
+
+def _dexpinv(x, y) -> tuple[float, float, float]:
+    """dexp^{-1}_X(Y) = Y - {X, Y}/2 + {X, {X, Y}}/12 - ad^4/720 + ad^6/30240,
+    the Bernoulli series of the bracket ad = {X, .} = -i[X, .] cut after
+    its sixth power. In su(1,1), ad^3 = s ad with
+    s = 16 (x_K^2 + x_L^2) - 4 x_A^2 (the characteristic polynomial of
+    ad's 3x3 matrix), so the cut series is two brackets:
+    Y - {X, Y}/2 + (1/12 - s/720 + s^2/30240) {X, {X, Y}}."""
+    xy = _su11_bracket(x, y)
+    xxy = _su11_bracket(x, xy)
+    s = 16.0 * (x[1] * x[1] + x[2] * x[2]) - 4.0 * x[0] * x[0]
+    g = 1.0 / 12.0 - s * (1.0 / 720.0 - s / 30240.0)
+    return _combine((1.0, -0.5, g), (y, xy, xxy))
+
+
+def _gauss8():
+    """Four-stage Gauss-Legendre collocation on [0, 1], of order 8, as Python
+    floats: the nodes c, roots of the Legendre polynomial P4(2c - 1), and
+    the weights b in closed form, and the stage matrix a from its
+    conditions sum_j a_ij c_j^k = c_i^(k + 1)/(k + 1) for k < 4."""
+    r30 = math.sqrt(30.0)
+    outer, inner = (0.5 * math.sqrt((15.0 + s * 2.0 * r30) / 35.0) for s in (1.0, -1.0))
+    c = np.array([0.5 - outer, 0.5 - inner, 0.5 + inner, 0.5 + outer])
+    b = np.array([18.0 - r30, 18.0 + r30, 18.0 + r30, 18.0 - r30]) / 72.0
+    k = np.arange(1.0, 5.0)
+    a = np.linalg.solve(np.vander(c, 4, increasing=True).T, (c[:, None] ** k / k).T).T
+    return c.tolist(), b.tolist(), a.tolist()
+
+
+_NODES8, _WEIGHTS8, _MATRIX8 = _gauss8()
+# The ramp nodes of one Magnus trial step, as fractions of its length: the
+# three Gauss-Legendre nodes of Omega6, then the four of Omega8.
+_NODES = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0, *_NODES8])
+
+
+def _omega6(hs) -> tuple[float, float, float]:
+    """The 6th-order Magnus generator of Blanes, Casas, Oteo & Ros (Phys.
+    Rep. 470, 151 (2009)) from hs = h H at the three Gauss-Legendre nodes:
+    a1 = h H_2, a2 = (sqrt(15) h/3)(H_3 - H_1),
+    a3 = (10 h/3)(H_3 - 2 H_2 + H_1), C1 = {a1, a2},
+    C2 = -{a1, 2 a3 + C1}/60 and
+    Omega6 = a1 + a3/12 + {-20 a1 - a3 + C1, a2 + C2}/240."""
+    a1 = hs[1]
+    a2 = _combine((-_SQRT15 / 3.0, 0.0, _SQRT15 / 3.0), hs)
+    a3 = _combine((10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0), hs)
+    c1 = _su11_bracket(a1, a2)
+    c2 = _combine((-1.0 / 60.0,), (_su11_bracket(a1, _combine((2.0, 1.0), (a3, c1))),))
+    tail = _su11_bracket(
+        _combine((-20.0, -1.0, 1.0), (a1, a3, c1)), _combine((1.0, 1.0), (a2, c2))
     )
+    return _combine((1.0, 1.0 / 12.0, 1.0 / 240.0), (a1, a3, tail))
+
+
+def _omega8(hs) -> tuple[float, float, float]:
+    """Omega(h) of the Magnus equation Omega' = dexp^{-1}_Omega(H) from
+    Omega(0) = 0, by Gauss collocation with four stages (order 8), from
+    hs = h H at the four nodes (Iserles, Munthe-Kaas, Norsett & Zanna, Acta
+    Numerica 9, 215 (2000)). The stages solve
+    Omega_i = sum_j a_ij dexp^{-1}_{Omega_j}(h H_j) by seven fixed-point
+    sweeps from Omega_i = 0, each of which gains one order in h; the
+    first is Omega_i = sum_j a_ij h H_j."""
+    stages = [_combine(row, hs) for row in _MATRIX8]
+    for _ in range(6):
+        fs = [_dexpinv(x, y) for x, y in zip(stages, hs)]
+        stages = [_combine(row, fs) for row in _MATRIX8]
+    return _combine(_WEIGHTS8, [_dexpinv(x, y) for x, y in zip(stages, hs)])
 
 
 def _magnus_pair(
@@ -286,30 +360,20 @@ def _magnus_pair(
     t: float,
     h: float,
 ) -> list[tuple[_Band, _Band]]:
-    """Per parity block, the tridiagonal bands of (Omega4, D) for one
-    Magnus step of length h from t, one ramp evaluation per three-node
-    Gauss-Legendre node: the 4th-order generator Omega4 and its gap
-    D = Omega6 - Omega4 to the 6th-order one (Blanes, Casas, Oteo & Ros,
-    Phys. Rep. 470, 151 (2009)). With H_k the instantaneous-frame drive H~ at node k, the
-    coefficients (omega_k, omegadot_k / 4 omega_k, 0) on (A, K, L), and the
-    Hermitian bracket {X, Y} = -i[X, Y] (_su11_bracket): a1 = h H_2,
-    a2 = (sqrt(15) h/3)(H_3 - H_1), a3 = (10 h/3)(H_3 - 2 H_2 + H_1),
-    C1 = {a1, a2}, C2 = -{a1, 2 a3 + C1}/60, Omega4 = a1 + a3/12 - C1/12 and
-    D = ({C1 - 20 a1 - a3, C2} + {C1 - a3, a2})/240, each three numbers.
-    Each is mapped to its band on a block by _band, the compression of the
-    exact generator onto the block's levels."""
-    nodes = [
-        protocol.eval(t + c * h) for c in (0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0)
-    ]
-    h1, h2, h3 = (np.array([w, wd / (4.0 * w), 0.0]) for w, wd in nodes)
-    a1 = h * h2
-    a2 = (_SQRT15 * h / 3.0) * (h3 - h1)
-    a3 = (10.0 * h / 3.0) * (h3 - 2.0 * h2 + h1)
-    c1 = _su11_bracket(a1, a2)
-    c2 = _su11_bracket(a1, 2.0 * a3 + c1) / -60.0
-    d = (_su11_bracket(c1 - 20.0 * a1 - a3, c2) + _su11_bracket(c1 - a3, a2)) / 240.0
-    omega4 = a1 + a3 / 12.0 - c1 / 12.0
-    return [(_band(block, omega4), _band(block, d)) for block in blocks]
+    """Per parity block, the tridiagonal bands of (Omega8, D) for one
+    Magnus step of length h from t: the 8th-order generator Omega8
+    (_omega8) and its gap D = Omega8 - Omega6 to the 6th-order one
+    (_omega6), from one ramp evaluation at the seven nodes of both. With
+    H_k the instantaneous-frame drive H~ at node k, the coefficients
+    (omega_k, omegadot_k / 4 omega_k, 0) on (A, K, L), every bracket is
+    three numbers (_su11_bracket), and so is each generator. Each is
+    mapped to its band on a block by _band, the compression of the exact
+    generator onto the block's levels."""
+    w, wd = protocol.eval(t + h * _NODES)
+    hs = [(h * x, h * xd / (4.0 * x), 0.0) for x, xd in zip(w.tolist(), wd.tolist())]
+    omega8 = _omega8(hs[3:])
+    d = _combine((1.0, -1.0), (omega8, _omega6(hs[:3])))
+    return [(_band(block, omega8), _band(block, d)) for block in blocks]
 
 
 def _commutator(ds: list[_Band], rho: _Rho) -> _Rho:
@@ -408,12 +472,17 @@ def _apply(us: tuple[np.ndarray, np.ndarray], rho: _Rho) -> _Rho:
 
 
 def _advance(pair: list[tuple[_Band, _Band]], rho: _Rho) -> _Rho:
-    """One 6th-order Magnus step from the (Omega4, D) bands of each parity
-    block: rho under exp(-i Omega6), with Omega6 = Omega4 + D tridiagonal
-    like its two terms and exponentiated exactly, one real eigensolve per
-    block."""
-    us = tuple(_expm_tridiagonal(d4 + dd, o4 + od) for (d4, o4), (dd, od) in pair)
-    return _apply(us, rho)
+    """One 8th-order Magnus step from the (Omega8, D) bands of each parity
+    block: rho under exp(-i Omega8), exponentiated exactly, one real
+    eigensolve per block."""
+    return _apply(tuple(_expm_tridiagonal(*omega8) for omega8, _ in pair), rho)
+
+
+def _front(rho: _Rho | FockState) -> int:
+    """The number of lowest levels up to the last one whose diagonal tail
+    weight exceeds _WINDOW_TAIL."""
+    tail = np.cumsum(_diagonal(rho)[::-1])
+    return int(np.count_nonzero(tail > _WINDOW_TAIL))
 
 
 def _check_and_clean(rho: _Rho) -> _Rho:
@@ -444,26 +513,31 @@ def propagate_fock_path(
     ts,
 ) -> list[FockState]:
     """Propagate under the bare drive through ascending checkpoints in the
-    instantaneous frame, with adaptive 6th-order Magnus steps: local
-    extrapolation of a 4th-order step whose error estimate steers h.
+    instantaneous frame, with adaptive 8th-order Magnus steps: local
+    extrapolation of a 6th-order step whose error estimate steers h.
     ``state`` must be in the number basis of protocol.omega_i, and each
     returned state is in the number basis of omega at its checkpoint.
 
-    Each trial step of width h builds Omega4 and D = Omega6 - Omega4 on
-    bands from three ramp evaluations (_magnus_pair). The local error of
-    the 4th-order step is estimated as ||[D, rho]||_F, the leading term of
-    the gap between the 4th- and 6th-order updates, and tested against
-    _MAGNUS_ATOL + _MAGNUS_RTOL ||rho||_F; the step size follows it with
-    the exponent 1/5 of that local error. An accepted step advances rho
-    with Omega6 = Omega4 + D (_advance): one exact exponential per parity
-    block, so the step is unitary. A rejected trial costs no exponential.
+    Each trial step of width h builds Omega8 and D = Omega8 - Omega6 on
+    bands from one ramp evaluation at seven nodes (_magnus_pair). The local
+    error of the 6th-order step is estimated as ||[D, rho]||_F, the leading
+    term of the gap between the 6th- and 8th-order updates, and tested
+    against _MAGNUS_ATOL + _MAGNUS_RTOL ||rho||_F; the step size follows it
+    with the exponent 1/7 of that local error. An accepted step advances
+    rho with Omega8 (_advance): one exact exponential per parity block, so
+    the step is unitary. A rejected trial costs no exponential, so the
+    first trial is a large tau/20.
 
     rho is propagated on an active window of the lowest n levels, under
-    their bands (_bands), on which each Magnus pair is built. The window
-    opens at the smallest n whose diagonal tail weight in ``state`` is at
-    most _WINDOW_TAIL, plus a band of _WINDOW_BAND levels. After each
-    accepted step whose top band holds more than _WINDOW_TAIL, rho is
-    zero-padded by one band, up to the cap state.dim; there the leak check
+    their bands (_bands), on which each Magnus pair is built. The front is
+    the number of levels up to the last one whose diagonal tail weight
+    exceeds _WINDOW_TAIL (_front), and its speed the change of the front
+    over the last accepted step, divided by that step's length. The window
+    opens at the front of ``state`` plus a band of _WINDOW_BAND levels.
+    Before each trial of width h, rho is zero-padded to
+    front + ceil(speed h) + _WINDOW_BAND levels if it holds fewer, and
+    after each accepted step whose top band holds more than _WINDOW_TAIL,
+    by one more band; both up to the cap state.dim, where the leak check
     of the top two levels refuses a state that outgrows the truncation.
     Each returned state is zero-padded to state.dim. A step clipped to a
     checkpoint lands on it exactly. The error and tolerance norms are those
@@ -476,12 +550,12 @@ def propagate_fock_path(
     dim = state.dim
     ts = protocol.checkpoints(ts)
 
-    tail = np.cumsum(_diagonal(state)[::-1])[::-1]
-    n = min(int(np.count_nonzero(tail > _WINDOW_TAIL)) + _WINDOW_BAND, dim)
+    front = _front(state)
+    n = min(front + _WINDOW_BAND, dim)
     rho = _resized(state, n)
     blocks = _bands(n)
-    t = 0.0
-    h = protocol.tau / 200.0
+    t, speed = 0.0, 0.0
+    h = protocol.tau / 20.0
     out: list[FockState] = []
     steps = 0
     for target in ts:
@@ -489,6 +563,11 @@ def propagate_fock_path(
             last = h >= target - t
             if last:
                 h = target - t
+            reach = min(front + math.ceil(speed * h) + _WINDOW_BAND, dim)
+            if reach > n:
+                n = reach
+                rho = _resized(rho, n)
+                blocks = _bands(n)
             pair = _magnus_pair(blocks, protocol, t, h)
             comm = _commutator([d for _, d in pair], rho)
             err = _frobenius(comm)
@@ -500,11 +579,13 @@ def propagate_fock_path(
                     rho = _resized(rho, n)
                     blocks = _bands(n)
                 rho = _check_and_clean(rho)
-                t = target if last else t + h
-                grow = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** 0.2)
+                t_next, front_next = (target if last else t + h), _front(rho)
+                speed = (front_next - front) / (t_next - t)
+                t, front = t_next, front_next
+                grow = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** (1.0 / 7.0))
                 h *= max(grow, 0.2)
             else:
-                h *= max(0.2, 0.9 * (tol / err) ** 0.2)
+                h *= max(0.2, 0.9 * (tol / err) ** (1.0 / 7.0))
             steps += 1
             if steps > _MAGNUS_MAX_STEPS:
                 raise NumericsError("Magnus step budget exhausted")

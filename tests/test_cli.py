@@ -78,6 +78,18 @@ class TestConfigValidation:
         rc = run_cli(["cost", "--config", str(cfg), "--out", outfile])
         assert rc == 2
 
+    def test_long_value_is_cut_in_the_message(self, tmp_path, outfile, capsys):
+        # the offending value's repr is cut to 80 characters, not printed
+        # whole (a megabyte here)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"tau": [0.5] * 200_000}))
+        assert run_cli(["qstar", "--config", str(cfg), "--out", outfile]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 300
+        assert "[0.5, 0.5, " in err and "\u2026" in err
+        assert not os.path.exists(outfile)
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -800,9 +812,9 @@ class TestSchemaValidConfigs:
     """Configs drawn from the schema's $defs through the builders, the
     renderer and the exit-code map. No exit 1 and no traceback: a config
     the physics or the numerics refuse exits 2, 3 or 4 with one line and
-    no file. A dataset is the same bytes twice, and its rows keep the
-    invariants: bare Q* >= 1, the first law, and eta <= eta_Carnot on
-    engine rows."""
+    no file. A dataset is the same bytes twice, its JSON rendering holds
+    the same cells, and its rows keep the invariants: bare Q* >= 1, the
+    first law, and eta <= eta_Carnot on engine rows."""
 
     @settings(max_examples=250, derandomize=True, deadline=None)
     @given(_valid_cases())
@@ -822,7 +834,13 @@ class TestSchemaValidConfigs:
             again = Path(tmp) / "b.csv"
             assert _run_in_process([*argv, "--out", str(again)]) == (0, "")
             assert again.read_bytes() == out.read_bytes()
-            _, header, rows = split_output(out.read_text())
+            meta, header, rows = split_output(out.read_text())
+            as_json = Path(tmp) / "c.json"
+            assert _run_in_process([*argv, "--format", "json", "--out", str(as_json)]) == (0, "")
+            doc = json.loads(as_json.read_text())
+        # the JSON table is the CSV table: same metadata, columns and cells
+        assert doc["metadata"] == meta and doc["columns"] == header
+        assert [[oracles.format_cell(v) for v in row] for row in doc["rows"]] == rows
         records = [dict(zip(header, row, strict=True)) for row in rows]
         if command == "qstar":
             assert all(float(r["q_bare"]) >= 1.0 - 1e-12 for r in records)
