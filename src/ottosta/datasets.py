@@ -10,14 +10,15 @@ through one stacked call (``dynamics.q_cd_grid``, the ``sta_cost`` cost
 stacks), and each cycle point's strokes are evaluated once and booked under
 every accounting (``thermo_cycle.stroke_records`` and ``book_cycle``). The Fock oracle
 columns of ``cycle`` follow, row by row, in tau order, each checked
-against the stroke-end energy of the row's stroke record.
+against the stroke-end energy of the row's stroke record. ``fock_oracle``
+is imported only by the two builders' oracle columns that call it, so a
+command without Fock work never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import fock_oracle
 from .dynamics import adiabaticity_stack, q_cd_grid, thermal_energy
 from .errors import TrapInversionError
 from .optimizer import (
@@ -117,6 +118,8 @@ def cost_dataset(params: dict, oracle: bool = False):
     adiabatic_work = (omega_f / omega_i - 1.0) * thermal_energy(beta, omega_i)
     rows = [[tau, w, v, f, adiabatic_work] for tau, w, v, f in zip(taus, work, variance, friction)]
     if oracle:
+        from . import fock_oracle
+
         t_mid = [0.5 * tau for tau in taus]
         closed = work_variance_excess(protocols, betas, [[t] for t in t_mid])[:, 0].tolist()
         for protocol, t, c, row in zip(protocols, t_mid, closed, rows):
@@ -132,6 +135,8 @@ def _fock_stroke_residual(protocol: FrequencyProtocol, beta: float, q: float) ->
     """Relative gap between the Fock mean energy at the end of a bare stroke
     and the Gaussian one, Q* (omega_f/omega_i) <H(0)> with ``q`` the Q* of
     the stroke record."""
+    from . import fock_oracle
+
     dim = fock_oracle.stroke_dim(beta, protocol)
     state_f = fock_oracle.thermal_fock_in(dim, beta, protocol.omega_i)
     end_f = fock_oracle.propagate_fock_path(state_f, protocol, [protocol.tau])[-1]

@@ -45,23 +45,26 @@ parity block is a pair, a real diagonal and a complex upper off-diagonal,
 from one map (_band): (x_A (n + 1/2), (x_L - i x_K) sqrt((n + 1)(n + 2))),
 as K's (n, n + 2) entry is -i sqrt((n + 1)(n + 2)) and L's band is i times
 K's. On any truncation that band is the compression of the exact generator:
-no bracket of truncated matrices is ever formed. Only the coefficients come
-from the algebra; the exponential is still taken of the Fock bands. A
-diagonal phase gauge makes each block real symmetric without changing its
-spectrum, so each block exponential is one real eigensolve, exact up to
-roundoff.
+no bracket of truncated matrices is ever formed. Generators stay triples
+until a kernel needs a band: the banded product (_band_times) of the error
+estimate and the eigensolve (_eigh_tridiagonal) of the exponential take a
+parity block and a triple. Only the coefficients come from the algebra; the
+exponential is still taken of the Fock bands. A diagonal phase gauge, the
+powers of the one unit phase of x_L - i x_K, makes each block real
+symmetric without changing its spectrum, so each block exponential is one
+real eigensolve, exact up to roundoff.
 
 Every function takes its truncation as a level count: the bands of N + 1/2
 and K on the lowest n levels are a closed form in n (_bands), and the
 compression of those of any larger truncation onto them. A state's
 truncation ``state.dim`` (for a stroke, ``stroke_dim``) is a cap, not the
 working size: rho is propagated on an active window of the lowest levels,
-the ones the state occupies, under the bands of that window. The window
-opens where the start state's diagonal tail falls below a threshold, plus a
-guard band, and grows ahead of the populations' front before each step
-(propagate_fock_path), up to state.dim. Only at that cap does the leak
-check of the top two levels (the top level of each parity block) refuse the
-state. Returned states are zero-padded to state.dim. The counterdiabatic
+the ones the state occupies, under the bands of that window. The window is
+sized before each trial step, and only then, ahead of the populations'
+front by its speed and a guard band (propagate_fock_path), up to
+state.dim; the leak check after each step reads the window's real top two
+levels (the top level of each parity block). Returned states are
+zero-padded to state.dim. The counterdiabatic
 Hamiltonian of one instant, omega (N + 1/2) - (omegadot / 4 omega) K in the
 number basis of that instant's omega, is split the same way: two real
 tridiagonal eigensolves, one per parity.
@@ -101,7 +104,6 @@ __all__ = [
 _SQRT15 = math.sqrt(15.0)
 # Even and odd number states, the two blocks of every stroke Hamiltonian.
 _PARITIES = (slice(0, None, 2), slice(1, None, 2))
-_Band = tuple[np.ndarray, np.ndarray]  # (real diagonal, complex upper off-diagonal)
 _LEAK_LIMIT = 1e-6
 _TRACE_LIMIT = 1e-8
 # Thermal tail weight left outside a stroke's truncation, and the guard
@@ -110,8 +112,9 @@ _DIM_TAIL = 1e-10
 _STROKE_GUARD = 30
 # Active window of propagate_fock_path: its tail threshold and guard band.
 # One 8th-order step of the hot default stroke carries its populations past
-# a band; grown only after each step, the window moved the end energy by
-# 2.6e-8 relative at tau = 2.25, against 6.6e-11 when sized before it.
+# a band, so the window is sized before each trial from the front's speed;
+# grown only after each step, it moved the end energy by 2.6e-8 relative at
+# tau = 2.25, against 7.8e-11 sized before each trial.
 _WINDOW_TAIL = 5e-13
 _WINDOW_BAND = 16
 # Step control of the adaptive Magnus propagator.
@@ -164,11 +167,12 @@ def _bands(n: int) -> tuple[_ParityBlock, _ParityBlock]:
     return tuple(blocks)
 
 
-def _band(block: _ParityBlock, x) -> _Band:
+def _band(block: _ParityBlock, x) -> tuple[np.ndarray, np.ndarray]:
     """The band of x_A (N + 1/2) + x_K K + x_L L on one parity block, for
-    x = (x_A, x_K, x_L): at (omega, omegadot / 4 omega, 0) the bare drive
-    in the instantaneous frame, at (omega, -omegadot / 4 omega, 0) the
-    counterdiabatic Hamiltonian in the number basis of omega."""
+    x = (x_A, x_K, x_L), as (real diagonal, complex upper off-diagonal): at
+    (omega, omegadot / 4 omega, 0) the bare drive in the instantaneous
+    frame, at (omega, -omegadot / 4 omega, 0) the counterdiabatic
+    Hamiltonian in the number basis of omega."""
     return x[0] * block.number, complex(x[2], -x[1]) * block.k
 
 
@@ -257,10 +261,10 @@ def mean_energy_fock(state: FockState) -> float:
     return state.omega * float(np.sum((n + 0.5) * _diagonal(state)))
 
 
-def _band_times(band: _Band, m: np.ndarray) -> np.ndarray:
-    """D @ M for the Hermitian tridiagonal D given as (diagonal, upper
-    off-diagonal) and a dense M with n rows, in three row updates."""
-    diag, off = band
+def _band_times(block: _ParityBlock, x, m: np.ndarray) -> np.ndarray:
+    """D @ M for the band D of the triple x on one parity block (_band) and
+    a dense M with the block's rows, in three row updates."""
+    diag, off = _band(block, x)
     out = diag[:, None] * m
     out[:-1] += off[:, None] * m[1:]
     out[1:] += off[:, None].conj() * m[:-1]
@@ -355,55 +359,51 @@ def _omega8(hs) -> tuple[float, float, float]:
 
 
 def _magnus_pair(
-    blocks: tuple[_ParityBlock, _ParityBlock],
-    protocol: FrequencyProtocol,
-    t: float,
-    h: float,
-) -> list[tuple[_Band, _Band]]:
-    """Per parity block, the tridiagonal bands of (Omega8, D) for one
-    Magnus step of length h from t: the 8th-order generator Omega8
-    (_omega8) and its gap D = Omega8 - Omega6 to the 6th-order one
-    (_omega6), from one ramp evaluation at the seven nodes of both. With
-    H_k the instantaneous-frame drive H~ at node k, the coefficients
-    (omega_k, omegadot_k / 4 omega_k, 0) on (A, K, L), every bracket is
-    three numbers (_su11_bracket), and so is each generator. Each is
-    mapped to its band on a block by _band, the compression of the exact
-    generator onto the block's levels."""
+    protocol: FrequencyProtocol, t: float, h: float
+) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+    """The coefficient triples of (Omega8, D) for one Magnus step of length
+    h from t: the 8th-order generator Omega8 (_omega8) and its gap
+    D = Omega8 - Omega6 to the 6th-order one (_omega6), from one ramp
+    evaluation at the seven nodes of both. With H_k the instantaneous-frame
+    drive H~ at node k, the coefficients (omega_k, omegadot_k / 4 omega_k,
+    0) on (A, K, L), every bracket is three numbers (_su11_bracket), and so
+    is each generator. Neither depends on a truncation: a kernel maps a
+    triple to its band on a parity block (_band) only where it needs one."""
     w, wd = protocol.eval(t + h * _NODES)
     hs = [(h * x, h * xd / (4.0 * x), 0.0) for x, xd in zip(w.tolist(), wd.tolist())]
     omega8 = _omega8(hs[3:])
-    d = _combine((1.0, -1.0), (omega8, _omega6(hs[:3])))
-    return [(_band(block, omega8), _band(block, d)) for block in blocks]
+    return omega8, _combine((1.0, -1.0), (omega8, _omega6(hs[:3])))
 
 
-def _commutator(ds: list[_Band], rho: _Rho) -> _Rho:
-    """The parity blocks of [D, rho] for the Hermitian tridiagonal bands
-    D = (D_even, D_odd), in O(n^2): X - X^dagger with X = D_a rho[a, a]."""
-    xs = (_band_times(d, m) for d, m in zip(ds, rho))
-    return _Rho(*(x - x.conj().T for x in xs))
+def _commutator(blocks: tuple[_ParityBlock, _ParityBlock], x, rho: _Rho) -> _Rho:
+    """The parity blocks of [D, rho] for D the generator of the triple x,
+    in O(n^2): X - X^dagger with X = D_a rho[a, a] on the band D_a of each
+    parity block."""
+    products = (_band_times(block, x, m) for block, m in zip(blocks, rho))
+    return _Rho(*(p - p.conj().T for p in products))
 
 
-def _eigh_tridiagonal(
-    diag: np.ndarray, off: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs of the Hermitian tridiagonal M with real diagonal ``diag``
-    and upper off-diagonal ``off``, from one real eigensolve: (lam, V, d)
-    with M = D V diag(lam) V^T D^dagger, lam ascending, V real orthogonal
-    and D = diag(d) unit phases.
+def _eigh_tridiagonal(block: _ParityBlock, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs of the band M of the triple x on one parity block
+    (_band), from one real eigensolve: (lam, V, d) with
+    M = D V diag(lam) V^T D^dagger, lam ascending, V real orthogonal and
+    D = diag(d) unit phases.
 
-    The unit phases d_0 = 1, d_{k+1} = d_k conj(u_k), with u_k the phase of
-    off[k], make T = D^dagger M D real symmetric with off-diagonal |off|.
-    The phases are a running product, renormalized to unit modulus, rather
-    than exp(i theta) of a running sum of angles, whose size (up to about
-    pi dim) would cost each ratio d_{k+1}/d_k several digits."""
-    mag = np.abs(off)
-    unit = np.ones_like(off)
-    np.divide(off, mag, out=unit, where=mag > 0.0)
-    d = np.cumprod(np.concatenate(([1.0 + 0.0j], unit.conj())))
+    Every off-diagonal entry of M is c sqrt((n + 1)(n + 2)) with the one
+    c = x_L - i x_K, so the unit phases d_k = conj(u)^k, with u = c/|c|
+    the phase of the first entry, make T = D^dagger M D real symmetric with
+    off-diagonal |c| sqrt((n + 1)(n + 2)); at c = 0 (the constant control)
+    M is diagonal and D = 1.
+    The powers are a running product, renormalized to unit modulus, rather
+    than exp(i k theta), whose angle (up to about pi dim) would cost each
+    ratio d_{k+1}/d_k several digits."""
+    diag, off = _band(block, x)
+    unit = off[0].conjugate() / abs(off[0]) if off[0] else 1.0
+    d = np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(off.size, unit))))
     d /= np.abs(d)
     t = np.diag(diag)
     k = np.arange(off.size)
-    t[k, k + 1] = t[k + 1, k] = mag
+    t[k, k + 1] = t[k + 1, k] = np.abs(off)
     try:
         lam, v = np.linalg.eigh(t)
     except np.linalg.LinAlgError as exc:
@@ -411,18 +411,14 @@ def _eigh_tridiagonal(
     return lam, v, d
 
 
-def _expm_tridiagonal(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """exp(-i M) of the Hermitian tridiagonal M with real diagonal ``diag``
-    and upper off-diagonal ``off``: with M = D V diag(lam) V^T D^dagger
-    from _eigh_tridiagonal,
+def _expm_tridiagonal(block: _ParityBlock, x) -> np.ndarray:
+    """exp(-i M) of the band M of the triple x on one parity block: with
+    M = D V diag(lam) V^T D^dagger from _eigh_tridiagonal,
     exp(-i M) = D (V cos(lam) V^T - i V sin(lam) V^T) D^dagger exactly.
     Both parts come from one real product V G, with G (k, 2k) holding
     cos(lam) V^T and -sin(lam) V^T in interleaved columns, so that V G read
-    as complex is V exp(-i lam) V^T; the phases scale it in place.
-    Every Magnus generator is tridiagonal in each parity block, a
-    combination of N + 1/2, K and L (_magnus_pair), and exists only as
-    this (diagonal, off-diagonal) pair (_band)."""
-    lam, v, d = _eigh_tridiagonal(diag, off)
+    as complex is V exp(-i lam) V^T; the phases scale it in place."""
+    lam, v, d = _eigh_tridiagonal(block, x)
     g = np.empty((lam.size, 2 * lam.size))
     g[:, 0::2] = np.cos(lam)[:, None] * v.T
     g[:, 1::2] = -np.sin(lam)[:, None] * v.T
@@ -471,11 +467,11 @@ def _apply(us: tuple[np.ndarray, np.ndarray], rho: _Rho) -> _Rho:
     return _Rho(*(u @ m @ u.conj().T for u, m in zip(us, rho)))
 
 
-def _advance(pair: list[tuple[_Band, _Band]], rho: _Rho) -> _Rho:
-    """One 8th-order Magnus step from the (Omega8, D) bands of each parity
-    block: rho under exp(-i Omega8), exponentiated exactly, one real
-    eigensolve per block."""
-    return _apply(tuple(_expm_tridiagonal(*omega8) for omega8, _ in pair), rho)
+def _advance(blocks: tuple[_ParityBlock, _ParityBlock], x, rho: _Rho) -> _Rho:
+    """One 8th-order Magnus step: rho under exp(-i Omega8) for Omega8 the
+    generator of the triple x, exponentiated exactly on each parity block,
+    one real eigensolve per block."""
+    return _apply(tuple(_expm_tridiagonal(block, x) for block in blocks), rho)
 
 
 def _front(rho: _Rho | FockState) -> int:
@@ -518,30 +514,34 @@ def propagate_fock_path(
     ``state`` must be in the number basis of protocol.omega_i, and each
     returned state is in the number basis of omega at its checkpoint.
 
-    Each trial step of width h builds Omega8 and D = Omega8 - Omega6 on
-    bands from one ramp evaluation at seven nodes (_magnus_pair). The local
-    error of the 6th-order step is estimated as ||[D, rho]||_F, the leading
-    term of the gap between the 6th- and 8th-order updates, and tested
-    against _MAGNUS_ATOL + _MAGNUS_RTOL ||rho||_F; the step size follows it
-    with the exponent 1/7 of that local error. An accepted step advances
+    Each trial from t takes step = min(h, target - t), with h the step
+    controller's proposal, and builds the coefficient triples of Omega8 and
+    D = Omega8 - Omega6 from one ramp evaluation at seven nodes
+    (_magnus_pair). The local error of the 6th-order step is estimated as
+    err = ||[D, rho]||_F, the leading term of the gap between the 6th- and
+    8th-order updates, and tested against
+    tol = _MAGNUS_ATOL + _MAGNUS_RTOL ||rho||_F. An accepted step advances
     rho with Omega8 (_advance): one exact exponential per parity block, so
     the step is unitary. A rejected trial costs no exponential, so the
-    first trial is a large tau/20.
+    first trial is a large tau/20. Either way the next proposal is
+    step * factor, with the one factor clamp(0.9 (tol/err)^(1/7), 0.2, 4)
+    (4 at err = 0), the exponent that of the 6th-order local error; only
+    an accepted step clipped to its checkpoint keeps the larger
+    max(h, step * factor), so a close checkpoint does not restart the
+    controller from the clipped width. A clipped step lands on its
+    checkpoint exactly.
 
-    rho is propagated on an active window of the lowest n levels, under
-    their bands (_bands), on which each Magnus pair is built. The front is
-    the number of levels up to the last one whose diagonal tail weight
-    exceeds _WINDOW_TAIL (_front), and its speed the change of the front
-    over the last accepted step, divided by that step's length. The window
-    opens at the front of ``state`` plus a band of _WINDOW_BAND levels.
-    Before each trial of width h, rho is zero-padded to
-    front + ceil(speed h) + _WINDOW_BAND levels if it holds fewer, and
-    after each accepted step whose top band holds more than _WINDOW_TAIL,
-    by one more band; both up to the cap state.dim, where the leak check
-    of the top two levels refuses a state that outgrows the truncation.
-    Each returned state is zero-padded to state.dim. A step clipped to a
-    checkpoint lands on it exactly. The error and tolerance norms are those
-    of the whole rho."""
+    rho is propagated on an active window of the lowest n levels, and each
+    kernel maps the step's triples to bands on them (_bands, _band). The
+    front is the number of levels up to the last one whose diagonal tail
+    weight exceeds _WINDOW_TAIL (_front), and its speed the change of the
+    front over the last accepted step, divided by that step's length (0
+    before the first). Before each trial, and only then, rho is
+    zero-padded to front + ceil(speed step) + _WINDOW_BAND levels if it
+    holds fewer, up to the cap state.dim. After each accepted step the leak
+    check reads the window's real top two levels and refuses a state that
+    outgrows it. Each returned state is zero-padded to state.dim. The error
+    and tolerance norms are those of the whole rho."""
     if not abs(state.omega - protocol.omega_i) <= 1e-12 * protocol.omega_i:
         raise ValueError(
             f"state basis (omega {state.omega}) does not match the stroke's "
@@ -550,42 +550,29 @@ def propagate_fock_path(
     dim = state.dim
     ts = protocol.checkpoints(ts)
 
-    front = _front(state)
-    n = min(front + _WINDOW_BAND, dim)
-    rho = _resized(state, n)
-    blocks = _bands(n)
-    t, speed = 0.0, 0.0
-    h = protocol.tau / 20.0
+    # the window opens at the first trial
+    rho, n, blocks = state, 0, None
+    front, speed = _front(state), 0.0
+    t, h = 0.0, protocol.tau / 20.0
     out: list[FockState] = []
     steps = 0
     for target in ts:
         while t < target:
-            last = h >= target - t
-            if last:
-                h = target - t
-            reach = min(front + math.ceil(speed * h) + _WINDOW_BAND, dim)
+            t_next, step = min(t + h, target), min(h, target - t)
+            reach = min(front + math.ceil(speed * step) + _WINDOW_BAND, dim)
             if reach > n:
                 n = reach
-                rho = _resized(rho, n)
-                blocks = _bands(n)
-            pair = _magnus_pair(blocks, protocol, t, h)
-            comm = _commutator([d for _, d in pair], rho)
-            err = _frobenius(comm)
+                rho, blocks = _resized(rho, n), _bands(n)
+            omega8, d = _magnus_pair(protocol, t, step)
+            err = _frobenius(_commutator(blocks, d, rho))
             tol = _MAGNUS_ATOL + _MAGNUS_RTOL * _frobenius(rho)
+            factor = 4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** (1.0 / 7.0)))
             if err <= tol:
-                rho = _advance(pair, rho)
-                if n < dim and _diagonal(rho)[-_WINDOW_BAND:].sum() > _WINDOW_TAIL:
-                    n = min(n + _WINDOW_BAND, dim)
-                    rho = _resized(rho, n)
-                    blocks = _bands(n)
-                rho = _check_and_clean(rho)
-                t_next, front_next = (target if last else t + h), _front(rho)
-                speed = (front_next - front) / (t_next - t)
-                t, front = t_next, front_next
-                grow = 4.0 if err == 0.0 else min(4.0, 0.9 * (tol / err) ** (1.0 / 7.0))
-                h *= max(grow, 0.2)
-            else:
-                h *= max(0.2, 0.9 * (tol / err) ** (1.0 / 7.0))
+                rho = _check_and_clean(_advance(blocks, omega8, rho))
+                front_next = _front(rho)
+                t, front, speed = t_next, front_next, (front_next - front) / step
+            # a step clipped to its checkpoint keeps the larger proposal
+            h = max(h, step * factor) if err <= tol and step < h else step * factor
             steps += 1
             if steps > _MAGNUS_MAX_STEPS:
                 raise NumericsError("Magnus step budget exhausted")
@@ -615,7 +602,7 @@ def cd_level_energies(
         )
     lams, h0_exp = [], []
     for block in _bands(dim):
-        lam, v, _ = _eigh_tridiagonal(*_band(block, (omega, -omega_dot / (4.0 * omega), 0.0)))
+        lam, v, _ = _eigh_tridiagonal(block, (omega, -omega_dot / (4.0 * omega), 0.0))
         lams.append(lam)
         h0_exp.append(omega * (block.number @ (v * v)))
     lam = np.concatenate(lams)

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .dynamics import thermal_energy
+from .protocols import _require_cold_bath_colder, _set_positive
 
 __all__ = [
     "EmpConfig",
@@ -61,13 +62,8 @@ class EmpConfig:
     high_t_hot: bool = False
 
     def __post_init__(self):
-        for name in ("omega1", "beta1", "beta2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
-            object.__setattr__(self, name, v)
-        if not self.beta1 > self.beta2:
-            raise ValueError("need beta1 > beta2 (cold bath colder than hot bath)")
+        _set_positive(self, ("omega1", "beta1", "beta2"))
+        _require_cold_bath_colder(self.beta1, self.beta2)
 
     @property
     def cold_energy(self) -> float:

@@ -80,6 +80,25 @@ def _ramp_shape(kind: ProtocolKind, wi, wf, tau, s: np.ndarray, order: int):
     return tuple(out)
 
 
+def _set_positive(obj, names) -> None:
+    """Set each field named in ``names`` of the frozen dataclass ``obj`` to
+    its float value, refusing with ValueError one that is not finite and
+    positive: the parameter rule of FrequencyProtocol, CycleConfig and
+    EmpConfig."""
+    for name in names:
+        v = float(getattr(obj, name))
+        if not math.isfinite(v) or v <= 0.0:
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+        object.__setattr__(obj, name, v)
+
+
+def _require_cold_bath_colder(beta1: float, beta2: float) -> None:
+    """Refuse bath inverse temperatures unless the cold bath (beta1) is
+    colder than the hot one (beta2), as an engine needs."""
+    if not beta1 > beta2:
+        raise ValueError("need beta1 > beta2 (cold bath colder than hot bath)")
+
+
 # Slack allowed when checking t against [0, tau], relative to tau.
 _DOMAIN_TOL = 1e-12
 
@@ -95,11 +114,7 @@ class FrequencyProtocol:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ProtocolKind(self.kind))
-        for name in ("omega_i", "omega_f", "tau"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
-            object.__setattr__(self, name, v)
+        _set_positive(self, ("omega_i", "omega_f", "tau"))
         if self.kind is ProtocolKind.CONSTANT and self.omega_f != self.omega_i:
             raise ValueError("constant protocol requires omega_f == omega_i")
 

@@ -29,13 +29,19 @@ into the result of any accounting by arithmetic alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .dynamics import DEFAULT_RTOL, adiabaticity_stack, thermal_energy
 from .errors import SecondLawViolationError
-from .protocols import FrequencyProtocol, ProtocolKind, check_cd_validity, require_cd_valid
+from .protocols import (
+    FrequencyProtocol,
+    ProtocolKind,
+    _require_cold_bath_colder,
+    _set_positive,
+    check_cd_validity,
+    require_cd_valid,
+)
 from .quadrature import DEFAULT_NODES
 from .sta_cost import work_cost_stack
 
@@ -81,16 +87,11 @@ class CycleConfig:
     kind: ProtocolKind = ProtocolKind.POLY5
 
     def __post_init__(self):
-        for name in ("omega1", "omega2", "beta1", "beta2", "tau1", "tau3"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {v!r}")
-            object.__setattr__(self, name, v)
+        _set_positive(self, ("omega1", "omega2", "beta1", "beta2", "tau1", "tau3"))
         object.__setattr__(self, "kind", ProtocolKind(self.kind))
         if not self.omega1 < self.omega2:
             raise ValueError("need omega1 < omega2 (compression raises the frequency)")
-        if not self.beta1 > self.beta2:
-            raise ValueError("need beta1 > beta2 (cold bath colder than hot bath)")
+        _require_cold_bath_colder(self.beta1, self.beta2)
 
     @property
     def x(self) -> float:

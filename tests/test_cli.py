@@ -35,6 +35,13 @@ def run_cli(argv):
     return main(argv)
 
 
+def child_env():
+    """The environment of a child interpreter that imports this same
+    ottosta: os.environ with PYTHONPATH set to the directory ottosta was
+    imported from."""
+    return {**os.environ, "PYTHONPATH": str(Path(ottosta.__file__).resolve().parents[1])}
+
+
 def split_output(text):
     """Return (metadata dict, header row, data rows) from CSV output."""
     lines = text.strip().splitlines()
@@ -209,15 +216,20 @@ class TestBuiltInValidator:
             _validate(resolve_config("cost", build_parser().parse_args(["cost"])), "cost", schema)
 
     def test_import_leaves_jsonschema_unloaded(self):
-        src = str(Path(ottosta.__file__).resolve().parents[1])
+        # and the Fock oracle too, at import and through a cycle run without
+        # --oracle, which does no Fock work
+        script = (
+            "import os, sys, ottosta.cli\n"
+            "loaded = lambda: [m in sys.modules for m in ('jsonschema', 'ottosta.fock_oracle')]\n"
+            "print(loaded())\n"
+            "code = ottosta.cli.main(['cycle', '--grid', 'tau=3:3:1', '--out', os.devnull])\n"
+            "print(code, loaded())\n"
+        )
         res = subprocess.run(
-            [sys.executable, "-c", "import sys, ottosta.cli; print('jsonschema' in sys.modules)"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "False"
+        assert res.stdout.splitlines() == ["[False, False]", "0 [False, False]"]
 
 
 class TestNonFiniteNumbers:
@@ -626,8 +638,8 @@ class TestUnwritableOutput:
     def test_stdout_on_a_full_device(self, unbuffered):
         # buffered, the write succeeds and the flush fails; at exit the
         # interpreter flushes stdout again, which must fail silently
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(ottosta.__file__).resolve().parents[1])
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
@@ -721,6 +733,7 @@ class TestConsoleScript:
              "--nodes", "201", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert res.returncode == 0, res.stderr
         assert out.exists()
@@ -848,6 +861,6 @@ class TestSchemaValidConfigs:
             if r["status"] != "ok":
                 continue
             w1, w3, q2, q4 = (float(r[c]) for c in ("w1", "w3", "q2", "q4"))
-            assert abs(w1 + w3 + q2 + q4) <= 1e-9 * (abs(w1) + abs(w3) + abs(q2) + abs(q4))
+            assert abs(w1 + w3 + q2 + q4) <= 1e-12 * (abs(w1) + abs(w3) + abs(q2) + abs(q4))
             if r["is_engine"] == "true":
                 assert float(r["eta"]) <= 1.0 - float(r["beta_ratio"]) + 1e-12, r

@@ -466,17 +466,14 @@ def _dense(diag, off):
     return m
 
 
-def _random_band(rng, n, scale):
-    """A random Hermitian tridiagonal band on n levels, (real diagonal,
-    complex upper off-diagonal): off-diagonals drawn zero, real of either
-    sign, or complex."""
-    diag = rng.normal(size=n)
-    kind = rng.integers(0, 3, size=n - 1)
-    off = rng.normal(size=n - 1) * np.where(
-        kind == 2, np.exp(2j * np.pi * rng.uniform(size=n - 1)), 1.0
-    )
-    off[kind == 0] = 0.0
-    return scale * diag, scale * off
+def _random_triple(rng, n, scale):
+    """A random parity block of n levels, even or odd, and a random triple
+    (x_A, x_K, x_L) whose band there has entries up to about ``scale``:
+    x_K and x_L each drawn zero or not, so that the off-diagonal unit
+    c = x_L - i x_K is zero, real of either sign, imaginary or complex."""
+    block = fock_oracle._bands(2 * n)[int(rng.integers(0, 2))]
+    x = rng.normal(size=3) * (rng.uniform(size=3) < [1.0, 2.0 / 3.0, 2.0 / 3.0])
+    return block, tuple((scale / (2.0 * n)) * x)
 
 
 def _block_unitary(us, n):
@@ -526,9 +523,9 @@ class TestTridiagonalExponential:
         # at scale 20 the largest entries reach the 50s, as in the Magnus
         # generators of the default strokes, and both routes err by about
         # eps max|M|
-        diag, off = _random_band(np.random.default_rng(seed), n, scale)
-        want = _dense_expm(_dense(diag, off))
-        got = fock_oracle._expm_tridiagonal(diag, off)
+        block, x = _random_triple(np.random.default_rng(seed), n, scale)
+        want = _dense_expm(_triple_dense(block, x))
+        got = fock_oracle._expm_tridiagonal(block, x)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -539,13 +536,15 @@ class TestBandArithmetic:
         scale=st.sampled_from([1e-3, 1.0, 20.0]),
     )
     def test_commutator_matches_dense(self, n, seed, scale):
-        # the banded product D @ M of the commutator [D, rho], for
-        # tridiagonal bands, against dense matrices
+        # the banded product D @ M of the commutator [D, rho], for the band
+        # D of a triple, against dense matrices
         rng = np.random.default_rng(seed)
-        a, b = _random_band(rng, n, scale), _random_band(rng, n, scale)
-        dense_a, dense_b = _dense(*a), _dense(*b)
+        block, x = _random_triple(rng, n, scale)
+        y = _random_triple(rng, n, scale)[1]
+        dense_a, dense_b = _triple_dense(block, x), _triple_dense(block, y)
         tol = 1e-13 * np.linalg.norm(dense_a) * np.linalg.norm(dense_b)
-        assert np.linalg.norm(fock_oracle._band_times(b, dense_a) - dense_b @ dense_a) <= tol
+        got = fock_oracle._band_times(block, y, dense_a)
+        assert np.linalg.norm(got - dense_b @ dense_a) <= tol
 
     @pytest.mark.parametrize("dim", [4, 7, 40, 61])
     def test_apply_matches_dense_update(self, dim):
@@ -605,6 +604,26 @@ class TestMagnusStepSequence:
             _stroke_end(name, tau)
             assert counts["exps"] == 2 * exps, name
 
+    @pytest.mark.parametrize(
+        "ts, exps",
+        [
+            ([3.0], 8),
+            ([1.0, 1.0 + 1e-9, 3.0], 10),
+            (np.linspace(0.75, 3.0, 4), 9),
+            (np.linspace(0.3, 3.0, 10), 11),
+        ],
+        ids=["end", "close_pair", "four", "ten"],
+    )
+    def test_clipped_step_keeps_the_proposal(self, ts, exps, monkeypatch):
+        # per parity block, on the default hot stroke at tau = 3: a step
+        # clipped to a checkpoint keeps the controller's proposal, so a
+        # checkpoint 1e-9 past the previous one costs two exponentials more
+        # than the end alone, not a restart from a 1e-9 step (23 in all)
+        protocol, beta, dim, _ = _DEFAULT_STROKES["expansion"]
+        counts = _counting(monkeypatch)
+        propagate_fock_path(thermal_fock_in(dim, beta, protocol.omega_i), protocol, ts)
+        assert counts["exps"] == 2 * exps
+
     def test_rejected_trial_makes_no_exponential(self, monkeypatch):
         # a trial is rejected when the next one starts at the same time; the
         # default compression stroke at tau = 6 rejects three of its 14
@@ -613,13 +632,13 @@ class TestMagnusStepSequence:
         pair = fock_oracle._magnus_pair
         expm = fock_oracle._expm_tridiagonal
 
-        def trial(blocks, protocol, t, h):
+        def trial(protocol, t, h):
             events.append(t)
-            return pair(blocks, protocol, t, h)
+            return pair(protocol, t, h)
 
-        def exponential(diag, off):
+        def exponential(block, x):
             events.append("exp")
-            return expm(diag, off)
+            return expm(block, x)
 
         monkeypatch.setattr(fock_oracle, "_magnus_pair", trial)
         monkeypatch.setattr(fock_oracle, "_expm_tridiagonal", exponential)
@@ -635,7 +654,7 @@ class TestMagnusStepSequence:
     def test_matches_dense_eigh_route(self, monkeypatch):
         got = _stroke_end("compression")
         monkeypatch.setattr(
-            fock_oracle, "_expm_tridiagonal", lambda diag, off: _dense_expm(_dense(diag, off))
+            fock_oracle, "_expm_tridiagonal", lambda block, x: _dense_expm(_triple_dense(block, x))
         )
         want = _stroke_end("compression")
         assert np.max(np.abs(got - want)) <= 1e-13
@@ -782,23 +801,24 @@ class TestErrorEstimate:
         rho = parity_diagonal(z @ z.conj().T / np.linalg.norm(z) ** 2)
         rho_blocks = loop_rho(oracles.fock_state(rho, 1.0))
         for t in (0.0, 1.0, 2.5):
-            got = fock_oracle._magnus_pair(blocks, protocol, t, 0.05)
+            omega8, gap = fock_oracle._magnus_pair(protocol, t, 0.05)
             want = _dense_default_pair(name, t, 0.05)
             d = np.zeros((n, n), dtype=complex)
             gap_error, scale = 0.0, 0.0
-            for s, k, (omega8, gap), (omega8_dense, gap_dense) in zip(
-                fock_oracle._PARITIES, sizes, got, want
+            for s, k, block, (omega8_dense, gap_dense) in zip(
+                fock_oracle._PARITIES, sizes, blocks, want
             ):
                 scale = max(scale, float(np.max(np.abs(omega8_dense[:k, :k]))))
                 np.testing.assert_allclose(
-                    _dense(*omega8), omega8_dense[:k, :k], rtol=0.0, atol=1e-14 * scale
+                    _triple_dense(block, omega8), omega8_dense[:k, :k], rtol=0.0, atol=1e-14 * scale
                 )
-                gap_error = max(gap_error, np.max(np.abs(_dense(*gap) - gap_dense[:k, :k])))
+                miss = _triple_dense(block, gap) - gap_dense[:k, :k]
+                gap_error = max(gap_error, float(np.max(np.abs(miss))))
                 d[s, s] = gap_dense[:k, :k]
             # D = Omega8 - Omega6 is a difference of generators, so both
             # routes carry the roundoff of Omega8 in it
             assert gap_error <= 1e-14 * scale
-            est = fock_oracle._frobenius(fock_oracle._commutator([g for _, g in got], rho_blocks))
+            est = fock_oracle._frobenius(fock_oracle._commutator(blocks, gap, rho_blocks))
             want_est = np.linalg.norm(d @ rho - rho @ d)
             # ||[E, rho]||_F <= 2 ||E||_2 ||rho||_F, and a tridiagonal E has
             # ||E||_2 <= 3 max|E_ij|: the estimates differ by that roundoff
@@ -812,13 +832,14 @@ class TestErrorEstimate:
         protocol, beta, dim, _ = _DEFAULT_STROKES[name]
         st = thermal_fock_in(dim, beta, protocol.omega_i)
         rho = oracles.dense_rho(st)
-        pair = fock_oracle._magnus_pair(fock_oracle._bands(dim), protocol, 1.0, 0.05)
+        blocks = fock_oracle._bands(dim)
+        omega8, gap = fock_oracle._magnus_pair(protocol, 1.0, 0.05)
         u6, u8 = np.zeros((dim, dim), complex), np.zeros((dim, dim), complex)
-        for s, (omega8, gap) in zip(fock_oracle._PARITIES, pair):
-            u6[s, s] = _dense_expm(_dense(*omega8) - _dense(*gap))
-            u8[s, s] = _dense_expm(_dense(*omega8))
+        for s, block in zip(fock_oracle._PARITIES, blocks):
+            u6[s, s] = _dense_expm(_triple_dense(block, omega8) - _triple_dense(block, gap))
+            u8[s, s] = _dense_expm(_triple_dense(block, omega8))
         want = np.linalg.norm(u8 @ rho @ u8.conj().T - u6 @ rho @ u6.conj().T)
-        est = fock_oracle._frobenius(fock_oracle._commutator([g for _, g in pair], loop_rho(st)))
+        est = fock_oracle._frobenius(fock_oracle._commutator(blocks, gap, loop_rho(st)))
         assert est == pytest.approx(want, rel=0.1)
 
 
@@ -844,14 +865,11 @@ class TestLocalExtrapolation:
         def errors(t, h):
             want = rho
             for k in range(8):
-                pair = fock_oracle._magnus_pair(blocks, protocol, t + k * h / 8, h / 8)
-                want = fock_oracle._advance(pair, want)
-            pair = fock_oracle._magnus_pair(blocks, protocol, t, h)
-            us = tuple(
-                fock_oracle._expm_tridiagonal(o8[0] - gap[0], o8[1] - gap[1]) for o8, gap in pair
-            )
-            sixth = fock_oracle._apply(us, rho)
-            eighth = fock_oracle._advance(pair, rho)
+                omega8, _ = fock_oracle._magnus_pair(protocol, t + k * h / 8, h / 8)
+                want = fock_oracle._advance(blocks, omega8, want)
+            omega8, gap = fock_oracle._magnus_pair(protocol, t, h)
+            sixth = fock_oracle._advance(blocks, tuple(np.subtract(omega8, gap)), rho)
+            eighth = fock_oracle._advance(blocks, omega8, rho)
             return [_rho_distance(r, want) for r in (sixth, eighth)]
 
         (sixth_h, eighth_h), (sixth_half, eighth_half) = errors(1.0, 0.4), errors(1.0, 0.2)
@@ -869,8 +887,8 @@ class TestLocalExtrapolation:
         def fixed(steps):
             rho, h = rho0, protocol.tau / steps
             for k in range(steps):
-                pair = fock_oracle._magnus_pair(blocks, protocol, k * h, h)
-                rho = fock_oracle._advance(pair, rho)
+                omega8, _ = fock_oracle._magnus_pair(protocol, k * h, h)
+                rho = fock_oracle._advance(blocks, omega8, rho)
             return rho
 
         want = fixed(64)
@@ -879,16 +897,17 @@ class TestLocalExtrapolation:
 
 
 def _recording_sizes(monkeypatch):
-    """Patch _magnus_pair to record the window size (both parity blocks)
-    of every trial step; returns the list it appends to."""
+    """Patch _commutator, the error estimate of every trial step, to record
+    the window size (both parity blocks) of each; returns the list it
+    appends to."""
     sizes = []
-    pair = fock_oracle._magnus_pair
+    commutator = fock_oracle._commutator
 
     def recorded(blocks, *args):
         sizes.append(sum(b.number.size for b in blocks))
-        return pair(blocks, *args)
+        return commutator(blocks, *args)
 
-    monkeypatch.setattr(fock_oracle, "_magnus_pair", recorded)
+    monkeypatch.setattr(fock_oracle, "_commutator", recorded)
     return sizes
 
 

@@ -10,6 +10,7 @@ import oracles
 from ottosta.dynamics import transfer_matrices
 from ottosta.fock_oracle import tpm_variance_excess
 from ottosta.errors import TrapInversionError
+from ottosta.optimizer import EmpConfig
 from ottosta.protocols import (
     FrequencyProtocol,
     ProtocolKind,
@@ -114,6 +115,37 @@ class TestEndpointsAndValues:
             FrequencyProtocol(ProtocolKind.CONSTANT, 0.35, 1.0, 3.0)
         with pytest.raises(ValueError):
             FrequencyProtocol(ProtocolKind.POLY5, 0.35, math.inf, 3.0)
+
+
+# A valid instance of each class under the one "finite and positive"
+# parameter rule, by keyword.
+_VALID = {
+    FrequencyProtocol: {"kind": "poly5", "omega_i": 0.35, "omega_f": 1.0, "tau": 3.0},
+    CycleConfig: {
+        "omega1": 0.35, "omega2": 1.0, "beta1": 2.0, "beta2": 0.2, "tau1": 3.0, "tau3": 3.0,
+    },
+    EmpConfig: {"omega1": 0.35, "beta1": 2.0, "beta2": 0.2},
+}
+
+
+class TestParameterRule:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf], ids=str)
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(cls, name) for cls, kw in _VALID.items() for name in kw if name != "kind"],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_field_must_be_finite_and_positive(self, cls, name, value):
+        with pytest.raises(ValueError) as err:
+            cls(**{**_VALID[cls], name: value})
+        assert str(err.value) == f"{name} must be finite and positive, got {value!r}"
+
+    @pytest.mark.parametrize("cls", [CycleConfig, EmpConfig], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("beta2", [2.0, 3.0])
+    def test_cold_bath_must_be_colder(self, cls, beta2):
+        with pytest.raises(ValueError) as err:
+            cls(**{**_VALID[cls], "beta2": beta2})
+        assert str(err.value) == "need beta1 > beta2 (cold bath colder than hot bath)"
 
 
 class TestCheckpoints:
