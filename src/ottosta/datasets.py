@@ -7,19 +7,22 @@ format them deterministically. Each dataset is computed in one serial pass:
 the Gaussian strokes of all its rows go through one stacked propagation
 (``dynamics.adiabaticity_stack``), each closed-form counterdiabatic column
 through one stacked call (``dynamics.q_cd_grid``, the ``sta_cost`` cost
-stacks), and each cycle point's strokes are evaluated once and booked under
-every accounting (``thermo_cycle.stroke_records`` and ``book_cycle``). The Fock oracle
-columns of ``cycle`` follow, row by row, in tau order, each checked
-against the stroke-end energy of the row's stroke record. ``fock_oracle``
-is imported only by the two builders' oracle columns that call it, so a
-command without Fock work never loads it.
+stacks, free of temperature: ``cost`` scales them by its start's
+``thermal_energy`` and ``occupation_spread``), and each cycle point's
+strokes are evaluated once and booked under every accounting
+(``thermo_cycle.stroke_records``, which scales the costs by each stroke's
+starting energy, and ``book_cycle``). The Fock oracle columns of ``cycle``
+follow, row by row, in tau order, each checked against the stroke-end
+energy of the row's stroke record. ``fock_oracle`` is imported only by the
+two builders' oracle columns that call it, so a command without Fock work
+never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import adiabaticity_stack, q_cd_grid, thermal_energy
+from .dynamics import adiabaticity_stack, occupation_spread, q_cd_grid, thermal_energy
 from .errors import TrapInversionError
 from .optimizer import (
     EmpConfig,
@@ -113,15 +116,16 @@ def cost_dataset(params: dict, oracle: bool = False):
     protocols = [FrequencyProtocol(kind, omega_i, omega_f, tau) for tau in taus]
     betas = [beta] * len(taus)
     friction = friction_stack(protocols, betas, [[t] for t in taus], rtol=rtol)[:, 0].tolist()
-    work = work_cost_stack(protocols, betas, nodes=nodes).tolist()
-    variance = variance_cost_stack(protocols, betas, nodes=nodes).tolist()
-    adiabatic_work = (omega_f / omega_i - 1.0) * thermal_energy(beta, omega_i)
+    h0_mean, spread = thermal_energy(beta, omega_i), occupation_spread(beta, omega_i)
+    work = (h0_mean * work_cost_stack(protocols, nodes=nodes)).tolist()
+    variance = (spread * variance_cost_stack(protocols, nodes=nodes)).tolist()
+    adiabatic_work = (omega_f / omega_i - 1.0) * h0_mean
     rows = [[tau, w, v, f, adiabatic_work] for tau, w, v, f in zip(taus, work, variance, friction)]
     if oracle:
         from . import fock_oracle
 
         t_mid = [0.5 * tau for tau in taus]
-        closed = work_variance_excess(protocols, betas, [[t] for t in t_mid])[:, 0].tolist()
+        closed = (spread**2 * work_variance_excess(protocols, [[t] for t in t_mid])[:, 0]).tolist()
         for protocol, t, c, row in zip(protocols, t_mid, closed, rows):
             matrix = fock_oracle.tpm_variance_excess(protocol, beta, t)
             row.append(abs(matrix - c) / max(abs(c), 1e-30))

@@ -46,6 +46,7 @@ from .protocols import (
 __all__ = [
     "coth_half",
     "thermal_energy",
+    "occupation_spread",
     "transfer_matrices",
     "adiabaticity_stack",
     "q_cd_grid",
@@ -103,6 +104,12 @@ def coth_half(beta: float, omega: float) -> float:
 def thermal_energy(beta: float, omega: float) -> float:
     """<H0> of the thermal state at (beta, omega): (omega/2) coth(beta omega/2)."""
     return 0.5 * omega * coth_half(beta, omega)
+
+
+def occupation_spread(beta: float, omega: float) -> float:
+    """sqrt(n_bar (n_bar + 1)), the thermal spread of the quanta; 0.0 at beta = inf."""
+    n_bar = 0.5 * (coth_half(beta, omega) - 1.0)
+    return math.sqrt(n_bar * (n_bar + 1.0))
 
 
 def _energies(
@@ -458,16 +465,17 @@ def adiabaticity_stack(
 # -- closed-form CD accounting ------------------------------------------------
 
 
-def _cd_grid(protocols, ts) -> tuple[np.ndarray, np.ndarray]:
+def _cd_grid(protocols, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """omega(t) and the closed-form Q*_CD(t), each (B, K), of each stroke at
-    its checkpoints ts[b], from one ramp evaluation. Raises
-    TrapInversionError unless every stroke has tau > tau_min."""
+    its checkpoints ts[b], from one ramp evaluation, and omega_i, (B, 1).
+    Raises TrapInversionError unless every stroke has tau > tau_min."""
     protocols = list(protocols)
     ts = _checkpoints(protocols, ts)
     for protocol in protocols:
         require_cd_valid(protocol)
     w, wd = _ramp_grid(protocols, ts, 1)
-    return w, 1.0 / np.sqrt(1.0 - wd**2 / (4.0 * w**4))
+    omega_i = np.array([[p.omega_i] for p in protocols])
+    return w, 1.0 / np.sqrt(1.0 - wd**2 / (4.0 * w**4)), omega_i
 
 
 def q_cd_grid(protocols, ts) -> np.ndarray:

@@ -481,11 +481,12 @@ def _front(rho: _Rho | FockState) -> int:
     return int(np.count_nonzero(tail > _WINDOW_TAIL))
 
 
-def _check_and_clean(rho: _Rho) -> _Rho:
+def _check_and_clean(rho: _Rho, dim: int) -> _Rho:
     """rho at unit trace with exactly Hermitian blocks, block by block.
     Raises NumericsError on a trace drift above _TRACE_LIMIT and
     CutoffError on more than _LEAK_LIMIT in the top two levels of the
-    window, the top level of each parity block."""
+    window, the top level of each parity block: the truncation's fault at
+    the cap of ``dim`` levels, the window's below it."""
     tr = float(np.trace(rho.even).real + np.trace(rho.odd).real)
     if not abs(tr - 1.0) <= _TRACE_LIMIT:
         raise NumericsError(
@@ -496,9 +497,11 @@ def _check_and_clean(rho: _Rho) -> _Rho:
     rho = _Rho(*(0.5 * (m + m.conj().T) for m in scaled))
     leak = float(rho.even[-1, -1].real + rho.odd[-1, -1].real)
     if leak > _LEAK_LIMIT:
+        n = rho.even.shape[0] + rho.odd.shape[0]
+        lag = f"the active window of {n} levels lagged the populations (cap {dim})"
         raise CutoffError(
             f"population {leak:.3g} in the top two Fock levels exceeds "
-            f"{_LEAK_LIMIT:g}; enlarge the truncation"
+            f"{_LEAK_LIMIT:g}; {'enlarge the truncation' if n >= dim else lag}"
         )
     return rho
 
@@ -568,7 +571,7 @@ def propagate_fock_path(
             tol = _MAGNUS_ATOL + _MAGNUS_RTOL * _frobenius(rho)
             factor = 4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** (1.0 / 7.0)))
             if err <= tol:
-                rho = _check_and_clean(_advance(blocks, omega8, rho))
+                rho = _check_and_clean(_advance(blocks, omega8, rho), dim)
                 front_next = _front(rho)
                 t, front, speed = t_next, front_next, (front_next - front) / step
             # a step clipped to its checkpoint keeps the larger proposal

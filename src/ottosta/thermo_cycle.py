@@ -178,8 +178,10 @@ def stroke_records(
     """One StrokeRecord per cycle point, holding what ``accountings`` read:
     for NONADIABATIC the Q* of every stroke, from one stacked bare-drive
     propagation; for STA and TIME_AVERAGED the cost of every stroke longer
-    than tau_min, from one stacked ``work_cost_stack`` quadrature (None for
-    the others)."""
+    than tau_min (None for the others): its protocol's value of one
+    ``work_cost_stack`` call over the distinct feasible protocols, times
+    its starting thermal energy, ``config.cold_energy`` or ``hot_energy``.
+    That product is where temperature enters a cost."""
     accountings = {Accounting(a) for a in accountings}
     factors = Accounting.NONADIABATIC in accountings
     costs = not accountings.isdisjoint((Accounting.STA, Accounting.TIME_AVERAGED))
@@ -187,19 +189,17 @@ def stroke_records(
     protocols = [
         p for c in configs for p in (c.compression_protocol(), c.expansion_protocol())
     ]
-    betas = [b for c in configs for b in (c.beta1, c.beta2)]
     q = [None] * len(protocols)
     if factors and protocols:
+        betas = [b for c in configs for b in (c.beta1, c.beta2)]
         ends = [[p.tau] for p in protocols]
         q = [float(v) for v in adiabaticity_stack(protocols, betas, ends, rtol=rtol)[0][:, 0]]
     c = [None] * len(protocols)
     if costs:
-        feasible = [i for i, p in enumerate(protocols) if check_cd_validity(p).valid]
-        values = work_cost_stack(
-            [protocols[i] for i in feasible], [betas[i] for i in feasible], nodes=nodes
-        )
-        for i, cost in zip(feasible, values.tolist()):
-            c[i] = cost
+        feasible = [p for p in dict.fromkeys(protocols) if check_cd_validity(p).valid]
+        g = dict(zip(feasible, work_cost_stack(feasible, nodes=nodes).tolist()))
+        energies = [e for cfg in configs for e in (cfg.cold_energy, cfg.hot_energy)]
+        c = [e * g[p] if p in g else None for p, e in zip(protocols, energies)]
     return [
         StrokeRecord(q[i], q[i + 1], c[i], c[i + 1]) for i in range(0, len(protocols), 2)
     ]

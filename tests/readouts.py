@@ -10,7 +10,9 @@ checkpoints are M mean(0) and M cov(0) M^T of ``dynamics.transfer_matrices``
 (each a validated ``GaussianState``), the classical pair is read off the
 columns of the bare-drive M, Q* is the one-row, one-checkpoint
 ``dynamics.adiabaticity_stack``, the counterdiabatic terms and costs are
-one-row calls of ``sta_cost``, and a cycle is the one-point
+one-row calls of ``sta_cost`` times the thermal prefactor of the start
+(``dynamics.thermal_energy`` or ``dynamics.occupation_spread``), as the
+package books them, and a cycle is the one-point
 ``thermo_cycle.stroke_records`` booked by ``book_cycle``.
 """
 
@@ -24,7 +26,9 @@ from ottosta.dynamics import (
     _energies,
     adiabaticity_stack,
     coth_half,
+    occupation_spread,
     q_cd_grid,
+    thermal_energy,
     transfer_matrices,
 )
 from ottosta.quadrature import DEFAULT_NODES
@@ -99,23 +103,32 @@ def q_cd(protocol, ts):
 
 
 def work_term(protocol, beta, t):
-    """Mean extra energy of the CD accounting at time t."""
-    return float(work_excess([protocol], [beta], [[t]])[0, 0])
+    """Mean extra energy of the CD accounting at time t, from the thermal
+    start at beta: <H(0)> times the one-row work_excess."""
+    h0_mean = thermal_energy(beta, protocol.omega_i)
+    return h0_mean * float(work_excess([protocol], [[t]])[0, 0])
 
 
 def variance_term(protocol, beta, t):
-    """Excess work variance of the CD-driven stroke at time t."""
-    return float(work_variance_excess([protocol], [beta], [[t]])[0, 0])
+    """Excess work variance of the CD-driven stroke at time t, from the
+    thermal start at beta: n_bar (n_bar + 1) times the one-row
+    work_variance_excess."""
+    spread = occupation_spread(beta, protocol.omega_i)
+    return spread**2 * float(work_variance_excess([protocol], [[t]])[0, 0])
 
 
 def work_cost(protocol, beta, nodes=DEFAULT_NODES):
-    """<dW>_tau of one stroke."""
-    return float(work_cost_stack([protocol], [beta], nodes=nodes)[0])
+    """<dW>_tau of one stroke from the thermal start at beta, as
+    ``thermo_cycle.stroke_records`` books it."""
+    h0_mean = thermal_energy(beta, protocol.omega_i)
+    return h0_mean * float(work_cost_stack([protocol], nodes=nodes)[0])
 
 
 def variance_cost(protocol, beta, nodes=DEFAULT_NODES):
-    """<d(DeltaW)>_tau of one stroke."""
-    return float(variance_cost_stack([protocol], [beta], nodes=nodes)[0])
+    """<d(DeltaW)>_tau of one stroke from the thermal start at beta, as
+    ``datasets.cost_dataset`` computes it."""
+    spread = occupation_spread(beta, protocol.omega_i)
+    return spread * float(variance_cost_stack([protocol], nodes=nodes)[0])
 
 
 def cycle(config, accounting):

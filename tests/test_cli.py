@@ -794,7 +794,11 @@ def _points(value) -> int:
 def _valid_cases(draw):
     """(command, config, oracle): any subset of the command's keys, where
     every key whose default is over a cap is drawn, and --oracle only on
-    qstar and empower, since the Fock rows' cost grows as 1/beta."""
+    qstar and empower, since the Fock rows' cost grows as 1/beta. On half
+    the cost and cycle draws the frequencies (and a cycle's baths) are put
+    in engine order and, where the ramp's tau_min (the larger of the two
+    strokes' for cycle) is at most 5, the taus redrawn above it, so that the
+    shortcut columns are computed there and not only refused."""
     command = draw(st.sampled_from(COMMANDS))
     props = DEFS[command]["properties"]
     drawn = {k: _valid(p, k) for k, p in props.items() if k not in _AT_DEFAULT}
@@ -809,6 +813,22 @@ def _valid_cases(draw):
             axis = max(_SWEEP_AXES, key=lambda a: _points(config[a]))
             value = config[axis]
             config[axis] = {**value, "num": value["num"] - 1} if isinstance(value, dict) else value[:-1]
+    if command in ("cost", "cycle") and draw(st.booleans()):
+        # taus s tau_min, s log-uniform on 1000 points of (1, 20], where the
+        # shortcut exists, on a compression stroke, and a cycle's baths in
+        # engine order
+        pairs = [("omega_i", "omega_f")] if command == "cost" else [
+            ("omega1", "omega2"), ("beta2", "beta1")]
+        value = {k: p["default"] for k, p in props.items()} | config
+        for lo, hi in pairs:
+            value[lo], value[hi] = sorted((value[lo], value[hi]))
+            config[lo], config[hi] = value[lo], value[hi]
+        wa, wb = (value[k] for k in pairs[0])
+        strokes = [(wa, wb)] if command == "cost" else [(wa, wb), (wb, wa)]
+        t_min = max(oracles.tau_min(value["kind"], *ends, n=2001) for ends in strokes)
+        scales = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=3))
+        if 0.0 < t_min <= 5.0:  # not the constant control; taus up to 1e2
+            config["taus"] = [20.0 ** (k / 1000) * t_min for k in scales]
     oracle = command in ("qstar", "empower") and draw(st.booleans())
     return command, config, oracle
 
@@ -827,7 +847,8 @@ class TestSchemaValidConfigs:
     the physics or the numerics refuse exits 2, 3 or 4 with one line and
     no file. A dataset is the same bytes twice, its JSON rendering holds
     the same cells, and its rows keep the invariants: bare Q* >= 1, the
-    first law, and eta <= eta_Carnot on engine rows."""
+    first law, eta <= eta_Carnot on engine rows and non-negative shortcut
+    costs."""
 
     @settings(max_examples=250, derandomize=True, deadline=None)
     @given(_valid_cases())
@@ -857,6 +878,9 @@ class TestSchemaValidConfigs:
         records = [dict(zip(header, row, strict=True)) for row in rows]
         if command == "qstar":
             assert all(float(r["q_bare"]) >= 1.0 - 1e-12 for r in records)
+        if command == "cost":
+            costs = [float(r[c]) for r in records for c in ("avg_work_cost", "avg_variance_cost")]
+            assert min(costs) >= 0.0, records
         for r in records if command == "sweep" else []:
             if r["status"] != "ok":
                 continue

@@ -75,22 +75,13 @@ def dense_reference(protocol, beta, ts, cd):
     dense fixed-basis route, on stroke_dim levels of the geometric mean of
     the endpoint frequencies: 100 Magnus steps per stroke under the bare
     drive (energies within about 3e-9), 50 under the counterdiabatic one,
-    whose populations and energies come out within 1e-13. Computed once per
-    session for each (protocol, beta, ts, cd); the matrices are read-only."""
-    return _dense_reference(protocol, beta, tuple(float(t) for t in ts), cd)
-
-
-@functools.lru_cache(maxsize=None)
-def _dense_reference(protocol, beta, ts, cd):
+    whose populations and energies come out within 1e-13."""
     wi, wf = protocol.omega_i, protocol.omega_f
     ref, dim = math.sqrt(wi * wf), stroke_dim(beta, protocol)
     rho0 = oracles.dense_thermal(beta, wi, ref, dim)
-    kind = protocol.kind.value
     steps = 50 if cd else 100
-    rhos = oracles.dense_stroke(kind, wi, wf, protocol.tau, rho0, ref, ts, cd, steps)
-    for rho in rhos:
-        rho.setflags(write=False)
-    return ref, tuple(rhos)
+    kind, tau = protocol.kind.value, protocol.tau
+    return ref, oracles.dense_stroke(kind, wi, wf, tau, rho0, ref, ts, cd, steps)
 
 
 class TestOperators:
@@ -343,10 +334,10 @@ class TestBarePropagation:
         st = thermal_fock(2.0, 0.35, 40)
         rho = fock_oracle._Rho(st.even * (1.0 + 1e-6), st.odd * (1.0 + 1e-6))
         with pytest.raises(NumericsError, match="trace drift"):
-            fock_oracle._check_and_clean(rho)
+            fock_oracle._check_and_clean(rho, 40)
         rho = fock_oracle._Rho(st.even * math.nan, st.odd)
         with pytest.raises(NumericsError, match="trace drift"):
-            fock_oracle._check_and_clean(rho)
+            fock_oracle._check_and_clean(rho, 40)
 
     def test_leak_counts_the_top_level_of_each_parity(self):
         # 6e-7 on each of the top two levels, one even and one odd: neither
@@ -356,7 +347,33 @@ class TestBarePropagation:
         pops[-2:] = 6e-7
         rho = loop_rho(oracles.fock_state(np.diag(pops), 1.0))
         with pytest.raises(CutoffError, match="top two Fock levels"):
-            fock_oracle._check_and_clean(rho)
+            fock_oracle._check_and_clean(rho, 40)
+
+    def test_leak_below_the_cap_names_the_window(self):
+        # the same leak on a window of 40 levels under a cap of 100 is the
+        # window's fault, not the truncation's
+        pops = np.zeros(40)
+        pops[0] = 1.0 - 1.2e-6
+        pops[-2:] = 6e-7
+        rho = loop_rho(oracles.fock_state(np.diag(pops), 1.0))
+        text = r"top two Fock levels .*window of 40 levels lagged the populations \(cap 100\)"
+        with pytest.raises(CutoffError, match=text) as refused:
+            fock_oracle._check_and_clean(rho, 100)
+        assert "truncation" not in str(refused.value)
+
+    def test_lagging_window_is_not_blamed_on_the_truncation(self):
+        # a fast front on a wide stroke: the window, sized from the last
+        # step's front speed, falls behind an accelerating front long
+        # before the cap of stroke_dim levels
+        beta = 0.5
+        protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.3, 3.0, 0.723)
+        dim = stroke_dim(beta, protocol)
+        st0 = thermal_fock_in(dim, beta, protocol.omega_i)
+        with pytest.raises(CutoffError, match="top two Fock levels") as refused:
+            propagate_fock_path(st0, protocol, [protocol.tau])
+        assert "lagged the populations" in str(refused.value)
+        assert f"(cap {dim})" in str(refused.value)
+        assert "enlarge the truncation" not in str(refused.value)
 
 
 class TestCounterdiabaticPropagation:
@@ -1032,7 +1049,7 @@ class TestTwoPointMeasurement:
         # the matrix route refuse alike
         p = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 1.5)
         with pytest.raises(TrapInversionError):
-            work_variance_excess([p], [2.0], [[0.45]])
+            work_variance_excess([p], [[0.45]])
         with pytest.raises(TrapInversionError, match="tau_min"):
             tpm_variance_excess(p, 2.0, 0.45)
 

@@ -8,7 +8,8 @@ from ottosta.errors import PhysicsError, TrapInversionError
 from ottosta.protocols import FrequencyProtocol, ProtocolKind
 from ottosta.quadrature import simpson_uniform, stroke_grid
 from ottosta import sta_cost
-from ottosta.dynamics import thermal_energy
+from ottosta.datasets import cost_dataset
+from ottosta.dynamics import occupation_spread, thermal_energy
 from ottosta.sta_cost import (
     friction_stack,
     variance_cost_stack,
@@ -38,44 +39,42 @@ class TestQuadrature:
         np.testing.assert_allclose(ts, [0.0, 0.75, 1.5, 2.25, 3.0])
 
 
-def _thermal_start(protocol, beta):
-    """n_bar and <H(0)> of a stroke's thermal start, as the closed forms
-    read them."""
-    *_, n_bar, h0_mean = sta_cost._cd_terms([protocol], [beta], [[0.0]])
-    return float(n_bar[0, 0]), float(h0_mean[0, 0])
-
-
 class TestThermalStart:
+    """The thermal prefactors of the costs: <H(0)> for the work and
+    sqrt(n_bar (n_bar + 1)) for the fluctuations, the one place where the
+    temperature of the start enters them."""
+
     def test_derived_thermal_quantities(self):
-        n_bar, h0_mean = _thermal_start(COMP, 2.0)
-        assert n_bar == pytest.approx(oracles.thermal_nbar(2.0, 0.35), rel=1e-14)
+        n_bar = oracles.thermal_nbar(2.0, 0.35)
         assert n_bar == pytest.approx(0.9864338636344633, abs=1e-14)
-        assert h0_mean == pytest.approx(0.52025185227206215, abs=1e-14)
+        spread = occupation_spread(2.0, 0.35)
+        assert spread == pytest.approx(math.sqrt(n_bar * (n_bar + 1.0)), rel=1e-14)
+        assert thermal_energy(2.0, 0.35) == pytest.approx(0.52025185227206215, abs=1e-14)
 
     def test_variance_of_occupation(self):
-        n_bar, _ = _thermal_start(COMP, 2.0)
-        var_n = n_bar * (n_bar + 1.0)
+        var_n = occupation_spread(2.0, 0.35) ** 2
         assert var_n == pytest.approx(1.9594856309592782, abs=1e-13)
 
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
     def test_every_stack_refuses_a_bad_beta(self, beta):
-        stacks = [
-            lambda: work_cost_stack([COMP], [beta]),
-            lambda: variance_cost_stack([COMP], [beta]),
-            lambda: work_excess([COMP], [beta], [[1.5]]),
-            lambda: work_variance_excess([COMP], [beta], [[1.5]]),
+        # the cost stacks take no beta: it is refused where the prefactor
+        # is computed, and by the friction stack, which propagates it
+        prefactors = [
+            lambda: thermal_energy(beta, 0.35),
+            lambda: occupation_spread(beta, 0.35),
             lambda: friction_stack([COMP], [beta], [[3.0]]),
+            lambda: cost_dataset({
+                "kind": "poly5", "omega_i": 0.35, "omega_f": 1.0, "beta": beta,
+                "taus": [3.0], "nodes": 101, "rtol": 1e-10,
+            }),
         ]
-        for stack in stacks:
+        for prefactor in prefactors:
             with pytest.raises(ValueError, match="beta must be positive"):
-                stack()
+                prefactor()
 
     def test_one_beta_per_protocol(self):
-        for stack in (work_cost_stack, variance_cost_stack):
-            with pytest.raises(ValueError):
-                stack([COMP, COMP], [2.0])
         with pytest.raises(ValueError):
-            work_excess([COMP], [2.0, 2.0], [[1.5]])
+            friction_stack([COMP, COMP], [2.0], [[3.0], [3.0]])
 
 
 class TestMeanCost:
@@ -91,6 +90,13 @@ class TestMeanCost:
         assert w * q == pytest.approx(0.75408501930480058, abs=1e-13)
         want = (w / 0.35) * (q - 1.0) * 0.52025185227206215
         assert work_term(COMP, 2.0, 1.5) == pytest.approx(want, rel=1e-14)
+
+    def test_closed_form_is_free_of_temperature(self):
+        # work_excess is the integrand per unit <H(0)>: (w_t / w_i) (Q - 1)
+        ts = np.linspace(0.0, 3.0, 7)
+        w = COMP.eval(ts)[0]
+        want = (w / 0.35) * (q_cd(COMP, ts) - 1.0)
+        np.testing.assert_array_equal(work_excess([COMP], [ts])[0], want)
 
     def test_vanishes_at_stroke_ends(self):
         assert work_term(COMP, 2.0, 0.0) == pytest.approx(0.0, abs=1e-14)
@@ -140,17 +146,39 @@ class TestVarianceCost:
     def test_average_reference_value(self):
         assert variance_cost(COMP, 2.0) == pytest.approx(0.18274471987550409, abs=1e-12)
 
+    def test_closed_form_is_free_of_temperature(self):
+        # work_variance_excess is the excess per unit n_bar (n_bar + 1)
+        ts = np.linspace(0.0, 3.0, 7)
+        w = COMP.eval(ts)[0]
+        want = (w * q_cd(COMP, ts) - 0.35) ** 2 - (w - 0.35) ** 2
+        np.testing.assert_array_equal(work_variance_excess([COMP], [ts])[0], want)
+
     def test_compression_excess_nonnegative(self):
         ts = np.linspace(0.0, 3.0, 101)
-        assert np.all(work_variance_excess([COMP], [2.0], [ts])[0] >= -1e-15)
+        assert np.all(work_variance_excess([COMP], [ts])[0] >= -1e-15)
+
+    def test_ground_state_compression_books_no_variance_cost(self):
+        assert variance_cost(COMP, math.inf) == 0.0
 
     def test_expansion_excess_is_negative_and_rejected(self):
         # on an expansion stroke the counterdiabatic factor pulls the
         # instantaneous frequency toward the initial one, so the excess
-        # spread is negative and an averaged "cost" would be meaningless
+        # spread is negative and an averaged "cost" would be meaningless;
+        # the refusal reads the protocol alone, so the ground state
+        # (beta = inf, no spread) is refused too
         assert variance_term(EXP, 0.2, 1.5) < 0.0
-        with pytest.raises(PhysicsError):
-            variance_cost(EXP, 0.2)
+        for beta in (0.2, 2.0, math.inf):
+            with pytest.raises(PhysicsError):
+                variance_cost(EXP, beta)
+
+    def test_refusal_reports_the_minimum_of_the_bracket(self):
+        ts = stroke_grid(EXP.tau, 1001)
+        excess = work_variance_excess([EXP], [ts])[0]
+        i = int(np.argmin(excess))
+        want = f"min {excess[i]:.6g} at t = {ts[i]:.6g}"
+        with pytest.raises(PhysicsError) as refused:
+            variance_cost_stack([EXP])
+        assert want in str(refused.value)
 
 
 # Mixed kinds, durations and temperatures: (kind, omega_i, omega_f, tau, beta).
@@ -163,7 +191,7 @@ _EXPANSIONS = [(k, wf, wi, tau, beta) for k, wi, wf, tau, beta in _COMPRESSIONS]
 
 
 def _strokes(rows):
-    """(protocols, betas) of the rows."""
+    """(protocols, betas) of the rows; only friction_stack reads the betas."""
     protocols = [FrequencyProtocol(k, wi, wf, tau) for k, wi, wf, tau, _ in rows]
     return protocols, [beta for *_, beta in rows]
 
@@ -173,28 +201,28 @@ class TestCostStack:
     across the blocks the grid is evaluated in."""
 
     def test_work_cost_rows_equal_their_one_row_calls_bit_for_bit(self):
-        protocols, betas = _strokes(_COMPRESSIONS + _EXPANSIONS)
+        protocols, _ = _strokes(_COMPRESSIONS + _EXPANSIONS)
         assert len(protocols) > sta_cost._BLOCK_SAMPLES // 1001  # more than one block
-        stacked = work_cost_stack(protocols, betas)
+        stacked = work_cost_stack(protocols)
         assert stacked.shape == (len(protocols),)
-        for b, (p, beta) in enumerate(zip(protocols, betas)):
-            assert stacked[b].tobytes() == work_cost_stack([p], [beta])[0].tobytes(), b
+        for b, p in enumerate(protocols):
+            assert stacked[b].tobytes() == work_cost_stack([p])[0].tobytes(), b
 
     def test_variance_cost_rows_equal_their_one_row_calls_bit_for_bit(self):
-        protocols, betas = _strokes(_COMPRESSIONS)
+        protocols, _ = _strokes(_COMPRESSIONS)
         assert len(protocols) > sta_cost._BLOCK_SAMPLES // 1001
-        stacked = variance_cost_stack(protocols, betas)
-        for b, (p, beta) in enumerate(zip(protocols, betas)):
-            assert stacked[b].tobytes() == variance_cost_stack([p], [beta])[0].tobytes(), b
+        stacked = variance_cost_stack(protocols)
+        for b, p in enumerate(protocols):
+            assert stacked[b].tobytes() == variance_cost_stack([p])[0].tobytes(), b
 
     @pytest.mark.parametrize("closed_form", [work_excess, work_variance_excess])
     def test_closed_form_rows_equal_their_one_row_calls_bit_for_bit(self, closed_form):
-        protocols, betas = _strokes(_COMPRESSIONS + _EXPANSIONS)
+        protocols, _ = _strokes(_COMPRESSIONS + _EXPANSIONS)
         ts = np.array([np.linspace(0.0, p.tau, 11) for p in protocols])
-        stacked = closed_form(protocols, betas, ts)
+        stacked = closed_form(protocols, ts)
         assert stacked.shape == (len(protocols), 11)
-        for b, (p, beta) in enumerate(zip(protocols, betas)):
-            one_row = closed_form([p], [beta], ts[b][None])[0]
+        for b, p in enumerate(protocols):
+            one_row = closed_form([p], ts[b][None])[0]
             assert stacked[b].tobytes() == one_row.tobytes(), b
 
     @pytest.mark.parametrize("nodes", [257, 1001, 9001])
@@ -202,13 +230,13 @@ class TestCostStack:
         exact = sta_cost.work_excess
         blocks = []
 
-        def recorded(protocols, betas, ts):
+        def recorded(protocols, ts):
             blocks.append(ts.shape)
-            return exact(protocols, betas, ts)
+            return exact(protocols, ts)
 
         monkeypatch.setattr(sta_cost, "work_excess", recorded)
-        protocols, betas = _strokes(_COMPRESSIONS * 4)
-        work_cost_stack(protocols, betas, nodes=nodes)
+        protocols, _ = _strokes(_COMPRESSIONS * 4)
+        work_cost_stack(protocols, nodes=nodes)
         assert sum(rows for rows, _ in blocks) == len(protocols)
         assert all(k == nodes for _, k in blocks)
         assert all(rows * k <= max(sta_cost._BLOCK_SAMPLES, k) for rows, k in blocks)
@@ -216,17 +244,17 @@ class TestCostStack:
 
     def test_an_expansion_stroke_refuses_the_variance_cost_of_the_stack(self):
         with pytest.raises(PhysicsError, match="negative"):
-            variance_cost_stack(*_strokes(_COMPRESSIONS[:2] + _EXPANSIONS[:1]))
+            variance_cost_stack(_strokes(_COMPRESSIONS[:2] + _EXPANSIONS[:1])[0])
 
     def test_one_infeasible_stroke_refuses_the_stack(self):
         rows = _COMPRESSIONS[:2] + [(ProtocolKind.POLY5, 0.35, 1.0, 2.0, 2.0)]
         for cost in (work_cost_stack, variance_cost_stack):
             with pytest.raises(TrapInversionError, match="tau_min"):
-                cost(*_strokes(rows))
+                cost(_strokes(rows)[0])
 
     def test_empty_stack(self):
-        assert work_cost_stack([], []).shape == (0,)
-        assert variance_cost_stack([], []).shape == (0,)
+        assert work_cost_stack([]).shape == (0,)
+        assert variance_cost_stack([]).shape == (0,)
 
 
 def _friction(protocol, beta, t):

@@ -335,9 +335,9 @@ class TestStrokeRecord:
         exact_cost = thermo_cycle.work_cost_stack
         exact_stack = dynamics._transfer_matrices
 
-        def counted_cost(protocols, betas, **kwargs):
+        def counted_cost(protocols, **kwargs):
             calls["cost"] += len(protocols)
-            return exact_cost(protocols, betas, **kwargs)
+            return exact_cost(protocols, **kwargs)
 
         def counted_stack(*args, **kwargs):
             calls["stack"] += 1
@@ -359,9 +359,9 @@ class TestStrokeRecord:
         exact_cost = thermo_cycle.work_cost_stack
         exact_stack = dynamics._transfer_matrices
 
-        def counted_cost(protocols, betas, **kwargs):
+        def counted_cost(protocols, **kwargs):
             costs.append(len(protocols))
-            return exact_cost(protocols, betas, **kwargs)
+            return exact_cost(protocols, **kwargs)
 
         def recorded_stack(protocols, ts, rtol):
             stacks.append((len(protocols), ts.shape[1]))
@@ -374,6 +374,27 @@ class TestStrokeRecord:
         assert len(rows) == 40
         assert costs == [80]
         assert stacks == [(80, 1)]
+
+    def test_default_sweep_integrates_each_distinct_protocol_once(self, monkeypatch):
+        # 12 points of 24 strokes, but the beta ratio does not change a
+        # protocol: 12 distinct ones, 10 of them longer than tau_min
+        import ottosta.thermo_cycle as thermo_cycle
+        from ottosta import datasets
+        from ottosta.cli import build_parser, resolve_config
+
+        costs = []
+        exact_cost = thermo_cycle.work_cost_stack
+
+        def counted_cost(protocols, **kwargs):
+            costs.append(len(protocols))
+            assert len(set(protocols)) == len(protocols)
+            return exact_cost(protocols, **kwargs)
+
+        monkeypatch.setattr(thermo_cycle, "work_cost_stack", counted_cost)
+        params = resolve_config("sweep", build_parser().parse_args(["sweep"]))
+        _, rows = datasets.sweep_dataset(params)
+        assert len(rows) == 48
+        assert costs == [10]
 
     def test_costs_are_none_exactly_on_the_infeasible_strokes(self):
         # tau_min = 2.0678 for the poly5 strokes between 0.35 and 1
