@@ -29,6 +29,8 @@ import operator
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .datasets import (
     cost_dataset,
@@ -243,26 +245,45 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _format_column(values: tuple) -> list:
-    """The cells of one column as text, each as _format_cell writes it: a
-    column of plain floats or plain strings in one pass, any other cell by
-    cell."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return list(map(float.__repr__, values))
-    if kinds == {str}:
-        return list(values)
-    return list(map(_format_cell, values))
+def _column_texts(column) -> list:
+    """The cells of one column of a block as text, each as _format_cell
+    writes it: a float64 array through float.__repr__, with no type scan,
+    any other sequence cell by cell."""
+    if isinstance(column, np.ndarray):
+        return list(map(float.__repr__, column.tolist()))
+    return list(map(_format_cell, column))
 
 
-def render_csv(meta: dict, columns: list, rows: list) -> str:
+def render_csv(meta: dict, columns: list, blocks: list) -> str:
+    """CSV text of a table given as blocks (see ottosta.datasets): a ``#``
+    metadata line, the header, then each block's rows. Each column of a
+    block is formatted once (_column_texts), and a column that is the same
+    object as the previous block's column reuses its text."""
     header = "# " + json.dumps(meta, sort_keys=True, separators=(",", ":"))
-    cells = zip(*map(_format_column, zip(*rows, strict=True)))
-    return "\n".join([header, ",".join(columns), *map(",".join, cells)]) + "\n"
+    parts = [header, ",".join(columns)]
+    previous = texts = [None] * len(columns)
+    for block in blocks:
+        texts = [
+            text if column is prior else _column_texts(column)
+            for column, prior, text in zip(block, previous, texts, strict=True)
+        ]
+        previous = block
+        if any(texts):
+            parts.append("\n".join(map(",".join, zip(*texts, strict=True))))
+    return "\n".join(parts) + "\n"
 
 
-def render_json(meta: dict, columns: list, rows: list) -> str:
-    doc = {"metadata": meta, "columns": columns, "rows": rows}
+def _rows(blocks: list):
+    """The rows of a table given as blocks, each a list of Python values."""
+    for block in blocks:
+        cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in block)
+        yield from map(list, zip(*cells, strict=True))
+
+
+def render_json(meta: dict, columns: list, blocks: list) -> str:
+    """JSON text of a table given as blocks: metadata, columns and its rows
+    as one document."""
+    doc = {"metadata": meta, "columns": columns, "rows": list(_rows(blocks))}
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -276,8 +297,8 @@ def _digest(command: str, params: dict, oracle: bool) -> str:
 
 
 def run_command(command: str, args) -> str:
-    """Resolve config, build the dataset, and render it; returns the full
-    output text (nothing is written before this succeeds)."""
+    """Resolve config, build the dataset's blocks, and render them; returns
+    the full output text (nothing is written before this succeeds)."""
     params = resolve_config(command, args)
     oracle = bool(args.oracle)
     if oracle and command == "sweep":
@@ -286,7 +307,7 @@ def run_command(command: str, args) -> str:
         raise ConfigError("--jobs must be at least 1")
     builder = _BUILDERS[command]
     try:
-        columns, rows = builder(params, oracle=oracle)
+        columns, blocks = builder(params, oracle=oracle)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     meta = {
@@ -300,8 +321,8 @@ def run_command(command: str, args) -> str:
         "version": __version__,
     }
     if args.format == "json":
-        return render_json(meta, columns, rows)
-    return render_csv(meta, columns, rows)
+        return render_json(meta, columns, blocks)
+    return render_csv(meta, columns, blocks)
 
 
 def _write_output(text: str, out):

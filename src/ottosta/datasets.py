@@ -1,21 +1,28 @@
 """Dataset builders behind the CLI subcommands.
 
 Each builder takes a fully resolved parameter dict (see ottosta.cli for
-defaults and schema validation) and returns (columns, rows). Rows are plain
-Python lists of floats/strings/bools/None so the CSV and JSON writers can
-format them deterministically. Each dataset is computed in one serial pass:
-the Gaussian strokes of all its rows go through one stacked propagation
-(``dynamics.adiabaticity_stack``), each closed-form counterdiabatic column
-through one stacked call (``dynamics.q_cd_grid``, the ``sta_cost`` cost
-stacks, free of temperature: ``cost`` scales them by its start's
-``thermal_energy`` and ``occupation_spread``), and each cycle point's
-strokes are evaluated once and booked under every accounting
-(``thermo_cycle.stroke_records``, which scales the costs by each stroke's
-starting energy, and ``book_cycle``). The Fock oracle columns of ``cycle``
-follow, row by row, in tau order, each checked against the stroke-end
-energy of the row's stroke record. ``fock_oracle`` is imported only by the
-two builders' oracle columns that call it, so a command without Fock work
-never loads it.
+defaults and schema validation) and returns (columns, blocks). A block is
+one run of output rows, in order, held as one sequence per column: a 1-D
+float64 array for a column of floats only, a list otherwise (strings, None,
+bools, mixed). ``qstar`` gives one block per ramp kind, all holding the one
+``t`` array; the other builders give one block each. The CSV writer formats
+each column of a block once, and a column object shared with the previous
+block not again (``ottosta.cli.render_csv``), so no builder makes row lists
+for it.
+
+Each dataset is computed in one serial pass: the Gaussian strokes of all
+its rows go through one stacked propagation (``dynamics.adiabaticity_stack``,
+or in ``thermo_cycle.stroke_records`` one per distinct protocol), each
+closed-form counterdiabatic column through one stacked call
+(``dynamics.q_cd_grid``, the ``sta_cost`` cost stacks, free of temperature:
+``cost`` scales them by its start's ``thermal_energy`` and
+``occupation_spread``), and each cycle point's strokes are evaluated once
+and booked under every accounting (``thermo_cycle.stroke_records``, which
+scales the costs by each stroke's starting energy, and ``book_cycle``). The
+Fock oracle columns of ``cycle`` follow, row by row, in tau order, each
+checked against the stroke-end energy of the row's stroke record.
+``fock_oracle`` is imported only by the two builders' oracle columns that
+call it, so a command without Fock work never loads it.
 """
 
 from __future__ import annotations
@@ -58,12 +65,27 @@ def resolve_grid(spec) -> list[float]:
     return [float(v) for v in spec]
 
 
+def _column(values: list):
+    """A block's column: values as a float64 array if each is a float
+    (np.float64, which repr spells otherwise, is not), else the list."""
+    if all(type(v) is float for v in values):
+        return np.array(values, dtype=np.float64)
+    return values
+
+
+def _block(rows: list) -> list:
+    """The one block of a table built row by row (every grid has a row),
+    each column by _column."""
+    return [_column(list(c)) for c in zip(*rows, strict=True)]
+
+
 # -- qstar -------------------------------------------------------------------
 
 
 def qstar_dataset(params: dict, oracle: bool = False):
-    """Adiabaticity curves Q*(t) for each protocol kind on a common grid.
-    q_bare and q_pair are two readouts of one stacked propagation."""
+    """Adiabaticity curves Q*(t) for each protocol kind on a common grid,
+    one block per kind, each holding the one ``t`` array. q_bare and q_pair
+    are two readouts of one stacked propagation."""
     omega_i = params["omega_i"]
     omega_f = params["omega_f"]
     tau = params["tau"]
@@ -81,19 +103,13 @@ def qstar_dataset(params: dict, oracle: bool = False):
     q_bare, q_pair = adiabaticity_stack(
         protocols, [beta] * len(protocols), [ts] * len(protocols), rtol=rtol
     )
-    rows = []
+    blocks = []
     for b, protocol in enumerate(protocols):
-        cells = [
-            ts.tolist(),
-            [protocol.kind.value] * ts.size,
-            protocol.eval(ts)[0].tolist(),
-            q_cd[b].tolist(),
-            q_bare[b].tolist(),
-        ]
+        block = [ts, [protocol.kind.value] * ts.size, protocol.eval(ts)[0], q_cd[b], q_bare[b]]
         if oracle:
-            cells.append(q_pair[b].tolist())
-        rows.extend(map(list, zip(*cells)))
-    return columns, rows
+            block.append(q_pair[b])
+        blocks.append(block)
+    return columns, blocks
 
 
 # -- cost --------------------------------------------------------------------
@@ -115,21 +131,22 @@ def cost_dataset(params: dict, oracle: bool = False):
 
     protocols = [FrequencyProtocol(kind, omega_i, omega_f, tau) for tau in taus]
     betas = [beta] * len(taus)
-    friction = friction_stack(protocols, betas, [[t] for t in taus], rtol=rtol)[:, 0].tolist()
+    friction = friction_stack(protocols, betas, [[t] for t in taus], rtol=rtol)[:, 0]
     h0_mean, spread = thermal_energy(beta, omega_i), occupation_spread(beta, omega_i)
-    work = (h0_mean * work_cost_stack(protocols, nodes=nodes)).tolist()
-    variance = (spread * variance_cost_stack(protocols, nodes=nodes)).tolist()
+    work = h0_mean * work_cost_stack(protocols, nodes=nodes)
+    variance = spread * variance_cost_stack(protocols, nodes=nodes)
     adiabatic_work = (omega_f / omega_i - 1.0) * h0_mean
-    rows = [[tau, w, v, f, adiabatic_work] for tau, w, v, f in zip(taus, work, variance, friction)]
+    block = [np.array(taus), work, variance, friction, np.full(len(taus), adiabatic_work)]
     if oracle:
         from . import fock_oracle
 
         t_mid = [0.5 * tau for tau in taus]
         closed = (spread**2 * work_variance_excess(protocols, [[t] for t in t_mid])[:, 0]).tolist()
-        for protocol, t, c, row in zip(protocols, t_mid, closed, rows):
-            matrix = fock_oracle.tpm_variance_excess(protocol, beta, t)
-            row.append(abs(matrix - c) / max(abs(c), 1e-30))
-    return columns, rows
+        block.append(_column([
+            abs(fock_oracle.tpm_variance_excess(protocol, beta, t) - c) / max(abs(c), 1e-30)
+            for protocol, t, c in zip(protocols, t_mid, closed)
+        ]))
+    return columns, [block]
 
 
 # -- cycle -------------------------------------------------------------------
@@ -178,19 +195,20 @@ def cycle_dataset(params: dict, oracle: bool = False):
         for tau in taus
     ]
     records = stroke_records(configs, nodes=nodes, rtol=rtol)
-    rows = []
-    for tau, config, record in zip(taus, configs, records):
-        row = [tau]
-        for accounting in Accounting:
-            result = book_cycle(config, record, accounting)
-            row += [result.eta, result.power]
-        rows.append(row)
+    results = [[book_cycle(c, r, a) for a in Accounting] for c, r in zip(configs, records)]
+    block = [np.array(taus)]
+    for i in range(len(Accounting)):
+        booked = [row[i] for row in results]
+        block += [_column([r.eta for r in booked]), _column([r.power for r in booked])]
     if oracle:
-        for config, record, row in zip(configs, records, rows):
-            res1 = _fock_stroke_residual(config.compression_protocol(), beta1, record.q1)
-            res3 = _fock_stroke_residual(config.expansion_protocol(), beta2, record.q3)
-            row.append(max(res1, res3))
-    return columns, rows
+        block.append(_column([
+            max(
+                _fock_stroke_residual(config.compression_protocol(), beta1, record.q1),
+                _fock_stroke_residual(config.expansion_protocol(), beta2, record.q3),
+            )
+            for config, record in zip(configs, records)
+        ]))
+    return columns, [block]
 
 
 # -- empower -----------------------------------------------------------------
@@ -236,7 +254,7 @@ def empower_dataset(params: dict, oracle: bool = False):
             row.append(float(x_scan))
         return row
 
-    return columns, [one_ratio(ratio) for ratio in ratios]
+    return columns, [_block([one_ratio(ratio) for ratio in ratios])]
 
 
 # -- sweep -------------------------------------------------------------------
@@ -296,4 +314,4 @@ def sweep_dataset(params: dict, oracle: bool = False):
                 r.q1_star, r.q3_star, r.w1, r.w3, r.q2, r.q4, r.cost1, r.cost3,
                 r.eta, r.power, r.ds_tot, r.is_engine, "ok",
             ])
-    return columns, rows
+    return columns, [_block(rows)]

@@ -107,7 +107,9 @@ _PARITIES = (slice(0, None, 2), slice(1, None, 2))
 _LEAK_LIMIT = 1e-6
 _TRACE_LIMIT = 1e-8
 # Thermal tail weight left outside a stroke's truncation, and the guard
-# band added on top of it.
+# band added on top of it. propagate_fock_path holds its active window to
+# the same tail weight: a step that leaves more in the window's top two
+# levels is redone on a larger window.
 _DIM_TAIL = 1e-10
 _STROKE_GUARD = 30
 # Active window of propagate_fock_path: its tail threshold and guard band.
@@ -481,12 +483,16 @@ def _front(rho: _Rho | FockState) -> int:
     return int(np.count_nonzero(tail > _WINDOW_TAIL))
 
 
-def _check_and_clean(rho: _Rho, dim: int) -> _Rho:
+def _top_weight(rho: _Rho) -> float:
+    """The population of the top two levels of rho, the top level of each
+    parity block."""
+    return float(rho.even[-1, -1].real + rho.odd[-1, -1].real)
+
+
+def _check_and_clean(rho: _Rho) -> _Rho:
     """rho at unit trace with exactly Hermitian blocks, block by block.
     Raises NumericsError on a trace drift above _TRACE_LIMIT and
-    CutoffError on more than _LEAK_LIMIT in the top two levels of the
-    window, the top level of each parity block: the truncation's fault at
-    the cap of ``dim`` levels, the window's below it."""
+    CutoffError on more than _LEAK_LIMIT in the top two levels."""
     tr = float(np.trace(rho.even).real + np.trace(rho.odd).real)
     if not abs(tr - 1.0) <= _TRACE_LIMIT:
         raise NumericsError(
@@ -495,13 +501,11 @@ def _check_and_clean(rho: _Rho, dim: int) -> _Rho:
         )
     scaled = (m / tr for m in rho)
     rho = _Rho(*(0.5 * (m + m.conj().T) for m in scaled))
-    leak = float(rho.even[-1, -1].real + rho.odd[-1, -1].real)
+    leak = _top_weight(rho)
     if leak > _LEAK_LIMIT:
-        n = rho.even.shape[0] + rho.odd.shape[0]
-        lag = f"the active window of {n} levels lagged the populations (cap {dim})"
         raise CutoffError(
             f"population {leak:.3g} in the top two Fock levels exceeds "
-            f"{_LEAK_LIMIT:g}; {'enlarge the truncation' if n >= dim else lag}"
+            f"{_LEAK_LIMIT:g}; enlarge the truncation"
         )
     return rho
 
@@ -541,10 +545,14 @@ def propagate_fock_path(
     front over the last accepted step, divided by that step's length (0
     before the first). Before each trial, and only then, rho is
     zero-padded to front + ceil(speed step) + _WINDOW_BAND levels if it
-    holds fewer, up to the cap state.dim. After each accepted step the leak
-    check reads the window's real top two levels and refuses a state that
-    outgrows it. Each returned state is zero-padded to state.dim. The error
-    and tolerance norms are those of the whole rho."""
+    holds fewer, up to the cap state.dim. A step that leaves more than the
+    truncation's own tail weight _DIM_TAIL in the top two levels of a
+    window below the cap lagged its populations: it is redone on a window
+    sized the same way from the front it reached, at least one band
+    larger, until its top holds less or the window is at the cap. There
+    the leak check refuses a state that outgrows the truncation. Each
+    returned state is zero-padded to state.dim. The error and tolerance
+    norms are those of the whole rho."""
     if not abs(state.omega - protocol.omega_i) <= 1e-12 * protocol.omega_i:
         raise ValueError(
             f"state basis (omega {state.omega}) does not match the stroke's "
@@ -571,7 +579,14 @@ def propagate_fock_path(
             tol = _MAGNUS_ATOL + _MAGNUS_RTOL * _frobenius(rho)
             factor = 4.0 if err == 0.0 else min(4.0, max(0.2, 0.9 * (tol / err) ** (1.0 / 7.0)))
             if err <= tol:
-                rho = _check_and_clean(_advance(blocks, omega8, rho), dim)
+                advanced = _advance(blocks, omega8, rho)
+                if n < dim and _top_weight(advanced) > _DIM_TAIL:
+                    # the populations reached the window's top: redo the
+                    # step on a window sized from the front they reached
+                    speed = (_front(advanced) - front) / step
+                    continue
+                rho = _check_and_clean(advanced)
+                del advanced  # not held through the next step: a window-sized copy
                 front_next = _front(rho)
                 t, front, speed = t_next, front_next, (front_next - front) / step
             # a step clipped to its checkpoint keeps the larger proposal

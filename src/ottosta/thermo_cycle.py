@@ -23,8 +23,9 @@ Accounting conventions:
 
 A cycle point's strokes are computed once, by ``stroke_records`` alone,
 into a StrokeRecord of what the given accountings read (the factors of many
-points come from one stacked propagation); ``book_cycle`` turns a record
-into the result of any accounting by arithmetic alone.
+points come from one stacked propagation of their distinct protocols);
+``book_cycle`` turns a record into the result of any accounting by
+arithmetic alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynamics import DEFAULT_RTOL, adiabaticity_stack, thermal_energy
+from .dynamics import DEFAULT_RTOL, _ramp_grid, _thermal_q, thermal_energy, transfer_matrices
 from .errors import SecondLawViolationError
 from .protocols import (
     FrequencyProtocol,
@@ -176,8 +177,9 @@ def stroke_records(
     rtol: float = DEFAULT_RTOL,
 ) -> list[StrokeRecord]:
     """One StrokeRecord per cycle point, holding what ``accountings`` read:
-    for NONADIABATIC the Q* of every stroke, from one stacked bare-drive
-    propagation; for STA and TIME_AVERAGED the cost of every stroke longer
+    for NONADIABATIC the Q* of every stroke, read off its thermal start at
+    its own beta (``dynamics._thermal_q``) from one stacked bare-drive
+    propagation of the distinct protocols, each propagated once; for STA and TIME_AVERAGED the cost of every stroke longer
     than tau_min (None for the others): its protocol's value of one
     ``work_cost_stack`` call over the distinct feasible protocols, times
     its starting thermal energy, ``config.cold_energy`` or ``hot_energy``.
@@ -191,9 +193,13 @@ def stroke_records(
     ]
     q = [None] * len(protocols)
     if factors and protocols:
+        # each distinct protocol propagated once; Q* read per (protocol, beta)
+        distinct = {p: i for i, p in enumerate(dict.fromkeys(protocols))}
+        ts, m = transfer_matrices(list(distinct), [[p.tau] for p in distinct], rtol=rtol)
+        (w_t,) = _ramp_grid(list(distinct), ts, 0)
+        rows = [distinct[p] for p in protocols]
         betas = [b for c in configs for b in (c.beta1, c.beta2)]
-        ends = [[p.tau] for p in protocols]
-        q = [float(v) for v in adiabaticity_stack(protocols, betas, ends, rtol=rtol)[0][:, 0]]
+        q = _thermal_q(m[rows], protocols, betas, w_t[rows])[:, 0].tolist()
     c = [None] * len(protocols)
     if costs:
         feasible = [p for p in dict.fromkeys(protocols) if check_cd_validity(p).valid]

@@ -13,7 +13,8 @@ columns of the bare-drive M, Q* is the one-row, one-checkpoint
 one-row calls of ``sta_cost`` times the thermal prefactor of the start
 (``dynamics.thermal_energy`` or ``dynamics.occupation_spread``), as the
 package books them, and a cycle is the one-point
-``thermo_cycle.stroke_records`` booked by ``book_cycle``.
+``thermo_cycle.stroke_records`` booked by ``book_cycle``. The rows of a
+dataset are read off its builder's column blocks by ``table_rows``.
 """
 
 from dataclasses import dataclass
@@ -136,3 +137,14 @@ def cycle(config, accounting):
     only what that accounting reads."""
     [record] = stroke_records([config], [accounting])
     return book_cycle(config, record, accounting)
+
+
+def table_rows(blocks):
+    """The rows of a dataset given as column blocks (``ottosta.datasets``),
+    in order, each a list of Python values: a float64 column through
+    ``tolist``, any other as it is."""
+    rows = []
+    for block in blocks:
+        cells = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in block]
+        rows.extend(map(list, zip(*cells, strict=True)))
+    return rows

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ottosta
+from readouts import table_rows
 from ottosta import cli, datasets
 from ottosta.cli import (
     _digest,
@@ -483,12 +484,13 @@ class TestCycleOracle:
 
         monkeypatch.setattr(datasets, "_fock_stroke_residual", cheap_residual)
         params = resolve_config("cycle", build_parser().parse_args(["cycle", "--grid", "tau=3:6:2"]))
-        first = datasets.cycle_dataset(params, oracle=True)
+        columns, first = datasets.cycle_dataset(params, oracle=True)
         calls.clear()
-        second = datasets.cycle_dataset(params, oracle=True)
+        again, second = datasets.cycle_dataset(params, oracle=True)
         me = threading.get_ident()
         assert calls == [(me, 3.0), (me, 3.0), (me, 6.0), (me, 6.0)]
-        assert second == first
+        assert again == columns
+        assert table_rows(second) == table_rows(first)
 
 
     def test_fock_rows_read_the_stroke_record(self, monkeypatch):
@@ -507,7 +509,7 @@ class TestCycleOracle:
         monkeypatch.setattr(dynamics, "_transfer_matrices", recorded_stack)
         monkeypatch.setattr(fock_oracle, "propagate_fock_path", lambda st, *a, **k: [st])
         params = resolve_config("cycle", build_parser().parse_args(["cycle", "--grid", "tau=3:3:1"]))
-        _, rows = datasets.cycle_dataset(params, oracle=True)
+        rows = table_rows(datasets.cycle_dataset(params, oracle=True)[1])
         assert len(rows) == 1
         assert stacks == [(2, 1)]
 
@@ -569,23 +571,61 @@ class TestOutputFormats:
 
     @pytest.mark.parametrize("render", ["render_csv", "render_json"])
     def test_renderers_match_the_cell_by_cell_reference(self, render):
-        # -0.0 after an equal 0.0 keeps its sign; np.float64 is a float
-        # subclass that repr writes in its own spelling
+        # three blocks of one table: the "t" array object is shared by the
+        # first two, "floats" holds -0.0 after an equal 0.0, nan and +-inf,
+        # "mixed" holds None, bools, ints, strings and floats, and "numpy"
+        # np.float64, a float subclass that repr writes in its own spelling;
+        # the last block has no rows
         nan, inf = float("nan"), float("inf")
-        columns = ["floats", "mixed", "kind", "count", "flag", "numpy"]
-        rows = [
-            [1.5, None, "poly5", 3, True, 1.0],
-            [1.5, True, "poly5", -7, False, 2.0],
-            [0.0, "x", "poly5", 0, True, 3.0],
-            [-0.0, 2, "poly5", 1, False, 4.0],
-            [nan, 2.5, "poly5", 2, True, 5.0],
-            [inf, -0.0, "poly5", 10**20, False, 6.0],
-            [-inf, 0.0, "poly5", 4, True, np.float64(0.25)],
+        columns = ["t", "floats", "mixed", "kind", "count", "flag", "numpy"]
+        t = np.array([0.0, 0.5, 1.0, 1.5])
+        blocks = [
+            [
+                t,
+                np.array([1.5, 0.0, -0.0, nan]),
+                [None, True, "x", 2],
+                ["poly5"] * 4,
+                [3, -7, 0, 10**20],
+                [True, False, True, False],
+                [1.0, 2.0, np.float64(0.25), 4.0],
+            ],
+            [
+                t,
+                np.array([inf, -inf, 1e-300, -2.5]),
+                [2.5, -0.0, 0.0, False],
+                ["cosine"] * 4,
+                [1, 2, 4, 5],
+                [False, False, True, True],
+                [5.0, 6.0, 7.0, 8.0],
+            ],
+            [np.empty(0), np.empty(0), [], [], [], [], []],
         ]
         meta = {"command": "test", "params": {"tau": 3.0}}
-        for table in (rows, []):
-            want = getattr(oracles, render)(meta, columns, table)
+        for table in (blocks, blocks[2:], []):
+            want = getattr(oracles, render)(meta, columns, table_rows(table))
             assert getattr(cli, render)(meta, columns, table) == want
+
+    def test_default_qstar_formats_each_float_cell_once(self, monkeypatch, outfile):
+        # 4 kinds x 1001 samples x 4 float columns, and the t grid the four
+        # blocks share once: 17 017 float cells, not 5 x 4004 = 20 020; the
+        # 4004 protocol_kind cells go cell by cell
+        floats, cells = [], []
+        exact_texts, exact_cell = cli._column_texts, cli._format_cell
+
+        def counted_texts(column):
+            if isinstance(column, np.ndarray):
+                floats.append(column.size)
+            return exact_texts(column)
+
+        def counted_cell(value):
+            cells.append(type(value))
+            return exact_cell(value)
+
+        monkeypatch.setattr(cli, "_column_texts", counted_texts)
+        monkeypatch.setattr(cli, "_format_cell", counted_cell)
+        assert run_cli(["qstar", "--oracle", "--out", outfile]) == 0
+        assert sum(floats) == 17017
+        assert cells == [str] * 4004
 
     def test_float_cells_roundtrip(self, outfile):
         run_cli(["cost", "--grid", "tau=3:6:2", "--nodes", "201", "--out", outfile])
@@ -798,7 +838,9 @@ def _valid_cases(draw):
     the cost and cycle draws the frequencies (and a cycle's baths) are put
     in engine order and, where the ramp's tau_min (the larger of the two
     strokes' for cycle) is at most 5, the taus redrawn above it, so that the
-    shortcut columns are computed there and not only refused."""
+    shortcut columns are computed there and not only refused. On half the
+    qstar draws tau is over 1e6, so that the Gaussian step budget refuses
+    it (exit 4)."""
     command = draw(st.sampled_from(COMMANDS))
     props = DEFS[command]["properties"]
     drawn = {k: _valid(p, k) for k, p in props.items() if k not in _AT_DEFAULT}
@@ -829,6 +871,13 @@ def _valid_cases(draw):
         scales = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=3))
         if 0.0 < t_min <= 5.0:  # not the constant control; taus up to 1e2
             config["taus"] = [20.0 ** (k / 1000) * t_min for k in scales]
+    if command == "qstar" and draw(st.booleans()):
+        # tau in (1e6, 1e9] on a stroke whose faster end is at least 1: over
+        # 1e6 Magnus steps, which the step budget refuses before the first
+        # propagation, exit 4
+        taus = st.floats(math.log(1e6), math.log(1e9)).map(math.exp)
+        config["tau"] = draw(taus.filter(lambda tau: tau > 1e6))
+        config["omega_f"] = max(config.get("omega_f", 1.0), 1.0)
     oracle = command in ("qstar", "empower") and draw(st.booleans())
     return command, config, oracle
 
@@ -861,6 +910,10 @@ class TestSchemaValidConfigs:
             out = Path(tmp) / "a.csv"
             code, err = _run_in_process([*argv, "--out", str(out)])
             assert code in (0, 2, 3, 4), err
+            if config.get("tau", 0.0) > 1e6 and code != 2:
+                # unless a config error comes first (a constant ramp between
+                # two frequencies), the step budget refuses
+                assert code == 4 and err.endswith("(no estimate yet)\n"), err
             if code != 0:
                 assert err.count("\n") == 1 and err.endswith("\n"), err
                 assert list(Path(tmp).iterdir()) == [cfg]

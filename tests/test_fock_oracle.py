@@ -334,10 +334,10 @@ class TestBarePropagation:
         st = thermal_fock(2.0, 0.35, 40)
         rho = fock_oracle._Rho(st.even * (1.0 + 1e-6), st.odd * (1.0 + 1e-6))
         with pytest.raises(NumericsError, match="trace drift"):
-            fock_oracle._check_and_clean(rho, 40)
+            fock_oracle._check_and_clean(rho)
         rho = fock_oracle._Rho(st.even * math.nan, st.odd)
         with pytest.raises(NumericsError, match="trace drift"):
-            fock_oracle._check_and_clean(rho, 40)
+            fock_oracle._check_and_clean(rho)
 
     def test_leak_counts_the_top_level_of_each_parity(self):
         # 6e-7 on each of the top two levels, one even and one odd: neither
@@ -347,33 +347,36 @@ class TestBarePropagation:
         pops[-2:] = 6e-7
         rho = loop_rho(oracles.fock_state(np.diag(pops), 1.0))
         with pytest.raises(CutoffError, match="top two Fock levels"):
-            fock_oracle._check_and_clean(rho, 40)
+            fock_oracle._check_and_clean(rho)
 
-    def test_leak_below_the_cap_names_the_window(self):
-        # the same leak on a window of 40 levels under a cap of 100 is the
-        # window's fault, not the truncation's
-        pops = np.zeros(40)
-        pops[0] = 1.0 - 1.2e-6
-        pops[-2:] = 6e-7
-        rho = loop_rho(oracles.fock_state(np.diag(pops), 1.0))
-        text = r"top two Fock levels .*window of 40 levels lagged the populations \(cap 100\)"
-        with pytest.raises(CutoffError, match=text) as refused:
-            fock_oracle._check_and_clean(rho, 100)
-        assert "truncation" not in str(refused.value)
-
-    def test_lagging_window_is_not_blamed_on_the_truncation(self):
+    def test_lagging_window_redoes_the_step(self, monkeypatch):
         # a fast front on a wide stroke: the window, sized from the last
         # step's front speed, falls behind an accelerating front long
-        # before the cap of stroke_dim levels
+        # before the cap of stroke_dim levels. Each step that leaves more
+        # than the truncation's tail weight _DIM_TAIL = 1e-10 in the
+        # window's top two levels is redone on a larger window, so the
+        # stroke returns below its cap of 2487 levels; the top two levels
+        # then hold at most 9.8e-11 after an accepted step (the parent
+        # refused the stroke at 1.36e-6). The end energy is 1.3e-8 from the
+        # full-dim run (_WINDOW_TAIL = 0, too slow for the suite),
+        # 89.59521094944355
         beta = 0.5
         protocol = FrequencyProtocol(ProtocolKind.POLY5, 0.3, 3.0, 0.723)
         dim = stroke_dim(beta, protocol)
         st0 = thermal_fock_in(dim, beta, protocol.omega_i)
-        with pytest.raises(CutoffError, match="top two Fock levels") as refused:
-            propagate_fock_path(st0, protocol, [protocol.tau])
-        assert "lagged the populations" in str(refused.value)
-        assert f"(cap {dim})" in str(refused.value)
-        assert "enlarge the truncation" not in str(refused.value)
+        tops, sizes = [], _recording_sizes(monkeypatch)
+        clean = fock_oracle._check_and_clean
+
+        def recorded(rho):
+            tops.append(fock_oracle._top_weight(rho))
+            return clean(rho)
+
+        monkeypatch.setattr(fock_oracle, "_check_and_clean", recorded)
+        end = propagate_fock_path(st0, protocol, [protocol.tau])[-1]
+        assert end.dim == dim
+        assert 0.0 < max(tops) <= 9.8e-11
+        assert sizes == sorted(sizes) and sizes[-1] < dim
+        assert mean_energy_fock(end) == pytest.approx(89.59521094944355, rel=1.5e-8, abs=0.0)
 
 
 class TestCounterdiabaticPropagation:

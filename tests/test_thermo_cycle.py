@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from readouts import cycle, work_cost
+from readouts import cycle, table_rows, work_cost
 from ottosta.errors import SecondLawViolationError, TrapInversionError
 from ottosta.protocols import ProtocolKind
 from ottosta.thermo_cycle import (
@@ -370,7 +371,7 @@ class TestStrokeRecord:
         monkeypatch.setattr(thermo_cycle, "work_cost_stack", counted_cost)
         monkeypatch.setattr(dynamics, "_transfer_matrices", recorded_stack)
         params = resolve_config("cycle", build_parser().parse_args(["cycle"]))
-        _, rows = datasets.cycle_dataset(params)
+        rows = table_rows(datasets.cycle_dataset(params)[1])
         assert len(rows) == 40
         assert costs == [80]
         assert stacks == [(80, 1)]
@@ -392,9 +393,39 @@ class TestStrokeRecord:
 
         monkeypatch.setattr(thermo_cycle, "work_cost_stack", counted_cost)
         params = resolve_config("sweep", build_parser().parse_args(["sweep"]))
-        _, rows = datasets.sweep_dataset(params)
+        rows = table_rows(datasets.sweep_dataset(params)[1])
         assert len(rows) == 48
         assert costs == [10]
+
+    def test_default_sweep_propagates_each_distinct_protocol_once(self, monkeypatch):
+        # 24 strokes, 12 distinct protocols: one stacked propagation of 12
+        # rows, each Q* still read at its own stroke's beta
+        import ottosta.dynamics as dynamics
+        from ottosta import datasets
+        from ottosta.cli import build_parser, resolve_config
+
+        stacks = []
+        exact_stack = dynamics._transfer_matrices
+
+        def recorded_stack(protocols, ts, rtol):
+            stacks.append((len(protocols), ts.shape[1]))
+            assert len(set(protocols)) == len(protocols)
+            return exact_stack(protocols, ts, rtol)
+
+        monkeypatch.setattr(dynamics, "_transfer_matrices", recorded_stack)
+        params = resolve_config("sweep", build_parser().parse_args(["sweep"]))
+        rows = table_rows(datasets.sweep_dataset(params)[1])
+        assert len(rows) == 48
+        assert stacks == [(12, 1)]
+
+    def test_repeated_protocols_read_q_at_each_beta(self):
+        # one protocol under two cold baths: one propagation, and each row
+        # equals its one-point record bit for bit
+        configs = [ref(), dataclasses.replace(ref(), beta1=5.0)]
+        stacked = stroke_records(configs, [Accounting.NONADIABATIC])
+        alone = [stroke_records([c], [Accounting.NONADIABATIC])[0] for c in configs]
+        assert stacked == alone
+        assert stacked[0].q3 == stacked[1].q3
 
     def test_costs_are_none_exactly_on_the_infeasible_strokes(self):
         # tau_min = 2.0678 for the poly5 strokes between 0.35 and 1
