@@ -14,8 +14,9 @@ Each dataset is computed in one serial pass: the Gaussian strokes of all
 its rows go through one stacked propagation (``dynamics.adiabaticity_stack``,
 or in ``thermo_cycle.stroke_records`` one per distinct protocol), each
 closed-form counterdiabatic column through one stacked call
-(``dynamics.q_cd_grid``, the ``sta_cost`` cost stacks, free of temperature:
-``cost`` scales them by its start's ``thermal_energy`` and
+(``dynamics.q_cd_grid``, the ``sta_cost`` cost stacks, free of temperature,
+which evaluate each ramp shape once at unit duration and read every tau off
+that table: ``cost`` scales them by its start's ``thermal_energy`` and
 ``occupation_spread``), and each cycle point's strokes are evaluated once
 and booked under every accounting (``thermo_cycle.stroke_records``, which
 scales the costs by each stroke's starting energy, and ``book_cycle``). The

@@ -169,13 +169,6 @@ class _Stack(NamedTuple):
         return out
 
 
-def _bracket(x: tuple, y: tuple) -> tuple:
-    """[x, y] of traceless 2x2 matrices stored as components (m00, m01, m10);
-    the commutator is traceless again."""
-    (xa, xb, xc), (ya, yb, yc) = x, y
-    return (xb * yc - yb * xc, 2.0 * (xa * yb - ya * xb), 2.0 * (xc * ya - yc * xa))
-
-
 def _step_exponentials(
     stack: _Stack, row: np.ndarray, left: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
@@ -192,26 +185,31 @@ def _step_exponentials(
     delta = 0.
     """
     (w,) = stack.ramp(row, left + _NODES[:, None] * h, 0)
-    # A_k = [[0, 1], [c_k, 0]]; traceless matrices are (m00, m01, m10).
+    # A_k = [[0, 1], [c_k, 0]]; a traceless matrix is (m00, m01, m10), and
+    # [x, y] = (x01 y10 - y01 x10, 2 (x00 y01 - y00 x01), 2 (x10 y00 - y10 x00)).
+    # Only the nonzero components are formed, in the order of operations of
+    # the full algebra: a1 = (0, h, g), a2 = (0, 0, p), a3 = (0, 0, r) and
+    # C1 = (e, 0, 0), so the bits are those of the full component tuples.
     c1, c2, c3 = -w * w
-    k2, k3 = _SQRT15 / 3.0 * h, 10.0 / 3.0 * h
-    a1 = (0.0, h, h * c2)
-    a2 = (0.0, 0.0, k2 * (c3 - c1))
-    a3 = (0.0, 0.0, k3 * (c3 - 2.0 * c2 + c1))
-    com1 = _bracket(a1, a2)
-    com2 = _bracket(a1, tuple(2.0 * u + v for u, v in zip(a3, com1)))
-    lhs = tuple(v - 20.0 * x - y for x, y, v in zip(a1, a3, com1))
-    rhs = tuple(x - v / 60.0 for x, v in zip(a2, com2))
-    alpha, beta, gamma = (
-        x + y / 12.0 + v / 240.0 for x, y, v in zip(a1, a3, _bracket(lhs, rhs))
-    )
+    g = h * c2
+    p = _SQRT15 / 3.0 * h * (c3 - c1)
+    r = 10.0 / 3.0 * h * (c3 - 2.0 * c2 + c1)
+    e = h * p
+    # [-20 a1 - a3 + C1, a2 + C2], with C2 = -[a1, 2 a3 + C1]/60
+    lhs1, lhs2 = -20.0 * h, -20.0 * g - r
+    rhs0 = -(h * (2.0 * r) / 60.0)
+    rhs1 = 2.0 * (e * h) / 60.0
+    rhs2 = p - 2.0 * (g * e) / 60.0
+    alpha = (lhs1 * rhs2 - rhs1 * lhs2) / 240.0
+    beta = h + 2.0 * (e * rhs1 - rhs0 * lhs1) / 240.0
+    gamma = g + r / 12.0 + 2.0 * (lhs2 * rhs0 - rhs2 * e) / 240.0
     d = alpha * alpha + beta * gamma  # delta = -det Omega
 
     q = np.sqrt(np.abs(d))
+    cosh_part, sinh_part = np.cos(q), np.sin(q)
     grow = d > 0.0
-    q_grow = np.where(grow, q, 0.0)
-    cosh_part = np.where(grow, np.cosh(q_grow), np.cos(q))
-    sinh_part = np.where(grow, np.sinh(q_grow), np.sin(q))
+    if grow.any():
+        cosh_part[grow], sinh_part[grow] = np.cosh(q[grow]), np.sinh(q[grow])
     sinh_part = np.divide(sinh_part, q, out=np.ones_like(q), where=q > 0.0)
 
     return np.stack(
@@ -271,27 +269,27 @@ def _gap_products(
     counts = counts.ravel()
     h_gap = np.diff(edges, axis=1).ravel() / np.maximum(counts, 1)
     left_gap = edges[:, :-1].ravel()
-    chunks = -(-counts // _BLOCK_STEPS)
+    # An empty gap is one empty chunk, whose product is the identity.
+    chunks = np.maximum(-(-counts // _BLOCK_STEPS), 1)
     gap = np.repeat(np.arange(counts.size), chunks)
     offset = (np.arange(gap.size) - np.repeat(np.cumsum(chunks) - chunks, chunks)) * _BLOCK_STEPS
     length = np.minimum(counts[gap] - offset, _BLOCK_STEPS)
     end = np.cumsum(length)
-    roots = np.empty((4, gap.size))
+    roots = np.repeat(_IDENTITY, gap.size, axis=1)
     first = 0
     while first < gap.size:
         start = end[first] - length[first]
         last = int(np.searchsorted(end, start + _BLOCK_STEPS, side="right"))
-        seg = np.repeat(np.arange(first, last), length[first:last])
+        filled = first + np.flatnonzero(length[first:last])
+        seg = np.repeat(filled, length[filled])
         g = gap[seg]
         index = offset[seg] + np.arange(seg.size) - (end[seg] - length[seg] - start)
         steps = _step_exponentials(
             stack, rows[g // n_gaps], left_gap[g] + index * h_gap[g], h_gap[g]
         )
-        roots[:, first:last] = _segment_products(steps, length[first:last])
+        roots[:, filled] = _segment_products(steps, length[filled])
         first = last
-    out = np.repeat(_IDENTITY, counts.size, axis=1)
-    out[:, chunks > 0] = _segment_products(roots, chunks[chunks > 0])
-    return out.reshape(4, n_rows, n_gaps)
+    return _segment_products(roots, chunks).reshape(4, n_rows, n_gaps)
 
 
 def _transfer_matrices(
@@ -310,8 +308,10 @@ def _transfer_matrices(
     short are skipped. Rows that meet rtol freeze while
     the others go on, so a row's steps, and its bits, equal those of its
     lone call. The steps of each gap are multiplied by a pairwise tree and
-    the gap products by a prefix scan over the checkpoints. Raises
-    NumericsError when a row's grid would exceed _MAX_STEPS steps.
+    the gap products by an in-place prefix scan over the checkpoints. One
+    component array (4, B, K) holds each row's last level, then its
+    result. Raises NumericsError when a row's grid would exceed _MAX_STEPS
+    steps.
     """
     if not rtol > 0.0:
         raise ValueError(f"rtol must be positive, got {rtol!r}")
@@ -325,8 +325,9 @@ def _transfer_matrices(
         moving, t_end, 1.0
     )
     base = np.ceil(np.diff(edges, axis=1) * steps_per_time[:, None])
-    result = np.tile(np.eye(2), (n_rows, n_ts, 1, 1))
-    previous = np.zeros_like(result)
+    # Components (4, B, K): a frozen row's result, an active row's last level.
+    result = np.zeros((4, n_rows, n_ts))
+    result[0] = result[3] = 1.0
     has_previous = np.zeros(n_rows, dtype=bool)
     error = np.full(n_rows, math.inf)
     level = np.zeros(n_rows, dtype=np.int64)
@@ -348,44 +349,58 @@ def _transfer_matrices(
                 f"{_MAX_STEPS} ({estimate})"
             )
         counts = counts.astype(np.int64)
-        m = _prefix_products(_gap_products(stack, rows, edges[rows], counts))
-        m = np.moveaxis(m, 0, -1).reshape(rows.size, n_ts, 2, 2)
-        diff = np.max(np.abs(m - previous[rows]), axis=(2, 3))
-        error[rows] = np.where(
-            has_previous[rows],
-            np.max(diff / np.max(np.abs(m), axis=(2, 3)), axis=1) / 63.0,
-            error[rows],
-        )
-        for i, r in enumerate(rows):
+        estimate = _next_level(stack, rows, edges[rows], counts, result)
+        error[rows] = np.where(has_previous[rows], estimate, error[rows])
+        for r in rows:
             if not has_previous[r]:
-                previous[r] = m[i]
                 has_previous[r] = True
                 level[r] += 1
-                continue
-            if error[r] <= rtol:
-                result[r] = m[i]
+            elif error[r] <= rtol:
                 active[r] = False
-                continue
-            # A 6th-order error falls about 64-fold per doubling: skip straight
-            # to the pair of levels predicted to meet rtol.
-            e = float(error[r])
-            doublings = math.ceil(math.log(e / rtol, 64)) if math.isfinite(e) else 1
-            has_previous[r] = doublings <= 1
-            previous[r] = m[i]
-            level[r] += max(doublings - 1, 1)
-    return result
+            else:
+                # A 6th-order error falls about 64-fold per doubling: skip
+                # straight to the pair of levels predicted to meet rtol.
+                e = float(error[r])
+                doublings = math.ceil(math.log(e / rtol, 64)) if math.isfinite(e) else 1
+                has_previous[r] = doublings <= 1
+                level[r] += max(doublings - 1, 1)
+    return np.moveaxis(result, 0, -1).reshape(n_rows, n_ts, 2, 2)
 
 
-def _prefix_products(gaps: np.ndarray) -> np.ndarray:
-    """Running products gaps[..., k] @ ... @ gaps[..., 0] along the last
-    (checkpoint) axis of components (4, R, K), by a log-depth doubling scan
-    (each pass combines entries ``span`` apart)."""
-    out = gaps.copy()
+def _next_level(
+    stack: _Stack, rows: np.ndarray, edges: np.ndarray, counts: np.ndarray, result: np.ndarray
+) -> np.ndarray:
+    """Propagate strokes ``rows`` with gap edges (R, K + 1) and step counts
+    (R, K), store their M at the checkpoints into ``result`` (4, B, K) and
+    return each row's Richardson estimate against what ``result`` held
+    there, max_j |M_j - M'_j| / (63 |M_j|), each norm the largest
+    component. The estimate is formed one component at a time."""
+    m = _gap_products(stack, rows, edges, counts)
+    _prefix_products(m)
+    diff = scale = None
+    for c in range(4):
+        gap = result[c, rows]
+        np.abs(np.subtract(m[c], gap, out=gap), out=gap)
+        size = np.abs(m[c])
+        diff = gap if diff is None else np.maximum(diff, gap, out=diff)
+        scale = size if scale is None else np.maximum(scale, size, out=scale)
+    result[:, rows] = m
+    return np.max(diff / scale, axis=1) / 63.0
+
+
+def _prefix_products(x: np.ndarray) -> None:
+    """Replace components (4, R, K) by their running products
+    x[..., k] @ ... @ x[..., 0] along the last (checkpoint) axis, in place,
+    by a log-depth doubling scan (each pass combines entries ``span``
+    apart). A pass runs down from the last checkpoint in chunks of at most
+    _BLOCK_STEPS, so a chunk reads only entries the pass has not written."""
+    n = x.shape[-1]
     span = 1
-    while span < out.shape[-1]:
-        out[..., span:] = _mul(out[..., span:], out[..., :-span])
+    while span < n:
+        for top in range(n, span, -_BLOCK_STEPS):
+            low = max(top - _BLOCK_STEPS, span)
+            x[..., low:top] = _mul(x[..., low:top], x[..., low - span : top - span])
         span *= 2
-    return out
 
 
 def transfer_matrices(
@@ -465,17 +480,22 @@ def adiabaticity_stack(
 # -- closed-form CD accounting ------------------------------------------------
 
 
-def _cd_grid(protocols, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """omega(t) and the closed-form Q*_CD(t), each (B, K), of each stroke at
-    its checkpoints ts[b], from one ramp evaluation, and omega_i, (B, 1).
-    Raises TrapInversionError unless every stroke has tau > tau_min."""
+def _margin_deficit(w: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """omegadot^2 / (4 omega^4), the deficit 1 - g of the validity margin g:
+    Q*_CD = 1 / sqrt(1 - deficit)."""
+    return wd**2 / (4.0 * w**4)
+
+
+def _cd_grid(protocols, ts) -> tuple[np.ndarray, np.ndarray]:
+    """omega(t) and the margin deficit, each (B, K), of each stroke at its
+    checkpoints ts[b], from one ramp evaluation. Raises TrapInversionError
+    unless every stroke has tau > tau_min."""
     protocols = list(protocols)
     ts = _checkpoints(protocols, ts)
     for protocol in protocols:
         require_cd_valid(protocol)
     w, wd = _ramp_grid(protocols, ts, 1)
-    omega_i = np.array([[p.omega_i] for p in protocols])
-    return w, 1.0 / np.sqrt(1.0 - wd**2 / (4.0 * w**4)), omega_i
+    return w, _margin_deficit(w, wd)
 
 
 def q_cd_grid(protocols, ts) -> np.ndarray:
@@ -488,4 +508,4 @@ def q_cd_grid(protocols, ts) -> np.ndarray:
     energies. It is not the energy ratio of the propagated state, which CD
     driving pins to 1. Raises TrapInversionError unless every tau > tau_min.
     """
-    return _cd_grid(protocols, ts)[1]
+    return 1.0 / np.sqrt(1.0 - _cd_grid(protocols, ts)[1])

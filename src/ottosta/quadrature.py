@@ -2,9 +2,11 @@
 
 All time averages in the package integrate smooth integrands over a stroke,
 so a fixed uniform Simpson rule with an odd node count (default 1001) is
-accurate far beyond the acceptance tolerances. The rule and the grid are
-fixed, so a stroke's average has the same bits whether it is integrated
-alone or as one row of a stack.
+accurate far beyond the acceptance tolerances. The costs of ``sta_cost``
+average over u = t/tau on the one unit grid ``stroke_grid(1.0, nodes)``,
+whatever the duration. The rule and the grid are fixed, so a stroke's
+average has the same bits whether it is integrated alone or as one row of
+a stack.
 """
 
 import numpy as np

@@ -255,6 +255,56 @@ def trapezoid_mean(f, a, b, n=200001):
     return trapezoid(vals, ts) / (b - a)
 
 
+def cd_terms_longdouble(kind, omega_i, omega_f, tau, ts):
+    """Long-double integrands of the counterdiabatic costs at the times ts:
+    the mean extra work per <H(0)>, (omega/omega_i)(Q - 1), and the excess
+    work variance per n_bar (n_bar + 1),
+    (omega Q - omega_i)^2 - (omega - omega_i)^2, with
+    Q = 1/sqrt(1 - x), x = omegadot^2/(4 omega^4), from the closed-form
+    slope of the ramp. Q - 1 is taken as x Q^2 / (Q + 1) and the variance
+    as omega (Q - 1)(2 (omega - omega_i) + omega (Q - 1)), the same
+    numbers without the cancellations near the stroke ends, where both
+    vanish."""
+    ld = np.longdouble
+    s = np.asarray(ts, dtype=ld) / ld(tau)
+    wi, d = ld(omega_i), ld(omega_f) - ld(omega_i)
+    if kind == "poly5":
+        dw, slope = d * s**3 * (10 - 15 * s + 6 * s * s), d * 30 * s * s * (1 - s) ** 2
+    elif kind == "poly3":
+        dw, slope = d * s * s * (3 - 2 * s), d * 6 * s * (1 - s)
+    elif kind == "linear":
+        dw, slope = d * s, d + 0 * s
+    elif kind == "cosine":
+        pi = np.arccos(ld(-1))
+        a2 = (ld(omega_f) / wi) ** 2
+        u = ((a2 + 1) - (a2 - 1) * np.cos(pi * s)) / 2
+        dw = wi * np.sqrt(u) - wi
+        slope = wi * (a2 - 1) * pi * np.sin(pi * s) / (4 * np.sqrt(u))
+    else:
+        raise ValueError(kind)
+    w = wi + dw
+    x = (slope / ld(tau)) ** 2 / (4 * w**4)
+    q = 1 / np.sqrt(1 - x)
+    q1 = x * q * q / (q + 1)
+    return (w / wi) * q1, w * q1 * (2 * dw + w * q1)
+
+
+def cd_costs_longdouble(kind, omega_i, omega_f, tau, nodes):
+    """Long-double Simpson averages over ``nodes`` uniform samples of a
+    stroke (t_j = tau j / (nodes - 1)) of the two integrands of
+    cd_terms_longdouble, the second under a square root: the work cost per
+    <H(0)> and the fluctuation cost per sqrt(n_bar (n_bar + 1))."""
+    ld = np.longdouble
+    ts = ld(tau) * np.arange(nodes, dtype=ld) / ld(nodes - 1)
+    work, variance = cd_terms_longdouble(kind, omega_i, omega_f, tau, ts)
+    weights = np.ones(nodes, dtype=ld)
+    weights[1:-1:2], weights[2:-1:2] = 4, 2
+    return (
+        np.sum(weights * work) / (3 * (nodes - 1)),
+        np.sum(weights * np.sqrt(variance)) / (3 * (nodes - 1)),
+    )
+
+
 def thermal_nbar(beta, omega):
     return 1.0 / math.expm1(beta * omega)
 

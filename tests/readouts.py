@@ -9,10 +9,11 @@ Each readout is a one-row call of the public stacked API: the states at the
 checkpoints are M mean(0) and M cov(0) M^T of ``dynamics.transfer_matrices``
 (each a validated ``GaussianState``), the classical pair is read off the
 columns of the bare-drive M, Q* is the one-row, one-checkpoint
-``dynamics.adiabaticity_stack``, the counterdiabatic terms and costs are
-one-row calls of ``sta_cost`` times the thermal prefactor of the start
-(``dynamics.thermal_energy`` or ``dynamics.occupation_spread``), as the
-package books them, and a cycle is the one-point
+``dynamics.adiabaticity_stack``, the counterdiabatic variance term and the
+costs are one-row calls of ``sta_cost`` times the thermal prefactor of the
+start (``dynamics.thermal_energy`` or ``dynamics.occupation_spread``), as
+the package books them, the mean work term is spelled here from ``q_cd``,
+since the package only averages it, and a cycle is the one-point
 ``thermo_cycle.stroke_records`` booked by ``book_cycle``. The rows of a
 dataset are read off its builder's column blocks by ``table_rows``.
 """
@@ -33,12 +34,7 @@ from ottosta.dynamics import (
     transfer_matrices,
 )
 from ottosta.quadrature import DEFAULT_NODES
-from ottosta.sta_cost import (
-    variance_cost_stack,
-    work_cost_stack,
-    work_excess,
-    work_variance_excess,
-)
+from ottosta.sta_cost import variance_cost_stack, work_cost_stack, work_variance_excess
 from ottosta.thermo_cycle import book_cycle, stroke_records
 
 
@@ -105,9 +101,11 @@ def q_cd(protocol, ts):
 
 def work_term(protocol, beta, t):
     """Mean extra energy of the CD accounting at time t, from the thermal
-    start at beta: <H(0)> times the one-row work_excess."""
+    start at beta: <H(0)> (omega_t/omega_i)(Q*_CD - 1), the integrand of
+    ``work_cost``."""
     h0_mean = thermal_energy(beta, protocol.omega_i)
-    return h0_mean * float(work_excess([protocol], [[t]])[0, 0])
+    omega_t = protocol.eval(t)[0]
+    return h0_mean * (omega_t / protocol.omega_i) * (float(q_cd(protocol, [t])[0]) - 1.0)
 
 
 def variance_term(protocol, beta, t):

@@ -4,7 +4,8 @@ the stacked API (a single stroke is a one-row call of
 ``dynamics.transfer_matrices``, ``adiabaticity_stack`` or ``q_cd_grid``, of
 the ``sta_cost`` stacks or of ``thermo_cycle.stroke_records``), a second
 spelling of a stroke and its thermal start (``StrokeContext``; the stacks
-take ``protocols, betas``), helpers that only the tests used, the Fock
+take ``protocols, betas``), helpers that only the tests used (the
+pointwise mean work term, which only the cost's own average reads), the Fock
 oracle's reference basis and eigenbasis readout, which its instantaneous
 frame made unnecessary, its operator set (``FockOperators``,
 ``build_operators``), since every oracle function takes a level count, and
@@ -64,6 +65,7 @@ RETIRED = {
         "avg_work_cost",
         "avg_variance_cost",
         "StrokeContext",
+        "work_excess",
     ],
     "thermo_cycle": ["evaluate_cycle"],
 }

@@ -14,9 +14,11 @@ from ottosta.sta_cost import (
     friction_stack,
     variance_cost_stack,
     work_cost_stack,
-    work_excess,
     work_variance_excess,
 )
+from ottosta.cli import build_parser, resolve_config
+from ottosta.datasets import resolve_grid
+from ottosta.thermo_cycle import Accounting, CycleConfig, stroke_records
 from readouts import q_cd, variance_cost, variance_term, work_cost, work_term
 
 COMP = FrequencyProtocol(ProtocolKind.POLY5, 0.35, 1.0, 3.0)
@@ -92,11 +94,13 @@ class TestMeanCost:
         assert work_term(COMP, 2.0, 1.5) == pytest.approx(want, rel=1e-14)
 
     def test_closed_form_is_free_of_temperature(self):
-        # work_excess is the integrand per unit <H(0)>: (w_t / w_i) (Q - 1)
+        # the integrand per unit <H(0)> is (w_t / w_i) (Q - 1) at every
+        # temperature, against its long-double closed form
         ts = np.linspace(0.0, 3.0, 7)
-        w = COMP.eval(ts)[0]
-        want = (w / 0.35) * (q_cd(COMP, ts) - 1.0)
-        np.testing.assert_array_equal(work_excess([COMP], [ts])[0], want)
+        want = oracles.cd_terms_longdouble("poly5", 0.35, 1.0, 3.0, ts)[0].astype(float)
+        for beta in (0.2, 2.0, math.inf):
+            got = [work_term(COMP, beta, t) / thermal_energy(beta, 0.35) for t in ts]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-16)
 
     def test_vanishes_at_stroke_ends(self):
         assert work_term(COMP, 2.0, 0.0) == pytest.approx(0.0, abs=1e-14)
@@ -147,11 +151,12 @@ class TestVarianceCost:
         assert variance_cost(COMP, 2.0) == pytest.approx(0.18274471987550409, abs=1e-12)
 
     def test_closed_form_is_free_of_temperature(self):
-        # work_variance_excess is the excess per unit n_bar (n_bar + 1)
+        # work_variance_excess is the excess per unit n_bar (n_bar + 1),
+        # (w Q - w_i)^2 - (w - w_i)^2, against its long-double closed form
         ts = np.linspace(0.0, 3.0, 7)
-        w = COMP.eval(ts)[0]
-        want = (w * q_cd(COMP, ts) - 0.35) ** 2 - (w - 0.35) ** 2
-        np.testing.assert_array_equal(work_variance_excess([COMP], [ts])[0], want)
+        want = oracles.cd_terms_longdouble("poly5", 0.35, 1.0, 3.0, ts)[1].astype(float)
+        got = work_variance_excess([COMP], [ts])[0]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-17)
 
     def test_compression_excess_nonnegative(self):
         ts = np.linspace(0.0, 3.0, 101)
@@ -196,13 +201,56 @@ def _strokes(rows):
     return protocols, [beta for *_, beta in rows]
 
 
+def _interleaved(shapes, taus):
+    """Strokes of each (kind, omega_i, omega_f) at every tau, the shapes
+    interleaved, so that a shape's rows are not adjacent in the stack."""
+    return [FrequencyProtocol(k, wi, wf, tau) for tau in taus for k, wi, wf in shapes]
+
+
+# Three shapes with more strokes each than one block of 1001-node rows holds.
+_SHAPES = [
+    (ProtocolKind.POLY5, 0.35, 1.0),
+    (ProtocolKind.COSINE, 0.35, 0.7),
+    (ProtocolKind.POLY3, 0.5, 1.0),
+]
+_MANY_TAUS = np.linspace(3.0, 12.0, 12).tolist()
+
+
+def _counted_ramp_samples(monkeypatch):
+    """A list that records the samples of every ramp evaluation made after
+    this call, through protocols._ramp_shape or its copy in dynamics."""
+    from ottosta import dynamics, protocols
+
+    exact, samples = protocols._ramp_shape, []
+
+    def counted(kind, wi, wf, tau, s, order):
+        samples.append(np.broadcast(wi, wf, tau, s).size)
+        return exact(kind, wi, wf, tau, s, order)
+
+    monkeypatch.setattr(protocols, "_ramp_shape", counted)
+    monkeypatch.setattr(dynamics, "_ramp_shape", counted)
+    return samples
+
+
+def _default_cost_strokes():
+    """The strokes and the node count of the default ``cost``."""
+    params = resolve_config("cost", build_parser().parse_args(["cost"]))
+    protocols = [
+        FrequencyProtocol(params["kind"], params["omega_i"], params["omega_f"], tau)
+        for tau in resolve_grid(params["taus"])
+    ]
+    return protocols, params["nodes"]
+
+
 class TestCostStack:
     """The stacked costs: each row is its one-row call, bit for bit, also
-    across the blocks the grid is evaluated in."""
+    across the blocks the table is read in and between interleaved ramp
+    shapes."""
 
     def test_work_cost_rows_equal_their_one_row_calls_bit_for_bit(self):
         protocols, _ = _strokes(_COMPRESSIONS + _EXPANSIONS)
-        assert len(protocols) > sta_cost._BLOCK_SAMPLES // 1001  # more than one block
+        protocols += _interleaved(_SHAPES + [(k, wf, wi) for k, wi, wf in _SHAPES], _MANY_TAUS)
+        assert len(_MANY_TAUS) > sta_cost._BLOCK_SAMPLES // 1001  # a shape spans blocks
         stacked = work_cost_stack(protocols)
         assert stacked.shape == (len(protocols),)
         for b, p in enumerate(protocols):
@@ -210,12 +258,13 @@ class TestCostStack:
 
     def test_variance_cost_rows_equal_their_one_row_calls_bit_for_bit(self):
         protocols, _ = _strokes(_COMPRESSIONS)
-        assert len(protocols) > sta_cost._BLOCK_SAMPLES // 1001
+        protocols += _interleaved(_SHAPES, _MANY_TAUS)
+        assert len(_MANY_TAUS) > sta_cost._BLOCK_SAMPLES // 1001
         stacked = variance_cost_stack(protocols)
         for b, p in enumerate(protocols):
             assert stacked[b].tobytes() == variance_cost_stack([p])[0].tobytes(), b
 
-    @pytest.mark.parametrize("closed_form", [work_excess, work_variance_excess])
+    @pytest.mark.parametrize("closed_form", [work_variance_excess])
     def test_closed_form_rows_equal_their_one_row_calls_bit_for_bit(self, closed_form):
         protocols, _ = _strokes(_COMPRESSIONS + _EXPANSIONS)
         ts = np.array([np.linspace(0.0, p.tau, 11) for p in protocols])
@@ -227,20 +276,61 @@ class TestCostStack:
 
     @pytest.mark.parametrize("nodes", [257, 1001, 9001])
     def test_blocks_hold_at_most_the_block_samples(self, monkeypatch, nodes):
-        exact = sta_cost.work_excess
+        exact = sta_cost._work_excess
         blocks = []
 
-        def recorded(protocols, ts):
-            blocks.append(ts.shape)
-            return exact(protocols, ts)
+        def recorded(v, x):
+            blocks.append((v.shape, x.shape))
+            return exact(v, x)
 
-        monkeypatch.setattr(sta_cost, "work_excess", recorded)
-        protocols, _ = _strokes(_COMPRESSIONS * 4)
+        monkeypatch.setattr(sta_cost, "_work_excess", recorded)
+        protocols = _interleaved(_SHAPES, _MANY_TAUS)
         work_cost_stack(protocols, nodes=nodes)
-        assert sum(rows for rows, _ in blocks) == len(protocols)
-        assert all(k == nodes for _, k in blocks)
-        assert all(rows * k <= max(sta_cost._BLOCK_SAMPLES, k) for rows, k in blocks)
-        assert len(blocks) == -(-len(protocols) // max(sta_cost._BLOCK_SAMPLES // nodes, 1))
+        assert sum(rows for _, (rows, _) in blocks) == len(protocols)
+        assert all(v == (nodes,) and k == nodes for v, (_, k) in blocks)
+        assert all(rows * k <= max(sta_cost._BLOCK_SAMPLES, k) for _, (rows, k) in blocks)
+        per_block = max(sta_cost._BLOCK_SAMPLES // nodes, 1)
+        assert len(blocks) == len(_SHAPES) * -(-len(_MANY_TAUS) // per_block)
+
+    def test_default_cycle_evaluates_one_ramp_per_stroke_shape(self, monkeypatch):
+        # 40 taus, each with a compression and an expansion stroke: 80
+        # strokes of 2 shapes, each evaluated once on the unit grid
+        params = resolve_config("cycle", build_parser().parse_args(["cycle"]))
+        configs = [
+            CycleConfig(
+                omega1=params["omega1"], omega2=params["omega2"], beta1=params["beta1"],
+                beta2=params["beta2"], tau1=tau, tau3=tau, kind=params["kind"],
+            )
+            for tau in resolve_grid(params["taus"])
+        ]
+        assert 2 * len(configs) == 80
+        costs = (Accounting.STA, Accounting.TIME_AVERAGED)
+        stroke_records(configs, costs, nodes=params["nodes"])  # fills tau_min's cache
+        samples = _counted_ramp_samples(monkeypatch)
+        stroke_records(configs, costs, nodes=params["nodes"])
+        assert sum(samples) == 2 * params["nodes"]
+
+    @pytest.mark.parametrize("cost", [work_cost_stack, variance_cost_stack])
+    def test_default_cost_evaluates_one_ramp_per_stack(self, monkeypatch, cost):
+        protocols, nodes = _default_cost_strokes()
+        cost(protocols, nodes=nodes)  # fills tau_min's cache
+        samples = _counted_ramp_samples(monkeypatch)
+        cost(protocols, nodes=nodes)
+        assert len(protocols) == 40
+        assert sum(samples) == nodes
+
+    def test_default_costs_match_the_long_double_sums(self):
+        # the same grid and rule in long double: the costs keep their digits
+        # (the unfactored variance excess cancels to about 1e-11 at tau = 11.5)
+        protocols, nodes = _default_cost_strokes()
+        work = work_cost_stack(protocols, nodes=nodes)
+        variance = variance_cost_stack(protocols, nodes=nodes)
+        for b, p in enumerate(protocols):
+            want = oracles.cd_costs_longdouble(
+                p.kind.value, p.omega_i, p.omega_f, p.tau, nodes
+            )
+            assert float(abs(work[b] - want[0]) / want[0]) <= 1e-14, p.tau
+            assert float(abs(variance[b] - want[1]) / want[1]) <= 1e-14, p.tau
 
     def test_an_expansion_stroke_refuses_the_variance_cost_of_the_stack(self):
         with pytest.raises(PhysicsError, match="negative"):
